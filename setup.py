@@ -7,8 +7,4 @@ editable installs (``pip install -e . --no-use-pep517``).
 
 from setuptools import setup
 
-setup(
-    # The batch engine (repro.engine) and trace materialization
-    # (repro.trace.batching) are NumPy-based; everything else is pure Python.
-    install_requires=["numpy"],
-)
+setup()

@@ -68,6 +68,7 @@ from .multiconfig import (
     MultiConfigPlan,
     MultiConfigProfileBuilder,
     ProfileCounts,
+    ProfileOptions,
     StackDistanceBuilder,
     StackDistanceProfile,
     check_profile_mode,
@@ -92,6 +93,7 @@ from .skew_decompose import run_skew_decomposed_policy, run_victim_decomposed
 from .sweep import (
     ON_ERROR_POLICIES,
     SweepError,
+    SweepOptions,
     TaskFailure,
     backoff_delays,
     chunk_tasks,
@@ -142,6 +144,7 @@ __all__ = [
     "PROFILE_MODES",
     "check_profile_mode",
     "ProfileCounts",
+    "ProfileOptions",
     "StackDistanceProfile",
     "StackDistanceBuilder",
     "MultiConfigLRUProfile",
@@ -167,6 +170,7 @@ __all__ = [
     "chunk_tasks",
     "ON_ERROR_POLICIES",
     "SweepError",
+    "SweepOptions",
     "TaskFailure",
     "backoff_delays",
     "SweepJournal",

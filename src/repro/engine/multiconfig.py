@@ -80,6 +80,7 @@ __all__ = [
     "PROFILE_MODES",
     "PROFILE_AUTO_CAP_LIMIT",
     "check_profile_mode",
+    "ProfileOptions",
     "ProfileCounts",
     "StackDistanceProfile",
     "StackDistanceBuilder",
@@ -123,6 +124,50 @@ def check_profile_mode(profile: str) -> str:
         raise ValueError(
             f"unknown profile mode {profile!r}; expected one of {PROFILE_MODES}")
     return label
+
+
+def _check_profile_knobs(profile: str, sample_rate: float,
+                         sample_size: Optional[int],
+                         profile_seed: int) -> str:
+    """The one validation of a plan's pricing knobs (shared by
+    :class:`ProfileOptions` and :class:`MultiConfigPlan`); returns the
+    normalised profile mode."""
+    profile = check_profile_mode(profile)
+    if not 0.0 < float(sample_rate) <= 1.0:
+        raise ValueError(f"sample rate must be in (0, 1], got {sample_rate}")
+    if sample_size is not None and int(sample_size) < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample_size}")
+    if int(profile_seed) < 0:
+        raise ValueError(
+            f"profile seed must be non-negative, got {profile_seed}")
+    return profile
+
+
+@dataclass(frozen=True)
+class ProfileOptions:
+    """How a :class:`MultiConfigPlan` prices its tasks.
+
+    ``profile`` is one of :data:`PROFILE_MODES`; ``sample_rate`` (in
+    (0, 1]), ``sample_size`` (a cap on the expected sample, or ``None``)
+    and ``profile_seed`` configure the SHARDS sampler of
+    ``profile="sampled"``.  The fields are the plan's keywords, validated
+    at construction.
+    """
+
+    profile: str = "auto"
+    sample_rate: float = 0.01
+    sample_size: Optional[int] = None
+    profile_seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "profile", _check_profile_knobs(
+            self.profile, self.sample_rate, self.sample_size,
+            self.profile_seed))
+
+    def plan(self) -> "MultiConfigPlan":
+        """An empty plan with these options."""
+        return MultiConfigPlan(self.profile, self.sample_rate,
+                               self.sample_size, self.profile_seed)
 
 
 # --------------------------------------------------------------------- #
@@ -1206,16 +1251,8 @@ class MultiConfigPlan:
     def __init__(self, profile: str = "auto", sample_rate: float = 0.01,
                  sample_size: Optional[int] = None,
                  profile_seed: int = 0) -> None:
-        self._profile = check_profile_mode(profile)
-        if not 0.0 < float(sample_rate) <= 1.0:
-            raise ValueError(
-                f"sample rate must be in (0, 1], got {sample_rate}")
-        if sample_size is not None and int(sample_size) < 1:
-            raise ValueError(
-                f"sample size must be at least 1, got {sample_size}")
-        if int(profile_seed) < 0:
-            raise ValueError(
-                f"profile seed must be non-negative, got {profile_seed}")
+        self._profile = _check_profile_knobs(profile, sample_rate,
+                                             sample_size, profile_seed)
         self._sample_rate = float(sample_rate)
         self._sample_size = None if sample_size is None else int(sample_size)
         self._profile_seed = int(profile_seed)

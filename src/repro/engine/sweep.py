@@ -19,7 +19,8 @@ executor:
   are resubmitted, and only the expired tasks are charged an attempt;
 * **bounded ``retries=``** with exponential backoff and seeded jitter
   (:func:`backoff_delays` is the deterministic schedule, ``backoff_seed``
-  pins it for tests);
+  pins it for tests); a ``ValueError`` or ``TypeError`` is deterministic —
+  the same task would fail the same way again — so it is never retried;
 * **``on_error={"raise","collect"}``** — ``"raise"`` aborts with a
   :class:`SweepError` once a task exhausts its retries; ``"collect"``
   slots a structured :class:`TaskFailure` into the task's result position
@@ -33,6 +34,11 @@ executor:
 * **``journal=``/``resume=``** — completed results are appended to a
   :class:`~repro.engine.checkpoint.SweepJournal` as they arrive, and a
   resumed run pre-fills every journalled slot without executing it.
+
+:class:`SweepOptions` bundles the knobs a caller chooses (pool width,
+dispatch size, fault tolerance, checkpoint) into one frozen, validated
+value: the CLI builds it, the experiment drivers take it, and
+:meth:`SweepOptions.run` hands it to :func:`run_sweep`.
 
 Workers receive one task object each and must be module-level callables
 when ``mode="process"`` (work items must pickle); ``mode="serial"`` runs
@@ -74,6 +80,7 @@ from .checkpoint import SweepJournal, task_digest
 __all__ = [
     "ON_ERROR_POLICIES",
     "SweepError",
+    "SweepOptions",
     "TaskFailure",
     "backoff_delays",
     "chunk_tasks",
@@ -94,6 +101,57 @@ _DEGRADE = {"process": "thread", "thread": "serial"}
 
 #: Sentinel marking a result slot whose task has not completed yet.
 _PENDING = object()
+
+#: Failures that would recur on every attempt (bad input, not bad luck).
+_DETERMINISTIC = (ValueError, TypeError)
+
+
+def _check_sweep_knobs(workers: Optional[int], chunksize: Optional[int],
+                       timeout: Optional[float], retries: int,
+                       on_error: str) -> None:
+    """The one validation of the caller-chosen sweep knobs (shared by
+    :class:`SweepOptions` and :func:`run_sweep`)."""
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if chunksize is not None and chunksize < 1:
+        raise ValueError(f"chunksize must be >= 1, got {chunksize}")
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"timeout must be > 0, got {timeout}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if on_error not in ON_ERROR_POLICIES:
+        raise ValueError(f"unknown on_error policy {on_error!r}; "
+                         f"expected one of {ON_ERROR_POLICIES}")
+
+
+@dataclass(frozen=True)
+class SweepOptions:
+    """How a sweep runs: pool width, dispatch size and fault tolerance.
+
+    The fields mean what the same-named :func:`run_sweep` parameters mean;
+    ``resume`` names a sweep journal that is both appended to and resumed
+    from.  Every value is validated at construction, so a bad one is
+    rejected before any pool spins up.
+    """
+
+    workers: Optional[int] = None
+    chunksize: Optional[int] = None
+    timeout: Optional[float] = None
+    retries: int = 0
+    on_error: str = "raise"
+    resume: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        _check_sweep_knobs(self.workers, self.chunksize, self.timeout,
+                           self.retries, self.on_error)
+
+    def run(self, worker: Callable[[TaskT], ResultT],
+            tasks: Sequence[TaskT]) -> List[Any]:
+        """:func:`run_sweep` of ``worker`` over ``tasks`` with these options."""
+        return run_sweep(worker, tasks, workers=self.workers,
+                         chunksize=self.chunksize, timeout=self.timeout,
+                         retries=self.retries, on_error=self.on_error,
+                         journal=self.resume, resume=self.resume)
 
 
 @dataclass(frozen=True)
@@ -148,15 +206,21 @@ def _guarded_chunk(worker: Callable[[TaskT], ResultT],
 
     One task's exception must not discard its chunk-mates' finished work,
     and exception *objects* are not reliably picklable — so each task comes
-    back as ``("ok", value)`` or ``("err", type_name, message)``.
+    back as ``("ok", value)`` or ``("err", type_name, message,
+    deterministic)``.
     """
     outcomes: List[tuple] = []
     for task in chunk:
         try:
             outcomes.append(("ok", worker(task)))
         except Exception as exc:
-            outcomes.append(("err", type(exc).__name__, str(exc)))
+            outcomes.append(_error_outcome(exc))
     return outcomes
+
+
+def _error_outcome(exc: Exception) -> tuple:
+    return ("err", type(exc).__name__, str(exc),
+            isinstance(exc, _DETERMINISTIC))
 
 
 def backoff_delays(attempts: int, base: float, seed: Optional[int] = None,
@@ -286,6 +350,8 @@ def run_sweep(worker: Callable[[TaskT], ResultT],
         ``retries + 1`` times), with exponential backoff and seeded jitter
         (``backoff_base``/``backoff_cap``/``backoff_seed``; see
         :func:`backoff_delays`).  ``backoff_base=0`` disables sleeping.
+        A task that raised ``ValueError`` or ``TypeError`` fails at once:
+        retrying a deterministic failure only repeats it.
     on_error:
         ``"raise"`` (default) aborts the sweep with :class:`SweepError` once
         any task exhausts its retries; ``"collect"`` stores a
@@ -305,17 +371,7 @@ def run_sweep(worker: Callable[[TaskT], ResultT],
     """
     if mode not in _MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; expected one of {_MODES}")
-    if on_error not in ON_ERROR_POLICIES:
-        raise ValueError(f"unknown on_error policy {on_error!r}; expected one "
-                         f"of {ON_ERROR_POLICIES}")
-    if chunksize is not None and chunksize < 1:
-        raise ValueError("chunksize must be positive")
-    if workers is not None and workers < 0:
-        raise ValueError("workers must be non-negative")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive")
-    if retries < 0:
-        raise ValueError("retries must be non-negative")
+    _check_sweep_knobs(workers, chunksize, timeout, retries, on_error)
     tasks = list(tasks)
     if not tasks:
         return []
@@ -371,7 +427,8 @@ def run_sweep(worker: Callable[[TaskT], ResultT],
                     break
                 except Exception as exc:
                     attempts[index] += 1
-                    if attempts[index] <= retries:
+                    if (attempts[index] <= retries
+                            and not isinstance(exc, _DETERMINISTIC)):
                         sleep_backoff(attempts[index])
                         continue
                     fail(index, type(exc).__name__, str(exc), "serial")
@@ -441,13 +498,13 @@ def run_sweep(worker: Callable[[TaskT], ResultT],
                 except Exception as exc:
                     # The dispatch itself failed (e.g. unpicklable chunk):
                     # every task in it is charged the error.
-                    outcomes = [("err", type(exc).__name__, str(exc))] * len(indices)
+                    outcomes = [_error_outcome(exc)] * len(indices)
                 for index, outcome in zip(indices, outcomes):
                     if outcome[0] == "ok":
                         record_result(index, outcome[1])
                         continue
                     attempts[index] += 1
-                    if attempts[index] <= retries:
+                    if attempts[index] <= retries and not outcome[3]:
                         sleep_backoff(attempts[index])
                         queue.append([index])
                     else:

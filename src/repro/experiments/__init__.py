@@ -12,27 +12,36 @@ E-CA          Section 3.1 column-associative option       :mod:`.column_assoc_st
 E-CP          Section 3 / 3.4 hardware cost & CLA timing  :mod:`.critical_path`
 E-RP          replacement x organisation ablation         :mod:`.replacement_study`
 ============  ==========================================  =======================
+
+The trace-level studies describe a run the same way (:mod:`.grid`): traces
+and :class:`OrganisationSpec` organisations, plus frozen option values —
+:class:`~repro.engine.SweepOptions`, :class:`~repro.engine.ProfileOptions`
+and :class:`TraceOptions` — that the CLI builds and every driver takes.
+Input they reject before simulating raises :class:`InputError`.
 """
 
 from .column_assoc_study import ColumnAssocStudyResult, run_column_assoc_study
 from .config import (
     INDEX_SCHEMES,
+    ORGANISATION_KINDS,
     PAPER_HASH_BITS,
     PAPER_L1_8KB,
     PAPER_L1_16KB,
     TABLE2_CONFIGS,
     CacheGeometry,
+    InputError,
+    OrganisationSpec,
     build_cache,
     table2_processor_configs,
 )
 from .critical_path import CriticalPathResult, run_critical_path_study
 from .figure1 import Figure1Result, run_figure1, stride_miss_ratio
+from .grid import ProgramTrace, StrideTrace, TraceOptions, run_grid, simulate
 from .holes_study import HoleStudyResult, run_holes_study
 from .miss_ratio_study import (
     MissRatioStudyResult,
-    default_batch_organisations,
-    default_organisations,
     run_miss_ratio_study,
+    study_organisations,
 )
 from .replacement_study import ReplacementStudyResult, run_replacement_study
 from .table2 import Table2Result, miss_ratio_std_dev, run_table2
@@ -40,6 +49,14 @@ from .table3 import Table3Result, run_table3
 
 __all__ = [
     "CacheGeometry",
+    "InputError",
+    "ORGANISATION_KINDS",
+    "OrganisationSpec",
+    "ProgramTrace",
+    "StrideTrace",
+    "TraceOptions",
+    "run_grid",
+    "simulate",
     "PAPER_L1_8KB",
     "PAPER_L1_16KB",
     "PAPER_HASH_BITS",
@@ -56,8 +73,7 @@ __all__ = [
     "Table3Result",
     "run_table3",
     "MissRatioStudyResult",
-    "default_organisations",
-    "default_batch_organisations",
+    "study_organisations",
     "run_miss_ratio_study",
     "ReplacementStudyResult",
     "run_replacement_study",

@@ -16,39 +16,39 @@ Usage (after ``pip install -e .``)::
     python -m repro.experiments.cli critical-path
 
 Each sub-command prints the same table/histogram the corresponding benchmark
-regenerates; ``--csv`` switches the tabular experiments to CSV output so the
-results can be piped into other tools.  ``--engine {reference,vectorized}``
-selects the scalar reference models or the bit-exact NumPy batch engine.
-``figure1``, ``miss-ratio``, ``replacement-study``, ``table2`` and
-``table3`` all accept ``--workers`` (fan the sweep across processes),
-``--chunksize`` (tasks per worker dispatch) and the fault-tolerance knobs
-``--timeout``/``--retries``/``--on-error``/``--resume`` (per-dispatch
-deadlines, seeded-backoff retries, collect-instead-of-abort, and
-checkpoint/resume through a sweep journal); the first three additionally
-take ``--profile {auto,always,never}`` (route profilable conventional-LRU
-rows through the one-pass multi-configuration profiler — bit-exact in every
-mode).  ``--replacement {lru,fifo,random,plru}`` selects
-the replacement policy on the trace-level cache experiments;
-``replacement-study`` sweeps all four policies across conventional, skewed
-and victim organisations at once.
-
-``figure1``, ``miss-ratio`` and ``replacement-study`` also take ``--trace
-FILE``: replay a recorded on-disk trace (packed v2 — optionally
-gzip/bz2/xz/zstd-compressed — v1 binary/text, or Dinero ``.din``) instead
-of the synthetic workloads, streamed in ``--trace-chunk``-access batches on
-the vectorized engine so memory stays bounded for arbitrarily long traces.
+regenerates (``--csv`` switches the tabular ones to CSV).  ``--engine``
+picks the scalar reference models or the bit-exact NumPy batch engine.  The
+sweeping sub-commands build the option values their drivers take from
+their flags: ``SweepOptions`` (``--workers``, ``--chunksize``,
+``--timeout``, ``--retries``, ``--on-error``, ``--resume``) and, on the
+trace-level studies, ``ProfileOptions`` (``--profile``, ``--sample-rate``,
+``--sample-size``, ``--profile-seed``) and ``TraceOptions`` (``--trace
+FILE``, ``--trace-chunk``); each value is validated by its option class.
+Bad input (a bad flag value, an unknown program, bad geometry or counts, a
+missing trace file) stops with one ``error:`` line and exit status 2
+before any simulation starts; an error raised while a simulation runs
+keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+from dataclasses import fields
+from typing import Callable, Dict, List, Optional
 
 from ..cache.replacement import REPLACEMENT_POLICIES
-from ..engine import ENGINES, ON_ERROR_POLICIES, PROFILE_MODES
+from ..engine import (
+    ENGINES,
+    ON_ERROR_POLICIES,
+    PROFILE_MODES,
+    ProfileOptions,
+    SweepOptions,
+)
 from .column_assoc_study import run_column_assoc_study
+from .config import InputError
 from .critical_path import run_critical_path_study
 from .figure1 import run_figure1
+from .grid import TraceOptions
 from .holes_study import run_holes_study
 from .miss_ratio_study import run_miss_ratio_study
 from .replacement_study import run_replacement_study
@@ -57,50 +57,111 @@ from .table3 import run_table3
 
 __all__ = ["main", "build_parser"]
 
-
-def _nonnegative_int(text: str) -> int:
-    """Argparse type: an integer >= 0 (rejected in the parser, not deep in a
-    driver — a negative ``--workers`` used to silently run serially)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+#: Sub-commands that take ``SweepOptions`` flags.
+_SWEEPING = ("figure1", "table2", "table3", "miss-ratio", "replacement-study")
+#: Sub-commands that also take ``ProfileOptions`` and ``TraceOptions`` flags.
+_TRACE_LEVEL = ("figure1", "miss-ratio", "replacement-study")
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(option_class: type, name: str, convert: Callable) -> Callable:
+    """Argparse type of one option field: ``convert`` the text, then let the
+    option class judge the value, so a bad value is a usage error naming
+    the flag and the range lives only in the option class."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
+        try:
+            option_class(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    """Argparse type: a finite float > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    def checked(name: str, convert: Callable) -> Callable:
+        return _checked(SweepOptions, name, convert)
+
+    parser.add_argument("--workers", type=checked("workers", int),
+                        help="fan the sweep across this many processes")
+    parser.add_argument("--chunksize", type=checked("chunksize", int),
+                        help="tasks per worker dispatch (amortises "
+                             "process-pool overhead on tiny tasks)")
+    parser.add_argument("--timeout", type=checked("timeout", float),
+                        help="per-task timeout in seconds (pool modes; a "
+                             "hung worker is killed and the task retried)")
+    parser.add_argument("--retries", type=checked("retries", int), default=0,
+                        help="failed attempts a task may retry (exponential "
+                             "backoff with seeded jitter; ValueError/"
+                             "TypeError never retry)")
+    parser.add_argument("--on-error", choices=ON_ERROR_POLICIES,
+                        default="raise",
+                        help="once a task exhausts its retries: abort the "
+                             "sweep, or collect a structured TaskFailure and "
+                             "finish the rest")
+    parser.add_argument("--resume", metavar="JOURNAL",
+                        help="sweep-journal path: completed tasks are "
+                             "appended as they finish and pre-loaded on the "
+                             "next run, so a killed sweep restarts from its "
+                             "last completed task")
 
 
-def _unit_rate(text: str) -> float:
-    """Argparse type: a float in (0, 1] (the SHARDS sampling rate)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
-    return value
+def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
+    def checked(name: str, convert: Callable) -> Callable:
+        return _checked(ProfileOptions, name, convert)
+
+    parser.add_argument("--profile", choices=PROFILE_MODES, default="auto",
+                        help="one-pass multi-configuration LRU/FIFO profiling "
+                             "on the vectorized engine: auto (profile when it "
+                             "wins), always, never — bit-exact — or sampled "
+                             "(approximate SHARDS-sampled LRU profiles)")
+    parser.add_argument("--sample-rate", type=checked("sample_rate", float),
+                        default=0.01,
+                        help="profile=sampled: spatial sampling rate in "
+                             "(0, 1]; 1.0 degenerates to the exact profile")
+    parser.add_argument("--sample-size", type=checked("sample_size", int),
+                        help="profile=sampled: cap the expected sample to "
+                             "about this many accesses (fixed-size SHARDS; "
+                             "lowers the effective rate on long traces)")
+    parser.add_argument("--profile-seed", type=checked("profile_seed", int),
+                        default=0,
+                        help="profile=sampled: seed of the spatial hash "
+                             "(same seed + rate => bit-identical sampled "
+                             "results)")
+
+
+def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trace", metavar="FILE",
+                        help="replay this recorded trace instead of the "
+                             "synthetic workloads (packed v2, optionally "
+                             ".gz/.bz2/.xz/.zst-compressed, v1 binary/text, "
+                             "or Dinero .din)")
+    parser.add_argument("--trace-chunk",
+                        type=_checked(TraceOptions, "trace_chunk", int),
+                        default=TraceOptions.trace_chunk,
+                        help="accesses per streamed batch on the vectorized "
+                             "engine (bounds memory; results are identical "
+                             "for any chunk size)")
+
+
+def _from_args(option_class: type, args: argparse.Namespace):
+    return option_class(**{field.name: getattr(args, field.name)
+                           for field in fields(option_class)})
+
+
+def _options(args: argparse.Namespace) -> Dict[str, object]:
+    """The option values of the sub-command's flags, keyed by the driver
+    parameter that takes them (raises ``ValueError`` on a bad value)."""
+    options: Dict[str, object] = {}
+    if args.experiment in _SWEEPING:
+        options["sweep_options"] = _from_args(SweepOptions, args)
+    if args.experiment in _TRACE_LEVEL:
+        options["profile_options"] = _from_args(ProfileOptions, args)
+        options["trace_options"] = _from_args(TraceOptions, args)
+    return options
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,99 +187,37 @@ def build_parser() -> argparse.ArgumentParser:
                                   "experiment (identical across engines, "
                                   "including the deterministic random policy)")
 
-    def add_sweep_options(parser_: argparse.ArgumentParser,
-                          unit: str = "tasks") -> None:
-        parser_.add_argument("--workers", type=_nonnegative_int, default=None,
-                             help="fan the sweep across this many processes")
-        parser_.add_argument("--chunksize", type=_positive_int, default=None,
-                             help=f"{unit} per worker dispatch (amortises "
-                                  "process-pool overhead on tiny tasks)")
-        parser_.add_argument("--timeout", type=_positive_float, default=None,
-                             help="per-dispatch timeout in seconds (pool "
-                                  "modes; a hung worker is killed and the "
-                                  "task retried)")
-        parser_.add_argument("--retries", type=_nonnegative_int, default=0,
-                             help="failed attempts a task may retry "
-                                  "(exponential backoff with seeded jitter)")
-        parser_.add_argument("--on-error", dest="on_error",
-                             choices=list(ON_ERROR_POLICIES), default="raise",
-                             help="once a task exhausts its retries: abort "
-                                  "the sweep, or collect a structured "
-                                  "TaskFailure and finish the rest")
-        parser_.add_argument("--resume", default=None, metavar="JOURNAL",
-                             help="sweep-journal path: completed tasks are "
-                                  "appended as they finish and pre-loaded "
-                                  "on the next run, so a killed sweep "
-                                  "restarts from its last completed task")
-
-    def add_profile(parser_: argparse.ArgumentParser) -> None:
-        parser_.add_argument("--profile", choices=list(PROFILE_MODES),
-                             default="auto",
-                             help="one-pass multi-configuration LRU/FIFO "
-                                  "profiling on the vectorized engine: auto "
-                                  "(profile when it wins), always, never — "
-                                  "bit-exact — or sampled (approximate "
-                                  "SHARDS-sampled LRU profiles)")
-        parser_.add_argument("--sample-rate", dest="sample_rate",
-                             type=_unit_rate, default=0.01,
-                             help="profile=sampled: spatial sampling rate in "
-                                  "(0, 1]; 1.0 degenerates to the exact "
-                                  "profile")
-        parser_.add_argument("--sample-size", dest="sample_size",
-                             type=_positive_int, default=None,
-                             help="profile=sampled: cap the expected sample "
-                                  "to about this many accesses (fixed-size "
-                                  "SHARDS; lowers the effective rate on "
-                                  "long traces)")
-        parser_.add_argument("--profile-seed", dest="profile_seed",
-                             type=_nonnegative_int, default=0,
-                             help="profile=sampled: seed of the spatial hash "
-                                  "(same seed + rate => bit-identical "
-                                  "sampled results)")
-
-    def add_trace(parser_: argparse.ArgumentParser) -> None:
-        parser_.add_argument("--trace", default=None, metavar="FILE",
-                             help="replay this recorded trace instead of the "
-                                  "synthetic workloads (packed v2, optionally "
-                                  ".gz/.bz2/.xz/.zst-compressed, v1 "
-                                  "binary/text, or Dinero .din)")
-        parser_.add_argument("--trace-chunk", dest="trace_chunk",
-                             type=_positive_int, default=1 << 20,
-                             help="accesses per streamed batch on the "
-                                  "vectorized engine (bounds memory; results "
-                                  "are identical for any chunk size)")
-
     figure1 = sub.add_parser("figure1", help="Figure 1 stride sweep")
     figure1.add_argument("--max-stride", type=int, default=1024)
     figure1.add_argument("--stride-step", type=int, default=4)
     figure1.add_argument("--sweeps", type=int, default=8)
-    add_sweep_options(figure1, unit="strides")
+    _add_sweep_flags(figure1)
     add_engine(figure1)
     add_replacement(figure1)
-    add_profile(figure1)
-    add_trace(figure1)
+    _add_profile_flags(figure1)
+    _add_trace_flags(figure1)
 
     table2 = sub.add_parser("table2", help="Table 2 IPC / miss-ratio sweep")
     table2.add_argument("--instructions", type=int, default=12_000)
     table2.add_argument("--programs", nargs="*", default=None)
     table2.add_argument("--csv", action="store_true")
-    add_sweep_options(table2, unit="programs")
+    _add_sweep_flags(table2)
     add_engine(table2)
 
     table3 = sub.add_parser("table3", help="Table 3 high-conflict breakdown")
     table3.add_argument("--instructions", type=int, default=12_000)
-    add_sweep_options(table3, unit="programs")
+    _add_sweep_flags(table3)
     add_engine(table3)
 
     miss_ratio = sub.add_parser("miss-ratio", help="Section 2.1 organisation comparison")
     miss_ratio.add_argument("--accesses", type=int, default=30_000)
     miss_ratio.add_argument("--programs", nargs="*", default=None)
     miss_ratio.add_argument("--csv", action="store_true")
-    add_sweep_options(miss_ratio, unit="programs")
+    _add_sweep_flags(miss_ratio)
     add_engine(miss_ratio)
     add_replacement(miss_ratio)
-    add_profile(miss_ratio)
-    add_trace(miss_ratio)
+    _add_profile_flags(miss_ratio)
+    _add_trace_flags(miss_ratio)
 
     replacement = sub.add_parser(
         "replacement-study",
@@ -226,10 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     replacement.add_argument("--accesses", type=int, default=20_000)
     replacement.add_argument("--programs", nargs="*", default=None)
     replacement.add_argument("--csv", action="store_true")
-    add_sweep_options(replacement, unit="programs")
+    _add_sweep_flags(replacement)
     add_engine(replacement)
-    add_profile(replacement)
-    add_trace(replacement)
+    _add_profile_flags(replacement)
+    _add_trace_flags(replacement)
 
     holes = sub.add_parser("holes", help="Section 3.3 hole model vs simulation")
     holes.add_argument("--accesses", type=int, default=40_000)
@@ -246,33 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_experiment(args: argparse.Namespace) -> str:
-    def fault_options(args_: argparse.Namespace) -> dict:
-        return {"timeout": args_.timeout, "retries": args_.retries,
-                "on_error": args_.on_error, "resume": args_.resume}
-
-    def profile_options(args_: argparse.Namespace) -> dict:
-        return {"profile": args_.profile, "sample_rate": args_.sample_rate,
-                "sample_size": args_.sample_size,
-                "profile_seed": args_.profile_seed}
-
+def _run_experiment(args: argparse.Namespace,
+                    options: Dict[str, object]) -> str:
     if args.experiment == "figure1":
-        result = run_figure1(max_stride=args.max_stride, sweeps=args.sweeps,
-                             stride_step=args.stride_step,
-                             engine=args.engine, workers=args.workers,
-                             chunksize=args.chunksize,
-                             replacement=args.replacement,
-                             trace=args.trace,
-                             trace_chunk=args.trace_chunk,
-                             **profile_options(args),
-                             **fault_options(args))
-        return result.render()
+        return run_figure1(max_stride=args.max_stride, sweeps=args.sweeps,
+                           stride_step=args.stride_step, engine=args.engine,
+                           replacement=args.replacement, **options).render()
     if args.experiment == "table2":
         result = run_table2(programs=args.programs or None,
                             instructions=args.instructions,
-                            engine=args.engine,
-                            workers=args.workers,
-                            chunksize=args.chunksize, **fault_options(args))
+                            engine=args.engine, **options)
         if args.csv:
             return (result.ipc_table().render_csv()
                     + "\n" + result.miss_ratio_table().render_csv())
@@ -281,33 +263,18 @@ def _run_experiment(args: argparse.Namespace) -> str:
                 + f"\n\nmiss-ratio std-dev: conventional={stds['8K-conv']:.2f} "
                   f"ipoly={stds['8K-ipoly-noCP']:.2f}")
     if args.experiment == "table3":
-        return run_table3(instructions=args.instructions,
-                          engine=args.engine,
-                          workers=args.workers,
-                          chunksize=args.chunksize,
-                          **fault_options(args)).render()
+        return run_table3(instructions=args.instructions, engine=args.engine,
+                          **options).render()
     if args.experiment == "miss-ratio":
         result = run_miss_ratio_study(programs=args.programs or None,
                                       accesses=args.accesses,
                                       engine=args.engine,
-                                      replacement=args.replacement,
-                                      workers=args.workers,
-                                      chunksize=args.chunksize,
-                                      **profile_options(args),
-                                      trace=args.trace,
-                                      trace_chunk=args.trace_chunk,
-                                      **fault_options(args))
+                                      replacement=args.replacement, **options)
         return result.table().render_csv() if args.csv else result.render()
     if args.experiment == "replacement-study":
         result = run_replacement_study(programs=args.programs or None,
                                        accesses=args.accesses,
-                                       engine=args.engine,
-                                       workers=args.workers,
-                                       chunksize=args.chunksize,
-                                       **profile_options(args),
-                                       trace=args.trace,
-                                       trace_chunk=args.trace_chunk,
-                                       **fault_options(args))
+                                       engine=args.engine, **options)
         return result.table().render_csv() if args.csv else result.render()
     if args.experiment == "holes":
         result = run_holes_study(l2_sizes=[kb * 1024 for kb in args.l2_kilobytes],
@@ -322,9 +289,24 @@ def _run_experiment(args: argparse.Namespace) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Parse arguments, run the experiment, print its report; returns exit code."""
-    args = build_parser().parse_args(argv)
-    print(_run_experiment(args))
+    """Parse arguments, run the experiment, print its report; returns exit code.
+
+    A bad option value, or input a driver rejects before simulating
+    (:class:`~repro.experiments.config.InputError`: unknown programs, bad
+    geometry or counts, a missing trace file), is a one-line usage error
+    with exit status 2.  Errors raised during the simulation propagate.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        options = _options(args)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    try:
+        report = _run_experiment(args, options)
+    except InputError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    print(report)
     return 0
 
 

@@ -22,8 +22,9 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis.metrics import arithmetic_mean
 from ..analysis.reporting import TableBuilder
 from ..cache.column_assoc import ColumnAssociativeCache
-from ..trace.workloads import build_trace, workload_names
+from ..trace.workloads import workload_names
 from .config import PAPER_HASH_BITS, PAPER_L1_8KB, CacheGeometry
+from .grid import ProgramTrace
 
 __all__ = ["ColumnAssocStudyResult", "run_column_assoc_study"]
 
@@ -80,12 +81,13 @@ def run_column_assoc_study(programs: Optional[Sequence[str]] = None,
                            seed: int = 12345) -> ColumnAssocStudyResult:
     """Replay the workload suite through the column-associative organisation."""
     program_list = list(programs) if programs is not None else workload_names()
+    sources = [ProgramTrace(name, accesses, seed) for name in program_list]
     result = ColumnAssocStudyResult(geometry=geometry,
                                     accesses_per_program=accesses)
-    for name in program_list:
+    for name, source in zip(program_list, sources):
         cache = ColumnAssociativeCache(geometry.size_bytes, geometry.block_size,
                                        address_bits=PAPER_HASH_BITS)
-        for access in build_trace(name, length=accesses, seed=seed):
+        for access in source.accesses():
             cache.access(access.address, is_write=access.is_write)
         result.miss_ratio_percent[name] = 100.0 * cache.stats.load_miss_ratio
         result.first_probe_hit_ratio[name] = cache.first_probe_hit_ratio

@@ -7,6 +7,9 @@ penalty, 8 MSHRs, a 64-bit L1/L2 bus, and the six Table 2 machine
 configurations (16 KB and 8 KB conventional with and without address
 prediction, and 8 KB I-Poly with the XOR stage out of / in the critical path,
 the latter with and without address prediction).
+
+:class:`OrganisationSpec` is the one description of a trace-level cache
+organisation: every study builds both engines' caches from it.
 """
 
 from __future__ import annotations
@@ -14,12 +17,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..cache.column_assoc import ColumnAssociativeCache
+from ..cache.fully_assoc import FullyAssociativeCache
+from ..cache.replacement import REPLACEMENT_POLICIES
 from ..cache.set_assoc import SetAssociativeCache, WritePolicy
-from ..core.index import IndexFunction, make_index_function
+from ..cache.victim import VictimCache
+from ..core.index import IndexFunction, SingleSetIndexing, make_index_function
 from ..cpu.processor import ProcessorConfig
+from ..engine import (
+    ENGINE_VECTORIZED,
+    BatchColumnAssociativeCache,
+    BatchSetAssociativeCache,
+    BatchVictimCache,
+)
 
 __all__ = [
+    "InputError",
     "CacheGeometry",
+    "ORGANISATION_KINDS",
+    "OrganisationSpec",
     "PAPER_L1_8KB",
     "PAPER_L1_16KB",
     "INDEX_SCHEMES",
@@ -29,6 +45,16 @@ __all__ = [
 ]
 
 
+class InputError(ValueError):
+    """A run description the experiments reject before simulating anything:
+    an unknown program, a bad geometry, count or stride, a missing trace.
+
+    The CLI reports it as a one-line usage error; a ``ValueError`` raised
+    while a simulation runs (say, a trace corrupt partway through) is not
+    one and propagates with its traceback.
+    """
+
+
 @dataclass(frozen=True)
 class CacheGeometry:
     """Size / organisation of one cache level used by the experiments."""
@@ -36,6 +62,13 @@ class CacheGeometry:
     size_bytes: int
     block_size: int = 32
     ways: int = 2
+
+    def __post_init__(self) -> None:
+        if min(self.size_bytes, self.block_size, self.ways) < 1:
+            raise InputError(f"cache geometry must be positive, got {self}")
+        if self.size_bytes % (self.block_size * self.ways):
+            raise InputError(f"cache size {self.size_bytes} is not a multiple "
+                             f"of block size x ways in {self}")
 
     @property
     def num_sets(self) -> int:
@@ -80,6 +113,81 @@ def build_cache(geometry: CacheGeometry, scheme: str = "a2",
         classify_misses=classify_misses,
         name=f"{geometry.label}-{index_function.name}",
     )
+
+
+#: Organisations an :class:`OrganisationSpec` can describe.
+ORGANISATION_KINDS = ("set-assoc", "fully-assoc", "victim", "column-assoc")
+
+
+@dataclass(frozen=True)
+class OrganisationSpec:
+    """One cache organisation, buildable on either simulation engine.
+
+    ``kind`` is one of :data:`ORGANISATION_KINDS`.  ``scheme`` is the
+    placement of a ``"set-assoc"`` cache; a ``"victim"`` cache's main array
+    takes ``geometry.ways`` ways and ``victim_entries`` buffer entries; a
+    ``"fully-assoc"`` cache holds all of ``geometry``'s blocks in one set.
+    ``replacement`` ``None`` means the paper's LRU.
+    """
+
+    kind: str = "set-assoc"
+    scheme: str = "a2"
+    geometry: CacheGeometry = PAPER_L1_8KB
+    replacement: Optional[str] = None
+    victim_entries: int = 8
+    address_bits: int = PAPER_HASH_BITS
+
+    def __post_init__(self) -> None:
+        if self.kind not in ORGANISATION_KINDS:
+            raise InputError(f"unknown organisation kind {self.kind!r}; "
+                             f"expected one of {ORGANISATION_KINDS}")
+        if (self.replacement is not None
+                and self.replacement not in REPLACEMENT_POLICIES):
+            raise InputError(
+                f"unknown replacement policy {self.replacement!r}; expected "
+                f"one of {sorted(REPLACEMENT_POLICIES)}")
+        if self.kind == "set-assoc":
+            try:
+                self.index_function()  # rejects a bad scheme or geometry now
+            except ValueError as exc:
+                raise InputError(str(exc)) from exc
+
+    def index_function(self) -> IndexFunction:
+        """The placement function of a ``"set-assoc"`` organisation."""
+        geometry = self.geometry
+        return make_index_function(self.scheme, num_sets=geometry.num_sets,
+                                   ways=geometry.ways,
+                                   address_bits=self.address_bits)
+
+    def build(self, engine: str):
+        """A cold cache of this organisation: the scalar reference model, or
+        its batch-engine twin when ``engine`` is ``"vectorized"``."""
+        geometry, replacement = self.geometry, self.replacement
+        size, block = geometry.size_bytes, geometry.block_size
+        vectorized = engine == ENGINE_VECTORIZED
+        if self.kind == "set-assoc":
+            if not vectorized:
+                return build_cache(geometry, self.scheme,
+                                   address_bits=self.address_bits,
+                                   replacement=replacement)
+            return BatchSetAssociativeCache(
+                size, block, ways=geometry.ways,
+                index_function=self.index_function(), replacement=replacement)
+        if self.kind == "fully-assoc":
+            if not vectorized:
+                return FullyAssociativeCache(size, block,
+                                             replacement=replacement)
+            return BatchSetAssociativeCache(
+                size, block, ways=size // block,
+                index_function=SingleSetIndexing(), replacement=replacement)
+        if self.kind == "victim":
+            cls = BatchVictimCache if vectorized else VictimCache
+            return cls(size, block, ways=geometry.ways,
+                       victim_entries=self.victim_entries,
+                       replacement=replacement)
+        cls = BatchColumnAssociativeCache if vectorized else ColumnAssociativeCache
+        return cls(size, block, address_bits=self.address_bits,
+                   replacement=replacement)
 
 
 #: Column labels of Table 2 (and Table 3), in the paper's order, mapped to the

@@ -36,8 +36,9 @@ from ..engine import (
 )
 from ..memory.paging import PageTable
 from ..models.holes import HoleModel
-from ..trace.workloads import build_trace, workload_names
+from ..trace.workloads import workload_names
 from .config import PAPER_HASH_BITS, CacheGeometry, build_cache
+from .grid import ProgramTrace
 
 __all__ = ["HoleStudyResult", "run_holes_study"]
 
@@ -104,10 +105,13 @@ def run_holes_study(l2_sizes: Sequence[int] = (256 * 1024, 1024 * 1024),
     """
     engine = check_engine(engine)
     program_list = list(programs) if programs is not None else workload_names()
+    sources = [ProgramTrace(name, accesses, seed) for name in program_list]
+    l2_geometries = [CacheGeometry(size, block_size=l1_geometry.block_size,
+                                   ways=2) for size in l2_sizes]
     result = HoleStudyResult(l1_geometry=l1_geometry,
                              accesses_per_program=accesses)
 
-    for l2_size in l2_sizes:
+    for l2_size, l2_geometry in zip(l2_sizes, l2_geometries):
         model = HoleModel(l1_bytes=l1_geometry.size_bytes, l2_bytes=l2_size,
                           block_size=l1_geometry.block_size)
         result.predicted_hole_probability[l2_size] = model.hole_probability
@@ -115,27 +119,24 @@ def run_holes_study(l2_sizes: Sequence[int] = (256 * 1024, 1024 * 1024),
         total_holes = 0
         total_l2_misses = 0
         per_program: Dict[str, float] = {}
-        for name in program_list:
+        for source in sources:
             page_table = PageTable(page_size=page_size, allocation="scatter",
                                    seed=seed)
             l1 = build_cache(l1_geometry, "a2-Hp-Sk",
                              address_bits=PAPER_HASH_BITS)
-            l2 = build_cache(CacheGeometry(l2_size,
-                                           block_size=l1_geometry.block_size,
-                                           ways=2),
-                             "a2", write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
+            l2 = build_cache(l2_geometry, "a2",
+                             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
             hierarchy = VirtualRealHierarchy(l1, l2,
                                              translate=page_table.translate,
                                              page_size=page_size)
             if engine == ENGINE_VECTORIZED:
                 batch_vr = batch_virtual_real_like(hierarchy, page_table)
-                batch_vr.run(materialise_batch(
-                    build_trace(name, length=accesses, seed=seed)))
+                batch_vr.run(materialise_batch(source.accesses()))
                 hierarchy = batch_vr
             else:
-                for access in build_trace(name, length=accesses, seed=seed):
+                for access in source.accesses():
                     hierarchy.access(access.address, is_write=access.is_write)
-            per_program[name] = hierarchy.hole_rate_per_l2_miss
+            per_program[source.name] = hierarchy.hole_rate_per_l2_miss
             total_holes += hierarchy.l2_misses_causing_holes
             total_l2_misses += hierarchy.l2.stats.misses
 

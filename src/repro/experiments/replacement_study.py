@@ -29,40 +29,27 @@ and produces bit-identical ratios to the scalar models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence
 
 from ..analysis.metrics import arithmetic_mean
 from ..analysis.reporting import TableBuilder
 from ..cache.replacement import REPLACEMENT_POLICIES
 from ..engine import (
     ENGINE_REFERENCE,
-    ENGINE_VECTORIZED,
-    AddressBatch,
-    MultiConfigPlan,
+    ProfileOptions,
+    SweepOptions,
     TaskFailure,
     check_engine,
-    check_profile_mode,
-    run_sweep,
 )
-from ..trace.batching import cached_workload_arrays
-from ..trace.workloads import build_trace, workload_names
-from .config import PAPER_L1_8KB, CacheGeometry
-from .miss_ratio_study import _batch_factory, _replay_batch, _scalar_factory
-from .trace_input import load_miss_ratios_percent, stream_trace, trace_label
+from ..trace.workloads import workload_names
+from .config import PAPER_L1_8KB, CacheGeometry, InputError, OrganisationSpec
+from .grid import ProgramTrace, TraceOptions, run_grid, simulate
 
 __all__ = [
     "ReplacementStudyResult",
     "run_replacement_study",
 ]
-
-#: The organisations swept against every policy: (label, kind, params) rows
-#: consumed by the same factory tables as the miss-ratio study.
-_STUDY_ORGANISATIONS = (
-    ("conventional-2way", "set-assoc", {"scheme": "a2"}),
-    ("skewed-ipoly-2way", "set-assoc", {"scheme": "a2-Hp-Sk"}),
-    ("victim-direct+8", "victim", {"ways": 1, "victim_entries": 8}),
-)
 
 
 @dataclass
@@ -119,53 +106,18 @@ class ReplacementStudyResult:
         return "\n".join(lines)
 
 
-#: One per-program work item of the parallel study (picklable primitives
-#: only; the geometry is rebuilt from its defining numbers).
-_StudyTask = Tuple[str, int, int, str, Tuple[str, ...], Tuple[int, int, int],
-                   str, Tuple[float, Optional[int], int]]
-
-
-def _program_policy_ratios(task: _StudyTask) -> Dict[str, Dict[str, float]]:
-    """Module-level sweep worker: one program's organisation x policy grid."""
-    (name, accesses, seed, engine, policy_list, geometry_tuple, profile,
-     sampling) = task
-    sample_rate, sample_size, profile_seed = sampling
-    geometry = CacheGeometry(size_bytes=geometry_tuple[0],
-                             block_size=geometry_tuple[1],
-                             ways=geometry_tuple[2])
-    factory = (_batch_factory if engine == ENGINE_VECTORIZED
-               else _scalar_factory)
-    ratios: Dict[str, Dict[str, float]] = {
-        label: {} for label, _, _ in _STUDY_ORGANISATIONS}
-    if engine == ENGINE_VECTORIZED:
-        # One materialisation per (program, length, seed) per process —
-        # every (organisation, policy) pair below reuses the cached
-        # arrays, and with them the memoised per-scheme index arrays.  The
-        # plan routes the profilable rows (conventional LRU) through the
-        # one-pass stack-distance profiler when that wins (or when forced).
-        batch = AddressBatch.from_arrays(
-            *cached_workload_arrays(name, length=accesses, seed=seed))
-        plan = MultiConfigPlan(profile=profile, sample_rate=sample_rate,
-                               sample_size=sample_size,
-                               profile_seed=profile_seed)
-        for label, kind, params in _STUDY_ORGANISATIONS:
-            for policy in policy_list:
-                plan.add((label, policy), batch,
-                         factory(kind, params, geometry, policy),
-                         runner=_replay_batch)
-        counts = plan.run()
-        for label, _, _ in _STUDY_ORGANISATIONS:
-            for policy in policy_list:
-                ratios[label][policy] = (
-                    100.0 * counts[(label, policy)].load_miss_ratio)
-    else:
-        for label, kind, params in _STUDY_ORGANISATIONS:
-            for policy in policy_list:
-                cache = factory(kind, params, geometry, policy)()
-                for access in build_trace(name, length=accesses, seed=seed):
-                    cache.access(access.address, is_write=access.is_write)
-                ratios[label][policy] = 100.0 * cache.stats.load_miss_ratio
-    return ratios
+def _study_organisations(geometry: CacheGeometry,
+                         policy: str) -> Dict[str, OrganisationSpec]:
+    """The organisations swept against every policy, by label."""
+    direct = replace(geometry, ways=1)
+    return {
+        "conventional-2way": OrganisationSpec(
+            scheme="a2", geometry=geometry, replacement=policy),
+        "skewed-ipoly-2way": OrganisationSpec(
+            scheme="a2-Hp-Sk", geometry=geometry, replacement=policy),
+        "victim-direct+8": OrganisationSpec(
+            "victim", geometry=direct, replacement=policy),
+    }
 
 
 def run_replacement_study(programs: Optional[Sequence[str]] = None,
@@ -174,98 +126,68 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
                           geometry: CacheGeometry = PAPER_L1_8KB,
                           seed: int = 12345,
                           engine: str = ENGINE_REFERENCE,
-                          workers: Optional[int] = None,
-                          chunksize: Optional[int] = None,
-                          profile: str = "auto",
-                          sample_rate: float = 0.01,
-                          sample_size: Optional[int] = None,
-                          profile_seed: int = 0,
-                          timeout: Optional[float] = None,
-                          retries: int = 0,
-                          on_error: str = "raise",
-                          resume: Optional[str] = None,
+                          sweep_options: SweepOptions = SweepOptions(),
+                          profile_options: ProfileOptions = ProfileOptions(),
+                          trace_options: TraceOptions = TraceOptions(),
                           trace: Optional[str] = None,
-                          trace_chunk: int = 1 << 20,
+                          trace_chunk: int = TraceOptions.trace_chunk,
                           ) -> ReplacementStudyResult:
     """Sweep replacement policy x organisation over the workload suite.
 
     Replays every program's trace through each (organisation, policy) pair
-    and reports suite-average load miss ratios.  ``engine="vectorized"``
-    materialises each trace once and drives the batch kernels; both engines
-    produce identical numbers.  ``workers`` fans the per-program tasks
-    across a process pool (``chunksize`` groups programs per dispatch so a
-    worker reuses its materialised traces); ``profile`` selects the
-    multi-configuration profiling policy of the vectorized LRU and FIFO rows
-    (``auto``/``always``/``never`` — bit-exact — or ``sampled``, which prices
-    the LRU rows approximately via SHARDS spatial sampling at ``sample_rate``
-    / ``sample_size`` / ``profile_seed``; FIFO rows stay exact).
-    ``timeout``/``retries``/``on_error``/``resume`` are forwarded to
-    :func:`repro.engine.sweep.run_sweep`; under ``on_error="collect"`` a
-    failed program lands in ``result.failures`` and the averages cover the
-    surviving programs.
+    on either engine — identical numbers — and reports suite-average load
+    miss ratios.  Runs through :func:`~repro.experiments.grid.run_grid`, one
+    sweep task per program (``sweep_options``; under
+    ``on_error="collect"`` a failed program lands in ``result.failures`` and
+    the averages cover the surviving programs); ``profile_options`` picks
+    how the vectorized engine prices the LRU and FIFO rows (``sampled``
+    approximates the LRU rows only).
 
-    ``trace`` replaces the synthetic suite with one recorded on-disk trace
-    (any :mod:`repro.trace.stream` format); the reported ratios are then
-    that single trace's, not suite averages.  On the vectorized engine the
-    trace streams through the whole (organisation, policy) grid in
-    ``trace_chunk``-access batches — bounded memory, bit-identical counters.
+    ``trace_options.trace`` replaces the synthetic suite with one recorded
+    on-disk trace; the reported ratios are then that trace's.
+
+    ``trace=FILE, trace_chunk=N`` is the older spelling of
+    ``trace_options=TraceOptions(FILE, N)``, kept because the benchmark
+    workloads in ``perfbench/`` use it; the two may not be combined.
     """
-    engine = check_engine(engine)
-    profile = check_profile_mode(profile)
-    policy_list = list(policies) if policies is not None else list(REPLACEMENT_POLICIES)
-    for policy in policy_list:
-        if policy not in REPLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown replacement policy {policy!r}; expected one of "
-                f"{sorted(REPLACEMENT_POLICIES)}")
     if trace is not None:
-        factory = (_batch_factory if engine == ENGINE_VECTORIZED
-                   else _scalar_factory)
-        caches = {
-            (label, policy): factory(kind, params, geometry, policy)()
-            for label, kind, params in _STUDY_ORGANISATIONS
-            for policy in policy_list}
-        total = stream_trace(caches, trace, engine, trace_chunk)
-        ratios = load_miss_ratios_percent(caches)
-        result = ReplacementStudyResult(accesses_per_program=total,
-                                        programs=[trace_label(trace)],
-                                        policies=policy_list)
-        for label, _, _ in _STUDY_ORGANISATIONS:
-            result.miss_ratios[label] = {
-                policy: ratios[(label, policy)] for policy in policy_list}
-        return result
-    if accesses < 1_000:
-        raise ValueError("accesses should be at least 1000 for stable ratios")
-    program_list = list(programs) if programs is not None else workload_names()
+        if trace_options != TraceOptions():
+            raise TypeError("pass trace= or trace_options=, not both")
+        trace_options = TraceOptions(trace, trace_chunk)
+    engine = check_engine(engine)
+    policy_list = list(policies) if policies is not None else list(REPLACEMENT_POLICIES)
+    if not policy_list:
+        raise InputError("at least one replacement policy is required")
+    per_policy = {policy: _study_organisations(geometry, policy)
+                  for policy in policy_list}
+    labels = list(per_policy[policy_list[0]])
+    keys = [(label, policy) for label in labels for policy in policy_list]
+    specs = [per_policy[policy][label] for label, policy in keys]
+    if trace_options.trace is not None:
+        counts = simulate(trace_options, specs, engine, profile_options)
+        cells = [counts]
+        program_list = [trace_options.label]
+        accesses = counts[0].accesses
+    else:
+        if accesses < 1_000:
+            raise InputError("accesses should be at least 1000 for stable ratios")
+        program_list = list(programs) if programs is not None else workload_names()
+        cells = run_grid([ProgramTrace(name, accesses, seed)
+                          for name in program_list],
+                         specs, engine, profile_options, sweep_options)
 
     result = ReplacementStudyResult(accesses_per_program=accesses,
                                     programs=program_list,
                                     policies=policy_list)
-    tasks: List[_StudyTask] = [
-        (name, accesses, seed, engine, tuple(policy_list),
-         (geometry.size_bytes, geometry.block_size, geometry.ways), profile,
-         (sample_rate, sample_size, profile_seed))
-        for name in program_list
-    ]
-    per_program = run_sweep(_program_policy_ratios, tasks, workers=workers,
-                            chunksize=chunksize, timeout=timeout,
-                            retries=retries, on_error=on_error,
-                            journal=resume, resume=resume)
-    # Accumulate per-program ratios, then average per (organisation, policy).
-    per_pair: Dict[str, Dict[str, List[float]]] = {
-        label: {policy: [] for policy in policy_list}
-        for label, _, _ in _STUDY_ORGANISATIONS
-    }
-    for ratios in per_program:
-        if isinstance(ratios, TaskFailure):
-            result.failures.append(ratios)
+    per_pair: Dict[tuple, List[float]] = {key: [] for key in keys}
+    for counts in cells:
+        if isinstance(counts, TaskFailure):
+            result.failures.append(counts)
             continue
-        for label, _, _ in _STUDY_ORGANISATIONS:
-            for policy in policy_list:
-                per_pair[label][policy].append(ratios[label][policy])
-    for label, _, _ in _STUDY_ORGANISATIONS:
+        for key, count in zip(keys, counts):
+            per_pair[key].append(100.0 * count.load_miss_ratio)
+    for label in labels:
         result.miss_ratios[label] = {
-            policy: arithmetic_mean(per_pair[label][policy])
-            for policy in policy_list
-        }
+            policy: arithmetic_mean(per_pair[(label, policy)])
+            for policy in policy_list}
     return result

@@ -26,17 +26,15 @@ The programs here are the synthetic Spec95-like models of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
-
-from typing import Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.metrics import arithmetic_mean, geometric_mean, std_deviation
 from ..analysis.reporting import TableBuilder
 from ..cpu.processor import OutOfOrderProcessor, ProcessorConfig, SimulationResult
 from ..cpu.workloads import build_program, program_names
-from ..engine.sweep import TaskFailure, run_sweep
+from ..engine import SweepOptions, TaskFailure, check_engine
 from ..trace.workloads import FP_PROGRAMS, INTEGER_PROGRAMS
-from .config import TABLE2_CONFIGS
+from .config import TABLE2_CONFIGS, InputError
 
 __all__ = ["Table2Result", "run_table2", "miss_ratio_std_dev"]
 
@@ -119,22 +117,13 @@ class Table2Result:
                 + self.miss_ratio_table().render(title="Table 2 (load miss ratio %)"))
 
 
-#: One per-program work item of the parallel Table 2 sweep: everything a
-#: worker process needs to rebuild the program and run every configuration.
-_Table2Task = Tuple[str, int, int, str, Tuple[Tuple[str, tuple], ...]]
-
-
-def _table2_program_task(task: _Table2Task) -> Dict[str, SimulationResult]:
-    """Module-level sweep worker (must be picklable for process pools)."""
-    name, instructions, seed, engine, config_items = task
-    per_config: Dict[str, SimulationResult] = {}
-    for label, override_items in config_items:
-        merged = dict(override_items)
-        merged.setdefault("index_engine", engine)
-        processor = OutOfOrderProcessor(ProcessorConfig(**merged))
-        program = build_program(name, length=instructions, seed=seed)
-        per_config[label] = processor.run(program)
-    return per_config
+def _table2_program_task(task: Tuple[str, int, int, tuple]
+                         ) -> Dict[str, SimulationResult]:
+    """Module-level sweep worker: one program on every configuration."""
+    name, instructions, seed, configs = task
+    return {label: OutOfOrderProcessor(config).run(
+                build_program(name, length=instructions, seed=seed))
+            for label, config in configs}
 
 
 def run_table2(programs: Optional[Sequence[str]] = None,
@@ -142,12 +131,8 @@ def run_table2(programs: Optional[Sequence[str]] = None,
                configurations: Optional[Mapping[str, dict]] = None,
                seed: int = 2027,
                engine: str = "reference",
-               workers: Optional[int] = None,
-               chunksize: Optional[int] = None,
-               timeout: Optional[float] = None,
-               retries: int = 0,
-               on_error: str = "raise",
-               resume: Optional[str] = None) -> Table2Result:
+               sweep_options: SweepOptions = SweepOptions(),
+               workers: Optional[int] = None) -> Table2Result:
     """Simulate every (program, configuration) pair of Table 2.
 
     ``instructions`` scales the per-program run length; the paper simulates
@@ -161,38 +146,37 @@ def run_table2(programs: Optional[Sequence[str]] = None,
     (:class:`~repro.engine.tabulated.TabulatedIPolyIndexing`), producing
     identical IPCs and miss ratios faster.
 
-    ``workers`` fans the per-program tasks (each simulating all six machine
-    configurations for one program) across a process pool via
-    :func:`repro.engine.sweep.run_sweep` — programs are independent
-    simulations, so the results are identical to the serial run in any
-    ``workers``/``chunksize`` combination.  ``chunksize`` groups programs
-    per worker dispatch.
-
-    ``timeout`` (seconds per program), ``retries``, ``on_error`` and
-    ``resume`` (sweep-journal path, appended to and resumed from) are
-    forwarded to :func:`repro.engine.sweep.run_sweep`; under
+    ``sweep_options`` fans the per-program tasks (each simulating every
+    machine configuration for one program) across a process pool — results
+    are identical to the serial run — and sets their fault tolerance; under
     ``on_error="collect"`` a failed program lands in ``result.failures``
-    instead of the tables.
+    instead of the tables.  Programs, counts and configurations are checked
+    before any simulation starts.
+
+    ``workers=N`` is the older spelling of
+    ``sweep_options=SweepOptions(workers=N)``, kept because the benchmark
+    workloads in ``perfbench/`` use it; the two may not be combined.
     """
+    if workers is not None:
+        if sweep_options != SweepOptions():
+            raise TypeError("pass workers= or sweep_options=, not both")
+        sweep_options = SweepOptions(workers=workers)
     if instructions < 1_000:
-        raise ValueError("instructions should be at least 1000 for stable results")
-    from ..engine import check_engine
+        raise InputError("instructions should be at least 1000 for stable results")
     engine = check_engine(engine)
     program_list = list(programs) if programs is not None else program_names()
+    for name in program_list:
+        if name not in program_names():
+            raise InputError(f"unknown program {name!r}; expected one of "
+                             f"{program_names()}")
     config_map = dict(configurations) if configurations is not None else dict(TABLE2_CONFIGS)
-    # Freeze the configuration overrides into tuples so the per-program
-    # tasks are hashable, compact and unambiguously picklable.
-    config_items = tuple((label, tuple(overrides.items()))
-                         for label, overrides in config_map.items())
+    configs = tuple((label, ProcessorConfig(**{"index_engine": engine,
+                                               **overrides}))
+                    for label, overrides in config_map.items())
 
-    tasks: List[_Table2Task] = [
-        (name, instructions, seed, engine, config_items)
-        for name in program_list
-    ]
-    per_program = run_sweep(_table2_program_task, tasks, workers=workers,
-                            chunksize=chunksize, timeout=timeout,
-                            retries=retries, on_error=on_error,
-                            journal=resume, resume=resume)
+    per_program = sweep_options.run(
+        _table2_program_task,
+        [(name, instructions, seed, configs) for name in program_list])
     result = Table2Result(instructions_per_program=instructions)
     for name, per_config in zip(program_list, per_program):
         if isinstance(per_config, TaskFailure):

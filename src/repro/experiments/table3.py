@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 
 from ..analysis.metrics import arithmetic_mean, geometric_mean, percent_change
 from ..analysis.reporting import TableBuilder
+from ..engine import SweepOptions
 from ..trace.workloads import HIGH_CONFLICT_PROGRAMS, LOW_CONFLICT_PROGRAMS
 from .table2 import Table2Result, run_table2
 
@@ -121,26 +122,15 @@ def run_table3(instructions: int = 30_000,
                table2_result: Optional[Table2Result] = None,
                seed: int = 2027,
                engine: str = "reference",
-               workers: Optional[int] = None,
-               chunksize: Optional[int] = None,
-               timeout: Optional[float] = None,
-               retries: int = 0,
-               on_error: str = "raise",
-               resume: Optional[str] = None) -> Table3Result:
+               sweep_options: SweepOptions = SweepOptions()) -> Table3Result:
     """Run (or reuse) the underlying simulations and build the Table 3 view.
 
     When ``table2_result`` is provided it must contain at least the three
     high-conflict programs; otherwise the full 18-program Table 2 experiment
-    is run first.  ``engine`` is forwarded to :func:`run_table2` (the
-    vectorized engine accelerates the I-Poly index computation bit-exactly),
-    as are ``workers`` and ``chunksize`` (per-program process-pool fan-out
-    of the underlying sweep — results identical to the serial run) and the
-    fault-tolerance knobs ``timeout``/``retries``/``on_error``/``resume``.
+    is run first, with ``engine`` and ``sweep_options`` forwarded to
+    :func:`run_table2`.
     """
     if table2_result is None:
         table2_result = run_table2(instructions=instructions, seed=seed,
-                                   engine=engine, workers=workers,
-                                   chunksize=chunksize, timeout=timeout,
-                                   retries=retries, on_error=on_error,
-                                   resume=resume)
+                                   engine=engine, sweep_options=sweep_options)
     return Table3Result(table2=table2_result)

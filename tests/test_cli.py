@@ -263,6 +263,54 @@ class TestExecution:
         assert outputs[0] == outputs[1]
 
 
+class TestBadInputFailsFast:
+    """Bad input stops at the CLI boundary: one ``error:`` line, exit 2,
+    before any worker pool or simulation starts."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["table2", "--programs", "nosuch", "--instructions", "1000"],
+         "unknown program 'nosuch'"),
+        (["table2", "--programs", "nosuch", "--workers", "2"],
+         "unknown program 'nosuch'"),
+        (["miss-ratio", "--programs", "nosuch", "--on-error", "collect"],
+         "unknown program 'nosuch'"),
+        (["replacement-study", "--programs", "gcc", "nosuch"],
+         "unknown program 'nosuch'"),
+        (["holes", "--l2-kilobytes", "0"], "cache geometry must be positive"),
+        (["holes", "--accesses", "0"], "trace length must be >= 1"),
+        (["figure1", "--sweeps", "-1", "--max-stride", "8",
+          "--on-error", "collect", "--retries", "2"], "sweeps must be >= 1"),
+        (["figure1", "--max-stride", "1"], "max_stride must be at least 2"),
+        (["miss-ratio", "--accesses", "10"], "accesses should be at least"),
+        (["table3", "--instructions", "10"], "instructions should be at least"),
+        (["miss-ratio", "--trace", "no/such/file.ctr"],
+         "trace file not found"),
+    ])
+    def test_rejected_with_one_line_and_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro-experiments: error: ")
+        assert message in line
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_trace_corrupt_partway_is_not_a_usage_error(self, tmp_path,
+                                                        engine):
+        """A trace that turns bad mid-stream fails while the simulation
+        runs: its ValueError propagates with a traceback, not as exit 2."""
+        path = tmp_path / "broken.txt"
+        path.write_text(
+            "# repro cache trace v1: R|W address pc size (hex, hex, dec)\n"
+            + "".join(f"R {0x1000 + 32 * i:#x} 0x400 4\n" for i in range(50))
+            + "R 0xZZ 0x400 4\n")
+        with pytest.raises(ValueError, match="broken.txt:52: non-hex"):
+            main(["miss-ratio", "--trace", str(path), "--engine", engine,
+                  "--trace-chunk", "8"])
+
+
 class TestVirtualRealExample:
     """The examples/virtual_real_hierarchy.py CLI (argparse + JSON output)."""
 

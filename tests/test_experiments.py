@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import chunk_tasks, run_sweep
+from repro.engine import ProfileOptions, SweepOptions, chunk_tasks, run_sweep
 from repro.experiments.column_assoc_study import run_column_assoc_study
 from repro.experiments.config import (
     PAPER_L1_8KB,
@@ -71,7 +71,8 @@ class TestFigure1:
         with pytest.raises(ValueError):
             stride_miss_ratio("a2", 0)
         with pytest.raises(ValueError):
-            run_figure1(max_stride=16, chunksize=0)
+            run_figure1(max_stride=16,
+                        sweep_options=SweepOptions(chunksize=0))
 
 
 class TestFigure1Profile:
@@ -82,15 +83,17 @@ class TestFigure1Profile:
                            engine="vectorized")
         for profile in ("always", "never"):
             other = run_figure1(max_stride=33, stride_step=4, sweeps=4,
-                                engine="vectorized", profile=profile)
+                                engine="vectorized",
+                                profile_options=ProfileOptions(profile))
             assert other.miss_ratios == base.miss_ratios
 
     def test_profile_mode_is_validated(self):
         with pytest.raises(ValueError):
-            run_figure1(max_stride=16, profile="sometimes")
+            run_figure1(max_stride=16,
+                        profile_options=ProfileOptions("sometimes"))
         with pytest.raises(ValueError):
             stride_miss_ratio("a2", 3, engine="vectorized",
-                              profile="sometimes")
+                              profile_options=ProfileOptions("sometimes"))
 
 
 class TestSweepChunking:
@@ -135,7 +138,8 @@ class TestSweepChunking:
         """Per-scheme chunked task batching must not change any ratio."""
         serial = run_figure1(max_stride=41, stride_step=4, sweeps=4)
         chunked = run_figure1(max_stride=41, stride_step=4, sweeps=4,
-                              workers=2, chunksize=3)
+                              sweep_options=SweepOptions(workers=2,
+                                                         chunksize=3))
         assert chunked.miss_ratios == serial.miss_ratios
         assert chunked.summary() == serial.summary()
 
@@ -227,12 +231,12 @@ class TestDriverFaultWiring:
     """The fault-tolerance knobs as wired through the experiment drivers."""
 
     def test_figure1_collect_failure_yields_nan_strides(self, monkeypatch):
-        """A collected chunk failure lands in ``result.failures``, its
-        strides read ``nan``, and the histograms skip them instead of
+        """A collected stride failure lands in ``result.failures``, its
+        ratios read ``nan``, and the histograms skip them instead of
         choking on an out-of-range value."""
         import math
 
-        import repro.experiments.figure1 as figure1_module
+        import repro.engine.sweep as sweep_module
         from repro.engine.sweep import TaskFailure
         from repro.engine.sweep import run_sweep as real_run_sweep
 
@@ -244,9 +248,10 @@ class TestDriverFaultWiring:
                                       mode="process")
             return results
 
-        monkeypatch.setattr(figure1_module, "run_sweep", sabotaged_run_sweep)
-        result = run_figure1(max_stride=33, sweeps=4, chunksize=4,
-                             on_error="collect")
+        monkeypatch.setattr(sweep_module, "run_sweep", sabotaged_run_sweep)
+        result = run_figure1(max_stride=33, sweeps=4,
+                             sweep_options=SweepOptions(chunksize=4,
+                                                        on_error="collect"))
         assert len(result.failures) == 1
         assert result.failures[0].error_type == "ChaosError"
         last_scheme = list(result.miss_ratios)[-1]
@@ -259,23 +264,24 @@ class TestDriverFaultWiring:
             self, tmp_path, monkeypatch):
         """A resumed study must serve journalled programs without
         re-simulating them."""
-        import repro.experiments.miss_ratio_study as study_module
+        import repro.experiments.grid as grid_module
 
         journal = tmp_path / "study.jsonl"
         programs = ["compress", "tomcatv"]
+        options = SweepOptions(resume=str(journal))
         first = run_miss_ratio_study(programs=programs, accesses=2_000,
-                                     resume=str(journal))
+                                     sweep_options=options)
         def poisoned(task):
             raise AssertionError(f"journalled program re-executed: {task!r}")
 
-        monkeypatch.setattr(study_module, "_study_program_task", poisoned)
+        monkeypatch.setattr(grid_module, "_grid_task", poisoned)
         resumed = run_miss_ratio_study(programs=programs, accesses=2_000,
-                                       resume=str(journal))
+                                       sweep_options=options)
         assert resumed.miss_ratios == first.miss_ratios
         assert not resumed.failures
 
     def test_replacement_study_collects_failures(self, monkeypatch):
-        import repro.experiments.replacement_study as repl_module
+        import repro.engine.sweep as sweep_module
         from repro.engine.sweep import TaskFailure
         from repro.engine.sweep import run_sweep as real_run_sweep
 
@@ -287,9 +293,10 @@ class TestDriverFaultWiring:
                                      mode="process")
             return results
 
-        monkeypatch.setattr(repl_module, "run_sweep", sabotaged_run_sweep)
-        result = run_replacement_study(programs=["compress", "tomcatv"],
-                                       accesses=2_000, on_error="collect")
+        monkeypatch.setattr(sweep_module, "run_sweep", sabotaged_run_sweep)
+        result = run_replacement_study(
+            programs=["compress", "tomcatv"], accesses=2_000,
+            sweep_options=SweepOptions(on_error="collect"))
         assert len(result.failures) == 1
         # Averages still render from the surviving program.
         assert result.render()
@@ -314,10 +321,8 @@ class TestMissRatioStudy:
         """The vectorized study must build BatchVictimCache — no scalar
         replay fallback — and still agree with the reference engine."""
         from repro.engine import BatchVictimCache
-        from repro.experiments.miss_ratio_study import (
-            default_batch_organisations,
-        )
-        victim = default_batch_organisations()["victim-direct+8"]()
+        from repro.experiments.miss_ratio_study import study_organisations
+        victim = study_organisations()["victim-direct+8"].build("vectorized")
         assert isinstance(victim, BatchVictimCache)
         ref = run_miss_ratio_study(programs=["gcc"], accesses=4_000,
                                    engine="reference")
@@ -336,20 +341,22 @@ class TestMissRatioStudy:
         serial = run_miss_ratio_study(programs=["gcc", "swim"], accesses=4_000,
                                       engine="vectorized")
         fanned = run_miss_ratio_study(programs=["gcc", "swim"], accesses=4_000,
-                                      engine="vectorized", workers=2,
-                                      chunksize=1)
+                                      engine="vectorized",
+                                      sweep_options=SweepOptions(
+                                          workers=2, chunksize=1))
         assert fanned.miss_ratios == serial.miss_ratios
 
     def test_profile_modes_are_bit_exact(self):
         base = run_miss_ratio_study(programs=["gcc"], accesses=4_000,
                                     engine="vectorized")
         for profile in ("always", "never"):
-            other = run_miss_ratio_study(programs=["gcc"], accesses=4_000,
-                                         engine="vectorized", profile=profile)
+            other = run_miss_ratio_study(
+                programs=["gcc"], accesses=4_000, engine="vectorized",
+                profile_options=ProfileOptions(profile))
             assert other.miss_ratios == base.miss_ratios
         with pytest.raises(ValueError):
             run_miss_ratio_study(programs=["gcc"], accesses=4_000,
-                                 profile="sometimes")
+                                 profile_options=ProfileOptions("sometimes"))
 
 
 class TestReplacementStudy:
@@ -388,18 +395,21 @@ class TestReplacementStudy:
         with pytest.raises(ValueError):
             run_replacement_study(policies=["mru"], accesses=3_000)
         with pytest.raises(ValueError):
-            run_replacement_study(accesses=3_000, profile="sometimes")
+            run_replacement_study(accesses=3_000,
+                                  profile_options=ProfileOptions("sometimes"))
 
     def test_workers_and_profile_change_nothing(self):
         serial = run_replacement_study(programs=["gcc", "swim"],
                                        accesses=3_000, engine="vectorized")
         fanned = run_replacement_study(programs=["gcc", "swim"],
                                        accesses=3_000, engine="vectorized",
-                                       workers=2, chunksize=1)
+                                       sweep_options=SweepOptions(
+                                           workers=2, chunksize=1))
         assert fanned.miss_ratios == serial.miss_ratios
         profiled = run_replacement_study(programs=["gcc", "swim"],
                                          accesses=3_000, engine="vectorized",
-                                         profile="always")
+                                         profile_options=ProfileOptions(
+                                             "always"))
         assert profiled.miss_ratios == serial.miss_ratios
 
 
@@ -484,7 +494,8 @@ class TestTable2:
 
     def test_workers_and_chunksize_change_nothing(self, small_table2):
         fanned = run_table2(programs=["swim", "tomcatv", "wave5", "gcc", "fpppp"],
-                            instructions=6_000, workers=2, chunksize=2)
+                            instructions=6_000,
+                            sweep_options=SweepOptions(workers=2, chunksize=2))
         for program in small_table2.programs:
             for config in small_table2.configurations:
                 assert (fanned.results[program][config]
@@ -506,5 +517,6 @@ class TestTable3:
 
     def test_workers_forwarded_to_table2(self):
         serial = run_table3(instructions=1_500)
-        fanned = run_table3(instructions=1_500, workers=2)
+        fanned = run_table3(instructions=1_500,
+                            sweep_options=SweepOptions(workers=2))
         assert fanned.table2.results == serial.table2.results

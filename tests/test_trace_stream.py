@@ -926,38 +926,39 @@ class TestStreamedDrivers:
         return path
 
     def test_miss_ratio_study_engines_and_chunks_agree(self, trace_path):
+        from repro.experiments import TraceOptions
         from repro.experiments.miss_ratio_study import run_miss_ratio_study
-        vectorized = run_miss_ratio_study(engine="vectorized",
-                                          trace=str(trace_path),
-                                          trace_chunk=317)
-        reference = run_miss_ratio_study(engine="reference",
-                                         trace=str(trace_path))
-        one_chunk = run_miss_ratio_study(engine="vectorized",
-                                         trace=str(trace_path),
-                                         trace_chunk=1 << 20)
+        vectorized = run_miss_ratio_study(
+            engine="vectorized", trace_options=TraceOptions(trace_path, 317))
+        reference = run_miss_ratio_study(
+            engine="reference", trace_options=TraceOptions(trace_path))
+        one_chunk = run_miss_ratio_study(
+            engine="vectorized",
+            trace_options=TraceOptions(trace_path, 1 << 20))
         assert vectorized.miss_ratios == reference.miss_ratios
         assert vectorized.miss_ratios == one_chunk.miss_ratios
         assert list(vectorized.miss_ratios) == ["driver.ctr"]
 
     def test_replacement_study_streams(self, trace_path):
+        from repro.experiments import TraceOptions
         from repro.experiments.replacement_study import run_replacement_study
-        result = run_replacement_study(engine="vectorized",
-                                       policies=["lru", "fifo"],
-                                       trace=str(trace_path),
-                                       trace_chunk=271)
-        reference = run_replacement_study(engine="reference",
-                                          policies=["lru", "fifo"],
-                                          trace=str(trace_path))
+        result = run_replacement_study(
+            engine="vectorized", policies=["lru", "fifo"],
+            trace_options=TraceOptions(trace_path, 271))
+        reference = run_replacement_study(
+            engine="reference", policies=["lru", "fifo"],
+            trace_options=TraceOptions(trace_path))
         assert result.miss_ratios == reference.miss_ratios
         assert result.programs == ["driver.ctr"]
 
     def test_figure1_streams(self, trace_path):
+        from repro.experiments import TraceOptions
         from repro.experiments.figure1 import run_figure1
         result = run_figure1(engine="vectorized", schemes=["a2", "a2-Hp-Sk"],
-                             trace=str(trace_path), trace_chunk=433)
+                             trace_options=TraceOptions(trace_path, 433))
         reference = run_figure1(engine="reference",
                                 schemes=["a2", "a2-Hp-Sk"],
-                                trace=str(trace_path))
+                                trace_options=TraceOptions(trace_path))
         assert result.miss_ratios == reference.miss_ratios
 
 
@@ -975,13 +976,14 @@ class TestDinGoldenFixture:
         assert sum(r.is_write for r in records) == golden["stores"]
 
     def test_streamed_study_matches_golden(self, tmp_path):
+        from repro.experiments import TraceOptions
         from repro.experiments.miss_ratio_study import run_miss_ratio_study
         golden = json.loads(self.PINNED.read_text())
         v2 = tmp_path / "sample.ctr"
         assert import_din_trace(self.FIXTURE, v2) == golden["records"]
         for engine in ("vectorized", "reference"):
-            result = run_miss_ratio_study(engine=engine, trace=str(v2),
-                                          trace_chunk=97)
+            result = run_miss_ratio_study(
+                engine=engine, trace_options=TraceOptions(v2, 97))
             ratios = result.miss_ratios["sample.ctr"]
             assert ratios == pytest.approx(golden["miss_ratios"], abs=1e-9)
 
