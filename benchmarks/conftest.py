@@ -1,11 +1,12 @@
 """Shared configuration for the benchmark harness.
 
-Each ``bench_*.py`` file regenerates one table or figure of the paper (see
-DESIGN.md's per-experiment index and EXPERIMENTS.md for paper-vs-measured
-numbers).  The benchmarks use pytest-benchmark so the cost of regenerating
-each artefact is tracked, and every benchmark *also* asserts the qualitative
-claims of the corresponding experiment, so ``pytest benchmarks/
---benchmark-only`` doubles as an end-to-end validation run.
+Each ``bench_*.py`` file regenerates one table or figure of the paper.  The
+benchmarks use pytest-benchmark so the cost of regenerating each artefact is
+tracked, and every benchmark *also* asserts the qualitative claims of the
+corresponding experiment, so running the files doubles as an end-to-end
+validation run.  Name each file by path (``pytest
+benchmarks/bench_figure1.py``): pytest does not collect ``bench_*.py`` from a
+bare directory argument.
 
 Scale knobs: the environment variables ``REPRO_BENCH_INSTRUCTIONS`` and
 ``REPRO_BENCH_ACCESSES`` override the per-program instruction / access counts

@@ -13,11 +13,13 @@ virtual addresses over a physically-indexed conventional L2 — drives it with
 a synthetic workload, and compares the measured hole rate per L2 miss with
 the analytical prediction of equations (vii)-(ix).
 
-``--engine vectorized`` runs the same experiment through the batch engine
-(:class:`repro.engine.BatchVirtualRealHierarchy`): translation, both cache
-levels and the Inclusion protocol all execute array-at-a-time, producing
-identical counters.  ``--json`` emits the measurements as a machine-readable
-object instead of the narrated report.
+Both levels are described once, as ``OrganisationSpec`` values, and built
+for the chosen engine.  ``--engine vectorized`` runs the same experiment
+through the batch engine (:class:`repro.engine.BatchVirtualRealHierarchy`):
+the trace is synthesised as NumPy columns (``workload_arrays``), and
+translation, both cache levels and the Inclusion protocol all execute
+array-at-a-time, producing identical counters.  ``--json`` emits the
+measurements as a machine-readable object instead of the narrated report.
 
 Run it with::
 
@@ -30,42 +32,43 @@ import argparse
 import json
 import sys
 
-from repro.cache import SetAssociativeCache, VirtualRealHierarchy, WritePolicy
-from repro.core import IPolyIndexing
-from repro.engine import ENGINES, batch_virtual_real_like, materialise_batch
+from repro.cache import VirtualRealHierarchy, WritePolicy
+from repro.engine import ENGINES, AddressBatch, BatchVirtualRealHierarchy
+from repro.experiments import CacheGeometry, OrganisationSpec
 from repro.memory import PageTable
 from repro.models import HoleModel
 from repro.trace import build_trace
+from repro.trace.batching import workload_arrays
 
 PAGE_SIZE = 4096
 L1_BYTES = 8 * 1024
 BLOCK = 32
 
+#: The 8 KB two-way skewed I-Poly L1 (19 hashed address bits).
+L1_SPEC = OrganisationSpec(scheme="a2-Hp-Sk", geometry=CacheGeometry(L1_BYTES))
 
-def build_hierarchy(l2_bytes, seed):
-    page_table = PageTable(page_size=PAGE_SIZE, allocation="scatter", seed=seed)
-    l1 = SetAssociativeCache(
-        L1_BYTES, BLOCK, 2,
-        index_function=IPolyIndexing(128, ways=2, skewed=True, address_bits=19))
-    l2 = SetAssociativeCache(l2_bytes, BLOCK, 2,
-                             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-    hierarchy = VirtualRealHierarchy(l1, l2, translate=page_table.translate,
-                                     page_size=PAGE_SIZE)
-    return hierarchy, page_table
+
+def l2_spec(l2_bytes):
+    """A conventional two-way write-back L2 of ``l2_bytes``."""
+    return OrganisationSpec(scheme="a2", geometry=CacheGeometry(l2_bytes),
+                            write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
 
 
 def run_experiment(l2_bytes, accesses, engine, seed):
     """Simulate the hierarchy on the chosen engine; returns a result dict."""
-    hierarchy, page_table = build_hierarchy(l2_bytes, seed)
+    page_table = PageTable(page_size=PAGE_SIZE, allocation="scatter", seed=seed)
+    l1, l2 = L1_SPEC.build(engine), l2_spec(l2_bytes).build(engine)
     model = HoleModel(l1_bytes=L1_BYTES, l2_bytes=l2_bytes, block_size=BLOCK)
 
     # A mixed workload: the streaming-heavy swim model exercises L2 capacity.
-    trace = build_trace("swim", length=accesses, seed=seed)
     if engine == "vectorized":
-        hierarchy = batch_virtual_real_like(hierarchy, page_table)
-        hierarchy.run(materialise_batch(trace))
+        hierarchy = BatchVirtualRealHierarchy(l1, l2, page_table)
+        hierarchy.run(AddressBatch.from_arrays(
+            *workload_arrays("swim", length=accesses, seed=seed)))
     else:
-        for access in trace:
+        hierarchy = VirtualRealHierarchy(l1, l2, translate=page_table.translate,
+                                         page_size=PAGE_SIZE)
+        for access in build_trace("swim", length=accesses, seed=seed):
             hierarchy.access(access.address, is_write=access.is_write)
 
     return {

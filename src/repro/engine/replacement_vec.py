@@ -43,6 +43,30 @@ from ..cache.replacement import (
 )
 
 
+#: The splitmix64 state increment (the golden-ratio constant).
+SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalize_array(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 output finalizer of every element of ``x``.
+
+    ``x`` holds already-incremented generator states (``uint64``); the
+    result is a new ``uint64`` array, ``x`` is left untouched.  This is the
+    one vectorized copy of the finalizer's constants: the random policy's
+    draws (:func:`splitmix64_array`), the SHARDS sampling hash and the
+    columnar workload synthesis all go through it.
+    """
+    # The multiplies wrap by design; NumPy warns about that only for 0-d
+    # input, which it computes as scalars.
+    with np.errstate(over="ignore"):
+        z = x ^ (x >> np.uint64(30))
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return z
+
+
 def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized :func:`~repro.cache.replacement.splitmix64` draw sequence.
 
@@ -56,13 +80,9 @@ def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    with np.errstate(over="ignore"):
-        x = (np.uint64(seed & ((1 << 64) - 1))
-             + np.arange(start, start + count, dtype=np.uint64))
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x = np.arange(start, start + count, dtype=np.uint64)
+    x += np.uint64((seed + SPLITMIX64_GAMMA) & ((1 << 64) - 1))
+    return splitmix64_finalize_array(x)
 
 
 def min_stamp_way(stamp: List[List[int]], candidate_sets: Sequence[int]) -> int:
@@ -82,6 +102,8 @@ def min_stamp_way(stamp: List[List[int]], candidate_sets: Sequence[int]) -> int:
     return best_way
 
 __all__ = [
+    "SPLITMIX64_GAMMA",
+    "splitmix64_finalize_array",
     "splitmix64_array",
     "min_stamp_way",
     "VecReplacementState",

@@ -127,7 +127,10 @@ class OrganisationSpec:
     placement of a ``"set-assoc"`` cache; a ``"victim"`` cache's main array
     takes ``geometry.ways`` ways and ``victim_entries`` buffer entries; a
     ``"fully-assoc"`` cache holds all of ``geometry``'s blocks in one set.
-    ``replacement`` ``None`` means the paper's LRU.
+    ``replacement`` ``None`` means the paper's LRU.  ``write_policy`` (a
+    :class:`~repro.cache.set_assoc.WritePolicy` label) applies to the
+    set-associative and fully-associative kinds; the victim and
+    column-associative caches are write-through-no-allocate only.
     """
 
     kind: str = "set-assoc"
@@ -136,11 +139,19 @@ class OrganisationSpec:
     replacement: Optional[str] = None
     victim_entries: int = 8
     address_bits: int = PAPER_HASH_BITS
+    write_policy: str = WritePolicy.WRITE_THROUGH_NO_ALLOCATE
 
     def __post_init__(self) -> None:
         if self.kind not in ORGANISATION_KINDS:
             raise InputError(f"unknown organisation kind {self.kind!r}; "
                              f"expected one of {ORGANISATION_KINDS}")
+        if self.write_policy not in WritePolicy.ALL:
+            raise InputError(f"unknown write policy {self.write_policy!r}; "
+                             f"expected one of {WritePolicy.ALL}")
+        if (self.kind in ("victim", "column-assoc")
+                and self.write_policy != WritePolicy.WRITE_THROUGH_NO_ALLOCATE):
+            raise InputError(f"a {self.kind} cache is write-through-no-"
+                             f"allocate only, got {self.write_policy!r}")
         if (self.replacement is not None
                 and self.replacement not in REPLACEMENT_POLICIES):
             raise InputError(
@@ -164,22 +175,27 @@ class OrganisationSpec:
         its batch-engine twin when ``engine`` is ``"vectorized"``."""
         geometry, replacement = self.geometry, self.replacement
         size, block = geometry.size_bytes, geometry.block_size
+        write_policy = self.write_policy
         vectorized = engine == ENGINE_VECTORIZED
         if self.kind == "set-assoc":
             if not vectorized:
                 return build_cache(geometry, self.scheme,
                                    address_bits=self.address_bits,
+                                   write_policy=write_policy,
                                    replacement=replacement)
             return BatchSetAssociativeCache(
                 size, block, ways=geometry.ways,
-                index_function=self.index_function(), replacement=replacement)
+                index_function=self.index_function(), replacement=replacement,
+                write_policy=write_policy)
         if self.kind == "fully-assoc":
             if not vectorized:
                 return FullyAssociativeCache(size, block,
-                                             replacement=replacement)
+                                             replacement=replacement,
+                                             write_policy=write_policy)
             return BatchSetAssociativeCache(
                 size, block, ways=size // block,
-                index_function=SingleSetIndexing(), replacement=replacement)
+                index_function=SingleSetIndexing(), replacement=replacement,
+                write_policy=write_policy)
         if self.kind == "victim":
             cls = BatchVictimCache if vectorized else VictimCache
             return cls(size, block, ways=geometry.ways,

@@ -30,14 +30,14 @@ from ..cache.virtual_real import VirtualRealHierarchy
 from ..engine import (
     ENGINE_REFERENCE,
     ENGINE_VECTORIZED,
-    batch_virtual_real_like,
-    materialise_batch,
+    AddressBatch,
+    BatchVirtualRealHierarchy,
     check_engine,
 )
 from ..memory.paging import PageTable
 from ..models.holes import HoleModel
-from ..trace.workloads import workload_names
-from .config import PAPER_HASH_BITS, CacheGeometry, build_cache
+from ..trace.workloads import workload_arrays, workload_names
+from .config import CacheGeometry, OrganisationSpec
 from .grid import ProgramTrace
 
 __all__ = ["HoleStudyResult", "run_holes_study"]
@@ -97,51 +97,63 @@ def run_holes_study(l2_sizes: Sequence[int] = (256 * 1024, 1024 * 1024),
     scatter-allocating page table, so the two indices are uncorrelated as the
     analytical model assumes.
 
-    ``engine="vectorized"`` runs each program through
+    Both levels are :class:`~repro.experiments.config.OrganisationSpec`
+    rows built for the chosen engine.  ``engine="vectorized"`` builds batch
+    caches and runs each program's columnar trace
+    (:func:`~repro.trace.workloads.workload_arrays`, synthesised once per
+    program) through
     :class:`~repro.engine.hierarchy_vec.BatchVirtualRealHierarchy` —
     batched translation, miss-stream composition and all — instead of the
-    per-access scalar protocol; both engines produce identical counters, so
-    the reported hole rates are the same numbers, just faster.
+    per-access scalar protocol; no scalar cache and no per-access record is
+    created.  Both engines produce identical counters, so the reported hole
+    rates are the same numbers, just faster.
     """
     engine = check_engine(engine)
     program_list = list(programs) if programs is not None else workload_names()
     sources = [ProgramTrace(name, accesses, seed) for name in program_list]
-    l2_geometries = [CacheGeometry(size, block_size=l1_geometry.block_size,
-                                   ways=2) for size in l2_sizes]
+    l2_sizes = list(dict.fromkeys(l2_sizes))
+    l1_spec = OrganisationSpec(scheme="a2-Hp-Sk", geometry=l1_geometry)
+    l2_specs = [OrganisationSpec(
+        scheme="a2",
+        geometry=CacheGeometry(size, block_size=l1_geometry.block_size, ways=2),
+        write_policy=WritePolicy.WRITE_BACK_ALLOCATE) for size in l2_sizes]
     result = HoleStudyResult(l1_geometry=l1_geometry,
                              accesses_per_program=accesses)
-
-    for l2_size, l2_geometry in zip(l2_sizes, l2_geometries):
-        model = HoleModel(l1_bytes=l1_geometry.size_bytes, l2_bytes=l2_size,
+    holes = dict.fromkeys(l2_sizes, 0)
+    for size in l2_sizes:
+        model = HoleModel(l1_bytes=l1_geometry.size_bytes, l2_bytes=size,
                           block_size=l1_geometry.block_size)
-        result.predicted_hole_probability[l2_size] = model.hole_probability
+        result.predicted_hole_probability[size] = model.hole_probability
+        result.per_program_hole_rate[size] = {}
+        result.l2_misses[size] = 0
 
-        total_holes = 0
-        total_l2_misses = 0
-        per_program: Dict[str, float] = {}
-        for source in sources:
+    for source in sources:
+        # The vectorized engine synthesises each program once, as columns,
+        # and replays that one batch at every L2 size (nothing in the engine
+        # writes into a batch's arrays).
+        batch = (AddressBatch.from_arrays(*workload_arrays(
+            source.name, length=source.length, seed=source.seed))
+            if engine == ENGINE_VECTORIZED else None)
+        for size, l2_spec in zip(l2_sizes, l2_specs):
             page_table = PageTable(page_size=page_size, allocation="scatter",
                                    seed=seed)
-            l1 = build_cache(l1_geometry, "a2-Hp-Sk",
-                             address_bits=PAPER_HASH_BITS)
-            l2 = build_cache(l2_geometry, "a2",
-                             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-            hierarchy = VirtualRealHierarchy(l1, l2,
-                                             translate=page_table.translate,
-                                             page_size=page_size)
-            if engine == ENGINE_VECTORIZED:
-                batch_vr = batch_virtual_real_like(hierarchy, page_table)
-                batch_vr.run(materialise_batch(source.accesses()))
-                hierarchy = batch_vr
+            l1, l2 = l1_spec.build(engine), l2_spec.build(engine)
+            if batch is not None:
+                hierarchy = BatchVirtualRealHierarchy(l1, l2, page_table)
+                hierarchy.run(batch)
             else:
+                hierarchy = VirtualRealHierarchy(
+                    l1, l2, translate=page_table.translate,
+                    page_size=page_size)
                 for access in source.accesses():
                     hierarchy.access(access.address, is_write=access.is_write)
-            per_program[source.name] = hierarchy.hole_rate_per_l2_miss
-            total_holes += hierarchy.l2_misses_causing_holes
-            total_l2_misses += hierarchy.l2.stats.misses
+            result.per_program_hole_rate[size][source.name] = (
+                hierarchy.hole_rate_per_l2_miss)
+            holes[size] += hierarchy.l2_misses_causing_holes
+            result.l2_misses[size] += hierarchy.l2.stats.misses
 
-        result.per_program_hole_rate[l2_size] = per_program
-        result.simulated_hole_rate[l2_size] = (
-            total_holes / total_l2_misses if total_l2_misses else 0.0)
-        result.l2_misses[l2_size] = total_l2_misses
+    for size in l2_sizes:
+        misses = result.l2_misses[size]
+        result.simulated_hole_rate[size] = (holes[size] / misses
+                                            if misses else 0.0)
     return result

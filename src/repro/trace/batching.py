@@ -3,12 +3,14 @@
 The generators in :mod:`repro.trace.generators` yield
 :class:`~repro.trace.record.MemoryAccess` objects lazily; the batch engine
 wants plain address / store-mask arrays.  :func:`to_arrays` converts any
-trace, and the ``*_arrays`` builders below synthesise the hottest workloads
-directly as arrays — no per-access object is ever created, which matters when
-a sweep needs millions of references per configuration.
+trace, and the ``*_arrays`` builders synthesise the workloads directly as
+arrays — no per-access object is ever created, which matters when a sweep
+needs millions of references per configuration.
+:func:`~repro.trace.workloads.workload_arrays` (re-exported here) builds the
+synthetic programs, :func:`strided_vector_arrays` Figure 1's vectors.
 
 Array builders are bit-exact with their generator counterparts (asserted in
-``tests/test_engine_equivalence.py``).
+``tests/test_engine_equivalence.py`` and ``tests/test_trace_workloads.py``).
 
 Sweep-wide trace memoisation
 ----------------------------
@@ -35,10 +37,12 @@ import numpy as np
 
 from ..core.memo_util import BoundedMemo
 from .record import MemoryAccess
+from .workloads import workload_arrays
 
 __all__ = [
     "to_arrays",
     "strided_vector_arrays",
+    "workload_arrays",
     "cached_workload_arrays",
     "cached_strided_arrays",
     "trace_cache_info",
@@ -138,16 +142,14 @@ def cached_workload_arrays(name: str, length: int = 100_000,
                            seed: int = 12345) -> _TraceArrays:
     """Materialised ``(addresses, is_write)`` of one synthetic workload.
 
-    Bit-exact with ``to_arrays(build_trace(...))`` for the same parameters;
-    the first call per process builds and caches, later calls return the
-    identical (read-only) arrays.
+    :func:`workload_arrays` behind the trace cache: the first call per
+    process synthesises and caches, later calls return the identical
+    (read-only) arrays.
     """
-    from .workloads import build_trace
-
     key = ("workload", str(name), int(length), int(block_size), int(seed))
     return _trace_cache_get(
-        key, lambda: to_arrays(build_trace(name, length=length,
-                                           block_size=block_size, seed=seed)))
+        key, lambda: workload_arrays(name, length=length,
+                                     block_size=block_size, seed=seed))
 
 
 def cached_strided_arrays(stride: int, elements: int = 64,

@@ -33,12 +33,16 @@ The per-program component fractions below are derived directly from Table 2's
 reproduces the *structure* of the paper's results: tomcatv, swim and wave5
 are the three high-conflict programs, everything else is dominated by misses
 that indexing cannot fix.
+
+:func:`build_trace` yields the trace one :class:`MemoryAccess` at a time and
+is the reference; :func:`workload_arrays` synthesises the same trace as
+NumPy columns, bit for bit, without creating a record per access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 from .generators import _SplitMix64
 from .record import MemoryAccess
@@ -51,6 +55,7 @@ __all__ = [
     "INTEGER_PROGRAMS",
     "FP_PROGRAMS",
     "build_trace",
+    "workload_arrays",
     "workload_names",
 ]
 
@@ -177,6 +182,7 @@ class _WorkloadState:
         # Hot component: a small array reused forever.
         self.hot_slots = max(8, spec.hot_bytes // 8)
         self.hot_cursor = 0
+        self.write_threshold = int(spec.write_fraction * 1_000_000)
         # Offset the hot region by 1 KB so that, under conventional indexing,
         # it occupies different sets from the conflict component (which sits
         # at the bottom of its 64 KB-aligned arrays); the measured conflict
@@ -226,8 +232,7 @@ class _WorkloadState:
     def next_hot(self) -> MemoryAccess:
         address = self.hot_base + (self.hot_cursor % self.hot_slots) * 8
         self.hot_cursor += 1
-        is_write = (self.rng.below(1_000_000)
-                    < int(self.spec.write_fraction * 1_000_000))
+        is_write = self.rng.below(1_000_000) < self.write_threshold
         return MemoryAccess(address=address, is_write=is_write, pc=0x100, size=8)
 
     def next_stream(self) -> MemoryAccess:
@@ -256,14 +261,8 @@ class _WorkloadState:
                             pc=0x300 + 8 * self.conflict_array, size=8)
 
 
-def build_trace(name: str, length: int = 100_000, block_size: int = 32,
-                seed: int = 12345) -> Iterator[MemoryAccess]:
-    """Generate ``length`` accesses of the named synthetic workload.
-
-    The trace is a probabilistic interleaving of the workload's hot, stream
-    and conflict components, using a deterministic PRNG so identical
-    arguments always produce identical traces.
-    """
+def _lookup(name: str, length: int) -> WorkloadSpec:
+    """The spec of workload ``name``, after checking the trace length."""
     try:
         spec = WORKLOADS[name]
     except KeyError:
@@ -272,11 +271,28 @@ def build_trace(name: str, length: int = 100_000, block_size: int = 32,
         ) from None
     if length < 1:
         raise ValueError("length must be positive")
+    return spec
 
+
+def _thresholds(spec: WorkloadSpec) -> Tuple[int, int, int]:
+    """Upper bounds of the conflict, stream and medium draws (of 10**6);
+    a draw at or above the last one picks the hot component."""
+    conflict = int(spec.conflict_fraction * 1_000_000)
+    stream = conflict + int(spec.stream_fraction * 1_000_000)
+    return conflict, stream, stream + int(spec.medium_fraction * 1_000_000)
+
+
+def build_trace(name: str, length: int = 100_000, block_size: int = 32,
+                seed: int = 12345) -> Iterator[MemoryAccess]:
+    """Generate ``length`` accesses of the named synthetic workload.
+
+    The trace is a probabilistic interleaving of the workload's hot, stream
+    and conflict components, using a deterministic PRNG so identical
+    arguments always produce identical traces.
+    """
+    spec = _lookup(name, length)
     state = _WorkloadState(spec, block_size, seed)
-    conflict_threshold = int(spec.conflict_fraction * 1_000_000)
-    stream_threshold = conflict_threshold + int(spec.stream_fraction * 1_000_000)
-    medium_threshold = stream_threshold + int(spec.medium_fraction * 1_000_000)
+    conflict_threshold, stream_threshold, medium_threshold = _thresholds(spec)
 
     for _ in range(length):
         draw = state.rng.below(1_000_000)
@@ -288,3 +304,113 @@ def build_trace(name: str, length: int = 100_000, block_size: int = 32,
             yield state.next_medium()
         else:
             yield state.next_hot()
+
+
+#: PRNG draws :func:`workload_arrays` generates at a time; bounds its
+#: scratch memory to a few megabytes whatever the trace length.
+DRAW_BLOCK = 1 << 17
+
+
+def workload_arrays(name: str, length: int = 100_000, block_size: int = 32,
+                    seed: int = 12345):
+    """``(addresses, is_write)`` of the named workload as NumPy columns.
+
+    Bit-exact with ``to_arrays(build_trace(name, length, block_size,
+    seed))`` — ``uint64`` addresses and a ``bool`` store mask — but no
+    :class:`MemoryAccess` is created.  The returned arrays are fresh and
+    writeable.
+
+    The scalar generator takes one PRNG draw per access to pick its
+    component, and a hot access takes a second draw for its write
+    decision.  Draw ``k`` of ``_SplitMix64(s)`` is ``mix(s + (k+1)*gamma)``,
+    so all draws come out of one vectorized finalizer; counter ``c`` starts
+    an access unless counter ``c-1`` started a hot one.  Inside a run of
+    hot-valued draws the starts alternate, so each counter's role follows
+    from its distance to the last non-hot draw before it.  Draws are made
+    :data:`DRAW_BLOCK` at a time, carrying the one bit "the previous counter
+    started a hot access" from block to block; each component's cursor is
+    its running access count.
+    """
+    import numpy as np
+
+    from ..engine.replacement_vec import (
+        SPLITMIX64_GAMMA,
+        splitmix64_finalize_array,
+    )
+
+    spec = _lookup(name, length)
+    layout = _WorkloadState(spec, block_size, seed)
+    thresholds = np.array(_thresholds(spec), dtype=np.uint64)
+    hot_threshold = thresholds[-1]
+    origin = np.uint64((seed or 1) & 0xFFFFFFFFFFFFFFFF)
+    u64 = np.uint64
+
+    addresses = np.empty(length, dtype=np.uint64)
+    is_write = np.zeros(length, dtype=bool)
+    counts = [0, 0, 0, 0]  # accesses so far per component
+    filled = 0
+    counter = 0            # PRNG draws consumed so far
+    carry = False          # the previous counter started a hot access
+    while filled < length:
+        # Each access takes at most two draws, so 2 * remaining draws
+        # always finish the trace.
+        size = min(DRAW_BLOCK, 2 * (length - filled))
+        # One lookahead draw: a hot start on the block's last counter
+        # takes its write decision from the next block's first draw.
+        k = np.arange(counter + 1, counter + size + 2, dtype=np.uint64)
+        k *= u64(SPLITMIX64_GAMMA)
+        k += origin
+        draws = splitmix64_finalize_array(k)
+        del k
+        draws %= u64(1_000_000)
+        hot = draws[:size] >= hot_threshold
+
+        # A counter starts an access iff an even number of hot draws run
+        # back from it to the last non-hot draw; before the block's first
+        # non-hot draw, the carried bit flips that parity.
+        position = np.arange(size)
+        last_cold = np.where(hot, -1, position)
+        np.maximum.accumulate(last_cold, out=last_cold)
+        start = np.ones(size, dtype=bool)
+        start[1:] = (position[1:] - last_cold[:-1]) & 1
+        if carry:
+            first_cold = int(last_cold.searchsorted(0))
+            start[:first_cold + 1] ^= True
+        carry = bool(start[-1] and hot[-1])
+        counter += size
+
+        starts = np.flatnonzero(start)[:length - filled]
+        kind = np.searchsorted(thresholds, draws[starts], side="right")
+        out = addresses[filled:filled + starts.size]
+        for component in range(4):
+            rows = np.flatnonzero(kind == component)
+            ordinal = np.arange(counts[component],
+                                counts[component] + rows.size,
+                                dtype=np.uint64)
+            counts[component] += rows.size
+            out[rows] = _component_addresses(layout, component, ordinal)
+            if component == 3:
+                is_write[filled + rows] = (draws[starts[rows] + 1]
+                                           < u64(layout.write_threshold))
+        filled += starts.size
+    return addresses, is_write
+
+
+def _component_addresses(layout: _WorkloadState, component: int, ordinal):
+    """Addresses of the ``ordinal``-th accesses (``uint64``) of one
+    component: 0 conflict, 1 stream, 2 medium, 3 hot."""
+    import numpy as np
+
+    u64 = np.uint64
+    if component == 0:
+        arrays = u64(layout.spec.conflict_arrays)
+        return (u64(layout.conflict_base)
+                + ordinal % arrays * u64(layout.conflict_spacing)
+                + ordinal // arrays % u64(layout.conflict_elements) * u64(8))
+    if component == 1:
+        return u64(layout.stream_base) + ordinal * u64(layout.block_size)
+    if component == 2:
+        return (u64(layout.medium_base)
+                + ordinal % u64(layout.medium_blocks)
+                * u64(layout.block_size))
+    return u64(layout.hot_base) + ordinal % u64(layout.hot_slots) * u64(8)

@@ -431,6 +431,52 @@ class TestHolesStudy:
         assert (result.simulated_hole_rate[256 * 1024]
                 <= result.simulated_hole_rate[64 * 1024] + 1e-9)
 
+    def test_repeated_l2_size_is_simulated_once(self):
+        once = run_holes_study(l2_sizes=[64 * 1024], programs=["swim"],
+                               accesses=3_000, engine="vectorized")
+        twice = run_holes_study(l2_sizes=[64 * 1024, 64 * 1024],
+                                programs=["swim"], accesses=3_000,
+                                engine="vectorized")
+        assert vars(twice) == vars(once)
+
+
+class TestVectorizedBuildsNoScalarModel:
+    """On the vectorized engine the miss-ratio and holes studies create no
+    per-access trace record and no scalar set-associative cache."""
+
+    @pytest.fixture()
+    def no_scalar_path(self, monkeypatch):
+        from repro.cache.set_assoc import SetAssociativeCache
+        from repro.trace.batching import trace_cache_clear
+        from repro.trace.record import MemoryAccess
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scalar path taken on the vectorized engine")
+
+        trace_cache_clear()
+        monkeypatch.setattr(MemoryAccess, "__post_init__", forbidden)
+        monkeypatch.setattr(SetAssociativeCache, "__init__", forbidden)
+        yield
+        trace_cache_clear()
+
+    def test_miss_ratio_study(self, request):
+        programs = ["swim", "gcc", "compress"]
+        reference = run_miss_ratio_study(programs=programs, accesses=3_000,
+                                         engine="reference")
+        request.getfixturevalue("no_scalar_path")
+        vectorized = run_miss_ratio_study(programs=programs, accesses=3_000,
+                                          engine="vectorized")
+        assert vectorized.miss_ratios == reference.miss_ratios
+
+    def test_holes_study(self, request):
+        kwargs = dict(l2_sizes=[64 * 1024, 128 * 1024],
+                      programs=["swim", "tomcatv", "gcc"], accesses=8_000)
+        reference = run_holes_study(engine="reference", **kwargs)
+        assert sum(reference.l2_misses.values()) > 0
+        request.getfixturevalue("no_scalar_path")
+        vectorized = run_holes_study(engine="vectorized", **kwargs)
+        assert vars(vectorized) == vars(reference)
+
 
 class TestColumnAssocStudy:
     def test_first_probe_hits_dominate(self):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.cache import WritePolicy
 from repro.engine import (
     ENGINES,
     ProfileOptions,
@@ -100,10 +101,19 @@ class TestOrganisationSpec:
 
     @pytest.mark.parametrize("spec", [
         dict(kind="hashed"), dict(scheme="a9"), dict(replacement="mru"),
+        dict(write_policy="write-around"),
+        dict(kind="victim", write_policy=WritePolicy.WRITE_BACK_ALLOCATE),
     ])
     def test_bad_organisations_fail_at_construction(self, spec):
         with pytest.raises(InputError):
             OrganisationSpec(**spec)
+
+    @pytest.mark.parametrize("kind", ["set-assoc", "fully-assoc"])
+    def test_write_policy_reaches_both_engines(self, kind):
+        spec = OrganisationSpec(kind=kind,
+                                write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
+        assert {spec.build(engine).write_policy for engine in ENGINES} == {
+            WritePolicy.WRITE_BACK_ALLOCATE}
 
     def test_bad_geometry_fails_at_construction(self):
         with pytest.raises(InputError):

@@ -1,6 +1,12 @@
 """Tests for the synthetic Spec95-like trace workload models."""
 
+import tracemalloc
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import FullyAssociativeCache, SetAssociativeCache
 from repro.core import make_index_function
@@ -12,8 +18,12 @@ from repro.trace.workloads import (
     WORKLOADS,
     WorkloadSpec,
     build_trace,
+    workload_arrays,
     workload_names,
 )
+from repro.trace import workloads
+from repro.trace.batching import to_arrays
+from repro.trace.generators import _SplitMix64
 
 
 def miss_ratio(name, size_bytes, scheme, accesses=25_000):
@@ -111,3 +121,83 @@ class TestBehaviouralShape:
                 full.access(access.address, is_write=access.is_write)
             ipoly = miss_ratio(name, 8 * 1024, "a2-Hp-Sk")
             assert ipoly <= full.stats.load_miss_ratio + 0.06
+
+
+def assert_columns_match(name, length, block_size=32, seed=12345):
+    addresses, is_write = workload_arrays(name, length, block_size, seed)
+    expected = to_arrays(build_trace(name, length, block_size, seed))
+    assert addresses.dtype == np.uint64 and is_write.dtype == np.bool_
+    np.testing.assert_array_equal(addresses, expected[0])
+    np.testing.assert_array_equal(is_write, expected[1])
+
+
+#: A small draw block, so short traces already span several blocks.
+SMALL_BLOCK = 64
+
+
+class TestColumnarSynthesis:
+    """``workload_arrays`` is ``to_arrays(build_trace(...))``, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(workload_names()),
+           seed=st.one_of(st.sampled_from([0, 1, 2 ** 64 - 1]),
+                          st.integers(0, 2 ** 64 - 1)),
+           length=st.integers(1, 5 * SMALL_BLOCK),
+           block_size=st.sampled_from([16, 32, 64]))
+    def test_matches_scalar_synthesis(self, name, seed, length, block_size):
+        with mock.patch.object(workloads, "DRAW_BLOCK", SMALL_BLOCK):
+            assert_columns_match(name, length, block_size, seed)
+
+    @pytest.mark.parametrize("name", ["swim", "compress"])
+    def test_two_blocks_at_the_default_size(self, name):
+        assert_columns_match(name, 3 * workloads.DRAW_BLOCK // 4, seed=7)
+
+    @staticmethod
+    def hot_roles(name, seed, draws):
+        """Per PRNG counter: (draw is hot-valued, counter starts an access)."""
+        rng = _SplitMix64(seed or 1)
+        hot_threshold = workloads._thresholds(WORKLOADS[name])[-1]
+        roles, start = [], True
+        for _ in range(draws):
+            hot = rng.below(1_000_000) >= hot_threshold
+            roles.append((hot, start))
+            start = not (start and hot)
+        return roles
+
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_hot_run_straddling_a_block_boundary(self, carried):
+        """A block ends inside a run of hot draws, with its last counter a
+        hot start (the carried bit set) or a write draw (not set)."""
+        name, seed = "gcc", 12345
+        roles = self.hot_roles(name, seed, 400)
+        boundary = next(
+            b for b in range(8, len(roles) - 8)
+            if all(hot for hot, _ in roles[b - 3:b + 3])
+            and roles[b - 1][1] == carried)
+        with mock.patch.object(workloads, "DRAW_BLOCK", boundary):
+            assert_columns_match(name, 2 * boundary, seed=seed)
+
+    def test_arrays_are_fresh_and_writeable(self):
+        first, _ = workload_arrays("swim", 100)
+        second, _ = workload_arrays("swim", 100)
+        assert first.flags.writeable and first is not second
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="unknown workload"):
+            workload_arrays("doom", 10)
+        with pytest.raises(ValueError, match="length"):
+            workload_arrays("gcc", 0)
+
+    @pytest.mark.slow
+    def test_memory_is_bounded_by_the_output(self):
+        """Blocked synthesis: scratch memory stays small at 1M accesses."""
+        length = 1_000_000
+        workload_arrays("swim", 10)  # imports out of the measurement
+        tracemalloc.start()
+        try:
+            addresses, is_write = workload_arrays("swim", length)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(addresses) == length
+        assert peak <= addresses.nbytes + is_write.nbytes + 32 * 2 ** 20
