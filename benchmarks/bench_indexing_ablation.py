@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for design choices of the I-Poly cache organisations.
 
 Not a paper artefact per se, but the design-space questions the paper's
 Section 2/3 discussion raises:

@@ -143,9 +143,6 @@ class DataCacheModel:
             if self._mshrs.lookup(block) is not None:
                 self._mshrs.release(block)
 
-    def _outstanding(self, now: int) -> int:
-        return sum(1 for ready in self._inflight.values() if ready > now)
-
     def load(self, address: int, request_cycle: int,
              predicted_index_available: bool = False) -> LoadTiming:
         """Perform a load access whose address is ready at ``request_cycle``.
@@ -186,10 +183,11 @@ class DataCacheModel:
             return LoadTiming(start, start + timing.hit_time, True,
                               xor_penalty_paid=xor_paid)
 
-        # Primary miss: need a free MSHR.
+        # Primary miss: need a free MSHR.  Every fill still in flight
+        # completes after ``issue`` (the rest were just expired).
         issue = start
-        while self._outstanding(issue) >= timing.mshr_entries:
-            earliest = min(r for r in self._inflight.values() if r > issue)
+        while len(self._inflight) >= timing.mshr_entries:
+            earliest = min(self._inflight.values())
             self.mshr_stall_cycles += earliest - issue
             issue = earliest
             self._expire_inflight(issue)

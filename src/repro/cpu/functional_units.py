@@ -70,8 +70,10 @@ class FunctionalUnit:
                 raise ValueError(f"no timing defined for op class {op!r}")
         self.name = name
         self._op_classes = op_classes
+        self._serves = frozenset(op_classes)
         self._timings = timings
-        self._next_free = 0
+        #: Earliest cycle a new operation could start on this unit.
+        self.next_free = 0
         self.operations = 0
         self.busy_cycles = 0
 
@@ -82,26 +84,22 @@ class FunctionalUnit:
 
     def serves(self, op: str) -> bool:
         """True when this unit can execute ``op``."""
-        return op in self._op_classes
-
-    def next_start(self, now: int) -> int:
-        """Earliest cycle a new operation could start."""
-        return max(now, self._next_free)
+        return op in self._serves
 
     def issue(self, op: str, now: int) -> Tuple[int, int]:
         """Issue an operation; returns ``(start_cycle, completion_cycle)``."""
-        if not self.serves(op):
+        if op not in self._serves:
             raise ValueError(f"unit {self.name} cannot execute {op}")
         timing = self._timings[op]
-        start = self.next_start(now)
-        self._next_free = start + timing.repeat
+        start = now if now > self.next_free else self.next_free
+        self.next_free = start + timing.repeat
         self.operations += 1
         self.busy_cycles += timing.repeat
         return start, start + timing.latency
 
     def reset(self) -> None:
         """Clear occupancy and statistics."""
-        self._next_free = 0
+        self.next_free = 0
         self.operations = 0
         self.busy_cycles = 0
 
@@ -128,6 +126,12 @@ class FunctionalUnitPool:
             self._units.append(
                 FunctionalUnit(f"eff-addr-{i}", (OpClass.LOAD, OpClass.STORE),
                                self._timings))
+        # The units able to execute each op class, in pool order, so issue
+        # scans only those (ties go to the earlier unit).
+        self._serving: Dict[str, Tuple[FunctionalUnit, ...]] = {}
+        for unit in self._units:
+            for op in unit.op_classes:
+                self._serving[op] = self._serving.get(op, ()) + (unit,)
 
     @property
     def units(self) -> List[FunctionalUnit]:
@@ -140,10 +144,19 @@ class FunctionalUnitPool:
 
     def earliest_unit(self, op: str, now: int) -> FunctionalUnit:
         """The serving unit that can start ``op`` soonest (ties by order)."""
-        candidates = [u for u in self._units if u.serves(op)]
-        if not candidates:
+        units = self._serving.get(op)
+        if units is None:
             raise ValueError(f"no functional unit serves {op!r}")
-        return min(candidates, key=lambda u: u.next_start(now))
+        # A unit already free by ``now`` starts at ``now``, which nothing
+        # beats; otherwise the unit that frees up first wins.
+        best = best_free = None
+        for unit in units:
+            free = unit.next_free
+            if free <= now:
+                return unit
+            if best is None or free < best_free:
+                best, best_free = unit, free
+        return best
 
     def issue(self, op: str, now: int) -> Tuple[int, int]:
         """Issue ``op`` on the best unit; returns ``(start, completion)``."""

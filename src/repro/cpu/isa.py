@@ -49,7 +49,7 @@ class OpClass:
     MEMORY = (LOAD, STORE)
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     """One dynamic instruction.
 
@@ -70,7 +70,9 @@ class Instruction:
     size:
         Access width for memory operations.
     seq:
-        Dynamic sequence number, filled in by the processor front-end.
+        Dynamic sequence number.  Informational only: the processor numbers
+        the stream itself and never writes it, so one materialised program
+        can be replayed on many processors.
     """
 
     pc: int

@@ -35,7 +35,8 @@ practical in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from itertools import islice
+from typing import Dict, Optional
 
 from ..cache.set_assoc import SetAssociativeCache, WritePolicy
 from ..core.index import make_index_function
@@ -43,7 +44,7 @@ from .address_predictor import StrideAddressPredictor
 from .branch_predictor import BimodalBranchPredictor
 from .dcache import DataCacheModel, DataCacheTiming
 from .functional_units import FunctionalUnitPool
-from .isa import Instruction, OpClass, is_fp_register
+from .isa import FP_REGS, INT_REGS, Instruction, OpClass, is_fp_register
 from .lsq import StoreForwardingBuffer
 from .program import Program
 from .resources import ThroughputLimiter, WindowResource
@@ -239,68 +240,83 @@ class OutOfOrderProcessor:
         if max_instructions is not None and max_instructions < 0:
             raise ValueError("max_instructions must be non-negative")
         cfg = self.config
-        reg_ready: Dict[int, int] = {}
+        stream = program.instructions()
+        if max_instructions is not None:
+            stream = islice(stream, max_instructions)
+        # The loop below runs once per dynamic instruction, so everything it
+        # touches is bound to a local first.
+        decode_latency = cfg.decode_latency
+        redirect_penalty = cfg.misprediction_redirect_penalty
+        fetch = self._fetch.record
+        commit = self._commit.record
+        rob_earliest, rob_acquire = self._rob.earliest_acquire, self._rob.acquire
+        regfile_of = [self._fp_regs if is_fp_register(reg) else self._int_regs
+                      for reg in range(INT_REGS + FP_REGS)]
+        fu_issue = self.fu_pool.issue
+        branch_update = self.branch_predictor.update
+        dcache_store = self.dcache.store
+        record_store = self.store_buffer.record_store
+        execute_load = self._execute_load
+        LOAD, STORE, BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
+        fetch_floor = self._fetch_floor
+        reg_ready = [0] * (INT_REGS + FP_REGS)
         prev_commit = 0
-        last_commit = 0
-
-        instructions = 0
-        loads = stores = branches = 0
         forwarded = 0
         op_counts: Dict[str, int] = {}
 
-        for seq, inst in enumerate(program.instructions()):
-            if max_instructions is not None and instructions >= max_instructions:
-                break
-            inst.seq = seq
-            instructions += 1
-            op_counts[inst.op] = op_counts.get(inst.op, 0) + 1
+        for seq, inst in enumerate(stream):
+            op = inst.op
+            op_counts[op] = op_counts.get(op, 0) + 1
 
-            fetch_cycle = self._fetch.record(self._fetch_floor)
-            dispatch_request = fetch_cycle + cfg.decode_latency
-            dispatch_cycle = max(dispatch_request,
-                                 self._rob.earliest_acquire(dispatch_request))
-            regfile = None
-            if inst.dest is not None:
-                regfile = self._fp_regs if is_fp_register(inst.dest) else self._int_regs
-                dispatch_cycle = max(dispatch_cycle,
-                                     regfile.earliest_acquire(dispatch_cycle))
+            fetch_cycle = fetch(fetch_floor)
+            dispatch_cycle = rob_earliest(fetch_cycle + decode_latency)
+            dest = inst.dest
+            if dest is not None:
+                regfile = regfile_of[dest]
+                dispatch_cycle = regfile.earliest_acquire(dispatch_cycle)
 
             operands_ready = dispatch_cycle
             for src in inst.srcs:
-                operands_ready = max(operands_ready, reg_ready.get(src, 0))
+                if reg_ready[src] > operands_ready:
+                    operands_ready = reg_ready[src]
 
-            complete, result_ready, was_forwarded = self._execute(
-                inst, operands_ready)
-            if was_forwarded:
-                forwarded += 1
+            # Execute; ``complete`` is also when the result is ready.
+            if op == LOAD:
+                complete, was_forwarded = execute_load(inst, seq, operands_ready)
+                forwarded += was_forwarded
+            elif op == BRANCH:
+                _, complete = fu_issue(op, operands_ready)
+                if not branch_update(inst.pc, inst.taken):
+                    # Fetch may not proceed past a mispredicted branch until
+                    # it resolves.
+                    resume = complete + redirect_penalty
+                    if resume > fetch_floor:
+                        fetch_floor = resume
+            else:
+                _, complete = fu_issue(op, operands_ready)
 
-            commit_cycle = self._commit.record(max(complete + 1, prev_commit))
-            prev_commit = commit_cycle
-            last_commit = commit_cycle
+            commit_cycle = complete + 1
+            if commit_cycle < prev_commit:
+                commit_cycle = prev_commit
+            commit_cycle = prev_commit = commit(commit_cycle)
 
-            self._rob.acquire(dispatch_cycle, commit_cycle)
-            if regfile is not None:
+            rob_acquire(dispatch_cycle, commit_cycle)
+            if dest is not None:
                 regfile.acquire(dispatch_cycle, commit_cycle)
-            if inst.dest is not None:
-                reg_ready[inst.dest] = result_ready
+                reg_ready[dest] = complete
 
-            if inst.is_load:
-                loads += 1
-            elif inst.is_store:
-                stores += 1
+            if op == STORE:
                 # The store drains to the write-through cache after commit.
-                self.dcache.store(inst.address, commit_cycle)
-                self.store_buffer.record_store(seq, inst.address, complete,
-                                               commit_cycle)
-            elif inst.is_branch:
-                branches += 1
+                dcache_store(inst.address, commit_cycle)
+                record_store(seq, inst.address, complete, commit_cycle)
 
+        self._fetch_floor = fetch_floor
         cache_stats = self.dcache.cache.stats
         return SimulationResult(
             program=program.name,
             config=cfg,
-            instructions=instructions,
-            cycles=last_commit,
+            instructions=sum(op_counts.values()),
+            cycles=prev_commit,
             load_miss_ratio=cache_stats.load_miss_ratio,
             store_miss_ratio=(cache_stats.store_misses / cache_stats.stores
                               if cache_stats.stores else 0.0),
@@ -309,38 +325,17 @@ class OutOfOrderProcessor:
                                          if self.address_predictor else 0.0),
             address_prediction_accuracy=(self.address_predictor.accuracy
                                          if self.address_predictor else 0.0),
-            loads=loads,
-            stores=stores,
-            branches=branches,
+            loads=op_counts.get(OpClass.LOAD, 0),
+            stores=op_counts.get(OpClass.STORE, 0),
+            branches=op_counts.get(OpClass.BRANCH, 0),
             forwarded_loads=forwarded,
             op_counts=op_counts,
         )
 
     # ------------------------------------------------------------------ #
 
-    def _execute(self, inst: Instruction, operands_ready: int):
-        """Compute (complete_cycle, result_ready_cycle, forwarded) for one instruction.
-
-        Branch handling also updates the fetch redirect point via
-        ``self._fetch_redirect``; the caller reads it back through the
-        closure-free attribute set below.
-        """
-        if inst.is_load:
-            return self._execute_load(inst, operands_ready)
-        if inst.is_store:
-            _, addr_done = self.fu_pool.issue(OpClass.STORE, operands_ready)
-            return addr_done, addr_done, False
-        if inst.is_branch:
-            _, complete = self.fu_pool.issue(OpClass.BRANCH, operands_ready)
-            predicted_correct = self.branch_predictor.update(inst.pc, inst.taken)
-            if not predicted_correct:
-                self._redirect_fetch(complete
-                                     + self.config.misprediction_redirect_penalty)
-            return complete, complete, False
-        _, complete = self.fu_pool.issue(inst.op, operands_ready)
-        return complete, complete, False
-
-    def _execute_load(self, inst: Instruction, operands_ready: int):
+    def _execute_load(self, inst: Instruction, seq: int, operands_ready: int):
+        """Return ``(ready_cycle, forwarded)`` for the load numbered ``seq``."""
         addr_start, addr_done = self.fu_pool.issue(OpClass.LOAD, operands_ready)
 
         predicted_ok = False
@@ -349,9 +344,9 @@ class OutOfOrderProcessor:
             correct = self.address_predictor.update(inst.pc, inst.address)
             predicted_ok = prediction.usable and correct
 
-        forwarded_ready = self.store_buffer.forward(inst.seq, inst.address, addr_done)
+        forwarded_ready = self.store_buffer.forward(seq, inst.address, addr_done)
         if forwarded_ready is not None:
-            return forwarded_ready, forwarded_ready, True
+            return forwarded_ready, True
 
         if predicted_ok:
             # The speculative access was launched with the predicted line in
@@ -365,10 +360,4 @@ class OutOfOrderProcessor:
             timing = self.dcache.load(inst.address, addr_done,
                                       predicted_index_available=False)
             ready = timing.ready_cycle
-        return ready, ready, False
-
-    # ------------------------------------------------------------------ #
-
-    def _redirect_fetch(self, cycle: int) -> None:
-        # Fetch may not proceed past a mispredicted branch until it resolves.
-        self._fetch_floor = max(self._fetch_floor, cycle)
+        return ready, False

@@ -13,7 +13,7 @@ replayed for every cache configuration of an experiment — each call to
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .isa import Instruction
 
@@ -58,10 +58,14 @@ class Program:
         return iter(self._factory())
 
     @classmethod
-    def from_list(cls, name: str, instructions: List[Instruction]) -> "Program":
-        """Build a program from a fixed list (convenient in tests)."""
-        materialised = list(instructions)
-        return cls(name, lambda: list(materialised), length_hint=len(materialised))
+    def from_list(cls, name: str, instructions: Iterable[Instruction]) -> "Program":
+        """Build a program that replays a fixed sequence of instructions.
+
+        Every run iterates the same instruction objects, which the processor
+        only reads, so one materialised program can feed many configurations.
+        """
+        materialised = tuple(instructions)
+        return cls(name, lambda: materialised, length_hint=len(materialised))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         hint = f", ~{self._length_hint} instructions" if self._length_hint else ""

@@ -57,14 +57,17 @@ class WindowResource:
         cycle).  Returns the actual acquisition cycle, which may be later
         than requested if the pool was full.
         """
-        actual = self.earliest_acquire(requested_cycle)
-        if actual > requested_cycle:
-            self.stall_events += 1
-        if len(self._release_cycles) >= self._capacity:
-            self._release_cycles.popleft()
+        held = self._release_cycles
+        actual = requested_cycle
+        if len(held) >= self._capacity:
+            # The oldest outstanding holder frees its slot at its release cycle.
+            oldest = held.popleft()
+            if oldest > actual:
+                actual = oldest
+                self.stall_events += 1
         if release_cycle < actual:
             raise ValueError("release_cycle must not precede the acquisition cycle")
-        self._release_cycles.append(release_cycle)
+        held.append(release_cycle)
         return actual
 
     def reset(self) -> None:
@@ -87,7 +90,7 @@ class ThroughputLimiter:
         if width < 1:
             raise ValueError("width must be positive")
         self._width = width
-        self._recent: Deque[int] = deque()
+        self._recent: Deque[int] = deque(maxlen=width)
         self.name = name or "limiter"
 
     @property
@@ -95,19 +98,17 @@ class ThroughputLimiter:
         """Maximum events per cycle."""
         return self._width
 
-    def next_slot(self, requested_cycle: int) -> int:
-        """Earliest cycle at or after ``requested_cycle`` with bandwidth available."""
-        if len(self._recent) < self._width:
-            return requested_cycle
-        return max(requested_cycle, self._recent[0] + 1)
-
     def record(self, requested_cycle: int) -> int:
         """Claim a slot; returns the cycle actually granted."""
-        actual = self.next_slot(requested_cycle)
-        if len(self._recent) >= self._width:
-            self._recent.popleft()
-        self._recent.append(actual)
-        return actual
+        recent = self._recent
+        if len(recent) == self._width:
+            # The event ``width`` places back leaves the window as this one
+            # enters it (the deque is bounded).
+            slot = recent[0] + 1
+            if slot > requested_cycle:
+                requested_cycle = slot
+        recent.append(requested_cycle)
+        return requested_cycle
 
     def reset(self) -> None:
         """Forget the recent events."""

@@ -1,4 +1,4 @@
-"""Experiment drivers — one per table/figure of the paper (see DESIGN.md).
+"""Experiment drivers — one per table/figure of the paper.
 
 ============  ==========================================  =======================
 Experiment    Paper artefact                              Driver

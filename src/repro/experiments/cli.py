@@ -258,6 +258,8 @@ def _run_experiment(args: argparse.Namespace,
         if args.csv:
             return (result.ipc_table().render_csv()
                     + "\n" + result.miss_ratio_table().render_csv())
+        if not result.programs:
+            return result.render()
         stds = miss_ratio_std_dev(result)
         return (result.render()
                 + f"\n\nmiss-ratio std-dev: conventional={stds['8K-conv']:.2f} "

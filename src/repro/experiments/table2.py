@@ -20,7 +20,7 @@ quote the standard deviation of miss ratios across the suite (18.49
 conventional vs 5.16 I-Poly), which :func:`miss_ratio_std_dev` reproduces.
 
 The programs here are the synthetic Spec95-like models of
-:mod:`repro.cpu.workloads`; see DESIGN.md for the substitution argument.
+:mod:`repro.cpu.workloads`, which stand in for the Spec95 binaries.
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..analysis.metrics import arithmetic_mean, geometric_mean, std_deviation
 from ..analysis.reporting import TableBuilder
 from ..cpu.processor import OutOfOrderProcessor, ProcessorConfig, SimulationResult
+from ..cpu.program import Program
 from ..cpu.workloads import build_program, program_names
 from ..engine import SweepOptions, TaskFailure, check_engine
 from ..trace.workloads import FP_PROGRAMS, INTEGER_PROGRAMS
 from .config import TABLE2_CONFIGS, InputError
 
 __all__ = ["Table2Result", "run_table2", "miss_ratio_std_dev"]
-
-#: Columns that report IPC (the others report miss ratio).
-IPC_COLUMNS: List[str] = list(TABLE2_CONFIGS)
 
 
 @dataclass
@@ -51,19 +49,14 @@ class Table2Result:
     #: Programs that exhausted their retries under ``on_error="collect"``;
     #: they are absent from the tables and the suite averages.
     failures: List[TaskFailure] = field(default_factory=list)
+    #: Configuration labels (the table columns), recorded by
+    #: :func:`run_table2` so a run whose every program failed still renders.
+    configurations: List[str] = field(default_factory=lambda: list(TABLE2_CONFIGS))
 
     @property
     def programs(self) -> List[str]:
         """Programs simulated, in insertion order."""
         return list(self.results)
-
-    @property
-    def configurations(self) -> List[str]:
-        """Configuration labels (Table 2 columns)."""
-        if not self.results:
-            return []
-        first = next(iter(self.results.values()))
-        return list(first)
 
     def ipc(self, program: str, configuration: str) -> float:
         """IPC of one (program, configuration) cell."""
@@ -107,7 +100,8 @@ class Table2Result:
             groups["Int average"] = ints
         if fps:
             groups["Fp average"] = fps
-        groups["Combined average"] = self.programs
+        if self.programs:
+            groups["Combined average"] = self.programs
         return groups
 
     def render(self) -> str:
@@ -119,10 +113,15 @@ class Table2Result:
 
 def _table2_program_task(task: Tuple[str, int, int, tuple]
                          ) -> Dict[str, SimulationResult]:
-    """Module-level sweep worker: one program on every configuration."""
+    """Module-level sweep worker: one program on every configuration.
+
+    The program is generated once and its instruction list replayed on each
+    configuration; the processor never writes into the instructions.
+    """
     name, instructions, seed, configs = task
-    return {label: OutOfOrderProcessor(config).run(
-                build_program(name, length=instructions, seed=seed))
+    program = Program.from_list(
+        name, build_program(name, length=instructions, seed=seed).instructions())
+    return {label: OutOfOrderProcessor(config).run(program)
             for label, config in configs}
 
 
@@ -177,7 +176,8 @@ def run_table2(programs: Optional[Sequence[str]] = None,
     per_program = sweep_options.run(
         _table2_program_task,
         [(name, instructions, seed, configs) for name in program_list])
-    result = Table2Result(instructions_per_program=instructions)
+    result = Table2Result(instructions_per_program=instructions,
+                          configurations=list(config_map))
     for name, per_config in zip(program_list, per_program):
         if isinstance(per_config, TaskFailure):
             result.failures.append(per_config)

@@ -181,6 +181,18 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "swim" in out and "std-dev" in out
 
+    def test_table2_with_every_program_failed_still_renders(self, monkeypatch,
+                                                            capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no program")
+
+        monkeypatch.setattr("repro.experiments.table2.build_program", broken)
+        main(["table2", "--instructions", "1000", "--programs", "swim",
+              "--on-error", "collect"])
+        out = capsys.readouterr().out
+        assert "Table 2 (IPC)" in out and "8K-ipoly-CP-pred" in out
+        assert "swim" not in out and "std-dev" not in out
+
     def test_column_assoc_runs(self, capsys):
         assert main(["column-assoc", "--accesses", "4000"]) == 0
         assert "first-probe" in capsys.readouterr().out
@@ -311,19 +323,40 @@ class TestBadInputFailsFast:
                   "--trace-chunk", "8"])
 
 
+def _load_example(filename):
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).parent.parent / "examples" / filename
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestProcessorIpcExample:
+    """Smoke test of examples/processor_ipc.py at a small scale."""
+
+    def test_prints_header_and_one_row_per_program(self, capsys):
+        example = _load_example("processor_ipc.py")
+        example.main(["processor_ipc.py", "1000"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("Simulating 1000 committed instructions")
+        header = lines[2]
+        assert header.split()[0] == "program"
+        for label in example.CONFIGURATIONS:
+            assert label in header
+        rows = lines[4:4 + len(example.PROGRAMS)]
+        assert [row.split()[0] for row in rows] == example.PROGRAMS
+        for row in rows:
+            assert row.count("ipc") == len(example.CONFIGURATIONS)
+
+
 class TestVirtualRealExample:
     """The examples/virtual_real_hierarchy.py CLI (argparse + JSON output)."""
 
     @pytest.fixture()
     def example(self):
-        import importlib.util
-        from pathlib import Path
-        path = (Path(__file__).parent.parent / "examples"
-                / "virtual_real_hierarchy.py")
-        spec = importlib.util.spec_from_file_location("vr_example", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        return _load_example("virtual_real_hierarchy.py")
 
     def test_json_output_and_engine_agreement(self, example, capsys):
         import json

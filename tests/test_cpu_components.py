@@ -1,6 +1,10 @@
 """Unit tests for the processor building blocks (predictors, FUs, resources, LSQ)."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.address_predictor import StrideAddressPredictor
 from repro.cpu.branch_predictor import BimodalBranchPredictor
@@ -167,6 +171,24 @@ class TestFunctionalUnits:
         assert starts.count(0) == 2
         assert max(starts) == 1
 
+    def test_pool_breaks_ties_by_unit_order(self):
+        pool = FunctionalUnitPool()
+        first, second = [u for u in pool.units if u.serves(OpClass.LOAD)]
+        # Both effective-address units free: the earlier one takes the op.
+        pool.issue(OpClass.STORE, now=0)
+        assert (first.operations, second.operations) == (1, 0)
+        # At cycle 5 both are free again (a tie once clamped to ``now``).
+        assert pool.earliest_unit(OpClass.LOAD, now=5) is first
+        # At cycle 0 only the second is free; then both are busy until 1
+        # and the tie goes back to the first.
+        assert pool.earliest_unit(OpClass.LOAD, now=0) is second
+        pool.issue(OpClass.LOAD, now=0)
+        assert pool.earliest_unit(OpClass.LOAD, now=0) is first
+
+    def test_pool_rejects_an_op_no_unit_serves(self):
+        with pytest.raises(ValueError):
+            FunctionalUnitPool().earliest_unit("vector_add", now=0)
+
     def test_pool_routes_to_correct_unit(self):
         pool = FunctionalUnitPool()
         _, done = pool.issue(OpClass.FP_SQRT, now=0)
@@ -213,6 +235,72 @@ class TestResources:
             WindowResource(0)
         with pytest.raises(ValueError):
             ThroughputLimiter(0)
+
+
+class _OldWindow:
+    """``WindowResource`` as first written: ``max(requested, deque[0])``."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.held = deque()
+        self.stall_events = 0
+
+    def acquire(self, requested, release):
+        actual = requested
+        if len(self.held) >= self.capacity:
+            actual = max(requested, self.held[0])
+        if actual > requested:
+            self.stall_events += 1
+        if len(self.held) >= self.capacity:
+            self.held.popleft()
+        if release < actual:
+            raise ValueError("release precedes acquisition")
+        self.held.append(release)
+        return actual
+
+
+def _old_record(recent, width, requested):
+    """``ThroughputLimiter.record`` as first written."""
+    actual = requested
+    if len(recent) >= width:
+        actual = max(requested, recent[0] + 1)
+        recent.popleft()
+    recent.append(actual)
+    return actual
+
+
+_requests = st.lists(st.tuples(st.integers(0, 60), st.integers(-5, 40)),
+                     max_size=40)
+
+
+class TestResourcesAgainstModel:
+    """Hypothesis differential of the single-call acquire/record paths."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 5), steps=_requests)
+    def test_window_resource(self, capacity, steps):
+        window = WindowResource(capacity)
+        model = _OldWindow(capacity)
+        for requested, hold in steps:
+            release = requested + hold
+            try:
+                expected = model.acquire(requested, release)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    window.acquire(requested, release)
+            else:
+                assert window.acquire(requested, release) == expected
+            assert window.stall_events == model.stall_events
+            assert window.occupancy == len(model.held)
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 5),
+           requested=st.lists(st.integers(0, 60), max_size=40))
+    def test_throughput_limiter(self, width, requested):
+        limiter = ThroughputLimiter(width)
+        recent = deque()
+        for cycle in requested:
+            assert limiter.record(cycle) == _old_record(recent, width, cycle)
 
 
 class TestStoreForwarding:

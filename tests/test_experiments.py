@@ -17,7 +17,7 @@ from repro.experiments.figure1 import run_figure1, stride_miss_ratio
 from repro.experiments.holes_study import run_holes_study
 from repro.experiments.miss_ratio_study import run_miss_ratio_study
 from repro.experiments.replacement_study import run_replacement_study
-from repro.experiments.table2 import miss_ratio_std_dev, run_table2
+from repro.experiments.table2 import Table2Result, miss_ratio_std_dev, run_table2
 from repro.experiments.table3 import run_table3
 
 
@@ -537,6 +537,31 @@ class TestTable2:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_table2(instructions=10)
+
+    def test_records_the_configuration_labels(self):
+        result = run_table2(programs=["gcc"], instructions=1_000,
+                            configurations={"tiny": dict(cache_size_bytes=1024),
+                                            "8K-conv": {}})
+        assert result.configurations == ["tiny", "8K-conv"]
+
+    def test_all_failed_run_renders_headers_only(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no program")
+
+        monkeypatch.setattr("repro.experiments.table2.build_program", broken)
+        result = run_table2(programs=["gcc", "swim"], instructions=1_000,
+                            sweep_options=SweepOptions(on_error="collect"))
+        assert result.programs == []
+        assert [f.error_type for f in result.failures] == ["RuntimeError"] * 2
+        for empty in (result, Table2Result(instructions_per_program=1_000)):
+            lines = empty.render().splitlines()
+            assert lines[0] == "Table 2 (IPC)"
+            assert lines[1].split() == ["program", *TABLE2_CONFIGS]
+            assert lines[4] == "Table 2 (load miss ratio %)"
+            assert len(lines) == 7
+            table3 = run_table3(table2_result=empty).render().splitlines()
+            assert table3[0] == "Table 3 (IPC)"
+            assert table3[1].split() == ["program", *TABLE2_CONFIGS]
 
     def test_workers_and_chunksize_change_nothing(self, small_table2):
         fanned = run_table2(programs=["swim", "tomcatv", "wave5", "gcc", "fpppp"],

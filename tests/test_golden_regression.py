@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cpu.workloads import build_program
 from repro.engine import ENGINES
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.miss_ratio_study import run_miss_ratio_study
@@ -122,15 +123,26 @@ def _table2_snapshot(result):
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))
-def test_table2_matches_golden(engine):
+def test_table2_matches_golden(engine, monkeypatch):
     """Table 2 IPCs and load miss ratios through the full OoO CPU path:
-    both index engines must reproduce the committed snapshot exactly."""
+    both index engines must reproduce the committed snapshot exactly, with
+    each program generated once and replayed on all six machines."""
+    from repro.experiments import table2
+
+    built = []
+
+    def counting_build(name, *args, **kwargs):
+        built.append(name)
+        return build_program(name, *args, **kwargs)
+
+    monkeypatch.setattr(table2, "build_program", counting_build)
     golden = load_golden("table2.json")
     params = golden["params"]
     result = run_table2(programs=params["programs"],
                         instructions=params["instructions"],
                         seed=params["seed"],
                         engine=engine)
+    assert built == params["programs"]
     ipc, miss = _table2_snapshot(result)
     assert ipc == golden["ipc"]
     assert miss == golden["load_miss_ratio_percent"]

@@ -1,5 +1,7 @@
 """Tests for the out-of-order processor model and its workload generator."""
 
+import copy
+
 import pytest
 
 from repro.cpu.isa import Instruction, OpClass
@@ -245,6 +247,31 @@ class TestSyntheticPrograms:
         second = [(i.pc, i.op, i.address) for i in program.instructions()]
         assert first == second
         assert len(first) == 500
+
+    def test_replayed_program_is_never_written(self):
+        """One materialised program replayed on fresh processors gives the
+        same result each time and leaves every instruction untouched."""
+        # A store/load pair to one address makes the seq-dependent store
+        # forwarding path run too (the synthetic programs rarely forward).
+        forwarding = [Instruction(pc=0x9000, op=OpClass.STORE, srcs=(1,),
+                                  address=0x1000),
+                      Instruction(pc=0x9004, op=OpClass.LOAD, dest=5,
+                                  address=0x1000)]
+        program = Program.from_list(
+            "gcc", [*build_program("gcc", length=2000).instructions(),
+                    *forwarding])
+        before = [copy.copy(inst) for inst in program.instructions()]
+        config = ProcessorConfig(address_prediction=True)
+        first = OutOfOrderProcessor(config).run(program)
+        second = OutOfOrderProcessor(config).run(program)
+        assert first == second
+        assert first.forwarded_loads == 1
+        assert list(program.instructions()) == before
+
+    def test_instructions_have_no_attribute_dict(self):
+        inst = alu(pc=0, dest=1)
+        with pytest.raises(AttributeError):
+            inst.note = "extra"
 
     def test_mix_contains_expected_classes(self):
         program = build_program("swim", length=2000)
