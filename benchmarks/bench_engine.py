@@ -9,12 +9,13 @@ agreement, so the performance claim can never drift away from correctness.
 
 Every row is bounded — no organisation is merely "tracked" any more:
 
-* the LRU batch paths must stay >= 10x over scalar on every index family;
-* the set-decomposed replacement kernels (FIFO, random, PLRU) must stay
-  >= 10x over scalar on the conventional organisation;
-* the skew-decomposed kernels (FIFO, random, PLRU on skewed I-Poly
-  placement) and the decomposed victim kernels (all four policies) must
-  also stay >= 10x over scalar;
+* the LRU batch paths (``lru-dict`` on conventional placement,
+  ``trace-order-lru`` on skewed placement) must stay >= 10x over scalar on
+  every index family;
+* the trace-order replacement kernels (FIFO, random, PLRU) must stay
+  >= 10x over scalar on the conventional two-way organisation and on
+  skewed I-Poly placement, and the decomposed victim kernels (all four
+  policies) must also stay >= 10x over scalar;
 * the multi-level compositions — the inclusive two-level hierarchy and the
   virtual-real hierarchy with a TLB-fronted page table — must stay >= 10x
   over the per-access scalar protocols (bit-exact per-level CacheStats,
@@ -45,7 +46,11 @@ catch dispatch regressions on every push without flaky wall-clock
 assertions; smoke runs append to the trajectory artifact tagged
 ``"smoke": true`` (the CI smoke job uploads the file as a workflow
 artifact).  Each row records the kernel that served it, straight from
-``dispatch_strategy(batch)``, and each run carries a ``sweep`` section
+``dispatch_strategy(batch)``; every run also replays the short trace
+through the routes no timed row reaches (``COVERAGE_CASES``: wide
+conventional caches and the 3C classifier), bit-exact against the scalar
+model, and fails unless the rows and those cases together reach every name
+in ``DISPATCH_NAMES``.  Each run carries a ``sweep`` section
 comparing the profiler against the per-config vectorized path on a
 16-configuration conventional-LRU capacity/associativity grid (bounded at
 >= 5x for full-length runs).  A ``profiler`` section extends the sweep
@@ -107,10 +112,9 @@ STRIDE = 67
 #: Minimum vectorized-over-scalar throughput ratio for the LRU fast paths.
 REQUIRED_SPEEDUP = 10.0
 
-#: Minimum ratio for the set-decomposed replacement kernels on the
-#: conventional organisation, the skew-decomposed kernels on skewed
-#: placement, and the decomposed victim kernels (same bar as LRU — the
-#: point of these layers).
+#: Minimum ratio for the trace-order replacement kernels on the
+#: conventional two-way organisation and on skewed placement, and for the
+#: decomposed victim kernels (same bar as LRU — the point of these layers).
 REQUIRED_SPEEDUP_POLICY = 10.0
 
 #: Minimum one-pass-profiler-over-per-config ratio on the conventional-LRU
@@ -195,6 +199,23 @@ BENCH_ENGINE_JSON = os.environ.get("REPRO_BENCH_ENGINE_JSON",
 #: Non-LRU replacement policies benchmarked per organisation kind.
 POLICY_ROWS = ["fifo", "random", "plru"]
 
+#: Every name ``BatchSetAssociativeCache.dispatch_strategy`` can return.
+DISPATCH_NAMES = frozenset(
+    ["lru-dict", "generic-policy-kernel"]
+    + [f"trace-order-{policy}" for policy in ["lru"] + POLICY_ROWS]
+    + [f"set-decomposed-{policy}" for policy in POLICY_ROWS])
+
+#: Conventional ``(ways, replacement, classify_misses)`` cases for the routes
+#: no timed row reaches: the set-decomposed kernels of wide caches and the
+#: generic kernel of a classifying non-LRU cache.  They are coverage, not
+#: throughput claims, so they are checked bit-exact on the
+#: ``SMOKE_ACCESSES`` trace and not timed.  (On the strided trace at 300k
+#: accesses, x86_64, the set-decomposed kernels measured 7.5-12x over the
+#: 4-way scalar model and the classifying generic kernel ~3x: both engines
+#: pay the 3C shadow cache per access.)
+COVERAGE_CASES = ([(4, policy, False) for policy in POLICY_ROWS]
+                  + [(2, "fifo", True)])
+
 #: Multi-level rows: a 16 KB skewed I-Poly L1 over a 1 MB conventional
 #: write-back L2 — the Section 3 deployment shape.  At this L1 capacity the
 #: strided trace misses ~38% of the time, so the miss stream between the
@@ -242,21 +263,19 @@ def _build_trace(accesses):
     return AddressBatch.from_arrays(addresses, writes)
 
 
-def _make_caches(scheme, replacement=None):
+def _make_caches(scheme, replacement=None, ways=PAPER_L1_8KB.ways,
+                 classify=False):
     geometry = PAPER_L1_8KB
+    num_sets = geometry.size_bytes // (geometry.block_size * ways)
 
-    def index_fn():
-        return make_index_function(scheme, num_sets=geometry.num_sets,
-                                   ways=geometry.ways,
-                                   address_bits=PAPER_HASH_BITS)
+    def build(cls):
+        index_fn = make_index_function(scheme, num_sets=num_sets, ways=ways,
+                                       address_bits=PAPER_HASH_BITS)
+        return cls(geometry.size_bytes, geometry.block_size, ways,
+                   index_function=index_fn, replacement=replacement,
+                   classify_misses=classify)
 
-    scalar = SetAssociativeCache(geometry.size_bytes, geometry.block_size,
-                                 geometry.ways, index_function=index_fn(),
-                                 replacement=replacement)
-    batch = BatchSetAssociativeCache(geometry.size_bytes, geometry.block_size,
-                                     geometry.ways, index_function=index_fn(),
-                                     replacement=replacement)
-    return scalar, batch
+    return build(SetAssociativeCache), build(BatchSetAssociativeCache)
 
 
 def _stats_tuple(stats):
@@ -274,9 +293,8 @@ def compare_engines(scheme, accesses=BENCH_ENGINE_ACCESSES, replacement=None):
     """Time both engines on the same trace; returns a result dict."""
     trace = _build_trace(accesses)
     scalar, batch = _make_caches(scheme, replacement=replacement)
-    # The dispatcher's verdict for this (configuration, batch), recorded
-    # before the run (dispatch depends on cold state and the store mask) so
-    # the trajectory shows which kernel produced each row.
+    # The dispatcher's verdict, recorded so the trajectory shows which
+    # kernel produced each row.
     kernel = batch.dispatch_strategy(trace)
 
     start = time.perf_counter()
@@ -421,6 +439,27 @@ def compare_virtual_real_engines(accesses=BENCH_ENGINE_ACCESSES):
     }
 
 
+def check_dispatch_coverage(rows):
+    """Replay the smoke-length trace through every ``COVERAGE_CASES``
+    route, bit-exact against the scalar model; returns the kernels they
+    ran.  Fails unless ``rows`` and those kernels reach every name in
+    ``DISPATCH_NAMES``."""
+    trace = _build_trace(SMOKE_ACCESSES)
+    covered = []
+    for ways, replacement, classify in COVERAGE_CASES:
+        scalar, batch = _make_caches("a2", replacement, ways=ways,
+                                     classify=classify)
+        kernel = batch.dispatch_strategy(trace)
+        _run_scalar(scalar, trace)
+        batch.run(trace)
+        assert _stats_tuple(scalar.stats) == _stats_tuple(batch.stats), (
+            f"CacheStats diverged between engines on {kernel}")
+        covered.append(kernel)
+    missing = DISPATCH_NAMES - {row["kernel"] for row in rows} - set(covered)
+    assert not missing, f"no bench row reaches {sorted(missing)}"
+    return covered
+
+
 def compare_lru_grid_sweep(accesses=BENCH_ENGINE_ACCESSES, check_scalar=True):
     """Time the 16-configuration LRU grid: one-pass profiler vs per-config.
 
@@ -552,8 +591,8 @@ def compare_fifo_grid(accesses=BENCH_ENGINE_ACCESSES, check_scalar=False):
 
     Both sides drive :func:`repro.engine.run_lru_grid` with
     ``replacement="fifo"`` over the same workload trace —
-    ``profile="never"`` runs each configuration's set-decomposed FIFO
-    kernel, ``profile="always"`` prices the whole grid out of one
+    ``profile="never"`` runs each configuration's FIFO batch kernel,
+    ``profile="always"`` prices the whole grid out of one
     occurrence-list pass plus a miss-driven event replay per cell.  Every
     cell must agree exactly (FIFO profiling is exact, not sampled), with an
     optional scalar-model cross-check outside the timed regions.
@@ -765,7 +804,7 @@ def _load_trajectory(path):
 
 
 def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
-                    smoke=False, trace_io=None, profiler=None):
+                    smoke=False, trace_io=None, profiler=None, coverage=None):
     """Append this run to the machine-readable trajectory artifact."""
     if not path:
         return None
@@ -788,6 +827,7 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "sweep": sweep,
         "trace_io": trace_io,
         "profiler": profiler,
+        "coverage": coverage,
     })
     artifact = {
         "benchmark": "bench_engine",
@@ -832,7 +872,7 @@ def test_engine_throughput(benchmark, scheme):
 @pytest.mark.benchmark(group="engine-policy")
 @pytest.mark.parametrize("policy", POLICY_ROWS)
 def test_policy_kernel_throughput(benchmark, policy):
-    """Set-decomposed kernels hold the same bar as the LRU fast paths."""
+    """Conventional two-way trace-order kernels hold the LRU paths' bar."""
     trace = _build_trace(BENCH_ENGINE_ACCESSES)
     scalar, batch = _make_caches("a2", replacement=policy)
 
@@ -856,14 +896,14 @@ def test_policy_kernel_throughput(benchmark, policy):
           f"({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
         assert speedup >= REQUIRED_SPEEDUP_POLICY, (
-            f"a2/{policy}: set-decomposed kernel only {speedup:.1f}x over "
+            f"a2/{policy}: trace-order kernel only {speedup:.1f}x over "
             f"scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
 
 
 @pytest.mark.benchmark(group="engine-skew-policy")
 @pytest.mark.parametrize("policy", POLICY_ROWS)
 def test_skew_policy_kernel_throughput(benchmark, policy):
-    """Skew-decomposed kernels hold the same bar on skewed placement."""
+    """Trace-order kernels hold the same bar on skewed placement."""
     trace = _build_trace(BENCH_ENGINE_ACCESSES)
     scalar, batch = _make_caches("a2-Hp-Sk", replacement=policy)
 
@@ -887,7 +927,7 @@ def test_skew_policy_kernel_throughput(benchmark, policy):
           f"({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
         assert speedup >= REQUIRED_SPEEDUP_POLICY, (
-            f"a2-Hp-Sk/{policy}: skew-decomposed kernel only {speedup:.1f}x "
+            f"a2-Hp-Sk/{policy}: trace-order kernel only {speedup:.1f}x "
             f"over scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
 
 
@@ -1039,7 +1079,7 @@ def main(argv=None):
         if check_bounds:
             assert row["speedup"] >= REQUIRED_SPEEDUP, (
                 f"{row['scheme']}: only {row['speedup']:.1f}x")
-    # Set-decomposed kernels on the conventional organisation: bounded.
+    # Trace-order kernels on the conventional two-way organisation: bounded.
     for policy in POLICY_ROWS:
         row = compare_engines("a2", accesses=accesses, replacement=policy)
         rows.append(row)
@@ -1047,7 +1087,7 @@ def main(argv=None):
         if check_bounds:
             assert row["speedup"] >= REQUIRED_SPEEDUP_POLICY, (
                 f"a2/{policy}: only {row['speedup']:.1f}x")
-    # Skew-decomposed kernels on the skewed organisation: bounded.
+    # Trace-order kernels on the skewed organisation: bounded.
     for policy in POLICY_ROWS:
         row = compare_engines("a2-Hp-Sk", accesses=accesses,
                               replacement=policy)
@@ -1074,13 +1114,15 @@ def main(argv=None):
             assert row["speedup"] >= REQUIRED_SPEEDUP, (
                 f"{label}: only {row['speedup']:.1f}x")
     if check_bounds:
-        print(f"\nevery row (LRU fast paths, set-decomposed, skew-decomposed, "
-              f"victim and multi-level kernels) >= {REQUIRED_SPEEDUP:.0f}x "
-              f"with bit-exact CacheStats")
+        print(f"\nevery row (LRU, trace-order, victim and multi-level "
+              f"kernels) >= {REQUIRED_SPEEDUP:.0f}x with bit-exact CacheStats")
     else:
         print("\nbit-exact CacheStats on every kernel path "
               "(speedup bounds skipped below "
               f"{MIN_ACCESSES_FOR_SPEEDUP_CHECK:,} accesses)")
+    coverage = check_dispatch_coverage(rows)
+    print(f"dispatch coverage ({SMOKE_ACCESSES:,} accesses, untimed): "
+          f"{', '.join(coverage)} bit-exact; every dispatch name reached")
 
     # Sweep-level section: the one-pass multi-configuration profiler against
     # the per-config vectorized path on a 16-configuration LRU grid.
@@ -1142,7 +1184,8 @@ def main(argv=None):
                     f"v1 records (required {REQUIRED_SPEEDUP_TRACE_IO}x)")
 
     path = _write_artifact(rows, accesses, sweep=sweep, smoke=args.smoke,
-                           trace_io=trace_io, profiler=profiler)
+                           trace_io=trace_io, profiler=profiler,
+                           coverage=coverage)
     if path:
         print(f"appended run to {path}")
 

@@ -89,7 +89,7 @@ from .replacement_vec import (
 )
 from .replay import ReplayOutcome, batch_cache_like, replay_access_stream
 from .set_decompose import group_by_set, run_decomposed_policy
-from .skew_decompose import run_skew_decomposed_policy, run_victim_decomposed
+from .skew_decompose import run_trace_order, run_victim_decomposed
 from .sweep import (
     ON_ERROR_POLICIES,
     SweepError,
@@ -134,7 +134,7 @@ __all__ = [
     "splitmix64_array",
     "group_by_set",
     "run_decomposed_policy",
-    "run_skew_decomposed_policy",
+    "run_trace_order",
     "run_victim_decomposed",
     "cached_block_numbers",
     "cached_set_indices",

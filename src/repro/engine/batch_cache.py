@@ -9,62 +9,39 @@ bit-exact with the scalar models by construction (the differential suite in
 ``tests/test_engine_equivalence.py`` asserts identical hit/miss sequences and
 identical final :class:`~repro.cache.stats.CacheStats`).
 
-Five execution strategies, picked automatically per cache configuration
-and batch:
+Kernels, picked per cache configuration by ``dispatch_strategy``:
 
-1. **Fully vectorized** (non-skewed, <= 2 ways, LRU, load-only batch, cold
-   cache): set indices are computed for the whole array at once, accesses are
-   grouped by set with a stable argsort, and consecutive same-block runs are
-   collapsed.  Within a set, adjacent collapsed runs have distinct block
-   values, so the LRU contents of a 2-way set before the first access of run
-   ``k`` are exactly ``{U[k-1], U[k-2]}`` — which turns exact hit/miss
-   classification into a couple of shifted array comparisons.  No per-access
-   Python at all.
-2. **Tight scalar kernel over pre-vectorized indices** (everything else):
-   set indices for all ways are still computed array-at-a-time (including the
-   GF(2)-table I-Poly reduction), then a minimal Python loop updates
-   plain-list tag/LRU/dirty stores.  This path supports stores under both
-   write policies, skewed placement, any associativity, warm caches and the
-   3C miss classifier.
-3. **Column-associative kernel**: same idea for the two-probe
-   column-associative organisation, replicating the swap-on-second-probe-hit
-   and displaced-block-retreat behaviour of
-   :class:`~repro.cache.column_assoc.ColumnAssociativeCache` exactly.
+* ``lru-dict`` — conventional LRU, any ways
+  (:meth:`BatchSetAssociativeCache._run_dict_kernel`): one insertion-ordered
+  dict per set, LRU-first, over pre-vectorized set indices.
+* ``trace-order-{lru,fifo,random,plru}`` — skewed placement with any ways
+  and policy, and conventional non-LRU with at most two ways
+  (:mod:`repro.engine.skew_decompose`): per-way index streams (the way-0
+  stream repeated for a conventional cache) and a tight policy-specific
+  loop in global trace order; LRU and FIFO share one stamp kernel.
+* ``set-decomposed-{fifo,random,plru}`` — conventional non-LRU with more
+  than two ways (:mod:`repro.engine.set_decompose`): accesses grouped per
+  set and simulated over dense per-set state, which keeps wide and
+  fully-associative conventional caches tractable.
+* ``generic-policy-kernel`` — non-LRU with the 3C classifier
+  (:meth:`BatchSetAssociativeCache._run_policy_kernel`): a per-way flat-list
+  kernel whose decisions come from the NumPy-backed state tables in
+  :mod:`repro.engine.replacement_vec`, calling the classifier in global
+  order with per-access hit context.  It remains the reference the
+  specialised kernels are tested against; all non-LRU kernels share its
+  state tables, so any of them can continue another's cache.
 
-4. **Set-decomposed replacement kernels** (non-skewed, non-LRU, no 3C
-   classifier): the ``replacement`` parameter accepts the same short names
-   as the scalar caches (``lru``, ``fifo``, ``random``, ``plru``); on a
-   conventional (non-skewed) organisation the non-LRU policies run the
-   policy-specific kernels of :mod:`repro.engine.set_decompose` — accesses
-   grouped per set, dense local state, FIFO hit-transparency, a precomputed
-   vectorized ``splitmix64`` draw table for random — bit-exact with the
-   scalar policies (including identical deterministic random-victim
-   sequences).  LRU keeps the specialised fast paths above.
+Every kernel supports stores under both write policies and warm caches.
 
-5. **Skew-decomposed replacement kernels** (skewed non-LRU, no 3C
-   classifier): the policy-specialised trace-order kernels of
-   :mod:`repro.engine.skew_decompose` — per-way index streams memoised as
-   lists, inline stamp/bit-tree decisions, precomputed ``splitmix64`` draw
-   tables — sharing state tables with the generic kernel below.
-
-6. **Generic replacement kernel** (any non-LRU cache with the 3C
-   classifier enabled, whose capacity/conflict split needs the classifier
-   called in global trace order with per-access hit context; also any
-   future policy the specialised kernels do not know): a per-way flat-list
-   kernel whose decisions come from the NumPy-backed state tables in
-   :mod:`repro.engine.replacement_vec`.  It shares those state tables with
-   the decomposed kernels, so any of them can serve the same cache
-   interchangeably — and the differential suite pits them against each
-   other as well as against the scalar models.
-
-7. **Victim-cache kernels** (:class:`BatchVictimCache`): the main cache and
-   its fully-associative victim buffer in one tight loop over
-   pre-vectorized indices, replicating
-   :class:`~repro.cache.victim.VictimCache` — swap-on-victim-hit, displaced
-   lines stashed in the buffer, dirty lines falling out of the buffer
-   counted as writebacks — exactly.  Main caches of one or two ways run
-   the decomposed victim kernels of :mod:`repro.engine.skew_decompose`;
-   wider main caches keep the generic loop.
+:class:`BatchColumnAssociativeCache` runs one two-probe kernel replicating
+:class:`~repro.cache.column_assoc.ColumnAssociativeCache`'s
+swap-on-second-probe-hit and displaced-block retreat exactly.
+:class:`BatchVictimCache` runs the decomposed victim kernels of
+:mod:`repro.engine.skew_decompose` (``victim-decomposed-*``) for main caches
+of one or two ways and ``victim-generic-kernel`` for wider ones, replicating
+:class:`~repro.cache.victim.VictimCache` — swap-on-victim-hit, displaced
+lines stashed in the buffer, dirty lines falling out of the buffer counted
+as writebacks — exactly.
 
 Every cache exposes ``dispatch_strategy(batch)`` — the name of the kernel
 ``run`` will execute — as the dispatcher's single source of truth, which
@@ -99,7 +76,7 @@ from .memo import (
 )
 from .replacement_vec import VecReplacementState, make_vec_replacement
 from .set_decompose import run_decomposed_policy
-from .skew_decompose import run_skew_decomposed_policy, run_victim_decomposed
+from .skew_decompose import run_trace_order, run_victim_decomposed
 
 __all__ = [
     "BatchSetAssociativeCache",
@@ -187,7 +164,7 @@ class BatchSetAssociativeCache:
         self._classifier = (
             MissClassifier(self.num_blocks) if classify_misses else None
         )
-        # Non-skewed LRU state: one dict per set mapping block -> dirty, in
+        # Conventional LRU state: one dict per set mapping block -> dirty, in
         # LRU-to-MRU insertion order.  Skewed LRU and every non-LRU policy:
         # per-way flat tag / dirty lists (tag -1 == invalid frame), with
         # last-used timestamps in the cache (LRU) or in the policy state
@@ -387,35 +364,26 @@ class BatchSetAssociativeCache:
 
         The dispatcher's single source of truth — :meth:`run` switches on
         exactly this value, so tests can introspect which kernel serves a
-        given (organisation, policy, batch) combination.  Possible values:
+        given (organisation, policy) combination.  The route depends only
+        on the configuration; ``batch`` is accepted so every batch cache
+        shares one signature.  Possible values:
 
-        * ``"set-decomposed-{fifo,random,plru}"`` — non-skewed non-LRU,
-          no classifier (:mod:`repro.engine.set_decompose`);
-        * ``"skew-decomposed-{fifo,random,plru}"`` — skewed non-LRU, no
-          classifier (:mod:`repro.engine.skew_decompose`);
-        * ``"generic-policy-kernel"`` — any other non-LRU configuration
-          (3C classifier, unknown future policy);
-        * ``"lru-run-collapse"`` — the fully vectorized LRU fast path
-          (non-skewed, <= 2 ways, cold cache, load-only batch);
-        * ``"lru-skewed-2way"`` / ``"lru-skewed-generic"`` — the skewed
-          LRU kernels;
-        * ``"lru-dict"`` — the insertion-ordered dict kernel (everything
-          else).
+        * ``"lru-dict"`` — conventional LRU, any ways, with or without the
+          3C classifier;
+        * ``"trace-order-{lru,fifo,random,plru}"`` — skewed placement (any
+          ways, any policy), and conventional non-LRU with at most two ways
+          (:mod:`repro.engine.skew_decompose`);
+        * ``"set-decomposed-{fifo,random,plru}"`` — conventional non-LRU
+          with more than two ways (:mod:`repro.engine.set_decompose`);
+        * ``"generic-policy-kernel"`` — non-LRU with the 3C classifier.
         """
-        if self._vec_policy is not None:
-            if self._classifier is not None:
-                return "generic-policy-kernel"
-            name = self._vec_policy.name
-            if name not in ("fifo", "random", "plru"):
-                return "generic-policy-kernel"
-            if self._skewed:
-                return f"skew-decomposed-{name}"
+        name = self._replacement_name
+        if name != "lru" and self._classifier is not None:
+            return "generic-policy-kernel"
+        if self._skewed or (name != "lru" and self._ways <= 2):
+            return f"trace-order-{name}"
+        if name != "lru":
             return f"set-decomposed-{name}"
-        if (not self._skewed and self._ways <= 2 and self._classifier is None
-                and self._clock == 0 and not batch.has_stores):
-            return "lru-run-collapse"
-        if self._skewed:
-            return "lru-skewed-2way" if self._ways == 2 else "lru-skewed-generic"
         return "lru-dict"
 
     def run(self, batch: AddressBatch) -> np.ndarray:
@@ -430,19 +398,13 @@ class BatchSetAssociativeCache:
             return np.zeros(0, dtype=bool)
         strategy = self.dispatch_strategy(batch)
         blocks = cached_block_numbers(batch, self._block_size)
+        if strategy.startswith("trace-order-"):
+            return run_trace_order(self, blocks, batch.is_write)
         if strategy.startswith("set-decomposed-"):
             sets = cached_set_indices(self._vec_index, blocks, 0)
             return run_decomposed_policy(self, blocks, sets, batch.is_write)
-        if strategy.startswith("skew-decomposed-"):
-            return run_skew_decomposed_policy(self, blocks, batch.is_write)
         if strategy == "generic-policy-kernel":
             return self._run_policy_kernel(blocks, batch.is_write)
-        if strategy == "lru-run-collapse":
-            return self._run_vectorized(blocks)
-        if strategy == "lru-skewed-2way":
-            return self._run_skewed_kernel_2way(blocks, batch.is_write)
-        if strategy == "lru-skewed-generic":
-            return self._run_skewed_kernel_generic(blocks, batch.is_write)
         return self._run_dict_kernel(blocks, batch.is_write)
 
     def run_chunks(self, chunks: Iterable[AddressBatch]) -> int:
@@ -452,8 +414,8 @@ class BatchSetAssociativeCache:
         (:func:`repro.trace.stream.iter_trace_chunks`): state and statistics
         carry across chunks exactly as across :meth:`run` calls, so a
         chunked replay is bit-exact with one ``run()`` over the whole trace
-        — including mid-stream kernel handoffs (e.g. a cold load-only first
-        chunk on the run-collapse kernel, later chunks on the dict kernel).
+        — the route depends only on the configuration, so every chunk runs
+        the kernel a one-shot run would.
         """
         total = 0
         for batch in chunks:
@@ -461,71 +423,7 @@ class BatchSetAssociativeCache:
             total += len(batch)
         return total
 
-    # -- strategy 1: fully vectorized (non-skewed, <= 2 ways, loads, cold) --
-
-    def _run_vectorized(self, blocks: np.ndarray) -> np.ndarray:
-        n = blocks.shape[0]
-        ways = self._ways
-        sets = cached_set_indices(self._vec_index, blocks, 0)
-
-        order = np.argsort(sets, kind="stable")
-        gb = blocks[order]
-        gs = sets[order]
-        new_set = np.empty(n, dtype=bool)
-        new_set[0] = True
-        np.not_equal(gs[1:], gs[:-1], out=new_set[1:])
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        np.not_equal(gb[1:], gb[:-1], out=new_run[1:])
-        new_run |= new_set
-        run_id = np.cumsum(new_run) - 1
-
-        run_values = gb[new_run]
-        run_new_set = new_set[new_run]
-        num_runs = run_values.shape[0]
-        run_pos = np.arange(num_runs)
-        set_start = np.maximum.accumulate(np.where(run_new_set, run_pos, 0))
-        run_in_set = run_pos - set_start
-
-        if ways == 1:
-            # A first-of-run access never matches the single resident block
-            # (adjacent runs differ by construction), so it always misses.
-            run_hit = np.zeros(num_runs, dtype=bool)
-        else:
-            prev2 = np.empty(num_runs, dtype=np.int64)
-            prev2[:2] = -1
-            prev2[2:] = run_values[:-2]
-            run_hit = (run_in_set >= 2) & (run_values == prev2)
-
-        grouped_hits = ~new_run | run_hit[run_id]
-        hits = np.empty(n, dtype=bool)
-        hits[order] = grouped_hits
-
-        misses = int(n - np.count_nonzero(grouped_hits))
-        self.stats.loads += n
-        self.stats.load_misses += misses
-        # The first `ways` misses of each set fill invalid frames; every
-        # later miss evicts exactly one (clean — the batch has no stores).
-        miss_counts = np.bincount(gs[~grouped_hits], minlength=self._num_sets)
-        self.stats.evictions += int(
-            np.maximum(miss_counts - ways, 0).sum())
-        self._clock += n
-
-        # Materialise the final LRU state so later (kernel) runs continue
-        # bit-exactly: the residents of each set are the values of its last
-        # `ways` collapsed runs, inserted LRU-first.
-        last_of_set = np.empty(num_runs, dtype=bool)
-        last_of_set[:-1] = run_new_set[1:]
-        last_of_set[-1] = True
-        run_sets = gs[new_run]
-        for r in np.flatnonzero(last_of_set):
-            d = self._sets[int(run_sets[r])]
-            if ways == 2 and run_in_set[r] >= 1:
-                d[int(run_values[r - 1])] = False
-            d[int(run_values[r])] = False
-        return hits
-
-    # -- strategy 2a: non-skewed tight kernel --------------------------- #
+    # -- conventional LRU: insertion-ordered dict kernel ---------------- #
 
     def _run_dict_kernel(self, blocks: np.ndarray,
                          is_write: np.ndarray) -> np.ndarray:
@@ -589,195 +487,7 @@ class BatchSetAssociativeCache:
                 stats.miss_kinds[kind] += count
         return np.array(hits_l, dtype=bool)
 
-    # -- strategy 2b: skewed tight kernel ------------------------------- #
-
-    def _run_skewed_kernel_2way(self, blocks: np.ndarray,
-                                is_write: np.ndarray) -> np.ndarray:
-        n = blocks.shape[0]
-        s0_l = cached_set_index_lists(self._vec_index, blocks, 0)
-        s1_l = cached_set_index_lists(self._vec_index, blocks, 1)
-        blocks_l = blocks.tolist()
-        writes_l = is_write.tolist()
-        t0, t1 = self._way_tags
-        u0, u1 = self._way_used
-        d0, d1 = self._way_dirty
-        write_back = self._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-        classifier = self._classifier
-        stats = self.stats
-        clock = self._clock
-
-        hits_l = []
-        hit_append = hits_l.append
-        loads = stores = load_misses = store_misses = evictions = writebacks = 0
-        kinds = {MissKind.COMPULSORY: 0, MissKind.CAPACITY: 0, MissKind.CONFLICT: 0}
-
-        for b, sa, sb, w in zip(blocks_l, s0_l, s1_l, writes_l):
-            clock += 1
-            if t0[sa] == b:
-                u0[sa] = clock
-                if w:
-                    stores += 1
-                    if write_back:
-                        d0[sa] = True
-                else:
-                    loads += 1
-                hit_append(True)
-                if classifier is not None:
-                    classifier.classify(b, True)
-                continue
-            if t1[sb] == b:
-                u1[sb] = clock
-                if w:
-                    stores += 1
-                    if write_back:
-                        d1[sb] = True
-                else:
-                    loads += 1
-                hit_append(True)
-                if classifier is not None:
-                    classifier.classify(b, True)
-                continue
-            # Miss.
-            hit_append(False)
-            if classifier is not None:
-                kind = classifier.classify(b, False)
-                kinds[kind] += 1
-            if w:
-                stores += 1
-                store_misses += 1
-                if not write_back:
-                    continue
-            else:
-                loads += 1
-                load_misses += 1
-            dirty = w and write_back
-            # Invalid frames first (in way order), then the LRU victim with
-            # ties broken towards way 0 — the scalar `_fill` ordering.
-            if t0[sa] < 0:
-                t0[sa] = b
-                u0[sa] = clock
-                d0[sa] = dirty
-            elif t1[sb] < 0:
-                t1[sb] = b
-                u1[sb] = clock
-                d1[sb] = dirty
-            elif u0[sa] <= u1[sb]:
-                evictions += 1
-                if d0[sa]:
-                    writebacks += 1
-                t0[sa] = b
-                u0[sa] = clock
-                d0[sa] = dirty
-            else:
-                evictions += 1
-                if d1[sb]:
-                    writebacks += 1
-                t1[sb] = b
-                u1[sb] = clock
-                d1[sb] = dirty
-
-        self._clock = clock
-        stats.loads += loads
-        stats.stores += stores
-        stats.load_misses += load_misses
-        stats.store_misses += store_misses
-        stats.evictions += evictions
-        stats.writebacks += writebacks
-        if classifier is not None:
-            for kind, count in kinds.items():
-                stats.miss_kinds[kind] += count
-        return np.array(hits_l, dtype=bool)
-
-    def _run_skewed_kernel_generic(self, blocks: np.ndarray,
-                                   is_write: np.ndarray) -> np.ndarray:
-        n = blocks.shape[0]
-        ways = self._ways
-        way_sets = [cached_set_index_lists(self._vec_index, blocks, w)
-                    for w in range(ways)]
-        blocks_l = blocks.tolist()
-        writes_l = is_write.tolist()
-        tags = self._way_tags
-        used = self._way_used
-        dirty = self._way_dirty
-        write_back = self._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-        classifier = self._classifier
-        stats = self.stats
-        clock = self._clock
-        way_range = range(ways)
-
-        hits_l = []
-        hit_append = hits_l.append
-        loads = stores = load_misses = store_misses = evictions = writebacks = 0
-        kinds = {MissKind.COMPULSORY: 0, MissKind.CAPACITY: 0, MissKind.CONFLICT: 0}
-
-        for i, b in enumerate(blocks_l):
-            clock += 1
-            w = writes_l[i]
-            hit_way = -1
-            for wy in way_range:
-                s = way_sets[wy][i]
-                if tags[wy][s] == b:
-                    hit_way = wy
-                    used[wy][s] = clock
-                    if w and write_back:
-                        dirty[wy][s] = True
-                    break
-            if hit_way >= 0:
-                if w:
-                    stores += 1
-                else:
-                    loads += 1
-                hit_append(True)
-                if classifier is not None:
-                    classifier.classify(b, True)
-                continue
-            hit_append(False)
-            if classifier is not None:
-                kind = classifier.classify(b, False)
-                kinds[kind] += 1
-            if w:
-                stores += 1
-                store_misses += 1
-                if not write_back:
-                    continue
-            else:
-                loads += 1
-                load_misses += 1
-            fill_dirty = w and write_back
-            target = -1
-            for wy in way_range:
-                if tags[wy][way_sets[wy][i]] < 0:
-                    target = wy
-                    break
-            if target < 0:
-                best_used = None
-                for wy in way_range:
-                    stamp = used[wy][way_sets[wy][i]]
-                    if best_used is None or stamp < best_used:
-                        best_used = stamp
-                        target = wy
-                s = way_sets[target][i]
-                evictions += 1
-                if dirty[target][s]:
-                    writebacks += 1
-            s = way_sets[target][i]
-            tags[target][s] = b
-            used[target][s] = clock
-            dirty[target][s] = fill_dirty
-
-        self._clock = clock
-        stats.loads += loads
-        stats.stores += stores
-        stats.load_misses += load_misses
-        stats.store_misses += store_misses
-        stats.evictions += evictions
-        stats.writebacks += writebacks
-        if classifier is not None:
-            for kind, count in kinds.items():
-                stats.miss_kinds[kind] += count
-        return np.array(hits_l, dtype=bool)
-
-    # -- strategy 4: generic replacement kernel (any skew, non-LRU) ------ #
+    # -- generic replacement kernel (reference; 3C-classifying non-LRU) -- #
 
     def _run_policy_kernel(self, blocks: np.ndarray,
                            is_write: np.ndarray) -> np.ndarray:

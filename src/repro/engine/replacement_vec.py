@@ -19,12 +19,12 @@ what makes every (organisation, policy) pair bit-exact across engines,
 including identical random-victim sequences from the shared
 :data:`~repro.cache.replacement.DEFAULT_RANDOM_SEED`.
 
-The LRU specialisations built directly into
-:class:`~repro.engine.batch_cache.BatchSetAssociativeCache` (run-collapse
-vectorized path, insertion-ordered dict kernel, per-way skewed kernels) do
-not use these objects — they *are* the LRU fast path.  These state tables
-serve every non-LRU policy, and all policies of the
-:class:`~repro.engine.batch_cache.BatchVictimCache` kernel.
+A :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` with LRU
+replacement builds none of these objects: its conventional kernel keeps LRU
+order in per-set insertion-ordered dicts, and its skewed kernel keeps the
+stamps in the cache's own ``_way_used`` rows.  These state tables serve
+every non-LRU policy, and all policies of the
+:class:`~repro.engine.batch_cache.BatchVictimCache` kernels.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
     would produce one at a time.  Because the random policy's draws are a
     pure function of the eviction ordinal, a whole batch's worth of victim
     picks can be precomputed up front and consumed by index; this is what
-    lets the set-decomposed random kernel stay bit-exact with the scalar
-    victim sequence without calling into Python per eviction.
+    lets the random kernels stay bit-exact with the scalar victim sequence
+    without calling into Python per eviction.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -212,9 +212,10 @@ class _VecTimestamp(VecReplacementState):
     def stamp_lists(self) -> List[List[int]]:
         """Checked-out per-way timestamp rows (valid inside a kernel).
 
-        The set-decomposed kernels in :mod:`repro.engine.set_decompose`
-        mutate these rows directly instead of going through the per-access
-        hooks; :meth:`kernel_end` persists whatever they left behind.
+        The specialised kernels in :mod:`repro.engine.set_decompose` and
+        :mod:`repro.engine.skew_decompose` mutate these rows directly
+        instead of going through the per-access hooks; :meth:`kernel_end`
+        persists whatever they left behind.
         """
         if not self._in_kernel:
             raise RuntimeError("stamp_lists is only valid between "

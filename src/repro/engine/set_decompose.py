@@ -1,49 +1,43 @@
-"""Set-decomposed replacement kernels for non-skewed batch caches.
+"""Set-decomposed replacement kernels for wide conventional batch caches.
 
 The generic replacement kernel in
 :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` replays one
-access at a time through per-way flat tables and policy method calls — the
-right shape for skewed placement (where one access's candidate frames live in
-different sets per way) but needlessly general for a *conventional*
+access at a time through per-way flat tables and policy method calls, and
+the trace-order kernels of :mod:`repro.engine.skew_decompose` scan every
+way per access — the right shape for skewed placement and for caches of
+one or two ways, but O(associativity) per access on a *wide* conventional
 organisation, where every access touches exactly one set and the sets are
-completely independent.  This module exploits that independence: the
+completely independent.  This module exploits that independence for
+conventional caches of more than two ways (fully associative included): the
 pre-computed set indices are stably grouped (one argsort), each set's access
-subsequence is simulated over dense local state, and the per-access hit mask
-is scattered back in one vectorized store.  Three policy-specific kernels:
+subsequence is simulated over dense local state whose hit probe is a single
+per-set dict lookup, and the per-access hit mask is scattered back in one
+vectorized store.  Three policy-specific kernels:
 
-* **FIFO** — hits never mutate FIFO state, so the per-access work on the hot
-  (hit) path is a couple of comparisons against local tags; only the
-  miss/fill sequence replays any bookkeeping.  Victim order is kept via the
-  same fill-timestamp comparison as the scalar policy (ties to the lowest
-  way), so warm starts from — and hand-offs back to — the generic kernel are
-  bit-exact.
-* **Tree-PLRU** — the per-set direction-bit tree is walked over a small local
-  list (a single direction flag for the 2-way specialisation) instead of
-  per-access indexing into global ``[way][set]`` tables.  The never-consulted
-  (in a non-skewed cache) LRU-fallback timestamps are still maintained, so
-  the NumPy state tables stay byte-identical with the generic kernel's.
+* **FIFO** — hits never mutate FIFO state, so the hot (hit) path is one
+  dict lookup; the victim order is a per-set heap of fill timestamps (ties
+  to the lowest way, like the scalar scan), so warm starts from — and
+  hand-offs back to — the generic kernel are bit-exact.
+* **Tree-PLRU** — the per-set direction-bit tree is walked over its local
+  row instead of per-access indexing into global ``[way][set]`` tables.
+  The never-consulted (in a non-skewed cache) LRU-fallback timestamps are
+  reconstructed once per set from each way's last touch, so the NumPy state
+  tables stay byte-identical with the generic kernel's.
 * **Random** — the counter-based draw is a pure function of the eviction
   ordinal (``splitmix64(seed + n)``), so the whole batch's victim picks are
   precomputed in one vectorized pass
   (:func:`~repro.engine.replacement_vec.splitmix64_array`).  Because the
   ordinal is defined by the *global* eviction order across sets, this kernel
-  keeps trace order and instead keeps its state dense per set (flat per-way
-  tag rows, or per-set resident maps above two ways) — bit-exact victim
-  sequences at a fraction of the per-access cost.
+  keeps trace order and instead keeps its state dense per set (lazily
+  seeded resident maps) — bit-exact victim sequences at a fraction of the
+  per-access cost.
 
 All kernels support stores under both write policies (including dirty-line
-writeback accounting), warm caches, and any associativity; each has a tight
-two-way specialisation (the paper's geometry) and a dense generic-ways
-variant whose hit probe is a single per-set dict lookup — which is also what
-makes non-LRU *fully-associative* simulation tractable (the generic kernel's
-linear way scan is O(associativity) per access).
-
-The 3C miss classifier is the one feature the decomposition cannot serve: its
-capacity/conflict split replays a fully-associative shadow cache in global
-trace order, so classifying caches stay on the generic kernel
-(:meth:`~repro.engine.batch_cache.BatchSetAssociativeCache._run_policy_kernel`),
-which also remains the reference implementation the differential suite pits
-these kernels against.
+writeback accounting) and warm caches.  Caches with the 3C miss classifier
+run the generic kernel
+(:meth:`~repro.engine.batch_cache.BatchSetAssociativeCache._run_policy_kernel`)
+instead, which also remains the reference implementation the differential
+suite pits these kernels against.
 """
 
 from __future__ import annotations
@@ -83,22 +77,14 @@ def run_decomposed_policy(cache, blocks: np.ndarray, sets: np.ndarray,
     """Run one batch through the set-decomposed kernel for the cache's policy.
 
     ``cache`` is a non-skewed, classifier-free
-    :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` with a bound
-    non-LRU policy; ``sets`` is the (shared across ways) int64 set-index
-    array for ``blocks``.  Mutates the cache's tag/dirty stores and policy
-    state tables exactly like the generic kernel and returns the per-access
-    hit mask.
+    :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` of more than
+    two ways with a FIFO, random or PLRU policy; ``sets`` is the (shared
+    across ways) int64 set-index array for ``blocks``.  Mutates the cache's
+    tag/dirty stores and policy state tables exactly like the generic
+    kernel and returns the per-access hit mask.
     """
-    name = cache._vec_policy.name
-    if name == "fifo":
-        return _run_fifo(cache, blocks, sets, is_write)
-    if name == "plru":
-        return _run_plru(cache, blocks, sets, is_write)
-    if name == "random":
-        return _run_random(cache, blocks, sets, is_write)
-    # Unknown policy (future-proofing): the generic kernel handles anything
-    # that implements the VecReplacementState protocol.
-    return cache._run_policy_kernel(blocks, is_write)
+    kernel = _KERNELS[cache._vec_policy.name]
+    return kernel(cache, blocks, sets, is_write)
 
 
 def _finish_stats(cache, n, loads, stores, load_misses, store_misses,
@@ -124,8 +110,7 @@ def _run_fifo(cache, blocks, sets, is_write):
     order, starts, stops, set_ids = group_by_set(sets)
     gbl = blocks[order].tolist()
     pos_l = order.tolist()
-    has_stores = bool(is_write.any())
-    gwl = is_write[order].tolist() if has_stores else None
+    gwl = is_write[order].tolist()
     base = cache._clock + 1
     tags = cache._way_tags
     dirty = cache._way_dirty
@@ -135,166 +120,59 @@ def _run_fifo(cache, blocks, sets, is_write):
     policy.kernel_begin()
     try:
         stamp_l = policy.stamp_lists
-        if cache._ways == 2:
-            # FIFO victim order over two valid ways strictly alternates, so
-            # the min-stamp comparison reduces to a next-victim flag seeded
-            # from the warm stamps (ties to way 0, like the scalar scan).
-            # Fill timestamps are reconstructed once per set at write-back
-            # from the grouped index of each way's last fill — the hot loop
-            # never touches the clock at all.
-            tags0, tags1 = tags
-            dirty0, dirty1 = dirty
-            stamp0, stamp1 = stamp_l
-            for k in range(len(starts)):
-                lo, hi, s = starts[k], stops[k], set_ids[k]
-                t0 = tags0[s]
-                t1 = tags1[s]
-                d0 = dirty0[s]
-                d1 = dirty1[s]
-                nxt = 1 if stamp1[s] < stamp0[s] else 0
-                i0 = -1
-                i1 = -1
-                if gwl is None:
-                    for i in range(lo, hi):
-                        v = gbl[i]
-                        if v == t0 or v == t1:
-                            hits_l[i] = True
-                            continue
-                        load_misses += 1
-                        if t0 < 0:
-                            t0 = v
-                            d0 = False
-                            i0 = i
-                            nxt = 1
-                        elif t1 < 0:
-                            t1 = v
-                            d1 = False
-                            i1 = i
-                            nxt = 0
-                        elif nxt:
-                            evictions += 1
-                            if d1:
-                                writebacks += 1
-                                d1 = False
-                            t1 = v
-                            i1 = i
-                            nxt = 0
-                        else:
-                            evictions += 1
-                            if d0:
-                                writebacks += 1
-                                d0 = False
-                            t0 = v
-                            i0 = i
-                            nxt = 1
+        ways = cache._ways
+        way_range = range(ways)
+        for k in range(len(starts)):
+            lo, hi, s = starts[k], stops[k], set_ids[k]
+            tag_s = [tags[w][s] for w in way_range]
+            dirty_s = [dirty[w][s] for w in way_range]
+            resident = {}
+            heap = []
+            invalid = []
+            for w in range(ways - 1, -1, -1):
+                tg = tag_s[w]
+                if tg < 0:
+                    invalid.append(w)
                 else:
-                    for i in range(lo, hi):
-                        v = gbl[i]
-                        if v == t0:
-                            hits_l[i] = True
-                            if gwl[i] and write_back:
-                                d0 = True
-                            continue
-                        if v == t1:
-                            hits_l[i] = True
-                            if gwl[i] and write_back:
-                                d1 = True
-                            continue
-                        w = gwl[i]
-                        if w:
-                            store_misses += 1
-                            if not write_back:
-                                continue
-                        else:
-                            load_misses += 1
-                        if t0 < 0:
-                            t0 = v
-                            d0 = w
-                            i0 = i
-                            nxt = 1
-                        elif t1 < 0:
-                            t1 = v
-                            d1 = w
-                            i1 = i
-                            nxt = 0
-                        elif nxt:
-                            evictions += 1
-                            if d1:
-                                writebacks += 1
-                            t1 = v
-                            d1 = w
-                            i1 = i
-                            nxt = 0
-                        else:
-                            evictions += 1
-                            if d0:
-                                writebacks += 1
-                            t0 = v
-                            d0 = w
-                            i0 = i
-                            nxt = 1
-                tags0[s] = t0
-                tags1[s] = t1
-                dirty0[s] = d0
-                dirty1[s] = d1
-                if i0 >= 0:
-                    stamp0[s] = base + pos_l[i0]
-                if i1 >= 0:
-                    stamp1[s] = base + pos_l[i1]
-        else:
-            ways = cache._ways
-            way_range = range(ways)
-            for k in range(len(starts)):
-                lo, hi, s = starts[k], stops[k], set_ids[k]
-                tag_s = [tags[w][s] for w in way_range]
-                dirty_s = [dirty[w][s] for w in way_range]
-                resident = {}
-                heap = []
-                invalid = []
-                for w in range(ways - 1, -1, -1):
-                    tg = tag_s[w]
-                    if tg < 0:
-                        invalid.append(w)
-                    else:
-                        resident[tg] = w
-                        heap.append((stamp_l[w][s], w))
-                heapify(heap)
-                for i in range(lo, hi):
-                    v = gbl[i]
-                    hw = resident.get(v, -1)
-                    w = gwl[i] if gwl is not None else False
-                    if hw >= 0:
-                        hits_l[i] = True
-                        if w and write_back:
-                            dirty_s[hw] = True
+                    resident[tg] = w
+                    heap.append((stamp_l[w][s], w))
+            heapify(heap)
+            for i in range(lo, hi):
+                v = gbl[i]
+                hw = resident.get(v, -1)
+                w = gwl[i]
+                if hw >= 0:
+                    hits_l[i] = True
+                    if w and write_back:
+                        dirty_s[hw] = True
+                    continue
+                if w:
+                    store_misses += 1
+                    if not write_back:
                         continue
-                    if w:
-                        store_misses += 1
-                        if not write_back:
-                            continue
-                    else:
-                        load_misses += 1
-                    if invalid:
-                        way = invalid.pop()
-                    else:
-                        _, way = heappop(heap)
-                        evictions += 1
-                        if dirty_s[way]:
-                            writebacks += 1
-                        del resident[tag_s[way]]
-                    stamp = base + pos_l[i]
-                    tag_s[way] = v
-                    dirty_s[way] = w
-                    resident[v] = way
-                    stamp_l[way][s] = stamp
-                    heappush(heap, (stamp, way))
-                for w in way_range:
-                    tags[w][s] = tag_s[w]
-                    dirty[w][s] = dirty_s[w]
+                else:
+                    load_misses += 1
+                if invalid:
+                    way = invalid.pop()
+                else:
+                    _, way = heappop(heap)
+                    evictions += 1
+                    if dirty_s[way]:
+                        writebacks += 1
+                    del resident[tag_s[way]]
+                stamp = base + pos_l[i]
+                tag_s[way] = v
+                dirty_s[way] = w
+                resident[v] = way
+                stamp_l[way][s] = stamp
+                heappush(heap, (stamp, way))
+            for w in way_range:
+                tags[w][s] = tag_s[w]
+                dirty[w][s] = dirty_s[w]
     finally:
         policy.kernel_end()
 
-    stores = int(is_write.sum()) if has_stores else 0
+    stores = int(is_write.sum())
     _finish_stats(cache, n, n - stores, stores, load_misses, store_misses,
                   evictions, writebacks)
     hits = np.empty(n, dtype=bool)
@@ -313,8 +191,7 @@ def _run_plru(cache, blocks, sets, is_write):
     order, starts, stops, set_ids = group_by_set(sets)
     gbl = blocks[order].tolist()
     pos_l = order.tolist()
-    has_stores = bool(is_write.any())
-    gwl = is_write[order].tolist() if has_stores else None
+    gwl = is_write[order].tolist()
     base = cache._clock + 1
     tags = cache._way_tags
     dirty = cache._way_dirty
@@ -325,181 +202,63 @@ def _run_plru(cache, blocks, sets, is_write):
     try:
         bits_l = policy.bit_lists
         stamp_l = policy.stamp_lists
-        if cache._ways == 2:
-            # One direction bit per set: True sends the victim walk to way 1,
-            # i.e. two-way tree-PLRU is exact LRU.  Touch timestamps (the
-            # skewed-placement fallback, never consulted by this non-skewed
-            # cache) are reconstructed once per set at write-back from each
-            # way's last touched grouped index.
-            tags0, tags1 = tags
-            dirty0, dirty1 = dirty
-            stamp0, stamp1 = stamp_l
-            for k in range(len(starts)):
-                lo, hi, s = starts[k], stops[k], set_ids[k]
-                t0 = tags0[s]
-                t1 = tags1[s]
-                d0 = dirty0[s]
-                d1 = dirty1[s]
-                i0 = -1
-                i1 = -1
-                b = bits_l[s][0]
-                if gwl is None:
-                    for i in range(lo, hi):
-                        v = gbl[i]
-                        if v == t0:
-                            hits_l[i] = True
-                            b = True
-                            i0 = i
-                            continue
-                        if v == t1:
-                            hits_l[i] = True
-                            b = False
-                            i1 = i
-                            continue
-                        load_misses += 1
-                        if t0 < 0:
-                            t0 = v
-                            d0 = False
-                            b = True
-                            i0 = i
-                        elif t1 < 0:
-                            t1 = v
-                            d1 = False
-                            b = False
-                            i1 = i
-                        elif b:
-                            evictions += 1
-                            if d1:
-                                writebacks += 1
-                                d1 = False
-                            t1 = v
-                            b = False
-                            i1 = i
-                        else:
-                            evictions += 1
-                            if d0:
-                                writebacks += 1
-                                d0 = False
-                            t0 = v
-                            b = True
-                            i0 = i
+        ways = cache._ways
+        way_range = range(ways)
+        touch = plru_touch
+        pick = plru_victim
+        for k in range(len(starts)):
+            lo, hi, s = starts[k], stops[k], set_ids[k]
+            tag_s = [tags[w][s] for w in way_range]
+            dirty_s = [dirty[w][s] for w in way_range]
+            touch_i = [-1] * ways
+            bits_s = bits_l[s]
+            resident = {}
+            invalid = []
+            for w in range(ways - 1, -1, -1):
+                if tag_s[w] < 0:
+                    invalid.append(w)
                 else:
-                    for i in range(lo, hi):
-                        v = gbl[i]
-                        if v == t0:
-                            hits_l[i] = True
-                            b = True
-                            i0 = i
-                            if gwl[i] and write_back:
-                                d0 = True
-                            continue
-                        if v == t1:
-                            hits_l[i] = True
-                            b = False
-                            i1 = i
-                            if gwl[i] and write_back:
-                                d1 = True
-                            continue
-                        w = gwl[i]
-                        if w:
-                            store_misses += 1
-                            if not write_back:
-                                continue
-                        else:
-                            load_misses += 1
-                        if t0 < 0:
-                            t0 = v
-                            d0 = w
-                            b = True
-                            i0 = i
-                        elif t1 < 0:
-                            t1 = v
-                            d1 = w
-                            b = False
-                            i1 = i
-                        elif b:
-                            evictions += 1
-                            if d1:
-                                writebacks += 1
-                            t1 = v
-                            d1 = w
-                            b = False
-                            i1 = i
-                        else:
-                            evictions += 1
-                            if d0:
-                                writebacks += 1
-                            t0 = v
-                            d0 = w
-                            b = True
-                            i0 = i
-                tags0[s] = t0
-                tags1[s] = t1
-                dirty0[s] = d0
-                dirty1[s] = d1
-                if i0 >= 0:
-                    stamp0[s] = base + pos_l[i0]
-                if i1 >= 0:
-                    stamp1[s] = base + pos_l[i1]
-                bits_l[s][0] = b
-        else:
-            ways = cache._ways
-            way_range = range(ways)
-            touch = plru_touch
-            pick = plru_victim
-            for k in range(len(starts)):
-                lo, hi, s = starts[k], stops[k], set_ids[k]
-                tag_s = [tags[w][s] for w in way_range]
-                dirty_s = [dirty[w][s] for w in way_range]
-                touch_i = [-1] * ways
-                bits_s = bits_l[s]
-                resident = {}
-                invalid = []
-                for w in range(ways - 1, -1, -1):
-                    if tag_s[w] < 0:
-                        invalid.append(w)
-                    else:
-                        resident[tag_s[w]] = w
-                for i in range(lo, hi):
-                    v = gbl[i]
-                    hw = resident.get(v, -1)
-                    w = gwl[i] if gwl is not None else False
-                    if hw >= 0:
-                        hits_l[i] = True
-                        touch_i[hw] = i
-                        touch(bits_s, hw, ways)
-                        if w and write_back:
-                            dirty_s[hw] = True
+                    resident[tag_s[w]] = w
+            for i in range(lo, hi):
+                v = gbl[i]
+                hw = resident.get(v, -1)
+                w = gwl[i]
+                if hw >= 0:
+                    hits_l[i] = True
+                    touch_i[hw] = i
+                    touch(bits_s, hw, ways)
+                    if w and write_back:
+                        dirty_s[hw] = True
+                    continue
+                if w:
+                    store_misses += 1
+                    if not write_back:
                         continue
-                    if w:
-                        store_misses += 1
-                        if not write_back:
-                            continue
-                    else:
-                        load_misses += 1
-                    if invalid:
-                        way = invalid.pop()
-                    else:
-                        way = pick(bits_s, ways)
-                        evictions += 1
-                        if dirty_s[way]:
-                            writebacks += 1
-                        del resident[tag_s[way]]
-                    tag_s[way] = v
-                    dirty_s[way] = w
-                    resident[v] = way
-                    touch_i[way] = i
-                    touch(bits_s, way, ways)
-                for w in way_range:
-                    tags[w][s] = tag_s[w]
-                    dirty[w][s] = dirty_s[w]
-                    ti = touch_i[w]
-                    if ti >= 0:
-                        stamp_l[w][s] = base + pos_l[ti]
+                else:
+                    load_misses += 1
+                if invalid:
+                    way = invalid.pop()
+                else:
+                    way = pick(bits_s, ways)
+                    evictions += 1
+                    if dirty_s[way]:
+                        writebacks += 1
+                    del resident[tag_s[way]]
+                tag_s[way] = v
+                dirty_s[way] = w
+                resident[v] = way
+                touch_i[way] = i
+                touch(bits_s, way, ways)
+            for w in way_range:
+                tags[w][s] = tag_s[w]
+                dirty[w][s] = dirty_s[w]
+                ti = touch_i[w]
+                if ti >= 0:
+                    stamp_l[w][s] = base + pos_l[ti]
     finally:
         policy.kernel_end()
 
-    stores = int(is_write.sum()) if has_stores else 0
+    stores = int(is_write.sum())
     _finish_stats(cache, n, n - stores, stores, load_misses, store_misses,
                   evictions, writebacks)
     hits = np.empty(n, dtype=bool)
@@ -516,13 +275,13 @@ def _run_random(cache, blocks, sets, is_write):
     policy = cache._vec_policy
     ways = cache._ways
     write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-    has_stores = bool(is_write.any())
     sets_l = sets.tolist()
     bl = blocks.tolist()
-    wl = is_write.tolist() if has_stores else None
+    wl = is_write.tolist()
     # A batch consumes at most one draw per access, so n picks cover it; the
     # counter advances by exactly the number of draws actually consumed.
-    picks = splitmix64_array(policy.seed, policy.counter, n) % np.uint64(ways)
+    picks_l = (splitmix64_array(policy.seed, policy.counter, n)
+               % np.uint64(ways)).tolist()
     tags = cache._way_tags
     dirty = cache._way_dirty
     hits_l = []
@@ -530,127 +289,58 @@ def _run_random(cache, blocks, sets, is_write):
     load_misses = store_misses = evictions = writebacks = 0
     pe = 0
 
-    if ways == 2:
-        picks_l = picks.astype(bool).tolist()
-        t0l, t1l = tags
-        d0l, d1l = dirty
-        if wl is None:
-            for v, s in zip(bl, sets_l):
-                if t0l[s] == v or t1l[s] == v:
-                    ha(True)
-                    continue
-                ha(False)
-                load_misses += 1
-                if t0l[s] < 0:
-                    t0l[s] = v
-                elif t1l[s] < 0:
-                    t1l[s] = v
-                elif picks_l[pe]:
-                    pe += 1
-                    evictions += 1
-                    if d1l[s]:
-                        writebacks += 1
-                        d1l[s] = False
-                    t1l[s] = v
+    # Resident maps and invalid-way stacks are seeded lazily on a set's
+    # first access: a batch touching few sets of a large cache must not
+    # pay an O(num_sets * ways) sweep up front.
+    residents: dict = {}
+    invalids: dict = {}
+    for i, v in enumerate(bl):
+        s = sets_l[i]
+        d = residents.get(s)
+        if d is None:
+            d = {}
+            inv = []
+            for w in range(ways - 1, -1, -1):
+                tg = tags[w][s]
+                if tg < 0:
+                    inv.append(w)
                 else:
-                    pe += 1
-                    evictions += 1
-                    if d0l[s]:
-                        writebacks += 1
-                        d0l[s] = False
-                    t0l[s] = v
-        else:
-            for i, v in enumerate(bl):
-                s = sets_l[i]
-                w = wl[i]
-                if t0l[s] == v:
-                    ha(True)
-                    if w and write_back:
-                        d0l[s] = True
-                    continue
-                if t1l[s] == v:
-                    ha(True)
-                    if w and write_back:
-                        d1l[s] = True
-                    continue
-                ha(False)
-                if w:
-                    store_misses += 1
-                    if not write_back:
-                        continue
-                else:
-                    load_misses += 1
-                if t0l[s] < 0:
-                    t0l[s] = v
-                    d0l[s] = w
-                elif t1l[s] < 0:
-                    t1l[s] = v
-                    d1l[s] = w
-                elif picks_l[pe]:
-                    pe += 1
-                    evictions += 1
-                    if d1l[s]:
-                        writebacks += 1
-                    t1l[s] = v
-                    d1l[s] = w
-                else:
-                    pe += 1
-                    evictions += 1
-                    if d0l[s]:
-                        writebacks += 1
-                    t0l[s] = v
-                    d0l[s] = w
-    else:
-        picks_l = picks.tolist()
-        # Resident maps and invalid-way stacks are seeded lazily on a set's
-        # first access: a batch touching few sets of a large cache must not
-        # pay an O(num_sets * ways) sweep up front.
-        residents: dict = {}
-        invalids: dict = {}
-        for i, v in enumerate(bl):
-            s = sets_l[i]
-            d = residents.get(s)
-            if d is None:
-                d = {}
-                inv = []
-                for w in range(ways - 1, -1, -1):
-                    tg = tags[w][s]
-                    if tg < 0:
-                        inv.append(w)
-                    else:
-                        d[tg] = w
-                residents[s] = d
-                invalids[s] = inv
-            hw = d.get(v, -1)
-            w = wl[i] if wl is not None else False
-            if hw >= 0:
-                ha(True)
-                if w and write_back:
-                    dirty[hw][s] = True
+                    d[tg] = w
+            residents[s] = d
+            invalids[s] = inv
+        hw = d.get(v, -1)
+        w = wl[i]
+        if hw >= 0:
+            ha(True)
+            if w and write_back:
+                dirty[hw][s] = True
+            continue
+        ha(False)
+        if w:
+            store_misses += 1
+            if not write_back:
                 continue
-            ha(False)
-            if w:
-                store_misses += 1
-                if not write_back:
-                    continue
-            else:
-                load_misses += 1
-            inv = invalids[s]
-            if inv:
-                way = inv.pop()
-            else:
-                way = picks_l[pe]
-                pe += 1
-                evictions += 1
-                if dirty[way][s]:
-                    writebacks += 1
-                del d[tags[way][s]]
-            tags[way][s] = v
-            dirty[way][s] = w
-            d[v] = way
+        else:
+            load_misses += 1
+        inv = invalids[s]
+        if inv:
+            way = inv.pop()
+        else:
+            way = picks_l[pe]
+            pe += 1
+            evictions += 1
+            if dirty[way][s]:
+                writebacks += 1
+            del d[tags[way][s]]
+        tags[way][s] = v
+        dirty[way][s] = w
+        d[v] = way
 
     policy.counter += pe
-    stores = int(is_write.sum()) if has_stores else 0
+    stores = int(is_write.sum())
     _finish_stats(cache, n, n - stores, stores, load_misses, store_misses,
                   evictions, writebacks)
     return np.array(hits_l, dtype=bool)
+
+
+_KERNELS = {"fifo": _run_fifo, "plru": _run_plru, "random": _run_random}

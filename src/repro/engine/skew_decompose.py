@@ -1,4 +1,4 @@
-"""Skew-aware decomposed replacement kernels: skewed caches + victim caches.
+"""Trace-order kernels: skewed caches, narrow conventional caches, victim caches.
 
 :mod:`repro.engine.set_decompose` exploits the independence of the sets of a
 *conventional* cache: group accesses per set, simulate each group over dense
@@ -12,8 +12,8 @@ one shared side-structure coupling every main-cache set.)  The differential
 suite is the enforcer: a grouping that breaks global order diverges from the
 scalar models immediately.
 
-What *can* be decomposed for these organisations is everything around the
-per-access trace-order loop:
+These kernels therefore keep global trace order and decompose everything
+around the per-access loop:
 
 * **per-way index streams** — each way's rehashed set indices are computed
   array-at-a-time and memoised sweep-wide as arrays *and* as the plain-list
@@ -21,32 +21,37 @@ per-access trace-order loop:
   so tasks sharing a trace share the rehash work;
 * **policy decisions** — the per-access :class:`~repro.engine.replacement_vec`
   method dispatch of the generic kernel is decomposed into policy-specific
-  loops operating directly on the checked-out state-table views: FIFO's
-  hit-transparency makes its hot path two tag compares, tree-PLRU walks a
-  flat direction-bit view (one flag per set at the paper's two ways), and
-  LRU/FIFO victim selection is an inline stamp comparison;
+  loops operating directly on checked-out state-table views: LRU and FIFO
+  share one stamp kernel (they differ only in whether a hit refreshes the
+  stamp), tree-PLRU walks a flat direction-bit view (one flag per set at the
+  paper's two ways), and victim selection is an inline stamp comparison;
 * **random draws** — the counter-based random policy's victim picks are a
   pure function of the eviction ordinal, so a whole batch's draws are
   precomputed in one vectorized pass
   (:func:`~repro.engine.replacement_vec.splitmix64_array`) and consumed by
   index, never calling into Python's ``splitmix64`` per eviction.
 
-All kernels share state-table layout with the generic kernels through
-:class:`~repro.engine.replacement_vec.VecReplacementState` (stamps, PLRU
-bits, draw counters checked out at ``kernel_begin`` and back in at
-``kernel_end``), so a cache can hand off mid-stream between the decomposed
-kernel, the generic kernel and the scalar engine with bit-exact continuity —
-which the differential suite asserts state-table-for-state-table.
+A conventional cache is the case where every way uses the same index
+function (Seznec's skewed-associative cache with no skew), so the same
+kernels serve it by receiving the way-0 set-index list for every way — the
+two-way PLRU kernel's ``sa == sb`` test is exactly the scalar policy's
+shared-set check.
+
+The non-LRU kernels share state-table layout with the generic kernels
+through :class:`~repro.engine.replacement_vec.VecReplacementState` (stamps,
+PLRU bits, draw counters checked out at ``kernel_begin`` and back in at
+``kernel_end``), so a cache can hand off mid-stream between these kernels,
+the generic kernel and the scalar engine with bit-exact continuity — which
+the differential suite asserts state-table-for-state-table.
 
 Two kernel families:
 
-* :func:`run_skew_decomposed_policy` — skewed
-  :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` with a
-  non-LRU policy (LRU keeps its dedicated skewed fast paths): tight 2-way
-  specialisations for the paper's geometry plus dense generic-ways variants.
-  Caches with the 3C classifier stay on the generic kernel (the
-  capacity/conflict split needs the classifier called in global order with
-  per-access hit context).
+* :func:`run_trace_order` — :class:`~repro.engine.batch_cache.BatchSetAssociativeCache`
+  with skewed placement (any policy) or conventional placement of at most
+  two ways (non-LRU): tight 2-way specialisations for the paper's geometry
+  plus dense generic-ways variants.  LRU stamps live in the cache's own
+  ``_way_used`` rows; the 3C classifier (LRU only — classifying non-LRU
+  caches run the generic kernel) replays over the hit mask afterwards.
 * :func:`run_victim_decomposed` — :class:`~repro.engine.batch_cache.BatchVictimCache`
   with a 1-way (Jouppi's geometry) or 2-way main cache, any policy, skewed
   or conventional main indexing.  The victim buffer is carried as a dense
@@ -65,125 +70,146 @@ from ..cache.set_assoc import WritePolicy
 from .memo import cached_set_index_lists
 from .replacement_vec import splitmix64_array
 
-__all__ = ["run_skew_decomposed_policy", "run_victim_decomposed"]
+__all__ = ["run_trace_order", "run_victim_decomposed"]
 
 
 # --------------------------------------------------------------------- #
-# skewed set-associative caches
+# set-associative caches (skewed, or conventional with <= 2 ways)
 # --------------------------------------------------------------------- #
 
-def run_skew_decomposed_policy(cache, blocks: np.ndarray,
-                               is_write: np.ndarray) -> np.ndarray:
-    """Run one batch through the skew-decomposed kernel for the cache's policy.
+def run_trace_order(cache, blocks: np.ndarray,
+                    is_write: np.ndarray) -> np.ndarray:
+    """Run one batch through the trace-order kernel for the cache's policy.
 
-    ``cache`` is a skewed, classifier-free
-    :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` with a bound
-    non-LRU policy.  Mutates the cache's tag/dirty stores and policy state
-    tables exactly like the generic kernel and returns the per-access hit
-    mask.
+    ``cache`` is a :class:`~repro.engine.batch_cache.BatchSetAssociativeCache`
+    that is skewed, or conventional with at most two ways and a non-LRU
+    policy; only an LRU cache may carry the 3C classifier.  Mutates the
+    cache's tag/dirty stores, LRU stamps and policy state tables exactly
+    like the generic kernel and returns the per-access hit mask.
     """
-    name = cache._vec_policy.name
-    if name == "fifo":
-        kernels = (_skew_fifo_2way, _skew_fifo_ways)
-    elif name == "random":
-        kernels = (_skew_random_2way, _skew_random_ways)
-    elif name == "plru":
-        kernels = (_skew_plru_2way, _skew_plru_ways)
+    ways = cache._ways
+    if cache._skewed:
+        way_lists = [cached_set_index_lists(cache._vec_index, blocks, w)
+                     for w in range(ways)]
     else:
-        # Unknown policy (future-proofing): the generic kernel handles
-        # anything that implements the VecReplacementState protocol.
-        return cache._run_policy_kernel(blocks, is_write)
-    way_lists = [cached_set_index_lists(cache._vec_index, blocks, w)
-                 for w in range(cache._ways)]
+        way_lists = [cached_set_index_lists(cache._vec_index, blocks, 0)] * ways
     blocks_l = blocks.tolist()
     writes_l = is_write.tolist()
-    if cache._ways == 2:
-        hits_l = kernels[0](cache, blocks_l, way_lists[0], way_lists[1],
-                            writes_l)
-    else:
-        hits_l = kernels[1](cache, blocks_l, way_lists, writes_l)
+    name = cache._replacement_name
+    policy = cache._vec_policy
+    two_way = ways == 2
+    if policy is not None:
+        policy.kernel_begin()
+    try:
+        if name == "random":
+            kernel = _random_2way if two_way else _random_ways
+            counts = kernel(cache, blocks_l, way_lists, writes_l)
+        elif name == "plru":
+            kernel = _plru_2way if two_way else _plru_ways
+            counts = kernel(cache, blocks_l, way_lists, writes_l)
+        else:
+            stamps = cache._way_used if policy is None else policy.stamp_lists
+            kernel = _stamp_2way if two_way else _stamp_ways
+            counts = kernel(cache, blocks_l, way_lists, writes_l, stamps,
+                            name == "lru")
+    finally:
+        if policy is not None:
+            policy.kernel_end()
+    hits_l, load_misses, store_misses, evictions, writebacks = counts
+
     n = blocks.shape[0]
     stores = int(is_write.sum())
     cache._clock += n
     stats = cache.stats
     stats.loads += n - stores
     stats.stores += stores
-    return np.array(hits_l, dtype=bool)
-
-
-def _skew_fifo_2way(cache, blocks_l, s0_l, s1_l, writes_l):
-    policy = cache._vec_policy
-    write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-    t0, t1 = cache._way_tags
-    d0, d1 = cache._way_dirty
-    clock = cache._clock
-    stats = cache.stats
-    hits_l = []
-    ha = hits_l.append
-    load_misses = store_misses = evictions = writebacks = 0
-
-    policy.kernel_begin()
-    try:
-        stamp0, stamp1 = policy.stamp_lists
-        for b, sa, sb, w in zip(blocks_l, s0_l, s1_l, writes_l):
-            clock += 1
-            # FIFO hits are transparent: no stamp refresh, only dirty marking.
-            if t0[sa] == b:
-                ha(True)
-                if w and write_back:
-                    d0[sa] = True
-                continue
-            if t1[sb] == b:
-                ha(True)
-                if w and write_back:
-                    d1[sb] = True
-                continue
-            ha(False)
-            if w:
-                store_misses += 1
-                if not write_back:
-                    continue
-            else:
-                load_misses += 1
-            dirty = w and write_back
-            if t0[sa] < 0:
-                t0[sa] = b
-                d0[sa] = dirty
-                stamp0[sa] = clock
-            elif t1[sb] < 0:
-                t1[sb] = b
-                d1[sb] = dirty
-                stamp1[sb] = clock
-            elif stamp0[sa] <= stamp1[sb]:
-                evictions += 1
-                if d0[sa]:
-                    writebacks += 1
-                t0[sa] = b
-                d0[sa] = dirty
-                stamp0[sa] = clock
-            else:
-                evictions += 1
-                if d1[sb]:
-                    writebacks += 1
-                t1[sb] = b
-                d1[sb] = dirty
-                stamp1[sb] = clock
-    finally:
-        policy.kernel_end()
-
     stats.load_misses += load_misses
     stats.store_misses += store_misses
     stats.evictions += evictions
     stats.writebacks += writebacks
-    return hits_l
+    classifier = cache._classifier
+    if classifier is not None:
+        # The shadow cache sees only (block, hit) in trace order, never the
+        # real cache's state, so it can replay over the finished hit mask.
+        classify = classifier.classify
+        kinds = stats.miss_kinds
+        for b, hit in zip(blocks_l, hits_l):
+            kind = classify(b, hit)
+            if kind is not None:
+                kinds[kind] += 1
+    return np.array(hits_l, dtype=bool)
 
 
-def _skew_random_2way(cache, blocks_l, s0_l, s1_l, writes_l):
+def _stamp_2way(cache, blocks_l, way_lists, writes_l, stamps,
+                refresh_on_hit):
+    """LRU (``refresh_on_hit``) or FIFO over per-way stamp rows."""
+    write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
+    t0, t1 = cache._way_tags
+    d0, d1 = cache._way_dirty
+    stamp0, stamp1 = stamps
+    s0_l, s1_l = way_lists
+    clock = cache._clock
+    hits_l = []
+    ha = hits_l.append
+    load_misses = store_misses = evictions = writebacks = 0
+
+    for b, sa, sb, w in zip(blocks_l, s0_l, s1_l, writes_l):
+        clock += 1
+        if t0[sa] == b:
+            ha(True)
+            if refresh_on_hit:
+                stamp0[sa] = clock
+            if w and write_back:
+                d0[sa] = True
+            continue
+        if t1[sb] == b:
+            ha(True)
+            if refresh_on_hit:
+                stamp1[sb] = clock
+            if w and write_back:
+                d1[sb] = True
+            continue
+        ha(False)
+        if w:
+            store_misses += 1
+            if not write_back:
+                continue
+        else:
+            load_misses += 1
+        dirty = w and write_back
+        # Invalid frames first (in way order), then the oldest stamp with
+        # ties broken towards way 0 — the scalar `_fill` ordering.
+        if t0[sa] < 0:
+            t0[sa] = b
+            d0[sa] = dirty
+            stamp0[sa] = clock
+        elif t1[sb] < 0:
+            t1[sb] = b
+            d1[sb] = dirty
+            stamp1[sb] = clock
+        elif stamp0[sa] <= stamp1[sb]:
+            evictions += 1
+            if d0[sa]:
+                writebacks += 1
+            t0[sa] = b
+            d0[sa] = dirty
+            stamp0[sa] = clock
+        else:
+            evictions += 1
+            if d1[sb]:
+                writebacks += 1
+            t1[sb] = b
+            d1[sb] = dirty
+            stamp1[sb] = clock
+    return hits_l, load_misses, store_misses, evictions, writebacks
+
+
+def _random_2way(cache, blocks_l, way_lists, writes_l):
     policy = cache._vec_policy
     write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
     t0, t1 = cache._way_tags
     d0, d1 = cache._way_dirty
-    stats = cache.stats
+    s0_l, s1_l = way_lists
     # One draw per eviction, at most one eviction per access: n picks cover
     # the batch; the counter advances by the draws actually consumed.
     picks_l = (splitmix64_array(policy.seed, policy.counter, len(blocks_l))
@@ -235,32 +261,26 @@ def _skew_random_2way(cache, blocks_l, s0_l, s1_l, writes_l):
             d0[sa] = dirty
 
     policy.counter += pe
-    stats.load_misses += load_misses
-    stats.store_misses += store_misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    return hits_l
+    return hits_l, load_misses, store_misses, evictions, writebacks
 
 
-def _skew_plru_2way(cache, blocks_l, s0_l, s1_l, writes_l):
+def _plru_2way(cache, blocks_l, way_lists, writes_l):
     policy = cache._vec_policy
     write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
     t0, t1 = cache._way_tags
     d0, d1 = cache._way_dirty
+    s0_l, s1_l = way_lists
     clock = cache._clock
-    stats = cache.stats
     hits_l = []
     ha = hits_l.append
     load_misses = store_misses = evictions = writebacks = 0
 
-    policy.kernel_begin()
-    flat = None
+    bits_l = policy.bit_lists
+    stamp0, stamp1 = policy.stamp_lists
+    # One direction bit per set at two ways: True sends the victim walk to
+    # way 1.  Checked out flat, written back row-by-row at the end.
+    flat = [row[0] for row in bits_l]
     try:
-        bits_l = policy.bit_lists
-        stamp0, stamp1 = policy.stamp_lists
-        # One direction bit per set at two ways: True sends the victim walk
-        # to way 1.  Checked out flat, written back row-by-row at the end.
-        flat = [row[0] for row in bits_l]
         for b, sa, sb, w in zip(blocks_l, s0_l, s1_l, writes_l):
             clock += 1
             if t0[sa] == b:
@@ -313,93 +333,76 @@ def _skew_plru_2way(cache, blocks_l, s0_l, s1_l, writes_l):
                 stamp0[sa] = clock
                 flat[sa] = True
     finally:
-        if flat is not None:
-            for s, value in enumerate(flat):
-                bits_l[s][0] = value
-        policy.kernel_end()
-
-    stats.load_misses += load_misses
-    stats.store_misses += store_misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    return hits_l
+        for s, value in enumerate(flat):
+            bits_l[s][0] = value
+    return hits_l, load_misses, store_misses, evictions, writebacks
 
 
-def _skew_fifo_ways(cache, blocks_l, way_lists, writes_l):
-    policy = cache._vec_policy
+def _stamp_ways(cache, blocks_l, way_lists, writes_l, stamps,
+                refresh_on_hit):
+    """Any-ways counterpart of :func:`_stamp_2way`."""
     write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-    ways = cache._ways
-    way_range = range(ways)
+    way_range = range(cache._ways)
     tags = cache._way_tags
     dirty = cache._way_dirty
     clock = cache._clock
-    stats = cache.stats
     hits_l = []
     ha = hits_l.append
     load_misses = store_misses = evictions = writebacks = 0
 
-    policy.kernel_begin()
-    try:
-        stamp = policy.stamp_lists
-        for i, b in enumerate(blocks_l):
-            clock += 1
-            w = writes_l[i]
-            hit = False
-            for wy in way_range:
-                s = way_lists[wy][i]
-                if tags[wy][s] == b:
-                    hit = True
-                    if w and write_back:
-                        dirty[wy][s] = True
-                    break
-            if hit:
-                ha(True)
+    for i, b in enumerate(blocks_l):
+        clock += 1
+        w = writes_l[i]
+        hit = False
+        for wy in way_range:
+            s = way_lists[wy][i]
+            if tags[wy][s] == b:
+                hit = True
+                if refresh_on_hit:
+                    stamps[wy][s] = clock
+                if w and write_back:
+                    dirty[wy][s] = True
+                break
+        if hit:
+            ha(True)
+            continue
+        ha(False)
+        if w:
+            store_misses += 1
+            if not write_back:
                 continue
-            ha(False)
-            if w:
-                store_misses += 1
-                if not write_back:
-                    continue
-            else:
-                load_misses += 1
-            target = -1
+        else:
+            load_misses += 1
+        target = -1
+        for wy in way_range:
+            if tags[wy][way_lists[wy][i]] < 0:
+                target = wy
+                break
+        if target < 0:
+            best = None
             for wy in way_range:
-                if tags[wy][way_lists[wy][i]] < 0:
+                value = stamps[wy][way_lists[wy][i]]
+                if best is None or value < best:
+                    best = value
                     target = wy
-                    break
-            if target < 0:
-                best = None
-                for wy in way_range:
-                    value = stamp[wy][way_lists[wy][i]]
-                    if best is None or value < best:
-                        best = value
-                        target = wy
-                s = way_lists[target][i]
-                evictions += 1
-                if dirty[target][s]:
-                    writebacks += 1
             s = way_lists[target][i]
-            tags[target][s] = b
-            dirty[target][s] = w and write_back
-            stamp[target][s] = clock
-    finally:
-        policy.kernel_end()
-
-    stats.load_misses += load_misses
-    stats.store_misses += store_misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    return hits_l
+            evictions += 1
+            if dirty[target][s]:
+                writebacks += 1
+        s = way_lists[target][i]
+        tags[target][s] = b
+        dirty[target][s] = w and write_back
+        stamps[target][s] = clock
+    return hits_l, load_misses, store_misses, evictions, writebacks
 
 
-def _skew_random_ways(cache, blocks_l, way_lists, writes_l):
+def _random_ways(cache, blocks_l, way_lists, writes_l):
     policy = cache._vec_policy
     write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
     ways = cache._ways
     way_range = range(ways)
     tags = cache._way_tags
     dirty = cache._way_dirty
-    stats = cache.stats
     picks_l = (splitmix64_array(policy.seed, policy.counter, len(blocks_l))
                % np.uint64(ways)).tolist()
     pe = 0
@@ -444,14 +447,10 @@ def _skew_random_ways(cache, blocks_l, way_lists, writes_l):
         dirty[target][s] = w and write_back
 
     policy.counter += pe
-    stats.load_misses += load_misses
-    stats.store_misses += store_misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    return hits_l
+    return hits_l, load_misses, store_misses, evictions, writebacks
 
 
-def _skew_plru_ways(cache, blocks_l, way_lists, writes_l):
+def _plru_ways(cache, blocks_l, way_lists, writes_l):
     policy = cache._vec_policy
     write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
     ways = cache._ways
@@ -459,7 +458,6 @@ def _skew_plru_ways(cache, blocks_l, way_lists, writes_l):
     tags = cache._way_tags
     dirty = cache._way_dirty
     clock = cache._clock
-    stats = cache.stats
     touch = plru_touch
     pick = plru_victim
     tree = ways >= 2
@@ -467,73 +465,64 @@ def _skew_plru_ways(cache, blocks_l, way_lists, writes_l):
     ha = hits_l.append
     load_misses = store_misses = evictions = writebacks = 0
 
-    policy.kernel_begin()
-    try:
-        bits_l = policy.bit_lists
-        stamp = policy.stamp_lists
-        for i, b in enumerate(blocks_l):
-            clock += 1
-            w = writes_l[i]
-            hit_way = -1
-            for wy in way_range:
-                s = way_lists[wy][i]
-                if tags[wy][s] == b:
-                    hit_way = wy
-                    break
-            if hit_way >= 0:
-                ha(True)
-                stamp[hit_way][s] = clock
-                if tree:
-                    touch(bits_l[s], hit_way, ways)
-                if w and write_back:
-                    dirty[hit_way][s] = True
-                continue
-            ha(False)
-            if w:
-                store_misses += 1
-                if not write_back:
-                    continue
-            else:
-                load_misses += 1
-            target = -1
-            for wy in way_range:
-                if tags[wy][way_lists[wy][i]] < 0:
-                    target = wy
-                    break
-            if target < 0:
-                first = way_lists[0][i]
-                shared = True
-                for wy in way_range:
-                    if way_lists[wy][i] != first:
-                        shared = False
-                        break
-                if shared:
-                    target = pick(bits_l[first], ways)
-                else:
-                    best = None
-                    for wy in way_range:
-                        value = stamp[wy][way_lists[wy][i]]
-                        if best is None or value < best:
-                            best = value
-                            target = wy
-                s = way_lists[target][i]
-                evictions += 1
-                if dirty[target][s]:
-                    writebacks += 1
-            s = way_lists[target][i]
-            tags[target][s] = b
-            dirty[target][s] = w and write_back
-            stamp[target][s] = clock
+    bits_l = policy.bit_lists
+    stamp = policy.stamp_lists
+    for i, b in enumerate(blocks_l):
+        clock += 1
+        w = writes_l[i]
+        hit_way = -1
+        for wy in way_range:
+            s = way_lists[wy][i]
+            if tags[wy][s] == b:
+                hit_way = wy
+                break
+        if hit_way >= 0:
+            ha(True)
+            stamp[hit_way][s] = clock
             if tree:
-                touch(bits_l[s], target, ways)
-    finally:
-        policy.kernel_end()
-
-    stats.load_misses += load_misses
-    stats.store_misses += store_misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    return hits_l
+                touch(bits_l[s], hit_way, ways)
+            if w and write_back:
+                dirty[hit_way][s] = True
+            continue
+        ha(False)
+        if w:
+            store_misses += 1
+            if not write_back:
+                continue
+        else:
+            load_misses += 1
+        target = -1
+        for wy in way_range:
+            if tags[wy][way_lists[wy][i]] < 0:
+                target = wy
+                break
+        if target < 0:
+            first = way_lists[0][i]
+            shared = True
+            for wy in way_range:
+                if way_lists[wy][i] != first:
+                    shared = False
+                    break
+            if shared:
+                target = pick(bits_l[first], ways)
+            else:
+                best = None
+                for wy in way_range:
+                    value = stamp[wy][way_lists[wy][i]]
+                    if best is None or value < best:
+                        best = value
+                        target = wy
+            s = way_lists[target][i]
+            evictions += 1
+            if dirty[target][s]:
+                writebacks += 1
+        s = way_lists[target][i]
+        tags[target][s] = b
+        dirty[target][s] = w and write_back
+        stamp[target][s] = clock
+        if tree:
+            touch(bits_l[s], target, ways)
+    return hits_l, load_misses, store_misses, evictions, writebacks
 
 
 # --------------------------------------------------------------------- #

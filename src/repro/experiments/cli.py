@@ -27,14 +27,15 @@ FILE``, ``--trace-chunk``); each value is validated by its option class.
 Bad input (a bad flag value, an unknown program, bad geometry or counts, a
 missing trace file) stops with one ``error:`` line and exit status 2
 before any simulation starts; an error raised while a simulation runs
-keeps its traceback.
+keeps its traceback.  A sweep run with ``--on-error collect`` whose tasks
+failed ends its report with one line per failed task and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import fields
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cache.replacement import REPLACEMENT_POLICIES
 from ..engine import (
@@ -43,6 +44,7 @@ from ..engine import (
     PROFILE_MODES,
     ProfileOptions,
     SweepOptions,
+    TaskFailure,
 )
 from .column_assoc_study import run_column_assoc_study
 from .config import InputError
@@ -245,49 +247,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_experiment(args: argparse.Namespace,
-                    options: Dict[str, object]) -> str:
+def _run_experiment(args: argparse.Namespace, options: Dict[str, object]
+                    ) -> Tuple[str, List[TaskFailure]]:
+    """The sub-command's report and the sweep tasks that failed."""
     if args.experiment == "figure1":
-        return run_figure1(max_stride=args.max_stride, sweeps=args.sweeps,
-                           stride_step=args.stride_step, engine=args.engine,
-                           replacement=args.replacement, **options).render()
+        result = run_figure1(max_stride=args.max_stride, sweeps=args.sweeps,
+                             stride_step=args.stride_step, engine=args.engine,
+                             replacement=args.replacement, **options)
+        return result.render(), result.failures
     if args.experiment == "table2":
         result = run_table2(programs=args.programs or None,
                             instructions=args.instructions,
                             engine=args.engine, **options)
         if args.csv:
             return (result.ipc_table().render_csv()
-                    + "\n" + result.miss_ratio_table().render_csv())
+                    + "\n" + result.miss_ratio_table().render_csv(),
+                    result.failures)
         if not result.programs:
-            return result.render()
+            return result.render(), result.failures
         stds = miss_ratio_std_dev(result)
         return (result.render()
                 + f"\n\nmiss-ratio std-dev: conventional={stds['8K-conv']:.2f} "
-                  f"ipoly={stds['8K-ipoly-noCP']:.2f}")
+                  f"ipoly={stds['8K-ipoly-noCP']:.2f}", result.failures)
     if args.experiment == "table3":
-        return run_table3(instructions=args.instructions, engine=args.engine,
-                          **options).render()
+        result = run_table3(instructions=args.instructions, engine=args.engine,
+                            **options)
+        return result.render(), result.table2.failures
     if args.experiment == "miss-ratio":
         result = run_miss_ratio_study(programs=args.programs or None,
                                       accesses=args.accesses,
                                       engine=args.engine,
                                       replacement=args.replacement, **options)
-        return result.table().render_csv() if args.csv else result.render()
+        return (result.table().render_csv() if args.csv else result.render(),
+                result.failures)
     if args.experiment == "replacement-study":
         result = run_replacement_study(programs=args.programs or None,
                                        accesses=args.accesses,
                                        engine=args.engine, **options)
-        return result.table().render_csv() if args.csv else result.render()
+        return (result.table().render_csv() if args.csv else result.render(),
+                result.failures)
     if args.experiment == "holes":
         result = run_holes_study(l2_sizes=[kb * 1024 for kb in args.l2_kilobytes],
                                  accesses=args.accesses, seed=args.seed,
                                  engine=args.engine)
-        return result.render()
+        return result.render(), []
     if args.experiment == "column-assoc":
-        return run_column_assoc_study(accesses=args.accesses).render()
+        return run_column_assoc_study(accesses=args.accesses).render(), []
     if args.experiment == "critical-path":
-        return run_critical_path_study().render()
+        return run_critical_path_study().render(), []
     raise ValueError(f"unknown experiment {args.experiment!r}")  # pragma: no cover
+
+
+#: Longest task description a failure footer line shows (a task's repr
+#: can carry whole configuration objects).
+_TASK_WIDTH = 60
+
+
+def _failure_footer(failures: List[TaskFailure]) -> str:
+    """One line per failed sweep task: task, error type and attempts."""
+    lines = [f"{len(failures)} sweep task(s) failed:"]
+    for failure in failures:
+        task = failure.task
+        if len(task) > _TASK_WIDTH:
+            task = task[:_TASK_WIDTH - 3] + "..."
+        lines.append(f"  {task}: {failure.error_type} after "
+                     f"{failure.attempts} attempt(s)")
+    return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -296,7 +321,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     A bad option value, or input a driver rejects before simulating
     (:class:`~repro.experiments.config.InputError`: unknown programs, bad
     geometry or counts, a missing trace file), is a one-line usage error
-    with exit status 2.  Errors raised during the simulation propagate.
+    with exit status 2.  Errors raised during the simulation propagate.  A
+    sweep that finished with failed tasks (``--on-error collect``) prints
+    its report, then one footer line per failed task, and returns 1.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -305,10 +332,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:
-        report = _run_experiment(args, options)
+        report, failures = _run_experiment(args, options)
     except InputError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(report)
+    if failures:
+        print("\n" + _failure_footer(failures))
+        return 1
     return 0
 
 

@@ -187,11 +187,35 @@ class TestExecution:
             raise RuntimeError("no program")
 
         monkeypatch.setattr("repro.experiments.table2.build_program", broken)
-        main(["table2", "--instructions", "1000", "--programs", "swim",
-              "--on-error", "collect"])
+        assert main(["table2", "--instructions", "1000", "--programs", "swim",
+                     "--on-error", "collect"]) == 1
         out = capsys.readouterr().out
-        assert "Table 2 (IPC)" in out and "8K-ipoly-CP-pred" in out
-        assert "swim" not in out and "std-dev" not in out
+        report, footer = out.split("\n\n1 sweep task(s) failed:\n")
+        assert "Table 2 (IPC)" in report and "8K-ipoly-CP-pred" in report
+        assert "swim" not in report and "std-dev" not in report
+        assert footer.startswith("  ('swim', 1000,")
+        assert footer.endswith(": RuntimeError after 1 attempt(s)\n")
+        assert footer.count("\n") == 1
+
+    def test_miss_ratio_with_a_failed_program_exits_1(self, monkeypatch,
+                                                       capsys):
+        from repro.experiments import grid
+
+        real = grid.simulate
+
+        def failing_swim(source, *args, **kwargs):
+            if source.name == "swim":
+                raise RuntimeError("injected")
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(grid, "simulate", failing_swim)
+        assert main(["miss-ratio", "--accesses", "2000", "--programs",
+                     "swim", "tomcatv", "--on-error", "collect"]) == 1
+        out = capsys.readouterr().out
+        report, footer = out.split("\n\n1 sweep task(s) failed:\n")
+        assert "tomcatv" in report and "swim" not in report
+        assert footer.startswith("  (ProgramTrace(name='swim'")
+        assert footer.endswith(": RuntimeError after 1 attempt(s)\n")
 
     def test_column_assoc_runs(self, capsys):
         assert main(["column-assoc", "--accesses", "4000"]) == 0

@@ -238,19 +238,19 @@ def test_victim_cache_with_skewed_main_and_stores(policy):
 
 
 # --------------------------------------------------------------------- #
-# set-decomposed kernels vs the retained generic kernel
+# conventional non-LRU kernels vs the retained generic kernel
 # --------------------------------------------------------------------- #
 
-#: The non-LRU policies served by the set-decomposed kernel layer.
+#: The non-LRU policies served by the specialised kernels.
 DECOMPOSED_POLICIES = ("fifo", "random", "plru")
 
-#: Non-skewed schemes (the decomposition precondition).
+#: Non-skewed schemes (the set-decomposition precondition).
 NON_SKEWED_SCHEMES = ("a2", "a2-Hp")
 
 
 def run_via_generic_kernel(batch_cache, trace):
     """Replay a trace through the retained generic policy kernel directly,
-    bypassing the set-decomposed dispatch — the differential reference."""
+    bypassing the dispatcher — the differential reference."""
     batch = batch_of(trace)
     blocks = batch.block_numbers(batch_cache.block_size)
     return batch_cache._run_policy_kernel(blocks, batch.is_write)
@@ -271,45 +271,51 @@ def assert_policy_state_equal(left, right):
 @pytest.mark.parametrize("trace_name", POLICY_TRACES)
 @pytest.mark.parametrize("scheme", NON_SKEWED_SCHEMES)
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
-class TestSetDecomposedVsGenericKernel:
-    """The set-decomposed kernels and the generic kernel are interchangeable:
+@pytest.mark.parametrize("ways, route", [(2, "trace-order"),
+                                         (4, "set-decomposed")])
+class TestConventionalKernelsVsGenericKernel:
+    """On a conventional cache the dispatched kernel (trace-order at two
+    ways, set-decomposed above) and the generic kernel are interchangeable:
     same hits, same stats, same resident blocks — and the same policy state
     tables afterwards, so either kernel can continue the other's cache."""
 
-    def test_write_through(self, policy, scheme, trace_name):
+    def test_write_through(self, ways, route, policy, scheme, trace_name):
         trace = list(TRACES[trace_name]())
-        _, decomposed = build_pair(scheme, replacement=policy)
-        _, generic = build_pair(scheme, replacement=policy)
-        dec_hits = decomposed.run(batch_of(trace))
+        _, dispatched = build_pair(scheme, ways=ways, replacement=policy)
+        _, generic = build_pair(scheme, ways=ways, replacement=policy)
+        assert dispatched.dispatch_strategy(
+            batch_of(trace)) == f"{route}-{policy}"
+        dec_hits = dispatched.run(batch_of(trace))
         gen_hits = run_via_generic_kernel(generic, trace)
         np.testing.assert_array_equal(dec_hits, gen_hits)
-        assert stats_snapshot(decomposed.stats) == stats_snapshot(generic.stats)
-        assert sorted(decomposed.resident_blocks()) == sorted(
+        assert stats_snapshot(dispatched.stats) == stats_snapshot(generic.stats)
+        assert sorted(dispatched.resident_blocks()) == sorted(
             generic.resident_blocks())
-        assert_policy_state_equal(decomposed, generic)
+        assert_policy_state_equal(dispatched, generic)
 
-    def test_write_back(self, policy, scheme, trace_name):
+    def test_write_back(self, ways, route, policy, scheme, trace_name):
         trace = list(TRACES[trace_name]())
-        _, decomposed = build_pair(
-            scheme, replacement=policy,
+        _, dispatched = build_pair(
+            scheme, ways=ways, replacement=policy,
             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
         _, generic = build_pair(
-            scheme, replacement=policy,
+            scheme, ways=ways, replacement=policy,
             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        dec_hits = decomposed.run(batch_of(trace))
+        dec_hits = dispatched.run(batch_of(trace))
         gen_hits = run_via_generic_kernel(generic, trace)
         np.testing.assert_array_equal(dec_hits, gen_hits)
-        assert stats_snapshot(decomposed.stats) == stats_snapshot(generic.stats)
-        assert decomposed.stats.writebacks == generic.stats.writebacks
-        assert sorted(decomposed.resident_blocks()) == sorted(
+        assert stats_snapshot(dispatched.stats) == stats_snapshot(generic.stats)
+        assert dispatched.stats.writebacks == generic.stats.writebacks
+        assert sorted(dispatched.resident_blocks()) == sorted(
             generic.resident_blocks())
-        assert_policy_state_equal(decomposed, generic)
+        assert_policy_state_equal(dispatched, generic)
 
-    def test_kernel_handoff_mid_stream(self, policy, scheme, trace_name):
-        """A batch run by the generic kernel, then one by the decomposed
+    def test_kernel_handoff_mid_stream(self, ways, route, policy, scheme,
+                                       trace_name):
+        """A batch run by the generic kernel, then one by the dispatched
         kernel, continues bit-exactly from the shared state tables."""
         scalar, batch = build_pair(
-            scheme, replacement=policy,
+            scheme, ways=ways, replacement=policy,
             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
         trace = list(TRACES[trace_name]())
         cut = len(trace) // 2
@@ -317,7 +323,7 @@ class TestSetDecomposedVsGenericKernel:
         ref_hits = scalar_hit_sequence(scalar, trace)
         vec_hits = np.concatenate([
             run_via_generic_kernel(batch, first),
-            batch.run(batch_of(second)),      # decomposed continues
+            batch.run(batch_of(second)),      # dispatched kernel continues
         ])
         np.testing.assert_array_equal(ref_hits, vec_hits)
         assert stats_snapshot(scalar.stats) == stats_snapshot(batch.stats)
@@ -326,7 +332,7 @@ class TestSetDecomposedVsGenericKernel:
 
 
 # --------------------------------------------------------------------- #
-# skew-decomposed kernels vs the generic kernel vs the scalar engine
+# skewed trace-order kernels vs the generic kernel vs the scalar engine
 # --------------------------------------------------------------------- #
 
 def build_three_way_skewed_pair(replacement,
@@ -384,8 +390,8 @@ def assert_victim_matches_scalar(scalar, batch_cache):
 
 @pytest.mark.parametrize("trace_name", POLICY_TRACES)
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
-class TestSkewDecomposedVsGenericKernel:
-    """The skew-decomposed kernels, the retained generic kernel and the
+class TestSkewedTraceOrderVsGenericKernel:
+    """The trace-order kernels, the retained generic kernel and the
     scalar engine agree on skewed placement: same hits, same stats, same
     resident blocks — and the same policy state tables afterwards, so any
     kernel can continue any other's cache."""
@@ -424,7 +430,7 @@ class TestSkewDecomposedVsGenericKernel:
 
     def test_skewed_kernel_handoff_mid_stream(self, policy, trace_name):
         """First batch through the generic kernel, second through the
-        skew-decomposed kernel: the shared state tables round-trip and the
+        trace-order kernel: the shared state tables round-trip and the
         combined run stays bit-exact with one scalar pass (and leaves the
         same tables as an all-generic cache)."""
         scalar, handoff = build_pair(
@@ -439,7 +445,7 @@ class TestSkewDecomposedVsGenericKernel:
         ref_hits = scalar_hit_sequence(scalar, trace)
         vec_hits = np.concatenate([
             run_via_generic_kernel(handoff, first),
-            handoff.run(batch_of(second)),    # skew-decomposed continues
+            handoff.run(batch_of(second)),    # trace-order continues
         ])
         run_via_generic_kernel(generic, first)
         run_via_generic_kernel(generic, second)
@@ -507,94 +513,106 @@ class TestVictimDecomposedVsGenericKernel:
         assert_victim_state_equal(handoff, generic)
 
 
-def test_lru_skewed_two_way_vs_generic_ways_kernel():
-    """The dedicated 2-way skewed LRU kernel and the generic-ways skewed
-    LRU kernel are interchangeable on the same cache type."""
+@pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+def test_two_way_trace_order_vs_any_ways_kernel(policy, monkeypatch):
+    """The two-way trace-order kernels and their any-ways counterparts are
+    interchangeable on a 2-way skewed cache — LRU and FIFO through the one
+    stamp kernel pair — down to tags, dirty bits, LRU stamps and the policy
+    state tables."""
+    from repro.engine import skew_decompose
+
     trace = list(random_accesses(5000, 64 * 1024, write_fraction=0.3,
                                  seed=41))
-    scalar, two_way = build_pair("a2-Hp-Sk",
+    scalar, two_way = build_pair("a2-Hp-Sk", replacement=policy,
                                  write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-    _, generic_ways = build_pair("a2-Hp-Sk",
-                                 write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-    batch = batch_of(trace)
+    _, any_ways = build_pair("a2-Hp-Sk", replacement=policy,
+                             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
     ref_hits = scalar_hit_sequence(scalar, trace)
-    two_hits = two_way.run(batch)
-    gen_hits = generic_ways._run_skewed_kernel_generic(
-        batch.block_numbers(generic_ways.block_size), batch.is_write)
+    two_hits = two_way.run(batch_of(trace))
+    for kernel in ("_stamp", "_random", "_plru"):
+        monkeypatch.setattr(skew_decompose, f"{kernel}_2way",
+                            getattr(skew_decompose, f"{kernel}_ways"))
+    any_hits = any_ways.run(batch_of(trace))
     np.testing.assert_array_equal(ref_hits, two_hits)
-    np.testing.assert_array_equal(two_hits, gen_hits)
-    assert stats_snapshot(two_way.stats) == stats_snapshot(generic_ways.stats)
-    assert two_way._way_tags == generic_ways._way_tags
-    assert two_way._way_used == generic_ways._way_used
+    np.testing.assert_array_equal(two_hits, any_hits)
+    assert stats_snapshot(two_way.stats) == stats_snapshot(any_ways.stats)
+    assert two_way._way_tags == any_ways._way_tags
+    assert two_way._way_dirty == any_ways._way_dirty
+    assert two_way._way_used == any_ways._way_used
+    if policy != "lru":
+        assert_policy_state_equal(two_way, any_ways)
 
 
 # --------------------------------------------------------------------- #
 # dispatcher introspection: every (kernel, policy, organisation) path
 # --------------------------------------------------------------------- #
 
-def test_dispatch_strategy_covers_every_kernel_path():
-    """`dispatch_strategy` names the kernel `run` executes, for every
-    (organisation, policy, batch) combination the dispatcher distinguishes —
-    and the strategy-for-strategy behaviour matches the scalar engine."""
-    loads = list(strided_vector(17, elements=64, sweeps=2))
+#: Expected route per (placement, ways) without the 3C classifier:
+#: (LRU kernel, non-LRU kernel family).  A skewed index needs at least one
+#: index bit, so fully-associative caches are conventional only.
+DISPATCH_ROUTES = {
+    ("a2", 1): ("lru-dict", "trace-order"),
+    ("a2", 2): ("lru-dict", "trace-order"),
+    ("a2", 4): ("lru-dict", "set-decomposed"),
+    ("a2", "full"): ("lru-dict", "set-decomposed"),
+    ("a2-Hp-Sk", 1): ("trace-order-lru", "trace-order"),
+    ("a2-Hp-Sk", 2): ("trace-order-lru", "trace-order"),
+    ("a2-Hp-Sk", 4): ("trace-order-lru", "trace-order"),
+}
+
+
+@pytest.mark.parametrize("classify", [False, True])
+@pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+@pytest.mark.parametrize("scheme, ways", sorted(DISPATCH_ROUTES, key=str))
+def test_dispatch_strategy_covers_every_kernel_path(scheme, ways, policy,
+                                                    classify):
+    """`dispatch_strategy` names the kernel `run` executes for every cell of
+    placement x ways x policy x classifier, and every cell matches the
+    scalar engine — stats, 3C miss kinds and residency included."""
     mixed = list(random_accesses(2000, 32 * 1024, write_fraction=0.3))
-
-    expectations = []
-    for policy in ("fifo", "random", "plru"):
-        expectations.append(
-            (build_pair("a2", replacement=policy), mixed,
-             f"set-decomposed-{policy}"))
-        expectations.append(
-            (build_pair("a2-Hp-Sk", replacement=policy), mixed,
-             f"skew-decomposed-{policy}"))
-        expectations.append(
-            (build_pair("a2", replacement=policy, classify=True), mixed,
-             "generic-policy-kernel"))
-        expectations.append(
-            (build_pair("a2-Hp-Sk", ways=4, replacement=policy), mixed,
-             f"skew-decomposed-{policy}"))
-    expectations.append((build_pair("a2"), loads, "lru-run-collapse"))
-    expectations.append((build_pair("a2"), mixed, "lru-dict"))
-    expectations.append((build_pair("a2-Hp-Sk"), mixed, "lru-skewed-2way"))
-    expectations.append(
-        (build_pair("a2-Hp-Sk", ways=4), mixed, "lru-skewed-generic"))
-
-    for (scalar, batch_cache), trace, expected in expectations:
-        batch = batch_of(trace)
-        assert batch_cache.dispatch_strategy(batch) == expected
-        assert_equivalent(scalar, batch_cache, trace)
-
-    for ways, policy, expected in [
-        (1, "lru", "victim-decomposed-lru"),
-        (1, "fifo", "victim-decomposed-fifo"),
-        (2, "random", "victim-decomposed-random"),
-        (2, "plru", "victim-decomposed-plru"),
-        (4, "lru", "victim-generic-kernel"),
-    ]:
-        scalar, batch_cache = build_victim_pair(ways, policy)
-        batch = batch_of(mixed)
-        assert batch_cache.dispatch_strategy(batch) == expected
-        ref_hits = scalar_hit_sequence(scalar, mixed)
-        vec_hits = batch_cache.run(batch)
-        np.testing.assert_array_equal(ref_hits, vec_hits)
-        assert_victim_matches_scalar(scalar, batch_cache)
+    lru_route, policy_route = DISPATCH_ROUTES[(scheme, ways)]
+    if policy == "lru":
+        expected = lru_route
+    elif classify:
+        expected = "generic-policy-kernel"
+    else:
+        expected = f"{policy_route}-{policy}"
+    if ways == "full":
+        ways, size = 64, 2048
+    else:
+        size = 8192
+    scalar, batch_cache = build_pair(
+        scheme, ways=ways, size=size, replacement=policy, classify=classify,
+        write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
+    assert batch_cache.dispatch_strategy(batch_of(mixed)) == expected
+    assert_equivalent(scalar, batch_cache, mixed)
 
 
-def test_lru_run_collapse_is_batch_dependent():
-    """The run-collapse fast path is only chosen for cold load-only
-    batches; the same cache reports the dict kernel once warmed."""
-    _, batch_cache = build_pair("a2")
-    loads = batch_of(list(strided_vector(17, elements=64, sweeps=2)))
-    assert batch_cache.dispatch_strategy(loads) == "lru-run-collapse"
-    batch_cache.run(loads)
-    assert batch_cache.dispatch_strategy(loads) == "lru-dict"
+@pytest.mark.parametrize("ways, policy, expected", [
+    (1, "lru", "victim-decomposed-lru"),
+    (1, "fifo", "victim-decomposed-fifo"),
+    (2, "random", "victim-decomposed-random"),
+    (2, "plru", "victim-decomposed-plru"),
+    (4, "lru", "victim-generic-kernel"),
+])
+def test_victim_dispatch_strategy(ways, policy, expected):
+    """The victim cache's dispatcher names the kernel it runs, and that
+    kernel matches the scalar model."""
+    mixed = list(random_accesses(2000, 32 * 1024, write_fraction=0.3))
+    scalar, batch_cache = build_victim_pair(ways, policy)
+    batch = batch_of(mixed)
+    assert batch_cache.dispatch_strategy(batch) == expected
+    ref_hits = scalar_hit_sequence(scalar, mixed)
+    vec_hits = batch_cache.run(batch)
+    np.testing.assert_array_equal(ref_hits, vec_hits)
+    assert_victim_matches_scalar(scalar, batch_cache)
 
 
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
 def test_decomposed_dispatch_conditions(policy, monkeypatch):
-    """Non-skewed, classifier-free, non-LRU caches route through the
-    set-decomposed layer; skewed and classifying caches keep the generic
-    kernel."""
+    """Conventional, classifier-free, non-LRU caches wider than two ways
+    route through the set-decomposed layer; two-way, skewed and
+    classifying caches do not."""
     from repro.engine import batch_cache as batch_cache_module
 
     calls = []
@@ -607,15 +625,20 @@ def test_decomposed_dispatch_conditions(policy, monkeypatch):
     monkeypatch.setattr(batch_cache_module, "run_decomposed_policy", counting)
     trace = list(TRACES["random"]())
 
-    _, plain = build_pair("a2", replacement=policy)
+    _, plain = build_pair("a2", ways=4, replacement=policy)
     plain.run(batch_of(trace))
     assert calls == ["a2"]
 
-    _, skewed = build_pair("a2-Hp-Sk", replacement=policy)
-    skewed.run(batch_of(trace))
-    assert calls == ["a2"]  # skewed stayed on the generic kernel
+    _, two_way = build_pair("a2", replacement=policy)
+    two_way.run(batch_of(trace))
+    assert calls == ["a2"]  # two ways run the trace-order kernel
 
-    _, classifying = build_pair("a2", replacement=policy, classify=True)
+    _, skewed = build_pair("a2-Hp-Sk", ways=4, replacement=policy)
+    skewed.run(batch_of(trace))
+    assert calls == ["a2"]  # skewed runs the trace-order kernel
+
+    _, classifying = build_pair("a2", ways=4, replacement=policy,
+                                classify=True)
     classifying.run(batch_of(trace))
     assert calls == ["a2"]  # classifier forces global-order generic kernel
 

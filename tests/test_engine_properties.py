@@ -167,9 +167,10 @@ def test_batch_cache_matches_scalar_on_random_traces(
     write_back=st.booleans(),
     replacement=st.sampled_from(["fifo", "random", "plru"]),
 )
-def test_set_decomposed_matches_generic_kernel_on_random_traces(
+def test_conventional_policy_kernels_match_generic_kernel_on_random_traces(
         addresses, writes, m, ways, scheme, write_back, replacement):
-    """The set-decomposed kernels and the retained generic kernel agree on
+    """The conventional non-LRU kernels (trace-order up to two ways,
+    set-decomposed above) and the retained generic kernel agree on
     arbitrary random traces — hits, stats, residency AND the policy state
     tables they leave behind."""
     num_sets = 1 << m
@@ -231,11 +232,11 @@ def skewed_ipoly_configs(draw):
     write_back=st.booleans(),
     replacement=st.sampled_from(["fifo", "random", "plru"]),
 )
-def test_skew_decomposed_three_path_agreement_on_random_polynomials(
+def test_trace_order_three_path_agreement_on_random_polynomials(
         addresses, writes, config, write_back, replacement):
     """Random mixed load/store batches over random GF(2) polynomial index
     functions agree bit-exactly across all three paths — the scalar engine,
-    the skew-decomposed kernels and the retained generic kernel — with the
+    the trace-order kernels and the retained generic kernel — with the
     policy state tables compared after every batch."""
     m, ways, address_bits, polys = config
     num_sets = 1 << m
@@ -261,7 +262,7 @@ def test_skew_decomposed_three_path_agreement_on_random_polynomials(
     decomposed = build_batch_cache()
     generic = build_batch_cache()
     assert decomposed.dispatch_strategy(
-        AddressBatch.from_arrays([0])) == f"skew-decomposed-{replacement}"
+        AddressBatch.from_arrays([0])) == f"trace-order-{replacement}"
 
     cut = len(addresses) // 2
     for lo, hi in ((0, cut), (cut, len(addresses))):

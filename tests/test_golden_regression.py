@@ -56,8 +56,9 @@ def test_miss_ratio_study_matches_golden(engine):
 
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_fifo_figure1_matches_golden(engine):
-    """FIFO stride sweep: pins the set-decomposed FIFO kernel (vectorized)
-    and the scalar FIFO policy (reference) to one committed snapshot."""
+    """FIFO stride sweep: pins the trace-order FIFO kernel on the
+    conventional two-way cache (vectorized) and the scalar FIFO policy
+    (reference) to one committed snapshot."""
     golden = load_golden("figure1_fifo.json")
     params = golden["params"]
     result = run_figure1(max_stride=params["max_stride"],
@@ -71,8 +72,9 @@ def test_fifo_figure1_matches_golden(engine):
 
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_plru_miss_ratio_study_matches_golden(engine):
-    """PLRU miss-ratio study: pins the set-decomposed PLRU kernel across
-    every study organisation (fully-associative included)."""
+    """PLRU miss-ratio study: pins the PLRU kernels across every study
+    organisation (trace-order at two ways, set-decomposed for the
+    fully-associative cache)."""
     golden = load_golden("miss_ratio_study_plru.json")
     params = golden["params"]
     result = run_miss_ratio_study(programs=params["programs"],
@@ -85,7 +87,7 @@ def test_plru_miss_ratio_study_matches_golden(engine):
 
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_skewed_plru_miss_ratio_matches_golden(engine):
-    """Skewed-placement PLRU miss-ratio study: pins the skew-decomposed
+    """Skewed-placement PLRU miss-ratio study: pins the trace-order
     PLRU kernel (via the skewed-XOR and skewed-I-Poly organisations) so a
     kernel regression fails without the scalar engine in the loop."""
     golden = load_golden("miss_ratio_study_plru_skewed.json")
@@ -101,8 +103,8 @@ def test_skewed_plru_miss_ratio_matches_golden(engine):
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_replacement_study_matches_golden(engine):
     """Replacement study (policy x organisation, victim cache included):
-    pins every decomposed victim kernel and every skew-decomposed kernel to
-    one committed snapshot."""
+    pins every decomposed victim kernel and every trace-order kernel to one
+    committed snapshot."""
     golden = load_golden("replacement_study.json")
     params = golden["params"]
     result = run_replacement_study(programs=params["programs"],

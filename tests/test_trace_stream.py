@@ -105,8 +105,8 @@ def _cache_batch(n=3000, seed=7, cold_loads=256):
     """A locality-bearing batch whose first chunk is load-only and cold.
 
     Small address footprint so the caches see plenty of hits, with a
-    load-only prefix so chunked replay starts on the run-collapse kernel
-    and hands off to the dict kernel mid-stream.
+    load-only prefix so chunked replay starts with store-free chunks and
+    meets the first stores mid-stream.
     """
     rng = np.random.default_rng(seed)
     addresses = (rng.integers(0, 1 << 10, size=n, dtype=np.uint64)
@@ -707,8 +707,8 @@ class TestChunkedReplayBitExact:
         assert _state_tables(mapped) == _state_tables(buffered)
 
     def test_kernel_handoff_mid_stream(self, trace_file):
-        """A cold load-only first chunk runs the run-collapse kernel; the
-        dict kernel takes over when writes appear — bit-exact either way."""
+        """A cold load-only first chunk, then chunks with stores: state
+        carried across the chunk boundaries stays bit-exact with one run."""
         path, batch = trace_file
         one_shot = _set_assoc()
         one_shot.run(batch)
