@@ -7,19 +7,27 @@ accesses/second for both paths.  Besides tracking the speedup, each
 benchmark asserts *bit-exact* :class:`~repro.cache.stats.CacheStats`
 agreement, so the performance claim can never drift away from correctness.
 
-Every row is bounded — no organisation is merely "tracked" any more:
+Every single-level row runs twice — on the compiled kernels
+(:mod:`repro.engine.ckernels`) and on the Python fallback — and records the
+absolute accesses/s of both next to the scalar model's, so neither tier can
+regress behind a slower scalar model.  Every row is bounded on the kernels
+``dispatch_strategy`` picks (the compiled tier wherever a C compiler is
+available):
 
-* the LRU batch paths (``lru-dict`` on conventional placement,
-  ``trace-order-lru`` on skewed placement) must stay >= 10x over scalar on
-  every index family;
-* the trace-order replacement kernels (FIFO, random, PLRU) must stay
-  >= 10x over scalar on the conventional two-way organisation and on
-  skewed I-Poly placement, and the decomposed victim kernels (all four
+* LRU (``compiled-set-assoc-lru``; fallback ``lru-dict`` on conventional
+  placement, ``generic-policy-kernel`` on skewed) must stay >= 10x over
+  scalar on every index family;
+* FIFO, random and PLRU (``compiled-set-assoc-*``; fallback
+  ``generic-policy-kernel``) must stay >= 10x over scalar on the
+  conventional two-way organisation, on skewed I-Poly placement and on a
+  fully-associative 256-way cache, and the victim kernels
+  (``compiled-victim-*``; fallback ``victim-generic-kernel``, all four
   policies) must also stay >= 10x over scalar;
 * the multi-level compositions — the inclusive two-level hierarchy and the
   virtual-real hierarchy with a TLB-fronted page table — must stay >= 10x
   over the per-access scalar protocols (bit-exact per-level CacheStats,
-  hole/back-invalidation counters, page faults and TLB hits/misses).
+  hole/back-invalidation counters, page faults and TLB hits/misses).  They
+  run their own Python loops on either tier.
 
 The trace is built
 through the process-global trace cache, so the vectorized timings include
@@ -45,12 +53,13 @@ with bit-exactness still asserted but the speedup bounds skipped, so CI can
 catch dispatch regressions on every push without flaky wall-clock
 assertions; smoke runs append to the trajectory artifact tagged
 ``"smoke": true`` (the CI smoke job uploads the file as a workflow
-artifact).  Each row records the kernel that served it, straight from
-``dispatch_strategy(batch)``; every run also replays the short trace
-through the routes no timed row reaches (``COVERAGE_CASES``: wide
-conventional caches and the 3C classifier), bit-exact against the scalar
-model, and fails unless the rows and those cases together reach every name
-in ``DISPATCH_NAMES``.  Each run carries a ``sweep`` section
+artifact).  Each row records the kernels that served it on both tiers,
+straight from ``dispatch_strategy(batch)``; every run also replays the
+short trace through the configurations no timed row runs
+(``COVERAGE_CASES``: wide conventional caches and the 3C classifier) on
+both tiers, bit-exact against the scalar model, and fails unless the rows
+and those cases together reach every name in ``DISPATCH_NAMES`` — so a run
+without the compiled kernels fails.  Each run carries a ``sweep`` section
 comparing the profiler against the per-config vectorized path on a
 16-configuration conventional-LRU capacity/associativity grid (bounded at
 >= 5x for full-length runs).  A ``profiler`` section extends the sweep
@@ -64,6 +73,7 @@ artifact path (empty disables it).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -84,6 +94,7 @@ from repro.engine import (
     BatchVictimCache,
     batch_hierarchy_like,
     batch_virtual_real_like,
+    ckernels,
     profile_cache_clear,
     run_lru_grid,
 )
@@ -112,9 +123,9 @@ STRIDE = 67
 #: Minimum vectorized-over-scalar throughput ratio for the LRU fast paths.
 REQUIRED_SPEEDUP = 10.0
 
-#: Minimum ratio for the trace-order replacement kernels on the
-#: conventional two-way organisation and on skewed placement, and for the
-#: decomposed victim kernels (same bar as LRU — the point of these layers).
+#: Minimum ratio for the FIFO/random/PLRU rows (conventional two-way,
+#: skewed and fully-associative placement) and for the victim-cache rows
+#: (same bar as LRU).
 REQUIRED_SPEEDUP_POLICY = 10.0
 
 #: Minimum one-pass-profiler-over-per-config ratio on the conventional-LRU
@@ -199,20 +210,21 @@ BENCH_ENGINE_JSON = os.environ.get("REPRO_BENCH_ENGINE_JSON",
 #: Non-LRU replacement policies benchmarked per organisation kind.
 POLICY_ROWS = ["fifo", "random", "plru"]
 
-#: Every name ``BatchSetAssociativeCache.dispatch_strategy`` can return.
+#: Every name the ``dispatch_strategy`` of ``BatchSetAssociativeCache`` and
+#: ``BatchVictimCache`` can return, on both kernel tiers.
 DISPATCH_NAMES = frozenset(
-    ["lru-dict", "generic-policy-kernel"]
-    + [f"trace-order-{policy}" for policy in ["lru"] + POLICY_ROWS]
-    + [f"set-decomposed-{policy}" for policy in POLICY_ROWS])
+    ["lru-dict", "generic-policy-kernel", "victim-generic-kernel"]
+    + [f"compiled-set-assoc-{policy}" for policy in ["lru"] + POLICY_ROWS]
+    + [f"compiled-victim-{policy}" for policy in ["lru"] + POLICY_ROWS])
 
-#: Conventional ``(ways, replacement, classify_misses)`` cases for the routes
-#: no timed row reaches: the set-decomposed kernels of wide caches and the
-#: generic kernel of a classifying non-LRU cache.  They are coverage, not
-#: throughput claims, so they are checked bit-exact on the
-#: ``SMOKE_ACCESSES`` trace and not timed.  (On the strided trace at 300k
-#: accesses, x86_64, the set-decomposed kernels measured 7.5-12x over the
-#: 4-way scalar model and the classifying generic kernel ~3x: both engines
-#: pay the 3C shadow cache per access.)
+#: Fully-associative rows: the whole 8 KB cache as one 256-way set.
+FULLY_ASSOCIATIVE_WAYS = PAPER_L1_8KB.size_bytes // PAPER_L1_8KB.block_size
+
+#: Conventional ``(ways, replacement, classify_misses)`` configurations no
+#: timed row runs: four-way caches and a classifying non-LRU cache (whose
+#: 3C shadow replays over the compiled kernel's hit mask).  They are
+#: coverage, not throughput claims, so they are checked bit-exact on the
+#: ``SMOKE_ACCESSES`` trace on both tiers and not timed.
 COVERAGE_CASES = ([(4, policy, False) for policy in POLICY_ROWS]
                   + [(2, "fifo", True)])
 
@@ -289,173 +301,181 @@ def _run_scalar(scalar, batch_trace):
         access(address, False)
 
 
-def compare_engines(scheme, accesses=BENCH_ENGINE_ACCESSES, replacement=None):
-    """Time both engines on the same trace; returns a result dict."""
-    trace = _build_trace(accesses)
-    scalar, batch = _make_caches(scheme, replacement=replacement)
-    # The dispatcher's verdict, recorded so the trajectory shows which
-    # kernel produced each row.
-    kernel = batch.dispatch_strategy(trace)
+@contextlib.contextmanager
+def _python_kernels():
+    """Run the batch caches on their Python fallback kernels."""
+    available = ckernels.available
+    ckernels.available = lambda: False
+    try:
+        yield
+    finally:
+        ckernels.available = available
 
-    start = time.perf_counter()
-    _run_scalar(scalar, trace)
-    scalar_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    batch.run(trace)
-    vector_seconds = time.perf_counter() - start
+def _time_tiers(build, trace, check):
+    """Time ``build()``'s batch engine on ``trace`` on the compiled kernels,
+    then on the Python fallback; ``check(engine)`` asserts bit-exactness
+    against the scalar model after each run.  Returns ``[(kernel,
+    seconds), ...]`` per tier."""
+    timings = []
+    for tier in (contextlib.nullcontext, _python_kernels):
+        with tier():
+            engine = build()
+            kernel = engine.dispatch_strategy(trace)
+            start = time.perf_counter()
+            engine.run(trace)
+            seconds = time.perf_counter() - start
+        check(engine)
+        timings.append((kernel, seconds))
+    return timings
 
-    assert _stats_tuple(scalar.stats) == _stats_tuple(batch.stats), (
-        f"CacheStats diverged between engines for {scheme}")
-    n = len(trace)
+
+def _row(scheme, replacement, n, scalar_seconds, timings, miss_ratio):
+    (kernel, seconds), (fallback_kernel, fallback_seconds) = timings
     return {
         "scheme": scheme,
         "replacement": replacement or "lru",
         "kernel": kernel,
+        "fallback_kernel": fallback_kernel,
         "accesses": n,
         "scalar_aps": n / scalar_seconds,
-        "vector_aps": n / vector_seconds,
-        "speedup": scalar_seconds / vector_seconds,
-        "miss_ratio": scalar.stats.miss_ratio,
+        "vector_aps": n / seconds,
+        "fallback_aps": n / fallback_seconds,
+        "speedup": scalar_seconds / seconds,
+        "fallback_speedup": scalar_seconds / fallback_seconds,
+        "miss_ratio": miss_ratio,
     }
 
 
+def _time_scalar(scalar, trace):
+    start = time.perf_counter()
+    _run_scalar(scalar, trace)
+    return time.perf_counter() - start
+
+
+def compare_engines(scheme, accesses=BENCH_ENGINE_ACCESSES, replacement=None,
+                    ways=PAPER_L1_8KB.ways, label=None):
+    """Time the scalar model and both batch tiers on the same trace."""
+    trace = _build_trace(accesses)
+    scalar, _ = _make_caches(scheme, replacement=replacement, ways=ways)
+    scalar_seconds = _time_scalar(scalar, trace)
+
+    def check(batch):
+        assert _stats_tuple(scalar.stats) == _stats_tuple(batch.stats), (
+            f"CacheStats diverged between engines for {scheme}")
+
+    timings = _time_tiers(
+        lambda: _make_caches(scheme, replacement=replacement, ways=ways)[1],
+        trace, check)
+    return _row(label or scheme, replacement, len(trace), scalar_seconds,
+                timings, scalar.stats.miss_ratio)
+
+
 def compare_victim_kernel(accesses=BENCH_ENGINE_ACCESSES, replacement=None):
-    """Time the scalar victim cache against the BatchVictimCache kernel."""
+    """Time the scalar victim cache against both BatchVictimCache tiers."""
     trace = _build_trace(accesses)
     geometry = PAPER_L1_8KB
     scalar = VictimCache(geometry.size_bytes, geometry.block_size,
                          ways=1, victim_entries=8, replacement=replacement)
-    batch = BatchVictimCache(geometry.size_bytes, geometry.block_size,
-                             ways=1, victim_entries=8,
-                             replacement=replacement)
-    kernel = batch.dispatch_strategy(trace)
+    scalar_seconds = _time_scalar(scalar, trace)
 
-    start = time.perf_counter()
-    access = scalar.access
-    for address in trace.addresses.tolist():
-        access(address, False)
-    scalar_seconds = time.perf_counter() - start
+    def check(batch):
+        assert scalar.stats.load_misses == batch.stats.load_misses, (
+            "victim-cache kernels diverged")
+        assert scalar.victim_hits == batch.victim_hits
+        assert scalar.main_hits == batch.main_hits
 
-    start = time.perf_counter()
-    batch.run(trace)
-    vector_seconds = time.perf_counter() - start
-
-    assert scalar.stats.load_misses == batch.stats.load_misses, (
-        "victim-cache kernels diverged")
-    assert scalar.victim_hits == batch.victim_hits
-    assert scalar.main_hits == batch.main_hits
-    n = len(trace)
-    return {
-        "scheme": "victim-direct+8",
-        "replacement": replacement or "lru",
-        "kernel": kernel,
-        "accesses": n,
-        "scalar_aps": n / scalar_seconds,
-        "vector_aps": n / vector_seconds,
-        "speedup": scalar_seconds / vector_seconds,
-        "miss_ratio": scalar.stats.miss_ratio,
-    }
+    timings = _time_tiers(
+        lambda: BatchVictimCache(geometry.size_bytes, geometry.block_size,
+                                 ways=1, victim_entries=8,
+                                 replacement=replacement),
+        trace, check)
+    return _row("victim-direct+8", replacement, len(trace), scalar_seconds,
+                timings, scalar.stats.miss_ratio)
 
 
 def compare_hierarchy_engines(accesses=BENCH_ENGINE_ACCESSES):
     """Time the inclusive two-level hierarchy on both engines."""
     trace = _build_trace(accesses)
     scalar = TwoLevelHierarchy(*_make_hierarchy_caches())
-    batch = batch_hierarchy_like(scalar)
-    kernel = batch.dispatch_strategy(trace)
+    scalar_seconds = _time_scalar(scalar, trace)
 
-    start = time.perf_counter()
-    access = scalar.access
-    for address in trace.addresses.tolist():
-        access(address, False)
-    scalar_seconds = time.perf_counter() - start
+    def check(batch):
+        assert _stats_tuple(scalar.l1.stats) == _stats_tuple(
+            batch.l1.stats), "L1 CacheStats diverged between hierarchy engines"
+        assert _stats_tuple(scalar.l2.stats) == _stats_tuple(
+            batch.l2.stats), "L2 CacheStats diverged between hierarchy engines"
+        assert (scalar.holes_created, scalar.l2_misses_causing_holes,
+                scalar.back_invalidations) == (
+                batch.holes_created, batch.l2_misses_causing_holes,
+                batch.back_invalidations), (
+            "hole accounting diverged between hierarchy engines")
 
-    start = time.perf_counter()
-    batch.run(trace)
-    vector_seconds = time.perf_counter() - start
-
-    assert _stats_tuple(scalar.l1.stats) == _stats_tuple(batch.l1.stats), (
-        "L1 CacheStats diverged between hierarchy engines")
-    assert _stats_tuple(scalar.l2.stats) == _stats_tuple(batch.l2.stats), (
-        "L2 CacheStats diverged between hierarchy engines")
-    assert (scalar.holes_created, scalar.l2_misses_causing_holes,
-            scalar.back_invalidations) == (
-            batch.holes_created, batch.l2_misses_causing_holes,
-            batch.back_invalidations), (
-        "hole accounting diverged between hierarchy engines")
-    n = len(trace)
-    return {
-        "scheme": "hierarchy-16K/1M",
-        "replacement": "lru",
-        "kernel": kernel,
-        "accesses": n,
-        "scalar_aps": n / scalar_seconds,
-        "vector_aps": n / vector_seconds,
-        "speedup": scalar_seconds / vector_seconds,
-        "miss_ratio": scalar.l1.stats.miss_ratio,
-    }
+    timings = _time_tiers(
+        lambda: batch_hierarchy_like(
+            TwoLevelHierarchy(*_make_hierarchy_caches())), trace, check)
+    return _row("hierarchy-16K/1M", "lru", len(trace), scalar_seconds,
+                timings, scalar.l1.stats.miss_ratio)
 
 
 def compare_virtual_real_engines(accesses=BENCH_ENGINE_ACCESSES):
     """Time the virtual-real hierarchy (TLB-fronted) on both engines."""
     trace = _build_trace(accesses)
-    scalar, table, tlb, batch, twin_table, twin_tlb = _make_vr_pair()
-    kernel = batch.dispatch_strategy(trace)
+    scalar, table, tlb, *_ = _make_vr_pair()
+    scalar_seconds = _time_scalar(scalar, trace)
+    twins = {}
 
-    start = time.perf_counter()
-    access = scalar.access
-    for address in trace.addresses.tolist():
-        access(address, False)
-    scalar_seconds = time.perf_counter() - start
+    def build():
+        *_, batch, twins["table"], twins["tlb"] = _make_vr_pair()
+        return batch
 
-    start = time.perf_counter()
-    batch.run(trace)
-    vector_seconds = time.perf_counter() - start
+    def check(batch):
+        assert _stats_tuple(scalar.l1.stats) == _stats_tuple(
+            batch.l1.stats), (
+            "L1 CacheStats diverged between virtual-real engines")
+        assert _stats_tuple(scalar.l2.stats) == _stats_tuple(
+            batch.l2.stats), (
+            "L2 CacheStats diverged between virtual-real engines")
+        assert (scalar.holes_created, scalar.l2_misses_causing_holes,
+                scalar.alias_invalidations) == (
+                batch.holes_created, batch.l2_misses_causing_holes,
+                batch.alias_invalidations), (
+            "hole accounting diverged between virtual-real engines")
+        assert table.page_faults == twins["table"].page_faults, (
+            "page-fault counts diverged between virtual-real engines")
+        assert (tlb.hits, tlb.misses) == (
+            twins["tlb"].hits, twins["tlb"].misses), (
+            "TLB counters diverged between virtual-real engines")
 
-    assert _stats_tuple(scalar.l1.stats) == _stats_tuple(batch.l1.stats), (
-        "L1 CacheStats diverged between virtual-real engines")
-    assert _stats_tuple(scalar.l2.stats) == _stats_tuple(batch.l2.stats), (
-        "L2 CacheStats diverged between virtual-real engines")
-    assert (scalar.holes_created, scalar.l2_misses_causing_holes,
-            scalar.alias_invalidations) == (
-            batch.holes_created, batch.l2_misses_causing_holes,
-            batch.alias_invalidations), (
-        "hole accounting diverged between virtual-real engines")
-    assert table.page_faults == twin_table.page_faults, (
-        "page-fault counts diverged between virtual-real engines")
-    assert (tlb.hits, tlb.misses) == (twin_tlb.hits, twin_tlb.misses), (
-        "TLB counters diverged between virtual-real engines")
-    n = len(trace)
-    return {
-        "scheme": "virtual-real-16K/1M",
-        "replacement": "lru",
-        "kernel": kernel,
-        "accesses": n,
-        "scalar_aps": n / scalar_seconds,
-        "vector_aps": n / vector_seconds,
-        "speedup": scalar_seconds / vector_seconds,
-        "miss_ratio": scalar.l1.stats.miss_ratio,
-    }
+    timings = _time_tiers(build, trace, check)
+    return _row("virtual-real-16K/1M", "lru", len(trace), scalar_seconds,
+                timings, scalar.l1.stats.miss_ratio)
 
 
 def check_dispatch_coverage(rows):
     """Replay the smoke-length trace through every ``COVERAGE_CASES``
-    route, bit-exact against the scalar model; returns the kernels they
-    ran.  Fails unless ``rows`` and those kernels reach every name in
-    ``DISPATCH_NAMES``."""
+    configuration on both kernel tiers, bit-exact against the scalar model;
+    returns the kernels they ran.  Fails unless ``rows`` and those kernels
+    reach every name in ``DISPATCH_NAMES``."""
     trace = _build_trace(SMOKE_ACCESSES)
     covered = []
     for ways, replacement, classify in COVERAGE_CASES:
-        scalar, batch = _make_caches("a2", replacement, ways=ways,
-                                     classify=classify)
-        kernel = batch.dispatch_strategy(trace)
+        scalar, _ = _make_caches("a2", replacement, ways=ways,
+                                 classify=classify)
         _run_scalar(scalar, trace)
-        batch.run(trace)
-        assert _stats_tuple(scalar.stats) == _stats_tuple(batch.stats), (
-            f"CacheStats diverged between engines on {kernel}")
-        covered.append(kernel)
-    missing = DISPATCH_NAMES - {row["kernel"] for row in rows} - set(covered)
+
+        def check(batch):
+            assert _stats_tuple(scalar.stats) == _stats_tuple(batch.stats), (
+                f"CacheStats diverged between engines on "
+                f"{batch.dispatch_strategy(trace)}")
+
+        timings = _time_tiers(
+            lambda: _make_caches("a2", replacement, ways=ways,
+                                 classify=classify)[1], trace, check)
+        covered.extend(kernel for kernel, _ in timings)
+    reached = {row[key] for row in rows for key in ("kernel",
+                                                    "fallback_kernel")}
+    missing = DISPATCH_NAMES - reached - set(covered)
     assert not missing, f"no bench row reaches {sorted(missing)}"
     return covered
 
@@ -872,7 +892,7 @@ def test_engine_throughput(benchmark, scheme):
 @pytest.mark.benchmark(group="engine-policy")
 @pytest.mark.parametrize("policy", POLICY_ROWS)
 def test_policy_kernel_throughput(benchmark, policy):
-    """Conventional two-way trace-order kernels hold the LRU paths' bar."""
+    """Conventional two-way policy kernels hold the LRU paths' bar."""
     trace = _build_trace(BENCH_ENGINE_ACCESSES)
     scalar, batch = _make_caches("a2", replacement=policy)
 
@@ -896,14 +916,14 @@ def test_policy_kernel_throughput(benchmark, policy):
           f"({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
         assert speedup >= REQUIRED_SPEEDUP_POLICY, (
-            f"a2/{policy}: trace-order kernel only {speedup:.1f}x over "
+            f"a2/{policy}: batch kernel only {speedup:.1f}x over "
             f"scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
 
 
 @pytest.mark.benchmark(group="engine-skew-policy")
 @pytest.mark.parametrize("policy", POLICY_ROWS)
 def test_skew_policy_kernel_throughput(benchmark, policy):
-    """Trace-order kernels hold the same bar on skewed placement."""
+    """Policy kernels hold the same bar on skewed placement."""
     trace = _build_trace(BENCH_ENGINE_ACCESSES)
     scalar, batch = _make_caches("a2-Hp-Sk", replacement=policy)
 
@@ -927,7 +947,7 @@ def test_skew_policy_kernel_throughput(benchmark, policy):
           f"({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
         assert speedup >= REQUIRED_SPEEDUP_POLICY, (
-            f"a2-Hp-Sk/{policy}: trace-order kernel only {speedup:.1f}x "
+            f"a2-Hp-Sk/{policy}: batch kernel only {speedup:.1f}x "
             f"over scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
 
 
@@ -935,7 +955,7 @@ def test_skew_policy_kernel_throughput(benchmark, policy):
 @pytest.mark.parametrize("policy", [None] + POLICY_ROWS,
                          ids=["lru"] + POLICY_ROWS)
 def test_victim_kernel_throughput(benchmark, policy):
-    """Decomposed victim kernels hold the same bar for every policy."""
+    """Victim kernels hold the same bar for every policy."""
     trace = _build_trace(BENCH_ENGINE_ACCESSES)
     geometry = PAPER_L1_8KB
     scalar = VictimCache(geometry.size_bytes, geometry.block_size,
@@ -967,7 +987,7 @@ def test_victim_kernel_throughput(benchmark, policy):
           f"({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
         assert speedup >= REQUIRED_SPEEDUP_POLICY, (
-            f"victim/{label}: decomposed victim kernel only {speedup:.1f}x "
+            f"victim/{label}: victim kernel only {speedup:.1f}x "
             f"over scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
 
 
@@ -1058,16 +1078,19 @@ def main(argv=None):
     print(f"strided trace: {ELEMENTS} elements, stride {STRIDE}, "
           f"{accesses:,} accesses, {PAPER_L1_8KB.label} cache"
           + (" [smoke]" if args.smoke else "") + "\n")
-    header = (f"{'scheme':16s} {'repl':6s} {'kernel':24s} "
-              f"{'scalar acc/s':>14s} {'vector acc/s':>14s} "
-              f"{'speedup':>8s} {'miss%':>7s}")
+    header = (f"{'scheme':19s} {'repl':6s} {'kernel':25s} "
+              f"{'scalar acc/s':>13s} {'vector acc/s':>13s} "
+              f"{'speedup':>8s}  {'fallback kernel':22s} "
+              f"{'acc/s':>11s} {'speedup':>8s} {'miss%':>7s}")
     print(header)
     print("-" * len(header))
 
     def show(row):
-        print(f"{row['scheme']:16s} {row['replacement']:6s} "
-              f"{row['kernel']:24s} {row['scalar_aps']:14,.0f} "
-              f"{row['vector_aps']:14,.0f} {row['speedup']:7.1f}x "
+        print(f"{row['scheme']:19s} {row['replacement']:6s} "
+              f"{row['kernel']:25s} {row['scalar_aps']:13,.0f} "
+              f"{row['vector_aps']:13,.0f} {row['speedup']:7.1f}x  "
+              f"{row['fallback_kernel']:22s} {row['fallback_aps']:11,.0f} "
+              f"{row['fallback_speedup']:7.1f}x "
               f"{100 * row['miss_ratio']:6.2f}%")
 
     check_bounds = accesses >= MIN_ACCESSES_FOR_SPEEDUP_CHECK
@@ -1079,24 +1102,22 @@ def main(argv=None):
         if check_bounds:
             assert row["speedup"] >= REQUIRED_SPEEDUP, (
                 f"{row['scheme']}: only {row['speedup']:.1f}x")
-    # Trace-order kernels on the conventional two-way organisation: bounded.
-    for policy in POLICY_ROWS:
-        row = compare_engines("a2", accesses=accesses, replacement=policy)
-        rows.append(row)
-        show(row)
-        if check_bounds:
-            assert row["speedup"] >= REQUIRED_SPEEDUP_POLICY, (
-                f"a2/{policy}: only {row['speedup']:.1f}x")
-    # Trace-order kernels on the skewed organisation: bounded.
-    for policy in POLICY_ROWS:
-        row = compare_engines("a2-Hp-Sk", accesses=accesses,
-                              replacement=policy)
-        rows.append(row)
-        show(row)
-        if check_bounds:
-            assert row["speedup"] >= REQUIRED_SPEEDUP_POLICY, (
-                f"a2-Hp-Sk/{policy}: only {row['speedup']:.1f}x")
-    # Decomposed victim kernels, every policy: bounded.
+    # FIFO/random/PLRU on conventional two-way, skewed and
+    # fully-associative placement: bounded.
+    placements = (("a2", PAPER_L1_8KB.ways, None),
+                  ("a2-Hp-Sk", PAPER_L1_8KB.ways, None),
+                  ("a2", FULLY_ASSOCIATIVE_WAYS,
+                   f"full-{FULLY_ASSOCIATIVE_WAYS}way"))
+    for scheme, ways, label in placements:
+        for policy in POLICY_ROWS:
+            row = compare_engines(scheme, accesses=accesses,
+                                  replacement=policy, ways=ways, label=label)
+            rows.append(row)
+            show(row)
+            if check_bounds:
+                assert row["speedup"] >= REQUIRED_SPEEDUP_POLICY, (
+                    f"{row['scheme']}/{policy}: only {row['speedup']:.1f}x")
+    # Victim caches, every policy: bounded.
     for policy in [None] + POLICY_ROWS:
         row = compare_victim_kernel(accesses=accesses, replacement=policy)
         rows.append(row)
@@ -1114,8 +1135,9 @@ def main(argv=None):
             assert row["speedup"] >= REQUIRED_SPEEDUP, (
                 f"{label}: only {row['speedup']:.1f}x")
     if check_bounds:
-        print(f"\nevery row (LRU, trace-order, victim and multi-level "
-              f"kernels) >= {REQUIRED_SPEEDUP:.0f}x with bit-exact CacheStats")
+        print(f"\nevery row (set-associative, victim and multi-level) "
+              f">= {REQUIRED_SPEEDUP:.0f}x with bit-exact CacheStats on "
+              f"both kernel tiers")
     else:
         print("\nbit-exact CacheStats on every kernel path "
               "(speedup bounds skipped below "

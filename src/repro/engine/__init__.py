@@ -85,11 +85,8 @@ from .shards import (
 from .replacement_vec import (
     VecReplacementState,
     make_vec_replacement,
-    splitmix64_array,
 )
 from .replay import ReplayOutcome, batch_cache_like, replay_access_stream
-from .set_decompose import group_by_set, run_decomposed_policy
-from .skew_decompose import run_trace_order, run_victim_decomposed
 from .sweep import (
     ON_ERROR_POLICIES,
     SweepError,
@@ -131,11 +128,6 @@ __all__ = [
     "run_tlb_kernel",
     "VecReplacementState",
     "make_vec_replacement",
-    "splitmix64_array",
-    "group_by_set",
-    "run_decomposed_policy",
-    "run_trace_order",
-    "run_victim_decomposed",
     "cached_block_numbers",
     "cached_set_indices",
     "cached_set_index_lists",

@@ -2,60 +2,57 @@
 
 This module is the heart of the vectorized engine.  It simulates the same
 cache organisations as the scalar models in :mod:`repro.cache` —
-set-associative (conventional or skewed, either write policy) and
-column-associative — but consumes an :class:`~repro.engine.batch.AddressBatch`
-instead of one :class:`~repro.trace.record.MemoryAccess` at a time, and is
-bit-exact with the scalar models by construction (the differential suite in
-``tests/test_engine_equivalence.py`` asserts identical hit/miss sequences and
-identical final :class:`~repro.cache.stats.CacheStats`).
+set-associative (conventional, skewed or fully associative, either write
+policy), victim and column-associative — but consumes an
+:class:`~repro.engine.batch.AddressBatch` instead of one
+:class:`~repro.trace.record.MemoryAccess` at a time, and is bit-exact with
+the scalar models by construction (the differential suites in
+``tests/test_engine_equivalence.py`` and ``tests/test_ckernels.py`` assert
+identical hit/miss sequences and identical final
+:class:`~repro.cache.stats.CacheStats`).
 
-Kernels, picked per cache configuration by ``dispatch_strategy``:
+Kernels, picked per cache by ``dispatch_strategy``:
 
-* ``lru-dict`` — conventional LRU, any ways
-  (:meth:`BatchSetAssociativeCache._run_dict_kernel`): one insertion-ordered
-  dict per set, LRU-first, over pre-vectorized set indices.
-* ``trace-order-{lru,fifo,random,plru}`` — skewed placement with any ways
-  and policy, and conventional non-LRU with at most two ways
-  (:mod:`repro.engine.skew_decompose`): per-way index streams (the way-0
-  stream repeated for a conventional cache) and a tight policy-specific
-  loop in global trace order; LRU and FIFO share one stamp kernel.
-* ``set-decomposed-{fifo,random,plru}`` — conventional non-LRU with more
-  than two ways (:mod:`repro.engine.set_decompose`): accesses grouped per
-  set and simulated over dense per-set state, which keeps wide and
-  fully-associative conventional caches tractable.
-* ``generic-policy-kernel`` — non-LRU with the 3C classifier
-  (:meth:`BatchSetAssociativeCache._run_policy_kernel`): a per-way flat-list
-  kernel whose decisions come from the NumPy-backed state tables in
-  :mod:`repro.engine.replacement_vec`, calling the classifier in global
-  order with per-access hit context.  It remains the reference the
-  specialised kernels are tested against; all non-LRU kernels share its
-  state tables, so any of them can continue another's cache.
+* ``compiled-set-assoc-{lru,fifo,random,plru}``,
+  ``compiled-victim-{lru,fifo,random,plru}`` and
+  ``compiled-column-associative`` — one generic C kernel per family
+  (:mod:`repro.engine.ckernels`), used whenever the library builds.  Set
+  indices are computed array-at-a-time per way (a conventional cache passes
+  its way-0 array for every way), and the kernel mutates the cache's NumPy
+  state arrays in place.  A 3C-classifying cache replays its
+  :class:`~repro.cache.stats.MissClassifier` over the finished hit mask: the
+  shadow sees only (block, hit) in trace order.
+* Without a C compiler, the Python fallbacks: ``lru-dict`` (conventional
+  LRU: one insertion-ordered dict per set), ``generic-policy-kernel``
+  (every other set-associative cache: per-way flat lists, LRU stamps in
+  ``_way_used``, other policies in the
+  :mod:`repro.engine.replacement_vec` state tables), ``victim-generic-kernel``
+  and ``column-associative``.
 
 Every kernel supports stores under both write policies and warm caches.
 
-:class:`BatchColumnAssociativeCache` runs one two-probe kernel replicating
-:class:`~repro.cache.column_assoc.ColumnAssociativeCache`'s
-swap-on-second-probe-hit and displaced-block retreat exactly.
-:class:`BatchVictimCache` runs the decomposed victim kernels of
-:mod:`repro.engine.skew_decompose` (``victim-decomposed-*``) for main caches
-of one or two ways and ``victim-generic-kernel`` for wider ones, replicating
-:class:`~repro.cache.victim.VictimCache` — swap-on-victim-hit, displaced
-lines stashed in the buffer, dirty lines falling out of the buffer counted
-as writebacks — exactly.
+State has two layouts and exactly one is live.  The compiled kernels
+mutate NumPy arrays; the Python consumers — the fallback kernels, the point
+operations (``contains_block``, ``invalidate_block``, ``resident_blocks``,
+snapshots) and the loops of :mod:`repro.engine.hierarchy_vec` — read lists
+(and per-set dicts for conventional LRU) checked out through ``_lists()``.
+A cache converts only when the other kind of consumer touched it last, so
+single-level runs never convert.  Policy tables
+(:class:`~repro.engine.replacement_vec.VecReplacementState`) are NumPy in
+both cases.
 
 Every cache exposes ``dispatch_strategy(batch)`` — the name of the kernel
 ``run`` will execute — as the dispatcher's single source of truth, which
 the differential suite introspects to prove each path is covered.
 
 Block-number and set-index arrays are obtained through the sweep-wide memo
-tables of :mod:`repro.engine.memo` (including the plain-list views the
-tight kernels iterate), so tasks that share one materialised trace (see
-:mod:`repro.trace.batching`) also share the derived arrays.
+tables of :mod:`repro.engine.memo`, so tasks that share one materialised
+trace (see :mod:`repro.trace.batching`) also share the derived arrays.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -65,18 +62,21 @@ from ..cache.replacement import (
     replacement_policy_name,
 )
 from ..cache.set_assoc import WritePolicy
-from ..cache.stats import CacheStats, MissClassifier, MissKind
+from ..cache.stats import CacheStats, MissClassifier
 from ..core.index import BitSelectIndexing, IndexFunction, IPolyIndexing
+from . import ckernels
 from .batch import AddressBatch
-from .index_vec import VectorizedIndex, _VecIPoly, vectorize_index
+from .index_vec import VectorizedIndex, vectorize_index
 from .memo import (
     cached_block_numbers,
     cached_set_index_lists,
     cached_set_indices,
 )
-from .replacement_vec import VecReplacementState, make_vec_replacement
-from .set_decompose import run_decomposed_policy
-from .skew_decompose import run_trace_order, run_victim_decomposed
+from .replacement_vec import (
+    VecReplacementState,
+    make_vec_replacement,
+    min_stamp_way,
+)
 
 __all__ = [
     "BatchSetAssociativeCache",
@@ -100,7 +100,163 @@ def _resolve_batch_replacement(
     return replacement_policy_name(replacement), seed
 
 
-class BatchSetAssociativeCache:
+def _policy_tables(policy: VecReplacementState):
+    """A policy's NumPy state as the C kernels take it.
+
+    Returns ``(stamps, PLRU bits as uint8, seed, random draws consumed)``;
+    the bit table is a view, so the kernel's writes land in the policy.
+    """
+    bits = getattr(policy, "bits", None)
+    return (getattr(policy, "stamps", None),
+            None if bits is None else bits.view(np.uint8),
+            getattr(policy, "seed", 0), getattr(policy, "counter", 0))
+
+
+def _classify_over_hits(classifier: MissClassifier, stats: CacheStats,
+                        blocks: np.ndarray, hits: np.ndarray) -> None:
+    """Replay the 3C shadow over a finished hit mask, in trace order."""
+    classify = classifier.classify
+    kinds = stats.miss_kinds
+    for b, hit in zip(blocks.tolist(), hits.tolist()):
+        kind = classify(b, hit)
+        if kind is not None:
+            kinds[kind] += 1
+
+
+def _check_geometry(size_bytes: int, block_size: int, ways: int,
+                    index_function: Optional[IndexFunction]):
+    """Validate a set-associative geometry like the scalar cache does.
+
+    Returns ``(num_sets, index_function)``, defaulting to bit selection.
+    """
+    if block_size < 1 or block_size & (block_size - 1):
+        raise ValueError("block_size must be a positive power of two")
+    if ways < 1:
+        raise ValueError("ways must be at least 1")
+    if size_bytes < block_size * ways:
+        raise ValueError("cache must hold at least one set")
+    if size_bytes % (block_size * ways):
+        raise ValueError(
+            "size_bytes must be a multiple of block_size * ways "
+            f"({block_size * ways}), got {size_bytes}"
+        )
+    num_sets = size_bytes // (block_size * ways)
+    if num_sets & (num_sets - 1):
+        raise ValueError(
+            f"number of sets must be a power of two, got {num_sets}"
+        )
+    if index_function is None:
+        index_function = BitSelectIndexing(num_sets)
+    if index_function.num_sets != num_sets:
+        raise ValueError(
+            f"index function covers {index_function.num_sets} sets but the "
+            f"cache has {num_sets}"
+        )
+    return num_sets, index_function
+
+
+def _way_indices(cache, blocks: np.ndarray, as_lists: bool = False):
+    """Per-way set indices of ``blocks`` (memoised arrays, or the list
+    views the Python kernels iterate); a conventional cache repeats its
+    way-0 indices for every way."""
+    fetch = cached_set_index_lists if as_lists else cached_set_indices
+    if cache._skewed:
+        return [fetch(cache._vec_index, blocks, way)
+                for way in range(cache._ways)]
+    return [fetch(cache._vec_index, blocks, 0)] * cache._ways
+
+
+#: ``_state`` of a fresh or flushed cache: neither layout built yet.
+_EMPTY = "empty"
+
+
+class _BatchCache:
+    """What the batch caches share: the chunk-consume entry point and the
+    two state layouts.
+
+    Exactly one layout is live.  ``_state`` holds the NumPy arrays the
+    compiled kernels mutate, ``None`` while the list attributes named by
+    ``_LIST_ATTRS`` are live, or ``_EMPTY`` until the first consumer of
+    either kind builds its layout empty.  Subclasses provide
+    ``_new_arrays()``, ``_new_lists()``, ``_arrays_to_lists(arrays)`` and
+    ``_lists_to_arrays()``.
+    """
+
+    _LIST_ATTRS: tuple = ()
+    _EXTRA_COUNTERS: tuple = ()
+    _state = _EMPTY
+    _name = ""
+    _block_size = 0
+
+    @property
+    def name(self) -> str:
+        """Human-readable label for reports."""
+        return self._name
+
+    @property
+    def block_size(self) -> int:
+        """Line size in bytes."""
+        return self._block_size
+
+    def run_chunks(self, chunks: Iterable[AddressBatch]) -> int:
+        """Consume a stream of batches; returns the accesses simulated.
+
+        The chunk-consume entry point of the streaming trace layer
+        (:func:`repro.trace.stream.iter_trace_chunks`): state, statistics
+        and counters carry across chunks exactly as across :meth:`run`
+        calls, so a chunked replay is bit-exact with one ``run()`` over the
+        whole trace — the route depends only on the configuration, so every
+        chunk runs the kernel a one-shot run would.
+        """
+        total = 0
+        for batch in chunks:
+            self.run(batch)
+            total += len(batch)
+        return total
+
+    def _add_counts(self, loads: int, stores: int, load_misses: int,
+                    store_misses: int, evictions: int, writebacks: int,
+                    *extra: int) -> None:
+        """Accumulate one run's counters, in the kernels' slot order: six
+        :class:`CacheStats` fields, then ``_EXTRA_COUNTERS``."""
+        stats = self.stats
+        stats.loads += loads
+        stats.stores += stores
+        stats.load_misses += load_misses
+        stats.store_misses += store_misses
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+        for name, value in zip(self._EXTRA_COUNTERS, extra):
+            setattr(self, name, getattr(self, name) + value)
+
+    def _reset_state(self) -> None:
+        """Empty the cache: no layout until a consumer asks for one."""
+        self._state = _EMPTY
+        for attr in self._LIST_ATTRS:
+            setattr(self, attr, None)
+
+    def _lists(self) -> None:
+        """Check the state out in the list layout Python consumers read."""
+        if self._state is None:
+            return
+        if self._state is _EMPTY:
+            self._new_lists()
+        else:
+            self._arrays_to_lists(self._state)
+        self._state = None
+
+    def _arrays(self):
+        """Check the state out as the arrays the compiled kernels mutate."""
+        if self._state is _EMPTY:
+            self._state = self._new_arrays()
+        elif self._state is None:
+            self._state = self._lists_to_arrays()
+            for attr in self._LIST_ATTRS:
+                setattr(self, attr, None)
+        return self._state
+
+
+class BatchSetAssociativeCache(_BatchCache):
     """Batch counterpart of :class:`~repro.cache.set_assoc.SetAssociativeCache`.
 
     Construction mirrors the scalar cache (same geometry validation, same
@@ -109,6 +265,8 @@ class BatchSetAssociativeCache:
     across calls, so a cache can be warmed with one batch and measured with
     the next, exactly like the scalar model.
     """
+
+    _LIST_ATTRS = ("_sets", "_way_tags", "_way_used", "_way_dirty")
 
     def __init__(
         self,
@@ -121,35 +279,14 @@ class BatchSetAssociativeCache:
         classify_misses: bool = False,
         name: str = "",
     ) -> None:
-        if block_size < 1 or block_size & (block_size - 1):
-            raise ValueError("block_size must be a positive power of two")
-        if ways < 1:
-            raise ValueError("ways must be at least 1")
-        if size_bytes < block_size * ways:
-            raise ValueError("cache must hold at least one set")
-        if size_bytes % (block_size * ways):
-            raise ValueError(
-                "size_bytes must be a multiple of block_size * ways "
-                f"({block_size * ways}), got {size_bytes}"
-            )
+        self._num_sets, index_function = _check_geometry(
+            size_bytes, block_size, ways, index_function)
         if write_policy not in WritePolicy.ALL:
             raise ValueError(f"unknown write policy {write_policy!r}")
 
         self._size_bytes = size_bytes
         self._block_size = block_size
         self._ways = ways
-        self._num_sets = size_bytes // (block_size * ways)
-        if self._num_sets & (self._num_sets - 1):
-            raise ValueError(
-                f"number of sets must be a power of two, got {self._num_sets}"
-            )
-        if index_function is None:
-            index_function = BitSelectIndexing(self._num_sets)
-        if index_function.num_sets != self._num_sets:
-            raise ValueError(
-                f"index function covers {index_function.num_sets} sets but the "
-                f"cache has {self._num_sets}"
-            )
         self._index_fn = index_function
         self._vec_index: VectorizedIndex = vectorize_index(index_function)
         self._replacement_name, random_seed = _resolve_batch_replacement(
@@ -164,43 +301,81 @@ class BatchSetAssociativeCache:
         self._classifier = (
             MissClassifier(self.num_blocks) if classify_misses else None
         )
-        # Conventional LRU state: one dict per set mapping block -> dirty, in
-        # LRU-to-MRU insertion order.  Skewed LRU and every non-LRU policy:
-        # per-way flat tag / dirty lists (tag -1 == invalid frame), with
-        # last-used timestamps in the cache (LRU) or in the policy state
-        # tables of :mod:`repro.engine.replacement_vec` (everything else).
+        # List layout: conventional LRU keeps one dict per set mapping
+        # block -> dirty in LRU-to-MRU insertion order; every other cache
+        # keeps per-way flat tag / dirty lists (tag -1 == invalid frame) with
+        # LRU stamps in ``_way_used``.  The array layout is ``(tags, dirty,
+        # used)``, each ``ways x num_sets``.  Non-LRU policies keep their
+        # decision state in the tables of :mod:`repro.engine.replacement_vec`.
         self._use_flat = self._skewed or self._replacement_name != "lru"
         self._vec_policy: Optional[VecReplacementState] = None
+        if self._replacement_name != "lru":
+            self._vec_policy = make_vec_replacement(
+                self._replacement_name, ways, self._num_sets,
+                seed=random_seed)
+        self._reset_state()
+
+    # ------------------------------------------------------------------ #
+    # state layouts
+    # ------------------------------------------------------------------ #
+
+    def _new_arrays(self):
+        shape = (self._ways, self._num_sets)
+        return (np.full(shape, -1, dtype=np.int64),
+                np.zeros(shape, dtype=np.uint8),
+                np.zeros(shape, dtype=np.int64))
+
+    def _new_lists(self) -> None:
+        ways, num_sets = self._ways, self._num_sets
         if self._use_flat:
-            self._way_tags = [[-1] * self._num_sets for _ in range(ways)]
-            self._way_used = [[0] * self._num_sets for _ in range(ways)]
-            self._way_dirty = [[False] * self._num_sets for _ in range(ways)]
-            self._sets: List[Dict[int, bool]] = []
-            if self._replacement_name != "lru":
-                self._vec_policy = make_vec_replacement(
-                    self._replacement_name, ways, self._num_sets,
-                    seed=random_seed)
+            self._way_tags = [[-1] * num_sets for _ in range(ways)]
+            self._way_used = [[0] * num_sets for _ in range(ways)]
+            self._way_dirty = [[False] * num_sets for _ in range(ways)]
         else:
-            self._sets = [dict() for _ in range(self._num_sets)]
+            self._sets = [dict() for _ in range(num_sets)]
+
+    def _arrays_to_lists(self, arrays) -> None:
+        tags, dirty, used = arrays
+        if self._use_flat:
+            self._way_tags = tags.tolist()
+            self._way_dirty = dirty.astype(bool).tolist()
+            self._way_used = used.tolist()
+            return
+        # Conventional LRU: rebuild each set's dict oldest stamp first.
+        sets: List[Dict[int, bool]] = [dict() for _ in range(self._num_sets)]
+        order = np.argsort(used, axis=0, kind="stable")
+        columns = np.arange(self._num_sets)
+        for ways_by_age in order:
+            row_tags = tags[ways_by_age, columns]
+            row_dirty = dirty[ways_by_age, columns]
+            for s in np.flatnonzero(row_tags >= 0).tolist():
+                sets[s][int(row_tags[s])] = bool(row_dirty[s])
+        self._sets = sets
+
+    def _lists_to_arrays(self):
+        if self._use_flat:
+            return (np.array(self._way_tags, dtype=np.int64),
+                    np.array(self._way_dirty, dtype=np.uint8),
+                    np.array(self._way_used, dtype=np.int64))
+        # Conventional LRU: a set's k blocks take ways 0..k-1 with distinct
+        # stamps ending at the current clock, oldest first.
+        tags, dirty, used = self._new_arrays()
+        for s, d in enumerate(self._sets):
+            base = self._clock - len(d)
+            for way, (block, is_dirty) in enumerate(d.items()):
+                tags[way, s] = block
+                dirty[way, s] = is_dirty
+                used[way, s] = base + 1 + way
+        return tags, dirty, used
 
     # ------------------------------------------------------------------ #
     # introspection (mirrors the scalar cache)
     # ------------------------------------------------------------------ #
 
     @property
-    def name(self) -> str:
-        """Human-readable label for reports."""
-        return self._name
-
-    @property
     def size_bytes(self) -> int:
         """Total capacity in bytes."""
         return self._size_bytes
-
-    @property
-    def block_size(self) -> int:
-        """Line size in bytes."""
-        return self._block_size
 
     @property
     def ways(self) -> int:
@@ -234,6 +409,7 @@ class BatchSetAssociativeCache:
 
     def resident_blocks(self) -> List[int]:
         """All resident block numbers (order unspecified)."""
+        self._lists()
         if self._use_flat:
             return [tag for tags in self._way_tags for tag in tags if tag >= 0]
         return [block for d in self._sets for block in d]
@@ -261,6 +437,7 @@ class BatchSetAssociativeCache:
 
     def contains_block(self, block_number: int) -> bool:
         """Return True if ``block_number`` is resident."""
+        self._lists()
         if not self._use_flat:
             return block_number in self._sets[self._index_fn.index(block_number, 0)]
         for way, set_index in enumerate(self._candidate_sets(block_number)):
@@ -277,6 +454,7 @@ class BatchSetAssociativeCache:
         a universal no-op) — a later fill prefers the invalid frame in way
         order, exactly like the scalar ``_fill``.
         """
+        self._lists()
         if not self._use_flat:
             d = self._sets[self._index_fn.index(block_number, 0)]
             if block_number in d:
@@ -299,23 +477,15 @@ class BatchSetAssociativeCache:
         invalidated and the replacement state forgets everything, but the
         access clock keeps running.
         """
-        if self._use_flat:
-            for tags in self._way_tags:
-                tags[:] = [-1] * self._num_sets
-            for used in self._way_used:
-                used[:] = [0] * self._num_sets
-            for dirty in self._way_dirty:
-                dirty[:] = [False] * self._num_sets
-            if self._vec_policy is not None:
-                self._vec_policy.reset()
-        else:
-            for d in self._sets:
-                d.clear()
+        self._reset_state()
+        if self._vec_policy is not None:
+            self._vec_policy.reset()
         if self._classifier is not None:
             self._classifier.reset()
 
     def _snapshot_state(self):
         """Deep copy of simulation state + statistics for epoch rewind."""
+        self._lists()
         stats = self.stats
         counters = (stats.loads, stats.stores, stats.load_misses,
                     stats.store_misses, stats.evictions, stats.writebacks,
@@ -333,6 +503,7 @@ class BatchSetAssociativeCache:
 
     def _restore_state(self, snapshot) -> None:
         """Restore a :meth:`_snapshot_state` copy (state, stats, policy, clock)."""
+        self._lists()
         clock, state, counters, policy_snap = snapshot
         self._clock = clock
         stats = self.stats
@@ -365,26 +536,21 @@ class BatchSetAssociativeCache:
         The dispatcher's single source of truth — :meth:`run` switches on
         exactly this value, so tests can introspect which kernel serves a
         given (organisation, policy) combination.  The route depends only
-        on the configuration; ``batch`` is accepted so every batch cache
-        shares one signature.  Possible values:
+        on the configuration and on whether the compiled kernels built;
+        ``batch`` is accepted so every batch cache shares one signature.
+        Possible values:
 
-        * ``"lru-dict"`` — conventional LRU, any ways, with or without the
-          3C classifier;
-        * ``"trace-order-{lru,fifo,random,plru}"`` — skewed placement (any
-          ways, any policy), and conventional non-LRU with at most two ways
-          (:mod:`repro.engine.skew_decompose`);
-        * ``"set-decomposed-{fifo,random,plru}"`` — conventional non-LRU
-          with more than two ways (:mod:`repro.engine.set_decompose`);
-        * ``"generic-policy-kernel"`` — non-LRU with the 3C classifier.
+        * ``"compiled-set-assoc-{lru,fifo,random,plru}"`` — every cache,
+          with or without the 3C classifier, when the C library is
+          available;
+        * ``"lru-dict"`` — otherwise, conventional LRU;
+        * ``"generic-policy-kernel"`` — otherwise, everything else.
         """
-        name = self._replacement_name
-        if name != "lru" and self._classifier is not None:
-            return "generic-policy-kernel"
-        if self._skewed or (name != "lru" and self._ways <= 2):
-            return f"trace-order-{name}"
-        if name != "lru":
-            return f"set-decomposed-{name}"
-        return "lru-dict"
+        if ckernels.available():
+            return f"compiled-set-assoc-{self._replacement_name}"
+        if self._replacement_name == "lru" and not self._skewed:
+            return "lru-dict"
+        return "generic-policy-kernel"
 
     def run(self, batch: AddressBatch) -> np.ndarray:
         """Simulate a whole batch; returns the per-access hit mask (bool).
@@ -398,35 +564,46 @@ class BatchSetAssociativeCache:
             return np.zeros(0, dtype=bool)
         strategy = self.dispatch_strategy(batch)
         blocks = cached_block_numbers(batch, self._block_size)
-        if strategy.startswith("trace-order-"):
-            return run_trace_order(self, blocks, batch.is_write)
-        if strategy.startswith("set-decomposed-"):
-            sets = cached_set_indices(self._vec_index, blocks, 0)
-            return run_decomposed_policy(self, blocks, sets, batch.is_write)
-        if strategy == "generic-policy-kernel":
-            return self._run_policy_kernel(blocks, batch.is_write)
-        return self._run_dict_kernel(blocks, batch.is_write)
+        if strategy == "lru-dict":
+            hits = self._run_dict_kernel(blocks, batch.is_write)
+        elif strategy == "generic-policy-kernel":
+            hits = self._run_policy_kernel(blocks, batch.is_write)
+        else:
+            hits = self._run_compiled(blocks, batch.is_write)
+        if self._classifier is not None:
+            # The 3C shadow sees only (block, hit) in trace order, so it
+            # replays over the finished hit mask.
+            _classify_over_hits(self._classifier, self.stats, blocks, hits)
+        return hits
 
-    def run_chunks(self, chunks: Iterable[AddressBatch]) -> int:
-        """Consume a stream of batches; returns the accesses simulated.
+    # -- compiled kernel ------------------------------------------------ #
 
-        The chunk-consume entry point of the streaming trace layer
-        (:func:`repro.trace.stream.iter_trace_chunks`): state and statistics
-        carry across chunks exactly as across :meth:`run` calls, so a
-        chunked replay is bit-exact with one ``run()`` over the whole trace
-        — the route depends only on the configuration, so every chunk runs
-        the kernel a one-shot run would.
-        """
-        total = 0
-        for batch in chunks:
-            self.run(batch)
-            total += len(batch)
-        return total
+    def _run_compiled(self, blocks: np.ndarray,
+                      is_write: np.ndarray) -> np.ndarray:
+        tags, dirty, used = self._arrays()
+        policy = self._vec_policy
+        if policy is None:  # LRU: stamps live with the tags
+            stamps, bits, seed, draws = used, None, 0, 0
+        else:
+            stamps, bits, seed, draws = _policy_tables(policy)
+        io = np.array([self._clock, draws], dtype=np.int64)
+        hits, counts = ckernels.run_set_assoc(
+            blocks, np.ascontiguousarray(is_write).view(np.uint8),
+            _way_indices(self, blocks),
+            write_back=self._write_policy == WritePolicy.WRITE_BACK_ALLOCATE,
+            policy=self._replacement_name, tags=tags, dirty=dirty,
+            stamps=stamps, bits=bits, seed=seed, io=io)
+        self._clock = int(io[0])
+        if self._replacement_name == "random":
+            policy.counter = int(io[1])
+        self._add_counts(*counts.tolist())
+        return hits
 
-    # -- conventional LRU: insertion-ordered dict kernel ---------------- #
+    # -- conventional LRU fallback: insertion-ordered dict kernel ------- #
 
     def _run_dict_kernel(self, blocks: np.ndarray,
                          is_write: np.ndarray) -> np.ndarray:
+        self._lists()
         n = blocks.shape[0]
         sets_l = cached_set_index_lists(self._vec_index, blocks, 0)
         blocks_l = blocks.tolist()
@@ -434,13 +611,10 @@ class BatchSetAssociativeCache:
         sets_state = self._sets
         ways = self._ways
         write_back = self._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-        classifier = self._classifier
-        stats = self.stats
 
         hits_l = []
         hit_append = hits_l.append
         loads = stores = load_misses = store_misses = evictions = writebacks = 0
-        kinds = {MissKind.COMPULSORY: 0, MissKind.CAPACITY: 0, MissKind.CONFLICT: 0}
 
         for b, s, w in zip(blocks_l, sets_l, writes_l):
             d = sets_state[s]
@@ -452,14 +626,9 @@ class BatchSetAssociativeCache:
                 else:
                     loads += 1
                 hit_append(True)
-                if classifier is not None:
-                    classifier.classify(b, True)
                 continue
             # Miss.
             hit_append(False)
-            if classifier is not None:
-                kind = classifier.classify(b, False)
-                kinds[kind] += 1
             if w:
                 stores += 1
                 store_misses += 1
@@ -476,49 +645,44 @@ class BatchSetAssociativeCache:
             d[b] = w and write_back
 
         self._clock += n
-        stats.loads += loads
-        stats.stores += stores
-        stats.load_misses += load_misses
-        stats.store_misses += store_misses
-        stats.evictions += evictions
-        stats.writebacks += writebacks
-        if classifier is not None:
-            for kind, count in kinds.items():
-                stats.miss_kinds[kind] += count
+        self._add_counts(loads, stores, load_misses, store_misses, evictions,
+                         writebacks)
         return np.array(hits_l, dtype=bool)
 
-    # -- generic replacement kernel (reference; 3C-classifying non-LRU) -- #
+    # -- generic fallback kernel (any placement, any policy) ------------ #
 
     def _run_policy_kernel(self, blocks: np.ndarray,
                            is_write: np.ndarray) -> np.ndarray:
-        ways = self._ways
-        if self._skewed:
-            way_sets = [
-                cached_set_index_lists(self._vec_index, blocks, w)
-                for w in range(ways)
-            ]
-        else:
-            shared = cached_set_index_lists(self._vec_index, blocks, 0)
-            way_sets = [shared] * ways
+        self._lists()
+        way_sets = _way_indices(self, blocks, as_lists=True)
         blocks_l = blocks.tolist()
         writes_l = is_write.tolist()
         tags = self._way_tags
         dirty = self._way_dirty
         write_back = self._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-        classifier = self._classifier
-        stats = self.stats
         clock = self._clock
-        way_range = range(ways)
+        way_range = range(self._ways)
         policy = self._vec_policy
-        policy.kernel_begin()
-        on_hit = policy.on_hit
-        on_fill = policy.on_fill
-        choose = policy.victim
+        if policy is None:
+            # Skewed LRU: stamps in the cache's own ``_way_used`` rows.
+            used = self._way_used
+
+            def on_hit(wy, s, now):
+                used[wy][s] = now
+
+            on_fill = on_hit
+
+            def choose(candidate_sets):
+                return min_stamp_way(used, candidate_sets)
+        else:
+            policy.kernel_begin()
+            on_hit = policy.on_hit
+            on_fill = policy.on_fill
+            choose = policy.victim
 
         hits_l = []
         hit_append = hits_l.append
         loads = stores = load_misses = store_misses = evictions = writebacks = 0
-        kinds = {MissKind.COMPULSORY: 0, MissKind.CAPACITY: 0, MissKind.CONFLICT: 0}
 
         try:
             for i, b in enumerate(blocks_l):
@@ -539,13 +703,8 @@ class BatchSetAssociativeCache:
                     else:
                         loads += 1
                     hit_append(True)
-                    if classifier is not None:
-                        classifier.classify(b, True)
                     continue
                 hit_append(False)
-                if classifier is not None:
-                    kind = classifier.classify(b, False)
-                    kinds[kind] += 1
                 if w:
                     stores += 1
                     store_misses += 1
@@ -571,18 +730,12 @@ class BatchSetAssociativeCache:
                 dirty[target][s] = fill_dirty
                 on_fill(target, s, clock)
         finally:
-            policy.kernel_end()
+            if policy is not None:
+                policy.kernel_end()
 
         self._clock = clock
-        stats.loads += loads
-        stats.stores += stores
-        stats.load_misses += load_misses
-        stats.store_misses += store_misses
-        stats.evictions += evictions
-        stats.writebacks += writebacks
-        if classifier is not None:
-            for kind, count in kinds.items():
-                stats.miss_kinds[kind] += count
+        self._add_counts(loads, stores, load_misses, store_misses, evictions,
+                         writebacks)
         return np.array(hits_l, dtype=bool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -592,14 +745,19 @@ class BatchSetAssociativeCache:
         )
 
 
-class BatchColumnAssociativeCache:
+class BatchColumnAssociativeCache(_BatchCache):
     """Batch counterpart of :class:`~repro.cache.column_assoc.ColumnAssociativeCache`.
 
     The two probe indices are computed array-at-a-time; the per-access state
     machine (swap on second-probe hit, displaced-block retreat on miss) runs
-    in a tight kernel over flat tag/dirty lists and replicates the scalar
-    model's behaviour — including its statistics — exactly.
+    in one kernel and replicates the scalar model's behaviour — including
+    its statistics — exactly.  Each frame carries its block's secondary
+    index, so a displaced block retreats without being rehashed.
     """
+
+    _LIST_ATTRS = ("_tags", "_dirty", "_sec_of")
+    _EXTRA_COUNTERS = ("first_probe_hits", "second_probe_hits",
+                       "total_probes")
 
     def __init__(
         self,
@@ -636,18 +794,12 @@ class BatchColumnAssociativeCache:
                                  f"cache has {num_frames} frames")
         self._vec_primary = vectorize_index(self._primary)
         self._vec_secondary = vectorize_index(self._secondary)
-        # Scalar rehash of an arbitrary (displaced) block: the GF(2) chunk
-        # tables make this a couple of list lookups for I-Poly functions.
-        if isinstance(self._vec_secondary, _VecIPoly):
-            self._rehash_scalar: Callable[[int], int] = (
-                self._vec_secondary.table_for_way(0).reduce_scalar)
-        else:
-            self._rehash_scalar = self._secondary.index
         self._swap = bool(swap_on_rehash_hit)
         self._name = name or f"column-{size_bytes // 1024}KB-batch"
 
-        self._tags = [-1] * num_frames
-        self._dirty = [False] * num_frames
+        # State: tags, dirty bits and the secondary index of each frame's
+        # block, as arrays or as the lists ``_tags``/``_dirty``/``_sec_of``.
+        self._reset_state()
         self.stats = CacheStats()
         self.first_probe_hits = 0
         self.second_probe_hits = 0
@@ -656,15 +808,27 @@ class BatchColumnAssociativeCache:
             MissClassifier(num_frames) if classify_misses else None
         )
 
-    @property
-    def name(self) -> str:
-        """Label used in reports."""
-        return self._name
+    def _new_arrays(self):
+        frames = self._num_frames
+        return (np.full(frames, -1, dtype=np.int64),
+                np.zeros(frames, dtype=np.uint8),
+                np.zeros(frames, dtype=np.int64))
 
-    @property
-    def block_size(self) -> int:
-        """Line size in bytes."""
-        return self._block_size
+    def _new_lists(self) -> None:
+        self._tags = [-1] * self._num_frames
+        self._dirty = [False] * self._num_frames
+        self._sec_of = [0] * self._num_frames
+
+    def _arrays_to_lists(self, arrays) -> None:
+        tags, dirty, sec_of = arrays
+        self._tags = tags.tolist()
+        self._dirty = dirty.astype(bool).tolist()
+        self._sec_of = sec_of.tolist()
+
+    def _lists_to_arrays(self):
+        return (np.array(self._tags, dtype=np.int64),
+                np.array(self._dirty, dtype=np.uint8),
+                np.array(self._sec_of, dtype=np.int64))
 
     @property
     def num_frames(self) -> int:
@@ -687,39 +851,62 @@ class BatchColumnAssociativeCache:
         """Average number of probes per access (>= 1)."""
         return self.total_probes / self.stats.accesses if self.stats.accesses else 0.0
 
+    def resident_blocks(self) -> List[int]:
+        """All resident block numbers (order unspecified)."""
+        self._lists()
+        return [tag for tag in self._tags if tag >= 0]
+
+    def dispatch_strategy(self, batch: AddressBatch) -> str:
+        """Name of the kernel :meth:`run` would execute for ``batch``:
+        ``"compiled-column-associative"`` when the C library is available,
+        ``"column-associative"`` (the Python loop) otherwise."""
+        if ckernels.available():
+            return "compiled-column-associative"
+        return "column-associative"
+
     def run(self, batch: AddressBatch) -> np.ndarray:
         """Simulate a whole batch; returns the per-access hit mask (bool)."""
         n = len(batch)
         if n == 0:
             return np.zeros(0, dtype=bool)
+        strategy = self.dispatch_strategy(batch)
         blocks = cached_block_numbers(batch, self._block_size)
-        prim_l = cached_set_indices(self._vec_primary, blocks, 0).tolist()
-        sec_l = cached_set_indices(self._vec_secondary, blocks, 0).tolist()
-        blocks_l = blocks.tolist()
-        writes_l = batch.is_write.tolist()
+        primary = cached_set_indices(self._vec_primary, blocks, 0)
+        secondary = cached_set_indices(self._vec_secondary, blocks, 0)
+        if strategy == "column-associative":
+            hits = self._run_python(blocks, primary, secondary,
+                                    batch.is_write)
+        else:
+            tags, dirty, sec_of = self._arrays()
+            hits, counts = ckernels.run_column(
+                blocks, np.ascontiguousarray(batch.is_write).view(np.uint8),
+                primary, secondary, swap=self._swap, tags=tags, dirty=dirty,
+                sec_of=sec_of)
+            self._add_counts(*counts.tolist())
+        if self._classifier is not None:
+            _classify_over_hits(self._classifier, self.stats, blocks, hits)
+        return hits
+
+    def _run_python(self, blocks: np.ndarray, primary: np.ndarray,
+                    secondary: np.ndarray, is_write: np.ndarray) -> np.ndarray:
+        self._lists()
         tags = self._tags
         dirty = self._dirty
+        sec_of = self._sec_of
         swap = self._swap
-        rehash = self._rehash_scalar
-        classifier = self._classifier
-        stats = self.stats
 
         hits_l = []
         hit_append = hits_l.append
         loads = stores = load_misses = store_misses = evictions = 0
         first_hits = second_hits = probes_total = 0
-        kinds = {MissKind.COMPULSORY: 0, MissKind.CAPACITY: 0, MissKind.CONFLICT: 0}
 
-        for b, p, s, w in zip(blocks_l, prim_l, sec_l, writes_l):
+        for b, p, s, w in zip(blocks.tolist(), primary.tolist(),
+                              secondary.tolist(), is_write.tolist()):
             first_hit = tags[p] == b
             second_hit = (not first_hit) and s != p and tags[s] == b
             hit = first_hit or second_hit
             probes_total += 1 if first_hit else 2
 
-            if classifier is not None:
-                kind = classifier.classify(b, hit)
-                if kind is not None:
-                    kinds[kind] += 1
             if w:
                 stores += 1
                 if not hit:
@@ -733,6 +920,9 @@ class BatchColumnAssociativeCache:
             if first_hit:
                 first_hits += 1
                 continue
+            displaced = tags[p]
+            displaced_dirty = dirty[p]
+            displaced_sec = sec_of[p]
             if second_hit:
                 second_hits += 1
                 if swap:
@@ -740,70 +930,47 @@ class BatchColumnAssociativeCache:
                     # primary occupant retreats to the secondary slot (and,
                     # as in the scalar model, the promoted line comes back
                     # clean).
-                    displaced = tags[p]
-                    displaced_dirty = dirty[p]
                     tags[p] = b
                     dirty[p] = False
+                    sec_of[p] = s
                     if displaced >= 0:
                         tags[s] = displaced
                         dirty[s] = displaced_dirty
+                        sec_of[s] = displaced_sec
                     else:
                         tags[s] = -1
                         dirty[s] = False
                 continue
             # Miss: install at the primary slot; its previous occupant
-            # retreats to that block's own rehash location.
-            if tags[p] < 0:
-                tags[p] = b
-                dirty[p] = False
-                continue
-            displaced = tags[p]
-            displaced_dirty = dirty[p]
+            # retreats to its own secondary slot.
             tags[p] = b
             dirty[p] = False
-            retreat = rehash(displaced)
-            if retreat == p:
+            sec_of[p] = s
+            if displaced < 0:
+                continue
+            if displaced_sec == p:
                 evictions += 1
                 continue
-            if tags[retreat] >= 0:
+            if tags[displaced_sec] >= 0:
                 evictions += 1
-            tags[retreat] = displaced
-            dirty[retreat] = displaced_dirty
+            tags[displaced_sec] = displaced
+            dirty[displaced_sec] = displaced_dirty
+            sec_of[displaced_sec] = displaced_sec
 
-        stats.loads += loads
-        stats.stores += stores
-        stats.load_misses += load_misses
-        stats.store_misses += store_misses
-        stats.evictions += evictions
-        if classifier is not None:
-            for kind, count in kinds.items():
-                stats.miss_kinds[kind] += count
-        self.first_probe_hits += first_hits
-        self.second_probe_hits += second_hits
-        self.total_probes += probes_total
+        self._add_counts(loads, stores, load_misses, store_misses, evictions,
+                         0, first_hits, second_hits, probes_total)
         return np.array(hits_l, dtype=bool)
-
-    def run_chunks(self, chunks: Iterable[AddressBatch]) -> int:
-        """Consume a stream of batches (see
-        :meth:`BatchSetAssociativeCache.run_chunks`); returns the accesses
-        simulated.  State, statistics and probe counters carry across
-        chunks, so chunked replay is bit-exact with a one-shot run."""
-        total = 0
-        for batch in chunks:
-            self.run(batch)
-            total += len(batch)
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BatchColumnAssociativeCache({self._num_frames} frames, "
                 f"{self._block_size}B blocks)")
 
 
-class BatchVictimCache:
+class BatchVictimCache(_BatchCache):
     """Batch counterpart of :class:`~repro.cache.victim.VictimCache`.
 
     A main cache backed by a small fully-associative victim buffer, run as
-    one tight kernel over pre-vectorized main-cache indices.  The per-access
+    one kernel over pre-vectorized main-cache indices.  The per-access
     state machine replicates the scalar model exactly: a main miss probes
     the buffer; a buffer hit invalidates the entry and refills the main
     cache; any line the main cache displaces is stashed in the buffer; and a
@@ -817,6 +984,9 @@ class BatchVictimCache:
     and :attr:`victim_hits` split the hits like the scalar model.
     """
 
+    _LIST_ATTRS = ("_way_tags", "_way_dirty", "_victim_tags", "_victim_dirty")
+    _EXTRA_COUNTERS = ("main_hits", "victim_hits")
+
     def __init__(
         self,
         size_bytes: int,
@@ -829,32 +999,11 @@ class BatchVictimCache:
     ) -> None:
         if victim_entries < 1:
             raise ValueError("victim_entries must be positive")
-        if block_size < 1 or block_size & (block_size - 1):
-            raise ValueError("block_size must be a positive power of two")
-        if ways < 1:
-            raise ValueError("ways must be at least 1")
-        if size_bytes < block_size * ways:
-            raise ValueError("cache must hold at least one set")
-        if size_bytes % (block_size * ways):
-            raise ValueError(
-                "size_bytes must be a multiple of block_size * ways "
-                f"({block_size * ways}), got {size_bytes}"
-            )
+        self._num_sets, index_function = _check_geometry(
+            size_bytes, block_size, ways, index_function)
         self._size_bytes = size_bytes
         self._block_size = block_size
         self._ways = ways
-        self._num_sets = size_bytes // (block_size * ways)
-        if self._num_sets & (self._num_sets - 1):
-            raise ValueError(
-                f"number of sets must be a power of two, got {self._num_sets}"
-            )
-        if index_function is None:
-            index_function = BitSelectIndexing(self._num_sets)
-        if index_function.num_sets != self._num_sets:
-            raise ValueError(
-                f"index function covers {index_function.num_sets} sets but the "
-                f"cache has {self._num_sets}"
-            )
         self._index_fn = index_function
         self._vec_index = vectorize_index(index_function)
         self._skewed = index_function.is_skewed
@@ -863,32 +1012,46 @@ class BatchVictimCache:
         self._entries = victim_entries
         self._name = name or f"victim-{size_bytes // 1024}KB+{victim_entries}-batch"
 
-        # Main-cache state (per-way flat lists) and its policy tables.
-        self._way_tags = [[-1] * self._num_sets for _ in range(ways)]
-        self._way_dirty = [[False] * self._num_sets for _ in range(ways)]
+        # Main-cache state (per-way tags/dirty) and victim-buffer state (one
+        # set of `victim_entries` ways), each with its own policy tables and
+        # clock.  Array layout: (tags, dirty, buffer tags, buffer dirty).
         self._main_policy = make_vec_replacement(
             self._replacement_name, ways, self._num_sets, seed=random_seed)
-        self._main_clock = 0
-        # Victim-buffer state (one set of `victim_entries` ways).
-        self._victim_tags = [-1] * victim_entries
-        self._victim_dirty = [False] * victim_entries
         self._victim_policy = make_vec_replacement(
             self._replacement_name, victim_entries, 1, seed=random_seed)
+        self._main_clock = 0
         self._victim_clock = 0
+        self._reset_state()
 
         self.stats = CacheStats()
         self.main_hits = 0
         self.victim_hits = 0
 
-    @property
-    def name(self) -> str:
-        """Label used in reports."""
-        return self._name
+    def _new_arrays(self):
+        shape = (self._ways, self._num_sets)
+        return (np.full(shape, -1, dtype=np.int64),
+                np.zeros(shape, dtype=np.uint8),
+                np.full(self._entries, -1, dtype=np.int64),
+                np.zeros(self._entries, dtype=np.uint8))
 
-    @property
-    def block_size(self) -> int:
-        """Line size in bytes."""
-        return self._block_size
+    def _new_lists(self) -> None:
+        self._way_tags = [[-1] * self._num_sets for _ in range(self._ways)]
+        self._way_dirty = [[False] * self._num_sets for _ in range(self._ways)]
+        self._victim_tags = [-1] * self._entries
+        self._victim_dirty = [False] * self._entries
+
+    def _arrays_to_lists(self, arrays) -> None:
+        tags, dirty, vtags, vdirty = arrays
+        self._way_tags = tags.tolist()
+        self._way_dirty = dirty.astype(bool).tolist()
+        self._victim_tags = vtags.tolist()
+        self._victim_dirty = vdirty.astype(bool).tolist()
+
+    def _lists_to_arrays(self):
+        return (np.array(self._way_tags, dtype=np.int64),
+                np.array(self._way_dirty, dtype=np.uint8),
+                np.array(self._victim_tags, dtype=np.int64),
+                np.array(self._victim_dirty, dtype=np.uint8))
 
     @property
     def victim_entries(self) -> int:
@@ -910,16 +1073,18 @@ class BatchVictimCache:
         """Fraction of all accesses satisfied by the victim buffer."""
         return self.victim_hits / self.stats.accesses if self.stats.accesses else 0.0
 
-    def dispatch_strategy(self, batch: AddressBatch) -> str:
-        """Name of the kernel :meth:`run` would execute for ``batch``.
+    def resident_blocks(self) -> List[int]:
+        """Blocks resident in the main cache or the buffer (order unspecified)."""
+        self._lists()
+        return [tag for tags in self._way_tags + [self._victim_tags]
+                for tag in tags if tag >= 0]
 
-        ``"victim-decomposed-{lru,fifo,random,plru}"`` for a 1- or 2-way
-        main cache (the decomposed kernels of
-        :mod:`repro.engine.skew_decompose`, with the buffer as a dense
-        side-structure); ``"victim-generic-kernel"`` for wider main caches.
-        """
-        if self._ways <= 2:
-            return f"victim-decomposed-{self._replacement_name}"
+    def dispatch_strategy(self, batch: AddressBatch) -> str:
+        """Name of the kernel :meth:`run` would execute for ``batch``:
+        ``"compiled-victim-{lru,fifo,random,plru}"`` when the C library is
+        available, ``"victim-generic-kernel"`` otherwise."""
+        if ckernels.available():
+            return f"compiled-victim-{self._replacement_name}"
         return "victim-generic-kernel"
 
     def run(self, batch: AddressBatch) -> np.ndarray:
@@ -930,39 +1095,37 @@ class BatchVictimCache:
         n = len(batch)
         if n == 0:
             return np.zeros(0, dtype=bool)
+        strategy = self.dispatch_strategy(batch)
         blocks = cached_block_numbers(batch, self._block_size)
-        if self.dispatch_strategy(batch).startswith("victim-decomposed-"):
-            return run_victim_decomposed(self, blocks, batch.is_write)
-        return self._run_generic_kernel(blocks, batch.is_write)
+        if strategy == "victim-generic-kernel":
+            return self._run_generic_kernel(blocks, batch.is_write)
+        return self._run_compiled(blocks, batch.is_write)
 
-    def run_chunks(self, chunks: Iterable[AddressBatch]) -> int:
-        """Consume a stream of batches (see
-        :meth:`BatchSetAssociativeCache.run_chunks`); returns the accesses
-        simulated.  Main-cache and victim-buffer state carry across chunks,
-        so chunked replay is bit-exact with a one-shot run."""
-        total = 0
-        for batch in chunks:
-            self.run(batch)
-            total += len(batch)
-        return total
+    def _run_compiled(self, blocks: np.ndarray,
+                      is_write: np.ndarray) -> np.ndarray:
+        tags, dirty, vtags, vdirty = self._arrays()
+        stamps, bits, seed, draws = _policy_tables(self._main_policy)
+        vstamps, vbits, vseed, vdraws = _policy_tables(self._victim_policy)
+        io = np.array([self._main_clock, self._victim_clock, draws, vdraws],
+                      dtype=np.int64)
+        hits, counts = ckernels.run_victim(
+            blocks, np.ascontiguousarray(is_write).view(np.uint8),
+            _way_indices(self, blocks), policy=self._replacement_name, tags=tags, dirty=dirty,
+            stamps=stamps, bits=bits, seed=seed, vtags=vtags, vdirty=vdirty,
+            vstamps=vstamps, vbits=vbits, vseed=vseed, io=io)
+        self._main_clock, self._victim_clock, draws, vdraws = io.tolist()
+        if self._replacement_name == "random":
+            self._main_policy.counter = draws
+            self._victim_policy.counter = vdraws
+        self._add_counts(*counts.tolist())
+        return hits
 
     def _run_generic_kernel(self, blocks: np.ndarray,
                             is_write: np.ndarray) -> np.ndarray:
-        """The retained per-access victim kernel (any geometry, any policy).
-
-        Serves main caches wider than two ways, and remains the reference
-        implementation the differential suite pits the decomposed victim
-        kernels of :mod:`repro.engine.skew_decompose` against.
-        """
-        ways = self._ways
-        if self._skewed:
-            way_sets = [
-                cached_set_index_lists(self._vec_index, blocks, w)
-                for w in range(ways)
-            ]
-        else:
-            shared = cached_set_index_lists(self._vec_index, blocks, 0)
-            way_sets = [shared] * ways
+        """The Python victim kernel (any geometry, any policy): the
+        fallback when the compiled kernels are unavailable."""
+        self._lists()
+        way_sets = _way_indices(self, blocks, as_lists=True)
         blocks_l = blocks.tolist()
         writes_l = is_write.tolist()
         tags = self._way_tags
@@ -971,10 +1134,9 @@ class BatchVictimCache:
         vdirty = self._victim_dirty
         entries = self._entries
         entry_range = range(entries)
-        way_range = range(ways)
+        way_range = range(self._ways)
         #: Candidate sets of the single-set victim buffer (one per entry).
         buffer_sets = [0] * entries
-        stats = self.stats
         main_clock = self._main_clock
         victim_clock = self._victim_clock
         main_policy = self._main_policy
@@ -1074,23 +1236,13 @@ class BatchVictimCache:
 
         self._main_clock = main_clock
         self._victim_clock = victim_clock
-        stats.loads += loads
-        stats.stores += stores
-        stats.load_misses += load_misses
-        stats.store_misses += store_misses
-        stats.writebacks += writebacks
-        self.main_hits += main_hits
-        self.victim_hits += victim_hits
+        self._add_counts(loads, stores, load_misses, store_misses, 0,
+                         writebacks, main_hits, victim_hits)
         return np.array(hits_l, dtype=bool)
 
     def flush(self) -> None:
         """Empty both structures (statistics are preserved)."""
-        for tags in self._way_tags:
-            tags[:] = [-1] * self._num_sets
-        for d in self._way_dirty:
-            d[:] = [False] * self._num_sets
-        self._victim_tags[:] = [-1] * self._entries
-        self._victim_dirty[:] = [False] * self._entries
+        self._reset_state()
         self._main_policy.reset()
         self._victim_policy.reset()
         self._main_clock = 0

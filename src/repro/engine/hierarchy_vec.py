@@ -849,6 +849,8 @@ class BatchTwoLevelHierarchy:
         result = HierarchyBatchResult(l1_hits, l2_hits)
         if n == 0:
             return result
+        for level in (self.l1, self.l2):
+            level._lists()  # the loops below read the list layout
         blocks_arr = cached_block_numbers(batch, self.l1.block_size)
         blocks_l = blocks_arr.tolist()
         if self.l1.block_size == self.l2.block_size:
@@ -1042,6 +1044,8 @@ class BatchVirtualRealHierarchy:
         result = HierarchyBatchResult(l1_hits, l2_hits)
         if n == 0:
             return result
+        for level in (self.l1, self.l2):
+            level._lists()  # the loops below read the list layout
         strategy = self.dispatch_strategy(batch)
         # AddressBatch stores uint64; mixing with the int64 translation
         # arrays would promote to float64, so cast once up front (batches

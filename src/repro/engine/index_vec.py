@@ -171,16 +171,6 @@ class VectorizedIndex:
             raise ValueError("way must be non-negative")
         return self._way_indices(_check_blocks(blocks), way)
 
-    def all_way_indices(self, blocks: np.ndarray, ways: int) -> np.ndarray:
-        """Per-way indices as a ``(ways, n)`` array."""
-        if ways < 1:
-            raise ValueError("ways must be at least 1")
-        blocks = _check_blocks(blocks)
-        if not self._scalar.is_skewed:
-            row = self._way_indices(blocks, 0)
-            return np.broadcast_to(row, (ways, row.shape[0]))
-        return np.stack([self._way_indices(blocks, way) for way in range(ways)])
-
     # Subclasses implement the actual computation on validated uint64 input.
     def _way_indices(self, blocks: np.ndarray, way: int) -> np.ndarray:
         raise NotImplementedError

@@ -19,12 +19,15 @@ what makes every (organisation, policy) pair bit-exact across engines,
 including identical random-victim sequences from the shared
 :data:`~repro.cache.replacement.DEFAULT_RANDOM_SEED`.
 
-A :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` with LRU
-replacement builds none of these objects: its conventional kernel keeps LRU
-order in per-set insertion-ordered dicts, and its skewed kernel keeps the
-stamps in the cache's own ``_way_used`` rows.  These state tables serve
-every non-LRU policy, and all policies of the
-:class:`~repro.engine.batch_cache.BatchVictimCache` kernels.
+The compiled kernels of :mod:`repro.engine.ckernels` read and write the
+NumPy tables in place (the PLRU bits through a ``uint8`` view, the draw
+counter passed in and out), so only the Python fallback kernels check them
+out.  ``ckernels.c`` carries C copies of the PLRU walk and ``splitmix64``;
+the three-path differential suite holds them to the scalar ones.  A :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` with
+LRU replacement builds none of these objects: its stamps live next to its
+tags (and, in the Python layout, as per-set dict order or the
+``_way_used`` rows).  These state tables serve every non-LRU policy, and
+all policies of :class:`~repro.engine.batch_cache.BatchVictimCache`.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ def splitmix64_finalize_array(x: np.ndarray) -> np.ndarray:
 
     ``x`` holds already-incremented generator states (``uint64``); the
     result is a new ``uint64`` array, ``x`` is left untouched.  This is the
-    one vectorized copy of the finalizer's constants: the random policy's
-    draws (:func:`splitmix64_array`), the SHARDS sampling hash and the
-    columnar workload synthesis all go through it.
+    one vectorized copy of the finalizer's constants: the SHARDS sampling
+    hash and the columnar workload synthesis both go through it.
     """
     # The multiplies wrap by design; NumPy warns about that only for 0-d
     # input, which it computes as scalars.
@@ -65,24 +67,6 @@ def splitmix64_finalize_array(x: np.ndarray) -> np.ndarray:
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
     return z
-
-
-def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized :func:`~repro.cache.replacement.splitmix64` draw sequence.
-
-    Returns ``splitmix64(seed + n)`` for ``n`` in ``[start, start + count)``
-    as a ``uint64`` array — the exact values the scalar policy's counter
-    would produce one at a time.  Because the random policy's draws are a
-    pure function of the eviction ordinal, a whole batch's worth of victim
-    picks can be precomputed up front and consumed by index; this is what
-    lets the random kernels stay bit-exact with the scalar victim sequence
-    without calling into Python per eviction.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    x = np.arange(start, start + count, dtype=np.uint64)
-    x += np.uint64((seed + SPLITMIX64_GAMMA) & ((1 << 64) - 1))
-    return splitmix64_finalize_array(x)
 
 
 def min_stamp_way(stamp: List[List[int]], candidate_sets: Sequence[int]) -> int:
@@ -104,7 +88,6 @@ def min_stamp_way(stamp: List[List[int]], candidate_sets: Sequence[int]) -> int:
 __all__ = [
     "SPLITMIX64_GAMMA",
     "splitmix64_finalize_array",
-    "splitmix64_array",
     "min_stamp_way",
     "VecReplacementState",
     "VecLRU",
@@ -207,20 +190,6 @@ class _VecTimestamp(VecReplacementState):
             self._ways, self._num_sets)
         self._stamp_l = []
         self._in_kernel = False
-
-    @property
-    def stamp_lists(self) -> List[List[int]]:
-        """Checked-out per-way timestamp rows (valid inside a kernel).
-
-        The specialised kernels in :mod:`repro.engine.set_decompose` and
-        :mod:`repro.engine.skew_decompose` mutate these rows directly
-        instead of going through the per-access hooks; :meth:`kernel_end`
-        persists whatever they left behind.
-        """
-        if not self._in_kernel:
-            raise RuntimeError("stamp_lists is only valid between "
-                               "kernel_begin() and kernel_end()")
-        return self._stamp_l
 
     def state_snapshot(self):
         self._snapshot_guard()
@@ -326,22 +295,6 @@ class VecTreePLRU(VecReplacementState):
         self._bits_l = []
         self._stamp_l = []
         self._in_kernel = False
-
-    @property
-    def bit_lists(self) -> List[List[bool]]:
-        """Checked-out per-set direction-bit rows (valid inside a kernel)."""
-        if not self._in_kernel:
-            raise RuntimeError("bit_lists is only valid between "
-                               "kernel_begin() and kernel_end()")
-        return self._bits_l
-
-    @property
-    def stamp_lists(self) -> List[List[int]]:
-        """Checked-out per-way timestamp rows (valid inside a kernel)."""
-        if not self._in_kernel:
-            raise RuntimeError("stamp_lists is only valid between "
-                               "kernel_begin() and kernel_end()")
-        return self._stamp_l
 
     def state_snapshot(self):
         self._snapshot_guard()

@@ -238,108 +238,14 @@ def test_victim_cache_with_skewed_main_and_stores(policy):
 
 
 # --------------------------------------------------------------------- #
-# conventional non-LRU kernels vs the retained generic kernel
+# non-LRU policies beyond the replacement grid
 # --------------------------------------------------------------------- #
 
-#: The non-LRU policies served by the specialised kernels.
+#: The non-LRU policies.
 DECOMPOSED_POLICIES = ("fifo", "random", "plru")
 
-#: Non-skewed schemes (the set-decomposition precondition).
+#: Conventional (non-skewed) placement schemes.
 NON_SKEWED_SCHEMES = ("a2", "a2-Hp")
-
-
-def run_via_generic_kernel(batch_cache, trace):
-    """Replay a trace through the retained generic policy kernel directly,
-    bypassing the dispatcher — the differential reference."""
-    batch = batch_of(trace)
-    blocks = batch.block_numbers(batch_cache.block_size)
-    return batch_cache._run_policy_kernel(blocks, batch.is_write)
-
-
-def assert_policy_state_equal(left, right):
-    """The NumPy policy state tables of two caches are byte-identical."""
-    lp, rp = left._vec_policy, right._vec_policy
-    assert type(lp) is type(rp)
-    if hasattr(lp, "stamps"):
-        np.testing.assert_array_equal(lp.stamps, rp.stamps)
-    if hasattr(lp, "bits"):
-        np.testing.assert_array_equal(lp.bits, rp.bits)
-    if hasattr(lp, "counter"):
-        assert lp.counter == rp.counter
-
-
-@pytest.mark.parametrize("trace_name", POLICY_TRACES)
-@pytest.mark.parametrize("scheme", NON_SKEWED_SCHEMES)
-@pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
-@pytest.mark.parametrize("ways, route", [(2, "trace-order"),
-                                         (4, "set-decomposed")])
-class TestConventionalKernelsVsGenericKernel:
-    """On a conventional cache the dispatched kernel (trace-order at two
-    ways, set-decomposed above) and the generic kernel are interchangeable:
-    same hits, same stats, same resident blocks — and the same policy state
-    tables afterwards, so either kernel can continue the other's cache."""
-
-    def test_write_through(self, ways, route, policy, scheme, trace_name):
-        trace = list(TRACES[trace_name]())
-        _, dispatched = build_pair(scheme, ways=ways, replacement=policy)
-        _, generic = build_pair(scheme, ways=ways, replacement=policy)
-        assert dispatched.dispatch_strategy(
-            batch_of(trace)) == f"{route}-{policy}"
-        dec_hits = dispatched.run(batch_of(trace))
-        gen_hits = run_via_generic_kernel(generic, trace)
-        np.testing.assert_array_equal(dec_hits, gen_hits)
-        assert stats_snapshot(dispatched.stats) == stats_snapshot(generic.stats)
-        assert sorted(dispatched.resident_blocks()) == sorted(
-            generic.resident_blocks())
-        assert_policy_state_equal(dispatched, generic)
-
-    def test_write_back(self, ways, route, policy, scheme, trace_name):
-        trace = list(TRACES[trace_name]())
-        _, dispatched = build_pair(
-            scheme, ways=ways, replacement=policy,
-            write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        _, generic = build_pair(
-            scheme, ways=ways, replacement=policy,
-            write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        dec_hits = dispatched.run(batch_of(trace))
-        gen_hits = run_via_generic_kernel(generic, trace)
-        np.testing.assert_array_equal(dec_hits, gen_hits)
-        assert stats_snapshot(dispatched.stats) == stats_snapshot(generic.stats)
-        assert dispatched.stats.writebacks == generic.stats.writebacks
-        assert sorted(dispatched.resident_blocks()) == sorted(
-            generic.resident_blocks())
-        assert_policy_state_equal(dispatched, generic)
-
-    def test_kernel_handoff_mid_stream(self, ways, route, policy, scheme,
-                                       trace_name):
-        """A batch run by the generic kernel, then one by the dispatched
-        kernel, continues bit-exactly from the shared state tables."""
-        scalar, batch = build_pair(
-            scheme, ways=ways, replacement=policy,
-            write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        trace = list(TRACES[trace_name]())
-        cut = len(trace) // 2
-        first, second = trace[:cut], trace[cut:]
-        ref_hits = scalar_hit_sequence(scalar, trace)
-        vec_hits = np.concatenate([
-            run_via_generic_kernel(batch, first),
-            batch.run(batch_of(second)),      # dispatched kernel continues
-        ])
-        np.testing.assert_array_equal(ref_hits, vec_hits)
-        assert stats_snapshot(scalar.stats) == stats_snapshot(batch.stats)
-        assert sorted(scalar.resident_blocks()) == sorted(
-            batch.resident_blocks())
-
-
-# --------------------------------------------------------------------- #
-# skewed trace-order kernels vs the generic kernel vs the scalar engine
-# --------------------------------------------------------------------- #
-
-def build_three_way_skewed_pair(replacement,
-                                write_policy=WritePolicy.WRITE_BACK_ALLOCATE):
-    """A (scalar, batch) 3-way skewed I-Poly pair (generic-ways kernels)."""
-    return build_pair("a2-Hp-Sk", ways=3, size=3 * 64 * 32,
-                      replacement=replacement, write_policy=write_policy)
 
 
 def build_victim_pair(ways, policy, scheme="a2", entries=4):
@@ -354,229 +260,38 @@ def build_victim_pair(ways, policy, scheme="a2", entries=4):
     return scalar, batch
 
 
-def run_victim_via_generic_kernel(batch_cache, trace):
-    """Replay a trace through the retained generic victim kernel directly,
-    bypassing the decomposed dispatch — the differential reference."""
-    batch = batch_of(trace)
-    blocks = batch.block_numbers(batch_cache.block_size)
-    return batch_cache._run_generic_kernel(blocks, batch.is_write)
-
-
-def assert_victim_state_equal(left, right):
-    """Two BatchVictimCaches carry identical durable state: tags, dirty
-    bits, clocks and both structures' policy state tables."""
-    assert left._way_tags == right._way_tags
-    assert left._way_dirty == right._way_dirty
-    assert left._victim_tags == right._victim_tags
-    assert left._victim_dirty == right._victim_dirty
-    assert left._main_clock == right._main_clock
-    assert left._victim_clock == right._victim_clock
-    for lp, rp in ((left._main_policy, right._main_policy),
-                   (left._victim_policy, right._victim_policy)):
-        assert type(lp) is type(rp)
-        if hasattr(lp, "stamps"):
-            np.testing.assert_array_equal(lp.stamps, rp.stamps)
-        if hasattr(lp, "bits"):
-            np.testing.assert_array_equal(lp.bits, rp.bits)
-        if hasattr(lp, "counter"):
-            assert lp.counter == rp.counter
-
-
 def assert_victim_matches_scalar(scalar, batch_cache):
     assert stats_snapshot(scalar.stats) == stats_snapshot(batch_cache.stats)
     assert scalar.main_hits == batch_cache.main_hits
     assert scalar.victim_hits == batch_cache.victim_hits
 
 
-@pytest.mark.parametrize("trace_name", POLICY_TRACES)
-@pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
-class TestSkewedTraceOrderVsGenericKernel:
-    """The trace-order kernels, the retained generic kernel and the
-    scalar engine agree on skewed placement: same hits, same stats, same
-    resident blocks — and the same policy state tables afterwards, so any
-    kernel can continue any other's cache."""
-
-    def test_two_way_skewed(self, policy, trace_name):
-        trace = list(TRACES[trace_name]())
-        scalar, decomposed = build_pair(
-            "a2-Hp-Sk", replacement=policy,
-            write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        _, generic = build_pair(
-            "a2-Hp-Sk", replacement=policy,
-            write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        ref_hits = scalar_hit_sequence(scalar, trace)
-        dec_hits = decomposed.run(batch_of(trace))
-        gen_hits = run_via_generic_kernel(generic, trace)
-        np.testing.assert_array_equal(ref_hits, dec_hits)
-        np.testing.assert_array_equal(dec_hits, gen_hits)
-        assert stats_snapshot(scalar.stats) == stats_snapshot(decomposed.stats)
-        assert stats_snapshot(decomposed.stats) == stats_snapshot(generic.stats)
-        assert sorted(decomposed.resident_blocks()) == sorted(
-            generic.resident_blocks())
-        assert_policy_state_equal(decomposed, generic)
-
-    def test_three_way_skewed(self, policy, trace_name):
-        trace = list(TRACES[trace_name]())
-        scalar, decomposed = build_three_way_skewed_pair(policy)
-        _, generic = build_three_way_skewed_pair(policy)
-        ref_hits = scalar_hit_sequence(scalar, trace)
-        dec_hits = decomposed.run(batch_of(trace))
-        gen_hits = run_via_generic_kernel(generic, trace)
-        np.testing.assert_array_equal(ref_hits, dec_hits)
-        np.testing.assert_array_equal(dec_hits, gen_hits)
-        assert stats_snapshot(scalar.stats) == stats_snapshot(decomposed.stats)
-        assert stats_snapshot(decomposed.stats) == stats_snapshot(generic.stats)
-        assert_policy_state_equal(decomposed, generic)
-
-    def test_skewed_kernel_handoff_mid_stream(self, policy, trace_name):
-        """First batch through the generic kernel, second through the
-        trace-order kernel: the shared state tables round-trip and the
-        combined run stays bit-exact with one scalar pass (and leaves the
-        same tables as an all-generic cache)."""
-        scalar, handoff = build_pair(
-            "a2-Hp-Sk", replacement=policy,
-            write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        _, generic = build_pair(
-            "a2-Hp-Sk", replacement=policy,
-            write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        trace = list(TRACES[trace_name]())
-        cut = len(trace) // 2
-        first, second = trace[:cut], trace[cut:]
-        ref_hits = scalar_hit_sequence(scalar, trace)
-        vec_hits = np.concatenate([
-            run_via_generic_kernel(handoff, first),
-            handoff.run(batch_of(second)),    # trace-order continues
-        ])
-        run_via_generic_kernel(generic, first)
-        run_via_generic_kernel(generic, second)
-        np.testing.assert_array_equal(ref_hits, vec_hits)
-        assert stats_snapshot(scalar.stats) == stats_snapshot(handoff.stats)
-        assert sorted(scalar.resident_blocks()) == sorted(
-            handoff.resident_blocks())
-        assert_policy_state_equal(handoff, generic)
-
-
-@pytest.mark.parametrize("trace_name", POLICY_TRACES)
-@pytest.mark.parametrize("ways", [1, 2])
-@pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
-class TestVictimDecomposedVsGenericKernel:
-    """The decomposed victim kernels, the retained generic victim kernel
-    and the scalar model agree for 1- and 2-way main caches, all four
-    policies — including the full durable state both engines leave behind."""
-
-    def test_three_paths_agree(self, policy, ways, trace_name):
-        trace = list(TRACES[trace_name]())
-        scalar, decomposed = build_victim_pair(ways, policy)
-        _, generic = build_victim_pair(ways, policy)
-        ref_hits = scalar_hit_sequence(scalar, trace)
-        dec_hits = decomposed.run(batch_of(trace))
-        gen_hits = run_victim_via_generic_kernel(generic, trace)
-        np.testing.assert_array_equal(ref_hits, dec_hits)
-        np.testing.assert_array_equal(dec_hits, gen_hits)
-        assert_victim_matches_scalar(scalar, decomposed)
-        assert stats_snapshot(decomposed.stats) == stats_snapshot(generic.stats)
-        assert_victim_state_equal(decomposed, generic)
-
-    def test_skewed_main(self, policy, ways, trace_name):
-        """Same three-path agreement with skewed I-Poly main-cache
-        placement (ways=1 degenerates to a single rehash, still exact)."""
-        trace = list(TRACES[trace_name]())
-        scalar, decomposed = build_victim_pair(ways, policy,
-                                               scheme="a2-Hp-Sk")
-        _, generic = build_victim_pair(ways, policy, scheme="a2-Hp-Sk")
-        ref_hits = scalar_hit_sequence(scalar, trace)
-        dec_hits = decomposed.run(batch_of(trace))
-        gen_hits = run_victim_via_generic_kernel(generic, trace)
-        np.testing.assert_array_equal(ref_hits, dec_hits)
-        np.testing.assert_array_equal(dec_hits, gen_hits)
-        assert_victim_matches_scalar(scalar, decomposed)
-        assert_victim_state_equal(decomposed, generic)
-
-    def test_victim_kernel_handoff_mid_stream(self, policy, ways, trace_name):
-        """Generic victim kernel first, decomposed kernel second: state
-        round-trips bit-exactly against one scalar pass and an all-generic
-        cache."""
-        scalar, handoff = build_victim_pair(ways, policy)
-        _, generic = build_victim_pair(ways, policy)
-        trace = list(TRACES[trace_name]())
-        cut = len(trace) // 2
-        first, second = trace[:cut], trace[cut:]
-        ref_hits = scalar_hit_sequence(scalar, trace)
-        vec_hits = np.concatenate([
-            run_victim_via_generic_kernel(handoff, first),
-            handoff.run(batch_of(second)),    # decomposed continues
-        ])
-        run_victim_via_generic_kernel(generic, first)
-        run_victim_via_generic_kernel(generic, second)
-        np.testing.assert_array_equal(ref_hits, vec_hits)
-        assert_victim_matches_scalar(scalar, handoff)
-        assert_victim_state_equal(handoff, generic)
-
-
-@pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
-def test_two_way_trace_order_vs_any_ways_kernel(policy, monkeypatch):
-    """The two-way trace-order kernels and their any-ways counterparts are
-    interchangeable on a 2-way skewed cache — LRU and FIFO through the one
-    stamp kernel pair — down to tags, dirty bits, LRU stamps and the policy
-    state tables."""
-    from repro.engine import skew_decompose
-
-    trace = list(random_accesses(5000, 64 * 1024, write_fraction=0.3,
-                                 seed=41))
-    scalar, two_way = build_pair("a2-Hp-Sk", replacement=policy,
-                                 write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-    _, any_ways = build_pair("a2-Hp-Sk", replacement=policy,
-                             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-    ref_hits = scalar_hit_sequence(scalar, trace)
-    two_hits = two_way.run(batch_of(trace))
-    for kernel in ("_stamp", "_random", "_plru"):
-        monkeypatch.setattr(skew_decompose, f"{kernel}_2way",
-                            getattr(skew_decompose, f"{kernel}_ways"))
-    any_hits = any_ways.run(batch_of(trace))
-    np.testing.assert_array_equal(ref_hits, two_hits)
-    np.testing.assert_array_equal(two_hits, any_hits)
-    assert stats_snapshot(two_way.stats) == stats_snapshot(any_ways.stats)
-    assert two_way._way_tags == any_ways._way_tags
-    assert two_way._way_dirty == any_ways._way_dirty
-    assert two_way._way_used == any_ways._way_used
-    if policy != "lru":
-        assert_policy_state_equal(two_way, any_ways)
-
-
 # --------------------------------------------------------------------- #
-# dispatcher introspection: every (kernel, policy, organisation) path
+# dispatcher introspection: every (placement, ways, policy) path
 # --------------------------------------------------------------------- #
 
-#: Expected route per (placement, ways) without the 3C classifier:
-#: (LRU kernel, non-LRU kernel family).  A skewed index needs at least one
-#: index bit, so fully-associative caches are conventional only.
-DISPATCH_ROUTES = {
-    ("a2", 1): ("lru-dict", "trace-order"),
-    ("a2", 2): ("lru-dict", "trace-order"),
-    ("a2", 4): ("lru-dict", "set-decomposed"),
-    ("a2", "full"): ("lru-dict", "set-decomposed"),
-    ("a2-Hp-Sk", 1): ("trace-order-lru", "trace-order"),
-    ("a2-Hp-Sk", 2): ("trace-order-lru", "trace-order"),
-    ("a2-Hp-Sk", 4): ("trace-order-lru", "trace-order"),
-}
+#: Placement x ways cells.  A skewed index needs at least one index bit,
+#: so fully-associative caches are conventional only.
+DISPATCH_CELLS = [("a2", 1), ("a2", 2), ("a2", 4), ("a2", "full"),
+                  ("a2-Hp-Sk", 1), ("a2-Hp-Sk", 2), ("a2-Hp-Sk", 4)]
 
 
 @pytest.mark.parametrize("classify", [False, True])
 @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
-@pytest.mark.parametrize("scheme, ways", sorted(DISPATCH_ROUTES, key=str))
+@pytest.mark.parametrize("scheme, ways", DISPATCH_CELLS, ids=str)
 def test_dispatch_strategy_covers_every_kernel_path(scheme, ways, policy,
-                                                    classify):
+                                                    classify, kernel_path):
     """`dispatch_strategy` names the kernel `run` executes for every cell of
-    placement x ways x policy x classifier, and every cell matches the
-    scalar engine — stats, 3C miss kinds and residency included."""
+    placement x ways x policy x classifier on both kernel tiers, and every
+    cell matches the scalar engine — stats, 3C miss kinds and residency
+    included."""
     mixed = list(random_accesses(2000, 32 * 1024, write_fraction=0.3))
-    lru_route, policy_route = DISPATCH_ROUTES[(scheme, ways)]
-    if policy == "lru":
-        expected = lru_route
-    elif classify:
-        expected = "generic-policy-kernel"
+    if kernel_path == "compiled":
+        expected = f"compiled-set-assoc-{policy}"
+    elif policy == "lru" and scheme == "a2":
+        expected = "lru-dict"
     else:
-        expected = f"{policy_route}-{policy}"
+        expected = "generic-policy-kernel"
     if ways == "full":
         ways, size = 64, 2048
     else:
@@ -588,19 +303,16 @@ def test_dispatch_strategy_covers_every_kernel_path(scheme, ways, policy,
     assert_equivalent(scalar, batch_cache, mixed)
 
 
-@pytest.mark.parametrize("ways, policy, expected", [
-    (1, "lru", "victim-decomposed-lru"),
-    (1, "fifo", "victim-decomposed-fifo"),
-    (2, "random", "victim-decomposed-random"),
-    (2, "plru", "victim-decomposed-plru"),
-    (4, "lru", "victim-generic-kernel"),
-])
-def test_victim_dispatch_strategy(ways, policy, expected):
+@pytest.mark.parametrize("ways", [1, 2, 4])
+@pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+def test_victim_dispatch_strategy(ways, policy, kernel_path):
     """The victim cache's dispatcher names the kernel it runs, and that
     kernel matches the scalar model."""
     mixed = list(random_accesses(2000, 32 * 1024, write_fraction=0.3))
     scalar, batch_cache = build_victim_pair(ways, policy)
     batch = batch_of(mixed)
+    expected = (f"compiled-victim-{policy}" if kernel_path == "compiled"
+                else "victim-generic-kernel")
     assert batch_cache.dispatch_strategy(batch) == expected
     ref_hits = scalar_hit_sequence(scalar, mixed)
     vec_hits = batch_cache.run(batch)
@@ -608,45 +320,11 @@ def test_victim_dispatch_strategy(ways, policy, expected):
     assert_victim_matches_scalar(scalar, batch_cache)
 
 
-@pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
-def test_decomposed_dispatch_conditions(policy, monkeypatch):
-    """Conventional, classifier-free, non-LRU caches wider than two ways
-    route through the set-decomposed layer; two-way, skewed and
-    classifying caches do not."""
-    from repro.engine import batch_cache as batch_cache_module
-
-    calls = []
-    real = batch_cache_module.run_decomposed_policy
-
-    def counting(cache, blocks, sets, is_write):
-        calls.append(cache.index_function.name)
-        return real(cache, blocks, sets, is_write)
-
-    monkeypatch.setattr(batch_cache_module, "run_decomposed_policy", counting)
-    trace = list(TRACES["random"]())
-
-    _, plain = build_pair("a2", ways=4, replacement=policy)
-    plain.run(batch_of(trace))
-    assert calls == ["a2"]
-
-    _, two_way = build_pair("a2", replacement=policy)
-    two_way.run(batch_of(trace))
-    assert calls == ["a2"]  # two ways run the trace-order kernel
-
-    _, skewed = build_pair("a2-Hp-Sk", ways=4, replacement=policy)
-    skewed.run(batch_of(trace))
-    assert calls == ["a2"]  # skewed runs the trace-order kernel
-
-    _, classifying = build_pair("a2", ways=4, replacement=policy,
-                                classify=True)
-    classifying.run(batch_of(trace))
-    assert calls == ["a2"]  # classifier forces global-order generic kernel
-
-
 @pytest.mark.parametrize("trace_name", POLICY_TRACES)
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
 def test_classifying_policy_cache_matches_scalar(policy, trace_name):
-    """3C classification + non-LRU policy (the generic-kernel fallback path)
+    """3C classification + non-LRU policy (the shadow replays over the
+    compiled kernel's hit mask, or runs inline in the generic fallback)
     stays bit-exact with the scalar model, miss kinds included."""
     scalar, batch = build_pair("a2", replacement=policy, classify=True,
                                write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
@@ -655,8 +333,8 @@ def test_classifying_policy_cache_matches_scalar(policy, trace_name):
 
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
 def test_fully_associative_policy_equivalence(policy):
-    """Single-set decomposition at high associativity (64 ways): the dense
-    generic-ways kernels against the scalar fully-associative model."""
+    """High associativity (64 ways in one set) against the scalar
+    fully-associative model."""
     trace = list(random_accesses(4000, 16 * 1024, write_fraction=0.3,
                                  seed=23))
     scalar = FullyAssociativeCache(2048, 32, replacement=policy)
@@ -669,8 +347,8 @@ def test_fully_associative_policy_equivalence(policy):
 @pytest.mark.parametrize("scheme", NON_SKEWED_SCHEMES)
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
 def test_decomposed_four_way_equivalence(policy, scheme):
-    """The generic-ways decomposed kernels (dict residents, FIFO heap,
-    PLRU tree walk) against the scalar model at 4 ways, store-heavy."""
+    """Four ways on conventional placement against the scalar model,
+    store-heavy (the PLRU tree walk takes two levels)."""
     trace = list(random_accesses(5000, 64 * 1024, write_fraction=0.3,
                                  seed=31))
     scalar, batch = build_pair(scheme, ways=4, replacement=policy,
@@ -680,8 +358,8 @@ def test_decomposed_four_way_equivalence(policy, scheme):
 
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
 def test_decomposed_warm_continuity_non_skewed(policy):
-    """Split-batch decomposed runs on a conventional cache stay bit-exact
-    with one scalar pass (state round-trips through the NumPy tables)."""
+    """Split-batch runs on a conventional cache stay bit-exact with one
+    scalar pass (state round-trips through the NumPy tables)."""
     scalar, batch = build_pair("a2", replacement=policy,
                                write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
     first = list(random_accesses(1500, 32 * 1024, write_fraction=0.3, seed=7))

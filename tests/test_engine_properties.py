@@ -25,6 +25,7 @@ from repro.engine import (
     AddressBatch,
     BatchSetAssociativeCache,
     TabulatedIPolyIndexing,
+    ckernels,
     vectorize_index,
 )
 
@@ -169,9 +170,9 @@ def test_batch_cache_matches_scalar_on_random_traces(
 )
 def test_conventional_policy_kernels_match_generic_kernel_on_random_traces(
         addresses, writes, m, ways, scheme, write_back, replacement):
-    """The conventional non-LRU kernels (trace-order up to two ways,
-    set-decomposed above) and the retained generic kernel agree on
-    arbitrary random traces — hits, stats, residency AND the policy state
+    """The dispatched kernel (compiled when the C library builds) and the
+    generic fallback kernel agree on arbitrary random traces over
+    conventional placement — hits, stats, residency AND the policy state
     tables they leave behind."""
     num_sets = 1 << m
     block = 16
@@ -230,14 +231,15 @@ def skewed_ipoly_configs(draw):
     writes=st.data(),
     config=skewed_ipoly_configs(),
     write_back=st.booleans(),
-    replacement=st.sampled_from(["fifo", "random", "plru"]),
+    replacement=st.sampled_from(["lru", "fifo", "random", "plru"]),
 )
-def test_trace_order_three_path_agreement_on_random_polynomials(
+def test_skewed_three_path_agreement_on_random_polynomials(
         addresses, writes, config, write_back, replacement):
     """Random mixed load/store batches over random GF(2) polynomial index
     functions agree bit-exactly across all three paths — the scalar engine,
-    the trace-order kernels and the retained generic kernel — with the
-    policy state tables compared after every batch."""
+    the dispatched kernel (compiled when the C library builds) and the
+    generic fallback kernel — with the policy state tables compared after
+    every batch."""
     m, ways, address_bits, polys = config
     num_sets = 1 << m
     block = 16
@@ -261,8 +263,9 @@ def test_trace_order_three_path_agreement_on_random_polynomials(
                                  replacement=replacement, write_policy=policy)
     decomposed = build_batch_cache()
     generic = build_batch_cache()
-    assert decomposed.dispatch_strategy(
-        AddressBatch.from_arrays([0])) == f"trace-order-{replacement}"
+    assert decomposed.dispatch_strategy(AddressBatch.from_arrays([0])) == (
+        f"compiled-set-assoc-{replacement}" if ckernels.available()
+        else "generic-policy-kernel")
 
     cut = len(addresses) // 2
     for lo, hi in ((0, cut), (cut, len(addresses))):
@@ -307,11 +310,12 @@ def test_trace_order_three_path_agreement_on_random_polynomials(
     config=skewed_ipoly_configs(),
     replacement=st.sampled_from(["lru", "fifo", "random", "plru"]),
 )
-def test_victim_decomposed_three_path_agreement_on_random_polynomials(
+def test_victim_three_path_agreement_on_random_polynomials(
         addresses, writes, entries, ways, config, replacement):
-    """The decomposed victim kernels agree with the generic victim kernel
-    and the scalar model over random skewed GF(2) placements, state tables
-    compared after every batch."""
+    """The dispatched victim kernel (compiled when the C library builds)
+    agrees with the generic fallback kernel and the scalar model over
+    random skewed GF(2) placements, state tables compared after every
+    batch."""
     from repro.cache.victim import VictimCache
     from repro.engine import BatchVictimCache
 
@@ -354,6 +358,7 @@ def test_victim_decomposed_three_path_agreement_on_random_polynomials(
             batch.block_numbers(block), batch.is_write)
         assert dec_hits.tolist() == ref_hits
         assert gen_hits.tolist() == ref_hits
+        decomposed._lists()  # check both caches' state out as lists
         assert decomposed._way_tags == generic._way_tags
         assert decomposed._victim_tags == generic._victim_tags
         for dp, gp in ((decomposed._main_policy, generic._main_policy),

@@ -56,9 +56,9 @@ def test_miss_ratio_study_matches_golden(engine):
 
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_fifo_figure1_matches_golden(engine):
-    """FIFO stride sweep: pins the trace-order FIFO kernel on the
-    conventional two-way cache (vectorized) and the scalar FIFO policy
-    (reference) to one committed snapshot."""
+    """FIFO stride sweep: pins the FIFO kernel on the conventional two-way
+    cache (vectorized) and the scalar FIFO policy (reference) to one
+    committed snapshot."""
     golden = load_golden("figure1_fifo.json")
     params = golden["params"]
     result = run_figure1(max_stride=params["max_stride"],
@@ -73,8 +73,7 @@ def test_fifo_figure1_matches_golden(engine):
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_plru_miss_ratio_study_matches_golden(engine):
     """PLRU miss-ratio study: pins the PLRU kernels across every study
-    organisation (trace-order at two ways, set-decomposed for the
-    fully-associative cache)."""
+    organisation (two-way caches and the fully-associative cache)."""
     golden = load_golden("miss_ratio_study_plru.json")
     params = golden["params"]
     result = run_miss_ratio_study(programs=params["programs"],
@@ -87,9 +86,9 @@ def test_plru_miss_ratio_study_matches_golden(engine):
 
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_skewed_plru_miss_ratio_matches_golden(engine):
-    """Skewed-placement PLRU miss-ratio study: pins the trace-order
-    PLRU kernel (via the skewed-XOR and skewed-I-Poly organisations) so a
-    kernel regression fails without the scalar engine in the loop."""
+    """Skewed-placement PLRU miss-ratio study: pins the PLRU kernel on
+    skewed placement (via the skewed-XOR and skewed-I-Poly organisations)
+    so a kernel regression fails without the scalar engine in the loop."""
     golden = load_golden("miss_ratio_study_plru_skewed.json")
     params = golden["params"]
     result = run_miss_ratio_study(programs=params["programs"],
@@ -103,8 +102,8 @@ def test_skewed_plru_miss_ratio_matches_golden(engine):
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_replacement_study_matches_golden(engine):
     """Replacement study (policy x organisation, victim cache included):
-    pins every decomposed victim kernel and every trace-order kernel to one
-    committed snapshot."""
+    pins the victim kernel and the set-associative kernel under every
+    policy to one committed snapshot."""
     golden = load_golden("replacement_study.json")
     params = golden["params"]
     result = run_replacement_study(programs=params["programs"],

@@ -316,11 +316,14 @@ class TestDerivedArrayMemos:
         assert first is not second and first == second
         assert memo_info()["set_lists"]["entries"] == 0
 
-    def test_skewed_kernel_hits_the_list_memo(self):
-        """Regression for the kernels re-deriving per-way index lists per
-        batch: the skewed batch kernels fetch their per-way streams through
-        the list memo, so a second cache over the same trace hits it."""
+    def test_skewed_kernel_hits_the_index_memo(self, kernel_path):
+        """Regression for the kernels re-deriving per-way indices per batch:
+        the skewed batch kernels fetch their per-way streams through the
+        memo — arrays for the compiled kernel, list views for the Python
+        fallback — so a second cache over the same trace hits it."""
         from repro.engine import BatchSetAssociativeCache
+
+        table = "sets" if kernel_path == "compiled" else "set_lists"
 
         addresses, writes = cached_strided_arrays(23, elements=128, sweeps=3)
         batch = AddressBatch.from_arrays(addresses, writes)
@@ -333,16 +336,18 @@ class TestDerivedArrayMemos:
                 replacement="fifo")
 
         build().run(batch)
-        info = memo_info()["set_lists"]
+        info = memo_info()[table]
         assert info["misses"] == 2 and info["hits"] == 0  # one per way
         build().run(batch)
-        info = memo_info()["set_lists"]
+        info = memo_info()[table]
         assert info["misses"] == 2 and info["hits"] == 2  # served, not rebuilt
 
-    def test_victim_kernel_hits_the_list_memo(self):
-        """The decomposed victim kernel routes its index stream through the
-        list memo too."""
+    def test_victim_kernel_hits_the_index_memo(self, kernel_path):
+        """The victim kernels route their index stream through the memo
+        too."""
         from repro.engine import BatchVictimCache
+
+        table = "sets" if kernel_path == "compiled" else "set_lists"
 
         addresses, writes = cached_strided_arrays(29, elements=128, sweeps=3)
         batch = AddressBatch.from_arrays(addresses, writes)
@@ -351,9 +356,9 @@ class TestDerivedArrayMemos:
             return BatchVictimCache(4096, 32, ways=1, victim_entries=8)
 
         build().run(batch)
-        assert memo_info()["set_lists"]["misses"] == 1
+        assert memo_info()[table]["misses"] == 1
         build().run(batch)
-        assert memo_info()["set_lists"]["hits"] == 1
+        assert memo_info()[table]["hits"] == 1
 
     def test_caches_survive_concurrent_thread_sweeps(self):
         """Thread-mode workers share the process-global caches; hammering
@@ -444,7 +449,7 @@ class TestBoundedMemoStats:
 
 
 class TestEndToEndMemoisation:
-    def test_repeated_vectorized_study_hits_the_caches(self):
+    def test_repeated_vectorized_study_hits_the_caches(self, kernel_path):
         from repro.experiments.replacement_study import run_replacement_study
 
         first = run_replacement_study(programs=["gcc"], accesses=2000,
@@ -457,10 +462,12 @@ class TestEndToEndMemoisation:
         assert second.miss_ratios == first.miss_ratios
         assert trace_cache_info()["hits"] > hits_before
         # The repeat derives nothing afresh: every block-number and
-        # set-index lookup (the kernels read the list views) is a hit.
+        # set-index lookup is a hit (the compiled kernels read the arrays,
+        # the Python fallback the list views).
         for table in ("blocks", "sets", "set_lists"):
             assert memo_after[table]["misses"] == memo_before[table]["misses"]
-        assert memo_after["set_lists"]["hits"] > memo_before["set_lists"]["hits"]
+        read = "sets" if kernel_path == "compiled" else "set_lists"
+        assert memo_after[read]["hits"] > memo_before[read]["hits"]
 
     def test_cached_and_uncached_study_agree(self):
         """The memoised vectorized path matches the reference engine."""

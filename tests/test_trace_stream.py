@@ -127,8 +127,8 @@ def _plain(value):
     return value
 
 
-_STATE_ATTRS = ("_clock", "_sets", "_way_tags", "_way_used", "_way_dirty",
-                "_frames", "_dirty", "_victim", "_victim_dirty",
+_STATE_ATTRS = ("_clock", "_state", "_sets", "_way_tags", "_way_used",
+                "_way_dirty", "_frames", "_dirty", "_victim", "_victim_dirty",
                 "_victim_order")
 
 
