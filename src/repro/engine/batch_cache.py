@@ -52,6 +52,7 @@ trace (see :mod:`repro.trace.batching`) also share the derived arrays.
 
 from __future__ import annotations
 
+import enum
 from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
@@ -166,8 +167,13 @@ def _way_indices(cache, blocks: np.ndarray, as_lists: bool = False):
     return [fetch(cache._vec_index, blocks, 0)] * cache._ways
 
 
-#: ``_state`` of a fresh or flushed cache: neither layout built yet.
-_EMPTY = "empty"
+class _Layout(enum.Enum):
+    """``_state`` of a fresh or flushed cache: neither layout built yet (an
+    enum member, so the identity checks survive pickling)."""
+    EMPTY = "empty"
+
+
+_EMPTY = _Layout.EMPTY
 
 
 class _BatchCache:

@@ -13,6 +13,9 @@ Build and load happen lazily, on the first kernel call, never at import:
   ``~/.cache/repro``), or a per-user temp directory when that is not
   writable, named by the SHA-256 of the source, the compiler, the flags and
   the platform — a stale build is never picked up;
+* a cache directory (mode ``0700``), the library and its digest are used
+  only while this user owns them and nobody else can write them: the name
+  is predictable, so another user's ``/tmp/repro-<uid>`` could plant code;
 * it is compiled to a temporary name and ``os.replace``-d into place, next to
   a digest of its bytes that is checked before a cached copy is loaded, so a
   half-written or damaged file never loads and concurrent sweep workers can
@@ -112,10 +115,24 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _check_private(path: Path) -> None:
+    """Raise ``PermissionError`` unless ``path`` belongs to this user and
+    neither its group nor others can write it."""
+    if not hasattr(os, "getuid"):  # no POSIX owners (Windows)
+        return
+    info = path.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise PermissionError(f"{path} is not private to this user")
+
+
 def _load_cached(path: Path) -> Optional[ctypes.CDLL]:
-    """The cached library at ``path`` if its bytes match its digest file."""
+    """The cached library at ``path`` if its bytes match its digest file
+    and both files are private to this user."""
+    digest = path.with_name(path.name + ".sha256")
     try:
-        expected = path.with_name(path.name + ".sha256").read_text().strip()
+        _check_private(path)
+        _check_private(digest)
+        expected = digest.read_text().strip()
         if _file_digest(path) != expected:
             return None
         return _bind(ctypes.CDLL(str(path)))
@@ -127,7 +144,6 @@ def _build(compiler: Sequence[str], path: Path) -> None:
     """Compile to a temporary name, then move library and digest in place."""
     import subprocess  # only a build needs it; keeps the import light
 
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
     os.close(fd)
     try:
@@ -143,6 +159,9 @@ def _build(compiler: Sequence[str], path: Path) -> None:
                               + (f": {detail}" if detail else ""))
         digest_tmp = tmp + ".sha256"
         Path(digest_tmp).write_text(_file_digest(Path(tmp)))
+        # Modes independent of the umask, so the files pass _check_private.
+        os.chmod(tmp, 0o700)
+        os.chmod(digest_tmp, 0o600)
         os.replace(tmp, path)
         os.replace(digest_tmp, path.with_name(path.name + ".sha256"))
     finally:
@@ -156,20 +175,22 @@ def _load() -> ctypes.CDLL:
     # Split like the shell expands an unquoted ${CC:-cc}.
     compiler = os.environ.get("CC", "").split() or ["cc"]
     name = _library_name(compiler)
-    unwritable = []
+    unusable = []
     for directory in _cache_dirs():
         path = directory / name
-        library = _load_cached(path)
-        if library is not None:
-            return library
         try:
+            directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+            _check_private(directory)
+            library = _load_cached(path)
+            if library is not None:
+                return library
             _build(compiler, path)
-        except OSError as exc:  # this directory is not writable
-            unwritable.append(f"{directory}: {exc.strerror or exc}")
+        except OSError as exc:  # not writable, or not private
+            unusable.append(f"{directory}: {exc.strerror or exc}")
             continue
         return _bind(ctypes.CDLL(str(path)))
-    raise _BuildError("no writable cache directory ("
-                      + "; ".join(unwritable) + ")")
+    raise _BuildError("no writable cache directory private to this user ("
+                      + "; ".join(unusable) + ")")
 
 
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:

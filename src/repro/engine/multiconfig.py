@@ -72,6 +72,7 @@ import numpy as np
 
 from ..cache.set_assoc import WritePolicy
 from ..core.memo_util import BoundedMemo
+from . import ckernels
 from .batch import AddressBatch
 from .batch_cache import BatchSetAssociativeCache
 from .memo import cached_block_numbers
@@ -96,10 +97,11 @@ __all__ = [
 ]
 
 #: Valid values of every driver's ``profile`` parameter: ``"auto"`` profiles
-#: a group only when it is expected to win (two or more configurations after
-#: setting aside any too-deep member, which stays on its own kernel),
-#: ``"always"`` forces the profiler onto every profilable task, ``"never"``
-#: keeps every task on its per-configuration kernel, and ``"sampled"``
+#: a group only when it is expected to win (on the Python fallback kernels
+#: only, and two or more configurations after setting aside any too-deep
+#: member, which stays on its own kernel), ``"always"`` forces the profiler
+#: onto every profilable task, ``"never"`` keeps every task on its
+#: per-configuration kernel, and ``"sampled"``
 #: prices LRU groups approximately through the SHARDS profiles of
 #: :mod:`repro.engine.shards` (FIFO groups stay on the exact single-pass
 #: profiler — its cost already scales with misses, not accesses).
@@ -1241,7 +1243,11 @@ class MultiConfigPlan:
     passes it takes to produce them.
 
     ``profile="auto"`` (the default) profiles a group only when it is
-    expected to win: at least two configurations no deeper than
+    expected to win: never while the compiled kernels of
+    :mod:`repro.engine.ckernels` are available (a compiled per-configuration
+    run outpaces the exact profiles — ~2x on the 16-configuration grids
+    ``benchmarks/bench_engine.py`` times), and on the Python fallback
+    kernels when the group has at least two configurations no deeper than
     :data:`PROFILE_AUTO_CAP_LIMIT` ways (a deeper member — e.g. a 256-way
     fully-associative organisation — stays on its own kernel without
     vetoing the shallow rest of its group).  ``"always"`` and ``"never"``
@@ -1353,9 +1359,10 @@ class MultiConfigPlan:
     def run(self) -> Dict[Hashable, ProfileCounts]:
         """Execute the plan; returns ``{key: ProfileCounts}`` for every task."""
         groups: Dict[tuple, List[_PlanTask]] = {}
-        for task in self._tasks:
-            if task.level is not None:
-                groups.setdefault(self._group_key(task), []).append(task)
+        if self._profile != "auto" or not ckernels.available():
+            for task in self._tasks:
+                if task.level is not None:
+                    groups.setdefault(self._group_key(task), []).append(task)
 
         results: Dict[Hashable, ProfileCounts] = {}
         profiled: set = set()

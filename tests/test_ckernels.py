@@ -350,10 +350,19 @@ def test_column_handoff(route, monkeypatch, compiled_tier):
 # caches stay picklable; malformed arguments never reach C
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("family", ["set-assoc", "victim", "column"])
-def test_compiled_caches_pickle_mid_stream(family, compiled_tier):
-    """Sweep workers and checkpoints pickle caches: a cache the compiled
-    kernel has run carries no ctypes object and resumes bit-exactly."""
+#: (family, state when pickled); the column cache has no ``flush``.
+PICKLE_CASES = [(family, moment)
+                for family in ("set-assoc", "victim", "column")
+                for moment in ("fresh", "mid-stream", "flushed")
+                if (family, moment) != ("column", "flushed")]
+
+
+@pytest.mark.parametrize("family, moment", PICKLE_CASES,
+                         ids=["-".join(case) for case in PICKLE_CASES])
+def test_caches_pickle_and_resume(family, moment, kernel_path):
+    """Sweep workers and checkpoints pickle caches: a fresh cache, one a
+    kernel has run and a flushed one carry no ctypes object and resume
+    bit-exactly."""
     build = {
         "set-assoc": lambda: build_set_assoc(
             ("skewed", 2, "plru", WritePolicy.WRITE_BACK_ALLOCATE, True),
@@ -362,7 +371,10 @@ def test_compiled_caches_pickle_mid_stream(family, compiled_tier):
         "column": lambda: build_column(True, "ipoly", False, batch=True),
     }[family]
     cache = build()
-    cache.run(batch_of(TRACE[:900]))
+    if moment != "fresh":
+        cache.run(batch_of(TRACE[:900]))
+    if moment == "flushed":
+        cache.flush()
     clone = pickle.loads(pickle.dumps(cache))
     rest = batch_of(TRACE[900:])
     np.testing.assert_array_equal(clone.run(rest), cache.run(rest))
@@ -546,6 +558,36 @@ def test_unwritable_cache_dirs_fall_back(tmp_path, fallback_results):
     out, err = run_probe(probe_env(blocker / "cache"), blocker / "tmp")
     assert_fallback(out, err, fallback_results)
     assert "no writable cache directory" in err
+
+
+@pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX owners")
+@pytest.mark.parametrize("planted", ["world-writable", "other-user"])
+def test_cache_dir_another_user_controls_is_never_used(
+        planted, tmp_path, fallback_results, compiled_tier):
+    """A ``repro-<uid>`` temp dir someone else could write holds a library
+    with a matching digest: it must be neither loaded nor built into."""
+    if planted == "other-user" and os.getuid() != 0:
+        pytest.skip("only root can make a directory for another user")
+    home = tmp_path / "home"
+    assert_compiled(*run_probe(probe_env(home)), fallback_results)
+    temp = tmp_path / "tmp"
+    trap = temp / f"repro-{os.getuid()}"
+    trap.mkdir(parents=True)
+    for built in (home / "repro").iterdir():
+        (trap / built.name).write_bytes(built.read_bytes())
+    if planted == "world-writable":
+        trap.chmod(0o777)
+    else:
+        for path in (trap, *trap.iterdir()):
+            os.chown(path, 65534, 65534)
+    before = sorted(p.name for p in trap.iterdir())
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out, err = run_probe(probe_env(blocker / "cache"), temp)
+    assert_fallback(out, err, fallback_results)
+    assert "not private to this user" in err
+    assert sorted(p.name for p in trap.iterdir()) == before
 
 
 def test_unwritable_cache_home_builds_in_the_temp_dir(tmp_path,

@@ -25,10 +25,12 @@ from repro.engine import (
     ProfileCounts,
     StackDistanceProfile,
     check_profile_mode,
+    ckernels,
     profile_cache_clear,
     profile_cache_info,
     run_lru_grid,
 )
+from repro.engine import multiconfig
 from repro.engine.multiconfig import PROFILE_AUTO_CAP_LIMIT
 from repro.trace.batching import cached_workload_arrays
 
@@ -281,7 +283,8 @@ class TestMultiConfigPlan:
         assert results["auto"] == results["never"]
         assert results["always"] == results["never"]
 
-    def test_auto_skips_singletons_and_deep_levels(self):
+    def test_auto_skips_singletons_and_deep_levels(self, monkeypatch):
+        monkeypatch.setattr(ckernels, "available", lambda: False)
         batch = batch_of_blocks(list(range(64)) * 4)
         # A singleton group: auto must not profile it.
         profile_cache_clear()
@@ -296,9 +299,12 @@ class TestMultiConfigPlan:
         assert (run_lru_grid(batch, BLOCK, deep, profile="always")
                 == run_lru_grid(batch, BLOCK, deep, profile="never"))
 
-    def test_auto_excludes_deep_members_without_vetoing_the_group(self):
+    def test_auto_excludes_deep_members_without_vetoing_the_group(
+            self, monkeypatch):
         """A deep organisation must not stop its shallow group members
-        from profiling (regression: group-level veto)."""
+        from profiling (regression: group-level veto).  Auto profiles only
+        on the Python fallback kernels."""
+        monkeypatch.setattr(ckernels, "available", lambda: False)
         # A read-only cached trace, so profile passes land in the memo and
         # the pass count is observable.
         addresses, writes = cached_workload_arrays("li", length=4000)
@@ -310,6 +316,25 @@ class TestMultiConfigPlan:
         # fully-associative row ran its kernel.
         assert profile_cache_info()["misses"] == 1
         assert auto == run_lru_grid(batch, BLOCK, grid, profile="never")
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    def test_auto_runs_compiled_kernels_instead_of_profiles(
+            self, replacement, monkeypatch, compiled_tier):
+        """The compiled per-configuration kernels outrun the exact
+        profiles, so auto builds none while they are available."""
+        addresses, writes = cached_workload_arrays("li", length=4000)
+        batch = AddressBatch.from_arrays(addresses, writes)
+        grid = [(64, w) for w in (1, 2, 4, 8)]
+        exact = run_lru_grid(batch, BLOCK, grid, profile="always",
+                             replacement=replacement)
+
+        def no_profile(*args, **kwargs):
+            raise AssertionError("auto built a profile on the compiled tier")
+
+        for name in ("MultiConfigLRUProfile", "MultiConfigFIFOProfile"):
+            monkeypatch.setattr(multiconfig, name, no_profile)
+        assert run_lru_grid(batch, BLOCK, grid, profile="auto",
+                            replacement=replacement) == exact
 
     def test_groups_share_one_pass_per_level(self):
         profile_cache_clear()
