@@ -16,9 +16,10 @@ the analytical prediction of equations (vii)-(ix).
 Both levels are described once, as ``OrganisationSpec`` values, and built
 for the chosen engine.  ``--engine vectorized`` runs the same experiment
 through the batch engine (:class:`repro.engine.BatchVirtualRealHierarchy`):
-the trace is synthesised as NumPy columns (``workload_arrays``), and
-translation, both cache levels and the Inclusion protocol all execute
-array-at-a-time, producing identical counters.  ``--json`` emits the
+the trace is synthesised as NumPy columns (``workload_arrays``), translation
+runs array-at-a-time, and both cache levels and the Inclusion protocol run
+in one trace-order loop (compiled when a C compiler is available),
+producing identical counters.  ``--json`` emits the
 measurements as a machine-readable object instead of the narrated report.
 
 Run it with::

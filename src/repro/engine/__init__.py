@@ -47,7 +47,6 @@ from .hierarchy_vec import (
     BatchTwoLevelHierarchy,
     BatchVirtualRealHierarchy,
     HierarchyBatchResult,
-    MissStream,
     batch_hierarchy_like,
     batch_virtual_real_like,
 )
@@ -97,13 +96,7 @@ from .sweep import (
     run_sweep,
 )
 from .tabulated import TabulatedIPolyIndexing, tabulate_index_function
-from .translate_vec import (
-    BatchTranslationResult,
-    BatchTranslator,
-    batch_page_frames,
-    batch_translate,
-    run_tlb_kernel,
-)
+from .translate_vec import batch_page_frames, run_tlb_kernel
 
 __all__ = [
     "ENGINES",
@@ -118,13 +111,9 @@ __all__ = [
     "BatchTwoLevelHierarchy",
     "BatchVirtualRealHierarchy",
     "HierarchyBatchResult",
-    "MissStream",
     "batch_hierarchy_like",
     "batch_virtual_real_like",
-    "BatchTranslator",
-    "BatchTranslationResult",
     "batch_page_frames",
-    "batch_translate",
     "run_tlb_kernel",
     "VecReplacementState",
     "make_vec_replacement",

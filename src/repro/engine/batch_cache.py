@@ -31,11 +31,12 @@ Kernels, picked per cache by ``dispatch_strategy``:
 
 Every kernel supports stores under both write policies and warm caches.
 
-State has two layouts and exactly one is live.  The compiled kernels
-mutate NumPy arrays; the Python consumers — the fallback kernels, the point
-operations (``contains_block``, ``invalidate_block``, ``resident_blocks``,
-snapshots) and the loops of :mod:`repro.engine.hierarchy_vec` — read lists
-(and per-set dicts for conventional LRU) checked out through ``_lists()``.
+State has two layouts and exactly one is live.  The compiled kernels and
+both tiers of the multi-level loop (:mod:`repro.engine.hierarchy_vec`)
+mutate NumPy arrays; the other Python consumers — the fallback kernels and
+the point operations (``contains_block``, ``invalidate_block``,
+``resident_blocks``) — read lists (and per-set dicts for conventional LRU)
+checked out through ``_lists()``.
 A cache converts only when the other kind of consumer touched it last, so
 single-level runs never convert.  Policy tables
 (:class:`~repro.engine.replacement_vec.VecReplacementState`) are NumPy in
@@ -489,49 +490,6 @@ class BatchSetAssociativeCache(_BatchCache):
         if self._classifier is not None:
             self._classifier.reset()
 
-    def _snapshot_state(self):
-        """Deep copy of simulation state + statistics for epoch rewind."""
-        self._lists()
-        stats = self.stats
-        counters = (stats.loads, stats.stores, stats.load_misses,
-                    stats.store_misses, stats.evictions, stats.writebacks,
-                    stats.invalidations, stats.holes_created,
-                    dict(stats.miss_kinds))
-        policy_snap = (self._vec_policy.state_snapshot()
-                       if self._vec_policy is not None else None)
-        if self._use_flat:
-            state = ([list(row) for row in self._way_tags],
-                     [list(row) for row in self._way_used],
-                     [list(row) for row in self._way_dirty])
-        else:
-            state = [d.copy() for d in self._sets]
-        return self._clock, state, counters, policy_snap
-
-    def _restore_state(self, snapshot) -> None:
-        """Restore a :meth:`_snapshot_state` copy (state, stats, policy, clock)."""
-        self._lists()
-        clock, state, counters, policy_snap = snapshot
-        self._clock = clock
-        stats = self.stats
-        (stats.loads, stats.stores, stats.load_misses, stats.store_misses,
-         stats.evictions, stats.writebacks, stats.invalidations,
-         stats.holes_created, kinds) = counters
-        stats.miss_kinds = dict(kinds)
-        if self._vec_policy is not None:
-            self._vec_policy.state_restore(policy_snap)
-        if self._use_flat:
-            tags, used, dirty = state
-            for dst, src in zip(self._way_tags, tags):
-                dst[:] = list(src)
-            for dst, src in zip(self._way_used, used):
-                dst[:] = list(src)
-            for dst, src in zip(self._way_dirty, dirty):
-                dst[:] = list(src)
-        else:
-            for dst, src in zip(self._sets, state):
-                dst.clear()
-                dst.update(src)
-
     # ------------------------------------------------------------------ #
     # simulation
     # ------------------------------------------------------------------ #
@@ -586,24 +544,36 @@ class BatchSetAssociativeCache(_BatchCache):
 
     def _run_compiled(self, blocks: np.ndarray,
                       is_write: np.ndarray) -> np.ndarray:
+        state = self._kernel_state(blocks)
+        hits, counts = ckernels.run_set_assoc(
+            blocks, np.ascontiguousarray(is_write).view(np.uint8), **state)
+        self._kernel_done(state["io"], counts)
+        return hits
+
+    def _kernel_state(self, blocks: np.ndarray) -> dict:
+        """The arrays a compiled kernel runs this cache on for ``blocks``:
+        :func:`ckernels.run_set_assoc`'s keyword arguments, set indices
+        included (the multi-level engine passes one per level)."""
         tags, dirty, used = self._arrays()
         policy = self._vec_policy
         if policy is None:  # LRU: stamps live with the tags
             stamps, bits, seed, draws = used, None, 0, 0
         else:
             stamps, bits, seed, draws = _policy_tables(policy)
-        io = np.array([self._clock, draws], dtype=np.int64)
-        hits, counts = ckernels.run_set_assoc(
-            blocks, np.ascontiguousarray(is_write).view(np.uint8),
-            _way_indices(self, blocks),
+        return dict(
+            way_sets=_way_indices(self, blocks),
             write_back=self._write_policy == WritePolicy.WRITE_BACK_ALLOCATE,
             policy=self._replacement_name, tags=tags, dirty=dirty,
-            stamps=stamps, bits=bits, seed=seed, io=io)
+            stamps=stamps, bits=bits, seed=seed,
+            io=np.array([self._clock, draws], dtype=np.int64))
+
+    def _kernel_done(self, io: np.ndarray, counts) -> None:
+        """Take back the clock, random draws and counters of a run on
+        :meth:`_kernel_state`."""
         self._clock = int(io[0])
         if self._replacement_name == "random":
-            policy.counter = int(io[1])
+            self._vec_policy.counter = int(io[1])
         self._add_counts(*counts.tolist())
-        return hits
 
     # -- conventional LRU fallback: insertion-ordered dict kernel ------- #
 

@@ -12,7 +12,11 @@
  *                     either write policy;
  *   repro_victim_run  a main cache backed by a fully-associative victim
  *                     buffer, any main ways, any buffer size, any policy;
- *   repro_column_run  the column-associative cache.
+ *   repro_column_run  the column-associative cache;
+ *   repro_hier_run    a two-level hierarchy with back-invalidation (the
+ *                     two-level and virtual-real twins), each level any
+ *                     set-associative cache, through repro_sa_run's
+ *                     per-access body.
  *
  * Layouts: per-way tables are way-major (ways x num_sets), PLRU direction
  * bits are set-major (num_sets x tree), tag -1 marks an invalid frame.
@@ -23,6 +27,13 @@
 #include <string.h>
 
 enum { POLICY_LRU = 0, POLICY_FIFO = 1, POLICY_RANDOM = 2, POLICY_PLRU = 3 };
+
+/* The per-access helpers are inlined into every kernel loop. */
+#if defined(__GNUC__)
+#define INLINE static inline __attribute__((always_inline))
+#else
+#define INLINE static inline
+#endif
 
 /* Slots of every kernel's `counts` output.  The EXTRA slots are the
  * family's own counters: victim main hits and buffer hits; column
@@ -92,7 +103,7 @@ static int64_t plru_victim(const uint8_t *bits, int64_t ways)
     return low;
 }
 
-static void policy_touch(policy_t *p, int64_t way, int64_t set, int64_t now,
+INLINE void policy_touch(policy_t *p, int64_t way, int64_t set, int64_t now,
                          int fill)
 {
     switch (p->kind) {
@@ -165,59 +176,216 @@ static int64_t probe(const int64_t *tags, const int64_t *const *way_sets,
     return -1;
 }
 
+/* One set-associative cache as a kernel call takes it (ckernels.py builds
+ * it): way_sets[w][i] is way w's candidate set of access i, io = {clock,
+ * random draws} is read and updated, counts accumulates NUM_COUNTS. */
+typedef struct {
+    const int64_t *const *way_sets;
+    int64_t ways, num_sets, write_back, kind;
+    int64_t *tags;
+    uint8_t *dirty;
+    int64_t *stamps;
+    uint8_t *bits;
+    uint64_t seed;
+    int64_t *io;
+    int64_t *counts;
+} level_t;
+
+/* A level during a run: a private copy of its level_t's geometry and
+ * pointers (so the compiler can keep them in registers while the state
+ * arrays are written), its policy state, clock and counters. */
+typedef struct {
+    const int64_t *const *way_sets;
+    int64_t ways, num_sets, write_back;
+    int64_t *tags;
+    uint8_t *dirty;
+    policy_t p;
+    int64_t clock;
+    int64_t *cand; /* scratch: each way's candidate set of one access */
+    int64_t c[NUM_COUNTS];
+} cache_t;
+
+static int cache_open(cache_t *s, const level_t *l)
+{
+    s->cand = malloc((size_t)l->ways * sizeof *s->cand);
+    if (s->cand == NULL)
+        return -1;
+    s->way_sets = l->way_sets;
+    s->ways = l->ways;
+    s->num_sets = l->num_sets;
+    s->write_back = l->write_back;
+    s->tags = l->tags;
+    s->dirty = l->dirty;
+    s->p = (policy_t){l->kind, l->ways, l->num_sets,
+                      l->ways > 1 ? l->ways - 1 : 1, l->stamps, l->bits,
+                      l->seed, l->io[1]};
+    s->clock = l->io[0];
+    memset(s->c, 0, sizeof s->c);
+    return 0;
+}
+
+static void cache_close(cache_t *s, const level_t *l)
+{
+    l->io[0] = s->clock;
+    l->io[1] = s->p.counter;
+    for (int i = 0; i < NUM_COUNTS; i++)
+        l->counts[i] += s->c[i];
+    free(s->cand);
+}
+
 /*
- * Set-associative cache.  io = {clock, random draws}.  Returns 0, or -1
- * when scratch memory is unavailable (nothing changed).
+ * Access i of the run: `block`, a store when `write`.  Returns 1 on a hit;
+ * *frame is the frame hit or filled (way * num_sets + set), or -1 when a
+ * store miss did not allocate.
+ */
+INLINE int sa_access(cache_t *s, int64_t i, int64_t block, int write,
+                     int64_t *frame)
+{
+    int64_t *cand = s->cand;
+    int64_t invalid;
+    s->clock += 1;
+    int64_t way = probe(s->tags, s->way_sets, s->ways, s->num_sets, i, block,
+                        cand, &invalid);
+    count_access(s->c, write, way >= 0);
+    if (way >= 0) {
+        policy_touch(&s->p, way, cand[way], s->clock, 0);
+        *frame = way * s->num_sets + cand[way];
+        if (write && s->write_back)
+            s->dirty[*frame] = 1;
+        return 1;
+    }
+    *frame = -1;
+    if (write && !s->write_back)
+        return 0; /* write-through / no-write-allocate */
+    way = invalid;
+    if (way < 0) {
+        way = policy_victim(&s->p, cand);
+        s->c[EVICTIONS]++;
+        if (s->dirty[way * s->num_sets + cand[way]])
+            s->c[WRITEBACKS]++;
+    }
+    *frame = way * s->num_sets + cand[way];
+    s->tags[*frame] = block;
+    s->dirty[*frame] = (uint8_t)(write && s->write_back);
+    policy_touch(&s->p, way, cand[way], s->clock, 1);
+    return 0;
+}
+
+/*
+ * Set-associative cache: conventional, skewed or fully associative.
+ * Returns 0, or -1 when scratch memory is unavailable (nothing changed).
  */
 int64_t repro_sa_run(int64_t n, const int64_t *blocks, const uint8_t *writes,
-                     const int64_t *const *way_sets, int64_t ways,
-                     int64_t num_sets, int64_t write_back, int64_t kind,
-                     int64_t *tags, uint8_t *dirty, int64_t *stamps,
-                     uint8_t *bits, uint64_t seed, int64_t *io, uint8_t *hits,
-                     int64_t *counts)
+                     const level_t *l, uint8_t *hits)
 {
-    int64_t *cand = malloc((size_t)ways * sizeof *cand);
-    if (cand == NULL)
+    cache_t s;
+    if (cache_open(&s, l) != 0)
         return -1;
-    policy_t p = {kind, ways, num_sets, ways > 1 ? ways - 1 : 1, stamps,
-                  bits, seed, io[1]};
-    int64_t clock = io[0];
-    int64_t c[NUM_COUNTS] = {0};
+    for (int64_t i = 0; i < n; i++) {
+        int64_t frame;
+        hits[i] = (uint8_t)sa_access(&s, i, blocks[i], writes[i] != 0, &frame);
+    }
+    cache_close(&s, l);
+    return 0;
+}
+
+/* Slots of the hierarchy kernel's `events` output. */
+enum { HOLES, MISSES_CAUSING_HOLES, BACK_INVALIDATIONS, ALIAS_INVALIDATIONS,
+       NUM_EVENTS };
+
+/* Invalidate L1 frame f and forget which line it held. */
+static void drop_l1(cache_t *l1, int64_t f, int64_t *frame_of_line,
+                    int64_t *l1_line)
+{
+    l1->tags[f] = -1;
+    l1->dirty[f] = 0;
+    if (l1_line[f] >= 0)
+        frame_of_line[l1_line[f]] = -1;
+    l1_line[f] = -1;
+}
+
+/*
+ * Two-level hierarchy with back-invalidation, one access at a time in
+ * trace order, like repro.cache.hierarchy and repro.cache.virtual_real.
+ *
+ * Access i looks up l1_blocks[i] in L1 and l2_blocks[i] in L2.  Its
+ * downstream line has the dense id lines[i]: lines of one L2 block are
+ * `ratio` consecutive ids starting at ratio * (the block's id), so the L2
+ * block of line id x has id x / ratio.  frame_of_line[x] is the L1 frame
+ * holding line x or -1, l1_line[f] the line in L1 frame f or -1, and
+ * l2_gid[f] the block id in L2 frame f or -1; the kernel keeps all three
+ * current.  An L1 frame holding this access's line under another L1 block
+ * is an alias and is invalidated first.  An L2 miss that evicts a block
+ * invalidates every L1 copy of its lines when `inclusive`; a copy other
+ * than the line being filled is a hole.  A store that hits L1 is written
+ * through to L2 and never back-invalidates.
+ */
+int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
+                       const int64_t *l2_blocks, const int64_t *lines,
+                       const uint8_t *writes, int64_t ratio,
+                       int64_t inclusive, const level_t *l1l,
+                       const level_t *l2l, int64_t *frame_of_line,
+                       int64_t *l1_line, int64_t *l2_gid, uint8_t *l1_hits,
+                       uint8_t *l2_hits, int64_t *events)
+{
+    cache_t l1, l2;
+    if (cache_open(&l1, l1l) != 0)
+        return -1;
+    if (cache_open(&l2, l2l) != 0) {
+        free(l1.cand);
+        return -1;
+    }
+    int64_t e[NUM_EVENTS] = {0};
 
     for (int64_t i = 0; i < n; i++) {
-        int64_t b = blocks[i];
+        int64_t block = l1_blocks[i], line = lines[i], f, f2;
         int w = writes[i] != 0;
-        clock += 1;
-        int64_t invalid;
-        int64_t way = probe(tags, way_sets, ways, num_sets, i, b, cand,
-                            &invalid);
-        hits[i] = way >= 0;
-        count_access(c, w, way >= 0);
-        if (way >= 0) {
-            policy_touch(&p, way, cand[way], clock, 0);
-            if (w && write_back)
-                dirty[way * num_sets + cand[way]] = 1;
+        f = frame_of_line[line];
+        if (f >= 0 && l1.tags[f] != block) {
+            drop_l1(&l1, f, frame_of_line, l1_line);
+            e[ALIAS_INVALIDATIONS]++;
+        }
+        if (sa_access(&l1, i, block, w, &f)) {
+            l1_hits[i] = l2_hits[i] = 1;
+            if (w) {
+                sa_access(&l2, i, l2_blocks[i], 1, &f2);
+                if (f2 >= 0)
+                    l2_gid[f2] = line / ratio;
+            }
             continue;
         }
-        if (w && !write_back)
-            continue; /* write-through / no-write-allocate */
-        way = invalid;
-        if (way < 0) {
-            way = policy_victim(&p, cand);
-            c[EVICTIONS]++;
-            if (dirty[way * num_sets + cand[way]])
-                c[WRITEBACKS]++;
+        l1_hits[i] = 0;
+        if (f >= 0) {
+            if (l1_line[f] >= 0)
+                frame_of_line[l1_line[f]] = -1;
+            l1_line[f] = line;
+            frame_of_line[line] = f;
         }
-        int64_t frame = way * num_sets + cand[way];
-        tags[frame] = b;
-        dirty[frame] = (uint8_t)(w && write_back);
-        policy_touch(&p, way, cand[way], clock, 1);
+        l2_hits[i] = (uint8_t)sa_access(&l2, i, l2_blocks[i], w, &f2);
+        if (l2_hits[i] || f2 < 0)
+            continue;
+        int64_t evicted = l2_gid[f2];
+        l2_gid[f2] = line / ratio;
+        if (evicted < 0 || !inclusive)
+            continue;
+        int hole = 0;
+        for (int64_t x = evicted * ratio; x < (evicted + 1) * ratio; x++) {
+            int64_t g = frame_of_line[x];
+            if (g < 0)
+                continue;
+            e[BACK_INVALIDATIONS]++;
+            if (l1.tags[g] != block) {
+                hole = 1;
+                e[HOLES]++;
+            }
+            drop_l1(&l1, g, frame_of_line, l1_line);
+        }
+        e[MISSES_CAUSING_HOLES] += hole;
     }
 
-    free(cand);
-    io[0] = clock;
-    io[1] = p.counter;
-    memcpy(counts, c, sizeof c);
+    cache_close(&l1, l1l);
+    cache_close(&l2, l2l);
+    memcpy(events, e, sizeof e);
     return 0;
 }
 

@@ -1,9 +1,10 @@
 """Compiled kernel tier: ``ckernels.c`` built with the system C compiler.
 
-The batch caches of :mod:`repro.engine.batch_cache` run their per-access
-loops here when a C compiler is available, and fall back to their Python
-kernels when it is not (:func:`available` is the one switch, and the one
-seam tests patch to reach the fallback).
+The batch caches of :mod:`repro.engine.batch_cache` and the batch
+hierarchies of :mod:`repro.engine.hierarchy_vec` run their per-access loops
+here when a C compiler is available, and fall back to their Python kernels
+when it is not (:func:`available` is the one switch, and the one seam tests
+patch to reach the fallback).
 
 Build and load happen lazily, on the first kernel call, never at import:
 
@@ -24,12 +25,13 @@ Build and load happen lazily, on the first kernel call, never at import:
   ``RuntimeWarning`` per process and the Python kernels run instead — same
   results, slower.
 
-The wrappers :func:`run_set_assoc`, :func:`run_victim` and
-:func:`run_column` check every array (dtype, C-contiguity, shape,
-writability, set indices in range) before the call, raising ``ValueError``
-— nothing malformed reaches C.  They return ``(hits, counts)`` and mutate
-the state arrays they are given in place; no ``ctypes`` object outlives a
-call, so the caches that own the arrays stay picklable.
+The wrappers :func:`run_set_assoc`, :func:`run_victim`, :func:`run_column`
+and :func:`run_hierarchy` check every array (dtype, C-contiguity, shape,
+writability, set indices, frames and line ids in range) before the call,
+raising ``ValueError`` — nothing malformed reaches C.  They return hit
+masks and counters and mutate the state arrays they are given in place; no
+``ctypes`` object outlives a call, so the caches that own the arrays stay
+picklable.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "run_set_assoc",
     "run_victim",
     "run_column",
+    "run_hierarchy",
 ]
 
 _SOURCE = Path(__file__).with_name("ckernels.c")
@@ -63,6 +66,10 @@ POLICY_CODES = {"lru": 0, "fifo": 1, "random": 2, "plru": 3}
 #: Length of every kernel's ``counts``: loads, stores, load misses, store
 #: misses, evictions, writebacks, then up to three family counters.
 NUM_COUNTS = 9
+
+#: Length of the hierarchy kernel's ``events``: holes, L2 misses causing
+#: holes, back-invalidations, alias invalidations.
+NUM_EVENTS = 4
 
 #: The loaded library, once the first kernel call has tried to build it.
 _LIBRARY: Optional[ctypes.CDLL] = None
@@ -193,16 +200,28 @@ def _load() -> ctypes.CDLL:
                       + "; ".join(unusable) + ")")
 
 
+class _Level(ctypes.Structure):
+    """``level_t`` of ckernels.c: one set-associative cache's arrays."""
+
+    _fields_ = [("way_sets", ctypes.c_void_p), ("ways", ctypes.c_int64),
+                ("num_sets", ctypes.c_int64), ("write_back", ctypes.c_int64),
+                ("kind", ctypes.c_int64), ("tags", ctypes.c_void_p),
+                ("dirty", ctypes.c_void_p), ("stamps", ctypes.c_void_p),
+                ("bits", ctypes.c_void_p), ("seed", ctypes.c_uint64),
+                ("io", ctypes.c_void_p), ("counts", ctypes.c_void_p)]
+
+
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     i64, u64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
     signatures = {
-        "repro_sa_run": [i64, ptr, ptr, ptr, i64, i64, i64, i64, ptr, ptr,
-                         ptr, ptr, u64, ptr, ptr, ptr],
+        "repro_sa_run": [i64, ptr, ptr, ptr, ptr],
         "repro_victim_run": [i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr,
                              ptr, ptr, u64, i64, ptr, ptr, ptr, ptr, u64,
                              ptr, ptr, ptr],
         "repro_column_run": [i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr,
                              ptr, ptr],
+        "repro_hier_run": [i64, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr,
+                           ptr, ptr, ptr, ptr, ptr],
     }
     for symbol, argtypes in signatures.items():
         function = getattr(library, symbol)
@@ -229,27 +248,29 @@ def _pointer(name: str, array, dtype, shape: Tuple[int, ...],
 
 
 def _index_pointer(name: str, array, n: int, limit: int,
-                   writable: bool = False) -> int:
+                   writable: bool = False, low: int = 0) -> int:
+    """Like :func:`_pointer` for ``n`` int64 indices in ``[low, limit)``
+    (``low=-1`` admits the "none" marker of the hierarchy's maps)."""
     address = _pointer(name, array, np.int64, (n,), writable=writable)
-    if n and (int(array.min()) < 0 or int(array.max()) >= limit):
-        raise ValueError(f"{name} holds an index outside [0, {limit})")
+    if n and (int(array.min()) < low or int(array.max()) >= limit):
+        raise ValueError(f"{name} holds an index outside [{low}, {limit})")
     return address
 
 
 def _way_pointers(way_sets: Sequence[np.ndarray], n: int, ways: int,
-                  num_sets: int):
+                  num_sets: int, label: str = ""):
     """A ``const int64_t *[ways]`` over checked per-way set-index arrays.
 
     A conventional cache passes one array for every way; it is checked once.
     """
     if len(way_sets) != ways:
-        raise ValueError(f"expected {ways} set-index arrays, "
+        raise ValueError(f"expected {ways} {label}set-index arrays, "
                          f"got {len(way_sets)}")
     checked = {}
     for way, sets in enumerate(way_sets):
         if id(sets) not in checked:
-            checked[id(sets)] = _index_pointer(f"way {way} set indices", sets,
-                                               n, num_sets)
+            checked[id(sets)] = _index_pointer(
+                f"{label}way {way} set indices", sets, n, num_sets)
     return (ctypes.c_void_p * ways)(*(checked[id(s)] for s in way_sets))
 
 
@@ -299,6 +320,34 @@ def _call(function, n: int, *args):
 # kernels
 # --------------------------------------------------------------------- #
 
+def _checked_level(label: str, n: int, way_sets: Sequence[np.ndarray], *,
+           write_back: bool, policy: str, tags: np.ndarray, dirty: np.ndarray,
+           stamps: Optional[np.ndarray], bits: Optional[np.ndarray],
+           seed: int, io: np.ndarray):
+    """A checked :class:`_Level` over one cache's arrays.
+
+    Returns ``(level, counts, sets)``: ``counts`` receives the level's
+    counters, and ``sets`` (the per-way pointer array the structure points
+    into) must outlive the call.
+    """
+    ways, num_sets = _shape(tags, 2)
+    if ways < 1 or num_sets < 1:
+        raise ValueError(f"{label}tags must be a non-empty ways x num_sets "
+                         "table")
+    tag_ptr = _pointer(f"{label}tags", tags, np.int64, (ways, num_sets))
+    dirty_ptr = _pointer(f"{label}dirty", dirty, np.uint8, (ways, num_sets))
+    stamp_ptr, bit_ptr = _policy_pointers(label, policy, ways, num_sets,
+                                          stamps, bits)
+    io_ptr = _pointer(f"{label}io", io, np.int64, (2,))
+    sets = _way_pointers(way_sets, n, ways, num_sets, label)
+    counts = np.zeros(NUM_COUNTS, dtype=np.int64)
+    level = _Level(ctypes.addressof(sets), ways, num_sets,
+                   int(write_back), POLICY_CODES[policy], tag_ptr, dirty_ptr,
+                   stamp_ptr, bit_ptr, seed & (2**64 - 1), io_ptr,
+                   counts.ctypes.data)
+    return level, counts, sets
+
+
 def run_set_assoc(blocks: np.ndarray, writes: np.ndarray,
                   way_sets: Sequence[np.ndarray], *, write_back: bool,
                   policy: str, tags: np.ndarray, dirty: np.ndarray,
@@ -308,23 +357,19 @@ def run_set_assoc(blocks: np.ndarray, writes: np.ndarray,
 
     ``tags``/``dirty``/``stamps`` are ``ways x num_sets`` (``stamps`` unused
     by ``random``), ``bits`` the ``num_sets x tree`` PLRU table (PLRU only),
-    ``io`` holds ``[clock, random draws]`` and is updated.
+    ``io`` holds ``[clock, random draws]`` and is updated.  Returns
+    ``(hits, counts)``.
     """
     library = _library()
     n, block_ptr, write_ptr = _inputs(blocks, writes)
-    ways, num_sets = _shape(tags, 2)
-    if ways < 1 or num_sets < 1:
-        raise ValueError("tags must be a non-empty ways x num_sets table")
-    tag_ptr = _pointer("tags", tags, np.int64, (ways, num_sets))
-    dirty_ptr = _pointer("dirty", dirty, np.uint8, (ways, num_sets))
-    stamp_ptr, bit_ptr = _policy_pointers("", policy, ways, num_sets,
-                                          stamps, bits)
-    io_ptr = _pointer("io", io, np.int64, (2,))
-    sets_ptr = _way_pointers(way_sets, n, ways, num_sets)
-    return _call(
-        library.repro_sa_run, n, n, block_ptr, write_ptr, sets_ptr, ways,
-        num_sets, int(write_back), POLICY_CODES[policy], tag_ptr, dirty_ptr,
-        stamp_ptr, bit_ptr, seed & (2**64 - 1), io_ptr)
+    level, counts, _sets = _checked_level(
+        "", n, way_sets, write_back=write_back, policy=policy, tags=tags,
+        dirty=dirty, stamps=stamps, bits=bits, seed=seed, io=io)
+    hits = np.empty(n, dtype=np.uint8)
+    if library.repro_sa_run(n, block_ptr, write_ptr, ctypes.byref(level),
+                            hits.ctypes.data) != 0:
+        raise MemoryError("compiled cache kernel could not allocate scratch")
+    return hits.view(bool), counts
 
 
 def run_victim(blocks: np.ndarray, writes: np.ndarray,
@@ -385,3 +430,51 @@ def run_column(blocks: np.ndarray, writes: np.ndarray, primary: np.ndarray,
     return _call(
         library.repro_column_run, n, n, block_ptr, write_ptr, primary_ptr,
         secondary_ptr, int(swap), tag_ptr, dirty_ptr, sec_ptr)
+
+
+def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
+                  lines: np.ndarray, writes: np.ndarray, *, ratio: int,
+                  inclusive: bool, l1: dict, l2: dict,
+                  frame_of_line: np.ndarray, l1_line: np.ndarray,
+                  l2_gid: np.ndarray):
+    """Run one batch through a two-level hierarchy with back-invalidation.
+
+    ``l1``/``l2`` hold each level's set indices (``way_sets``, for
+    ``l1_blocks``/``l2_blocks``) and :func:`run_set_assoc` state.  ``lines``
+    are the accesses' dense line ids, ``ratio`` per L2 block id;
+    ``frame_of_line``, ``l1_line`` and ``l2_gid`` map line ids to L1
+    frames, L1 frames to line ids and L2 frames to block ids (``-1`` for
+    none) and are kept current.  Returns ``(l1_hits, l2_hits, l1_counts,
+    l2_counts, events)`` with the :data:`NUM_EVENTS` hierarchy counters.
+    """
+    library = _library()
+    n, block_ptr, write_ptr = _inputs(l1_blocks, writes)
+    if ratio < 1:
+        raise ValueError("ratio must be positive")
+    l2_block_ptr = _pointer("L2 blocks", l2_blocks, np.int64, (n,),
+                            writable=False)
+    l1_level, l1_counts, _l1_sets = _checked_level("L1 ", n, **l1)
+    l2_level, l2_counts, _l2_sets = _checked_level("L2 ", n, **l2)
+    (num_lines,) = _shape(frame_of_line, 1)
+    if num_lines % ratio:
+        raise ValueError("frame_of_line must hold whole L2 blocks of lines")
+    l1_frames = l1_level.ways * l1_level.num_sets
+    l2_frames = l2_level.ways * l2_level.num_sets
+    line_ptr = _index_pointer("lines", lines, n, num_lines)
+    frame_ptr = _index_pointer("frame_of_line", frame_of_line, num_lines,
+                               l1_frames, writable=True, low=-1)
+    l1_line_ptr = _index_pointer("l1_line", l1_line, l1_frames, num_lines,
+                                 writable=True, low=-1)
+    l2_gid_ptr = _index_pointer("l2_gid", l2_gid, l2_frames,
+                                num_lines // ratio, writable=True, low=-1)
+    l1_hits = np.empty(n, dtype=np.uint8)
+    l2_hits = np.empty(n, dtype=np.uint8)
+    events = np.zeros(NUM_EVENTS, dtype=np.int64)
+    if library.repro_hier_run(
+            n, block_ptr, l2_block_ptr, line_ptr, write_ptr, int(ratio),
+            int(inclusive), ctypes.byref(l1_level), ctypes.byref(l2_level),
+            frame_ptr, l1_line_ptr, l2_gid_ptr, l1_hits.ctypes.data,
+            l2_hits.ctypes.data, events.ctypes.data) != 0:
+        raise MemoryError("compiled cache kernel could not allocate scratch")
+    return (l1_hits.view(bool), l2_hits.view(bool), l1_counts, l2_counts,
+            events)

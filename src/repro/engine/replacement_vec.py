@@ -116,7 +116,6 @@ class VecReplacementState:
             raise ValueError("ways and num_sets must be positive")
         self._ways = ways
         self._num_sets = num_sets
-        self._in_kernel = False
         self._allocate()
 
     @property
@@ -138,28 +137,9 @@ class VecReplacementState:
 
     def kernel_begin(self) -> None:
         """Check the NumPy tables out as plain-list views for a tight kernel."""
-        self._in_kernel = True
 
     def kernel_end(self) -> None:
         """Write the list views back into the NumPy tables."""
-        self._in_kernel = False
-
-    # -- durable-state snapshots (used by the epoch rewind of the ---------- #
-    # -- multi-level engine in :mod:`repro.engine.hierarchy_vec`) ---------- #
-
-    def _snapshot_guard(self) -> None:
-        if self._in_kernel:
-            raise RuntimeError("policy state can only be snapshotted or "
-                               "restored outside a kernel checkout")
-
-    def state_snapshot(self):
-        """Copy of the durable decision state (valid outside a kernel)."""
-        self._snapshot_guard()
-        return None
-
-    def state_restore(self, snapshot) -> None:
-        """Restore a :meth:`state_snapshot` copy (valid outside a kernel)."""
-        self._snapshot_guard()
 
     # -- per-access hooks (valid between kernel_begin and kernel_end) ---- #
 
@@ -183,21 +163,11 @@ class _VecTimestamp(VecReplacementState):
 
     def kernel_begin(self) -> None:
         self._stamp_l = [row.tolist() for row in self.stamps]
-        self._in_kernel = True
 
     def kernel_end(self) -> None:
         self.stamps = np.array(self._stamp_l, dtype=np.int64).reshape(
             self._ways, self._num_sets)
         self._stamp_l = []
-        self._in_kernel = False
-
-    def state_snapshot(self):
-        self._snapshot_guard()
-        return self.stamps.copy()
-
-    def state_restore(self, snapshot) -> None:
-        self._snapshot_guard()
-        self.stamps = snapshot.copy()
 
     def victim(self, candidate_sets):
         return min_stamp_way(self._stamp_l, candidate_sets)
@@ -248,14 +218,6 @@ class VecRandom(VecReplacementState):
         """The draw-sequence seed."""
         return self._seed
 
-    def state_snapshot(self):
-        self._snapshot_guard()
-        return self.counter
-
-    def state_restore(self, snapshot) -> None:
-        self._snapshot_guard()
-        self.counter = snapshot
-
     def victim(self, candidate_sets):
         pick = splitmix64(self._seed + self.counter) % len(candidate_sets)
         self.counter += 1
@@ -284,7 +246,6 @@ class VecTreePLRU(VecReplacementState):
     def kernel_begin(self) -> None:
         self._bits_l = [row.tolist() for row in self.bits]
         self._stamp_l = [row.tolist() for row in self.stamps]
-        self._in_kernel = True
 
     def kernel_end(self) -> None:
         tree = plru_tree_size(self._ways)
@@ -294,17 +255,6 @@ class VecTreePLRU(VecReplacementState):
             self._ways, self._num_sets)
         self._bits_l = []
         self._stamp_l = []
-        self._in_kernel = False
-
-    def state_snapshot(self):
-        self._snapshot_guard()
-        return self.bits.copy(), self.stamps.copy()
-
-    def state_restore(self, snapshot) -> None:
-        self._snapshot_guard()
-        bits, stamps = snapshot
-        self.bits = bits.copy()
-        self.stamps = stamps.copy()
 
     def _touch(self, way: int, set_index: int, now: int) -> None:
         self._stamp_l[way][set_index] = now

@@ -19,9 +19,6 @@ drive the *same* scalar objects and stay bit-exact with per-access use:
   guaranteed hit that only re-touches the MRU entry, so one real
   lookup/insert plus a counter bump reproduces the per-access ``hits`` /
   ``misses`` counters and the exact LRU order of ``TLB._table``.
-* :class:`BatchTranslator` mirrors
-  :class:`~repro.memory.translation.AddressTranslator` — physical
-  addresses, per-access TLB-hit mask and latency array — for whole batches.
 
 The batch paths assume the TLB's contents were produced by the same page
 table (always true unless internals are hand-doctored): a TLB hit then
@@ -30,21 +27,14 @@ yields the same frame the page table would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from ..memory.paging import TLB, PageTable
 from .batch import AddressBatch
 
-__all__ = [
-    "batch_page_frames",
-    "batch_translate",
-    "run_tlb_kernel",
-    "BatchTranslationResult",
-    "BatchTranslator",
-]
+__all__ = ["batch_page_frames", "run_tlb_kernel"]
 
 
 def _address_array(addresses: Union[AddressBatch, np.ndarray]) -> np.ndarray:
@@ -76,18 +66,6 @@ def batch_page_frames(page_table: PageTable,
                             dtype=np.int64, count=len(uniq))
     frames = frame_lut[np.searchsorted(uniq, vpns)]
     return vpns, frames
-
-
-def batch_translate(page_table: PageTable,
-                    addresses: Union[AddressBatch, np.ndarray]) -> np.ndarray:
-    """Physical address of every access (int64), faulting in trace order.
-
-    Array counterpart of calling :meth:`PageTable.translate` per access.
-    """
-    addr = _address_array(addresses)
-    page = int(page_table.page_size)
-    vpns, frames = batch_page_frames(page_table, addr)
-    return frames * page + (addr - vpns * page)
 
 
 def run_tlb_kernel(tlb: TLB, vpns: np.ndarray,
@@ -126,60 +104,3 @@ def run_tlb_kernel(tlb: TLB, vpns: np.ndarray,
     tlb.hits = hits
     tlb.misses = misses
     return hit
-
-
-@dataclass(frozen=True)
-class BatchTranslationResult:
-    """Whole-batch counterpart of :class:`~repro.memory.translation.TranslationResult`."""
-
-    physical: np.ndarray  #: physical address per access (int64)
-    tlb_hit: np.ndarray   #: per-access TLB hit mask (all False without a TLB)
-    latency: np.ndarray   #: per-access translation latency in cycles (int64)
-
-
-class BatchTranslator:
-    """Batch mirror of :class:`~repro.memory.translation.AddressTranslator`.
-
-    Same construction rules and the same observable effects: after
-    :meth:`lookup_batch`, the page table (mapping + ``page_faults``) and the
-    TLB (contents, order, ``hits``/``misses``) are in the exact state a
-    scalar translator fed one access at a time would leave them in.
-    """
-
-    def __init__(self, page_table: PageTable, tlb: Optional[TLB] = None,
-                 tlb_latency: int = 1, walk_latency: int = 20) -> None:
-        if tlb is not None and tlb._page_size != page_table.page_size:
-            raise ValueError("TLB and page table must agree on page size")
-        if tlb_latency < 0 or walk_latency < 0:
-            raise ValueError("latencies must be non-negative")
-        self._page_table = page_table
-        self._tlb = tlb
-        self._tlb_latency = tlb_latency
-        self._walk_latency = walk_latency
-
-    @property
-    def page_size(self) -> int:
-        """Page size in bytes."""
-        return self._page_table.page_size
-
-    def lookup_batch(self, addresses: Union[AddressBatch, np.ndarray],
-                     ) -> BatchTranslationResult:
-        """Translate a whole batch, updating page-table and TLB state."""
-        addr = _address_array(addresses)
-        page = int(self._page_table.page_size)
-        vpns, frames = batch_page_frames(self._page_table, addr)
-        physical = frames * page + (addr - vpns * page)
-        if self._tlb is None:
-            tlb_hit = np.zeros(len(addr), dtype=bool)
-        else:
-            tlb_hit = run_tlb_kernel(self._tlb, vpns, frames)
-        latency = np.where(tlb_hit, self._tlb_latency,
-                           self._tlb_latency + self._walk_latency
-                           ).astype(np.int64)
-        return BatchTranslationResult(physical=physical, tlb_hit=tlb_hit,
-                                      latency=latency)
-
-    def translate_batch(self, addresses: Union[AddressBatch, np.ndarray],
-                        ) -> np.ndarray:
-        """Physical addresses only (state updates identical to :meth:`lookup_batch`)."""
-        return self.lookup_batch(addresses).physical

@@ -103,10 +103,10 @@ def run_holes_study(l2_sizes: Sequence[int] = (256 * 1024, 1024 * 1024),
     (:func:`~repro.trace.workloads.workload_arrays`, synthesised once per
     program) through
     :class:`~repro.engine.hierarchy_vec.BatchVirtualRealHierarchy` —
-    batched translation, miss-stream composition and all — instead of the
-    per-access scalar protocol; no scalar cache and no per-access record is
-    created.  Both engines produce identical counters, so the reported hole
-    rates are the same numbers, just faster.
+    batched translation, then both levels in one trace-order loop —
+    instead of the per-access scalar protocol; no scalar cache and no
+    per-access record is created.  Both engines produce identical counters,
+    so the reported hole rates are the same numbers, just faster.
     """
     engine = check_engine(engine)
     program_list = list(programs) if programs is not None else workload_names()

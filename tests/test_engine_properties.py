@@ -7,6 +7,9 @@ must agree with :func:`repro.core.gf2.gf2_mod`, and the batch cache must
 agree with the scalar cache on arbitrary random traces.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -512,65 +515,103 @@ def test_fifo_profile_matches_both_engines_on_random_geometries(
     assert ProfileCounts.from_stats(scalar.stats) == expected
 
 
+def _hierarchy_tiers():
+    """The hierarchy loop's tiers here: the compiled loop when the C
+    library builds, and always the Python fallback (through the one seam,
+    ``ckernels.available``)."""
+    tiers = [mock.patch.object(ckernels, "available", lambda: False)]
+    if ckernels.available():
+        tiers.insert(0, contextlib.nullcontext())
+    return tiers
+
+
+def _level_outcome(level):
+    stats = level.stats
+    return (stats.loads, stats.stores, stats.load_misses, stats.store_misses,
+            stats.evictions, stats.writebacks, stats.invalidations,
+            stats.holes_created, sorted(level.resident_blocks()))
+
+
+def _hierarchy_outcome(h, hits):
+    return (hits, _level_outcome(h.l1), _level_outcome(h.l2),
+            h.holes_created, h.l2_misses_causing_holes,
+            getattr(h, "back_invalidations", None),
+            getattr(h, "alias_invalidations", None), h.check_inclusion())
+
+
+def _scalar_runs(h, addresses, is_write, cut):
+    hits = []
+    for lo, hi in ((0, cut), (cut, len(addresses))):
+        outcomes = [h.access(a, is_write=w)
+                    for a, w in zip(addresses[lo:hi], is_write[lo:hi])]
+        hits.append(([o.l1_hit for o in outcomes],
+                     [o.l2_hit for o in outcomes]))
+    return hits
+
+
+def _batch_runs(h, addresses, is_write, cut):
+    hits = []
+    for lo, hi in ((0, cut), (cut, len(addresses))):
+        result = h.run(AddressBatch.from_arrays(
+            np.array(addresses[lo:hi], dtype=np.uint64),
+            np.array(is_write[lo:hi], dtype=bool)))
+        hits.append((result.l1_hits.tolist(), result.l2_hits.tolist()))
+    return hits
+
+
+hierarchy_policies = st.sampled_from(["lru", "fifo", "random", "plru"])
+write_policies = st.sampled_from([WritePolicy.WRITE_BACK_ALLOCATE,
+                                  WritePolicy.WRITE_THROUGH_NO_ALLOCATE])
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     addresses=st.lists(st.integers(0, (1 << 16) - 1), min_size=1,
                        max_size=400),
     writes=st.data(),
     l1_m=st.integers(3, 4),
-    l2_m=st.integers(4, 6),
-    write_back=st.booleans(),
-    epoch_hint=st.sampled_from([None, 7, 32]),
+    l2_m=st.integers(3, 6),
+    ratio=st.sampled_from([1, 2, 4]),
+    l2_skewed=st.booleans(),
+    policies=st.tuples(hierarchy_policies, hierarchy_policies),
+    write=st.tuples(write_policies, write_policies),
+    inclusive=st.booleans(),
+    cut=st.floats(0, 1),
 )
 def test_batch_hierarchy_matches_scalar_on_random_traces(
-        addresses, writes, l1_m, l2_m, write_back, epoch_hint):
-    """Random traces and geometries through the miss-stream composition:
-    per-level counters, hole accounting, residency and the per-access hit
-    sequences must match the scalar two-level protocol exactly — including
-    runs where tiny pinned epochs force stop/rewind after stop/rewind."""
+        addresses, writes, l1_m, l2_m, ratio, l2_skewed, policies, write,
+        inclusive, cut):
+    """Random traces and geometries — block ratio, placement, policy and
+    write policy per level, inclusion on or off — in two runs through the
+    batch two-level hierarchy on both tiers: per-level counters, hole
+    accounting, residency and the per-access hit masks must match the
+    scalar protocol exactly."""
     from repro.cache.hierarchy import TwoLevelHierarchy
     from repro.engine import batch_hierarchy_like
 
     block = 16
     is_write = writes.draw(st.lists(st.booleans(), min_size=len(addresses),
                                     max_size=len(addresses)))
-    l1_policy = (WritePolicy.WRITE_BACK_ALLOCATE if write_back
-                 else WritePolicy.WRITE_THROUGH_NO_ALLOCATE)
     l1 = SetAssociativeCache(
         (1 << l1_m) * block * 2, block, 2,
         index_function=IPolyIndexing(1 << l1_m, ways=2, skewed=True,
                                      address_bits=16),
-        write_policy=l1_policy)
-    l2 = SetAssociativeCache((1 << l2_m) * block * 2, block, 2,
-                             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
+        replacement=policies[0], write_policy=write[0])
+    l2_index = (IPolyIndexing(1 << l2_m, ways=2, skewed=True,
+                              address_bits=16) if l2_skewed else None)
+    l2 = SetAssociativeCache((1 << l2_m) * block * ratio * 2, block * ratio,
+                             2, index_function=l2_index,
+                             replacement=policies[1], write_policy=write[1])
     assume(l2.size_bytes >= l1.size_bytes)
-    scalar = TwoLevelHierarchy(l1, l2)
-    batch = batch_hierarchy_like(scalar, epoch_hint=epoch_hint)
-
-    ref_l1, ref_l2 = [], []
-    for address, w in zip(addresses, is_write):
-        outcome = scalar.access(address, is_write=w)
-        ref_l1.append(outcome.l1_hit)
-        ref_l2.append(outcome.l2_hit)
-    result = batch.run(AddressBatch.from_arrays(
-        np.array(addresses, dtype=np.uint64), np.array(is_write, dtype=bool)))
-
-    assert result.l1_hits.tolist() == ref_l1
-    assert result.l2_hits.tolist() == ref_l2
-    for level_s, level_b in ((scalar.l1, batch.l1), (scalar.l2, batch.l2)):
-        assert level_s.stats.loads == level_b.stats.loads
-        assert level_s.stats.stores == level_b.stats.stores
-        assert level_s.stats.load_misses == level_b.stats.load_misses
-        assert level_s.stats.store_misses == level_b.stats.store_misses
-        assert level_s.stats.evictions == level_b.stats.evictions
-        assert level_s.stats.writebacks == level_b.stats.writebacks
-        assert level_s.stats.invalidations == level_b.stats.invalidations
-        assert sorted(level_s.resident_blocks()) == sorted(
-            level_b.resident_blocks())
-    assert scalar.holes_created == batch.holes_created
-    assert scalar.back_invalidations == batch.back_invalidations
-    assert scalar.l2_misses_causing_holes == batch.l2_misses_causing_holes
-    assert batch.check_inclusion()
+    scalar = TwoLevelHierarchy(l1, l2, enforce_inclusion=inclusive)
+    split = int(cut * len(addresses))
+    expected = _hierarchy_outcome(
+        scalar, _scalar_runs(scalar, addresses, is_write, split))
+    for tier in _hierarchy_tiers():
+        with tier:
+            batch = batch_hierarchy_like(scalar)  # cold, same configuration
+            hits = _batch_runs(batch, addresses, is_write, split)
+            assert _hierarchy_outcome(batch, hits) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -580,13 +621,19 @@ def test_batch_hierarchy_matches_scalar_on_random_traces(
     writes=st.data(),
     seed=st.integers(0, 2**10),
     tlb_entries=st.sampled_from([None, 2, 8]),
-    epoch_hint=st.sampled_from([None, 16]),
+    policies=st.tuples(hierarchy_policies, hierarchy_policies),
+    l1_write=write_policies,
+    aliases=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 3)),
+                     max_size=4),
+    cut=st.floats(0, 1),
 )
 def test_batch_virtual_real_matches_scalar_on_random_traces(
-        addresses, writes, seed, tlb_entries, epoch_hint):
-    """Random virtual traces through batched translation + the virtual-real
-    composition: cache counters, hole/alias accounting, page faults and TLB
-    counters must match the per-access scalar protocol exactly."""
+        addresses, writes, seed, tlb_entries, policies, l1_write, aliases,
+        cut):
+    """Random virtual traces in two runs through batched translation and
+    the virtual-real loop on both tiers, with random pre-mapped (possibly
+    aliasing) pages: cache counters, hole/alias accounting, page faults and
+    TLB counters must match the per-access scalar protocol exactly."""
     from repro.cache.virtual_real import VirtualRealHierarchy
     from repro.engine import batch_virtual_real_like
     from repro.memory.paging import TLB, PageTable
@@ -598,51 +645,39 @@ def test_batch_virtual_real_matches_scalar_on_random_traces(
                                     max_size=len(addresses)))
 
     def build_level(num_sets, l2=False):
-        policy = (WritePolicy.WRITE_BACK_ALLOCATE if l2
-                  else WritePolicy.WRITE_THROUGH_NO_ALLOCATE)
         index = None if l2 else IPolyIndexing(num_sets, ways=2, skewed=True,
                                               address_bits=16)
-        return SetAssociativeCache(num_sets * block * 2, block, 2,
-                                   index_function=index, write_policy=policy)
+        return SetAssociativeCache(
+            num_sets * block * 2, block, 2, index_function=index,
+            replacement=policies[l2],
+            write_policy=WritePolicy.WRITE_BACK_ALLOCATE if l2 else l1_write)
 
-    table = PageTable(page_size=page_size, allocation="scatter", seed=seed)
-    tlb = (TLB(entries=tlb_entries, page_size=page_size)
-           if tlb_entries else None)
+    def translation():
+        table = PageTable(page_size=page_size, allocation="scatter",
+                          seed=seed)
+        for page, frame in aliases:
+            table._mapping[page] = frame
+        tlb = (TLB(entries=tlb_entries, page_size=page_size)
+               if tlb_entries else None)
+        return table, tlb
+
+    table, tlb = translation()
     translate = (AddressTranslator(table, tlb).translate if tlb
                  else table.translate)
     scalar = VirtualRealHierarchy(build_level(8), build_level(32, l2=True),
                                   translate=translate, page_size=page_size)
-    twin_table = PageTable(page_size=page_size, allocation="scatter",
-                           seed=seed)
-    twin_tlb = (TLB(entries=tlb_entries, page_size=page_size)
-                if tlb_entries else None)
-    batch = batch_virtual_real_like(scalar, twin_table, tlb=twin_tlb,
-                                    epoch_hint=epoch_hint)
-
-    ref_l1, ref_l2 = [], []
-    for address, w in zip(addresses, is_write):
-        outcome = scalar.access(address, is_write=w)
-        ref_l1.append(outcome.l1_hit)
-        ref_l2.append(outcome.l2_hit)
-    result = batch.run(AddressBatch.from_arrays(
-        np.array(addresses, dtype=np.uint64), np.array(is_write, dtype=bool)))
-
-    assert result.l1_hits.tolist() == ref_l1
-    assert result.l2_hits.tolist() == ref_l2
-    for level_s, level_b in ((scalar.l1, batch.l1), (scalar.l2, batch.l2)):
-        assert level_s.stats.loads == level_b.stats.loads
-        assert level_s.stats.stores == level_b.stats.stores
-        assert level_s.stats.load_misses == level_b.stats.load_misses
-        assert level_s.stats.store_misses == level_b.stats.store_misses
-        assert level_s.stats.evictions == level_b.stats.evictions
-        assert level_s.stats.writebacks == level_b.stats.writebacks
-        assert sorted(level_s.resident_blocks()) == sorted(
-            level_b.resident_blocks())
-    assert scalar.holes_created == batch.holes_created
-    assert scalar.alias_invalidations == batch.alias_invalidations
-    assert scalar._phys_of_virt == batch._phys_of_virt
-    assert table.page_faults == twin_table.page_faults
-    if tlb is not None:
-        assert (tlb.hits, tlb.misses) == (twin_tlb.hits, twin_tlb.misses)
-        assert list(tlb._table.items()) == list(twin_tlb._table.items())
-    assert batch.check_inclusion()
+    split = int(cut * len(addresses))
+    expected = (_hierarchy_outcome(
+        scalar, _scalar_runs(scalar, addresses, is_write, split)),
+        table.page_faults, table._mapping,
+        tlb and (tlb.hits, tlb.misses, list(tlb._table.items())))
+    for tier in _hierarchy_tiers():
+        with tier:
+            twin_table, twin_tlb = translation()
+            batch = batch_virtual_real_like(scalar, twin_table,
+                                            tlb=twin_tlb)
+            hits = _batch_runs(batch, addresses, is_write, split)
+            assert (_hierarchy_outcome(batch, hits), twin_table.page_faults,
+                    twin_table._mapping,
+                    twin_tlb and (twin_tlb.hits, twin_tlb.misses,
+                                  list(twin_tlb._table.items()))) == expected

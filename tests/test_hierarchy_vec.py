@@ -1,20 +1,26 @@
-"""Differential tests: the batch multi-level engine against the scalar models.
+"""Three-path differential tests for the batch multi-level engine.
 
-The batch hierarchy composes per-level kernels by exchanging *miss streams*
-(:class:`~repro.engine.hierarchy_vec.MissStream`): an L1 collect pass emits
-the L2 access batch, L2 evictions feed back as back-invalidations through an
-epoch stop/rewind protocol.  These tests pin the whole composition to the
-scalar :class:`~repro.cache.hierarchy.TwoLevelHierarchy` and
-:class:`~repro.cache.virtual_real.VirtualRealHierarchy` protocols: per-level
-:class:`~repro.cache.stats.CacheStats`, hole/back-invalidation/alias
-counters, per-access hit sequences, resident-block sets, the Inclusion
-invariant, and (for virtual-real) page-fault and TLB counters.
+Every case runs one trace through the scalar
+:class:`~repro.cache.hierarchy.TwoLevelHierarchy` or
+:class:`~repro.cache.virtual_real.VirtualRealHierarchy` — the oracle — and
+through the batch twin on both tiers (the ``kernel_path`` fixture: the
+compiled loop of :mod:`repro.engine.ckernels`, then its Python
+transliteration), and compares both levels'
+:class:`~repro.cache.stats.CacheStats`, the hole, back-invalidation and
+alias counters, the per-access L1/L2 hit masks and the resident blocks.
+Virtual-real cases also compare page faults, TLB counters and the scalar
+model's virtual->physical map with the one the twin derives from L1
+residency.  Multi-run cases carry state across runs, with point operations
+between them, and pickle a twin mid-stream.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.cache.hierarchy import TwoLevelHierarchy
+from repro.cache.replacement import REPLACEMENT_POLICIES
 from repro.cache.set_assoc import SetAssociativeCache, WritePolicy
 from repro.cache.virtual_real import VirtualRealHierarchy
 from repro.core.index import IPolyIndexing
@@ -22,10 +28,12 @@ from repro.engine import (
     AddressBatch,
     BatchTwoLevelHierarchy,
     BatchVirtualRealHierarchy,
-    MissStream,
     batch_cache_like,
     batch_hierarchy_like,
+    batch_page_frames,
     batch_virtual_real_like,
+    ckernels,
+    run_tlb_kernel,
 )
 from repro.memory.paging import TLB, PageTable
 from repro.memory.translation import AddressTranslator
@@ -34,31 +42,36 @@ from repro.trace.generators import (
     random_accesses,
     strided_vector,
 )
+from repro.trace.record import MemoryAccess
+
+WB = WritePolicy.WRITE_BACK_ALLOCATE
+WT = WritePolicy.WRITE_THROUGH_NO_ALLOCATE
 
 TRACES = {
     "strided": lambda: strided_vector(17, elements=64, sweeps=6),
     "multi-array": lambda: multi_array_sweep(num_arrays=4, elements=400,
                                              sweeps=2),
-    "random": lambda: random_accesses(4000, 48 * 1024, write_fraction=0.3,
+    "random": lambda: random_accesses(3000, 24 * 1024, write_fraction=0.3,
                                       seed=11),
 }
 
+#: A working set a small L2 cannot hold: back-invalidations are dense.
+DENSE = lambda: random_accesses(3000, 8 * 1024, write_fraction=0.3, seed=3)
 
-def _ipoly(num_sets, ways=2):
-    return IPolyIndexing(num_sets, ways=ways, skewed=True, address_bits=16)
 
-
-def make_l1(size=512, block=32, ways=2, ipoly=True, replacement=None,
-            write_policy=WritePolicy.WRITE_THROUGH_NO_ALLOCATE):
-    index = _ipoly(size // (block * ways), ways) if ipoly else None
+def make_level(size, block=32, ways=2, skewed=False, replacement=None,
+               write_policy=WB):
+    index = (IPolyIndexing(size // (block * ways), ways=ways, skewed=True,
+                           address_bits=16) if skewed else None)
     return SetAssociativeCache(size, block, ways, index_function=index,
                                replacement=replacement,
                                write_policy=write_policy)
 
 
-def make_l2(size=2048, block=32, ways=2, replacement=None):
-    return SetAssociativeCache(size, block, ways, replacement=replacement,
-                               write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
+def make_l1(size=512, block=32, replacement=None, write_policy=WT):
+    """The paper's arrangement: a skewed I-Poly L1."""
+    return make_level(size, block, skewed=True, replacement=replacement,
+                      write_policy=write_policy)
 
 
 def stats_tuple(stats):
@@ -67,319 +80,362 @@ def stats_tuple(stats):
             stats.holes_created)
 
 
-def run_scalar_hierarchy(hierarchy, trace):
+def outcome(h):
+    """Everything both hierarchies must agree on after a run."""
+    return (stats_tuple(h.l1.stats), stats_tuple(h.l2.stats),
+            h.holes_created, h.l2_misses_causing_holes,
+            getattr(h, "back_invalidations", None),
+            getattr(h, "alias_invalidations", None),
+            getattr(h, "external_invalidations", None),
+            sorted(h.l1.resident_blocks()), sorted(h.l2.resident_blocks()),
+            h.check_inclusion())
+
+
+def run_scalar(h, trace):
     l1_hits, l2_hits = [], []
     for access in trace:
-        result = hierarchy.access(access.address, is_write=access.is_write)
+        result = h.access(access.address, is_write=access.is_write)
         l1_hits.append(result.l1_hit)
         l2_hits.append(result.l2_hit)
     return l1_hits, l2_hits
 
 
-def assert_hierarchies_match(scalar, batch, result=None, scalar_hits=None):
-    assert stats_tuple(scalar.l1.stats) == stats_tuple(batch.l1.stats)
-    assert stats_tuple(scalar.l2.stats) == stats_tuple(batch.l2.stats)
-    assert scalar.holes_created == batch.holes_created
-    assert scalar.l2_misses_causing_holes == batch.l2_misses_causing_holes
-    assert sorted(scalar.l1.resident_blocks()) == sorted(
-        batch.l1.resident_blocks())
-    assert sorted(scalar.l2.resident_blocks()) == sorted(
-        batch.l2.resident_blocks())
-    assert scalar.check_inclusion() and batch.check_inclusion()
-    if result is not None and scalar_hits is not None:
-        l1_hits, l2_hits = scalar_hits
-        assert result.l1_hits.tolist() == l1_hits
-        assert result.l2_hits.tolist() == l2_hits
+def run_both(scalar, batch, trace):
+    """One run of ``trace`` on each side: hit masks and outcomes equal."""
+    l1_hits, l2_hits = run_scalar(scalar, trace)
+    result = batch.run(AddressBatch.from_trace(trace))
+    assert result.l1_hits.tolist() == l1_hits
+    assert result.l2_hits.tolist() == l2_hits
+    assert outcome(batch) == outcome(scalar)
+    if isinstance(batch, BatchVirtualRealHierarchy):
+        table, bpp = batch.page_table._mapping, 4096 // batch.l1.block_size
+        assert scalar._phys_of_virt == {
+            v: table[v // bpp] * bpp + v % bpp
+            for v in batch.l1.resident_blocks()}
+    return result
 
 
-class TestHierarchyDifferential:
+def expected_strategy(path):
+    return "compiled-hierarchy" if path == "compiled" else "hierarchy-loop"
+
+
+# --------------------------------------------------------------------- #
+# two-level hierarchy
+# --------------------------------------------------------------------- #
+
+def two_level_pair(l1, l2, enforce_inclusion=True):
+    scalar = TwoLevelHierarchy(l1, l2, enforce_inclusion=enforce_inclusion)
+    return scalar, batch_hierarchy_like(scalar)
+
+
+class TestTwoLevel:
     @pytest.mark.parametrize("trace_name", sorted(TRACES))
-    @pytest.mark.parametrize("ipoly", [True, False], ids=["ipoly", "conv"])
-    def test_matches_scalar(self, trace_name, ipoly):
-        trace = list(TRACES[trace_name]())
-        scalar = TwoLevelHierarchy(make_l1(ipoly=ipoly), make_l2())
-        batch = batch_hierarchy_like(scalar)
-        hits = run_scalar_hierarchy(scalar, trace)
-        result = batch.run(AddressBatch.from_trace(trace))
-        assert_hierarchies_match(scalar, batch, result, hits)
-        assert scalar.back_invalidations == batch.back_invalidations
+    @pytest.mark.parametrize("skewed", [True, False], ids=["ipoly", "conv"])
+    def test_matches_scalar(self, trace_name, skewed, kernel_path):
+        scalar, batch = two_level_pair(
+            make_level(512, skewed=skewed, write_policy=WT),
+            make_level(2048))
+        assert batch.dispatch_strategy() == expected_strategy(kernel_path)
+        run_both(scalar, batch, list(TRACES[trace_name]()))
 
-    @pytest.mark.parametrize("trace_name", sorted(TRACES))
-    def test_write_back_l1(self, trace_name):
-        """Dirty L1 victims ride the miss stream as write-backs to L2."""
-        trace = list(TRACES[trace_name]())
-        scalar = TwoLevelHierarchy(
-            make_l1(write_policy=WritePolicy.WRITE_BACK_ALLOCATE), make_l2())
-        batch = batch_hierarchy_like(scalar)
-        hits = run_scalar_hierarchy(scalar, trace)
-        result = batch.run(AddressBatch.from_trace(trace))
-        assert_hierarchies_match(scalar, batch, result, hits)
+    @pytest.mark.parametrize("ratio", [1, 2, 4])
+    def test_block_ratio_back_invalidates_siblings(self, ratio, kernel_path):
+        """An L2 block of ``ratio`` L1 blocks: one eviction can punch up
+        to ``ratio`` holes."""
+        scalar, batch = two_level_pair(make_l1(),
+                                       make_level(1024, block=32 * ratio))
+        run_both(scalar, batch, list(DENSE()))
+        assert batch.l2_misses_causing_holes > 0
+        if ratio > 1:
+            assert batch.back_invalidations > batch.l2_misses_causing_holes
 
-    def test_tiny_l2_forces_rewinds(self):
-        """A barely-larger L2 makes back-invalidations dense; tiny pinned
-        epochs force the stop/rewind path over and over."""
-        trace = list(random_accesses(3000, 8 * 1024, write_fraction=0.2,
-                                     seed=3))
-        scalar = TwoLevelHierarchy(make_l1(size=512), make_l2(size=1024))
-        batch = batch_hierarchy_like(scalar, epoch_hint=16)
-        hits = run_scalar_hierarchy(scalar, trace)
-        result = batch.run(AddressBatch.from_trace(trace))
-        assert batch.rewinds > 0
-        assert scalar.back_invalidations == batch.back_invalidations
-        assert_hierarchies_match(scalar, batch, result, hits)
+    def test_inclusion_off(self, kernel_path):
+        scalar, batch = two_level_pair(make_l1(), make_level(1024),
+                                       enforce_inclusion=False)
+        run_both(scalar, batch, list(DENSE()))
+        assert batch.holes_created == batch.back_invalidations == 0
 
-    def test_different_block_sizes(self):
-        """L2 blocks twice the L1 size: one L2 eviction can punch two holes."""
-        trace = list(random_accesses(3000, 16 * 1024, write_fraction=0.2,
-                                     seed=5))
-        scalar = TwoLevelHierarchy(
-            make_l1(size=512, block=32),
-            SetAssociativeCache(2048, 64, 2,
-                                write_policy=WritePolicy.WRITE_BACK_ALLOCATE))
-        batch = batch_hierarchy_like(scalar, epoch_hint=64)
-        hits = run_scalar_hierarchy(scalar, trace)
-        result = batch.run(AddressBatch.from_trace(trace))
-        assert_hierarchies_match(scalar, batch, result, hits)
+    @pytest.mark.parametrize("l1_policy", [WT, WB], ids=["l1-wt", "l1-wb"])
+    @pytest.mark.parametrize("l2_policy", [WT, WB], ids=["l2-wt", "l2-wb"])
+    def test_write_policies(self, l1_policy, l2_policy, kernel_path):
+        scalar, batch = two_level_pair(
+            make_l1(write_policy=l1_policy),
+            make_level(1024, write_policy=l2_policy))
+        run_both(scalar, batch, list(DENSE()))
 
-    @pytest.mark.parametrize("l1_policy,l2_policy",
-                             [("fifo", None), (None, "plru"),
-                              ("plru", "fifo")])
-    def test_non_lru_policies_use_generic_kernels(self, l1_policy, l2_policy):
-        trace = list(TRACES["random"]())
-        scalar = TwoLevelHierarchy(make_l1(replacement=l1_policy),
-                                   make_l2(replacement=l2_policy))
-        batch = batch_hierarchy_like(scalar)
-        if l1_policy is not None:
-            assert batch.l1_collect_kernel == "collect-generic"
-        if l2_policy is not None:
-            assert batch.l2_consume_kernel == "consume-generic"
-        hits = run_scalar_hierarchy(scalar, trace)
-        result = batch.run(AddressBatch.from_trace(trace))
-        assert_hierarchies_match(scalar, batch, result, hits)
+    @pytest.mark.parametrize("level", ["l1", "l2"])
+    @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+    def test_replacement_policies(self, level, policy, kernel_path):
+        l1 = make_l1(replacement=policy if level == "l1" else None)
+        l2 = make_level(1024, ways=4,
+                        replacement=policy if level == "l2" else None)
+        scalar, batch = two_level_pair(l1, l2)
+        run_both(scalar, batch, list(DENSE()))
 
-    def test_non_inclusive_mode(self):
-        trace = list(TRACES["random"]())
-        scalar = TwoLevelHierarchy(make_l1(), make_l2(size=1024),
-                                   enforce_inclusion=False)
-        batch = batch_hierarchy_like(scalar)
-        assert batch.dispatch_strategy() == "hierarchy-stream"
-        hits = run_scalar_hierarchy(scalar, trace)
-        result = batch.run(AddressBatch.from_trace(trace))
-        assert batch.holes_created == 0 and batch.rewinds == 0
-        assert stats_tuple(scalar.l1.stats) == stats_tuple(batch.l1.stats)
-        assert stats_tuple(scalar.l2.stats) == stats_tuple(batch.l2.stats)
-        assert result.l1_hits.tolist() == hits[0]
-        assert result.l2_hits.tolist() == hits[1]
+    @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+    def test_skewed_l2(self, policy, kernel_path):
+        scalar, batch = two_level_pair(
+            make_l1(), make_level(1024, skewed=True, replacement=policy))
+        run_both(scalar, batch, list(DENSE()))
 
-    def test_warm_state_across_batches(self):
-        """State carries over between run() calls exactly like scalar state."""
-        trace = list(TRACES["multi-array"]())
-        scalar = TwoLevelHierarchy(make_l1(), make_l2(size=1024))
-        batch = batch_hierarchy_like(scalar, epoch_hint=128)
-        chunk = len(trace) // 3
-        for i in range(3):
-            part = trace[i * chunk:(i + 1) * chunk if i < 2 else len(trace)]
-            hits = run_scalar_hierarchy(scalar, part)
-            result = batch.run(AddressBatch.from_trace(part))
-            assert_hierarchies_match(scalar, batch, result, hits)
+    def test_state_carries_across_runs(self, kernel_path):
+        """Warm runs with point operations and a flush between them.
 
-    def test_flush_mid_stream(self):
-        trace = list(TRACES["strided"]())
-        half = len(trace) // 2
-        scalar = TwoLevelHierarchy(make_l1(), make_l2(size=1024))
-        batch = batch_hierarchy_like(scalar)
-        run_scalar_hierarchy(scalar, trace[:half])
-        batch.run(AddressBatch.from_trace(trace[:half]))
+        Dropping L2 copies of lines L1 still holds breaks inclusion: the
+        next store hits in L1 then miss in L2 and fill it, displacing
+        blocks without back-invalidation, exactly as the scalar model."""
+        trace = list(DENSE())
+        scalar, batch = two_level_pair(make_l1(write_policy=WB),
+                                       make_level(1024, block=64))
+        run_both(scalar, batch, trace[:1000])
+        resident = sorted(scalar.l1.resident_blocks())
+        for block in resident[::3] + [10**6]:
+            assert (batch.l1.invalidate_block(block)
+                    == scalar.l1.invalidate_block(block))
+        for block in resident[1::3]:
+            assert (batch.l2.invalidate_block(block // 2)
+                    == scalar.l2.invalidate_block(block // 2))
+        run_both(scalar, batch, trace[1000:2000])
         scalar.flush()
         batch.flush()
         assert batch.check_inclusion()
-        hits = run_scalar_hierarchy(scalar, trace[half:])
-        result = batch.run(AddressBatch.from_trace(trace[half:]))
-        assert_hierarchies_match(scalar, batch, result, hits)
+        run_both(scalar, batch, trace[2000:])
 
-    def test_empty_batch(self):
-        batch = batch_hierarchy_like(TwoLevelHierarchy(make_l1(), make_l2()))
+    def test_store_hit_refills_l2(self, kernel_path):
+        """A store that hits L1 after L2 dropped the line refills L2 with
+        no back-invalidation; evicting that refill later back-invalidates
+        the L1 copy."""
+        scalar, batch = two_level_pair(make_level(128),
+                                       make_level(256, ways=1))
+        run_both(scalar, batch, [MemoryAccess(0)])
+        assert batch.l2.invalidate_block(0) and scalar.l2.invalidate_block(0)
+        result = run_both(scalar, batch, [MemoryAccess(0, is_write=True),
+                                          MemoryAccess(256), MemoryAccess(0)])
+        # 256 evicts the refilled 0 from L2 and L1, then 0 evicts 256.
+        assert result.l1_hits.tolist() == [True, False, False]
+        assert batch.holes_created == 2
+
+    def test_pickled_mid_stream(self, kernel_path):
+        trace = list(DENSE())
+        scalar, batch = two_level_pair(make_l1(replacement="random"),
+                                       make_level(1024, replacement="plru"))
+        run_both(scalar, batch, trace[:1500])
+        run_both(scalar, pickle.loads(pickle.dumps(batch)), trace[1500:])
+
+    def test_empty_batch(self, kernel_path):
+        _scalar, batch = two_level_pair(make_l1(), make_level(1024))
         result = batch.run(AddressBatch.from_arrays(
             np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)))
-        assert len(result) == 0 and batch.epochs == 0
+        assert len(result) == 0 and result.memory_accesses == 0
+        assert batch.l1.stats.accesses == 0
 
 
-def make_vr_pair(l1_size=512, l2_size=2048, tlb_entries=None, seed=7,
-                 epoch_hint=None, l1_kwargs=None):
-    """Identically-seeded scalar virtual-real hierarchy and batch twin."""
+# --------------------------------------------------------------------- #
+# virtual-real hierarchy
+# --------------------------------------------------------------------- #
+
+def vr_pair(l1=None, l2=None, tlb_entries=None, seed=7,
+            allocation="scatter", aliases=()):
+    """Identically-seeded scalar virtual-real hierarchy and batch twin.
+
+    ``aliases`` maps virtual pages to frames up front in both page tables;
+    mapping two pages to one frame makes them aliases.
+    """
     page_size = 4096
-    table = PageTable(page_size=page_size, allocation="scatter", seed=seed)
-    tlb = TLB(entries=tlb_entries, page_size=page_size) if tlb_entries else None
+
+    def table_and_tlb():
+        table = PageTable(page_size=page_size, allocation=allocation,
+                          seed=seed)
+        for page, frame in aliases:
+            table._mapping[page] = frame
+        tlb = (TLB(entries=tlb_entries, page_size=page_size)
+               if tlb_entries else None)
+        return table, tlb
+
+    table, tlb = table_and_tlb()
     translate = (AddressTranslator(table, tlb).translate if tlb
                  else table.translate)
-    scalar = VirtualRealHierarchy(make_l1(size=l1_size, **(l1_kwargs or {})),
-                                  make_l2(size=l2_size),
+    scalar = VirtualRealHierarchy(l1 or make_l1(), l2 or make_level(2048),
                                   translate=translate, page_size=page_size)
-    twin_table = PageTable(page_size=page_size, allocation="scatter",
-                           seed=seed)
-    twin_tlb = (TLB(entries=tlb_entries, page_size=page_size)
-                if tlb_entries else None)
-    batch = batch_virtual_real_like(scalar, twin_table, tlb=twin_tlb,
-                                    epoch_hint=epoch_hint)
-    return scalar, table, tlb, batch, twin_table, twin_tlb
+    twin_table, twin_tlb = table_and_tlb()
+    batch = batch_virtual_real_like(scalar, twin_table, tlb=twin_tlb)
+    return scalar, batch, (table, tlb)
 
 
-def run_scalar_vr(hierarchy, trace):
-    l1_hits, l2_hits = [], []
-    for access in trace:
-        result = hierarchy.access(access.address, is_write=access.is_write)
-        l1_hits.append(result.l1_hit)
-        l2_hits.append(result.l2_hit)
-    return l1_hits, l2_hits
+def assert_translation_matches(batch, table, tlb):
+    assert table.page_faults == batch.page_table.page_faults
+    assert table._mapping == batch.page_table._mapping
+    if tlb is not None:
+        assert (tlb.hits, tlb.misses) == (batch.tlb.hits, batch.tlb.misses)
+        assert list(tlb._table.items()) == list(batch.tlb._table.items())
 
 
-def assert_vr_match(scalar, batch, result=None, scalar_hits=None):
-    assert stats_tuple(scalar.l1.stats) == stats_tuple(batch.l1.stats)
-    assert stats_tuple(scalar.l2.stats) == stats_tuple(batch.l2.stats)
-    assert scalar.holes_created == batch.holes_created
-    assert scalar.l2_misses_causing_holes == batch.l2_misses_causing_holes
-    assert scalar.alias_invalidations == batch.alias_invalidations
-    assert sorted(scalar.l1.resident_blocks()) == sorted(
-        batch.l1.resident_blocks())
-    assert sorted(scalar.l2.resident_blocks()) == sorted(
-        batch.l2.resident_blocks())
-    assert scalar._phys_of_virt == batch._phys_of_virt
-    assert scalar.check_inclusion() and batch.check_inclusion()
-    if result is not None and scalar_hits is not None:
-        assert result.l1_hits.tolist() == scalar_hits[0]
-        assert result.l2_hits.tolist() == scalar_hits[1]
-
-
-class TestVirtualRealDifferential:
+class TestVirtualReal:
     @pytest.mark.parametrize("trace_name", sorted(TRACES))
     @pytest.mark.parametrize("tlb_entries", [None, 8], ids=["no-tlb", "tlb8"])
-    def test_matches_scalar(self, trace_name, tlb_entries):
-        trace = list(TRACES[trace_name]())
-        scalar, table, tlb, batch, twin_table, twin_tlb = make_vr_pair(
-            tlb_entries=tlb_entries)
-        assert batch.dispatch_strategy() == "vr-epoch-stream"
-        hits = run_scalar_vr(scalar, trace)
-        result = batch.run(AddressBatch.from_trace(trace))
-        assert_vr_match(scalar, batch, result, hits)
-        assert table.page_faults == twin_table.page_faults
-        assert table._mapping == twin_table._mapping
-        if tlb_entries:
-            assert (tlb.hits, tlb.misses) == (twin_tlb.hits, twin_tlb.misses)
-            assert list(tlb._table) == list(twin_tlb._table)
+    def test_matches_scalar(self, trace_name, tlb_entries, kernel_path):
+        scalar, batch, (table, tlb) = vr_pair(tlb_entries=tlb_entries)
+        assert batch.dispatch_strategy() == expected_strategy(kernel_path)
+        run_both(scalar, batch, list(TRACES[trace_name]()))
+        assert_translation_matches(batch, table, tlb)
 
-    def test_tiny_l2_forces_rewinds(self):
-        trace = list(random_accesses(3000, 8 * 1024, write_fraction=0.2,
-                                     seed=13))
-        scalar, table, _tlb, batch, twin_table, _tt = make_vr_pair(
-            l2_size=1024, epoch_hint=16)
-        hits = run_scalar_vr(scalar, trace)
-        result = batch.run(AddressBatch.from_trace(trace))
-        assert batch.rewinds > 0
-        assert_vr_match(scalar, batch, result, hits)
-        assert table.page_faults == twin_table.page_faults
+    @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+    def test_small_l2_creates_holes(self, policy, kernel_path):
+        scalar, batch, (table, tlb) = vr_pair(
+            l1=make_l1(replacement=policy),
+            l2=make_level(1024, replacement=policy))
+        run_both(scalar, batch, list(DENSE()))
+        assert batch.holes_created > 0
+        assert_translation_matches(batch, table, tlb)
 
-    def test_doctored_alias_mapping_dispatches_fused(self):
-        """Duplicate frames in the page table break injectivity, so the
-        engine must fall back to the alias-capable fused path — and still
-        match the scalar protocol, alias invalidations included."""
+    def test_aliasing_page_map(self, kernel_path):
+        """Pages 0 and 1 share frame 0, and the sequential allocator hands
+        frame 0 out again: alias invalidations, exactly as the scalar
+        protocol counts them."""
+        scalar, batch, (table, tlb) = vr_pair(
+            allocation="sequential", aliases=((0, 0), (1, 0)))
         trace = list(random_accesses(2000, 16 * 1024, write_fraction=0.2,
                                      seed=17))
-        page_size = 4096
-        table = PageTable(page_size=page_size, allocation="sequential")
-        table._mapping[0] = 0
-        table._mapping[1] = 0      # virtual pages 0 and 1 alias to frame 0
-        scalar = VirtualRealHierarchy(make_l1(), make_l2(),
-                                      translate=table.translate,
-                                      page_size=page_size)
-        twin_table = PageTable(page_size=page_size, allocation="sequential")
-        twin_table._mapping[0] = 0
-        twin_table._mapping[1] = 0
-        batch = batch_virtual_real_like(scalar, twin_table)
-        assert batch.dispatch_strategy() == "vr-fused"
-        hits = run_scalar_vr(scalar, trace)
-        result = batch.run(AddressBatch.from_trace(trace))
-        assert scalar.alias_invalidations > 0
-        assert_vr_match(scalar, batch, result, hits)
+        run_both(scalar, batch, trace)
+        assert batch.alias_invalidations > 0
+        assert_translation_matches(batch, table, tlb)
 
-    def test_external_invalidate_between_batches(self):
+    def test_state_carries_across_runs(self, kernel_path):
+        """Warm runs with L1 invalidations, external invalidations and a
+        flush between them."""
         trace = list(TRACES["multi-array"]())
-        half = len(trace) // 2
-        scalar, table, _tlb, batch, _twin, _tt = make_vr_pair()
-        run_scalar_vr(scalar, trace[:half])
-        batch.run(AddressBatch.from_trace(trace[:half]))
-        # Invalidate the physical image of a line resident in both levels.
-        virt_block = scalar.l1.resident_blocks()[0]
-        physical = scalar._phys_of_virt[virt_block] * 32
-        assert scalar.external_invalidate(physical)
-        assert batch.external_invalidate(physical)
-        assert scalar.external_invalidations == batch.external_invalidations
-        hits = run_scalar_vr(scalar, trace[half:])
-        result = batch.run(AddressBatch.from_trace(trace[half:]))
-        assert_vr_match(scalar, batch, result, hits)
-
-    def test_batch_tlb_matches_scalar_translator(self):
-        """The run-collapsing TLB kernel leaves counters and LRU order
-        exactly where per-access AddressTranslator lookups would."""
-        trace = list(TRACES["strided"]())
-        addresses = [a.address for a in trace]
-        table = PageTable(page_size=4096, allocation="scatter", seed=23)
-        tlb = TLB(entries=4, page_size=4096)
-        translator = AddressTranslator(table, tlb)
-        scalar_phys = [translator.translate(a) for a in addresses]
-
-        from repro.engine import BatchTranslator
-        twin_table = PageTable(page_size=4096, allocation="scatter", seed=23)
-        twin_tlb = TLB(entries=4, page_size=4096)
-        batch_result = BatchTranslator(twin_table, twin_tlb).lookup_batch(
-            np.array(addresses, dtype=np.uint64))
-        assert batch_result.physical.tolist() == scalar_phys
-        assert (tlb.hits, tlb.misses) == (twin_tlb.hits, twin_tlb.misses)
-        assert list(tlb._table.items()) == list(twin_tlb._table.items())
-        assert table.page_faults == twin_table.page_faults
-
-    def test_flush_clears_maps(self):
-        trace = list(TRACES["strided"]())
-        scalar, _table, _tlb, batch, _twin, _tt = make_vr_pair()
-        run_scalar_vr(scalar, trace)
-        batch.run(AddressBatch.from_trace(trace))
+        third = len(trace) // 3
+        scalar, batch, (table, tlb) = vr_pair(
+            l1=make_l1(write_policy=WB), l2=make_level(1024), tlb_entries=4)
+        run_both(scalar, batch, trace[:third])
+        resident = sorted(scalar.l1.resident_blocks())
+        for virt in resident[::4]:
+            assert (batch.l1.invalidate_block(virt)
+                    == scalar.l1.invalidate_block(virt))
+        for virt in resident[1::4]:  # L2 only: breaks inclusion
+            phys = scalar._phys_of_virt[virt]
+            assert (batch.l2.invalidate_block(phys)
+                    == scalar.l2.invalidate_block(phys))
+        run_both(scalar, batch, trace[third:2 * third])
+        resident = sorted(scalar.l1.resident_blocks())
+        for virt in resident[:3]:
+            physical = scalar._phys_of_virt[virt] * 32
+            assert scalar.external_invalidate(physical)
+            assert batch.external_invalidate(physical)
+        assert not batch.external_invalidate(10**9 * 32)
+        assert not scalar.external_invalidate(10**9 * 32)
+        run_both(scalar, batch, trace[2 * third:])
+        scalar.flush()
         batch.flush()
-        assert batch.l1.resident_blocks() == []
-        assert batch._phys_of_virt == {} and batch._virt_of_phys == {}
-        assert batch.check_inclusion()
+        assert batch.l1.resident_blocks() == [] and batch.check_inclusion()
+        run_both(scalar, batch, trace[:third])
+        assert_translation_matches(batch, table, tlb)
+
+    def test_pickled_mid_stream(self, kernel_path):
+        trace = list(DENSE())
+        scalar, batch, (table, tlb) = vr_pair(l2=make_level(1024),
+                                              tlb_entries=8)
+        run_both(scalar, batch, trace[:1500])
+        clone = pickle.loads(pickle.dumps(batch))
+        run_both(scalar, clone, trace[1500:])
+        assert_translation_matches(clone, table, tlb)
+
+    def test_exposes_translation_state(self):
+        _scalar, batch, _ = vr_pair(tlb_entries=8)
+        assert isinstance(batch.page_table, PageTable)
+        assert batch.tlb.entries == 8
 
 
-class TestIntrospection:
-    def test_hierarchy_dispatch_and_kernel_names(self):
-        batch = batch_hierarchy_like(TwoLevelHierarchy(make_l1(), make_l2()))
-        assert batch.dispatch_strategy() == "hierarchy-epoch-stream"
-        assert batch.l1_collect_kernel.startswith("collect-")
-        assert batch.l2_consume_kernel.startswith("consume-")
-        assert batch.l2_consume_kernel == "consume-dict-lru"
+def test_batch_tlb_matches_scalar_translator():
+    """Batch page walks plus the run-collapsing TLB kernel leave the page
+    table, the TLB counters and its LRU order exactly where per-access
+    AddressTranslator lookups would."""
+    addresses = [a.address for a in TRACES["strided"]()]
+    table = PageTable(page_size=4096, allocation="scatter", seed=23)
+    tlb = TLB(entries=4, page_size=4096)
+    translator = AddressTranslator(table, tlb)
+    scalar = [translator.lookup(a) for a in addresses]
 
-    def test_vr_exposes_translation_state(self):
-        _s, _t, _l, batch, twin_table, twin_tlb = make_vr_pair(tlb_entries=8)
-        assert batch.page_table is twin_table
-        assert batch.tlb is twin_tlb
+    twin_table = PageTable(page_size=4096, allocation="scatter", seed=23)
+    twin_tlb = TLB(entries=4, page_size=4096)
+    addr = np.array(addresses, dtype=np.int64)
+    vpns, frames = batch_page_frames(twin_table, addr)
+    tlb_hits = run_tlb_kernel(twin_tlb, vpns, frames)
+    physical = frames * 4096 + addr % 4096
+    assert physical.tolist() == [r.physical_address for r in scalar]
+    assert tlb_hits.tolist() == [r.tlb_hit for r in scalar]
+    assert (tlb.hits, tlb.misses) == (twin_tlb.hits, twin_tlb.misses)
+    assert list(tlb._table.items()) == list(twin_tlb._table.items())
+    assert table.page_faults == twin_table.page_faults
 
-    def test_miss_stream_columns(self):
-        stream = MissStream([(0, 5, False, True, -1, False),
-                             (3, 7, True, True, 5, True)])
-        assert len(stream) == 2
-        assert stream.positions == [0, 3]
-        assert stream.l2_blocks == [5, 7]
-        assert stream.is_write == [False, True]
-        assert stream.is_l1_miss == [True, True]
-        assert stream.victim_blocks == [-1, 5]
-        assert stream.victim_dirty == [False, True]
 
-    def test_run_reports_epoch_counters(self):
-        trace = list(TRACES["random"]())
-        scalar = TwoLevelHierarchy(make_l1(), make_l2())
-        batch = batch_hierarchy_like(scalar, epoch_hint=64)
-        batch.run(AddressBatch.from_trace(trace))
-        assert batch.epochs >= len(trace) // 64
-        assert batch.stream_entries > 0
+# --------------------------------------------------------------------- #
+# the compiled loop's argument checks
+# --------------------------------------------------------------------- #
 
+def _hierarchy_args():
+    """A two-access run over two 1 x 4 caches, every map empty."""
+    n, num_sets = 2, 4
+
+    def level():
+        blocks = np.arange(n, dtype=np.int64)
+        return dict(way_sets=[blocks % num_sets], write_back=True,
+                    policy="lru", tags=np.full((1, num_sets), -1, np.int64),
+                    dirty=np.zeros((1, num_sets), np.uint8),
+                    stamps=np.zeros((1, num_sets), np.int64), bits=None,
+                    seed=0, io=np.zeros(2, np.int64))
+
+    blocks = np.arange(n, dtype=np.int64)
+    return dict(l1_blocks=blocks, l2_blocks=blocks, lines=blocks,
+                writes=np.zeros(n, np.uint8), ratio=1, inclusive=True,
+                l1=level(), l2=level(),
+                frame_of_line=np.full(n, -1, np.int64),
+                l1_line=np.full(num_sets, -1, np.int64),
+                l2_gid=np.full(num_sets, -1, np.int64))
+
+
+BAD_HIERARCHY_ARGUMENTS = {
+    "line id out of range": ("lines", lambda a: a["lines"] + 1),
+    "frame_of_line past L1": ("frame_of_line",
+                              lambda a: np.full(2, 4, np.int64)),
+    "l1_line below -1": ("l1_line", lambda a: np.full(4, -2, np.int64)),
+    "l2_gid past the block ids": ("l2_gid", lambda a: np.full(4, 2, np.int64)),
+    "lines not whole blocks": ("ratio", lambda a: 4),
+    "short L2 blocks": ("l2_blocks", lambda a: a["l2_blocks"][:1].copy()),
+    "read-only map": ("l1_line", lambda a: _read_only(a["l1_line"])),
+}
+
+
+def _read_only(array):
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HIERARCHY_ARGUMENTS))
+def test_malformed_hierarchy_arguments_raise(case, compiled_tier):
+    args = _hierarchy_args()
+    key, mutate = BAD_HIERARCHY_ARGUMENTS[case]
+    args[key] = mutate(args)
+    with pytest.raises(ValueError):
+        ckernels.run_hierarchy(**args)
+
+
+def test_well_formed_hierarchy_arguments_run(compiled_tier):
+    args = _hierarchy_args()
+    l1_hits, l2_hits, l1_counts, l2_counts, events = \
+        ckernels.run_hierarchy(**args)
+    assert not l1_hits.any() and not l2_hits.any()
+    assert l1_counts.tolist()[:3] == l2_counts.tolist()[:3] == [2, 0, 2]
+    assert events.tolist() == [0, 0, 0, 0]
+    assert args["frame_of_line"].tolist() == [0, 1]
+    assert args["l1_line"].tolist() == [0, 1, -1, -1]
+    assert args["l2_gid"].tolist() == [0, 1, -1, -1]
+
+
+# --------------------------------------------------------------------- #
+# construction
+# --------------------------------------------------------------------- #
 
 class TestValidation:
     def test_l1_block_must_not_exceed_l2_block(self):
@@ -394,16 +450,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least as large"):
             BatchTwoLevelHierarchy(l1, l2)
 
-    def test_epoch_hint_must_be_positive(self):
-        l1 = batch_cache_like(make_l1())
-        l2 = batch_cache_like(make_l2())
-        with pytest.raises(ValueError, match="positive"):
-            BatchTwoLevelHierarchy(l1, l2, epoch_hint=0)
-
     def test_classifying_levels_rejected(self):
         from repro.engine import BatchSetAssociativeCache
         l1 = BatchSetAssociativeCache(512, 32, 2, classify_misses=True)
-        l2 = batch_cache_like(make_l2())
+        l2 = batch_cache_like(make_level(2048))
         with pytest.raises(ValueError, match="classification"):
             BatchTwoLevelHierarchy(l1, l2)
 
@@ -421,7 +471,7 @@ class TestValidation:
 
     def test_vr_tlb_page_size_must_agree(self):
         l1 = batch_cache_like(make_l1())
-        l2 = batch_cache_like(make_l2())
+        l2 = batch_cache_like(make_level(2048))
         with pytest.raises(ValueError, match="agree on page size"):
             BatchVirtualRealHierarchy(l1, l2, PageTable(4096),
                                       tlb=TLB(entries=8, page_size=8192))
