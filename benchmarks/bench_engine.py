@@ -14,9 +14,9 @@ regress behind a slower scalar model.  Every row is bounded on the kernels
 ``dispatch_strategy`` picks (the compiled tier wherever a C compiler is
 available):
 
-* LRU (``compiled-set-assoc-lru``; fallback ``lru-dict`` on conventional
-  placement, ``generic-policy-kernel`` on skewed) must stay >= 10x over
-  scalar on every index family;
+* LRU (``compiled-set-assoc-lru``; fallback ``generic-policy-kernel``, the
+  one Python set-associative kernel of :mod:`repro.engine.pykernels`) must
+  stay >= 10x over scalar on every index family;
 * FIFO, random and PLRU (``compiled-set-assoc-*``; fallback
   ``generic-policy-kernel``) must stay >= 10x over scalar on the
   conventional two-way organisation, on skewed I-Poly placement and on a
@@ -226,7 +226,7 @@ POLICY_ROWS = ["fifo", "random", "plru"]
 #: Every name the ``dispatch_strategy`` of ``BatchSetAssociativeCache`` and
 #: ``BatchVictimCache`` can return, on both kernel tiers.
 DISPATCH_NAMES = frozenset(
-    ["lru-dict", "generic-policy-kernel", "victim-generic-kernel"]
+    ["generic-policy-kernel", "victim-generic-kernel"]
     + [f"compiled-set-assoc-{policy}" for policy in ["lru"] + POLICY_ROWS]
     + [f"compiled-victim-{policy}" for policy in ["lru"] + POLICY_ROWS]
     + ["compiled-hierarchy", "hierarchy-loop"])

@@ -73,7 +73,7 @@ def splitmix64(x: int) -> int:
 
 
 # --------------------------------------------------------------------- #
-# tree-PLRU primitives (shared with repro.engine.replacement_vec)
+# tree-PLRU primitives (shared with repro.engine.pykernels)
 # --------------------------------------------------------------------- #
 
 def plru_tree_size(ways: int) -> int:
@@ -210,10 +210,11 @@ class ReplacementPolicy(abc.ABC):
 def min_stamp_victim(stamp: List[List[int]], candidates) -> Tuple[int, int]:
     """The candidate with the smallest timestamp, ties broken by way order.
 
-    The one LRU/FIFO comparison rule of the whole subsystem — shared by the
-    timestamp policies, the tree-PLRU skewed fallback and (via list views of
-    the same layout) the vectorized state tables, so the engines cannot
-    drift apart on tie-breaks.
+    The one LRU/FIFO comparison rule of the scalar policies — shared by the
+    timestamp policies and the tree-PLRU skewed fallback; the batch kernels
+    (``policy_victim`` in :mod:`repro.engine.ckernels` and
+    :mod:`repro.engine.pykernels`) apply the same ``(timestamp, way)``
+    order.
     """
     best_way, best_set = candidates[0]
     best = stamp[best_way][best_set]
@@ -263,9 +264,9 @@ class RandomReplacement(ReplacementPolicy):
 
     The n-th victim choice is ``splitmix64(seed + n) % len(candidates)`` —
     a counter-based draw with no mutable generator state beyond the counter
-    itself, reproducible run-to-run and engine-to-engine (the vectorized
-    policy in :mod:`repro.engine.replacement_vec` consumes the identical
-    sequence).
+    itself, reproducible run-to-run and engine-to-engine (the batch
+    kernels draw the identical sequence from a
+    :class:`~repro.engine.replacement_vec.PolicyTables` seed and counter).
     """
 
     name = "random"

@@ -53,7 +53,6 @@ from .hierarchy_vec import (
 from .index_vec import GF2RemainderTable, VectorizedIndex, vectorize_index
 from .memo import (
     cached_block_numbers,
-    cached_set_index_lists,
     cached_set_indices,
     memo_clear,
     memo_info,
@@ -81,10 +80,7 @@ from .shards import (
     SampledStackDistanceBuilder,
     SampledStackDistanceProfile,
 )
-from .replacement_vec import (
-    VecReplacementState,
-    make_vec_replacement,
-)
+from .replacement_vec import PolicyTables
 from .replay import ReplayOutcome, batch_cache_like, replay_access_stream
 from .sweep import (
     ON_ERROR_POLICIES,
@@ -115,11 +111,9 @@ __all__ = [
     "batch_virtual_real_like",
     "batch_page_frames",
     "run_tlb_kernel",
-    "VecReplacementState",
-    "make_vec_replacement",
+    "PolicyTables",
     "cached_block_numbers",
     "cached_set_indices",
-    "cached_set_index_lists",
     "memo_info",
     "memo_clear",
     "PROFILE_MODES",

@@ -11,40 +11,34 @@ the scalar models by construction (the differential suites in
 identical hit/miss sequences and identical final
 :class:`~repro.cache.stats.CacheStats`).
 
-Kernels, picked per cache by ``dispatch_strategy``:
+Kernels: each cache's ``run`` picks a kernel module once — ``kernels =
+ckernels if ckernels.available() else pykernels`` — and makes one call.
 
-* ``compiled-set-assoc-{lru,fifo,random,plru}``,
+* :mod:`repro.engine.ckernels`: one generic C kernel per family, used
+  whenever the library builds (``dispatch_strategy`` names
+  ``compiled-set-assoc-{lru,fifo,random,plru}``,
   ``compiled-victim-{lru,fifo,random,plru}`` and
-  ``compiled-column-associative`` — one generic C kernel per family
-  (:mod:`repro.engine.ckernels`), used whenever the library builds.  Set
-  indices are computed array-at-a-time per way (a conventional cache passes
-  its way-0 array for every way), and the kernel mutates the cache's NumPy
-  state arrays in place.  A 3C-classifying cache replays its
-  :class:`~repro.cache.stats.MissClassifier` over the finished hit mask: the
-  shadow sees only (block, hit) in trace order.
-* Without a C compiler, the Python fallbacks: ``lru-dict`` (conventional
-  LRU: one insertion-ordered dict per set), ``generic-policy-kernel``
-  (every other set-associative cache: per-way flat lists, LRU stamps in
-  ``_way_used``, other policies in the
-  :mod:`repro.engine.replacement_vec` state tables), ``victim-generic-kernel``
-  and ``column-associative``.
+  ``compiled-column-associative``).
+* :mod:`repro.engine.pykernels`: the same kernels in Python, function for
+  function, without a C compiler (``generic-policy-kernel``,
+  ``victim-generic-kernel`` and ``column-associative``).
 
-Every kernel supports stores under both write policies and warm caches.
+Set indices are computed array-at-a-time per way (a conventional cache
+passes its way-0 array for every way).  A 3C-classifying cache replays its
+:class:`~repro.cache.stats.MissClassifier` over the finished hit mask: the
+shadow sees only (block, hit) in trace order.  Every kernel supports stores
+under both write policies and warm caches.
 
-State has two layouts and exactly one is live.  The compiled kernels and
-both tiers of the multi-level loop (:mod:`repro.engine.hierarchy_vec`)
-mutate NumPy arrays; the other Python consumers — the fallback kernels and
+State is NumPy arrays only — tags, dirty bits and one
+:class:`~repro.engine.replacement_vec.PolicyTables` per structure —
+allocated on first use and mutated in place by both kernel tiers, by both
+tiers of the multi-level loop (:mod:`repro.engine.hierarchy_vec`) and by
 the point operations (``contains_block``, ``invalidate_block``,
-``resident_blocks``) — read lists (and per-set dicts for conventional LRU)
-checked out through ``_lists()``.
-A cache converts only when the other kind of consumer touched it last, so
-single-level runs never convert.  Policy tables
-(:class:`~repro.engine.replacement_vec.VecReplacementState`) are NumPy in
-both cases.
+``resident_blocks``, ``flush``).
 
 Every cache exposes ``dispatch_strategy(batch)`` — the name of the kernel
-``run`` will execute — as the dispatcher's single source of truth, which
-the differential suite introspects to prove each path is covered.
+``run`` will execute — which the differential suite introspects to prove
+each path is covered.
 
 Block-number and set-index arrays are obtained through the sweep-wide memo
 tables of :mod:`repro.engine.memo`, so tasks that share one materialised
@@ -53,8 +47,7 @@ trace (see :mod:`repro.trace.batching`) also share the derived arrays.
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -66,19 +59,11 @@ from ..cache.replacement import (
 from ..cache.set_assoc import WritePolicy
 from ..cache.stats import CacheStats, MissClassifier
 from ..core.index import BitSelectIndexing, IndexFunction, IPolyIndexing
-from . import ckernels
+from . import ckernels, pykernels
 from .batch import AddressBatch
 from .index_vec import VectorizedIndex, vectorize_index
-from .memo import (
-    cached_block_numbers,
-    cached_set_index_lists,
-    cached_set_indices,
-)
-from .replacement_vec import (
-    VecReplacementState,
-    make_vec_replacement,
-    min_stamp_way,
-)
+from .memo import cached_block_numbers, cached_set_indices
+from .replacement_vec import PolicyTables
 
 __all__ = [
     "BatchSetAssociativeCache",
@@ -100,18 +85,6 @@ def _resolve_batch_replacement(
     seed = (replacement.seed
             if isinstance(replacement, RandomReplacement) else None)
     return replacement_policy_name(replacement), seed
-
-
-def _policy_tables(policy: VecReplacementState):
-    """A policy's NumPy state as the C kernels take it.
-
-    Returns ``(stamps, PLRU bits as uint8, seed, random draws consumed)``;
-    the bit table is a view, so the kernel's writes land in the policy.
-    """
-    bits = getattr(policy, "bits", None)
-    return (getattr(policy, "stamps", None),
-            None if bits is None else bits.view(np.uint8),
-            getattr(policy, "seed", 0), getattr(policy, "counter", 0))
 
 
 def _classify_over_hits(classifier: MissClassifier, stats: CacheStats,
@@ -157,41 +130,31 @@ def _check_geometry(size_bytes: int, block_size: int, ways: int,
     return num_sets, index_function
 
 
-def _way_indices(cache, blocks: np.ndarray, as_lists: bool = False):
-    """Per-way set indices of ``blocks`` (memoised arrays, or the list
-    views the Python kernels iterate); a conventional cache repeats its
-    way-0 indices for every way."""
-    fetch = cached_set_index_lists if as_lists else cached_set_indices
+def _way_indices(cache, blocks: np.ndarray) -> List[np.ndarray]:
+    """Per-way set indices of ``blocks`` (memoised arrays); a conventional
+    cache repeats its way-0 indices for every way."""
     if cache._skewed:
-        return [fetch(cache._vec_index, blocks, way)
+        return [cached_set_indices(cache._vec_index, blocks, way)
                 for way in range(cache._ways)]
-    return [fetch(cache._vec_index, blocks, 0)] * cache._ways
+    return [cached_set_indices(cache._vec_index, blocks, 0)] * cache._ways
 
 
-class _Layout(enum.Enum):
-    """``_state`` of a fresh or flushed cache: neither layout built yet (an
-    enum member, so the identity checks survive pickling)."""
-    EMPTY = "empty"
-
-
-_EMPTY = _Layout.EMPTY
+def _writes(batch: AddressBatch) -> np.ndarray:
+    """The batch's store flags as the kernels take them (uint8)."""
+    return np.ascontiguousarray(batch.is_write).view(np.uint8)
 
 
 class _BatchCache:
-    """What the batch caches share: the chunk-consume entry point and the
-    two state layouts.
+    """What the batch caches share: the chunk-consume entry point, the
+    counters and the state arrays.
 
-    Exactly one layout is live.  ``_state`` holds the NumPy arrays the
-    compiled kernels mutate, ``None`` while the list attributes named by
-    ``_LIST_ATTRS`` are live, or ``_EMPTY`` until the first consumer of
-    either kind builds its layout empty.  Subclasses provide
-    ``_new_arrays()``, ``_new_lists()``, ``_arrays_to_lists(arrays)`` and
-    ``_lists_to_arrays()``.
+    ``_state`` is ``None`` until the first run or point operation allocates
+    the subclass's ``_new_arrays()``, and again after a flush, so a cache
+    that is built but never run allocates nothing.
     """
 
-    _LIST_ATTRS: tuple = ()
     _EXTRA_COUNTERS: tuple = ()
-    _state = _EMPTY
+    _state = None
     _name = ""
     _block_size = 0
 
@@ -236,30 +199,10 @@ class _BatchCache:
         for name, value in zip(self._EXTRA_COUNTERS, extra):
             setattr(self, name, getattr(self, name) + value)
 
-    def _reset_state(self) -> None:
-        """Empty the cache: no layout until a consumer asks for one."""
-        self._state = _EMPTY
-        for attr in self._LIST_ATTRS:
-            setattr(self, attr, None)
-
-    def _lists(self) -> None:
-        """Check the state out in the list layout Python consumers read."""
-        if self._state is None:
-            return
-        if self._state is _EMPTY:
-            self._new_lists()
-        else:
-            self._arrays_to_lists(self._state)
-        self._state = None
-
     def _arrays(self):
-        """Check the state out as the arrays the compiled kernels mutate."""
-        if self._state is _EMPTY:
+        """The state arrays, allocated empty on first use."""
+        if self._state is None:
             self._state = self._new_arrays()
-        elif self._state is None:
-            self._state = self._lists_to_arrays()
-            for attr in self._LIST_ATTRS:
-                setattr(self, attr, None)
         return self._state
 
 
@@ -272,8 +215,6 @@ class BatchSetAssociativeCache(_BatchCache):
     across calls, so a cache can be warmed with one batch and measured with
     the next, exactly like the scalar model.
     """
-
-    _LIST_ATTRS = ("_sets", "_way_tags", "_way_used", "_way_dirty")
 
     def __init__(
         self,
@@ -296,7 +237,7 @@ class BatchSetAssociativeCache(_BatchCache):
         self._ways = ways
         self._index_fn = index_function
         self._vec_index: VectorizedIndex = vectorize_index(index_function)
-        self._replacement_name, random_seed = _resolve_batch_replacement(
+        self._replacement_name, self._seed = _resolve_batch_replacement(
             replacement)
         self._write_policy = write_policy
         self._name = name or (f"{size_bytes // 1024}KB-{ways}way-"
@@ -308,72 +249,15 @@ class BatchSetAssociativeCache(_BatchCache):
         self._classifier = (
             MissClassifier(self.num_blocks) if classify_misses else None
         )
-        # List layout: conventional LRU keeps one dict per set mapping
-        # block -> dirty in LRU-to-MRU insertion order; every other cache
-        # keeps per-way flat tag / dirty lists (tag -1 == invalid frame) with
-        # LRU stamps in ``_way_used``.  The array layout is ``(tags, dirty,
-        # used)``, each ``ways x num_sets``.  Non-LRU policies keep their
-        # decision state in the tables of :mod:`repro.engine.replacement_vec`.
-        self._use_flat = self._skewed or self._replacement_name != "lru"
-        self._vec_policy: Optional[VecReplacementState] = None
-        if self._replacement_name != "lru":
-            self._vec_policy = make_vec_replacement(
-                self._replacement_name, ways, self._num_sets,
-                seed=random_seed)
-        self._reset_state()
-
-    # ------------------------------------------------------------------ #
-    # state layouts
-    # ------------------------------------------------------------------ #
 
     def _new_arrays(self):
+        """``(tags, dirty, policy tables)``: ``ways x num_sets`` tags (-1
+        for an invalid frame) and dirty bits."""
         shape = (self._ways, self._num_sets)
         return (np.full(shape, -1, dtype=np.int64),
                 np.zeros(shape, dtype=np.uint8),
-                np.zeros(shape, dtype=np.int64))
-
-    def _new_lists(self) -> None:
-        ways, num_sets = self._ways, self._num_sets
-        if self._use_flat:
-            self._way_tags = [[-1] * num_sets for _ in range(ways)]
-            self._way_used = [[0] * num_sets for _ in range(ways)]
-            self._way_dirty = [[False] * num_sets for _ in range(ways)]
-        else:
-            self._sets = [dict() for _ in range(num_sets)]
-
-    def _arrays_to_lists(self, arrays) -> None:
-        tags, dirty, used = arrays
-        if self._use_flat:
-            self._way_tags = tags.tolist()
-            self._way_dirty = dirty.astype(bool).tolist()
-            self._way_used = used.tolist()
-            return
-        # Conventional LRU: rebuild each set's dict oldest stamp first.
-        sets: List[Dict[int, bool]] = [dict() for _ in range(self._num_sets)]
-        order = np.argsort(used, axis=0, kind="stable")
-        columns = np.arange(self._num_sets)
-        for ways_by_age in order:
-            row_tags = tags[ways_by_age, columns]
-            row_dirty = dirty[ways_by_age, columns]
-            for s in np.flatnonzero(row_tags >= 0).tolist():
-                sets[s][int(row_tags[s])] = bool(row_dirty[s])
-        self._sets = sets
-
-    def _lists_to_arrays(self):
-        if self._use_flat:
-            return (np.array(self._way_tags, dtype=np.int64),
-                    np.array(self._way_dirty, dtype=np.uint8),
-                    np.array(self._way_used, dtype=np.int64))
-        # Conventional LRU: a set's k blocks take ways 0..k-1 with distinct
-        # stamps ending at the current clock, oldest first.
-        tags, dirty, used = self._new_arrays()
-        for s, d in enumerate(self._sets):
-            base = self._clock - len(d)
-            for way, (block, is_dirty) in enumerate(d.items()):
-                tags[way, s] = block
-                dirty[way, s] = is_dirty
-                used[way, s] = base + 1 + way
-        return tags, dirty, used
+                PolicyTables(self._replacement_name, self._ways,
+                             self._num_sets, seed=self._seed))
 
     # ------------------------------------------------------------------ #
     # introspection (mirrors the scalar cache)
@@ -416,10 +300,8 @@ class BatchSetAssociativeCache(_BatchCache):
 
     def resident_blocks(self) -> List[int]:
         """All resident block numbers (order unspecified)."""
-        self._lists()
-        if self._use_flat:
-            return [tag for tags in self._way_tags for tag in tags if tag >= 0]
-        return [block for d in self._sets for block in d]
+        tags = self._arrays()[0]
+        return tags[tags >= 0].tolist()
 
     def reset_stats(self) -> None:
         """Zero the statistics counters."""
@@ -444,13 +326,9 @@ class BatchSetAssociativeCache(_BatchCache):
 
     def contains_block(self, block_number: int) -> bool:
         """Return True if ``block_number`` is resident."""
-        self._lists()
-        if not self._use_flat:
-            return block_number in self._sets[self._index_fn.index(block_number, 0)]
-        for way, set_index in enumerate(self._candidate_sets(block_number)):
-            if self._way_tags[way][set_index] == block_number:
-                return True
-        return False
+        tags = self._arrays()[0]
+        return any(tags[way, set_index] == block_number for way, set_index
+                   in enumerate(self._candidate_sets(block_number)))
 
     def invalidate_block(self, block_number: int) -> bool:
         """Remove ``block_number`` if resident; returns True if it was found.
@@ -461,18 +339,11 @@ class BatchSetAssociativeCache(_BatchCache):
         a universal no-op) — a later fill prefers the invalid frame in way
         order, exactly like the scalar ``_fill``.
         """
-        self._lists()
-        if not self._use_flat:
-            d = self._sets[self._index_fn.index(block_number, 0)]
-            if block_number in d:
-                del d[block_number]
-                self.stats.invalidations += 1
-                return True
-            return False
+        tags, dirty, _policy = self._arrays()
         for way, set_index in enumerate(self._candidate_sets(block_number)):
-            if self._way_tags[way][set_index] == block_number:
-                self._way_tags[way][set_index] = -1
-                self._way_dirty[way][set_index] = False
+            if tags[way, set_index] == block_number:
+                tags[way, set_index] = -1
+                dirty[way, set_index] = 0
                 self.stats.invalidations += 1
                 return True
         return False
@@ -484,9 +355,7 @@ class BatchSetAssociativeCache(_BatchCache):
         invalidated and the replacement state forgets everything, but the
         access clock keeps running.
         """
-        self._reset_state()
-        if self._vec_policy is not None:
-            self._vec_policy.reset()
+        self._state = None
         if self._classifier is not None:
             self._classifier.reset()
 
@@ -497,23 +366,18 @@ class BatchSetAssociativeCache(_BatchCache):
     def dispatch_strategy(self, batch: AddressBatch) -> str:
         """Name of the kernel :meth:`run` would execute for ``batch``.
 
-        The dispatcher's single source of truth — :meth:`run` switches on
-        exactly this value, so tests can introspect which kernel serves a
-        given (organisation, policy) combination.  The route depends only
-        on the configuration and on whether the compiled kernels built;
-        ``batch`` is accepted so every batch cache shares one signature.
-        Possible values:
+        Tests introspect it to see which kernel serves a given
+        (organisation, policy) combination.  The route depends only on
+        whether the compiled kernels built; ``batch`` is accepted so every
+        batch cache shares one signature.  Possible values:
 
         * ``"compiled-set-assoc-{lru,fifo,random,plru}"`` — every cache,
           with or without the 3C classifier, when the C library is
           available;
-        * ``"lru-dict"`` — otherwise, conventional LRU;
-        * ``"generic-policy-kernel"`` — otherwise, everything else.
+        * ``"generic-policy-kernel"`` — otherwise, the Python mirror.
         """
         if ckernels.available():
             return f"compiled-set-assoc-{self._replacement_name}"
-        if self._replacement_name == "lru" and not self._skewed:
-            return "lru-dict"
         return "generic-policy-kernel"
 
     def run(self, batch: AddressBatch) -> np.ndarray:
@@ -521,198 +385,38 @@ class BatchSetAssociativeCache(_BatchCache):
 
         Statistics accumulate into :attr:`stats` and cache state carries over
         to the next call, exactly like feeding the scalar model one access at
-        a time.  The kernel is picked by :meth:`dispatch_strategy`.
+        a time.  :meth:`dispatch_strategy` names the kernel.
         """
-        n = len(batch)
-        if n == 0:
+        if len(batch) == 0:
             return np.zeros(0, dtype=bool)
-        strategy = self.dispatch_strategy(batch)
+        kernels = ckernels if ckernels.available() else pykernels
         blocks = cached_block_numbers(batch, self._block_size)
-        if strategy == "lru-dict":
-            hits = self._run_dict_kernel(blocks, batch.is_write)
-        elif strategy == "generic-policy-kernel":
-            hits = self._run_policy_kernel(blocks, batch.is_write)
-        else:
-            hits = self._run_compiled(blocks, batch.is_write)
+        state = self._kernel_state(blocks)
+        hits, counts = kernels.run_set_assoc(blocks, _writes(batch), **state)
+        self._kernel_done(state["io"], counts)
         if self._classifier is not None:
             # The 3C shadow sees only (block, hit) in trace order, so it
             # replays over the finished hit mask.
             _classify_over_hits(self._classifier, self.stats, blocks, hits)
         return hits
 
-    # -- compiled kernel ------------------------------------------------ #
-
-    def _run_compiled(self, blocks: np.ndarray,
-                      is_write: np.ndarray) -> np.ndarray:
-        state = self._kernel_state(blocks)
-        hits, counts = ckernels.run_set_assoc(
-            blocks, np.ascontiguousarray(is_write).view(np.uint8), **state)
-        self._kernel_done(state["io"], counts)
-        return hits
-
     def _kernel_state(self, blocks: np.ndarray) -> dict:
-        """The arrays a compiled kernel runs this cache on for ``blocks``:
+        """The arrays a kernel runs this cache on for ``blocks``:
         :func:`ckernels.run_set_assoc`'s keyword arguments, set indices
         included (the multi-level engine passes one per level)."""
-        tags, dirty, used = self._arrays()
-        policy = self._vec_policy
-        if policy is None:  # LRU: stamps live with the tags
-            stamps, bits, seed, draws = used, None, 0, 0
-        else:
-            stamps, bits, seed, draws = _policy_tables(policy)
+        tags, dirty, policy = self._arrays()
         return dict(
             way_sets=_way_indices(self, blocks),
             write_back=self._write_policy == WritePolicy.WRITE_BACK_ALLOCATE,
             policy=self._replacement_name, tags=tags, dirty=dirty,
-            stamps=stamps, bits=bits, seed=seed,
-            io=np.array([self._clock, draws], dtype=np.int64))
+            stamps=policy.stamps, bits=policy.bits, seed=policy.seed,
+            io=np.array([self._clock, policy.draws], dtype=np.int64))
 
     def _kernel_done(self, io: np.ndarray, counts) -> None:
         """Take back the clock, random draws and counters of a run on
         :meth:`_kernel_state`."""
-        self._clock = int(io[0])
-        if self._replacement_name == "random":
-            self._vec_policy.counter = int(io[1])
+        self._clock, self._state[2].draws = io.tolist()
         self._add_counts(*counts.tolist())
-
-    # -- conventional LRU fallback: insertion-ordered dict kernel ------- #
-
-    def _run_dict_kernel(self, blocks: np.ndarray,
-                         is_write: np.ndarray) -> np.ndarray:
-        self._lists()
-        n = blocks.shape[0]
-        sets_l = cached_set_index_lists(self._vec_index, blocks, 0)
-        blocks_l = blocks.tolist()
-        writes_l = is_write.tolist()
-        sets_state = self._sets
-        ways = self._ways
-        write_back = self._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-
-        hits_l = []
-        hit_append = hits_l.append
-        loads = stores = load_misses = store_misses = evictions = writebacks = 0
-
-        for b, s, w in zip(blocks_l, sets_l, writes_l):
-            d = sets_state[s]
-            if b in d:
-                dirty = d.pop(b)
-                d[b] = dirty or (w and write_back)
-                if w:
-                    stores += 1
-                else:
-                    loads += 1
-                hit_append(True)
-                continue
-            # Miss.
-            hit_append(False)
-            if w:
-                stores += 1
-                store_misses += 1
-                if not write_back:
-                    continue  # write-through / no-write-allocate
-            else:
-                loads += 1
-                load_misses += 1
-            if len(d) >= ways:
-                victim = next(iter(d))
-                if d.pop(victim):
-                    writebacks += 1
-                evictions += 1
-            d[b] = w and write_back
-
-        self._clock += n
-        self._add_counts(loads, stores, load_misses, store_misses, evictions,
-                         writebacks)
-        return np.array(hits_l, dtype=bool)
-
-    # -- generic fallback kernel (any placement, any policy) ------------ #
-
-    def _run_policy_kernel(self, blocks: np.ndarray,
-                           is_write: np.ndarray) -> np.ndarray:
-        self._lists()
-        way_sets = _way_indices(self, blocks, as_lists=True)
-        blocks_l = blocks.tolist()
-        writes_l = is_write.tolist()
-        tags = self._way_tags
-        dirty = self._way_dirty
-        write_back = self._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-        clock = self._clock
-        way_range = range(self._ways)
-        policy = self._vec_policy
-        if policy is None:
-            # Skewed LRU: stamps in the cache's own ``_way_used`` rows.
-            used = self._way_used
-
-            def on_hit(wy, s, now):
-                used[wy][s] = now
-
-            on_fill = on_hit
-
-            def choose(candidate_sets):
-                return min_stamp_way(used, candidate_sets)
-        else:
-            policy.kernel_begin()
-            on_hit = policy.on_hit
-            on_fill = policy.on_fill
-            choose = policy.victim
-
-        hits_l = []
-        hit_append = hits_l.append
-        loads = stores = load_misses = store_misses = evictions = writebacks = 0
-
-        try:
-            for i, b in enumerate(blocks_l):
-                clock += 1
-                w = writes_l[i]
-                hit_way = -1
-                for wy in way_range:
-                    s = way_sets[wy][i]
-                    if tags[wy][s] == b:
-                        hit_way = wy
-                        on_hit(wy, s, clock)
-                        if w and write_back:
-                            dirty[wy][s] = True
-                        break
-                if hit_way >= 0:
-                    if w:
-                        stores += 1
-                    else:
-                        loads += 1
-                    hit_append(True)
-                    continue
-                hit_append(False)
-                if w:
-                    stores += 1
-                    store_misses += 1
-                    if not write_back:
-                        continue
-                else:
-                    loads += 1
-                    load_misses += 1
-                fill_dirty = w and write_back
-                target = -1
-                for wy in way_range:
-                    if tags[wy][way_sets[wy][i]] < 0:
-                        target = wy
-                        break
-                if target < 0:
-                    target = choose([way_sets[wy][i] for wy in way_range])
-                    s = way_sets[target][i]
-                    evictions += 1
-                    if dirty[target][s]:
-                        writebacks += 1
-                s = way_sets[target][i]
-                tags[target][s] = b
-                dirty[target][s] = fill_dirty
-                on_fill(target, s, clock)
-        finally:
-            if policy is not None:
-                policy.kernel_end()
-
-        self._clock = clock
-        self._add_counts(loads, stores, load_misses, store_misses, evictions,
-                         writebacks)
-        return np.array(hits_l, dtype=bool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -731,7 +435,6 @@ class BatchColumnAssociativeCache(_BatchCache):
     index, so a displaced block retreats without being rehashed.
     """
 
-    _LIST_ATTRS = ("_tags", "_dirty", "_sec_of")
     _EXTRA_COUNTERS = ("first_probe_hits", "second_probe_hits",
                        "total_probes")
 
@@ -773,9 +476,6 @@ class BatchColumnAssociativeCache(_BatchCache):
         self._swap = bool(swap_on_rehash_hit)
         self._name = name or f"column-{size_bytes // 1024}KB-batch"
 
-        # State: tags, dirty bits and the secondary index of each frame's
-        # block, as arrays or as the lists ``_tags``/``_dirty``/``_sec_of``.
-        self._reset_state()
         self.stats = CacheStats()
         self.first_probe_hits = 0
         self.second_probe_hits = 0
@@ -785,26 +485,12 @@ class BatchColumnAssociativeCache(_BatchCache):
         )
 
     def _new_arrays(self):
+        """``(tags, dirty, sec_of)`` per frame: ``sec_of`` is the secondary
+        index of the frame's block."""
         frames = self._num_frames
         return (np.full(frames, -1, dtype=np.int64),
                 np.zeros(frames, dtype=np.uint8),
                 np.zeros(frames, dtype=np.int64))
-
-    def _new_lists(self) -> None:
-        self._tags = [-1] * self._num_frames
-        self._dirty = [False] * self._num_frames
-        self._sec_of = [0] * self._num_frames
-
-    def _arrays_to_lists(self, arrays) -> None:
-        tags, dirty, sec_of = arrays
-        self._tags = tags.tolist()
-        self._dirty = dirty.astype(bool).tolist()
-        self._sec_of = sec_of.tolist()
-
-    def _lists_to_arrays(self):
-        return (np.array(self._tags, dtype=np.int64),
-                np.array(self._dirty, dtype=np.uint8),
-                np.array(self._sec_of, dtype=np.int64))
 
     @property
     def num_frames(self) -> int:
@@ -829,8 +515,8 @@ class BatchColumnAssociativeCache(_BatchCache):
 
     def resident_blocks(self) -> List[int]:
         """All resident block numbers (order unspecified)."""
-        self._lists()
-        return [tag for tag in self._tags if tag >= 0]
+        tags = self._arrays()[0]
+        return tags[tags >= 0].tolist()
 
     def dispatch_strategy(self, batch: AddressBatch) -> str:
         """Name of the kernel :meth:`run` would execute for ``batch``:
@@ -842,100 +528,20 @@ class BatchColumnAssociativeCache(_BatchCache):
 
     def run(self, batch: AddressBatch) -> np.ndarray:
         """Simulate a whole batch; returns the per-access hit mask (bool)."""
-        n = len(batch)
-        if n == 0:
+        if len(batch) == 0:
             return np.zeros(0, dtype=bool)
-        strategy = self.dispatch_strategy(batch)
+        kernels = ckernels if ckernels.available() else pykernels
         blocks = cached_block_numbers(batch, self._block_size)
-        primary = cached_set_indices(self._vec_primary, blocks, 0)
-        secondary = cached_set_indices(self._vec_secondary, blocks, 0)
-        if strategy == "column-associative":
-            hits = self._run_python(blocks, primary, secondary,
-                                    batch.is_write)
-        else:
-            tags, dirty, sec_of = self._arrays()
-            hits, counts = ckernels.run_column(
-                blocks, np.ascontiguousarray(batch.is_write).view(np.uint8),
-                primary, secondary, swap=self._swap, tags=tags, dirty=dirty,
-                sec_of=sec_of)
-            self._add_counts(*counts.tolist())
+        tags, dirty, sec_of = self._arrays()
+        hits, counts = kernels.run_column(
+            blocks, _writes(batch),
+            cached_set_indices(self._vec_primary, blocks, 0),
+            cached_set_indices(self._vec_secondary, blocks, 0),
+            swap=self._swap, tags=tags, dirty=dirty, sec_of=sec_of)
+        self._add_counts(*counts.tolist())
         if self._classifier is not None:
             _classify_over_hits(self._classifier, self.stats, blocks, hits)
         return hits
-
-    def _run_python(self, blocks: np.ndarray, primary: np.ndarray,
-                    secondary: np.ndarray, is_write: np.ndarray) -> np.ndarray:
-        self._lists()
-        tags = self._tags
-        dirty = self._dirty
-        sec_of = self._sec_of
-        swap = self._swap
-
-        hits_l = []
-        hit_append = hits_l.append
-        loads = stores = load_misses = store_misses = evictions = 0
-        first_hits = second_hits = probes_total = 0
-
-        for b, p, s, w in zip(blocks.tolist(), primary.tolist(),
-                              secondary.tolist(), is_write.tolist()):
-            first_hit = tags[p] == b
-            second_hit = (not first_hit) and s != p and tags[s] == b
-            hit = first_hit or second_hit
-            probes_total += 1 if first_hit else 2
-
-            if w:
-                stores += 1
-                if not hit:
-                    store_misses += 1
-            else:
-                loads += 1
-                if not hit:
-                    load_misses += 1
-            hit_append(hit)
-
-            if first_hit:
-                first_hits += 1
-                continue
-            displaced = tags[p]
-            displaced_dirty = dirty[p]
-            displaced_sec = sec_of[p]
-            if second_hit:
-                second_hits += 1
-                if swap:
-                    # Promote the block to its primary slot; the displaced
-                    # primary occupant retreats to the secondary slot (and,
-                    # as in the scalar model, the promoted line comes back
-                    # clean).
-                    tags[p] = b
-                    dirty[p] = False
-                    sec_of[p] = s
-                    if displaced >= 0:
-                        tags[s] = displaced
-                        dirty[s] = displaced_dirty
-                        sec_of[s] = displaced_sec
-                    else:
-                        tags[s] = -1
-                        dirty[s] = False
-                continue
-            # Miss: install at the primary slot; its previous occupant
-            # retreats to its own secondary slot.
-            tags[p] = b
-            dirty[p] = False
-            sec_of[p] = s
-            if displaced < 0:
-                continue
-            if displaced_sec == p:
-                evictions += 1
-                continue
-            if tags[displaced_sec] >= 0:
-                evictions += 1
-            tags[displaced_sec] = displaced
-            dirty[displaced_sec] = displaced_dirty
-            sec_of[displaced_sec] = displaced_sec
-
-        self._add_counts(loads, stores, load_misses, store_misses, evictions,
-                         0, first_hits, second_hits, probes_total)
-        return np.array(hits_l, dtype=bool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BatchColumnAssociativeCache({self._num_frames} frames, "
@@ -960,7 +566,6 @@ class BatchVictimCache(_BatchCache):
     and :attr:`victim_hits` split the hits like the scalar model.
     """
 
-    _LIST_ATTRS = ("_way_tags", "_way_dirty", "_victim_tags", "_victim_dirty")
     _EXTRA_COUNTERS = ("main_hits", "victim_hits")
 
     def __init__(
@@ -983,51 +588,32 @@ class BatchVictimCache(_BatchCache):
         self._index_fn = index_function
         self._vec_index = vectorize_index(index_function)
         self._skewed = index_function.is_skewed
-        self._replacement_name, random_seed = _resolve_batch_replacement(
+        self._replacement_name, self._seed = _resolve_batch_replacement(
             replacement)
         self._entries = victim_entries
         self._name = name or f"victim-{size_bytes // 1024}KB+{victim_entries}-batch"
 
-        # Main-cache state (per-way tags/dirty) and victim-buffer state (one
-        # set of `victim_entries` ways), each with its own policy tables and
-        # clock.  Array layout: (tags, dirty, buffer tags, buffer dirty).
-        self._main_policy = make_vec_replacement(
-            self._replacement_name, ways, self._num_sets, seed=random_seed)
-        self._victim_policy = make_vec_replacement(
-            self._replacement_name, victim_entries, 1, seed=random_seed)
+        # The main cache and the buffer (one set of `victim_entries` ways)
+        # each have their own policy tables and clock.
         self._main_clock = 0
         self._victim_clock = 0
-        self._reset_state()
 
         self.stats = CacheStats()
         self.main_hits = 0
         self.victim_hits = 0
 
     def _new_arrays(self):
+        """``(tags, dirty, policy tables)`` of the main cache (``ways x
+        num_sets``), then of the buffer (``entries``)."""
         shape = (self._ways, self._num_sets)
         return (np.full(shape, -1, dtype=np.int64),
                 np.zeros(shape, dtype=np.uint8),
+                PolicyTables(self._replacement_name, self._ways,
+                             self._num_sets, seed=self._seed),
                 np.full(self._entries, -1, dtype=np.int64),
-                np.zeros(self._entries, dtype=np.uint8))
-
-    def _new_lists(self) -> None:
-        self._way_tags = [[-1] * self._num_sets for _ in range(self._ways)]
-        self._way_dirty = [[False] * self._num_sets for _ in range(self._ways)]
-        self._victim_tags = [-1] * self._entries
-        self._victim_dirty = [False] * self._entries
-
-    def _arrays_to_lists(self, arrays) -> None:
-        tags, dirty, vtags, vdirty = arrays
-        self._way_tags = tags.tolist()
-        self._way_dirty = dirty.astype(bool).tolist()
-        self._victim_tags = vtags.tolist()
-        self._victim_dirty = vdirty.astype(bool).tolist()
-
-    def _lists_to_arrays(self):
-        return (np.array(self._way_tags, dtype=np.int64),
-                np.array(self._way_dirty, dtype=np.uint8),
-                np.array(self._victim_tags, dtype=np.int64),
-                np.array(self._victim_dirty, dtype=np.uint8))
+                np.zeros(self._entries, dtype=np.uint8),
+                PolicyTables(self._replacement_name, self._entries, 1,
+                             seed=self._seed))
 
     @property
     def victim_entries(self) -> int:
@@ -1051,9 +637,8 @@ class BatchVictimCache(_BatchCache):
 
     def resident_blocks(self) -> List[int]:
         """Blocks resident in the main cache or the buffer (order unspecified)."""
-        self._lists()
-        return [tag for tags in self._way_tags + [self._victim_tags]
-                for tag in tags if tag >= 0]
+        tags, _dirty, _policy, vtags, _vdirty, _vpolicy = self._arrays()
+        return tags[tags >= 0].tolist() + vtags[vtags >= 0].tolist()
 
     def dispatch_strategy(self, batch: AddressBatch) -> str:
         """Name of the kernel :meth:`run` would execute for ``batch``:
@@ -1066,161 +651,29 @@ class BatchVictimCache(_BatchCache):
     def run(self, batch: AddressBatch) -> np.ndarray:
         """Simulate a whole batch; returns the per-access overall hit mask.
 
-        The kernel is picked by :meth:`dispatch_strategy`.
+        :meth:`dispatch_strategy` names the kernel.
         """
-        n = len(batch)
-        if n == 0:
+        if len(batch) == 0:
             return np.zeros(0, dtype=bool)
-        strategy = self.dispatch_strategy(batch)
+        kernels = ckernels if ckernels.available() else pykernels
         blocks = cached_block_numbers(batch, self._block_size)
-        if strategy == "victim-generic-kernel":
-            return self._run_generic_kernel(blocks, batch.is_write)
-        return self._run_compiled(blocks, batch.is_write)
-
-    def _run_compiled(self, blocks: np.ndarray,
-                      is_write: np.ndarray) -> np.ndarray:
-        tags, dirty, vtags, vdirty = self._arrays()
-        stamps, bits, seed, draws = _policy_tables(self._main_policy)
-        vstamps, vbits, vseed, vdraws = _policy_tables(self._victim_policy)
-        io = np.array([self._main_clock, self._victim_clock, draws, vdraws],
-                      dtype=np.int64)
-        hits, counts = ckernels.run_victim(
-            blocks, np.ascontiguousarray(is_write).view(np.uint8),
-            _way_indices(self, blocks), policy=self._replacement_name, tags=tags, dirty=dirty,
-            stamps=stamps, bits=bits, seed=seed, vtags=vtags, vdirty=vdirty,
-            vstamps=vstamps, vbits=vbits, vseed=vseed, io=io)
-        self._main_clock, self._victim_clock, draws, vdraws = io.tolist()
-        if self._replacement_name == "random":
-            self._main_policy.counter = draws
-            self._victim_policy.counter = vdraws
+        tags, dirty, main, vtags, vdirty, buffer = self._arrays()
+        io = np.array([self._main_clock, self._victim_clock, main.draws,
+                       buffer.draws], dtype=np.int64)
+        hits, counts = kernels.run_victim(
+            blocks, _writes(batch), _way_indices(self, blocks),
+            policy=self._replacement_name, tags=tags, dirty=dirty,
+            stamps=main.stamps, bits=main.bits, seed=main.seed, vtags=vtags,
+            vdirty=vdirty, vstamps=buffer.stamps, vbits=buffer.bits,
+            vseed=buffer.seed, io=io)
+        (self._main_clock, self._victim_clock, main.draws,
+         buffer.draws) = io.tolist()
         self._add_counts(*counts.tolist())
         return hits
 
-    def _run_generic_kernel(self, blocks: np.ndarray,
-                            is_write: np.ndarray) -> np.ndarray:
-        """The Python victim kernel (any geometry, any policy): the
-        fallback when the compiled kernels are unavailable."""
-        self._lists()
-        way_sets = _way_indices(self, blocks, as_lists=True)
-        blocks_l = blocks.tolist()
-        writes_l = is_write.tolist()
-        tags = self._way_tags
-        dirty = self._way_dirty
-        vtags = self._victim_tags
-        vdirty = self._victim_dirty
-        entries = self._entries
-        entry_range = range(entries)
-        way_range = range(self._ways)
-        #: Candidate sets of the single-set victim buffer (one per entry).
-        buffer_sets = [0] * entries
-        main_clock = self._main_clock
-        victim_clock = self._victim_clock
-        main_policy = self._main_policy
-        victim_policy = self._victim_policy
-        main_policy.kernel_begin()
-        victim_policy.kernel_begin()
-
-        hits_l = []
-        hit_append = hits_l.append
-        loads = stores = load_misses = store_misses = writebacks = 0
-        main_hits = victim_hits = 0
-
-        try:
-            for i, b in enumerate(blocks_l):
-                w = writes_l[i]
-                # Probe the main cache.
-                hit_way = -1
-                for wy in way_range:
-                    s = way_sets[wy][i]
-                    if tags[wy][s] == b:
-                        hit_way = wy
-                        break
-                if hit_way >= 0:
-                    main_clock += 1
-                    main_policy.on_hit(hit_way, s, main_clock)
-                    if w:
-                        dirty[hit_way][s] = True  # main cache is write-back
-                        stores += 1
-                    else:
-                        loads += 1
-                    main_hits += 1
-                    hit_append(True)
-                    continue
-                # Main miss: probe the victim buffer.
-                victim_slot = -1
-                for j in entry_range:
-                    if vtags[j] == b:
-                        victim_slot = j
-                        break
-                victim_hit = victim_slot >= 0
-                if w:
-                    stores += 1
-                    if not victim_hit:
-                        store_misses += 1
-                else:
-                    loads += 1
-                    if not victim_hit:
-                        load_misses += 1
-                hit_append(victim_hit)
-                if victim_hit:
-                    victim_hits += 1
-                    # The promoted entry leaves the buffer; the line the main
-                    # cache displaces will take a slot below.
-                    vtags[victim_slot] = -1
-                    vdirty[victim_slot] = False
-                # Refill the main cache (write-back / write-allocate).
-                main_clock += 1
-                fill_dirty = bool(w)
-                target = -1
-                for wy in way_range:
-                    if tags[wy][way_sets[wy][i]] < 0:
-                        target = wy
-                        break
-                evicted = -1
-                evicted_dirty = False
-                if target < 0:
-                    target = main_policy.victim(
-                        [way_sets[wy][i] for wy in way_range])
-                    s = way_sets[target][i]
-                    evicted = tags[target][s]
-                    evicted_dirty = dirty[target][s]
-                s = way_sets[target][i]
-                tags[target][s] = b
-                dirty[target][s] = fill_dirty
-                main_policy.on_fill(target, s, main_clock)
-                if evicted < 0:
-                    continue
-                # Stash the displaced line in the victim buffer.
-                victim_clock += 1
-                slot = -1
-                for j in entry_range:
-                    if vtags[j] < 0:
-                        slot = j
-                        break
-                if slot < 0:
-                    slot = victim_policy.victim(buffer_sets)
-                    if vdirty[slot]:
-                        # A dirty line falling out of the buffer would be
-                        # written back to the next level.
-                        writebacks += 1
-                vtags[slot] = evicted
-                vdirty[slot] = evicted_dirty
-                victim_policy.on_fill(slot, 0, victim_clock)
-        finally:
-            main_policy.kernel_end()
-            victim_policy.kernel_end()
-
-        self._main_clock = main_clock
-        self._victim_clock = victim_clock
-        self._add_counts(loads, stores, load_misses, store_misses, 0,
-                         writebacks, main_hits, victim_hits)
-        return np.array(hits_l, dtype=bool)
-
     def flush(self) -> None:
         """Empty both structures (statistics are preserved)."""
-        self._reset_state()
-        self._main_policy.reset()
-        self._victim_policy.reset()
+        self._state = None
         self._main_clock = 0
         self._victim_clock = 0
 

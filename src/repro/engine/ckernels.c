@@ -121,21 +121,6 @@ INLINE void policy_touch(policy_t *p, int64_t way, int64_t set, int64_t now,
     }
 }
 
-/* The way with the smallest timestamp, ties broken towards way 0. */
-static int64_t min_stamp_way(const policy_t *p, const int64_t *cand)
-{
-    int64_t best_way = 0;
-    int64_t best = p->stamps[cand[0]];
-    for (int64_t w = 1; w < p->ways; w++) {
-        int64_t value = p->stamps[w * p->num_sets + cand[w]];
-        if (value < best) {
-            best = value;
-            best_way = w;
-        }
-    }
-    return best_way;
-}
-
 /* Pick the way to evict; cand[w] is way w's candidate set. */
 static int64_t policy_victim(policy_t *p, const int64_t *cand)
 {
@@ -153,7 +138,16 @@ static int64_t policy_victim(policy_t *p, const int64_t *cand)
         if (w == p->ways)
             return plru_victim(p->bits + cand[0] * p->tree, p->ways);
     }
-    return min_stamp_way(p, cand);
+    /* The smallest timestamp, ties broken towards way 0. */
+    int64_t best_way = 0, best = p->stamps[cand[0]];
+    for (int64_t w = 1; w < p->ways; w++) {
+        int64_t value = p->stamps[w * p->num_sets + cand[w]];
+        if (value < best) {
+            best = value;
+            best_way = w;
+        }
+    }
+    return best_way;
 }
 
 /* Probe the ways in order; returns the hit way, or -1 with every way's

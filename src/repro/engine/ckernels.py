@@ -2,9 +2,10 @@
 
 The batch caches of :mod:`repro.engine.batch_cache` and the batch
 hierarchies of :mod:`repro.engine.hierarchy_vec` run their per-access loops
-here when a C compiler is available, and fall back to their Python kernels
-when it is not (:func:`available` is the one switch, and the one seam tests
-patch to reach the fallback).
+here when a C compiler is available, and run the same four kernels in
+Python, from :mod:`repro.engine.pykernels`, when it is not
+(:func:`available` is the one switch, and the one seam tests patch to reach
+the Python tier).
 
 Build and load happen lazily, on the first kernel call, never at import:
 

@@ -4,8 +4,8 @@ Twins of the scalar :class:`~repro.cache.hierarchy.TwoLevelHierarchy` and
 :class:`~repro.cache.virtual_real.VirtualRealHierarchy`, where an L2 miss
 that evicts a line L1 still holds back-invalidates the L1 copy (the "holes"
 of Sections 3.2/3.3 of the paper).  Both run one trace-order loop over the
-two levels' array state — ``repro_hier_run`` of :mod:`repro.engine.ckernels`,
-or its line-for-line Python transliteration :func:`_loop` without a C
+two levels' array state — ``run_hierarchy`` of :mod:`repro.engine.ckernels`,
+or of its Python mirror :mod:`repro.engine.pykernels` without a C
 compiler — that accesses each level through the set-associative kernel's
 per-access body.  Each run prepares in NumPy both levels' set indices, a
 dense id for every L2 block it can touch (``ratio`` line ids per block) and
@@ -21,13 +21,12 @@ line is resident at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from ..cache.replacement import plru_touch, plru_victim, splitmix64
 from ..memory.paging import TLB, PageTable
-from . import ckernels
+from . import ckernels, pykernels
 from .batch import AddressBatch
 from .batch_cache import BatchSetAssociativeCache
 from .memo import cached_block_numbers
@@ -61,168 +60,6 @@ class HierarchyBatchResult:
     def memory_accesses(self) -> int:
         """Number of accesses that missed both levels."""
         return int(np.count_nonzero(~self.l1_hits & ~self.l2_hits))
-
-
-# --------------------------------------------------------------------------- #
-# the Python tier: ckernels.c's hierarchy loop, line for line
-# --------------------------------------------------------------------------- #
-
-
-def _level(state: dict):
-    """``sa_access`` of ckernels.c over list views of one cache's
-    :meth:`~BatchSetAssociativeCache._kernel_state`: returns ``(access,
-    close, tags, dirty)``.  ``access(i, block, write)`` returns ``(hit,
-    frame hit or filled, or -1)``; ``close()`` writes the views back and
-    returns the counters; ``tags``/``dirty`` are per-frame views."""
-    ways, num_sets = state["tags"].shape
-    way_frames = [(sets + way * num_sets).tolist()
-                  for way, sets in enumerate(state["way_sets"])]
-    tags = state["tags"].reshape(-1).tolist()
-    dirty = state["dirty"].reshape(-1).tolist()
-    stamps = (None if state["stamps"] is None
-              else state["stamps"].reshape(-1).tolist())
-    bits = None if state["bits"] is None else state["bits"].tolist()
-    policy, write_back, seed = (state["policy"], state["write_back"],
-                                state["seed"])
-    clock, draws = state["io"].tolist()
-    lru = policy == "lru"
-    # loads, stores, load misses, store misses, evictions, writebacks
-    counts = [0] * 6
-
-    def touch(way: int, frame: int, fill: bool) -> None:
-        # Every policy but LRU, whose one store ``access`` makes inline.
-        if policy == "fifo":
-            if fill:
-                stamps[frame] = clock
-        elif policy == "plru":
-            stamps[frame] = clock
-            plru_touch(bits[frame - way * num_sets], way, ways)
-
-    def victim(cand: List[int]) -> int:
-        nonlocal draws
-        if policy == "random":
-            draw = splitmix64(seed + draws)
-            draws += 1
-            return draw % ways
-        if policy == "plru" and all(frame - way * num_sets == cand[0]
-                                    for way, frame in enumerate(cand)):
-            return plru_victim(bits[cand[0]], ways)
-        # The smallest stamp, ties to the lowest way.
-        return min(range(ways), key=lambda way: stamps[cand[way]])
-
-    def access(i: int, block: int, write: int) -> Tuple[bool, int]:
-        nonlocal clock
-        clock += 1
-        invalid = -1
-        for way, frames in enumerate(way_frames):
-            frame = frames[i]
-            tag = tags[frame]
-            if tag == block:
-                counts[write] += 1
-                if lru:  # the common case, without a call
-                    stamps[frame] = clock
-                else:
-                    touch(way, frame, False)
-                if write and write_back:
-                    dirty[frame] = 1
-                return True, frame
-            if tag < 0 and invalid < 0:
-                invalid = way
-        counts[write] += 1
-        counts[2 + write] += 1
-        if write and not write_back:
-            return False, -1  # write-through / no-write-allocate
-        cand = [frames[i] for frames in way_frames]
-        way = invalid
-        if way < 0:
-            way = victim(cand)
-            counts[4] += 1
-            if dirty[cand[way]]:
-                counts[5] += 1
-        frame = cand[way]
-        tags[frame] = block
-        dirty[frame] = int(write and write_back)
-        if lru:
-            stamps[frame] = clock
-        else:
-            touch(way, frame, True)
-        return False, frame
-
-    def close() -> np.ndarray:
-        state["tags"].reshape(-1)[:] = tags
-        state["dirty"].reshape(-1)[:] = dirty
-        if stamps is not None:
-            state["stamps"].reshape(-1)[:] = stamps
-        if bits is not None:
-            state["bits"][:] = bits
-        state["io"][:] = (clock, draws)
-        return np.array(counts, dtype=np.int64)
-
-    return access, close, tags, dirty
-
-
-def _loop(l1_blocks, l2_blocks, lines, writes, *, ratio, inclusive, l1, l2,
-          frame_of_line, l1_line, l2_gid):
-    """``repro_hier_run`` of ckernels.c in Python, same arguments and
-    results (:func:`ckernels.run_hierarchy`); the maps are read, not
-    written back, since the caller drops them."""
-    access1, close1, tags1, dirty1 = _level(l1)
-    access2, close2, _tags2, _dirty2 = _level(l2)
-    frame_of = frame_of_line.tolist()
-    line_of = l1_line.tolist()
-    gid_of = l2_gid.tolist()
-    l1_hits, l2_hits = [False] * len(lines), [False] * len(lines)
-    holes = causing = back = aliases = 0
-
-    def drop(frame: int) -> None:
-        tags1[frame] = -1
-        dirty1[frame] = 0
-        if line_of[frame] >= 0:
-            frame_of[line_of[frame]] = -1
-        line_of[frame] = -1
-
-    for i, (block, block2, line, w) in enumerate(zip(
-            l1_blocks.tolist(), l2_blocks.tolist(), lines.tolist(),
-            writes.tolist())):
-        frame = frame_of[line]
-        if frame >= 0 and tags1[frame] != block:
-            drop(frame)
-            aliases += 1
-        hit, frame = access1(i, block, w)
-        if hit:
-            l1_hits[i] = l2_hits[i] = True
-            if w:
-                _hit2, frame2 = access2(i, block2, True)
-                if frame2 >= 0:
-                    gid_of[frame2] = line // ratio
-            continue
-        if frame >= 0:
-            if line_of[frame] >= 0:
-                frame_of[line_of[frame]] = -1
-            line_of[frame] = line
-            frame_of[line] = frame
-        hit2, frame2 = access2(i, block2, w)
-        l2_hits[i] = hit2
-        if hit2 or frame2 < 0:
-            continue
-        evicted = gid_of[frame2]
-        gid_of[frame2] = line // ratio
-        if evicted < 0 or not inclusive:
-            continue
-        hole = False
-        for x in range(evicted * ratio, (evicted + 1) * ratio):
-            copy = frame_of[x]
-            if copy < 0:
-                continue
-            back += 1
-            if tags1[copy] != block:
-                hole = True
-                holes += 1
-            drop(copy)
-        causing += hole
-
-    return (np.array(l1_hits, dtype=bool), np.array(l2_hits, dtype=bool),
-            close1(), close2(), (holes, causing, back, aliases))
 
 
 class _BatchHierarchy:
@@ -283,16 +120,15 @@ class _BatchHierarchy:
         l2_gid = np.full(tags2.size, -1, dtype=np.int64)
         l2_gid[valid2] = np.searchsorted(blocks, tags2[valid2])
 
-        run = (ckernels.run_hierarchy
-               if self.dispatch_strategy() == "compiled-hierarchy" else _loop)
-        l1_hits, l2_hits, counts1, counts2, events = run(
+        kernels = ckernels if ckernels.available() else pykernels
+        l1_hits, l2_hits, counts1, counts2, events = kernels.run_hierarchy(
             l1_blocks, l2_blocks, ids(lines),
             np.ascontiguousarray(writes).view(np.uint8), ratio=ratio,
             inclusive=self._enforce_inclusion, l1=s1, l2=s2,
             frame_of_line=frame_of_line, l1_line=l1_line, l2_gid=l2_gid)
         l1._kernel_done(s1["io"], counts1)
         l2._kernel_done(s2["io"], counts2)
-        holes, causing, back, aliases = (int(e) for e in events)
+        holes, causing, back, aliases = events.tolist()
         l1.stats.invalidations += back + aliases
         l1.stats.holes_created += holes
         self.holes_created += holes

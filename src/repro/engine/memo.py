@@ -40,7 +40,6 @@ from ..core.memo_util import BoundedMemo
 __all__ = [
     "cached_block_numbers",
     "cached_set_indices",
-    "cached_set_index_lists",
     "memo_info",
     "memo_clear",
 ]
@@ -49,20 +48,6 @@ __all__ = [
 _BLOCKS = BoundedMemo(32, 32 * 1024 * 1024)
 #: Set-index arrays per (index-function key, way, blocks identity).
 _SETS = BoundedMemo(64, 32 * 1024 * 1024)
-#: Plain-list views of set-index arrays, same keyspace as :data:`_SETS`.
-#: The byte estimate counts the list structure (one pointer per element),
-#: which is only honest while every element is a CPython-interned small int
-#: — so :func:`cached_set_index_lists` bypasses this table for geometries
-#: whose indices can exceed the interned range (see _INTERNED_INDEX_LIMIT).
-_SET_LISTS = BoundedMemo(64, 32 * 1024 * 1024,
-                         nbytes_of=lambda value: 56 + 8 * len(value))
-
-#: Largest ``num_sets`` whose indices (0..num_sets-1) are all CPython
-#: interned small ints (the cache covers -5..256).  Above this, each list
-#: element is a ~28-byte boxed int the pointer-size estimate cannot see,
-#: and the list memo would silently retain several times its byte budget —
-#: so bigger geometries recompute ``tolist()`` per batch instead.
-_INTERNED_INDEX_LIMIT = 257
 
 
 def cached_block_numbers(batch, block_size: int) -> np.ndarray:
@@ -106,37 +91,12 @@ def cached_set_indices(vec_index, blocks: np.ndarray, way: int) -> np.ndarray:
     return _SETS.get((fn_key, way, id(blocks)), build, anchor=blocks)
 
 
-def cached_set_index_lists(vec_index, blocks: np.ndarray, way: int) -> list:
-    """One way's set indices for ``blocks`` as a shared plain Python list.
-
-    The per-way tight kernels (skewed set-associative, victim, generic
-    replacement) iterate plain lists, not arrays — and a sweep re-runs the
-    same ``ndarray.tolist()`` conversion for every task that shares a trace.
-    This memoises the list form alongside the array form, with the same
-    safety rules as :func:`cached_set_indices` (keyed on the function's
-    ``cache_key`` + blocks identity, immutable inputs only).
-
-    The returned list is shared between callers and **must not be
-    mutated**; the kernels only ever read their index streams.
-    """
-    fn_key = vec_index.scalar.cache_key
-    if (fn_key is None or blocks.flags.writeable
-            or vec_index.scalar.num_sets > _INTERNED_INDEX_LIMIT):
-        return cached_set_indices(vec_index, blocks, way).tolist()
-    return _SET_LISTS.get(
-        (fn_key, way, id(blocks)),
-        lambda: cached_set_indices(vec_index, blocks, way).tolist(),
-        anchor=blocks)
-
-
 def memo_info() -> Dict[str, Dict[str, int]]:
     """Hit/miss/size counters of the memo tables (for tests and reports)."""
-    return {"blocks": _BLOCKS.info(), "sets": _SETS.info(),
-            "set_lists": _SET_LISTS.info()}
+    return {"blocks": _BLOCKS.info(), "sets": _SETS.info()}
 
 
 def memo_clear() -> None:
-    """Drop every memoised array and list (all tables) and zero the counters."""
+    """Drop every memoised array (all tables) and zero the counters."""
     _BLOCKS.clear()
     _SETS.clear()
-    _SET_LISTS.clear()

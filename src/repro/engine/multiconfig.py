@@ -875,7 +875,7 @@ def profile_cache_clear() -> None:
 # part (b2): single-pass multi-capacity FIFO profiling
 # --------------------------------------------------------------------- #
 
-def _occurrence_lists(blocks: np.ndarray) -> Tuple[np.ndarray, List[List[int]]]:
+def _block_occurrences(blocks: np.ndarray) -> Tuple[np.ndarray, List[List[int]]]:
     """Distinct block numbers and each one's ascending access positions.
 
     One stable vectorized sort of the block stream; the per-block position
@@ -1006,7 +1006,7 @@ class MultiConfigFIFOProfile:
         self._loads = loads
         self._stores = stores
         self._level_caps = _checked_level_caps(level_caps)
-        self._values, self._occurrences = _occurrence_lists(blocks)
+        self._values, self._occurrences = _block_occurrences(blocks)
         shift = max(1, len(self._occurrences)).bit_length()
         self._first_events = sorted(
             (occ[0] << shift) | index

@@ -136,11 +136,9 @@ def set_assoc_oracle(cell):
     return hits, stats_of(scalar.stats), sorted(scalar.resident_blocks())
 
 
-def expected_set_assoc_kernel(placement, policy, path):
+def expected_set_assoc_kernel(policy, path):
     if path == "compiled":
         return f"compiled-set-assoc-{policy}"
-    if policy == "lru" and placement != "skewed":
-        return "lru-dict"
     return "generic-policy-kernel"
 
 
@@ -156,7 +154,7 @@ def test_set_assoc_three_paths(placement, ways, policy, write_policy,
     for batch_runs in ([batch_of(TRACE)], list(chunked(TRACE))):
         cache = build_set_assoc(cell, batch=True)
         assert cache.dispatch_strategy(batch_runs[0]) == \
-            expected_set_assoc_kernel(placement, policy, kernel_path)
+            expected_set_assoc_kernel(policy, kernel_path)
         hits = np.concatenate([cache.run(b) for b in batch_runs])
         np.testing.assert_array_equal(hits, ref_hits)
         assert stats_of(cache.stats) == ref_stats
@@ -180,29 +178,36 @@ ROUTES = [("compiled", "compiled"), ("compiled", "fallback"),
           ("fallback", "compiled")]
 
 
-@pytest.mark.parametrize("route", ROUTES, ids="-then-".join)
+@pytest.mark.parametrize("route",
+                         ROUTES + [("compiled", "fallback", "compiled")],
+                         ids="-then-".join)
 @pytest.mark.parametrize("operation", ["invalidate"])
 @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
 @pytest.mark.parametrize("placement, ways", [("conventional", 4),
                                              ("skewed", 2)])
 def test_set_assoc_handoff(placement, ways, policy, operation, route,
                            monkeypatch, compiled_tier):
-    """A run, a Python point operation, then another run — on either kernel
-    tier each time — continues bit-exactly from the carried state."""
+    """Runs on either kernel tier, with Python point operations between
+    them, continue bit-exactly from the one set of state arrays — in both
+    directions on one cache for the three-run route."""
     cell = (placement, ways, policy, WritePolicy.WRITE_BACK_ALLOCATE, False)
     scalar = build_set_assoc(cell, batch=False)
     cache = build_set_assoc(cell, batch=True)
-    first, second = TRACE[:900], TRACE[900:]
-    use_path(route[0], monkeypatch)
-    np.testing.assert_array_equal(cache.run(batch_of(first)),
-                                  scalar_hits(scalar, first))
-    targets = sorted(scalar.resident_blocks())[::3] + [10**9]
-    for block in targets:
-        assert cache.contains_block(block) == scalar.contains_block(block)
-        assert cache.invalidate_block(block) == scalar.invalidate_block(block)
-    use_path(route[1], monkeypatch)
-    np.testing.assert_array_equal(cache.run(batch_of(second)),
-                                  scalar_hits(scalar, second))
+    starts = (0, 900, 1100)[:len(route)] + (len(TRACE),)
+    for run, path in enumerate(route):
+        if run:
+            targets = sorted(scalar.resident_blocks())[::3] + [10**9]
+            for block in targets:
+                assert cache.contains_block(block) == \
+                    scalar.contains_block(block)
+                assert cache.invalidate_block(block) == \
+                    scalar.invalidate_block(block)
+            assert sorted(cache.resident_blocks()) == sorted(
+                scalar.resident_blocks())
+        use_path(path, monkeypatch)
+        part = TRACE[starts[run]:starts[run + 1]]
+        np.testing.assert_array_equal(cache.run(batch_of(part)),
+                                      scalar_hits(scalar, part))
     assert stats_of(cache.stats) == stats_of(scalar.stats)
     assert sorted(cache.resident_blocks()) == sorted(scalar.resident_blocks())
 
@@ -281,6 +286,20 @@ def test_victim_handoff(policy, route, monkeypatch, compiled_tier):
     assert victim_outcome(cache) == ref_outcome
 
 
+@pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+def test_victim_flush(policy, kernel_path):
+    """A flushed victim cache forgets both structures and both policies'
+    state, as the scalar model does."""
+    scalar = build_victim("a2", 2, policy, batch=False)
+    cache = build_victim("a2", 2, policy, batch=True)
+    for part in (TRACE[:900], TRACE[900:]):
+        np.testing.assert_array_equal(cache.run(batch_of(part)),
+                                      scalar_hits(scalar, part))
+        scalar.flush()
+        cache.flush()
+    assert victim_outcome(cache) == victim_outcome(scalar)
+
+
 # --------------------------------------------------------------------- #
 # column-associative: swap x secondary index x classifier
 # --------------------------------------------------------------------- #
@@ -326,8 +345,8 @@ def test_column_three_paths(swap, secondary, classify, kernel_path):
 
 @pytest.mark.parametrize("route", ROUTES, ids="-then-".join)
 def test_column_handoff(route, monkeypatch, compiled_tier):
-    """The per-frame secondary indices survive the hand-off between the
-    array and list layouts."""
+    """The per-frame secondary indices survive a change of kernel tier,
+    with a Python read of the state in between."""
     ref_hits, ref_outcome = column_oracle(True, "ipoly", False)
     cache = build_column(True, "ipoly", False, batch=True)
     use_path(route[0], monkeypatch)

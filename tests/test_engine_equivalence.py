@@ -25,7 +25,6 @@ from repro.engine import (
     BatchColumnAssociativeCache,
     BatchSetAssociativeCache,
     BatchVictimCache,
-    make_vec_replacement,
 )
 from repro.trace.batching import strided_vector_arrays, to_arrays
 from repro.trace.generators import (
@@ -286,12 +285,8 @@ def test_dispatch_strategy_covers_every_kernel_path(scheme, ways, policy,
     cell matches the scalar engine — stats, 3C miss kinds and residency
     included."""
     mixed = list(random_accesses(2000, 32 * 1024, write_fraction=0.3))
-    if kernel_path == "compiled":
-        expected = f"compiled-set-assoc-{policy}"
-    elif policy == "lru" and scheme == "a2":
-        expected = "lru-dict"
-    else:
-        expected = "generic-policy-kernel"
+    expected = (f"compiled-set-assoc-{policy}" if kernel_path == "compiled"
+                else "generic-policy-kernel")
     if ways == "full":
         ways, size = 64, 2048
     else:
@@ -388,25 +383,46 @@ def test_warm_continuity_with_policies(policy):
     assert sorted(scalar.resident_blocks()) == sorted(batch.resident_blocks())
 
 
-def test_vec_replacement_state_tables_are_numpy_resident():
-    """Between runs the policy state lives in inspectable NumPy arrays."""
-    scalar, batch = build_pair("a2", replacement="plru")
+@pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+def test_policy_tables_are_numpy_resident(policy, kernel_path):
+    """Between runs each policy's state lives in one inspectable table
+    holder next to the tags: stamps for all but random, PLRU bits for PLRU
+    only."""
+    _scalar, batch = build_pair("a2", replacement=policy)
     batch.run(batch_of(list(TRACES["random"]())))
-    policy = batch._vec_policy
-    assert policy.bits.shape == (batch.num_sets, 1)   # 2-way tree: 1 bit/set
-    assert policy.stamps.shape == (batch.ways, batch.num_sets)
-    assert policy.bits.any()
+    tags, dirty, tables = batch._state
+    assert tags.shape == dirty.shape == (batch.ways, batch.num_sets)
+    if policy == "random":
+        assert tables.stamps is None
+    else:
+        assert tables.stamps.shape == (batch.ways, batch.num_sets)
+        assert tables.stamps.any()
+    if policy == "plru":
+        assert tables.bits.shape == (batch.num_sets, 1)  # 2-way: 1 bit/set
+        assert tables.bits.any()
+    else:
+        assert tables.bits is None
+    assert (tables.draws > 0) == (policy == "random")
 
 
-def test_vec_random_consumes_shared_draw_sequence():
-    """The vectorized random policy consumes splitmix64(seed + n) draws."""
-    vec = make_vec_replacement("random", ways=4, num_sets=8)
-    vec.kernel_begin()
-    picks = [vec.victim([0, 0, 0, 0]) for _ in range(10)]
-    vec.kernel_end()
+def test_random_policy_consumes_shared_draw_sequence(kernel_path):
+    """The n-th random victim is way splitmix64(seed + n) % ways, on both
+    kernel tiers."""
     from repro.cache.replacement import splitmix64
-    assert picks == [splitmix64(vec.seed + n) % 4 for n in range(10)]
-    assert vec.counter == 10
+
+    ways = 4
+    batch = BatchSetAssociativeCache(ways * 32, 32, ways,
+                                     index_function=SingleSetIndexing(),
+                                     replacement="random")
+    batch.run(AddressBatch.from_arrays(np.arange(ways, dtype=np.uint64) * 32))
+    tables = batch._state[2]
+    for n in range(10):
+        block = ways + n
+        batch.run(AddressBatch.from_arrays(np.array([block * 32],
+                                                    dtype=np.uint64)))
+        victim = splitmix64(tables.seed + n) % ways
+        assert batch._state[0][victim, 0] == block
+    assert tables.draws == batch.stats.evictions == 10
 
 
 def test_batch_cache_honours_random_policy_instance_seed():

@@ -43,6 +43,23 @@ def _scalar_indices(fn, blocks, way):
     return [fn.index(b, way) for b in blocks]
 
 
+def _python_tier():
+    """Run on the Python kernel tier, through the one seam the engine
+    offers (``ckernels.available``)."""
+    return mock.patch.object(ckernels, "available", lambda: False)
+
+
+def _plain_state(cache):
+    """A batch cache's state arrays and policy tables as plain values."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if hasattr(value, "__dict__"):
+            return {key: plain(item) for key, item in vars(value).items()}
+        return value
+    return [plain(item) for item in cache._state]
+
+
 @settings(max_examples=60, deadline=None)
 @given(blocks=blocks_arrays, m=index_bits, way=st.integers(0, 3))
 def test_bit_select_elementwise(blocks, m, way):
@@ -174,8 +191,8 @@ def test_batch_cache_matches_scalar_on_random_traces(
 def test_conventional_policy_kernels_match_generic_kernel_on_random_traces(
         addresses, writes, m, ways, scheme, write_back, replacement):
     """The dispatched kernel (compiled when the C library builds) and the
-    generic fallback kernel agree on arbitrary random traces over
-    conventional placement — hits, stats, residency AND the policy state
+    Python kernel agree on arbitrary random traces over conventional
+    placement — hits, stats, residency AND the state arrays and policy
     tables they leave behind."""
     num_sets = 1 << m
     block = 16
@@ -199,21 +216,15 @@ def test_conventional_policy_kernels_match_generic_kernel_on_random_traces(
     decomposed = build()
     generic = build()
     dec_hits = decomposed.run(batch)
-    gen_hits = generic._run_policy_kernel(
-        batch.block_numbers(block), batch.is_write)
+    with _python_tier():
+        gen_hits = generic.run(batch)
     assert dec_hits.tolist() == gen_hits.tolist()
     for field in ("loads", "stores", "load_misses", "store_misses",
                   "evictions", "writebacks"):
         assert getattr(decomposed.stats, field) == getattr(generic.stats, field)
     assert sorted(decomposed.resident_blocks()) == sorted(
         generic.resident_blocks())
-    dp, gp = decomposed._vec_policy, generic._vec_policy
-    if hasattr(dp, "stamps"):
-        assert dp.stamps.tolist() == gp.stamps.tolist()
-    if hasattr(dp, "bits"):
-        assert dp.bits.tolist() == gp.bits.tolist()
-    if hasattr(dp, "counter"):
-        assert dp.counter == gp.counter
+    assert _plain_state(decomposed) == _plain_state(generic)
 
 
 @st.composite
@@ -241,7 +252,7 @@ def test_skewed_three_path_agreement_on_random_polynomials(
     """Random mixed load/store batches over random GF(2) polynomial index
     functions agree bit-exactly across all three paths — the scalar engine,
     the dispatched kernel (compiled when the C library builds) and the
-    generic fallback kernel — with the policy state tables compared after
+    Python kernel — with the state arrays and policy tables compared after
     every batch."""
     m, ways, address_bits, polys = config
     num_sets = 1 << m
@@ -282,18 +293,12 @@ def test_skewed_three_path_agreement_on_random_polynomials(
         ref_hits = [scalar.access(a, w).hit
                     for a, w in zip(chunk_addresses, chunk_writes)]
         dec_hits = decomposed.run(batch)
-        gen_hits = generic._run_policy_kernel(
-            batch.block_numbers(block), batch.is_write)
+        with _python_tier():
+            gen_hits = generic.run(batch)
         assert dec_hits.tolist() == ref_hits
         assert gen_hits.tolist() == ref_hits
-        # Policy state tables after every batch, not just at the end.
-        dp, gp = decomposed._vec_policy, generic._vec_policy
-        if hasattr(dp, "stamps"):
-            assert dp.stamps.tolist() == gp.stamps.tolist()
-        if hasattr(dp, "bits"):
-            assert dp.bits.tolist() == gp.bits.tolist()
-        if hasattr(dp, "counter"):
-            assert dp.counter == gp.counter
+        # The state after every batch, not just at the end.
+        assert _plain_state(decomposed) == _plain_state(generic)
     for field in ("loads", "stores", "load_misses", "store_misses",
                   "evictions", "writebacks"):
         assert getattr(decomposed.stats, field) == getattr(scalar.stats, field)
@@ -316,8 +321,8 @@ def test_skewed_three_path_agreement_on_random_polynomials(
 def test_victim_three_path_agreement_on_random_polynomials(
         addresses, writes, entries, ways, config, replacement):
     """The dispatched victim kernel (compiled when the C library builds)
-    agrees with the generic fallback kernel and the scalar model over
-    random skewed GF(2) placements, state tables compared after every
+    agrees with the Python kernel and the scalar model over random skewed
+    GF(2) placements, state arrays and policy tables compared after every
     batch."""
     from repro.cache.victim import VictimCache
     from repro.engine import BatchVictimCache
@@ -357,21 +362,11 @@ def test_victim_three_path_agreement_on_random_polynomials(
         ref_hits = [scalar.access(a, w).hit
                     for a, w in zip(chunk_addresses, chunk_writes)]
         dec_hits = decomposed.run(batch)
-        gen_hits = generic._run_generic_kernel(
-            batch.block_numbers(block), batch.is_write)
+        with _python_tier():
+            gen_hits = generic.run(batch)
         assert dec_hits.tolist() == ref_hits
         assert gen_hits.tolist() == ref_hits
-        decomposed._lists()  # check both caches' state out as lists
-        assert decomposed._way_tags == generic._way_tags
-        assert decomposed._victim_tags == generic._victim_tags
-        for dp, gp in ((decomposed._main_policy, generic._main_policy),
-                       (decomposed._victim_policy, generic._victim_policy)):
-            if hasattr(dp, "stamps"):
-                assert dp.stamps.tolist() == gp.stamps.tolist()
-            if hasattr(dp, "bits"):
-                assert dp.bits.tolist() == gp.bits.tolist()
-            if hasattr(dp, "counter"):
-                assert dp.counter == gp.counter
+        assert _plain_state(decomposed) == _plain_state(generic)
     assert scalar.main_hits == decomposed.main_hits == generic.main_hits
     assert scalar.victim_hits == decomposed.victim_hits == generic.victim_hits
     assert scalar.stats.writebacks == decomposed.stats.writebacks
@@ -519,7 +514,7 @@ def _hierarchy_tiers():
     """The hierarchy loop's tiers here: the compiled loop when the C
     library builds, and always the Python fallback (through the one seam,
     ``ckernels.available``)."""
-    tiers = [mock.patch.object(ckernels, "available", lambda: False)]
+    tiers = [_python_tier()]
     if ckernels.available():
         tiers.insert(0, contextlib.nullcontext())
     return tiers

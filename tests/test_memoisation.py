@@ -22,7 +22,6 @@ from repro.core.index import (
 from repro.engine import (
     AddressBatch,
     cached_block_numbers,
-    cached_set_index_lists,
     cached_set_indices,
     memo_clear,
     memo_info,
@@ -279,51 +278,12 @@ class TestDerivedArrayMemos:
         finally:
             batching._TRACE_CACHE.byte_limit = old
 
-    def test_set_index_lists_identity_and_value(self):
-        """The list memo serves one shared list per (function, way, trace),
-        bit-equal to the array form."""
-        addresses, _ = cached_strided_arrays(19, elements=64, sweeps=2)
-        batch = AddressBatch.from_arrays(addresses)
-        blocks = cached_block_numbers(batch, 32)
-        vec = vectorize_index(
-            make_index_function("a2-Hp-Sk", 128, ways=2, address_bits=19))
-        first = cached_set_index_lists(vec, blocks, 0)
-        assert first == cached_set_indices(vec, blocks, 0).tolist()
-        assert cached_set_index_lists(vec, blocks, 0) is first
-        assert cached_set_index_lists(vec, blocks, 1) is not first
-        assert memo_info()["set_lists"]["hits"] == 1
-
-    def test_large_geometries_bypass_the_list_memo(self):
-        """Indices above CPython's interned small-int range are ~28-byte
-        boxed objects the pointer-size byte estimate cannot see, so the
-        list memo refuses geometries with num_sets > 257 rather than
-        silently retaining several times its budget."""
-        addresses, _ = cached_strided_arrays(31, elements=64, sweeps=2)
-        batch = AddressBatch.from_arrays(addresses)
-        blocks = cached_block_numbers(batch, 32)
-        vec = vectorize_index(make_index_function("a2", 512, ways=1))
-        first = cached_set_index_lists(vec, blocks, 0)
-        second = cached_set_index_lists(vec, blocks, 0)
-        assert first is not second and first == second
-        assert memo_info()["set_lists"]["entries"] == 0
-
-    def test_writable_blocks_bypass_the_list_memo(self):
-        """Writable block arrays are never served a stale list."""
-        blocks = np.arange(64, dtype=np.int64)
-        vec = vectorize_index(make_index_function("a2", 16, ways=1))
-        first = cached_set_index_lists(vec, blocks, 0)
-        second = cached_set_index_lists(vec, blocks, 0)
-        assert first is not second and first == second
-        assert memo_info()["set_lists"]["entries"] == 0
-
     def test_skewed_kernel_hits_the_index_memo(self, kernel_path):
         """Regression for the kernels re-deriving per-way indices per batch:
-        the skewed batch kernels fetch their per-way streams through the
-        memo — arrays for the compiled kernel, list views for the Python
-        fallback — so a second cache over the same trace hits it."""
+        the skewed batch kernels fetch their per-way index arrays through
+        the memo on both tiers, so a second cache over the same trace hits
+        it."""
         from repro.engine import BatchSetAssociativeCache
-
-        table = "sets" if kernel_path == "compiled" else "set_lists"
 
         addresses, writes = cached_strided_arrays(23, elements=128, sweeps=3)
         batch = AddressBatch.from_arrays(addresses, writes)
@@ -336,18 +296,16 @@ class TestDerivedArrayMemos:
                 replacement="fifo")
 
         build().run(batch)
-        info = memo_info()[table]
+        info = memo_info()["sets"]
         assert info["misses"] == 2 and info["hits"] == 0  # one per way
         build().run(batch)
-        info = memo_info()[table]
+        info = memo_info()["sets"]
         assert info["misses"] == 2 and info["hits"] == 2  # served, not rebuilt
 
     def test_victim_kernel_hits_the_index_memo(self, kernel_path):
         """The victim kernels route their index stream through the memo
         too."""
         from repro.engine import BatchVictimCache
-
-        table = "sets" if kernel_path == "compiled" else "set_lists"
 
         addresses, writes = cached_strided_arrays(29, elements=128, sweeps=3)
         batch = AddressBatch.from_arrays(addresses, writes)
@@ -356,9 +314,9 @@ class TestDerivedArrayMemos:
             return BatchVictimCache(4096, 32, ways=1, victim_entries=8)
 
         build().run(batch)
-        assert memo_info()[table]["misses"] == 1
+        assert memo_info()["sets"]["misses"] == 1
         build().run(batch)
-        assert memo_info()[table]["hits"] == 1
+        assert memo_info()["sets"]["hits"] == 1
 
     def test_caches_survive_concurrent_thread_sweeps(self):
         """Thread-mode workers share the process-global caches; hammering
@@ -462,12 +420,10 @@ class TestEndToEndMemoisation:
         assert second.miss_ratios == first.miss_ratios
         assert trace_cache_info()["hits"] > hits_before
         # The repeat derives nothing afresh: every block-number and
-        # set-index lookup is a hit (the compiled kernels read the arrays,
-        # the Python fallback the list views).
-        for table in ("blocks", "sets", "set_lists"):
+        # set-index lookup is a hit, on either kernel tier.
+        for table in ("blocks", "sets"):
             assert memo_after[table]["misses"] == memo_before[table]["misses"]
-        read = "sets" if kernel_path == "compiled" else "set_lists"
-        assert memo_after[read]["hits"] > memo_before[read]["hits"]
+        assert memo_after["sets"]["hits"] > memo_before["sets"]["hits"]
 
     def test_cached_and_uncached_study_agree(self):
         """The memoised vectorized path matches the reference engine."""
