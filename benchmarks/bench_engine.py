@@ -31,6 +31,11 @@ available):
 
 The fallback columns are recorded on every row and bounded on none.
 
+The ``ooo-core`` row times Table 2 — the 18 synthetic programs on its six
+machines — on the compiled out-of-order core (``compiled-ooo-core``) and
+on the Python core (``python-ooo-core``), bit-exact, and asserts the
+compiled side >= 10x in instructions/s.
+
 The trace is built
 through the process-global trace cache, so the vectorized timings include
 the sweep-wide reuse of materialised addresses and per-scheme index arrays
@@ -73,7 +78,11 @@ SHARDS-sampled profiling must beat exact profiling >= 20x on a dense
 80-configuration LRU grid with per-seed miss-ratio error within
 ``SAMPLED_ERROR_BOUND``, and the single-pass FIFO profile is bounded like
 the sweep (>= 5x over the per-config FIFO fallback kernels, compiled
-kernels >= 1x over it), bit-exact on every cell.  ``REPRO_BENCH_ENGINE_ACCESSES`` overrides the
+kernels >= 1x over it), bit-exact on every cell; the deep-level rows
+time one 256-way fully-associative configuration (LRU and FIFO) the same
+three ways, the two sides of ``profile="auto"``'s per-tier choice on its
+deepest level (profile >= 1x over the per-config fallback, compiled >= 1x
+over the profile).  ``REPRO_BENCH_ENGINE_ACCESSES`` overrides the
 trace length (default 1M); ``REPRO_BENCH_ENGINE_JSON`` overrides the
 artifact path (empty disables it).
 """
@@ -194,6 +203,25 @@ FIFO_GRID = [(num_sets, ways) for num_sets in (256, 512, 1024, 2048)
 #: Workload of the FIFO grid section (see REQUIRED_SPEEDUP_FIFO_GRID).
 FIFO_GRID_PROGRAM = "m88ksim"
 
+#: Accesses of the deep-level section: one 256-way fully-associative
+#: configuration, LRU and FIFO, the shape whose Python per-config probe
+#: (linear in the ways) is slowest.
+DEEP_LEVEL_ACCESSES = 200_000
+
+#: Minimum profile-over-per-config-fallback ratio on the deep level: the
+#: Python tier, where ``profile="auto"`` profiles it (measured ~2x LRU,
+#: ~40x FIFO at 30k accesses).  The compiled side is bounded by
+#: ``REQUIRED_SPEEDUP_COMPILED_GRID``.
+REQUIRED_SPEEDUP_DEEP_LEVEL = 1.0
+
+#: Instructions per program of the out-of-order core section, which runs
+#: Table 2 — the 18 synthetic programs on its six machines — on the
+#: compiled core and on the Python core.
+OOO_INSTRUCTIONS = 4_000
+
+#: Minimum compiled-over-Python-core instructions/s ratio.
+REQUIRED_SPEEDUP_OOO = 10.0
+
 #: Below this trace length the constant batch-setup overhead dominates and
 #: wall-clock ratios are noise, so the speedup assertions are skipped (the
 #: bit-exactness assertions always run).
@@ -202,6 +230,9 @@ MIN_ACCESSES_FOR_SPEEDUP_CHECK = 200_000
 #: Trace length of ``--smoke`` runs: big enough to leave the trivial-batch
 #: regime, small enough to finish in seconds on a shared runner.
 SMOKE_ACCESSES = 60_000
+
+#: Instructions per program of ``--smoke`` runs' out-of-order core section.
+SMOKE_OOO_INSTRUCTIONS = 500
 
 #: Trajectory length bound of the JSON artifact (newest runs kept).
 MAX_TRAJECTORY_RUNS = 50
@@ -223,13 +254,15 @@ BENCH_ENGINE_JSON = os.environ.get("REPRO_BENCH_ENGINE_JSON",
 #: Non-LRU replacement policies benchmarked per organisation kind.
 POLICY_ROWS = ["fifo", "random", "plru"]
 
-#: Every name the ``dispatch_strategy`` of ``BatchSetAssociativeCache`` and
-#: ``BatchVictimCache`` can return, on both kernel tiers.
+#: Every name the ``dispatch_strategy`` of ``BatchSetAssociativeCache``,
+#: ``BatchVictimCache``, the batch hierarchies and ``OutOfOrderProcessor``
+#: can return, on both kernel tiers.
 DISPATCH_NAMES = frozenset(
     ["generic-policy-kernel", "victim-generic-kernel"]
     + [f"compiled-set-assoc-{policy}" for policy in ["lru"] + POLICY_ROWS]
     + [f"compiled-victim-{policy}" for policy in ["lru"] + POLICY_ROWS]
-    + ["compiled-hierarchy", "hierarchy-loop"])
+    + ["compiled-hierarchy", "hierarchy-loop"]
+    + ["compiled-ooo-core", "python-ooo-core"])
 
 #: Fully-associative rows: the whole 8 KB cache as one 256-way set.
 FULLY_ASSOCIATIVE_WAYS = PAPER_L1_8KB.size_bytes // PAPER_L1_8KB.block_size
@@ -469,8 +502,9 @@ def compare_virtual_real_engines(accesses=BENCH_ENGINE_ACCESSES):
 def check_dispatch_coverage(rows):
     """Replay the smoke-length trace through every ``COVERAGE_CASES``
     configuration on both kernel tiers, bit-exact against the scalar model;
-    returns the kernels they ran.  Fails unless ``rows`` and those kernels
-    reach every name in ``DISPATCH_NAMES``."""
+    returns the kernels they ran.  Fails unless ``rows`` (the out-of-order
+    core's among them) and those kernels reach every name in
+    ``DISPATCH_NAMES``."""
     trace = _build_trace(SMOKE_ACCESSES)
     covered = []
     for ways, replacement, classify in COVERAGE_CASES:
@@ -690,6 +724,57 @@ def compare_fifo_grid(accesses=BENCH_ENGINE_ACCESSES, check_scalar=False):
     }
 
 
+def compare_deep_level(replacement, accesses=DEEP_LEVEL_ACCESSES):
+    """Time one 256-way fully-associative configuration per-config (both
+    tiers) and profiled, bit-exact: the two sides of ``profile="auto"``'s
+    per-tier choice on its deepest level."""
+    trace = _build_trace(accesses)
+    _, timings = _time_grid(trace, PAPER_L1_8KB.block_size,
+                            [(1, FULLY_ASSOCIATIVE_WAYS)], replacement)
+    return {"replacement": replacement, "ways": FULLY_ASSOCIATIVE_WAYS,
+            "accesses": len(trace), **timings}
+
+
+def compare_ooo_core(instructions=OOO_INSTRUCTIONS):
+    """Time Table 2 on the compiled out-of-order core and on the Python
+    core (the vectorized index engine with the Python kernels), each from
+    fresh programs so the compiled side pays its column builds; every
+    result must agree exactly."""
+    from repro.cpu.processor import OutOfOrderProcessor, ProcessorConfig
+    from repro.cpu.program import Program
+    from repro.cpu.workloads import build_program, program_names
+    from repro.experiments.config import TABLE2_CONFIGS
+
+    streams = [(name, tuple(build_program(name, length=instructions)
+                            .instructions())) for name in program_names()]
+    configs = [ProcessorConfig(index_engine="vectorized", **overrides)
+               for overrides in TABLE2_CONFIGS.values()]
+    timings, results = [], []
+    for tier in (contextlib.nullcontext, _python_kernels):
+        with tier():
+            programs = [Program.from_list(name, stream)
+                        for name, stream in streams]
+            cores, runs = set(), []
+            start = time.perf_counter()
+            for program in programs:
+                for config in configs:
+                    processor = OutOfOrderProcessor(config)
+                    cores.add(processor.dispatch_strategy())
+                    runs.append(processor.run(program))
+            seconds = time.perf_counter() - start
+        (core,) = cores
+        timings.append((core, seconds))
+        results.append(runs)
+    assert results[0] == results[1], "the compiled and Python cores diverged"
+    total = len(streams) * len(configs) * instructions
+    (core, seconds), (fallback_core, fallback_seconds) = timings
+    return {"kernel": core, "fallback_kernel": fallback_core,
+            "programs": len(streams), "machines": len(configs),
+            "instructions": total, "ips": total / seconds,
+            "fallback_ips": total / fallback_seconds,
+            "speedup": fallback_seconds / seconds}
+
+
 #: Minimum v2-chunked-over-v1-record throughput ratio of the trace-I/O
 #: section.  Reading packed columns straight into arrays versus parsing one
 #: 32-byte struct per access is a couple of orders of magnitude apart in
@@ -854,7 +939,8 @@ def _load_trajectory(path):
 
 
 def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
-                    smoke=False, trace_io=None, profiler=None, coverage=None):
+                    smoke=False, trace_io=None, profiler=None, coverage=None,
+                    ooo_core=None):
     """Append this run to the machine-readable trajectory artifact."""
     if not path:
         return None
@@ -873,12 +959,15 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "required_speedup_sampled": REQUIRED_SPEEDUP_SAMPLED,
         "required_speedup_fifo_grid": REQUIRED_SPEEDUP_FIFO_GRID,
         "required_speedup_compiled_grid": REQUIRED_SPEEDUP_COMPILED_GRID,
+        "required_speedup_deep_level": REQUIRED_SPEEDUP_DEEP_LEVEL,
+        "required_speedup_ooo": REQUIRED_SPEEDUP_OOO,
         "sampled_error_bound": SAMPLED_ERROR_BOUND,
         "rows": rows,
         "sweep": sweep,
         "trace_io": trace_io,
         "profiler": profiler,
         "coverage": coverage,
+        "ooo_core": ooo_core,
     })
     artifact = {
         "benchmark": "bench_engine",
@@ -1165,6 +1254,18 @@ def main(argv=None):
         if check_bounds:
             assert row["speedup"] >= REQUIRED_SPEEDUP, (
                 f"{label}: only {row['speedup']:.1f}x")
+    # The out-of-order core: Table 2 on both cores.
+    ooo = compare_ooo_core(SMOKE_OOO_INSTRUCTIONS if args.smoke
+                           else OOO_INSTRUCTIONS)
+    print(f"\nooo-core (Table 2: {ooo['programs']} programs x "
+          f"{ooo['machines']} machines, {ooo['instructions']:,} "
+          f"instructions): {ooo['kernel']} {ooo['ips']:,.0f} instr/s, "
+          f"{ooo['fallback_kernel']} {ooo['fallback_ips']:,.0f} instr/s "
+          f"({ooo['speedup']:.1f}x), bit-exact")
+    if check_bounds:
+        assert ooo["speedup"] >= REQUIRED_SPEEDUP_OOO, (
+            f"ooo-core: compiled only {ooo['speedup']:.1f}x over the "
+            f"Python core (required {REQUIRED_SPEEDUP_OOO}x)")
     if check_bounds:
         print(f"\nevery row (set-associative, victim and multi-level) "
               f">= {REQUIRED_SPEEDUP:.0f}x with bit-exact CacheStats on "
@@ -1173,7 +1274,7 @@ def main(argv=None):
         print("\nbit-exact CacheStats on every kernel path "
               "(speedup bounds skipped below "
               f"{MIN_ACCESSES_FOR_SPEEDUP_CHECK:,} accesses)")
-    coverage = check_dispatch_coverage(rows)
+    coverage = check_dispatch_coverage(rows + [ooo])
     print(f"dispatch coverage ({SMOKE_ACCESSES:,} accesses, untimed): "
           f"{', '.join(coverage)} bit-exact; every dispatch name reached")
 
@@ -1212,7 +1313,19 @@ def main(argv=None):
     if check_bounds:
         _assert_grid_bounds("fifo-grid", fifo_grid,
                             REQUIRED_SPEEDUP_FIFO_GRID)
-    profiler = {"sampled": sampled, "fifo_grid": fifo_grid}
+    deep = [compare_deep_level(policy,
+                               SMOKE_ACCESSES if args.smoke
+                               else DEEP_LEVEL_ACCESSES)
+            for policy in ("lru", "fifo")]
+    for level in deep:
+        print(f"deep level ({level['replacement']}, 1 set x {level['ways']} "
+              f"ways, {level['accesses']:,} accesses): "
+              f"{_grid_summary(level)}, bit-exact")
+        if check_bounds:
+            _assert_grid_bounds(f"deep level ({level['replacement']})",
+                                level, REQUIRED_SPEEDUP_DEEP_LEVEL)
+    profiler = {"sampled": sampled, "fifo_grid": fifo_grid,
+                "deep_level": deep}
 
     # Trace-I/O section: on-disk ingestion throughput per format/read mode.
     trace_io = compare_trace_io(accesses=accesses)
@@ -1229,9 +1342,10 @@ def main(argv=None):
                     f"{row['format']}: only {row['speedup_vs_v1']:.1f}x over "
                     f"v1 records (required {REQUIRED_SPEEDUP_TRACE_IO}x)")
 
-    path = _write_artifact(rows, accesses, sweep=sweep, smoke=args.smoke,
-                           trace_io=trace_io, profiler=profiler,
-                           coverage=coverage)
+    path = _write_artifact(rows, accesses, sweep=sweep,
+                           smoke=args.smoke, trace_io=trace_io,
+                           profiler=profiler, coverage=coverage,
+                           ooo_core=ooo)
     if path:
         print(f"appended run to {path}")
 

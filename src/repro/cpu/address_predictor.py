@@ -50,7 +50,11 @@ class _Entry:
 class StrideAddressPredictor:
     """Tagless, direct-mapped last-address + stride predictor."""
 
-    def __init__(self, entries: int = 1024, confidence_threshold: int = 2) -> None:
+    #: Default confidence threshold: the 2-bit counter's top bit.
+    CONFIDENCE_THRESHOLD = 2
+
+    def __init__(self, entries: int = 1024,
+                 confidence_threshold: int = CONFIDENCE_THRESHOLD) -> None:
         if entries < 1 or entries & (entries - 1):
             raise ValueError("entries must be a positive power of two")
         if not 1 <= confidence_threshold <= 3:

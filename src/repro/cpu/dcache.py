@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..cache.mshr import MSHRFile
 from ..cache.set_assoc import SetAssociativeCache
 from ..memory.main_memory import Bus
 from .resources import ThroughputLimiter
@@ -89,8 +88,8 @@ class DataCacheModel:
         self._timing = timing or DataCacheTiming()
         self._ports = ThroughputLimiter(self._timing.ports, name="cache-ports")
         self._bus = Bus(self._timing.bus_cycles_per_line)
-        self._mshrs = MSHRFile(num_entries=self._timing.mshr_entries)
-        # Completion cycles of in-flight line fills, keyed by block number.
+        # Completion cycles of in-flight line fills, keyed by block number:
+        # one per busy MSHR, so it also bounds the outstanding misses.
         self._inflight: dict = {}
         self.load_accesses = 0
         self.store_accesses = 0
@@ -140,8 +139,6 @@ class DataCacheModel:
         done = [block for block, ready in self._inflight.items() if ready <= now]
         for block in done:
             del self._inflight[block]
-            if self._mshrs.lookup(block) is not None:
-                self._mshrs.release(block)
 
     def load(self, address: int, request_cycle: int,
              predicted_index_available: bool = False) -> LoadTiming:
@@ -196,7 +193,6 @@ class DataCacheModel:
                                           - timing.bus_cycles_per_line)
         ready = max(issue + timing.hit_time + timing.miss_penalty, transfer_done)
         self._inflight[block] = ready
-        self._mshrs.allocate(block, now=issue, ready_at=ready)
         return LoadTiming(start, ready, False, xor_penalty_paid=xor_paid)
 
     def store(self, address: int, commit_cycle: int) -> bool:
@@ -218,5 +214,4 @@ class DataCacheModel:
         """Clear in-flight fills and port/bus occupancy (not the cache contents)."""
         self._ports.reset()
         self._bus = Bus(self._timing.bus_cycles_per_line)
-        self._mshrs.flush()
         self._inflight.clear()

@@ -27,10 +27,13 @@ differential harness over it:
   instruction counts, cycle counts, per-op histograms, branch/address
   predictor statistics, the full :class:`~repro.cache.stats.CacheStats`,
   the data-cache model's timing counters, the resident cache contents and
-  the recorded functional access streams.  It then replays each recorded
-  stream through the batch kernels
+  the recorded functional access streams.  A third arm runs the program on
+  the compiled core (``repro_ooo_run``, when the C kernels are available)
+  and compares the same state against the Python core, its access stream
+  taken from the instructions the kernel reports reaching the cache.  It
+  then replays each recorded stream through the batch kernels
   (:func:`repro.engine.replay.replay_access_stream`) and checks the
-  hit/miss statistics a third time — the CPU path's entry into the engine
+  hit/miss statistics again — the CPU path's entry into the engine
   equivalence story.
 
 Every failure carries a one-line repro (:func:`repro_line`): the seed and
@@ -405,6 +408,8 @@ class DifferentialOutcome:
     params: FuzzParams
     reference: SimulationResult
     vectorized: SimulationResult
+    #: The compiled core's result (``None`` without the C kernels).
+    compiled: Optional[SimulationResult] = None
     #: Batch-replay kernel names, keyed by engine label.
     replay_strategies: Dict[str, str] = field(default_factory=dict)
     #: Human-readable descriptions of every disagreement (empty = bit-exact).
@@ -438,8 +443,11 @@ def run_differential(program: Program,
                      params: FuzzParams,
                      seed: int = 0,
                      max_instructions: Optional[int] = None,
-                     check_replay: bool = True) -> DifferentialOutcome:
-    """Run ``program`` under both index engines and diff everything.
+                     check_replay: bool = True,
+                     config: Optional[ProcessorConfig] = None
+                     ) -> DifferentialOutcome:
+    """Run ``program`` under both index engines and on the compiled core,
+    and diff everything.
 
     The comparison covers the committed architectural/timing state (counts,
     cycles, per-op histograms, predictor statistics), the full functional
@@ -447,8 +455,10 @@ def run_differential(program: Program,
     cache contents and the recorded access streams.  With ``check_replay``
     (the default) each engine's recorded stream is additionally replayed
     through the batch kernels and the hit/miss statistics compared again.
+    ``config`` replaces the machine of ``params.config_variant`` (for
+    hand-written cases; its ``index_engine`` is ignored).
     """
-    base = fuzz_config(params)
+    base = fuzz_config(params) if config is None else config
     ref_proc, ref = _run_one(program, replace(base, index_engine="reference"),
                              max_instructions)
     vec_proc, vec = _run_one(program, replace(base, index_engine="vectorized"),
@@ -458,10 +468,7 @@ def run_differential(program: Program,
                                   reference=ref, vectorized=vec)
     note = outcome.mismatches.append
 
-    for name in _RESULT_FIELDS:
-        left, right = getattr(ref, name), getattr(vec, name)
-        if left != right:
-            note(f"result.{name}: reference={left!r} vectorized={right!r}")
+    _compare_results(note, ("reference", ref), ("vectorized", vec))
 
     ref_stats = ref_proc.dcache.cache.stats
     vec_stats = vec_proc.dcache.cache.stats
@@ -485,6 +492,9 @@ def run_differential(program: Program,
     if ref_stream != vec_stream:
         note("recorded dcache access streams differ between engines")
 
+    _compare_compiled(outcome, program, base, max_instructions, vec_proc,
+                      vec_stream)
+
     if check_replay:
         # Local import: repro.cpu stays importable without NumPy installed.
         from ..engine.replay import replay_access_stream
@@ -498,3 +508,44 @@ def run_differential(program: Program,
                      f"batch={replay.stats!r} "
                      f"scalar={proc.dcache.cache.stats!r}")
     return outcome
+
+
+def _compare_results(note, left_arm, right_arm) -> None:
+    """Note every :data:`_RESULT_FIELDS` difference, ``op_counts`` key
+    order included."""
+    (left_label, left), (right_label, right) = left_arm, right_arm
+    for name in _RESULT_FIELDS:
+        a, b = getattr(left, name), getattr(right, name)
+        if a != b:
+            note(f"result.{name}: {left_label}={a!r} {right_label}={b!r}")
+    if list(left.op_counts) != list(right.op_counts):
+        note(f"result.op_counts order: {left_label}={list(left.op_counts)} "
+             f"{right_label}={list(right.op_counts)}")
+
+
+def _compare_compiled(outcome: DifferentialOutcome, program: Program,
+                      base: ProcessorConfig, max_instructions: Optional[int],
+                      python: OutOfOrderProcessor, python_stream) -> None:
+    """The compiled-core arm: the vectorized-engine machine on a fresh
+    processor, against the Python core's run of the same machine."""
+    processor = OutOfOrderProcessor(replace(base, index_engine="vectorized"))
+    result = processor.run(program, max_instructions=max_instructions)
+    run = processor.last_compiled_run
+    if run is None:  # no C compiler: the Python core ran it again
+        return
+    outcome.compiled = result
+    note = outcome.mismatches.append
+    _compare_results(note, ("python", outcome.vectorized),
+                     ("compiled", result))
+    if run.cache.stats != python.dcache.cache.stats:
+        note(f"cache stats: python={python.dcache.cache.stats!r} "
+             f"compiled={run.cache.stats!r}")
+    for counter, value in run.dcache_counters.items():
+        if getattr(python.dcache, counter) != value:
+            note(f"dcache.{counter}: python="
+                 f"{getattr(python.dcache, counter)} compiled={value}")
+    if (sorted(run.cache.resident_blocks())
+            != sorted(python.dcache.cache.resident_blocks())):
+        note("resident cache contents differ between the cores")
+    if run.stream() != tuple(python_stream):
+        note("functional access streams differ between the cores")

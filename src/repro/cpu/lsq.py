@@ -38,7 +38,10 @@ class BufferedStore:
 class StoreForwardingBuffer:
     """Tracks buffered stores and answers forwarding queries from younger loads."""
 
-    def __init__(self, forward_latency: int = 1) -> None:
+    #: Default cycles from a forwarding decision to data availability.
+    FORWARD_LATENCY = 1
+
+    def __init__(self, forward_latency: int = FORWARD_LATENCY) -> None:
         if forward_latency < 0:
             raise ValueError("forward_latency must be non-negative")
         self._forward_latency = forward_latency

@@ -30,13 +30,26 @@ in "next free" structures — reproduces the first-order behaviour of an
 out-of-order core at a small fraction of the cost of an event-driven model,
 which is what makes the Table 2 sweep (18 programs x 6 configurations)
 practical in pure Python.
+
+The same recurrence also runs compiled, as ``repro_ooo_run`` of
+:mod:`repro.engine.ckernels`: one C call per (program, machine) over the
+program's :class:`~repro.cpu.program.ProgramColumns`, with the functional L1
+a :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` whose set
+indices come from the engine's vectorized placement functions.
+:meth:`OutOfOrderProcessor.run` takes that route (``dispatch_strategy``
+``"compiled-ooo-core"``) on a fresh processor with the vectorized index
+engine, its own data-cache model and a C compiler; everything else runs the
+Python core (``"python-ooo-core"``), which stays the oracle.  Results are
+identical either way; the Python state (``dcache``, the predictors, ...)
+catches up with compiled runs by replaying them when it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..cache.set_assoc import SetAssociativeCache, WritePolicy
 from ..core.index import make_index_function
@@ -46,10 +59,16 @@ from .dcache import DataCacheModel, DataCacheTiming
 from .functional_units import FunctionalUnitPool
 from .isa import FP_REGS, INT_REGS, Instruction, OpClass, is_fp_register
 from .lsq import StoreForwardingBuffer
-from .program import Program
+from .program import OP_CODES, Program, ProgramColumns
 from .resources import ThroughputLimiter, WindowResource
 
-__all__ = ["ProcessorConfig", "SimulationResult", "OutOfOrderProcessor"]
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..engine.batch_cache import BatchSetAssociativeCache
+
+__all__ = ["ProcessorConfig", "SimulationResult", "CompiledRun",
+           "OutOfOrderProcessor"]
 
 
 @dataclass(frozen=True)
@@ -72,8 +91,9 @@ class ProcessorConfig:
     index_scheme: str = "a2"
     index_address_bits: int = 19
     #: "reference" evaluates the placement function with scalar GF(2)
-    #: division; "vectorized" swaps in the engine's table-accelerated,
-    #: bit-exact equivalent (same IPC and miss ratios, faster simulation).
+    #: division; "vectorized" runs the compiled core (see the module
+    #: docstring) or, without it, swaps in the engine's table-accelerated,
+    #: bit-exact placement function (same IPC and miss ratios either way).
     index_engine: str = "reference"
 
     # Cache timing.
@@ -121,6 +141,9 @@ class ProcessorConfig:
         num_sets = self.cache_size_bytes // (self.cache_block_size * self.cache_ways)
         if num_sets & (num_sets - 1):
             raise ValueError(f"number of sets must be a power of two, got {num_sets}")
+        # The placement scheme: resolving it rejects an unknown name (and
+        # a geometry the scheme cannot index) here, not mid-experiment.
+        self.index_function()
         # Predictor tables are direct-mapped on power-of-two masks; their
         # classes validate too, but only when the predictor is built —
         # with address_prediction=False a bad entry count would otherwise
@@ -148,12 +171,15 @@ class ProcessorConfig:
             bus_cycles_per_line=self.bus_cycles_per_line,
         )
 
+    def index_function(self):
+        """The scalar placement function of the L1 data cache."""
+        return _index_function(self.index_scheme, self.cache_size_bytes
+                               // (self.cache_block_size * self.cache_ways),
+                               self.cache_ways, self.index_address_bits)
+
     def build_cache(self) -> SetAssociativeCache:
         """Construct the L1 data cache described by this configuration."""
-        num_sets = self.cache_size_bytes // (self.cache_block_size * self.cache_ways)
-        index_fn = make_index_function(self.index_scheme, num_sets=num_sets,
-                                       ways=self.cache_ways,
-                                       address_bits=self.index_address_bits)
+        index_fn = self.index_function()
         if self.index_engine == "vectorized":
             # Local import: the cpu layer stays importable without pulling
             # the batch engine in unless the fast index path is requested.
@@ -166,6 +192,13 @@ class ProcessorConfig:
             index_function=index_fn,
             write_policy=WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
         )
+
+
+@lru_cache(maxsize=64)
+def _index_function(scheme: str, num_sets: int, ways: int, address_bits: int):
+    # Index functions are immutable, so equal configurations share one.
+    return make_index_function(scheme, num_sets=num_sets, ways=ways,
+                               address_bits=address_bits)
 
 
 @dataclass
@@ -198,34 +231,130 @@ class SimulationResult:
         return 100.0 * self.load_miss_ratio
 
 
+@dataclass(frozen=True)
+class CompiledRun:
+    """What a compiled-core run leaves besides its :class:`SimulationResult`:
+    the counters the Python core keeps on its ``dcache`` and the functional
+    L1, for the differential harness (:mod:`repro.cpu.fuzzer`)."""
+
+    #: The L1 after the run (its ``stats`` and ``resident_blocks()``).
+    cache: BatchSetAssociativeCache
+    #: ``load_accesses``, ``store_accesses``, ``merged_misses`` and
+    #: ``mshr_stall_cycles``, as :class:`DataCacheModel` counts them.
+    dcache_counters: Dict[str, int]
+    #: Per simulated instruction: did it reach the cache.
+    accessed: np.ndarray
+    columns: ProgramColumns
+
+    def stream(self) -> Tuple[List[int], List[bool]]:
+        """The functional ``(addresses, is_store)`` access stream, as a
+        recording :class:`DataCacheModel` lists it."""
+        accessed = self.accessed
+        return (self.columns.addresses[accessed].tolist(),
+                (self.columns.ops[accessed]
+                 == OP_CODES[OpClass.STORE]).tolist())
+
+
+#: Counters the compiled core returns that the Python core keeps on its
+#: data-cache model.
+_DCACHE_COUNTERS = ("load_accesses", "store_accesses", "merged_misses",
+                    "mshr_stall_cycles")
+
+
+@lru_cache(maxsize=1)
+def _unit_table():
+    """The functional units as ``repro_ooo_run`` takes them: per op code,
+    latency, repeat interval and which units serve it (read-only)."""
+    import numpy as np
+
+    pool = FunctionalUnitPool()
+    table = np.array([[pool.timing(op).latency, pool.timing(op).repeat]
+                      + [int(unit.serves(op)) for unit in pool.units]
+                      for op in OpClass.ALL], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _ratio(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0
+
+
 class OutOfOrderProcessor:
-    """Timing model of the 4-way out-of-order core."""
+    """Timing model of the 4-way out-of-order core.
+
+    The Python core's state (``dcache``, ``branch_predictor``,
+    ``address_predictor``, ``fu_pool``, ``store_buffer`` and the pipeline
+    windows) is built on first use; after a compiled run it is rebuilt by
+    replaying that run on the Python core, so it always reads as if every
+    run had gone through the Python core.
+    """
+
+    #: Attributes of the Python core's state (see :meth:`_sync`).
+    _STATE = frozenset({"dcache", "branch_predictor", "address_predictor",
+                        "fu_pool", "store_buffer", "_fetch", "_commit",
+                        "_rob", "_int_regs", "_fp_regs", "_fetch_floor"})
 
     def __init__(self, config: Optional[ProcessorConfig] = None,
                  cache_model: Optional[DataCacheModel] = None) -> None:
         self.config = config or ProcessorConfig()
-        if cache_model is None:
-            cache_model = DataCacheModel(self.config.build_cache(),
-                                         self.config.cache_timing())
-        self.dcache = cache_model
-        self.branch_predictor = BimodalBranchPredictor(
-            self.config.branch_predictor_entries)
-        self.address_predictor = (
-            StrideAddressPredictor(self.config.address_predictor_entries)
-            if self.config.address_prediction else None
-        )
-        self.fu_pool = FunctionalUnitPool()
-        self.store_buffer = StoreForwardingBuffer()
+        self._cache_model = cache_model
+        self._built = False
+        # Compiled runs the Python state has not replayed yet.
+        self._unreplayed: List[Tuple[Program, Optional[int]]] = []
+        #: The :class:`CompiledRun` of the last run, when it was compiled.
+        self.last_compiled_run: Optional[CompiledRun] = None
 
-        self._fetch = ThroughputLimiter(self.config.fetch_width, "fetch")
-        self._commit = ThroughputLimiter(self.config.commit_width, "commit")
-        self._rob = WindowResource(self.config.rob_entries, "rob")
-        self._int_regs = WindowResource(self.config.int_physical_registers, "int-prf")
-        self._fp_regs = WindowResource(self.config.fp_physical_registers, "fp-prf")
-        # Cycle before which fetch may not proceed (raised by mispredictions).
-        self._fetch_floor = 0
+    def __getattr__(self, name: str):
+        # Only reached while the Python state is not built yet.
+        if name not in OutOfOrderProcessor._STATE:
+            raise AttributeError(name)
+        self._sync()
+        return self.__dict__[name]
+
+    def _sync(self) -> None:
+        """Build the Python core's state, then replay the compiled runs."""
+        if not self._built:
+            self._built = True
+            cfg = self.config
+            cache_model = self._cache_model
+            if cache_model is None:
+                cache_model = DataCacheModel(cfg.build_cache(),
+                                             cfg.cache_timing())
+            self.dcache = cache_model
+            self.branch_predictor = BimodalBranchPredictor(
+                cfg.branch_predictor_entries)
+            self.address_predictor = (
+                StrideAddressPredictor(cfg.address_predictor_entries)
+                if cfg.address_prediction else None
+            )
+            self.fu_pool = FunctionalUnitPool()
+            self.store_buffer = StoreForwardingBuffer()
+
+            self._fetch = ThroughputLimiter(cfg.fetch_width, "fetch")
+            self._commit = ThroughputLimiter(cfg.commit_width, "commit")
+            self._rob = WindowResource(cfg.rob_entries, "rob")
+            self._int_regs = WindowResource(cfg.int_physical_registers, "int-prf")
+            self._fp_regs = WindowResource(cfg.fp_physical_registers, "fp-prf")
+            # Cycle before which fetch may not proceed (raised by mispredictions).
+            self._fetch_floor = 0
+        pending, self._unreplayed = self._unreplayed, []
+        for program, max_instructions in pending:
+            self._run_python(program, max_instructions)
 
     # ------------------------------------------------------------------ #
+
+    def dispatch_strategy(self) -> str:
+        """The core the next :meth:`run` takes: ``"compiled-ooo-core"``
+        (only on a processor that has not run or been read yet, built
+        without a ``cache_model``, on the vectorized index engine, with the
+        compiled kernels available) or ``"python-ooo-core"``."""
+        if (self._built or self._unreplayed or self._cache_model is not None
+                or self.config.index_engine != "vectorized"):
+            return "python-ooo-core"
+        # Local import: the cpu layer stays importable without the engine.
+        from ..engine import ckernels
+        return ("compiled-ooo-core" if ckernels.available()
+                else "python-ooo-core")
 
     def run(self, program: Program,
             max_instructions: Optional[int] = None) -> SimulationResult:
@@ -236,9 +365,91 @@ class OutOfOrderProcessor:
         so running the same program on a freshly built processor always
         produces identical results — the property the differential fuzz
         harness (:mod:`repro.cpu.fuzzer`) depends on and audits.
+        :meth:`dispatch_strategy` names the core that runs it.
         """
         if max_instructions is not None and max_instructions < 0:
             raise ValueError("max_instructions must be non-negative")
+        self.last_compiled_run = None
+        if self.dispatch_strategy() == "compiled-ooo-core":
+            columns = program.columns(max_instructions)
+            if columns is not None:
+                return self._run_compiled(program, columns, max_instructions)
+        self._sync()
+        return self._run_python(program, max_instructions)
+
+    def _run_compiled(self, program: Program, columns: ProgramColumns,
+                      max_instructions: Optional[int]) -> SimulationResult:
+        """One ``repro_ooo_run`` call; ratios formed as the Python core
+        forms them."""
+        from ..engine import BatchSetAssociativeCache, ckernels
+
+        cfg = self.config
+        units = _unit_table()
+        cache = BatchSetAssociativeCache(
+            cfg.cache_size_bytes, cfg.cache_block_size, cfg.cache_ways,
+            index_function=cfg.index_function(),
+            write_policy=WritePolicy.WRITE_THROUGH_NO_ALLOCATE)
+        blocks = columns.blocks(cfg.cache_block_size)
+        state = cache._kernel_state(blocks)
+        params = dict(
+            fetch_width=cfg.fetch_width, commit_width=cfg.commit_width,
+            rob_entries=cfg.rob_entries,
+            int_physical_registers=cfg.int_physical_registers,
+            fp_physical_registers=cfg.fp_physical_registers,
+            decode_latency=cfg.decode_latency,
+            redirect_penalty=cfg.misprediction_redirect_penalty,
+            branch_entries=cfg.branch_predictor_entries,
+            hit_time=cfg.cache_hit_time, miss_penalty=cfg.cache_miss_penalty,
+            xor_penalty=cfg.xor_penalty if cfg.xor_in_critical_path else 0,
+            ports=cfg.cache_ports, mshr_entries=cfg.mshr_entries,
+            bus_cycles=cfg.bus_cycles_per_line,
+            address_prediction=int(cfg.address_prediction),
+            address_entries=cfg.address_predictor_entries,
+            confidence_threshold=StrideAddressPredictor.CONFIDENCE_THRESHOLD,
+            forward_latency=StoreForwardingBuffer.FORWARD_LATENCY,
+            num_regs=INT_REGS + FP_REGS, first_fp_reg=INT_REGS,
+            num_address_ids=columns.num_address_ids,
+            num_units=units.shape[1] - 2,
+            op_load=OP_CODES[OpClass.LOAD], op_store=OP_CODES[OpClass.STORE],
+            op_branch=OP_CODES[OpClass.BRANCH])
+        accessed, counts, l1_counts = ckernels.run_ooo(
+            columns.ops, columns.dests, columns.srcs, columns.addr_ids,
+            columns.addresses, blocks, columns.pcs, columns.taken,
+            params=params, units=units, level=state)
+        cache._kernel_done(state["io"], l1_counts)
+        self._unreplayed.append((program, max_instructions))
+        self.last_compiled_run = CompiledRun(
+            cache, {name: counts[name] for name in _DCACHE_COUNTERS},
+            accessed, columns)
+
+        stats = cache.stats
+        op_counts = columns.op_counts()
+        predicting = cfg.address_prediction
+        return SimulationResult(
+            program=program.name,
+            config=cfg,
+            instructions=len(columns),
+            cycles=counts["cycles"],
+            load_miss_ratio=stats.load_miss_ratio,
+            store_miss_ratio=_ratio(stats.store_misses, stats.stores),
+            branch_misprediction_ratio=_ratio(counts["mispredictions"],
+                                              counts["branches"]),
+            address_prediction_coverage=(
+                _ratio(counts["address_confident"], counts["address_lookups"])
+                if predicting else 0.0),
+            address_prediction_accuracy=(
+                _ratio(counts["address_correct"], counts["address_confident"])
+                if predicting else 0.0),
+            loads=op_counts.get(OpClass.LOAD, 0),
+            stores=op_counts.get(OpClass.STORE, 0),
+            branches=op_counts.get(OpClass.BRANCH, 0),
+            forwarded_loads=counts["forwarded_loads"],
+            op_counts=op_counts,
+        )
+
+    def _run_python(self, program: Program,
+                    max_instructions: Optional[int]) -> SimulationResult:
+        """The Python core: one loop iteration per dynamic instruction."""
         cfg = self.config
         stream = program.instructions()
         if max_instructions is not None:

@@ -16,7 +16,9 @@
  *   repro_hier_run    a two-level hierarchy with back-invalidation (the
  *                     two-level and virtual-real twins), each level any
  *                     set-associative cache, through repro_sa_run's
- *                     per-access body.
+ *                     per-access body;
+ *   repro_ooo_run     the out-of-order core of repro.cpu.processor over one
+ *                     program, its L1 data cache through the same body.
  *
  * Layouts: per-way tables are way-major (ways x num_sets), PLRU direction
  * bits are set-major (num_sets x tree), tag -1 marks an invalid frame.
@@ -554,5 +556,334 @@ int64_t repro_column_run(int64_t n, const int64_t *blocks,
     }
 
     memcpy(counts, c, sizeof c);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* The out-of-order core (repro.cpu.processor) */
+
+/* Slots of repro_ooo_run's `params`, in ckernels.OOO_PARAMS order. */
+enum { P_FETCH_WIDTH, P_COMMIT_WIDTH, P_ROB_ENTRIES, P_INT_PHYS, P_FP_PHYS,
+       P_DECODE_LATENCY, P_REDIRECT_PENALTY, P_BRANCH_ENTRIES, P_HIT_TIME,
+       P_MISS_PENALTY, P_XOR_PENALTY, P_PORTS, P_MSHR_ENTRIES,
+       P_BUS_CYCLES, P_ADDRESS_PREDICTION, P_ADDRESS_ENTRIES,
+       P_CONFIDENCE, P_FORWARD_LATENCY, P_NUM_REGS, P_FIRST_FP_REG,
+       P_NUM_ADDRESS_IDS, P_NUM_UNITS, P_OP_LOAD, P_OP_STORE, P_OP_BRANCH };
+
+/* Slots of its `counters` output, in ckernels.OOO_COUNTERS order. */
+enum { C_CYCLES, C_FORWARDED, C_LOAD_ACCESSES, C_STORE_ACCESSES,
+       C_MERGED, C_MSHR_STALL, C_BRANCHES, C_MISPREDICTIONS, C_LOOKUPS,
+       C_CONFIDENT, C_CORRECT, NUM_OOO_COUNTERS };
+
+/* ThroughputLimiter: the cycles of the last `width` events, oldest at
+ * `head` once the ring is full. */
+typedef struct {
+    int64_t *recent;
+    int64_t width, count, head;
+} limiter_t;
+
+INLINE int64_t limiter_record(limiter_t *t, int64_t cycle)
+{
+    if (t->count < t->width) {
+        t->recent[t->count++] = cycle;
+        return cycle;
+    }
+    if (t->recent[t->head] + 1 > cycle)
+        cycle = t->recent[t->head] + 1;
+    t->recent[t->head] = cycle;
+    if (++t->head == t->width)
+        t->head = 0;
+    return cycle;
+}
+
+/* WindowResource: release cycles of up to `capacity` holders in order,
+ * the oldest at `head` (0 until the ring is full). */
+typedef struct {
+    int64_t *held;
+    int64_t capacity, count, head;
+} window_t;
+
+INLINE int64_t window_earliest(const window_t *w, int64_t cycle)
+{
+    if (w->count == w->capacity && w->held[w->head] > cycle)
+        return w->held[w->head];
+    return cycle;
+}
+
+/* Acquire at a cycle window_earliest granted (so no stall is left). */
+INLINE void window_acquire(window_t *w, int64_t release)
+{
+    if (w->count < w->capacity) {
+        w->held[w->count++] = release;
+        return;
+    }
+    w->held[w->head] = release;
+    if (++w->head == w->capacity)
+        w->head = 0;
+}
+
+/* The core's timing state besides its functional L1 (cache_t). */
+typedef struct {
+    const int64_t *p;
+    const int64_t *fu;     /* per op: latency, repeat, serves[units] */
+    int64_t *next_free;    /* per functional unit */
+    limiter_t ports;
+    int64_t *inflight_block, *inflight_ready, inflight;
+    int64_t bus_free;
+    int64_t *c;            /* counters */
+} core_t;
+
+/* FunctionalUnitPool.issue: the first serving unit already free at `now`,
+ * else the one that frees up first; returns the completion cycle and the
+ * start in *start. */
+INLINE int64_t fu_issue(core_t *k, int64_t op, int64_t now, int64_t *start)
+{
+    int64_t units = k->p[P_NUM_UNITS];
+    const int64_t *row = k->fu + op * (2 + units);
+    int64_t best = -1;
+    for (int64_t u = 0; u < units; u++) {
+        if (!row[2 + u])
+            continue;
+        if (k->next_free[u] <= now) {
+            best = u;
+            break;
+        }
+        if (best < 0 || k->next_free[u] < k->next_free[best])
+            best = u;
+    }
+    int64_t s = now > k->next_free[best] ? now : k->next_free[best];
+    k->next_free[best] = s + row[1];
+    *start = s;
+    return s + row[0];
+}
+
+/* Forget the fills complete by `now` (DataCacheModel._expire_inflight). */
+static void expire_inflight(core_t *k, int64_t now)
+{
+    int64_t kept = 0;
+    for (int64_t j = 0; j < k->inflight; j++) {
+        if (k->inflight_ready[j] > now) {
+            k->inflight_block[kept] = k->inflight_block[j];
+            k->inflight_ready[kept] = k->inflight_ready[j];
+            kept++;
+        }
+    }
+    k->inflight = kept;
+}
+
+/* DataCacheModel.load for instruction i: returns the ready cycle. */
+static int64_t dcache_load(core_t *k, cache_t *l1, int64_t i, int64_t block,
+                           int64_t request, int predicted)
+{
+    const int64_t *p = k->p;
+    int64_t hit_time = p[P_HIT_TIME], frame;
+    int64_t start = limiter_record(
+        &k->ports, request + (predicted ? 0 : p[P_XOR_PENALTY]));
+    expire_inflight(k, start);
+    int64_t merged = -1;
+    for (int64_t j = 0; j < k->inflight; j++) {
+        if (k->inflight_block[j] == block) {
+            merged = j;
+            break;
+        }
+    }
+    int hit = sa_access(l1, i, block, 0, &frame);
+    k->c[C_LOAD_ACCESSES]++;
+    if (merged >= 0) {
+        /* A secondary miss waits for the outstanding fill. */
+        k->c[C_MERGED]++;
+        int64_t ready = k->inflight_ready[merged];
+        return ready > start + hit_time ? ready : start + hit_time;
+    }
+    if (hit)
+        return start + hit_time;
+    /* Primary miss: wait for a free MSHR. */
+    int64_t issue = start;
+    while (k->inflight >= p[P_MSHR_ENTRIES]) {
+        int64_t earliest = k->inflight_ready[0];
+        for (int64_t j = 1; j < k->inflight; j++)
+            if (k->inflight_ready[j] < earliest)
+                earliest = k->inflight_ready[j];
+        k->c[C_MSHR_STALL] += earliest - issue;
+        issue = earliest;
+        expire_inflight(k, issue);
+    }
+    int64_t fill = issue + hit_time + p[P_MISS_PENALTY];
+    int64_t bus_start = fill - p[P_BUS_CYCLES];
+    if (bus_start < k->bus_free)
+        bus_start = k->bus_free;
+    k->bus_free = bus_start + p[P_BUS_CYCLES];
+    int64_t ready = fill > k->bus_free ? fill : k->bus_free;
+    k->inflight_block[k->inflight] = block;
+    k->inflight_ready[k->inflight] = ready;
+    k->inflight++;
+    return ready;
+}
+
+/*
+ * OutOfOrderProcessor.run on a fresh processor, one call per program:
+ * instruction i has op code ops[i], destination dests[i] (-1 for none),
+ * sources srcs[i * nsrc ...] (padded with -1), dense address id
+ * addr_ids[i], address addresses[i], block blocks[i] (cache set indices
+ * in l1's way_sets), pc pcs[i] and branch outcome taken[i].  accessed[i]
+ * is set when the instruction reached the L1.  Returns 0, or -1 when
+ * scratch memory is unavailable.
+ */
+int64_t repro_ooo_run(int64_t n, const int64_t *ops, const int64_t *dests,
+                      const int64_t *srcs, int64_t nsrc,
+                      const int64_t *addr_ids, const int64_t *addresses,
+                      const int64_t *blocks, const int64_t *pcs,
+                      const uint8_t *taken, const int64_t *p,
+                      const int64_t *fu, const level_t *l1l,
+                      uint8_t *accessed, int64_t *counters)
+{
+    int64_t ids = p[P_NUM_ADDRESS_IDS], regs = p[P_NUM_REGS];
+    int64_t bp_entries = p[P_BRANCH_ENTRIES], ap_entries = p[P_ADDRESS_ENTRIES];
+    int64_t ap_used = p[P_ADDRESS_PREDICTION] ? ap_entries : 0;
+    size_t words = (size_t)(p[P_FETCH_WIDTH] + p[P_COMMIT_WIDTH]
+                            + p[P_ROB_ENTRIES] + p[P_INT_PHYS] + p[P_FP_PHYS]
+                            + p[P_PORTS] + 2 * p[P_MSHR_ENTRIES]
+                            + p[P_NUM_UNITS] + regs + 3 * ids
+                            + 2 * ap_used);
+    int64_t *scratch = calloc(words, sizeof *scratch);
+    uint8_t *bp = malloc((size_t)bp_entries);
+    uint8_t *ap_counter = calloc((size_t)ap_used + 1, 1);
+    cache_t l1;
+    if (scratch == NULL || bp == NULL || ap_counter == NULL
+        || cache_open(&l1, l1l) != 0) {
+        free(scratch);
+        free(bp);
+        free(ap_counter);
+        return -1;
+    }
+    int64_t *next = scratch;
+#define TAKE(count) (next += (count), next - (count))
+    limiter_t fetch = {TAKE(p[P_FETCH_WIDTH]), p[P_FETCH_WIDTH], 0, 0};
+    limiter_t commit = {TAKE(p[P_COMMIT_WIDTH]), p[P_COMMIT_WIDTH], 0, 0};
+    window_t rob = {TAKE(p[P_ROB_ENTRIES]), p[P_ROB_ENTRIES], 0, 0};
+    window_t int_regs = {TAKE(p[P_INT_PHYS]), p[P_INT_PHYS], 0, 0};
+    window_t fp_regs = {TAKE(p[P_FP_PHYS]), p[P_FP_PHYS], 0, 0};
+    int64_t c[NUM_OOO_COUNTERS] = {0};
+    core_t k = {p, fu, NULL, {NULL, p[P_PORTS], 0, 0}, NULL, NULL, 0, 0, c};
+    k.ports.recent = TAKE(p[P_PORTS]);
+    k.inflight_block = TAKE(p[P_MSHR_ENTRIES]);
+    k.inflight_ready = TAKE(p[P_MSHR_ENTRIES]);
+    k.next_free = TAKE(p[P_NUM_UNITS]);
+    int64_t *reg_ready = TAKE(regs);
+    /* The store-forwarding buffer: the youngest store per address id. */
+    int64_t *sb_seq = TAKE(ids), *sb_ready = TAKE(ids), *sb_commit = TAKE(ids);
+    int64_t *ap_last = TAKE(ap_used), *ap_stride = TAKE(ap_used);
+#undef TAKE
+    for (int64_t j = 0; j < ids; j++)
+        sb_seq[j] = -1;
+    memset(bp, 1, (size_t)bp_entries); /* weakly not-taken */
+
+    int64_t op_load = p[P_OP_LOAD], op_store = p[P_OP_STORE];
+    int64_t op_branch = p[P_OP_BRANCH], first_fp = p[P_FIRST_FP_REG];
+    int64_t fetch_floor = 0, prev_commit = 0, start;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t op = ops[i], dest = dests[i];
+        int64_t dispatch = window_earliest(
+            &rob, limiter_record(&fetch, fetch_floor) + p[P_DECODE_LATENCY]);
+        window_t *regfile = NULL;
+        if (dest >= 0) {
+            regfile = dest >= first_fp ? &fp_regs : &int_regs;
+            dispatch = window_earliest(regfile, dispatch);
+        }
+        int64_t ready = dispatch;
+        for (int64_t j = 0; j < nsrc; j++) {
+            int64_t s = srcs[i * nsrc + j];
+            if (s >= 0 && reg_ready[s] > ready)
+                ready = reg_ready[s];
+        }
+
+        int64_t complete;
+        accessed[i] = 0;
+        if (op == op_load) {
+            int64_t done = fu_issue(&k, op, ready, &start);
+            uint64_t address = (uint64_t)addresses[i];
+            int predicted = 0;
+            if (ap_used) {
+                /* StrideAddressPredictor.predict then .update. */
+                int64_t e = (pcs[i] >> 2) & (ap_entries - 1);
+                int confident = ap_counter[e] >= p[P_CONFIDENCE];
+                int correct = (uint64_t)ap_last[e] + (uint64_t)ap_stride[e]
+                              == address;
+                c[C_LOOKUPS]++;
+                c[C_CONFIDENT] += confident;
+                if (correct && ap_counter[e] < 3)
+                    ap_counter[e]++;
+                else if (!correct && ap_counter[e] > 0)
+                    ap_counter[e]--;
+                if (ap_counter[e] < 2)
+                    ap_stride[e] = (int64_t)(address - (uint64_t)ap_last[e]);
+                ap_last[e] = (int64_t)address;
+                predicted = confident && correct;
+                c[C_CORRECT] += predicted;
+            }
+            int64_t id = addr_ids[i];
+            if (sb_seq[id] >= 0 && sb_seq[id] < i && sb_commit[id] > done) {
+                /* Forwarded from a store still in the buffer. */
+                c[C_FORWARDED]++;
+                complete = (done > sb_ready[id] ? done : sb_ready[id])
+                           + p[P_FORWARD_LATENCY];
+            } else {
+                accessed[i] = 1;
+                if (predicted) {
+                    /* The access started with the predicted line. */
+                    complete = dcache_load(&k, &l1, i, blocks[i], start, 1);
+                    if (complete < done)
+                        complete = done;
+                } else {
+                    complete = dcache_load(&k, &l1, i, blocks[i], done, 0);
+                }
+            }
+        } else {
+            complete = fu_issue(&k, op, ready, &start);
+            if (op == op_branch) {
+                /* BimodalBranchPredictor.update. */
+                int64_t e = (pcs[i] >> 2) & (bp_entries - 1);
+                int predicted_taken = bp[e] >= 2, outcome = taken[i] != 0;
+                c[C_BRANCHES]++;
+                if (predicted_taken != outcome) {
+                    c[C_MISPREDICTIONS]++;
+                    /* Fetch waits for the branch to resolve. */
+                    if (complete + p[P_REDIRECT_PENALTY] > fetch_floor)
+                        fetch_floor = complete + p[P_REDIRECT_PENALTY];
+                }
+                if (outcome && bp[e] < 3)
+                    bp[e]++;
+                else if (!outcome && bp[e] > 0)
+                    bp[e]--;
+            }
+        }
+
+        int64_t commit_cycle = complete + 1;
+        if (commit_cycle < prev_commit)
+            commit_cycle = prev_commit;
+        commit_cycle = prev_commit = limiter_record(&commit, commit_cycle);
+        window_acquire(&rob, commit_cycle);
+        if (regfile != NULL) {
+            window_acquire(regfile, commit_cycle);
+            reg_ready[dest] = complete;
+        }
+        if (op == op_store) {
+            /* Written through to the cache at commit, and buffered. */
+            int64_t frame, id = addr_ids[i];
+            sa_access(&l1, i, blocks[i], 1, &frame);
+            c[C_STORE_ACCESSES]++;
+            accessed[i] = 1;
+            sb_seq[id] = i;
+            sb_ready[id] = complete;
+            sb_commit[id] = commit_cycle;
+        }
+    }
+
+    c[C_CYCLES] = prev_commit;
+    cache_close(&l1, l1l);
+    memcpy(counters, c, sizeof c);
+    free(scratch);
+    free(bp);
+    free(ap_counter);
     return 0;
 }

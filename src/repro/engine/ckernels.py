@@ -26,8 +26,10 @@ Build and load happen lazily, on the first kernel call, never at import:
   ``RuntimeWarning`` per process and the Python kernels run instead — same
   results, slower.
 
-The wrappers :func:`run_set_assoc`, :func:`run_victim`, :func:`run_column`
-and :func:`run_hierarchy` check every array (dtype, C-contiguity, shape,
+The wrappers :func:`run_set_assoc`, :func:`run_victim`, :func:`run_column`,
+:func:`run_hierarchy` and :func:`run_ooo` (the out-of-order core of
+:mod:`repro.cpu.processor`, which has no Python twin here: the Python core
+itself is its fallback) check every array (dtype, C-contiguity, shape,
 writability, set indices, frames and line ids in range) before the call,
 raising ``ValueError`` — nothing malformed reaches C.  They return hit
 masks and counters and mutate the state arrays they are given in place; no
@@ -56,6 +58,9 @@ __all__ = [
     "run_victim",
     "run_column",
     "run_hierarchy",
+    "OOO_PARAMS",
+    "OOO_COUNTERS",
+    "run_ooo",
 ]
 
 _SOURCE = Path(__file__).with_name("ckernels.c")
@@ -71,6 +76,25 @@ NUM_COUNTS = 9
 #: Length of the hierarchy kernel's ``events``: holes, L2 misses causing
 #: holes, back-invalidations, alias invalidations.
 NUM_EVENTS = 4
+
+#: Slots of :func:`run_ooo`'s ``params`` (ckernels.c's ``P_*``), each with
+#: the least value the core accepts.
+OOO_PARAMS = {
+    "fetch_width": 1, "commit_width": 1, "rob_entries": 1,
+    "int_physical_registers": 1, "fp_physical_registers": 1,
+    "decode_latency": 0, "redirect_penalty": 0, "branch_entries": 1,
+    "hit_time": 1, "miss_penalty": 0, "xor_penalty": 0, "ports": 1,
+    "mshr_entries": 1, "bus_cycles": 1, "address_prediction": 0,
+    "address_entries": 1, "confidence_threshold": 1, "forward_latency": 0,
+    "num_regs": 1, "first_fp_reg": 0, "num_address_ids": 0, "num_units": 1,
+    "op_load": 0, "op_store": 0, "op_branch": 0,
+}
+
+#: Counters :func:`run_ooo` returns (ckernels.c's ``C_*``).
+OOO_COUNTERS = ("cycles", "forwarded_loads", "load_accesses",
+                "store_accesses", "merged_misses", "mshr_stall_cycles",
+                "branches", "mispredictions", "address_lookups",
+                "address_confident", "address_correct")
 
 #: The loaded library, once the first kernel call has tried to build it.
 _LIBRARY: Optional[ctypes.CDLL] = None
@@ -223,6 +247,8 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
                              ptr, ptr],
         "repro_hier_run": [i64, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr,
                            ptr, ptr, ptr, ptr, ptr],
+        "repro_ooo_run": [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+                          ptr, ptr, ptr, ptr, ptr],
     }
     for symbol, argtypes in signatures.items():
         function = getattr(library, symbol)
@@ -479,3 +505,83 @@ def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
         raise MemoryError("compiled cache kernel could not allocate scratch")
     return (l1_hits.view(bool), l2_hits.view(bool), l1_counts, l2_counts,
             events)
+
+
+def _ooo_params(params: dict, nops: int) -> np.ndarray:
+    """:data:`OOO_PARAMS` as the kernel's array, each value checked."""
+    if not isinstance(params, dict) or set(params) != set(OOO_PARAMS):
+        raise ValueError(f"params must name exactly {sorted(OOO_PARAMS)}")
+    for name, least in OOO_PARAMS.items():
+        if not isinstance(params[name], (int, np.integer)):
+            raise ValueError(f"{name} must be an integer")
+        if params[name] < least:
+            raise ValueError(f"{name} must be at least {least}")
+    if params["address_prediction"] not in (0, 1):
+        raise ValueError("address_prediction must be 0 or 1")
+    if params["confidence_threshold"] > 3:
+        raise ValueError("confidence_threshold must be a 2-bit counter value")
+    if params["first_fp_reg"] > params["num_regs"]:
+        raise ValueError("first_fp_reg must not exceed num_regs")
+    for name in ("op_load", "op_store", "op_branch"):
+        if params[name] >= nops:
+            raise ValueError(f"{name} is not an op code of the unit table")
+    return np.array([int(params[name]) for name in OOO_PARAMS],
+                    dtype=np.int64)
+
+
+def run_ooo(ops: np.ndarray, dests: np.ndarray, srcs: np.ndarray,
+            addr_ids: np.ndarray, addresses: np.ndarray, blocks: np.ndarray,
+            pcs: np.ndarray, taken: np.ndarray, *, params: dict,
+            units: np.ndarray, level: dict):
+    """Run one program through a fresh out-of-order core.
+
+    Per instruction: op code ``ops`` (a row of ``units``), destination
+    register ``dests`` (-1 for none), source registers ``srcs`` (``n x
+    k``, padded with -1), dense address id ``addr_ids`` (which stores a
+    load may forward from), address, cache block, ``pcs`` and branch
+    outcome ``taken`` (uint8).  ``units`` is ``ops x (2 + num_units)``:
+    latency, repeat interval, then which units serve the op.  ``params``
+    names every :data:`OOO_PARAMS` slot; ``level`` is the L1's
+    :func:`run_set_assoc` state over ``blocks`` and is updated.
+
+    Returns ``(accessed, counters, l1_counts)``: which instructions reached
+    the cache, :data:`OOO_COUNTERS` by name and the L1's counts.
+    """
+    (n,) = _shape(ops, 1)
+    nops, width = _shape(units, 2)
+    unit_ptr = _pointer("units", units, np.int64, (nops, width),
+                        writable=False)
+    param_array = _ooo_params(params, nops)
+    if nops < 1 or width - 2 != params["num_units"]:
+        raise ValueError("units must be ops x (2 + num_units)")
+    serves = units[:, 2:]
+    if (units[:, :2] < 1).any() or ((serves != 0) & (serves != 1)).any() \
+            or not serves.any(axis=1).all():
+        raise ValueError("every op needs a latency, a repeat interval and a "
+                         "serving unit")
+    regs = params["num_regs"]
+    (_, nsrc) = _shape(srcs, 2)
+    src_ptr = _pointer("srcs", srcs, np.int64, (n, nsrc), writable=False)
+    if n and nsrc and (srcs.min() < -1 or srcs.max() >= regs):
+        raise ValueError("srcs holds a register outside [-1, num_regs)")
+    op_ptr = _index_pointer("ops", ops, n, nops)
+    dest_ptr = _index_pointer("dests", dests, n, regs, low=-1)
+    id_ptr = _index_pointer("addr_ids", addr_ids, n,
+                            params["num_address_ids"])
+    address_ptr = _index_pointer("addresses", addresses, n, 2**63 - 1)
+    block_ptr = _index_pointer("blocks", blocks, n, 2**63 - 1)
+    pc_ptr = _index_pointer("pcs", pcs, n, 2**63 - 1)
+    taken_ptr = _pointer("taken", taken, np.uint8, (n,), writable=False)
+    l1, l1_counts, _sets = _checked_level("L1 ", n, **level)
+    library = _library()
+    accessed = np.empty(n, dtype=np.uint8)
+    counters = np.zeros(len(OOO_COUNTERS), dtype=np.int64)
+    if library.repro_ooo_run(
+            n, op_ptr, dest_ptr, src_ptr, nsrc, id_ptr, address_ptr,
+            block_ptr, pc_ptr, taken_ptr, param_array.ctypes.data, unit_ptr,
+            ctypes.byref(l1), accessed.ctypes.data,
+            counters.ctypes.data) != 0:
+        raise MemoryError("compiled out-of-order core could not allocate "
+                          "scratch")
+    return (accessed.view(bool), dict(zip(OOO_COUNTERS, counters.tolist())),
+            l1_counts)

@@ -79,7 +79,6 @@ from .memo import cached_block_numbers
 
 __all__ = [
     "PROFILE_MODES",
-    "PROFILE_AUTO_CAP_LIMIT",
     "check_profile_mode",
     "ProfileOptions",
     "ProfileCounts",
@@ -97,26 +96,14 @@ __all__ = [
 ]
 
 #: Valid values of every driver's ``profile`` parameter: ``"auto"`` profiles
-#: a group only when it is expected to win (on the Python fallback kernels
-#: only, and two or more configurations after setting aside any too-deep
-#: member, which stays on its own kernel), ``"always"`` forces the profiler
-#: onto every profilable task, ``"never"`` keeps every task on its
-#: per-configuration kernel, and ``"sampled"``
+#: where the profile wins — every profilable group on the Python fallback
+#: kernels, none while the compiled kernels are available — ``"always"``
+#: forces the profiler onto every profilable task, ``"never"`` keeps every
+#: task on its per-configuration kernel, and ``"sampled"``
 #: prices LRU groups approximately through the SHARDS profiles of
 #: :mod:`repro.engine.shards` (FIFO groups stay on the exact single-pass
 #: profiler — its cost already scales with misses, not accesses).
 PROFILE_MODES = ("auto", "always", "never", "sampled")
-
-#: Deepest per-set stack the ``"auto"`` policy will profile.  Beyond this the
-#: per-access walk (which is linear in the depth cap on misses) can lose to
-#: a handful of per-configuration kernel runs — e.g. the 256-deep
-#: fully-associative organisation of the miss-ratio study — so such levels
-#: only profile under ``profile="always"``.
-PROFILE_AUTO_CAP_LIMIT = 64
-
-#: Smallest group the ``"auto"`` policy profiles: a single configuration is
-#: never cheaper through a profile than through its own kernel.
-_AUTO_MIN_GROUP = 2
 
 
 def check_profile_mode(profile: str) -> str:
@@ -1242,16 +1229,15 @@ class MultiConfigPlan:
     never changes *which* numbers a sweep produces — only how many trace
     passes it takes to produce them.
 
-    ``profile="auto"`` (the default) profiles a group only when it is
-    expected to win: never while the compiled kernels of
-    :mod:`repro.engine.ckernels` are available (a compiled per-configuration
-    run outpaces the exact profiles — ~2x on the 16-configuration grids
-    ``benchmarks/bench_engine.py`` times), and on the Python fallback
-    kernels when the group has at least two configurations no deeper than
-    :data:`PROFILE_AUTO_CAP_LIMIT` ways (a deeper member — e.g. a 256-way
-    fully-associative organisation — stays on its own kernel without
-    vetoing the shallow rest of its group).  ``"always"`` and ``"never"``
-    force the choice either way (both still bit-exact).
+    ``profile="auto"`` (the default) profiles where the profile wins:
+    never while the compiled kernels of :mod:`repro.engine.ckernels` are
+    available (a compiled per-configuration run outpaces the exact profiles
+    — ~2x on the 16-configuration grids ``benchmarks/bench_engine.py``
+    times), and every profilable group on the Python fallback kernels,
+    whose per-access probe is linear in the ways (the profile wins there on
+    single configurations too, ~2x on a 256-way fully-associative one).
+    ``"always"`` and ``"never"`` force the choice either way (both still
+    bit-exact).
     """
 
     def __init__(self, profile: str = "auto", sample_rate: float = 0.01,
@@ -1368,18 +1354,6 @@ class MultiConfigPlan:
         profiled: set = set()
         for group_key, group in groups.items():
             kind = group_key[0]
-            if self._profile == "auto":
-                # A too-deep configuration (e.g. the 256-way fully
-                # associative organisation) pays a per-access walk linear
-                # in its depth, so it alone stays on its kernel — without
-                # vetoing the shallow members of its group.  (The FIFO
-                # profile's event replays are miss-bounded rather than
-                # depth-bounded, but the same conservative gate keeps
-                # "auto" predictable for both kinds.)
-                group = [t for t in group
-                         if t.level[1] <= PROFILE_AUTO_CAP_LIMIT]
-                if len(group) < _AUTO_MIN_GROUP:
-                    continue
             level_caps: Dict[int, int] = {}
             for task in group:
                 num_sets, ways = task.level

@@ -139,9 +139,11 @@ def run_table2(programs: Optional[Sequence[str]] = None,
     pure-Python model can afford, but the synthetic programs reach their
     steady-state behaviour within a few tens of thousands of instructions.
 
-    The processor pipeline is inherently sequential, so ``engine`` does not
-    change *what* is simulated: ``"vectorized"`` swaps the I-Poly placement
-    function for the engine's table-accelerated, bit-exact equivalent
+    ``engine`` does not change *what* is simulated: ``"vectorized"`` runs
+    each (program, machine) pair on the compiled out-of-order core when a C
+    compiler is available (see :mod:`repro.cpu.processor`), and otherwise
+    swaps the I-Poly placement function for the engine's table-accelerated,
+    bit-exact equivalent
     (:class:`~repro.engine.tabulated.TabulatedIPolyIndexing`), producing
     identical IPCs and miss ratios faster.
 
@@ -169,9 +171,14 @@ def run_table2(programs: Optional[Sequence[str]] = None,
             raise InputError(f"unknown program {name!r}; expected one of "
                              f"{program_names()}")
     config_map = dict(configurations) if configurations is not None else dict(TABLE2_CONFIGS)
-    configs = tuple((label, ProcessorConfig(**{"index_engine": engine,
-                                               **overrides}))
-                    for label, overrides in config_map.items())
+    configs = []
+    for label, overrides in config_map.items():
+        try:
+            configs.append((label, ProcessorConfig(
+                **{"index_engine": engine, **overrides})))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"configuration {label!r}: {exc}") from None
+    configs = tuple(configs)
 
     per_program = sweep_options.run(
         _table2_program_task,

@@ -2,8 +2,8 @@
 
 Tier-1 replays the committed corpus (``tests/corpus/cpu_fuzz_corpus.json``)
 through the differential harness — every seed must stay bit-exact across the
-reference and vectorized index engines *and* across the batch-kernel dcache
-replay.  A small Hypothesis property fuzzes fresh short programs on every
+reference and vectorized index engines, the compiled and the Python
+out-of-order core, *and* the batch-kernel dcache replay.  A small Hypothesis property fuzzes fresh short programs on every
 run.  The open-ended loop (``-m slow``) generates fresh seeds under a time
 budget for the nightly CI job; on failure it prints the one-line repro and
 writes a JSON artifact with everything needed to rebuild the program.
@@ -39,6 +39,7 @@ from repro.cpu.fuzzer import (
     run_differential,
 )
 from repro.cpu.isa import FP_REGS, INT_REGS, OpClass
+from repro.engine import ckernels
 
 CORPUS_PATH = Path(__file__).parent / "corpus" / "cpu_fuzz_corpus.json"
 
@@ -57,8 +58,10 @@ def test_corpus_seed_is_bit_exact(seed):
     program, params = build_fuzz_program(seed)
     outcome = run_differential(program, params, seed=seed)
     outcome.assert_ok()
-    # The harness really ran the batch replay for both engines.
+    # The harness really ran the batch replay for both engines, and the
+    # compiled core wherever the C kernels build.
     assert set(outcome.replay_strategies) == {"reference", "vectorized"}
+    assert (outcome.compiled is not None) == ckernels.available()
 
 
 def test_corpus_covers_generator_space():

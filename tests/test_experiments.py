@@ -9,6 +9,7 @@ from repro.experiments.config import (
     PAPER_L1_16KB,
     TABLE2_CONFIGS,
     CacheGeometry,
+    InputError,
     build_cache,
     table2_processor_configs,
 )
@@ -537,6 +538,20 @@ class TestTable2:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_table2(instructions=10)
+
+    @pytest.mark.parametrize("overrides", [dict(index_scheme="bogus"),
+                                           dict(cache_ways=0),
+                                           dict(no_such_knob=1)])
+    def test_bad_configuration_fails_before_any_task(self, monkeypatch,
+                                                      overrides):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a sweep task started")
+
+        monkeypatch.setattr("repro.experiments.table2.build_program",
+                            no_simulation)
+        with pytest.raises(InputError, match="configuration 'x'"):
+            run_table2(programs=["gcc"], instructions=1_000,
+                       configurations={"x": overrides})
 
     def test_records_the_configuration_labels(self):
         result = run_table2(programs=["gcc"], instructions=1_000,

@@ -7,16 +7,19 @@ engine — fails these tests, pinning the paper-facing numbers across future
 refactors.
 
 Miss ratios are exact rationals evaluated in IEEE double precision by both
-engines, so the comparison is equality, not approximation.
+engines, so the comparison is equality, not approximation.  Tables 2 and 3
+also check which out-of-order core served them: the compiled one on the
+vectorized engine wherever the C kernels build, the Python one elsewhere.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.cpu.workloads import build_program
-from repro.engine import ENGINES
+from repro.engine import ENGINES, ckernels
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.miss_ratio_study import run_miss_ratio_study
 from repro.experiments.replacement_study import run_replacement_study
@@ -123,6 +126,30 @@ def _table2_snapshot(result):
     )
 
 
+def count_compiled_core(monkeypatch):
+    """Count the compiled out-of-order core's calls from here on."""
+    calls = []
+    run_ooo = ckernels.run_ooo
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_ooo(*args, **kwargs)
+
+    monkeypatch.setattr(ckernels, "run_ooo", counting)
+    return calls
+
+
+def check_core(engine, calls, runs):
+    """Every run took the compiled core on the vectorized engine with the C
+    kernels (which the ``REPRO_REQUIRE_CKERNELS=1`` leg requires), and none
+    did anywhere else."""
+    compiled = engine == "vectorized" and ckernels.available()
+    if engine == "vectorized" and os.environ.get(
+            "REPRO_REQUIRE_CKERNELS") == "1":
+        assert compiled
+    assert len(calls) == (runs if compiled else 0)
+
+
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_table2_matches_golden(engine, monkeypatch):
     """Table 2 IPCs and load miss ratios through the full OoO CPU path:
@@ -137,6 +164,7 @@ def test_table2_matches_golden(engine, monkeypatch):
         return build_program(name, *args, **kwargs)
 
     monkeypatch.setattr(table2, "build_program", counting_build)
+    calls = count_compiled_core(monkeypatch)
     golden = load_golden("table2.json")
     params = golden["params"]
     result = run_table2(programs=params["programs"],
@@ -144,21 +172,25 @@ def test_table2_matches_golden(engine, monkeypatch):
                         seed=params["seed"],
                         engine=engine)
     assert built == params["programs"]
+    check_core(engine, calls, len(built) * len(result.configurations))
     ipc, miss = _table2_snapshot(result)
     assert ipc == golden["ipc"]
     assert miss == golden["load_miss_ratio_percent"]
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))
-def test_table3_matches_golden(engine):
+def test_table3_matches_golden(engine, monkeypatch):
     """Table 3 view (high-conflict vs low-conflict groups) over the same
     committed per-cell numbers."""
+    calls = count_compiled_core(monkeypatch)
     golden = load_golden("table3.json")
     params = golden["params"]
     table2 = run_table2(programs=params["programs"],
                         instructions=params["instructions"],
                         seed=params["seed"],
                         engine=engine)
+    check_core(engine, calls,
+               len(params["programs"]) * len(table2.configurations))
     result = run_table3(table2_result=table2)
     assert result.bad_programs == golden["bad_programs"]
     assert result.good_programs == golden["good_programs"]

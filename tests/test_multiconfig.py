@@ -30,8 +30,7 @@ from repro.engine import (
     profile_cache_info,
     run_lru_grid,
 )
-from repro.engine import multiconfig
-from repro.engine.multiconfig import PROFILE_AUTO_CAP_LIMIT
+from repro.engine import multiconfig, pykernels
 from repro.trace.batching import cached_workload_arrays
 
 BLOCK = 32
@@ -283,39 +282,32 @@ class TestMultiConfigPlan:
         assert results["auto"] == results["never"]
         assert results["always"] == results["never"]
 
-    def test_auto_skips_singletons_and_deep_levels(self, monkeypatch):
+    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    def test_auto_profiles_every_group_on_the_python_tier(self, replacement,
+                                                         monkeypatch):
+        """Without a compiler auto profiles every profilable group — a
+        single configuration and a 256-way fully-associative level too:
+        the Python kernels' probe is linear in the ways, and the profile
+        beats them at every shape the bench times."""
         monkeypatch.setattr(ckernels, "available", lambda: False)
-        batch = batch_of_blocks(list(range(64)) * 4)
-        # A singleton group: auto must not profile it.
-        profile_cache_clear()
-        run_lru_grid(batch, BLOCK, [(64, 2)], profile="auto")
-        assert profile_cache_info()["misses"] == 0
-        # A too-deep configuration stays on its kernel under auto, and with
-        # only a singleton left the group is not profiled at all.
-        deep = [(1, PROFILE_AUTO_CAP_LIMIT * 2), (1, 2)]
-        profile_cache_clear()
-        run_lru_grid(batch, BLOCK, deep, profile="auto")
-        assert profile_cache_info()["misses"] == 0
-        assert (run_lru_grid(batch, BLOCK, deep, profile="always")
-                == run_lru_grid(batch, BLOCK, deep, profile="never"))
+        kernel_runs = []
+        run_set_assoc = pykernels.run_set_assoc
 
-    def test_auto_excludes_deep_members_without_vetoing_the_group(
-            self, monkeypatch):
-        """A deep organisation must not stop its shallow group members
-        from profiling (regression: group-level veto).  Auto profiles only
-        on the Python fallback kernels."""
-        monkeypatch.setattr(ckernels, "available", lambda: False)
-        # A read-only cached trace, so profile passes land in the memo and
-        # the pass count is observable.
+        def counting(*args, **kwargs):
+            kernel_runs.append(1)
+            return run_set_assoc(*args, **kwargs)
+
+        monkeypatch.setattr(pykernels, "run_set_assoc", counting)
         addresses, writes = cached_workload_arrays("li", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
-        grid = [(1, PROFILE_AUTO_CAP_LIMIT * 2), (64, 2), (64, 4)]
-        profile_cache_clear()
-        auto = run_lru_grid(batch, BLOCK, grid, profile="auto")
-        # The two shallow 64-set rows share one profiled level; the deep
-        # fully-associative row ran its kernel.
-        assert profile_cache_info()["misses"] == 1
-        assert auto == run_lru_grid(batch, BLOCK, grid, profile="never")
+        for grid in ([(64, 2)], [(1, 256), (64, 2), (64, 4)]):
+            auto = run_lru_grid(batch, BLOCK, grid, profile="auto",
+                                replacement=replacement)
+            assert kernel_runs == []
+            assert auto == run_lru_grid(batch, BLOCK, grid, profile="never",
+                                        replacement=replacement)
+            assert len(kernel_runs) == len(grid)
+            kernel_runs.clear()
 
     @pytest.mark.parametrize("replacement", ["lru", "fifo"])
     def test_auto_runs_compiled_kernels_instead_of_profiles(

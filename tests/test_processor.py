@@ -79,6 +79,8 @@ class TestConfig:
         dict(address_predictor_entries=3),
         dict(cache_hit_time=0),                 # surfaced from DataCacheTiming
         dict(mshr_entries=0),
+        dict(index_scheme="bogus"),             # resolved at construction
+        dict(index_scheme="a2-Hp-Sk", index_address_bits=3),
     ])
     def test_geometry_and_timing_validation(self, overrides):
         with pytest.raises(ValueError):
