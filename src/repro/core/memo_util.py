@@ -5,7 +5,7 @@ derived-array memos (:mod:`repro.engine.memo`) need the same machinery: an
 LRU table bounded by entry count *and* retained bytes (oversized caches
 pin dead arrays and degrade kernel locality), hit/miss accounting, an
 oversize bypass so one huge value cannot monopolise the budget, and a lock
-(thread-mode sweeps share one process's caches across workers).  This
+(the threads of one process share its caches).  This
 module holds that machinery once, parameterised over the value type.
 """
 
@@ -126,9 +126,9 @@ class BoundedMemo:
         """One consistent snapshot of the memo's accounting.
 
         Taken under the lock, so the counters and occupancy are mutually
-        consistent even while pool-rebuild or thread-mode sweeps hammer the
-        memo concurrently: hits, misses, evictions, oversize bypasses, live
-        entry count, retained bytes, and both bounds.
+        consistent even while threads hammer the memo concurrently: hits,
+        misses, evictions, oversize bypasses, live entry count, retained
+        bytes, and both bounds.
         """
         with self._lock:
             return {

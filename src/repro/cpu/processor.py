@@ -41,7 +41,7 @@ indices come from the engine's vectorized placement functions.
 engine, its own data-cache model and a C compiler; everything else runs the
 Python core (``"python-ooo-core"``), which stays the oracle.  Results are
 identical either way; the Python state (``dcache``, the predictors, ...)
-catches up with compiled runs by replaying them when it is first read.
+catches up with a compiled run by replaying it when it is first read.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ class OutOfOrderProcessor:
     The Python core's state (``dcache``, ``branch_predictor``,
     ``address_predictor``, ``fu_pool``, ``store_buffer`` and the pipeline
     windows) is built on first use; after a compiled run it is rebuilt by
-    replaying that run on the Python core, so it always reads as if every
+    replaying that run on the Python core, so it always reads as if the
     run had gone through the Python core.
     """
 
@@ -299,9 +299,10 @@ class OutOfOrderProcessor:
         self.config = config or ProcessorConfig()
         self._cache_model = cache_model
         self._built = False
-        # Compiled runs the Python state has not replayed yet.
-        self._unreplayed: List[Tuple[Program, Optional[int]]] = []
-        #: The :class:`CompiledRun` of the last run, when it was compiled.
+        self._ran = False
+        # The compiled run the Python state has not replayed yet.
+        self._unreplayed: Optional[Tuple[Program, Optional[int]]] = None
+        #: The :class:`CompiledRun` of the run, when it was compiled.
         self.last_compiled_run: Optional[CompiledRun] = None
 
     def __getattr__(self, name: str):
@@ -312,7 +313,7 @@ class OutOfOrderProcessor:
         return self.__dict__[name]
 
     def _sync(self) -> None:
-        """Build the Python core's state, then replay the compiled runs."""
+        """Build the Python core's state, then replay the compiled run."""
         if not self._built:
             self._built = True
             cfg = self.config
@@ -337,18 +338,18 @@ class OutOfOrderProcessor:
             self._fp_regs = WindowResource(cfg.fp_physical_registers, "fp-prf")
             # Cycle before which fetch may not proceed (raised by mispredictions).
             self._fetch_floor = 0
-        pending, self._unreplayed = self._unreplayed, []
-        for program, max_instructions in pending:
-            self._run_python(program, max_instructions)
+        pending, self._unreplayed = self._unreplayed, None
+        if pending is not None:
+            self._run_python(*pending)
 
     # ------------------------------------------------------------------ #
 
     def dispatch_strategy(self) -> str:
-        """The core the next :meth:`run` takes: ``"compiled-ooo-core"``
-        (only on a processor that has not run or been read yet, built
-        without a ``cache_model``, on the vectorized index engine, with the
-        compiled kernels available) or ``"python-ooo-core"``."""
-        if (self._built or self._unreplayed or self._cache_model is not None
+        """The core :meth:`run` takes: ``"compiled-ooo-core"`` (only on a
+        processor whose state has not been read yet, built without a
+        ``cache_model``, on the vectorized index engine, with the compiled
+        kernels available) or ``"python-ooo-core"``."""
+        if (self._built or self._cache_model is not None
                 or self.config.index_engine != "vectorized"):
             return "python-ooo-core"
         # Local import: the cpu layer stays importable without the engine.
@@ -365,11 +366,16 @@ class OutOfOrderProcessor:
         so running the same program on a freshly built processor always
         produces identical results — the property the differential fuzz
         harness (:mod:`repro.cpu.fuzzer`) depends on and audits.
-        :meth:`dispatch_strategy` names the core that runs it.
+        :meth:`dispatch_strategy` names the core that runs it.  A processor
+        runs one program (its pipeline state would leak into a second run),
+        so a second call raises ``RuntimeError``.
         """
         if max_instructions is not None and max_instructions < 0:
             raise ValueError("max_instructions must be non-negative")
-        self.last_compiled_run = None
+        if self._ran:
+            raise RuntimeError("this OutOfOrderProcessor has already run a "
+                               "program; build a new one for the next run")
+        self._ran = True
         if self.dispatch_strategy() == "compiled-ooo-core":
             columns = program.columns(max_instructions)
             if columns is not None:
@@ -417,7 +423,7 @@ class OutOfOrderProcessor:
             columns.addresses, blocks, columns.pcs, columns.taken,
             params=params, units=units, level=state)
         cache._kernel_done(state["io"], l1_counts)
-        self._unreplayed.append((program, max_instructions))
+        self._unreplayed = (program, max_instructions)
         self.last_compiled_run = CompiledRun(
             cache, {name: counts[name] for name in _DCACHE_COUNTERS},
             accessed, columns)

@@ -16,12 +16,9 @@ for the sequential processor simulator, :mod:`repro.engine.replay` replays
 the recorded data-cache access stream of a processor simulation through the
 batch kernels (bit-exact against the scalar L1 — the CPU leg of the
 equivalence story, exercised by the :mod:`repro.cpu.fuzzer` harness), and
-:mod:`repro.engine.sweep` fans experiment sweeps across
-``concurrent.futures`` workers fault-tolerantly (per-task timeouts, seeded
-retry backoff, ``on_error="collect"`` :class:`TaskFailure` slots, mid-sweep
-pool rebuild with process→thread→serial degradation, and checkpoint/resume
-through :mod:`repro.engine.checkpoint`; :mod:`repro.engine.faults` is the
-deterministic chaos harness that proves those paths bit-exact).
+:mod:`repro.engine.sweep` fans experiment sweeps across one process pool
+(``on_error="collect"`` slots a :class:`TaskFailure` in place of a failed
+task's result).
 :mod:`repro.engine.multiconfig` prices whole conventional-LRU
 capacity/associativity sweeps out of single stack-distance /
 all-associativity trace passes, and FIFO grids out of miss-driven event
@@ -37,7 +34,6 @@ Experiment drivers expose the choice as ``engine={"reference", "vectorized"}``
 """
 
 from .batch import AddressBatch, materialise_batch
-from .checkpoint import SweepJournal, task_digest
 from .batch_cache import (
     BatchColumnAssociativeCache,
     BatchSetAssociativeCache,
@@ -84,11 +80,8 @@ from .replacement_vec import PolicyTables
 from .replay import ReplayOutcome, batch_cache_like, replay_access_stream
 from .sweep import (
     ON_ERROR_POLICIES,
-    SweepError,
     SweepOptions,
     TaskFailure,
-    backoff_delays,
-    chunk_tasks,
     run_sweep,
 )
 from .tabulated import TabulatedIPolyIndexing, tabulate_index_function
@@ -142,14 +135,9 @@ __all__ = [
     "VectorizedIndex",
     "vectorize_index",
     "run_sweep",
-    "chunk_tasks",
     "ON_ERROR_POLICIES",
-    "SweepError",
     "SweepOptions",
     "TaskFailure",
-    "backoff_delays",
-    "SweepJournal",
-    "task_digest",
     "TabulatedIPolyIndexing",
     "tabulate_index_function",
 ]

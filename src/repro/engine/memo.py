@@ -7,8 +7,8 @@ each stride once per scheme.  Each task re-derives the same two arrays from
 scratch — the block numbers of the batch and the per-way set indices of the
 cache's placement function.  Both are pure functions of long-lived inputs,
 so this module keeps small, size-bounded, process-global memo tables for
-them (each worker process of a fan-out sweep holds its own; thread-mode
-workers share their process's tables, which is why
+them (each worker process of a fan-out sweep holds its own; the threads
+of one process share its tables, which is why
 :class:`~repro.core.memo_util.BoundedMemo` is lock-guarded).
 
 Keys combine the *semantic* identity of the computation (block size, the

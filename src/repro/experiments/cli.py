@@ -3,24 +3,24 @@
 Usage (after ``pip install -e .``)::
 
     python -m repro.experiments.cli figure1 --max-stride 1024 --stride-step 4
-    python -m repro.experiments.cli figure1 --engine vectorized --workers 4
+    python -m repro.experiments.cli figure1 --workers 2
     python -m repro.experiments.cli table2 --instructions 12000
     python -m repro.experiments.cli table3 --instructions 12000
     python -m repro.experiments.cli miss-ratio --accesses 30000
-    python -m repro.experiments.cli miss-ratio --engine vectorized
+    python -m repro.experiments.cli miss-ratio --engine reference
     python -m repro.experiments.cli miss-ratio --replacement plru
-    python -m repro.experiments.cli replacement-study --engine vectorized
+    python -m repro.experiments.cli replacement-study --on-error collect
     python -m repro.experiments.cli holes --accesses 40000
-    python -m repro.experiments.cli holes --engine vectorized --seed 7
+    python -m repro.experiments.cli holes --engine reference --seed 7
     python -m repro.experiments.cli column-assoc --accesses 30000
     python -m repro.experiments.cli critical-path
 
 Each sub-command prints the same table/histogram the corresponding benchmark
 regenerates (``--csv`` switches the tabular ones to CSV).  ``--engine``
-picks the scalar reference models or the bit-exact NumPy batch engine.  The
+picks the bit-exact batch engine (``vectorized``, the default) or the
+scalar reference models it is checked against (``reference``).  The
 sweeping sub-commands build the option values their drivers take from
-their flags: ``SweepOptions`` (``--workers``, ``--chunksize``,
-``--timeout``, ``--retries``, ``--on-error``, ``--resume``) and, on the
+their flags: ``SweepOptions`` (``--workers``, ``--on-error``) and, on the
 trace-level studies, ``ProfileOptions`` (``--profile``, ``--sample-rate``,
 ``--sample-size``, ``--profile-seed``) and ``TraceOptions`` (``--trace
 FILE``, ``--trace-chunk``); each value is validated by its option class.
@@ -89,26 +89,11 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument("--workers", type=checked("workers", int),
                         help="fan the sweep across this many processes")
-    parser.add_argument("--chunksize", type=checked("chunksize", int),
-                        help="tasks per worker dispatch (amortises "
-                             "process-pool overhead on tiny tasks)")
-    parser.add_argument("--timeout", type=checked("timeout", float),
-                        help="per-task timeout in seconds (pool modes; a "
-                             "hung worker is killed and the task retried)")
-    parser.add_argument("--retries", type=checked("retries", int), default=0,
-                        help="failed attempts a task may retry (exponential "
-                             "backoff with seeded jitter; ValueError/"
-                             "TypeError never retry)")
     parser.add_argument("--on-error", choices=ON_ERROR_POLICIES,
                         default="raise",
-                        help="once a task exhausts its retries: abort the "
-                             "sweep, or collect a structured TaskFailure and "
-                             "finish the rest")
-    parser.add_argument("--resume", metavar="JOURNAL",
-                        help="sweep-journal path: completed tasks are "
-                             "appended as they finish and pre-loaded on the "
-                             "next run, so a killed sweep restarts from its "
-                             "last completed task")
+                        help="when a task fails: abort the sweep with its "
+                             "error, or finish the rest, list the failed "
+                             "tasks and exit 1")
 
 
 def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
@@ -177,9 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine(parser_: argparse.ArgumentParser) -> None:
         parser_.add_argument("--engine", choices=list(ENGINES),
-                             default="reference",
-                             help="simulation engine: scalar reference models "
-                                  "or the bit-exact NumPy batch engine")
+                             default="vectorized",
+                             help="simulation engine: the bit-exact batch "
+                                  "engine (default) or the scalar reference "
+                                  "models it is checked against")
 
     def add_replacement(parser_: argparse.ArgumentParser) -> None:
         parser_.add_argument("--replacement",
@@ -304,14 +290,13 @@ _TASK_WIDTH = 60
 
 
 def _failure_footer(failures: List[TaskFailure]) -> str:
-    """One line per failed sweep task: task, error type and attempts."""
+    """One line per failed sweep task: task and error type."""
     lines = [f"{len(failures)} sweep task(s) failed:"]
     for failure in failures:
         task = failure.task
         if len(task) > _TASK_WIDTH:
             task = task[:_TASK_WIDTH - 3] + "..."
-        lines.append(f"  {task}: {failure.error_type} after "
-                     f"{failure.attempts} attempt(s)")
+        lines.append(f"  {task}: {failure.error_type}")
     return "\n".join(lines)
 
 

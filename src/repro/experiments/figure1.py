@@ -59,8 +59,8 @@ class Figure1Result:
     strides: int
     histograms: Dict[str, MissRatioHistogram] = field(default_factory=dict)
     miss_ratios: Dict[str, List[float]] = field(default_factory=dict)
-    #: Dispatches that exhausted their retries under ``on_error="collect"``;
-    #: their strides carry ``nan`` ratios and are absent from the histograms.
+    #: Strides that failed under ``on_error="collect"``; they carry
+    #: ``nan`` ratios and are absent from the histograms.
     failures: List[TaskFailure] = field(default_factory=list)
 
     def pathological_fraction(self, scheme: str, threshold: float = 0.5) -> float:

@@ -21,8 +21,8 @@ any simulation starts.
 vectorized engine through one :class:`~repro.engine.multiconfig.MultiConfigPlan`
 over the once-materialised trace, or, for a recorded trace, in one bounded
 chunked pass feeding every cache (bit-identical to a whole-trace replay);
-:func:`run_grid` fans one :func:`simulate` task per source across
-:func:`~repro.engine.sweep.run_sweep`.
+:func:`run_grid` runs one :func:`simulate` task per source through
+:func:`~repro.engine.sweep.run_sweep`, serially or on one process pool.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ class MissRatioStudyResult:
 
     accesses_per_program: int
     miss_ratios: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Programs that exhausted their retries under ``on_error="collect"``;
+    #: Programs that failed under ``on_error="collect"``;
     #: they are excluded from the table and the averages.
     failures: List[TaskFailure] = field(default_factory=list)
 

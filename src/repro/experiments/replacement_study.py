@@ -61,7 +61,7 @@ class ReplacementStudyResult:
     policies: List[str] = field(default_factory=list)
     #: ``miss_ratios[organisation][policy]`` -> suite-average percent.
     miss_ratios: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Programs that exhausted their retries under ``on_error="collect"``;
+    #: Programs that failed under ``on_error="collect"``;
     #: the averages cover the surviving programs only.
     failures: List[TaskFailure] = field(default_factory=list)
 

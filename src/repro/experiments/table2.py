@@ -46,7 +46,7 @@ class Table2Result:
 
     instructions_per_program: int
     results: Dict[str, Dict[str, SimulationResult]] = field(default_factory=dict)
-    #: Programs that exhausted their retries under ``on_error="collect"``;
+    #: Programs that failed under ``on_error="collect"``;
     #: they are absent from the tables and the suite averages.
     failures: List[TaskFailure] = field(default_factory=list)
     #: Configuration labels (the table columns), recorded by

@@ -117,7 +117,7 @@ _TraceArrays = Tuple[np.ndarray, np.ndarray]
 #: every worker process for its lifetime (traces bigger than half the
 #: budget are returned uncached — at that size simulation, not
 #: materialisation, dominates the task anyway).  Lock-guarded inside
-#: :class:`BoundedMemo` because thread-mode sweep workers share it.
+#: :class:`BoundedMemo` because the threads of one process share it.
 _TRACE_CACHE = BoundedMemo(
     40, 256 * 1024 * 1024,
     nbytes_of=lambda entry: entry[0].nbytes + entry[1].nbytes)

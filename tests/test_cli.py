@@ -17,10 +17,9 @@ class TestParser:
     def test_figure1_options(self):
         args = build_parser().parse_args(
             ["figure1", "--max-stride", "128", "--stride-step", "2",
-             "--chunksize", "16", "--replacement", "plru"])
+             "--replacement", "plru"])
         assert args.max_stride == 128
         assert args.stride_step == 2
-        assert args.chunksize == 16
         assert args.replacement == "plru"
 
     def test_replacement_choices_are_validated(self):
@@ -30,12 +29,10 @@ class TestParser:
     @pytest.mark.parametrize("command", ["figure1", "miss-ratio",
                                          "replacement-study"])
     def test_sweep_options_parity(self, command):
-        """--workers/--chunksize/--profile exist on every sweeping command."""
+        """--workers/--profile exist on every trace-level sweeping command."""
         args = build_parser().parse_args(
-            [command, "--workers", "3", "--chunksize", "2",
-             "--profile", "always"])
+            [command, "--workers", "3", "--profile", "always"])
         assert args.workers == 3
-        assert args.chunksize == 2
         assert args.profile == "always"
 
     def test_profile_choices_are_validated(self):
@@ -46,32 +43,22 @@ class TestParser:
                                          "replacement-study", "table2",
                                          "table3"])
     def test_fault_tolerance_options_parity(self, command):
-        """--timeout/--retries/--on-error/--resume exist on every sweeping
-        command and default to off."""
+        """--on-error exists on every sweeping command and defaults to
+        raise."""
         parser = build_parser()
-        defaults = parser.parse_args([command])
-        assert defaults.timeout is None
-        assert defaults.retries == 0
-        assert defaults.on_error == "raise"
-        assert defaults.resume is None
-        args = parser.parse_args(
-            [command, "--timeout", "2.5", "--retries", "3",
-             "--on-error", "collect", "--resume", "sweep.jsonl"])
-        assert args.timeout == 2.5
-        assert args.retries == 3
+        assert parser.parse_args([command]).on_error == "raise"
+        args = parser.parse_args([command, "--on-error", "collect"])
         assert args.on_error == "collect"
-        assert args.resume == "sweep.jsonl"
 
     @pytest.mark.parametrize("argv", [
         ["figure1", "--workers", "-1"],
         ["miss-ratio", "--workers", "-3"],
-        ["figure1", "--chunksize", "0"],
-        ["table2", "--chunksize", "-2"],
         ["miss-ratio", "--workers", "two"],
-        ["figure1", "--retries", "-1"],
-        ["figure1", "--timeout", "0"],
-        ["figure1", "--timeout", "-0.5"],
         ["table3", "--on-error", "explode"],
+        ["replacement-study", "--workers", "-2"],
+        ["table2", "--workers", "1.5"],
+        ["figure1", "--on-error", "ignore"],
+        ["table3", "--workers", "-1"],
     ])
     def test_bad_sweep_values_rejected_at_parse_time(self, argv, capsys):
         """Invalid sweep/fault values die in argparse (clear usage error),
@@ -79,6 +66,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         assert argv[1] in capsys.readouterr().err  # error names the flag
+
+    @pytest.mark.parametrize("command", ["figure1", "miss-ratio",
+                                         "replacement-study", "table2",
+                                         "table3"])
+    def test_two_sweep_flags_per_command(self, command, capsys):
+        """--workers is on every sweeping command (default serial); the
+        retired --chunksize/--timeout/--retries/--resume are not."""
+        parser = build_parser()
+        assert parser.parse_args([command]).workers is None
+        assert parser.parse_args([command, "--workers", "2"]).workers == 2
+        for flag, value in (("--chunksize", "2"), ("--timeout", "1.0"),
+                            ("--retries", "1"), ("--resume", "j.jsonl")):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, flag, value])
+            assert flag in capsys.readouterr().err
 
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):
@@ -194,7 +196,7 @@ class TestExecution:
         assert "Table 2 (IPC)" in report and "8K-ipoly-CP-pred" in report
         assert "swim" not in report and "std-dev" not in report
         assert footer.startswith("  ('swim', 1000,")
-        assert footer.endswith(": RuntimeError after 1 attempt(s)\n")
+        assert footer.endswith(": RuntimeError\n")
         assert footer.count("\n") == 1
 
     def test_miss_ratio_with_a_failed_program_exits_1(self, monkeypatch,
@@ -215,7 +217,7 @@ class TestExecution:
         report, footer = out.split("\n\n1 sweep task(s) failed:\n")
         assert "tomcatv" in report and "swim" not in report
         assert footer.startswith("  (ProgramTrace(name='swim'")
-        assert footer.endswith(": RuntimeError after 1 attempt(s)\n")
+        assert footer.endswith(": RuntimeError\n")
 
     def test_column_assoc_runs(self, capsys):
         assert main(["column-assoc", "--accesses", "4000"]) == 0
@@ -277,9 +279,24 @@ class TestExecution:
     def test_miss_ratio_with_workers_and_profile(self, capsys):
         assert main(["miss-ratio", "--accesses", "4000", "--programs", "gcc",
                      "--engine", "vectorized", "--workers", "2",
-                     "--chunksize", "1", "--profile", "always"]) == 0
+                     "--profile", "always"]) == 0
         out = capsys.readouterr().out
         assert "conventional-2way" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["figure1", "--max-stride", "33", "--sweeps", "4"],
+        ["miss-ratio", "--accesses", "3000", "--programs", "gcc", "swim"],
+        ["replacement-study", "--accesses", "3000", "--programs", "gcc",
+         "swim"],
+        ["table2", "--instructions", "2000", "--programs", "swim", "gcc"],
+        ["table3", "--instructions", "2000"],
+    ])
+    def test_workers_leave_the_output_byte_identical(self, argv, capsys):
+        outputs = []
+        for workers in ("1", "2"):
+            assert main([*argv, "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_replacement_study_with_workers(self, capsys):
         assert main(["replacement-study", "--accesses", "3000",
@@ -315,7 +332,7 @@ class TestBadInputFailsFast:
         (["holes", "--l2-kilobytes", "0"], "cache geometry must be positive"),
         (["holes", "--accesses", "0"], "trace length must be >= 1"),
         (["figure1", "--sweeps", "-1", "--max-stride", "8",
-          "--on-error", "collect", "--retries", "2"], "sweeps must be >= 1"),
+          "--on-error", "collect"], "sweeps must be >= 1"),
         (["figure1", "--max-stride", "1"], "max_stride must be at least 2"),
         (["miss-ratio", "--accesses", "10"], "accesses should be at least"),
         (["table3", "--instructions", "10"], "instructions should be at least"),

@@ -151,16 +151,20 @@ def python_core(config):
 
 
 def test_second_run_on_one_processor(kernel_path):
+    """A processor runs one program: its pipeline state would leak into a
+    second run, so that run raises, on either core, before simulating."""
     first, _ = build_fuzz_program(6)
     second, _ = build_fuzz_program(7)
     processor, oracle = OutOfOrderProcessor(VECTORIZED), python_core(VECTORIZED)
     assert processor.dispatch_strategy() == (
         "compiled-ooo-core" if kernel_path == "compiled" else "python-ooo-core")
     assert processor.run(first) == oracle.run(first)
-    assert processor.dispatch_strategy() == "python-ooo-core"
-    assert processor.run(second) == oracle.run(second)
-    assert processor.last_compiled_run is None
+    for core in (processor, oracle):
+        with pytest.raises(RuntimeError, match="already run a program"):
+            core.run(second)
     assert processor.dcache.cache.stats == oracle.dcache.cache.stats
+    assert (processor.last_compiled_run is not None) == (
+        kernel_path == "compiled")
 
 
 def test_state_read_after_a_compiled_run(kernel_path):

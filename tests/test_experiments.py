@@ -1,8 +1,10 @@
 """Tests for the experiment drivers (scaled-down versions of each table/figure)."""
 
+import os
+
 import pytest
 
-from repro.engine import ProfileOptions, SweepOptions, chunk_tasks, run_sweep
+from repro.engine import ProfileOptions, SweepOptions, TaskFailure, run_sweep
 from repro.experiments.column_assoc_study import run_column_assoc_study
 from repro.experiments.config import (
     PAPER_L1_8KB,
@@ -73,7 +75,14 @@ class TestFigure1:
             stride_miss_ratio("a2", 0)
         with pytest.raises(ValueError):
             run_figure1(max_stride=16,
-                        sweep_options=SweepOptions(chunksize=0))
+                        sweep_options=SweepOptions(workers=-1))
+
+    def test_workers_change_nothing(self):
+        serial = run_figure1(max_stride=41, stride_step=4, sweeps=4)
+        fanned = run_figure1(max_stride=41, stride_step=4, sweeps=4,
+                             sweep_options=SweepOptions(workers=2))
+        assert fanned.miss_ratios == serial.miss_ratios
+        assert fanned.summary() == serial.summary()
 
 
 class TestFigure1Profile:
@@ -97,135 +106,187 @@ class TestFigure1Profile:
                               profile_options=ProfileOptions("sometimes"))
 
 
-class TestSweepChunking:
-    def test_chunk_tasks_groups_and_preserves_order(self):
-        tasks = list(range(10))
-        chunks = chunk_tasks(tasks, 4)
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-        assert [t for chunk in chunks for t in chunk] == tasks
+def _square_unless_three(task):
+    """Module-level, so pool workers can unpickle it."""
+    if task == 3:
+        raise RuntimeError(f"task {task} failed")
+    return task * task
 
-    def test_chunk_tasks_validation(self):
+
+def _exit_on_three(task):
+    """Kills its worker process: the pool breaks mid-sweep."""
+    if task == 3:
+        os._exit(1)
+    return task
+
+
+def _with_pid(task):
+    return task, os.getpid()
+
+
+class _SweepTestError(Exception):
+    """A worker-raised error type of the test module's own."""
+
+
+_ERRORS = {"ValueError": ValueError, "KeyError": KeyError,
+           "ZeroDivisionError": ZeroDivisionError,
+           "_SweepTestError": _SweepTestError}
+
+
+def _raise_named_at_two(task):
+    """``task`` is ``(index, error name)``; index 2 raises that error."""
+    index, name = task
+    if index == 2:
+        raise _ERRORS[name](f"task {index}")
+    return index
+
+
+def _fail_at_five_and_fifteen(task):
+    if task in (5, 15):
+        raise RuntimeError(f"task {task} failed")
+    return task
+
+
+class TestRunSweep:
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_order_and_failures(self, workers):
+        """On 2 workers the 20 tasks run as chunks of 2, so task 3 shares
+        its chunk with task 2, which still finishes under ``collect``."""
+        tasks = list(range(20))
+        assert (run_sweep(abs, [-t for t in tasks], workers=workers)
+                == tasks)
+        collected = run_sweep(_square_unless_three, tasks, workers=workers,
+                              on_error="collect")
+        assert collected == [
+            TaskFailure("3", "RuntimeError", "task 3 failed") if t == 3
+            else t * t for t in tasks]
+        with pytest.raises(RuntimeError, match="task 3 failed"):
+            run_sweep(_square_unless_three, tasks, workers=workers)
+
+    @pytest.mark.parametrize("on_error", ["raise", "collect"])
+    def test_broken_pool_raises(self, on_error):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(_exit_on_three, list(range(8)), workers=2,
+                      on_error=on_error)
+
+    def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
-            chunk_tasks([1, 2], 0)
-
-    def test_run_sweep_chunksize_passthrough(self):
-        # Serial path ignores chunksize; result order always preserved.
-        assert run_sweep(lambda x: x * x, [1, 2, 3], chunksize=2) == [1, 4, 9]
+            run_sweep(abs, [1], workers=-1)
         with pytest.raises(ValueError):
-            run_sweep(lambda x: x, [1], workers=2, chunksize=0)
+            run_sweep(abs, [1], on_error="shrug")
 
-    @pytest.mark.parametrize("chunksize", [1, 3, 100, None])
-    def test_run_sweep_thread_mode_honours_chunksize(self, chunksize):
-        """Regression: thread mode used to silently drop ``chunksize``
-        (``ThreadPoolExecutor.map`` ignores it); tasks are now dispatched as
-        explicit chunks — every task runs exactly once, order preserved."""
-        import threading
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 17, 40])
+    def test_chunks_run_whole_in_one_process(self, count, workers):
+        """Every task runs once, in order, and the tasks of one chunk of
+        ``max(1, count // (workers * 4))`` share a worker process."""
+        results = run_sweep(_with_pid, list(range(count)), workers=workers)
+        assert [task for task, _ in results] == list(range(count))
+        assert all(pid != os.getpid() for _, pid in results)
+        size = max(1, count // (workers * 4))
+        for start in range(0, count, size):
+            assert len({pid for _, pid in results[start:start + size]}) == 1
 
-        seen = []
-        lock = threading.Lock()
+    @pytest.mark.parametrize("workers", [None, 0, 1])
+    def test_serial_knob_values_run_in_process(self, workers):
+        pids = []
 
-        def worker(task):
-            with lock:
-                seen.append(task)
-            return task * 10
+        def worker(task):  # a closure: never pickled on the serial path
+            pids.append(os.getpid())
+            return -task
 
-        tasks = list(range(11))
-        results = run_sweep(worker, tasks, workers=2, mode="thread",
-                            chunksize=chunksize)
-        assert results == [task * 10 for task in tasks]
-        assert sorted(seen) == tasks
+        assert run_sweep(worker, [1, 2, 3], workers=workers) == [-1, -2, -3]
+        assert pids == [os.getpid()] * 3
 
-    def test_figure1_chunked_dispatch_matches_serial(self):
-        """Per-scheme chunked task batching must not change any ratio."""
-        serial = run_figure1(max_stride=41, stride_step=4, sweeps=4)
-        chunked = run_figure1(max_stride=41, stride_step=4, sweeps=4,
-                              sweep_options=SweepOptions(workers=2,
-                                                         chunksize=3))
-        assert chunked.miss_ratios == serial.miss_ratios
-        assert chunked.summary() == serial.summary()
+    @pytest.mark.parametrize("on_error", ["raise", "collect"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_empty_task_list(self, workers, on_error):
+        assert run_sweep(_with_pid, [], workers=workers,
+                         on_error=on_error) == []
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("name", sorted(_ERRORS))
+    def test_failure_keeps_its_error_type(self, name, workers):
+        """``raise`` propagates the worker's own exception type;
+        ``collect`` names that type in the task's :class:`TaskFailure`."""
+        tasks = [(index, name) for index in range(6)]
+        with pytest.raises(_ERRORS[name]):
+            run_sweep(_raise_named_at_two, tasks, workers=workers)
+        collected = run_sweep(_raise_named_at_two, tasks, workers=workers,
+                              on_error="collect")
+        failure = collected[2]
+        assert isinstance(failure, TaskFailure)
+        assert failure.task == repr(tasks[2])
+        assert failure.error_type == name
+        assert "task 2" in failure.message
+        assert collected[:2] + collected[3:] == [0, 1, 3, 4, 5]
 
-class TestSweepInitializer:
-    def test_serial_path_runs_initializer_once(self):
-        calls = []
-        results = run_sweep(lambda x: x + 1, [1, 2, 3],
-                            initializer=lambda tag: calls.append(tag),
-                            initargs=("warm",))
-        assert results == [2, 3, 4]
-        assert calls == ["warm"]
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_raise_reports_the_first_failure_in_task_order(self, workers):
+        with pytest.raises(RuntimeError, match="task 5 failed"):
+            run_sweep(_fail_at_five_and_fifteen, list(range(20)),
+                      workers=workers)
 
-    def test_thread_pool_runs_initializer_per_worker(self):
-        import threading
-
-        seen = set()
-        lock = threading.Lock()
-
-        def init():
-            with lock:
-                seen.add(threading.get_ident())
-
-        results = run_sweep(lambda x: x * 2, list(range(8)), workers=2,
-                            mode="thread", initializer=init)
-        assert results == [x * 2 for x in range(8)]
-        assert 1 <= len(seen) <= 2
-
-    def test_serial_fallback_when_no_pool_can_spawn(self, monkeypatch):
-        """Regression: the degrade-to-serial path must still run the
-        initializer in-process (exactly once) and produce every result.
-        Both pool flavours are blocked so the process -> thread -> serial
-        chain lands on serial."""
+    @pytest.mark.parametrize("on_error", ["raise", "collect"])
+    def test_pool_that_cannot_start_raises(self, on_error, monkeypatch):
         import concurrent.futures
 
-        class BrokenExecutor:
+        class NoPool:
             def __init__(self, *args, **kwargs):
-                raise OSError("no pool spawning in this sandbox")
+                raise OSError("no process pool here")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            BrokenExecutor)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            BrokenExecutor)
-        calls = []
-        results = run_sweep(lambda x: x * x, [2, 3], workers=4,
-                            mode="process",
-                            initializer=lambda: calls.append("init"))
-        assert results == [4, 9]
-        assert calls == ["init"]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(OSError, match="no process pool here"):
+            run_sweep(_with_pid, [1, 2, 3], workers=2, on_error=on_error)
 
-    def test_serial_fallback_without_initializer(self, monkeypatch):
-        import concurrent.futures
+    @pytest.mark.parametrize("on_error", ["raise", "collect"])
+    def test_unpicklable_worker_raises_on_the_pool(self, on_error):
+        """Regression: a worker that cannot be pickled once hung the pool's
+        shutdown; it now raises its pickling error under either policy."""
+        import pickle
 
-        class BrokenExecutor:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no pool spawning in this sandbox")
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            run_sweep(lambda task: task, list(range(6)), workers=2,
+                      on_error=on_error)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            BrokenExecutor)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            BrokenExecutor)
-        assert run_sweep(lambda x: -x, [1, 2], workers=3) == [-1, -2]
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_sweep_options_run_is_run_sweep(self, workers):
+        options = SweepOptions(workers=workers, on_error="collect")
+        tasks = list(range(8))
+        assert (options.run(_square_unless_three, tasks)
+                == run_sweep(_square_unless_three, tasks, workers=workers,
+                             on_error="collect"))
 
-    def test_process_spawn_failure_degrades_to_thread_first(self, monkeypatch):
-        """Process-pool spawn failure should try threads before giving up
-        on parallelism entirely."""
-        import concurrent.futures
-        import threading
+    def test_run_sweep_takes_four_parameters(self):
+        import inspect
 
-        class BrokenExecutor:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no process spawning in this sandbox")
+        assert list(inspect.signature(run_sweep).parameters) == [
+            "worker", "tasks", "workers", "on_error"]
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            BrokenExecutor)
-        main_thread_tasks = []
+    def test_sweep_options_has_two_fields(self):
+        import dataclasses
 
-        def worker(task):
-            if threading.current_thread() is threading.main_thread():
-                main_thread_tasks.append(task)
-            return task + 10
+        assert [field.name for field in dataclasses.fields(SweepOptions)] == [
+            "workers", "on_error"]
 
-        results = run_sweep(worker, [1, 2, 3, 4], workers=2, mode="process")
-        assert results == [11, 12, 13, 14]
-        assert main_thread_tasks == []  # ran on the thread pool, not serially
+    @pytest.mark.parametrize("module", ["checkpoint", "faults"])
+    def test_resilience_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.engine.{module}")
+
+    @pytest.mark.parametrize("name", ["SweepError", "SweepJournal",
+                                      "task_digest", "chunk_tasks",
+                                      "backoff_delays"])
+    def test_resilience_names_are_not_exported(self, name):
+        import repro.engine
+        import repro.engine.sweep
+
+        assert not hasattr(repro.engine, name)
+        assert not hasattr(repro.engine.sweep, name)
 
 
 class TestDriverFaultWiring:
@@ -238,60 +299,35 @@ class TestDriverFaultWiring:
         import math
 
         import repro.engine.sweep as sweep_module
-        from repro.engine.sweep import TaskFailure
         from repro.engine.sweep import run_sweep as real_run_sweep
 
         def sabotaged_run_sweep(worker, tasks, **kwargs):
             results = real_run_sweep(worker, tasks, **kwargs)
             results[-1] = TaskFailure(task=repr(tasks[-1]),
-                                      error_type="ChaosError",
-                                      message="injected", attempts=3,
-                                      mode="process")
+                                      error_type="InjectedError",
+                                      message="injected")
             return results
 
         monkeypatch.setattr(sweep_module, "run_sweep", sabotaged_run_sweep)
         result = run_figure1(max_stride=33, sweeps=4,
-                             sweep_options=SweepOptions(chunksize=4,
-                                                        on_error="collect"))
+                             sweep_options=SweepOptions(on_error="collect"))
         assert len(result.failures) == 1
-        assert result.failures[0].error_type == "ChaosError"
+        assert result.failures[0].error_type == "InjectedError"
         last_scheme = list(result.miss_ratios)[-1]
         assert any(math.isnan(r) for r in result.miss_ratios[last_scheme])
         # The failed strides are absent from the histogram, not mis-binned.
         assert result.histograms[last_scheme].total < result.strides
         assert "pathological" in result.render()
 
-    def test_miss_ratio_study_resume_skips_completed_programs(
-            self, tmp_path, monkeypatch):
-        """A resumed study must serve journalled programs without
-        re-simulating them."""
-        import repro.experiments.grid as grid_module
-
-        journal = tmp_path / "study.jsonl"
-        programs = ["compress", "tomcatv"]
-        options = SweepOptions(resume=str(journal))
-        first = run_miss_ratio_study(programs=programs, accesses=2_000,
-                                     sweep_options=options)
-        def poisoned(task):
-            raise AssertionError(f"journalled program re-executed: {task!r}")
-
-        monkeypatch.setattr(grid_module, "_grid_task", poisoned)
-        resumed = run_miss_ratio_study(programs=programs, accesses=2_000,
-                                       sweep_options=options)
-        assert resumed.miss_ratios == first.miss_ratios
-        assert not resumed.failures
-
     def test_replacement_study_collects_failures(self, monkeypatch):
         import repro.engine.sweep as sweep_module
-        from repro.engine.sweep import TaskFailure
         from repro.engine.sweep import run_sweep as real_run_sweep
 
         def sabotaged_run_sweep(worker, tasks, **kwargs):
             results = real_run_sweep(worker, tasks, **kwargs)
             results[0] = TaskFailure(task=repr(tasks[0]),
-                                     error_type="TimeoutError",
-                                     message="injected", attempts=1,
-                                     mode="process")
+                                     error_type="InjectedError",
+                                     message="injected")
             return results
 
         monkeypatch.setattr(sweep_module, "run_sweep", sabotaged_run_sweep)
@@ -338,13 +374,12 @@ class TestMissRatioStudy:
                                    engine="vectorized", replacement="fifo")
         assert ref.miss_ratios == vec.miss_ratios
 
-    def test_workers_and_chunksize_change_nothing(self):
+    def test_workers_change_nothing(self):
         serial = run_miss_ratio_study(programs=["gcc", "swim"], accesses=4_000,
                                       engine="vectorized")
         fanned = run_miss_ratio_study(programs=["gcc", "swim"], accesses=4_000,
                                       engine="vectorized",
-                                      sweep_options=SweepOptions(
-                                          workers=2, chunksize=1))
+                                      sweep_options=SweepOptions(workers=2))
         assert fanned.miss_ratios == serial.miss_ratios
 
     def test_profile_modes_are_bit_exact(self):
@@ -404,8 +439,7 @@ class TestReplacementStudy:
                                        accesses=3_000, engine="vectorized")
         fanned = run_replacement_study(programs=["gcc", "swim"],
                                        accesses=3_000, engine="vectorized",
-                                       sweep_options=SweepOptions(
-                                           workers=2, chunksize=1))
+                                       sweep_options=SweepOptions(workers=2))
         assert fanned.miss_ratios == serial.miss_ratios
         profiled = run_replacement_study(programs=["gcc", "swim"],
                                          accesses=3_000, engine="vectorized",
@@ -578,10 +612,10 @@ class TestTable2:
             assert table3[0] == "Table 3 (IPC)"
             assert table3[1].split() == ["program", *TABLE2_CONFIGS]
 
-    def test_workers_and_chunksize_change_nothing(self, small_table2):
+    def test_workers_change_nothing(self, small_table2):
         fanned = run_table2(programs=["swim", "tomcatv", "wave5", "gcc", "fpppp"],
                             instructions=6_000,
-                            sweep_options=SweepOptions(workers=2, chunksize=2))
+                            sweep_options=SweepOptions(workers=2))
         for program in small_table2.programs:
             for config in small_table2.configurations:
                 assert (fanned.results[program][config]

@@ -319,9 +319,10 @@ class TestDerivedArrayMemos:
         assert memo_info()["sets"]["hits"] == 1
 
     def test_caches_survive_concurrent_thread_sweeps(self):
-        """Thread-mode workers share the process-global caches; hammering
-        them concurrently must neither raise nor corrupt the accounting."""
-        from repro.engine import run_sweep
+        """Threads share the process-global caches; hammering them
+        concurrently must neither raise nor corrupt the accounting."""
+        from concurrent.futures import ThreadPoolExecutor
+
         from repro.engine.memo import _BLOCKS
 
         fn = make_index_function("a2-Hp", 64, ways=2, address_bits=19)
@@ -335,8 +336,8 @@ class TestDerivedArrayMemos:
             return int(sets.sum())
 
         tasks = list(range(60))
-        results = run_sweep(worker, tasks, workers=8, mode="thread",
-                            chunksize=2)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(worker, tasks))
         assert results == [worker(task) for task in tasks]
         assert _BLOCKS.nbytes >= 0
         assert memo_info()["blocks"]["nbytes"] <= _BLOCKS.byte_limit

@@ -5,13 +5,7 @@ import dataclasses
 import pytest
 
 from repro.cache import WritePolicy
-from repro.engine import (
-    ENGINES,
-    ProfileOptions,
-    SweepOptions,
-    TaskFailure,
-    run_sweep,
-)
+from repro.engine import ENGINES, ProfileOptions, SweepOptions
 from repro.experiments import (
     CacheGeometry,
     InputError,
@@ -30,8 +24,9 @@ from repro.experiments import (
 
 class TestOptionValues:
     @pytest.mark.parametrize("options", [
-        dict(workers=-1), dict(chunksize=0), dict(timeout=0.0),
-        dict(timeout=float("nan")), dict(retries=-1), dict(on_error="shrug"),
+        dict(workers=-1), dict(on_error="shrug"), dict(workers=-8),
+        dict(on_error="Raise"), dict(on_error=""),
+        dict(workers=-1, on_error="collect"),
     ])
     def test_sweep_options_reject_bad_values(self, options):
         with pytest.raises(ValueError):
@@ -60,7 +55,8 @@ class TestOptionValues:
 
     @pytest.mark.parametrize("driver, knob", [
         (run_figure1, dict(workers=2)), (run_figure1, dict(profile="never")),
-        (run_table3, dict(retries=1)), (run_miss_ratio_study, dict(resume="j")),
+        (run_table3, dict(workers=2)),
+        (run_miss_ratio_study, dict(on_error="collect")),
     ])
     def test_drivers_take_option_values_not_their_fields(self, driver, knob):
         with pytest.raises(TypeError):
@@ -88,7 +84,8 @@ class TestOptionValues:
     def test_shorthand_and_option_value_do_not_mix(self):
         with pytest.raises(TypeError, match="not both"):
             run_miss_ratio_study(workers=2,
-                                 sweep_options=SweepOptions(retries=1))
+                                 sweep_options=SweepOptions(
+                                     on_error="collect"))
 
 
 class TestOrganisationSpec:
@@ -134,35 +131,7 @@ class TestGrid:
                  OrganisationSpec(scheme="a2-Hp-Sk")]
         sources = [StrideTrace(stride) for stride in (1, 64, 96)]
         cells = run_grid(sources, specs, "vectorized",
-                         sweep_options=SweepOptions(workers=2, chunksize=1))
+                         sweep_options=SweepOptions(workers=2))
         assert cells == [simulate(source, specs, "reference")
                          for source in sources]
 
-
-class TestDeterministicFailures:
-    @pytest.mark.parametrize("error", [ValueError, TypeError])
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_value_and_type_errors_are_not_retried(self, error, mode):
-        calls = []
-
-        def worker(task):
-            calls.append(task)
-            raise error("bad input")
-
-        results = run_sweep(worker, [1], workers=2, mode=mode, retries=3,
-                            on_error="collect", backoff_base=0)
-        assert isinstance(results[0], TaskFailure)
-        assert results[0].attempts == 1
-        assert calls == [1]
-
-    def test_other_errors_still_retry(self):
-        calls = []
-
-        def worker(task):
-            calls.append(task)
-            raise RuntimeError("flaky")
-
-        results = run_sweep(worker, [1], retries=2, on_error="collect",
-                            backoff_base=0)
-        assert results[0].attempts == 3
-        assert len(calls) == 3
