@@ -34,7 +34,11 @@ The fallback columns are recorded on every row and bounded on none.
 The ``ooo-core`` row times Table 2 — the 18 synthetic programs on its six
 machines — on the compiled out-of-order core (``compiled-ooo-core``) and
 on the Python core (``python-ooo-core``), bit-exact, and asserts the
-compiled side >= 10x in instructions/s.
+compiled side >= 10x in instructions/s.  The ``program-build`` row times
+building those programs' core input columns at the CLI's 12,000
+instructions: the compiled program builder (``compiled-program-builder``)
+against the generator's instruction stream (``instruction-stream``),
+column for column bit-exact, and asserts the builder >= 10x.
 
 The trace is built
 through the process-global trace cache, so the vectorized timings include
@@ -221,6 +225,14 @@ OOO_INSTRUCTIONS = 4_000
 
 #: Minimum compiled-over-Python-core instructions/s ratio.
 REQUIRED_SPEEDUP_OOO = 10.0
+
+#: Instructions per program of the program-build section (the CLI's
+#: Table 2 length), which builds the 18 programs' core input columns.
+PROGRAM_BUILD_INSTRUCTIONS = 12_000
+
+#: Minimum compiled-builder-over-generator instructions/s ratio (measured
+#: ~25x on a 2-CPU x86_64 host).
+REQUIRED_SPEEDUP_PROGRAM_BUILD = 10.0
 
 #: Below this trace length the constant batch-setup overhead dominates and
 #: wall-clock ratios are noise, so the speedup assertions are skipped (the
@@ -736,42 +748,77 @@ def compare_deep_level(replacement, accesses=DEEP_LEVEL_ACCESSES):
 
 
 def compare_ooo_core(instructions=OOO_INSTRUCTIONS):
-    """Time Table 2 on the compiled out-of-order core and on the Python
-    core (the vectorized index engine with the Python kernels), each from
-    fresh programs so the compiled side pays its column builds; every
-    result must agree exactly."""
+    """Time Table 2's per-program tasks on the compiled out-of-order core
+    and on the Python core (the vectorized index engine with the Python
+    kernels).  Each task builds its program fresh with ``build_program``,
+    so the compiled side pays its compiled column builds and the Python
+    side its one instruction list per program; every result must agree
+    exactly."""
     from repro.cpu.processor import OutOfOrderProcessor, ProcessorConfig
-    from repro.cpu.program import Program
-    from repro.cpu.workloads import build_program, program_names
+    from repro.cpu.workloads import program_names
     from repro.experiments.config import TABLE2_CONFIGS
+    from repro.experiments.table2 import _table2_program_task
 
-    streams = [(name, tuple(build_program(name, length=instructions)
-                            .instructions())) for name in program_names()]
-    configs = [ProcessorConfig(index_engine="vectorized", **overrides)
-               for overrides in TABLE2_CONFIGS.values()]
+    names = program_names()
+    configs = tuple((label, ProcessorConfig(index_engine="vectorized",
+                                            **overrides))
+                    for label, overrides in TABLE2_CONFIGS.items())
     timings, results = [], []
     for tier in (contextlib.nullcontext, _python_kernels):
         with tier():
-            programs = [Program.from_list(name, stream)
-                        for name, stream in streams]
-            cores, runs = set(), []
+            (core,) = {OutOfOrderProcessor(config).dispatch_strategy()
+                       for _, config in configs}
             start = time.perf_counter()
-            for program in programs:
-                for config in configs:
-                    processor = OutOfOrderProcessor(config)
-                    cores.add(processor.dispatch_strategy())
-                    runs.append(processor.run(program))
+            runs = [_table2_program_task((name, instructions, 2027, configs))
+                    for name in names]
             seconds = time.perf_counter() - start
-        (core,) = cores
         timings.append((core, seconds))
         results.append(runs)
     assert results[0] == results[1], "the compiled and Python cores diverged"
-    total = len(streams) * len(configs) * instructions
+    total = len(names) * len(configs) * instructions
     (core, seconds), (fallback_core, fallback_seconds) = timings
     return {"kernel": core, "fallback_kernel": fallback_core,
-            "programs": len(streams), "machines": len(configs),
+            "programs": len(names), "machines": len(configs),
             "instructions": total, "ips": total / seconds,
             "fallback_ips": total / fallback_seconds,
+            "speedup": fallback_seconds / seconds}
+
+
+def compare_program_build(instructions=PROGRAM_BUILD_INSTRUCTIONS):
+    """Time building the 18 Table 2 programs' columns: one compiled
+    ``repro_build_program`` call each, and the generator's
+    :class:`~repro.cpu.isa.Instruction` stream turned into columns.  Every
+    column must agree exactly (values, dtype, shape)."""
+    from repro.cpu.program import ProgramColumns
+    from repro.cpu.workloads import (
+        _instruction_stream,
+        _program_columns,
+        program_names,
+    )
+
+    names = program_names()
+    builds = (("compiled-program-builder",
+               lambda name: _program_columns(name, instructions, 2027)),
+              ("instruction-stream",
+               lambda name: ProgramColumns.build(list(_instruction_stream(
+                   name, instructions, 2027)))))
+    timings, columns = [], []
+    for label, build in builds:
+        start = time.perf_counter()
+        columns.append([build(name) for name in names])
+        timings.append(time.perf_counter() - start)
+    for name, built, streamed in zip(names, *columns):
+        for field in ("ops", "dests", "srcs", "addresses", "pcs", "taken",
+                      "addr_ids"):
+            got, want = getattr(built, field), getattr(streamed, field)
+            assert (got.dtype == want.dtype and got.shape == want.shape
+                    and (got == want).all()), (
+                f"{name}: compiled program columns diverged in {field}")
+    total = len(names) * instructions
+    seconds, fallback_seconds = timings
+    return {"kernel": builds[0][0], "fallback_kernel": builds[1][0],
+            "programs": len(names), "instructions": total,
+            "ips": total / seconds, "fallback_ips": total / fallback_seconds,
             "speedup": fallback_seconds / seconds}
 
 
@@ -940,7 +987,7 @@ def _load_trajectory(path):
 
 def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
                     smoke=False, trace_io=None, profiler=None, coverage=None,
-                    ooo_core=None):
+                    ooo_core=None, program_build=None):
     """Append this run to the machine-readable trajectory artifact."""
     if not path:
         return None
@@ -961,6 +1008,7 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "required_speedup_compiled_grid": REQUIRED_SPEEDUP_COMPILED_GRID,
         "required_speedup_deep_level": REQUIRED_SPEEDUP_DEEP_LEVEL,
         "required_speedup_ooo": REQUIRED_SPEEDUP_OOO,
+        "required_speedup_program_build": REQUIRED_SPEEDUP_PROGRAM_BUILD,
         "sampled_error_bound": SAMPLED_ERROR_BOUND,
         "rows": rows,
         "sweep": sweep,
@@ -968,6 +1016,7 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "profiler": profiler,
         "coverage": coverage,
         "ooo_core": ooo_core,
+        "program_build": program_build,
     })
     artifact = {
         "benchmark": "bench_engine",
@@ -1266,6 +1315,18 @@ def main(argv=None):
         assert ooo["speedup"] >= REQUIRED_SPEEDUP_OOO, (
             f"ooo-core: compiled only {ooo['speedup']:.1f}x over the "
             f"Python core (required {REQUIRED_SPEEDUP_OOO}x)")
+    build = compare_program_build(SMOKE_OOO_INSTRUCTIONS if args.smoke
+                                  else PROGRAM_BUILD_INSTRUCTIONS)
+    print(f"program-build ({build['programs']} programs, "
+          f"{build['instructions']:,} instructions): {build['kernel']} "
+          f"{build['ips']:,.0f} instr/s, {build['fallback_kernel']} "
+          f"{build['fallback_ips']:,.0f} instr/s ({build['speedup']:.1f}x), "
+          f"bit-exact")
+    if check_bounds:
+        assert build["speedup"] >= REQUIRED_SPEEDUP_PROGRAM_BUILD, (
+            f"program-build: compiled only {build['speedup']:.1f}x over the "
+            f"instruction stream (required "
+            f"{REQUIRED_SPEEDUP_PROGRAM_BUILD}x)")
     if check_bounds:
         print(f"\nevery row (set-associative, victim and multi-level) "
               f">= {REQUIRED_SPEEDUP:.0f}x with bit-exact CacheStats on "
@@ -1345,7 +1406,7 @@ def main(argv=None):
     path = _write_artifact(rows, accesses, sweep=sweep,
                            smoke=args.smoke, trace_io=trace_io,
                            profiler=profiler, coverage=coverage,
-                           ooo_core=ooo)
+                           ooo_core=ooo, program_build=build)
     if path:
         print(f"appended run to {path}")
 

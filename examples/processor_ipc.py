@@ -22,7 +22,7 @@ the address predictor to recover the cycle lost to the XOR stage.
 
 import sys
 
-from repro.cpu import OutOfOrderProcessor, ProcessorConfig, Program, build_program
+from repro.cpu import OutOfOrderProcessor, ProcessorConfig, build_program
 
 CONFIGURATIONS = {
     "8K conventional": dict(),
@@ -48,13 +48,14 @@ def main(argv):
 
     baseline_ipc = {}
     for program_name in PROGRAMS:
-        # Generate the program once and replay it on every configuration.
-        program = Program.from_list(
-            program_name,
-            build_program(program_name, length=instructions).instructions())
+        # One program for every configuration: the compiled core builds
+        # its columns once and shares them (without a C compiler the Python
+        # core regenerates the instruction stream per configuration).
+        program = build_program(program_name, length=instructions)
         cells = []
         for label, overrides in CONFIGURATIONS.items():
-            processor = OutOfOrderProcessor(ProcessorConfig(**overrides))
+            processor = OutOfOrderProcessor(
+                ProcessorConfig(index_engine="vectorized", **overrides))
             result = processor.run(program)
             if label == "8K conventional":
                 baseline_ipc[program_name] = result.ipc

@@ -8,9 +8,12 @@ are shorter but follow the same structure).
 
 :class:`Program` wraps a generator factory so the same program can be
 replayed for every cache configuration of an experiment — each call to
-:meth:`instructions` produces a fresh, identical stream.
-:meth:`Program.columns` turns the stream into the NumPy columns the
-compiled out-of-order core runs on (:class:`ProgramColumns`).
+:meth:`instructions` produces a fresh, identical stream, which the Python
+core runs on.  :meth:`Program.columns` gives the NumPy columns the
+compiled out-of-order core runs on (:class:`ProgramColumns`): a program
+:func:`~repro.cpu.workloads.build_program` made has them written directly
+by the compiled program builder, once, with no :class:`Instruction`
+created; any other program has its stream turned into columns.
 """
 
 from __future__ import annotations
@@ -83,8 +86,17 @@ class ProgramColumns:
             return None
         if n and addresses.min() < 0:
             return None
+        return cls.from_arrays(ops, dests, srcs.reshape(n, width), addresses,
+                               pcs, taken)
+
+    @classmethod
+    def from_arrays(cls, ops, dests, srcs, addresses, pcs, taken
+                    ) -> "ProgramColumns":
+        """Columns over the given arrays, numbering their addresses."""
+        import numpy as np
+
         distinct, addr_ids = np.unique(addresses, return_inverse=True)
-        return cls(ops, dests, srcs.reshape(n, width), addresses, pcs, taken,
+        return cls(ops, dests, srcs, addresses, pcs, taken,
                    addr_ids.astype(np.int64, copy=False).reshape(-1),
                    len(distinct))
 
@@ -146,7 +158,10 @@ class Program:
         self._name = name
         self._factory = factory
         self._length_hint = length_hint
-        self._materialised: Optional[tuple] = None
+        # Builds the whole program's columns once for columns(); without
+        # one, every call drains a fresh stream.
+        self._columns_source: Optional[
+            Callable[[], Optional[ProgramColumns]]] = None
         self._columns = _UNSET
 
     @property
@@ -173,7 +188,7 @@ class Program:
         materialised = tuple(instructions)
         program = cls(name, lambda: materialised,
                       length_hint=len(materialised))
-        program._materialised = materialised
+        program._columns_source = lambda: ProgramColumns.build(materialised)
         return program
 
     def columns(self, limit: Optional[int] = None
@@ -181,16 +196,20 @@ class Program:
         """The first ``limit`` (default: all) instructions as
         :class:`ProgramColumns`, or ``None`` when they do not fit.
 
-        A :meth:`from_list` program builds its columns once and every later
-        call shares them; any other program drains a fresh stream per call.
+        A :meth:`from_list` program, or one
+        :func:`~repro.cpu.workloads.build_program` made (whose columns come
+        from the compiled program builder, with no :class:`Instruction`
+        created), builds its whole columns once, and every later call
+        shares them or, for a ``limit``, their head; any other program
+        drains a fresh stream per call.
         """
-        if self._materialised is None:
+        if self._columns_source is None:
             stream = self.instructions()
             if limit is not None:
                 stream = islice(stream, limit)
             return ProgramColumns.build(list(stream))
         if self._columns is _UNSET:
-            self._columns = ProgramColumns.build(self._materialised)
+            self._columns = self._columns_source()
         if self._columns is None or limit is None:
             return self._columns
         return self._columns.head(limit)

@@ -22,13 +22,19 @@ effect the paper measures.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 from ..trace.generators import _SplitMix64
-from ..trace.workloads import WORKLOADS, build_trace
+from ..trace.workloads import (
+    _BLOCK_SIZE,
+    WORKLOADS,
+    _workload_columns,
+    build_trace,
+)
 from .isa import FP_REGS, INT_REGS, Instruction, OpClass
-from .program import Program
+from .program import OP_CODES, Program, ProgramColumns
 
 __all__ = ["InstructionMix", "INSTRUCTION_MIXES", "build_program", "program_names"]
 
@@ -100,8 +106,57 @@ def program_names() -> List[str]:
     return list(INSTRUCTION_MIXES)
 
 
+#: Draw ranges: op classes and branch flips are drawn in parts per
+#: million, sources and register classes in percent.
+_PPM, _PERCENT = 1_000_000, 100
+#: Registers 0..3 and INT_REGS..INT_REGS+3 are the base registers.
+_BASE_REGS = 4
+#: Conditional-branch sites, each with its own bias.
+_BRANCH_SITES = 64
+#: The pc before the first instruction, the instruction size, and the pc
+#: of branch site 0.
+_PC_START, _PC_STEP, _BRANCH_PC = 0x0040_0000, 4, 0x0041_0000
+#: Chances (percent) that a source is a recent result: computation and
+#: store data, address operands, branch operands.
+_SRC_CHANCE, _MEMORY_SRC_CHANCE, _BRANCH_SRC_CHANCE = 50, 20, 40
+#: Chances (percent), in a floating-point program, that a store's data or
+#: a load's destination is a floating-point register.
+_STORE_FP_CHANCE, _LOAD_FP_CHANCE = 60, 50
+#: Shares (ppm) of square roots after the divides and of integer divides
+#: after the multiplies, and the roll below which an FP op multiplies.
+_FP_SQRT_SHARE, _INT_DIV_SHARE, _FP_MUL_CUT = 5_000, 3_000, 500_000
+
+
+def _generator_params(mix: InstructionMix) -> Dict[str, int]:
+    """The generator's thresholds and constants for ``mix``, named as the
+    compiled builder's ``PROGRAM_PARAMS``
+    (:func:`repro.engine.ckernels.build_program_columns`)."""
+    mem_cut = int(mix.memory_fraction * _PPM)
+    fp_div_cut = int(mix.fp_div_fraction * _PPM)
+    int_mul_cut = int(mix.complex_int_fraction * _PPM)
+    window = mix.dependency_window
+    return dict(
+        ppm=_PPM, percent=_PERCENT, mem_cut=mem_cut,
+        branch_cut=mem_cut + int(mix.branch_fraction * _PPM),
+        flip_cut=int(mix.branch_flip_rate * _PPM),
+        fp_cut=int(mix.fp_fraction * _PPM), fp_div_cut=fp_div_cut,
+        fp_sqrt_cut=fp_div_cut + _FP_SQRT_SHARE, fp_mul_cut=_FP_MUL_CUT,
+        int_mul_cut=int_mul_cut, int_div_cut=int_mul_cut + _INT_DIV_SHARE,
+        fp_memory=int(mix.fp_fraction > 0),
+        store_fp_chance=_STORE_FP_CHANCE, load_fp_chance=_LOAD_FP_CHANCE,
+        memory_src_chance=_MEMORY_SRC_CHANCE,
+        branch_src_chance=_BRANCH_SRC_CHANCE, src_chance=_SRC_CHANCE,
+        # The recent-destination pools keep at most 4 windows' worth.
+        window=window, pool_limit=4 * window, pool_drop=2 * window,
+        int_regs=INT_REGS, fp_regs=FP_REGS, base_regs=_BASE_REGS,
+        branch_sites=_BRANCH_SITES, pc_start=_PC_START, pc_step=_PC_STEP,
+        branch_pc=_BRANCH_PC,
+        **{f"op_{op}": OP_CODES[op] for op in OpClass.ALL})
+
+
 def _instruction_stream(name: str, length: int, seed: int) -> Iterator[Instruction]:
     mix = INSTRUCTION_MIXES[name]
+    p = _generator_params(mix)
     rng = _SplitMix64(seed or 1)
     # Memory addresses follow the trace-level model of the same program; the
     # trace is drawn lazily so arbitrarily long programs stay cheap.
@@ -113,23 +168,21 @@ def _instruction_stream(name: str, length: int, seed: int) -> Iterator[Instructi
     # real loop code keeps around and gives the stream realistic ILP — without
     # them every instruction would chain on the previous few results and the
     # core could never approach the paper's IPC range.
-    base_int = [0, 1, 2, 3]
-    base_fp = [INT_REGS, INT_REGS + 1, INT_REGS + 2, INT_REGS + 3]
+    base_int = list(range(_BASE_REGS))
+    base_fp = [INT_REGS + reg for reg in base_int]
     recent_int: List[int] = list(base_int)
     recent_fp: List[int] = list(base_fp)
     int_dest_cursor = len(base_int)
     fp_dest_cursor = INT_REGS + len(base_fp)
+    fp_memory = p["fp_memory"]
 
-    mem_cut = int(mix.memory_fraction * 1_000_000)
-    branch_cut = mem_cut + int(mix.branch_fraction * 1_000_000)
     # Per-branch-site bias: an array of "usually taken?" flags.
-    branch_sites = 64
-    site_bias = [(rng.next() & 1) == 0 for _ in range(branch_sites)]
+    site_bias = [(rng.next() & 1) == 0 for _ in range(_BRANCH_SITES)]
 
     def pick_src(pool: List[int], base_pool: List[int],
-                 recent_chance: int = 50) -> int:
+                 recent_chance: int = _SRC_CHANCE) -> int:
         """Pick a source: sometimes a recent result, otherwise a base register."""
-        if rng.below(100) < recent_chance:
+        if rng.below(_PERCENT) < recent_chance:
             window = pool[-mix.dependency_window:]
             return window[rng.below(len(window))]
         return base_pool[rng.below(len(base_pool))]
@@ -151,52 +204,56 @@ def _instruction_stream(name: str, length: int, seed: int) -> Iterator[Instructi
         return dest
 
     emitted = 0
-    pc = 0x0040_0000
+    pc = _PC_START
     while emitted < length:
-        draw = rng.below(1_000_000)
-        pc += 4
-        if draw < mem_cut:
+        draw = rng.below(_PPM)
+        pc += _PC_STEP
+        if draw < p["mem_cut"]:
             try:
                 access = next(accesses)
             except StopIteration:  # pragma: no cover - trace sized to length
                 accesses = build_trace(name, length=length, seed=seed + 31)
                 access = next(accesses)
             if access.is_write:
-                use_fp_data = mix.fp_fraction > 0 and rng.below(100) < 60
+                use_fp_data = (fp_memory and rng.below(_PERCENT)
+                               < _STORE_FP_CHANCE)
                 data_src = pick_src(recent_fp if use_fp_data else recent_int,
                                     base_fp if use_fp_data else base_int)
                 inst = Instruction(pc=access.pc or pc, op=OpClass.STORE,
                                    srcs=(pick_src(recent_int, base_int,
-                                                  recent_chance=20), data_src),
+                                                  _MEMORY_SRC_CHANCE),
+                                         data_src),
                                    address=access.address, size=access.size)
             else:
-                use_fp = mix.fp_fraction > 0 and rng.below(100) < 50
+                use_fp = fp_memory and rng.below(_PERCENT) < _LOAD_FP_CHANCE
                 dest = next_fp_dest() if use_fp else next_int_dest()
                 # Load addresses come overwhelmingly from stable base
                 # registers, so the load itself rarely waits on computation.
                 inst = Instruction(pc=access.pc or pc, op=OpClass.LOAD,
                                    dest=dest,
                                    srcs=(pick_src(recent_int, base_int,
-                                                  recent_chance=20),),
+                                                  _MEMORY_SRC_CHANCE),),
                                    address=access.address, size=access.size)
                 (recent_fp if use_fp else recent_int).append(dest)
-        elif draw < branch_cut:
-            site = rng.below(branch_sites)
+        elif draw < p["branch_cut"]:
+            site = rng.below(_BRANCH_SITES)
             taken = site_bias[site]
-            if rng.below(1_000_000) < int(mix.branch_flip_rate * 1_000_000):
+            if rng.below(_PPM) < p["flip_cut"]:
                 taken = not taken
-            inst = Instruction(pc=0x0041_0000 + site * 4, op=OpClass.BRANCH,
+            inst = Instruction(pc=_BRANCH_PC + site * _PC_STEP,
+                               op=OpClass.BRANCH,
                                srcs=(pick_src(recent_int, base_int,
-                                              recent_chance=40),), taken=taken)
+                                              _BRANCH_SRC_CHANCE),),
+                               taken=taken)
         else:
-            use_fp = rng.below(1_000_000) < int(mix.fp_fraction * 1_000_000)
+            use_fp = rng.below(_PPM) < p["fp_cut"]
             if use_fp:
-                roll = rng.below(1_000_000)
-                if roll < int(mix.fp_div_fraction * 1_000_000):
+                roll = rng.below(_PPM)
+                if roll < p["fp_div_cut"]:
                     op = OpClass.FP_DIV
-                elif roll < int(mix.fp_div_fraction * 1_000_000) + 5_000:
+                elif roll < p["fp_sqrt_cut"]:
                     op = OpClass.FP_SQRT
-                elif roll < 500_000:
+                elif roll < p["fp_mul_cut"]:
                     op = OpClass.FP_MUL
                 else:
                     op = OpClass.FP_ADD
@@ -206,10 +263,10 @@ def _instruction_stream(name: str, length: int, seed: int) -> Iterator[Instructi
                                          pick_src(recent_fp, base_fp)))
                 recent_fp.append(dest)
             else:
-                roll = rng.below(1_000_000)
-                if roll < int(mix.complex_int_fraction * 1_000_000):
+                roll = rng.below(_PPM)
+                if roll < p["int_mul_cut"]:
                     op = OpClass.INT_MUL
-                elif roll < int(mix.complex_int_fraction * 1_000_000) + 3_000:
+                elif roll < p["int_div_cut"]:
                     op = OpClass.INT_DIV
                 else:
                     op = OpClass.INT_ALU
@@ -219,12 +276,32 @@ def _instruction_stream(name: str, length: int, seed: int) -> Iterator[Instructi
                                          pick_src(recent_int, base_int)))
                 recent_int.append(dest)
         # Keep the recent-destination pools bounded.
-        if len(recent_int) > 4 * mix.dependency_window:
-            del recent_int[: 2 * mix.dependency_window]
-        if len(recent_fp) > 4 * mix.dependency_window:
-            del recent_fp[: 2 * mix.dependency_window]
+        if len(recent_int) > p["pool_limit"]:
+            del recent_int[: p["pool_drop"]]
+        if len(recent_fp) > p["pool_limit"]:
+            del recent_fp[: p["pool_drop"]]
         emitted += 1
         yield inst
+
+
+def _program_columns(name: str, length: int, seed: int
+                     ) -> Optional[ProgramColumns]:
+    """The columns of ``_instruction_stream(name, length, seed)``: one
+    compiled ``repro_build_program`` call that replays the stream's draws
+    over the program's trace columns, or, without the compiled kernels,
+    the stream itself, drained."""
+    # Local import: the cpu layer stays importable without the engine.
+    from ..engine import ckernels
+
+    if not ckernels.available():
+        return ProgramColumns.build(list(_instruction_stream(name, length,
+                                                             seed)))
+    addresses, writes, pcs = _workload_columns(
+        name, length, _BLOCK_SIZE, seed + 17, with_pcs=True)
+    return ProgramColumns.from_arrays(*ckernels.build_program_columns(
+        length, seed, params=_generator_params(INSTRUCTION_MIXES[name]),
+        addresses=addresses.view("int64"), writes=writes.view("uint8"),
+        pcs=pcs))
 
 
 def build_program(name: str, length: int = 50_000, seed: int = 2027) -> Program:
@@ -235,5 +312,8 @@ def build_program(name: str, length: int = 50_000, seed: int = 2027) -> Program:
         raise ValueError(f"program {name!r} has no trace-level workload model")
     if length < 1:
         raise ValueError("length must be positive")
-    return Program(name, lambda: _instruction_stream(name, length, seed),
-                   length_hint=length)
+    program = Program(name, lambda: _instruction_stream(name, length, seed),
+                      length_hint=length)
+    program._columns_source = functools.partial(_program_columns, name,
+                                                length, seed)
+    return program

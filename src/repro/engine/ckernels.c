@@ -18,7 +18,9 @@
  *                     set-associative cache, through repro_sa_run's
  *                     per-access body;
  *   repro_ooo_run     the out-of-order core of repro.cpu.processor over one
- *                     program, its L1 data cache through the same body.
+ *                     program, its L1 data cache through the same body;
+ *   repro_build_program  the synthetic program generator of
+ *                     repro.cpu.workloads, writing the core's input columns.
  *
  * Layouts: per-way tables are way-major (ways x num_sets), PLRU direction
  * bits are set-major (num_sets x tree), tag -1 marks an invalid frame.
@@ -886,4 +888,181 @@ int64_t repro_ooo_run(int64_t n, const int64_t *ops, const int64_t *dests,
     free(bp);
     free(ap_counter);
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* The program builder (repro.cpu.workloads._instruction_stream) */
+
+/* Slots of repro_build_program's `params`, in ckernels.PROGRAM_PARAMS
+ * order.  Draws are taken below PPM (op classes, branch flips) or below
+ * PERCENT (sources, register classes); a *_CUT is an upper bound on a
+ * PPM draw, a *_CHANCE on a PERCENT draw. */
+enum { G_PPM, G_PERCENT, G_MEM_CUT, G_BRANCH_CUT, G_FLIP_CUT, G_FP_CUT,
+       G_FP_DIV_CUT, G_FP_SQRT_CUT, G_FP_MUL_CUT, G_INT_MUL_CUT,
+       G_INT_DIV_CUT, G_FP_MEMORY, G_STORE_FP_CHANCE, G_LOAD_FP_CHANCE,
+       G_MEMORY_SRC_CHANCE, G_BRANCH_SRC_CHANCE, G_SRC_CHANCE, G_WINDOW,
+       G_POOL_LIMIT, G_POOL_DROP, G_INT_REGS, G_FP_REGS, G_BASE_REGS,
+       G_BRANCH_SITES, G_PC_START, G_PC_STEP, G_BRANCH_PC, G_OP_LOAD,
+       G_OP_STORE, G_OP_BRANCH, G_OP_FP_DIV, G_OP_FP_SQRT, G_OP_FP_MUL,
+       G_OP_FP_ADD, G_OP_INT_MUL, G_OP_INT_DIV, G_OP_INT_ALU };
+
+/* _SplitMix64.below: advance the state, mix it, reduce. */
+INLINE int64_t draw_below(uint64_t *state, int64_t bound)
+{
+    uint64_t x = splitmix64(*state);
+    *state += 0x9E3779B97F4A7C15ULL;
+    return (int64_t)(x % (uint64_t)bound);
+}
+
+/* The most recent destinations of one register class, oldest first. */
+typedef struct {
+    int64_t *regs;
+    int64_t len;
+} pool_t;
+
+/* pick_src: with chance/PERCENT one of the pool's last `window`
+ * destinations, otherwise one of the class's base registers. */
+INLINE int64_t pick_src(uint64_t *rng, const int64_t *p, const pool_t *pool,
+                        int64_t base, int64_t chance)
+{
+    if (draw_below(rng, p[G_PERCENT]) < chance) {
+        int64_t w = pool->len < p[G_WINDOW] ? pool->len : p[G_WINDOW];
+        return pool->regs[pool->len - w + draw_below(rng, w)];
+    }
+    return base + draw_below(rng, p[G_BASE_REGS]);
+}
+
+/* next_int_dest / next_fp_dest: a cursor over [first, end). */
+INLINE int64_t next_dest(int64_t *cursor, int64_t first, int64_t end)
+{
+    int64_t dest = (*cursor)++;
+    if (*cursor >= end)
+        *cursor = first;
+    return dest;
+}
+
+/* Keep the pool bounded: past POOL_LIMIT entries drop the POOL_DROP
+ * oldest. */
+INLINE void pool_trim(pool_t *pool, const int64_t *p)
+{
+    if (pool->len > p[G_POOL_LIMIT]) {
+        pool->len -= p[G_POOL_DROP];
+        memmove(pool->regs, pool->regs + p[G_POOL_DROP],
+                (size_t)pool->len * sizeof *pool->regs);
+    }
+}
+
+/*
+ * _instruction_stream(name, n, seed) as ProgramColumns arrays, draw for
+ * draw: instruction i gets op code ops[i], destination dests[i] (-1 for
+ * none), sources srcs[2 * i], srcs[2 * i + 1] (-1 for none), address
+ * addresses[i] (0 for none), pc pcs[i] and branch outcome taken[i].
+ * Memory instructions take the trace's accesses in order: address
+ * t_addresses[t], a store when t_writes[t], pc t_pcs[t] (the running pc
+ * when that is 0).  seed is the initial SplitMix64 state.  Returns 0, -1
+ * when scratch memory is unavailable, or -2 when the program needs more
+ * than trace_len accesses.
+ */
+int64_t repro_build_program(int64_t n, uint64_t seed, const int64_t *p,
+                            int64_t trace_len, const int64_t *t_addresses,
+                            const uint8_t *t_writes, const int64_t *t_pcs,
+                            int64_t *ops, int64_t *dests, int64_t *srcs,
+                            int64_t *addresses, int64_t *pcs, uint8_t *taken)
+{
+    int64_t base = p[G_BASE_REGS], int_regs = p[G_INT_REGS];
+    int64_t cap = (base > p[G_POOL_LIMIT] ? base : p[G_POOL_LIMIT]) + 1;
+    int64_t *scratch = malloc((size_t)(2 * cap) * sizeof *scratch);
+    uint8_t *bias = malloc((size_t)p[G_BRANCH_SITES]);
+    if (scratch == NULL || bias == NULL) {
+        free(scratch);
+        free(bias);
+        return -1;
+    }
+    uint64_t rng = seed;
+    /* Per-branch-site "usually taken?" flags. */
+    for (int64_t s = 0; s < p[G_BRANCH_SITES]; s++) {
+        bias[s] = (splitmix64(rng) & 1) == 0;
+        rng += 0x9E3779B97F4A7C15ULL;
+    }
+    /* Both pools start as their class's base registers. */
+    pool_t ints = {scratch, base}, fps = {scratch + cap, base};
+    for (int64_t j = 0; j < base; j++) {
+        ints.regs[j] = j;
+        fps.regs[j] = int_regs + j;
+    }
+    int64_t int_cursor = base, fp_cursor = int_regs + base;
+    int64_t fp_end = int_regs + p[G_FP_REGS];
+    int64_t pc = p[G_PC_START], t = 0, status = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t draw = draw_below(&rng, p[G_PPM]);
+        int64_t *src = srcs + 2 * i;
+        pc += p[G_PC_STEP];
+        dests[i] = src[0] = src[1] = -1;
+        addresses[i] = 0;
+        pcs[i] = pc;
+        taken[i] = 0;
+        if (draw < p[G_MEM_CUT]) {
+            if (t >= trace_len) {
+                status = -2;
+                break;
+            }
+            addresses[i] = t_addresses[t];
+            if (t_pcs[t] != 0)
+                pcs[i] = t_pcs[t];
+            if (t_writes[t]) {
+                int fp = p[G_FP_MEMORY] && draw_below(&rng, p[G_PERCENT])
+                                               < p[G_STORE_FP_CHANCE];
+                /* The data source is drawn before the address source. */
+                src[1] = pick_src(&rng, p, fp ? &fps : &ints,
+                                  fp ? int_regs : 0, p[G_SRC_CHANCE]);
+                src[0] = pick_src(&rng, p, &ints, 0, p[G_MEMORY_SRC_CHANCE]);
+                ops[i] = p[G_OP_STORE];
+            } else {
+                int fp = p[G_FP_MEMORY] && draw_below(&rng, p[G_PERCENT])
+                                               < p[G_LOAD_FP_CHANCE];
+                int64_t dest = fp ? next_dest(&fp_cursor, int_regs + base,
+                                              fp_end)
+                                  : next_dest(&int_cursor, base, int_regs);
+                src[0] = pick_src(&rng, p, &ints, 0, p[G_MEMORY_SRC_CHANCE]);
+                ops[i] = p[G_OP_LOAD];
+                dests[i] = dest;
+                pool_t *pool = fp ? &fps : &ints;
+                pool->regs[pool->len++] = dest;
+            }
+            t++;
+        } else if (draw < p[G_BRANCH_CUT]) {
+            int64_t site = draw_below(&rng, p[G_BRANCH_SITES]);
+            int outcome = bias[site];
+            if (draw_below(&rng, p[G_PPM]) < p[G_FLIP_CUT])
+                outcome = !outcome;
+            src[0] = pick_src(&rng, p, &ints, 0, p[G_BRANCH_SRC_CHANCE]);
+            ops[i] = p[G_OP_BRANCH];
+            pcs[i] = p[G_BRANCH_PC] + site * p[G_PC_STEP];
+            taken[i] = (uint8_t)outcome;
+        } else if (draw_below(&rng, p[G_PPM]) < p[G_FP_CUT]) {
+            int64_t roll = draw_below(&rng, p[G_PPM]);
+            ops[i] = roll < p[G_FP_DIV_CUT] ? p[G_OP_FP_DIV]
+                     : roll < p[G_FP_SQRT_CUT] ? p[G_OP_FP_SQRT]
+                     : roll < p[G_FP_MUL_CUT] ? p[G_OP_FP_MUL]
+                     : p[G_OP_FP_ADD];
+            dests[i] = next_dest(&fp_cursor, int_regs + base, fp_end);
+            src[0] = pick_src(&rng, p, &fps, int_regs, p[G_SRC_CHANCE]);
+            src[1] = pick_src(&rng, p, &fps, int_regs, p[G_SRC_CHANCE]);
+            fps.regs[fps.len++] = dests[i];
+        } else {
+            int64_t roll = draw_below(&rng, p[G_PPM]);
+            ops[i] = roll < p[G_INT_MUL_CUT] ? p[G_OP_INT_MUL]
+                     : roll < p[G_INT_DIV_CUT] ? p[G_OP_INT_DIV]
+                     : p[G_OP_INT_ALU];
+            dests[i] = next_dest(&int_cursor, base, int_regs);
+            src[0] = pick_src(&rng, p, &ints, 0, p[G_SRC_CHANCE]);
+            src[1] = pick_src(&rng, p, &ints, 0, p[G_SRC_CHANCE]);
+            ints.regs[ints.len++] = dests[i];
+        }
+        pool_trim(&ints, p);
+        pool_trim(&fps, p);
+    }
+    free(scratch);
+    free(bias);
+    return status;
 }

@@ -27,14 +27,16 @@ Build and load happen lazily, on the first kernel call, never at import:
   results, slower.
 
 The wrappers :func:`run_set_assoc`, :func:`run_victim`, :func:`run_column`,
-:func:`run_hierarchy` and :func:`run_ooo` (the out-of-order core of
+:func:`run_hierarchy`, :func:`run_ooo` (the out-of-order core of
 :mod:`repro.cpu.processor`, which has no Python twin here: the Python core
-itself is its fallback) check every array (dtype, C-contiguity, shape,
-writability, set indices, frames and line ids in range) before the call,
-raising ``ValueError`` — nothing malformed reaches C.  They return hit
-masks and counters and mutate the state arrays they are given in place; no
-``ctypes`` object outlives a call, so the caches that own the arrays stay
-picklable.
+itself is its fallback) and :func:`build_program_columns` (the program
+generator of :mod:`repro.cpu.workloads`, whose fallback is likewise that
+module's ``_instruction_stream``) check every array (dtype, C-contiguity,
+shape, writability, set indices, frames and line ids in range) and every
+parameter before the call, raising ``ValueError`` — nothing malformed
+reaches C.  They return hit masks, counters or columns and mutate the state
+arrays they are given in place; no ``ctypes`` object outlives a call, so
+the caches that own the arrays stay picklable.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ __all__ = [
     "OOO_PARAMS",
     "OOO_COUNTERS",
     "run_ooo",
+    "PROGRAM_PARAMS",
+    "build_program_columns",
 ]
 
 _SOURCE = Path(__file__).with_name("ckernels.c")
@@ -95,6 +99,23 @@ OOO_COUNTERS = ("cycles", "forwarded_loads", "load_accesses",
                 "store_accesses", "merged_misses", "mshr_stall_cycles",
                 "branches", "mispredictions", "address_lookups",
                 "address_confident", "address_correct")
+
+#: Slots of :func:`build_program_columns`'s ``params`` (ckernels.c's
+#: ``G_*``), each with the least value the builder accepts.  Draws are
+#: taken below ``ppm`` or ``percent``: a ``*_cut`` bounds a ``ppm`` draw,
+#: a ``*_chance`` a ``percent`` draw.
+PROGRAM_PARAMS = {
+    "ppm": 1, "percent": 1, "mem_cut": 0, "branch_cut": 0, "flip_cut": 0,
+    "fp_cut": 0, "fp_div_cut": 0, "fp_sqrt_cut": 0, "fp_mul_cut": 0,
+    "int_mul_cut": 0, "int_div_cut": 0, "fp_memory": 0,
+    "store_fp_chance": 0, "load_fp_chance": 0, "memory_src_chance": 0,
+    "branch_src_chance": 0, "src_chance": 0, "window": 1, "pool_limit": 1,
+    "pool_drop": 1, "int_regs": 2, "fp_regs": 2, "base_regs": 1,
+    "branch_sites": 1, "pc_start": 0, "pc_step": 0, "branch_pc": 0,
+    "op_load": 0, "op_store": 0, "op_branch": 0, "op_fp_div": 0,
+    "op_fp_sqrt": 0, "op_fp_mul": 0, "op_fp_add": 0, "op_int_mul": 0,
+    "op_int_div": 0, "op_int_alu": 0,
+}
 
 #: The loaded library, once the first kernel call has tried to build it.
 _LIBRARY: Optional[ctypes.CDLL] = None
@@ -249,6 +270,8 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
                            ptr, ptr, ptr, ptr, ptr],
         "repro_ooo_run": [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
                           ptr, ptr, ptr, ptr, ptr],
+        "repro_build_program": [i64, u64, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+                                ptr, ptr, ptr, ptr],
     }
     for symbol, argtypes in signatures.items():
         function = getattr(library, symbol)
@@ -585,3 +608,89 @@ def run_ooo(ops: np.ndarray, dests: np.ndarray, srcs: np.ndarray,
                           "scratch")
     return (accessed.view(bool), dict(zip(OOO_COUNTERS, counters.tolist())),
             l1_counts)
+
+
+def _program_params(params: dict) -> np.ndarray:
+    """:data:`PROGRAM_PARAMS` as the builder's array, each value checked:
+    every cut within ``ppm`` and every chance within ``percent``, the cuts
+    of one draw in order, the register classes larger than their base
+    registers, and a trimmed pool never empty."""
+    if not isinstance(params, dict) or set(params) != set(PROGRAM_PARAMS):
+        raise ValueError(f"params must name exactly {sorted(PROGRAM_PARAMS)}")
+    for name, least in PROGRAM_PARAMS.items():
+        value = params[name]
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer")
+        if not least <= value < 2**62:
+            raise ValueError(f"{name} must be in [{least}, 2**62)")
+        if name.endswith("_cut") and value > params["ppm"]:
+            raise ValueError(f"{name} must not exceed ppm")
+        if name.endswith("_chance") and value > params["percent"]:
+            raise ValueError(f"{name} must not exceed percent")
+    for low, high in (("mem_cut", "branch_cut"), ("fp_div_cut", "fp_sqrt_cut"),
+                      ("fp_sqrt_cut", "fp_mul_cut"),
+                      ("int_mul_cut", "int_div_cut")):
+        if params[low] > params[high]:
+            raise ValueError(f"{low} must not exceed {high}")
+    if params["fp_memory"] > 1:
+        raise ValueError("fp_memory must be 0 or 1")
+    for name in ("int_regs", "fp_regs"):
+        if params[name] <= params["base_regs"]:
+            raise ValueError(f"{name} must exceed base_regs")
+    if params["pool_drop"] > params["pool_limit"]:
+        raise ValueError("pool_drop must not exceed pool_limit")
+    return np.array([int(params[name]) for name in PROGRAM_PARAMS],
+                    dtype=np.int64)
+
+
+def build_program_columns(length: int, seed: int, *, params: dict,
+                          addresses: np.ndarray, writes: np.ndarray,
+                          pcs: np.ndarray):
+    """Generate one synthetic program as the out-of-order core's columns.
+
+    ``length`` instructions from the generator seeded with ``seed``;
+    ``params`` names every :data:`PROGRAM_PARAMS` slot.  Memory
+    instructions take the trace's accesses in order: int64 ``addresses``,
+    uint8 store flags ``writes`` and int64 ``pcs`` (0 for "the running
+    pc"); the trace must hold at least ``length`` accesses, the most a
+    program of that length can take.
+
+    Returns ``(ops, dests, srcs, addresses, pcs, taken)`` as fresh int64
+    arrays (``taken`` uint8), ``srcs`` ``length x k`` padded with -1, where
+    ``k`` is 2 unless no instruction has a second source.
+    """
+    if not isinstance(length, (int, np.integer)) or length < 1:
+        raise ValueError("length must be a positive integer")
+    param_array = _program_params(params)
+    if max(params["pc_start"] + length * params["pc_step"],
+           params["branch_pc"] + params["branch_sites"] * params["pc_step"]
+           ) >= 2**63:
+        raise ValueError("the program's pcs would pass 2**63")
+    (trace_len,) = _shape(addresses, 1)
+    if trace_len < length:
+        raise ValueError(f"the trace holds {trace_len} accesses; a program "
+                         f"of {length} instructions may take {length}")
+    address_ptr = _index_pointer("trace addresses", addresses, trace_len,
+                                 2**63 - 1)
+    pc_ptr = _index_pointer("trace pcs", pcs, trace_len, 2**63 - 1)
+    write_ptr = _pointer("trace writes", writes, np.uint8, (trace_len,),
+                         writable=False)
+    library = _library()
+    n = int(length)
+    columns = [np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+               np.empty((n, 2), dtype=np.int64), np.empty(n, dtype=np.int64),
+               np.empty(n, dtype=np.int64), np.empty(n, dtype=np.uint8)]
+    status = library.repro_build_program(
+        n, (seed or 1) & (2**64 - 1), param_array.ctypes.data, trace_len,
+        address_ptr, write_ptr, pc_ptr,
+        *(column.ctypes.data for column in columns))
+    if status == -1:
+        raise MemoryError("compiled program builder could not allocate "
+                          "scratch")
+    if status != 0:
+        raise ValueError("the program needs more accesses than the trace "
+                         "holds")
+    srcs = columns[2]
+    if (srcs[:, 1] < 0).all():
+        columns[2] = np.ascontiguousarray(srcs[:, :1])
+    return tuple(columns)

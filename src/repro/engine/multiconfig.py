@@ -210,6 +210,50 @@ class ProfileCounts:
                    load_misses=stats.load_misses,
                    store_misses=stats.store_misses)
 
+    @staticmethod
+    def of(cache) -> "ProfileCounts":
+        """A run cache's counters: those of its ``stats``, as
+        :class:`ProbeCounts` when it is column-associative (it counts
+        probes)."""
+        counts = ProfileCounts.from_stats(cache.stats)
+        if not hasattr(cache, "total_probes"):
+            return counts
+        return ProbeCounts(
+            counts.loads, counts.stores, counts.load_misses,
+            counts.store_misses, first_probe_hits=cache.first_probe_hits,
+            second_probe_hits=cache.second_probe_hits,
+            total_probes=cache.total_probes)
+
+
+@dataclass(frozen=True)
+class ProbeCounts(ProfileCounts):
+    """:class:`ProfileCounts` of a column-associative cache plus its probe
+    counters, with the ratios formed as
+    :class:`~repro.cache.column_assoc.ColumnAssociativeCache` forms them."""
+
+    first_probe_hits: int
+    second_probe_hits: int
+    total_probes: int
+
+    @property
+    def first_probe_hit_ratio(self) -> float:
+        """Fraction of hits satisfied on the first probe."""
+        hits = self.first_probe_hits + self.second_probe_hits
+        return self.first_probe_hits / hits if hits else 0.0
+
+    @property
+    def average_probes(self) -> float:
+        """Average number of probes per access."""
+        return self.total_probes / self.accesses if self.accesses else 0.0
+
+    def average_hit_time(self, second_probe_penalty: float = 1.0) -> float:
+        """Average hit time in first-probe times, a second probe costing
+        ``second_probe_penalty`` more."""
+        hits = self.first_probe_hits + self.second_probe_hits
+        if not hits:
+            return 1.0
+        return 1.0 + second_probe_penalty * self.second_probe_hits / hits
+
 
 # --------------------------------------------------------------------- #
 # part (a): fully-associative reuse-distance histogram (Fenwick tree)
@@ -1370,7 +1414,7 @@ class MultiConfigPlan:
                 task.runner(task.cache, task.batch)
             else:
                 task.cache.run(task.batch)
-            results[task.key] = ProfileCounts.from_stats(task.cache.stats)
+            results[task.key] = ProfileCounts.of(task.cache)
         return results
 
 

@@ -228,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     column = sub.add_parser("column-assoc", help="Section 3.1 column-associative study")
     column.add_argument("--accesses", type=int, default=30_000)
+    add_engine(column)
 
     sub.add_parser("critical-path", help="Section 3/3.4 hardware cost and CLA timing")
     return parser
@@ -278,7 +279,8 @@ def _run_experiment(args: argparse.Namespace, options: Dict[str, object]
                                  engine=args.engine)
         return result.render(), []
     if args.experiment == "column-assoc":
-        return run_column_assoc_study(accesses=args.accesses).render(), []
+        return run_column_assoc_study(accesses=args.accesses,
+                                      engine=args.engine).render(), []
     if args.experiment == "critical-path":
         return run_critical_path_study().render(), []
     raise ValueError(f"unknown experiment {args.experiment!r}")  # pragma: no cover

@@ -11,7 +11,9 @@ hit time.
 This driver measures, per workload: the overall miss ratio, the first-probe
 hit probability, the average number of probes per access, and the average hit
 time for a configurable second-probe penalty — everything needed to check the
-90% claim and the hit-time trade-off.
+90% claim and the hit-time trade-off.  It is one :func:`~.grid.run_grid` over
+the ``"column-assoc"`` organisation, on either engine, with identical
+results.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.metrics import arithmetic_mean
 from ..analysis.reporting import TableBuilder
-from ..cache.column_assoc import ColumnAssociativeCache
+from ..engine import ENGINE_REFERENCE
 from ..trace.workloads import workload_names
-from .config import PAPER_HASH_BITS, PAPER_L1_8KB, CacheGeometry
-from .grid import ProgramTrace
+from .config import PAPER_L1_8KB, CacheGeometry, OrganisationSpec
+from .grid import ProgramTrace, run_grid
 
 __all__ = ["ColumnAssocStudyResult", "run_column_assoc_study"]
 
@@ -78,20 +80,25 @@ def run_column_assoc_study(programs: Optional[Sequence[str]] = None,
                            accesses: int = 40_000,
                            geometry: CacheGeometry = PAPER_L1_8KB,
                            second_probe_penalty: float = 1.0,
-                           seed: int = 12345) -> ColumnAssocStudyResult:
-    """Replay the workload suite through the column-associative organisation."""
+                           seed: int = 12345,
+                           engine: str = ENGINE_REFERENCE
+                           ) -> ColumnAssocStudyResult:
+    """Replay the workload suite through the column-associative organisation.
+
+    ``engine`` picks the scalar reference cache or its batch twin
+    (:class:`~repro.engine.batch_cache.BatchColumnAssociativeCache`); the
+    results are identical.
+    """
     program_list = list(programs) if programs is not None else workload_names()
     sources = [ProgramTrace(name, accesses, seed) for name in program_list]
+    organisation = OrganisationSpec("column-assoc", geometry=geometry)
     result = ColumnAssocStudyResult(geometry=geometry,
                                     accesses_per_program=accesses)
-    for name, source in zip(program_list, sources):
-        cache = ColumnAssociativeCache(geometry.size_bytes, geometry.block_size,
-                                       address_bits=PAPER_HASH_BITS)
-        for access in source.accesses():
-            cache.access(access.address, is_write=access.is_write)
-        result.miss_ratio_percent[name] = 100.0 * cache.stats.load_miss_ratio
-        result.first_probe_hit_ratio[name] = cache.first_probe_hit_ratio
-        result.average_probes[name] = cache.average_probes
-        result.average_hit_time[name] = cache.average_hit_time(
+    for name, (counts,) in zip(program_list,
+                               run_grid(sources, [organisation], engine)):
+        result.miss_ratio_percent[name] = 100.0 * counts.load_miss_ratio
+        result.first_probe_hit_ratio[name] = counts.first_probe_hit_ratio
+        result.average_probes[name] = counts.average_probes
+        result.average_hit_time[name] = counts.average_hit_time(
             second_probe_penalty=second_probe_penalty)
     return result

@@ -159,7 +159,9 @@ def simulate(source, organisations: Sequence[Any], engine: str,
     """Replay ``source`` through cold caches of every organisation.
 
     ``organisations`` holds :class:`OrganisationSpec` values or
-    zero-argument cache factories; the counts come back in their order.
+    zero-argument cache factories; the counts
+    (:meth:`ProfileCounts.of <repro.engine.multiconfig.ProfileCounts.of>`)
+    come back in their order.
     """
     factories = [functools.partial(org.build, engine)
                  if isinstance(org, OrganisationSpec) else org
@@ -181,7 +183,7 @@ def simulate(source, organisations: Sequence[Any], engine: str,
             access = cache.access
             for record in source.accesses():
                 access(record.address, is_write=record.is_write)
-    return [ProfileCounts.from_stats(cache.stats) for cache in caches]
+    return [ProfileCounts.of(cache) for cache in caches]
 
 
 def _grid_task(task: tuple) -> List[ProfileCounts]:

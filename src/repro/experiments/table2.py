@@ -115,14 +115,22 @@ def _table2_program_task(task: Tuple[str, int, int, tuple]
                          ) -> Dict[str, SimulationResult]:
     """Module-level sweep worker: one program on every configuration.
 
-    The program is generated once and its instruction list replayed on each
-    configuration; the processor never writes into the instructions.
+    The program is generated once per task.  On the compiled core every
+    configuration shares the columns the compiled program builder writes
+    on the first run (:meth:`~repro.cpu.program.Program.columns`), and no
+    :class:`~repro.cpu.isa.Instruction` is created unless a processor's
+    Python state is read.  When any configuration runs the Python core, the
+    instruction list is generated once and replayed on each configuration
+    instead; the processor never writes into the instructions.
     """
     name, instructions, seed, configs = task
-    program = Program.from_list(
-        name, build_program(name, length=instructions, seed=seed).instructions())
-    return {label: OutOfOrderProcessor(config).run(program)
-            for label, config in configs}
+    processors = [(label, OutOfOrderProcessor(config))
+                  for label, config in configs]
+    program = build_program(name, length=instructions, seed=seed)
+    if any(processor.dispatch_strategy() == "python-ooo-core"
+           for _, processor in processors):
+        program = Program.from_list(name, program.instructions())
+    return {label: processor.run(program) for label, processor in processors}
 
 
 def run_table2(programs: Optional[Sequence[str]] = None,
@@ -141,7 +149,8 @@ def run_table2(programs: Optional[Sequence[str]] = None,
 
     ``engine`` does not change *what* is simulated: ``"vectorized"`` runs
     each (program, machine) pair on the compiled out-of-order core when a C
-    compiler is available (see :mod:`repro.cpu.processor`), and otherwise
+    compiler is available (see :mod:`repro.cpu.processor`), over program
+    columns the compiled program builder writes, and otherwise
     swaps the I-Poly placement function for the engine's table-accelerated,
     bit-exact equivalent
     (:class:`~repro.engine.tabulated.TabulatedIPolyIndexing`), producing

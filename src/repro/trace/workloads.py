@@ -175,6 +175,12 @@ def workload_names() -> List[str]:
 class _WorkloadState:
     """Mutable per-component cursors used while generating a workload trace."""
 
+    #: Instruction addresses of the hot, stream and medium components'
+    #: accesses; a conflict access's is ``conflict_pc + conflict_pc_step *``
+    #: the array the next conflict access visits.
+    hot_pc, stream_pc, medium_pc = 0x100, 0x200, 0x280
+    conflict_pc, conflict_pc_step = 0x300, 8
+
     def __init__(self, spec: WorkloadSpec, block_size: int, seed: int) -> None:
         self.spec = spec
         self.rng = _SplitMix64(seed or 1)
@@ -233,20 +239,21 @@ class _WorkloadState:
         address = self.hot_base + (self.hot_cursor % self.hot_slots) * 8
         self.hot_cursor += 1
         is_write = self.rng.below(1_000_000) < self.write_threshold
-        return MemoryAccess(address=address, is_write=is_write, pc=0x100, size=8)
+        return MemoryAccess(address=address, is_write=is_write,
+                            pc=self.hot_pc, size=8)
 
     def next_stream(self) -> MemoryAccess:
         address = self.stream_base + self.stream_cursor * self.block_size
         self.stream_cursor += 1
-        return MemoryAccess(address=address, is_write=False, pc=0x200,
-                            size=self.block_size)
+        return MemoryAccess(address=address, is_write=False,
+                            pc=self.stream_pc, size=self.block_size)
 
     def next_medium(self) -> MemoryAccess:
         address = (self.medium_base
                    + (self.medium_cursor % self.medium_blocks) * self.block_size)
         self.medium_cursor += 1
-        return MemoryAccess(address=address, is_write=False, pc=0x280,
-                            size=self.block_size)
+        return MemoryAccess(address=address, is_write=False,
+                            pc=self.medium_pc, size=self.block_size)
 
     def next_conflict(self) -> MemoryAccess:
         spec = self.spec
@@ -258,7 +265,9 @@ class _WorkloadState:
             self.conflict_array = 0
             self.conflict_cursor += 1
         return MemoryAccess(address=address, is_write=False,
-                            pc=0x300 + 8 * self.conflict_array, size=8)
+                            pc=(self.conflict_pc
+                                + self.conflict_pc_step * self.conflict_array),
+                            size=8)
 
 
 def _lookup(name: str, length: int) -> WorkloadSpec:
@@ -282,7 +291,12 @@ def _thresholds(spec: WorkloadSpec) -> Tuple[int, int, int]:
     return conflict, stream, stream + int(spec.medium_fraction * 1_000_000)
 
 
-def build_trace(name: str, length: int = 100_000, block_size: int = 32,
+#: Block size the workload models assume unless told otherwise.
+_BLOCK_SIZE = 32
+
+
+def build_trace(name: str, length: int = 100_000,
+                block_size: int = _BLOCK_SIZE,
                 seed: int = 12345) -> Iterator[MemoryAccess]:
     """Generate ``length`` accesses of the named synthetic workload.
 
@@ -311,8 +325,8 @@ def build_trace(name: str, length: int = 100_000, block_size: int = 32,
 DRAW_BLOCK = 1 << 17
 
 
-def workload_arrays(name: str, length: int = 100_000, block_size: int = 32,
-                    seed: int = 12345):
+def workload_arrays(name: str, length: int = 100_000,
+                    block_size: int = _BLOCK_SIZE, seed: int = 12345):
     """``(addresses, is_write)`` of the named workload as NumPy columns.
 
     Bit-exact with ``to_arrays(build_trace(name, length, block_size,
@@ -331,6 +345,16 @@ def workload_arrays(name: str, length: int = 100_000, block_size: int = 32,
     started a hot access" from block to block; each component's cursor is
     its running access count.
     """
+    addresses, is_write, _ = _workload_columns(name, length, block_size,
+                                               seed, with_pcs=False)
+    return addresses, is_write
+
+
+def _workload_columns(name: str, length: int, block_size: int, seed: int,
+                      with_pcs: bool):
+    """:func:`workload_arrays`'s columns, plus the accesses' instruction
+    addresses (``int64``, as :class:`MemoryAccess` ``pc``) when
+    ``with_pcs``, else ``None``."""
     import numpy as np
 
     from ..engine.replacement_vec import (
@@ -347,6 +371,7 @@ def workload_arrays(name: str, length: int = 100_000, block_size: int = 32,
 
     addresses = np.empty(length, dtype=np.uint64)
     is_write = np.zeros(length, dtype=bool)
+    pcs = np.empty(length, dtype=np.int64) if with_pcs else None
     counts = [0, 0, 0, 0]  # accesses so far per component
     filled = 0
     counter = 0            # PRNG draws consumed so far
@@ -389,11 +414,14 @@ def workload_arrays(name: str, length: int = 100_000, block_size: int = 32,
                                 dtype=np.uint64)
             counts[component] += rows.size
             out[rows] = _component_addresses(layout, component, ordinal)
+            if with_pcs:
+                pcs[filled + rows] = _component_pcs(layout, component,
+                                                    ordinal)
             if component == 3:
                 is_write[filled + rows] = (draws[starts[rows] + 1]
                                            < u64(layout.write_threshold))
         filled += starts.size
-    return addresses, is_write
+    return addresses, is_write, pcs
 
 
 def _component_addresses(layout: _WorkloadState, component: int, ordinal):
@@ -414,3 +442,14 @@ def _component_addresses(layout: _WorkloadState, component: int, ordinal):
                 + ordinal % u64(layout.medium_blocks)
                 * u64(layout.block_size))
     return u64(layout.hot_base) + ordinal % u64(layout.hot_slots) * u64(8)
+
+
+def _component_pcs(layout: _WorkloadState, component: int, ordinal):
+    """Instruction addresses of the ``ordinal``-th accesses of one
+    component, numbered as in :func:`_component_addresses`."""
+    if component == 0:
+        arrays = layout.spec.conflict_arrays
+        return (layout.conflict_pc
+                + layout.conflict_pc_step * ((ordinal + 1) % arrays))
+    return {1: layout.stream_pc, 2: layout.medium_pc,
+            3: layout.hot_pc}[component]

@@ -223,6 +223,18 @@ class TestExecution:
         assert main(["column-assoc", "--accesses", "4000"]) == 0
         assert "first-probe" in capsys.readouterr().out
 
+    def test_column_assoc_runs_on_both_engines(self, capsys):
+        outputs = []
+        for engine in ("reference", "vectorized"):
+            assert main(["column-assoc", "--accesses", "3000",
+                         "--engine", engine]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["column-assoc", "--engine", "turbo"])
+        assert build_parser().parse_args(
+            ["column-assoc"]).engine == "vectorized"
+
     @pytest.fixture()
     def recorded_trace(self, tmp_path):
         import numpy as np

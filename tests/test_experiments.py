@@ -522,6 +522,16 @@ class TestColumnAssocStudy:
         assert all(p >= 1.0 for p in result.average_probes.values())
         assert "first-probe" in result.render()
 
+    def test_engines_agree(self, kernel_path):
+        """The batch cache's probe counters give the scalar model's ratios,
+        bit for bit, on either kernel tier."""
+        kwargs = dict(programs=["gcc", "swim", "li"], accesses=6_000,
+                      second_probe_penalty=2.5)
+        reference = run_column_assoc_study(engine="reference", **kwargs)
+        vectorized = run_column_assoc_study(engine="vectorized", **kwargs)
+        assert vars(vectorized) == vars(reference)
+        assert vectorized.render() == reference.render()
+
 
 class TestCriticalPathStudy:
     def test_paper_hardware_claims(self):
