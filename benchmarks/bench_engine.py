@@ -42,9 +42,9 @@ column for column bit-exact, and asserts the builder >= 10x.
 
 The trace is built
 through the process-global trace cache, so the vectorized timings include
-the sweep-wide reuse of materialised addresses and per-scheme index arrays
-that a real sweep worker enjoys (the scalar path replays per access and
-cannot benefit).
+the sweep-wide reuse of materialised addresses and block numbers that a
+real sweep worker enjoys (the scalar path replays per access and cannot
+benefit); every batch run computes its set indices in the kernel.
 
 Runs under pytest-benchmark::
 

@@ -115,13 +115,13 @@ class IndexFunction(abc.ABC):
 
         Two index functions with equal ``cache_key`` compute identical
         ``index(block, way)`` for every input — which is what lets sweeps
-        memoise per-scheme set-index arrays across tasks that each build
-        their own (semantically identical) function instance.  The default
-        is ``None``, meaning "not memoisable", and every concrete key below
-        is guarded by an exact ``type(self)`` check: a subclass that
-        overrides ``index`` (or adds mapping-affecting parameters) must
-        declare its *own* key before it participates, so an unknown
-        function can never be served another one's arrays.
+        share one placement descriptor per scheme across tasks that each
+        build their own (semantically identical) function instance.  The
+        default is ``None``, meaning "not memoisable", and every concrete
+        key below is guarded by an exact ``type(self)`` check: a subclass
+        that overrides ``index`` (or adds mapping-affecting parameters)
+        must declare its *own* key before it participates, so an unknown
+        function can never be served another one's descriptor.
         """
         return None
 

@@ -21,8 +21,8 @@ differential harness over it:
 * :func:`build_fuzz_program` turns ``(seed, params)`` into a valid,
   replayable :class:`~repro.cpu.program.Program`;
 * :func:`run_differential` simulates one program under both ``--engine``
-  backends — the scalar reference I-Poly placement and the engine's
-  table-accelerated :class:`~repro.engine.tabulated.TabulatedIPolyIndexing`
+  backends — the scalar reference placement and the engine's table lookup
+  of the same placement (:class:`~repro.engine.index_vec.PlacementIndexing`)
   — and compares architectural/timing state bit-exactly: committed
   instruction counts, cycle counts, per-op histograms, branch/address
   predictor statistics, the full :class:`~repro.cache.stats.CacheStats`,

@@ -92,8 +92,8 @@ class ProcessorConfig:
     index_address_bits: int = 19
     #: "reference" evaluates the placement function with scalar GF(2)
     #: division; "vectorized" runs the compiled core (see the module
-    #: docstring) or, without it, swaps in the engine's table-accelerated,
-    #: bit-exact placement function (same IPC and miss ratios either way).
+    #: docstring) or, without it, evaluates the placement through the
+    #: engine's per-byte XOR tables (same IPC and miss ratios either way).
     index_engine: str = "reference"
 
     # Cache timing.
@@ -183,8 +183,8 @@ class ProcessorConfig:
         if self.index_engine == "vectorized":
             # Local import: the cpu layer stays importable without pulling
             # the batch engine in unless the fast index path is requested.
-            from ..engine.tabulated import tabulate_index_function
-            index_fn = tabulate_index_function(index_fn)
+            from ..engine.index_vec import PlacementIndexing
+            index_fn = PlacementIndexing(index_fn, self.cache_ways)
         return SetAssociativeCache(
             size_bytes=self.cache_size_bytes,
             block_size=self.cache_block_size,
@@ -396,7 +396,7 @@ class OutOfOrderProcessor:
             index_function=cfg.index_function(),
             write_policy=WritePolicy.WRITE_THROUGH_NO_ALLOCATE)
         blocks = columns.blocks(cfg.cache_block_size)
-        state = cache._kernel_state(blocks)
+        state = cache._kernel_state()
         params = dict(
             fetch_width=cfg.fetch_width, commit_width=cfg.commit_width,
             rob_entries=cfg.rob_entries,

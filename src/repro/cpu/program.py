@@ -113,9 +113,7 @@ class ProgramColumns:
 
     def blocks(self, block_size: int):
         """Block numbers of the addresses, shared by every run with this
-        block size.  The array stays writable so that the engine's
-        sweep-wide set-index memo, which keeps only read-only inputs, does
-        not hold one program's indices after its runs."""
+        block size."""
         blocks = self._blocks.get(block_size)
         if blocks is None:
             blocks = self._blocks[block_size] = self.addresses // block_size

@@ -3,16 +3,17 @@
 The scalar models in :mod:`repro.cache` process one
 :class:`~repro.trace.record.MemoryAccess` at a time and are the behavioural
 reference; this package is the fast path.  It materialises traces into NumPy
-arrays (:class:`AddressBatch`), computes placement indices for whole arrays
-at once (:mod:`repro.engine.index_vec`, including a precomputed
-GF(2)-remainder lookup table for I-Poly hashing), and simulates
-set-associative, skewed and column-associative caches over address batches
-(:mod:`repro.engine.batch_cache`) with bit-exact
+arrays (:class:`AddressBatch`), describes each cache's placement as data
+(:mod:`repro.engine.index_vec`: per way, the image of each address bit of a
+GF(2)-linear function, or a modulus), and simulates set-associative, skewed,
+victim and column-associative caches over address batches
+(:mod:`repro.engine.batch_cache`) in kernels that compute every access's
+set from that descriptor, with bit-exact
 :class:`~repro.cache.stats.CacheStats` agreement — enforced by the
 differential suite in ``tests/test_engine_equivalence.py``.
 
-:mod:`repro.engine.tabulated` accelerates the scalar I-Poly function itself
-for the sequential processor simulator, :mod:`repro.engine.replay` replays
+:class:`PlacementIndexing` evaluates the same descriptor one block at a
+time for the Python out-of-order core, :mod:`repro.engine.replay` replays
 the recorded data-cache access stream of a processor simulation through the
 batch kernels (bit-exact against the scalar L1 — the CPU leg of the
 equivalence story, exercised by the :mod:`repro.cpu.fuzzer` harness), and
@@ -46,13 +47,8 @@ from .hierarchy_vec import (
     batch_hierarchy_like,
     batch_virtual_real_like,
 )
-from .index_vec import GF2RemainderTable, VectorizedIndex, vectorize_index
-from .memo import (
-    cached_block_numbers,
-    cached_set_indices,
-    memo_clear,
-    memo_info,
-)
+from .index_vec import Placement, PlacementIndexing, placement, way_function
+from .memo import cached_block_numbers, memo_clear, memo_info
 from .multiconfig import (
     PROFILE_MODES,
     MultiCapacityFIFOProfile,
@@ -84,7 +80,6 @@ from .sweep import (
     TaskFailure,
     run_sweep,
 )
-from .tabulated import TabulatedIPolyIndexing, tabulate_index_function
 from .translate_vec import batch_page_frames, run_tlb_kernel
 
 __all__ = [
@@ -106,7 +101,6 @@ __all__ = [
     "run_tlb_kernel",
     "PolicyTables",
     "cached_block_numbers",
-    "cached_set_indices",
     "memo_info",
     "memo_clear",
     "PROFILE_MODES",
@@ -131,15 +125,14 @@ __all__ = [
     "ReplayOutcome",
     "batch_cache_like",
     "replay_access_stream",
-    "GF2RemainderTable",
-    "VectorizedIndex",
-    "vectorize_index",
+    "Placement",
+    "PlacementIndexing",
+    "placement",
+    "way_function",
     "run_sweep",
     "ON_ERROR_POLICIES",
     "SweepOptions",
     "TaskFailure",
-    "TabulatedIPolyIndexing",
-    "tabulate_index_function",
 ]
 
 #: The behavioural reference: scalar models, one access at a time.

@@ -23,11 +23,14 @@ ckernels if ckernels.available() else pykernels`` — and makes one call.
   function, without a C compiler (``generic-policy-kernel``,
   ``victim-generic-kernel`` and ``column-associative``).
 
-Set indices are computed array-at-a-time per way (a conventional cache
-passes its way-0 array for every way).  A 3C-classifying cache replays its
-:class:`~repro.cache.stats.MissClassifier` over the finished hit mask: the
-shadow sees only (block, hit) in trace order.  Every kernel supports stores
-under both write policies and warm caches.
+Each cache builds its placement descriptor once, at construction
+(:func:`~repro.engine.index_vec.placement`: one way-function for a
+conventional cache, one per way for a skewed one), and the kernels compute
+every access's candidate sets from it; an index function outside the
+registered families is rejected there with ``ValueError``.  A 3C-classifying
+cache replays its :class:`~repro.cache.stats.MissClassifier` over the
+finished hit mask: the shadow sees only (block, hit) in trace order.  Every
+kernel supports stores under both write policies and warm caches.
 
 State is NumPy arrays only — tags, dirty bits and one
 :class:`~repro.engine.replacement_vec.PolicyTables` per structure —
@@ -40,9 +43,9 @@ Every cache exposes ``dispatch_strategy(batch)`` — the name of the kernel
 ``run`` will execute — which the differential suite introspects to prove
 each path is covered.
 
-Block-number and set-index arrays are obtained through the sweep-wide memo
-tables of :mod:`repro.engine.memo`, so tasks that share one materialised
-trace (see :mod:`repro.trace.batching`) also share the derived arrays.
+Block-number arrays are obtained through the sweep-wide memo table of
+:mod:`repro.engine.memo`, so tasks that share one materialised trace (see
+:mod:`repro.trace.batching`) also share the derived array.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ from ..cache.stats import CacheStats, MissClassifier
 from ..core.index import BitSelectIndexing, IndexFunction, IPolyIndexing
 from . import ckernels, pykernels
 from .batch import AddressBatch
-from .index_vec import VectorizedIndex, vectorize_index
-from .memo import cached_block_numbers, cached_set_indices
+from .index_vec import Placement, placement, way_function
+from .memo import cached_block_numbers
 from .replacement_vec import PolicyTables
 
 __all__ = [
@@ -128,15 +131,6 @@ def _check_geometry(size_bytes: int, block_size: int, ways: int,
             f"cache has {num_sets}"
         )
     return num_sets, index_function
-
-
-def _way_indices(cache, blocks: np.ndarray) -> List[np.ndarray]:
-    """Per-way set indices of ``blocks`` (memoised arrays); a conventional
-    cache repeats its way-0 indices for every way."""
-    if cache._skewed:
-        return [cached_set_indices(cache._vec_index, blocks, way)
-                for way in range(cache._ways)]
-    return [cached_set_indices(cache._vec_index, blocks, 0)] * cache._ways
 
 
 def _writes(batch: AddressBatch) -> np.ndarray:
@@ -236,7 +230,7 @@ class BatchSetAssociativeCache(_BatchCache):
         self._block_size = block_size
         self._ways = ways
         self._index_fn = index_function
-        self._vec_index: VectorizedIndex = vectorize_index(index_function)
+        self._place = placement(index_function, ways)
         self._replacement_name, self._seed = _resolve_batch_replacement(
             replacement)
         self._write_policy = write_policy
@@ -391,7 +385,7 @@ class BatchSetAssociativeCache(_BatchCache):
             return np.zeros(0, dtype=bool)
         kernels = ckernels if ckernels.available() else pykernels
         blocks = cached_block_numbers(batch, self._block_size)
-        state = self._kernel_state(blocks)
+        state = self._kernel_state()
         hits, counts = kernels.run_set_assoc(blocks, _writes(batch), **state)
         self._kernel_done(state["io"], counts)
         if self._classifier is not None:
@@ -400,13 +394,13 @@ class BatchSetAssociativeCache(_BatchCache):
             _classify_over_hits(self._classifier, self.stats, blocks, hits)
         return hits
 
-    def _kernel_state(self, blocks: np.ndarray) -> dict:
-        """The arrays a kernel runs this cache on for ``blocks``:
-        :func:`ckernels.run_set_assoc`'s keyword arguments, set indices
-        included (the multi-level engine passes one per level)."""
+    def _kernel_state(self) -> dict:
+        """The placement and arrays a kernel runs this cache on:
+        :func:`ckernels.run_set_assoc`'s keyword arguments (the multi-level
+        engine passes one per level)."""
         tags, dirty, policy = self._arrays()
         return dict(
-            way_sets=_way_indices(self, blocks),
+            place=self._place,
             write_back=self._write_policy == WritePolicy.WRITE_BACK_ALLOCATE,
             policy=self._replacement_name, tags=tags, dirty=dirty,
             stamps=policy.stamps, bits=policy.bits, seed=policy.seed,
@@ -428,11 +422,12 @@ class BatchSetAssociativeCache(_BatchCache):
 class BatchColumnAssociativeCache(_BatchCache):
     """Batch counterpart of :class:`~repro.cache.column_assoc.ColumnAssociativeCache`.
 
-    The two probe indices are computed array-at-a-time; the per-access state
-    machine (swap on second-probe hit, displaced-block retreat on miss) runs
-    in one kernel and replicates the scalar model's behaviour — including
-    its statistics — exactly.  Each frame carries its block's secondary
-    index, so a displaced block retreats without being rehashed.
+    The two probe indices are one placement of two functions; the
+    per-access state machine (swap on second-probe hit, displaced-block
+    retreat on miss) runs in one kernel and replicates the scalar model's
+    behaviour — including its statistics — exactly.  Each frame carries its
+    block's secondary index, so a displaced block retreats without being
+    rehashed.
     """
 
     _EXTRA_COUNTERS = ("first_probe_hits", "second_probe_hits",
@@ -471,8 +466,8 @@ class BatchColumnAssociativeCache(_BatchCache):
             if fn.num_sets != num_frames:
                 raise ValueError(f"{label} index covers {fn.num_sets} sets, "
                                  f"cache has {num_frames} frames")
-        self._vec_primary = vectorize_index(self._primary)
-        self._vec_secondary = vectorize_index(self._secondary)
+        self._place = Placement([way_function(self._primary, 0),
+                                 way_function(self._secondary, 0)])
         self._swap = bool(swap_on_rehash_hit)
         self._name = name or f"column-{size_bytes // 1024}KB-batch"
 
@@ -534,10 +529,8 @@ class BatchColumnAssociativeCache(_BatchCache):
         blocks = cached_block_numbers(batch, self._block_size)
         tags, dirty, sec_of = self._arrays()
         hits, counts = kernels.run_column(
-            blocks, _writes(batch),
-            cached_set_indices(self._vec_primary, blocks, 0),
-            cached_set_indices(self._vec_secondary, blocks, 0),
-            swap=self._swap, tags=tags, dirty=dirty, sec_of=sec_of)
+            blocks, _writes(batch), place=self._place, swap=self._swap,
+            tags=tags, dirty=dirty, sec_of=sec_of)
         self._add_counts(*counts.tolist())
         if self._classifier is not None:
             _classify_over_hits(self._classifier, self.stats, blocks, hits)
@@ -552,7 +545,7 @@ class BatchVictimCache(_BatchCache):
     """Batch counterpart of :class:`~repro.cache.victim.VictimCache`.
 
     A main cache backed by a small fully-associative victim buffer, run as
-    one kernel over pre-vectorized main-cache indices.  The per-access
+    one kernel over the main cache's placement.  The per-access
     state machine replicates the scalar model exactly: a main miss probes
     the buffer; a buffer hit invalidates the entry and refills the main
     cache; any line the main cache displaces is stashed in the buffer; and a
@@ -586,8 +579,7 @@ class BatchVictimCache(_BatchCache):
         self._block_size = block_size
         self._ways = ways
         self._index_fn = index_function
-        self._vec_index = vectorize_index(index_function)
-        self._skewed = index_function.is_skewed
+        self._place = placement(index_function, ways)
         self._replacement_name, self._seed = _resolve_batch_replacement(
             replacement)
         self._entries = victim_entries
@@ -661,7 +653,7 @@ class BatchVictimCache(_BatchCache):
         io = np.array([self._main_clock, self._victim_clock, main.draws,
                        buffer.draws], dtype=np.int64)
         hits, counts = kernels.run_victim(
-            blocks, _writes(batch), _way_indices(self, blocks),
+            blocks, _writes(batch), place=self._place,
             policy=self._replacement_name, tags=tags, dirty=dirty,
             stamps=main.stamps, bits=main.bits, seed=main.seed, vtags=vtags,
             vdirty=vdirty, vstamps=buffer.stamps, vbits=buffer.bits,

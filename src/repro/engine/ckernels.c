@@ -24,6 +24,8 @@
  *
  * Layouts: per-way tables are way-major (ways x num_sets), PLRU direction
  * bits are set-major (num_sets x tree), tag -1 marks an invalid frame.
+ * Blocks are non-negative; each access's set is computed inline from the
+ * cache's placement (index_vec.Placement).
  */
 
 #include <stdint.h>
@@ -154,15 +156,86 @@ static int64_t policy_victim(policy_t *p, const int64_t *cand)
     return best_way;
 }
 
+/* A placement as a kernel call takes it (index_vec.Placement): function f
+ * maps a block to block % moduli[f] when moduli[f] > 0, else to the XOR of
+ * images[f * bits + j] over the block's set bits j < bits. */
+typedef struct {
+    int64_t funcs, bits;
+    const int64_t *moduli;
+    const int64_t *images;
+} placement_t;
+
+/*
+ * A placement during a run: the images expanded into one 256-entry XOR
+ * table per byte of the window, each entry holding the sets of two
+ * functions (2q in its low half, 2q + 1 in its high half), so a skewed
+ * two-way cache finds both ways' sets in one lookup per byte.
+ */
+typedef struct {
+    int64_t funcs, bytes;
+    const int64_t *moduli;
+    uint64_t *tables; /* (funcs + 1) / 2 x bytes x 256 */
+} index_t;
+
+static int index_open(index_t *x, const placement_t *p)
+{
+    int64_t pairs = (p->funcs + 1) / 2;
+    x->funcs = p->funcs;
+    /* One table at least: all zeros for a window of no bits. */
+    x->bytes = p->bits > 8 ? (p->bits + 7) / 8 : 1;
+    x->moduli = p->moduli;
+    x->tables = malloc((size_t)(pairs * x->bytes * 256) * sizeof *x->tables);
+    if (x->tables == NULL)
+        return -1;
+    for (int64_t q = 0; q < pairs; q++) {
+        for (int64_t k = 0; k < x->bytes; k++) {
+            uint64_t *t = x->tables + (q * x->bytes + k) * 256;
+            t[0] = 0;
+            for (int64_t j = 0; j < 8; j++) {
+                int64_t bit = 8 * k + j, span = (int64_t)1 << j;
+                uint64_t image = 0;
+                for (int64_t h = 0; h < 2 && 2 * q + h < p->funcs; h++)
+                    if (bit < p->bits)
+                        image |= (uint64_t)(uint32_t)
+                                 p->images[(2 * q + h) * p->bits + bit]
+                                 << (32 * h);
+                for (int64_t v = 0; v < span; v++)
+                    t[span + v] = t[v] ^ image;
+            }
+        }
+    }
+    return 0;
+}
+
+/* sets[f] = the set of `block` under function f, for every function:
+ * block % moduli[f], or the XOR of one table entry per window byte. */
+INLINE void index_sets(const index_t *x, uint64_t block, int64_t *sets)
+{
+    for (int64_t f = 0; f < x->funcs; f += 2) {
+        const uint64_t *t = x->tables + f / 2 * x->bytes * 256;
+        uint64_t pair = 0, b = block;
+        for (int64_t k = 0; k < x->bytes; k++, t += 256, b >>= 8)
+            pair ^= t[b & 255];
+        sets[f] = (int64_t)(pair & 0xFFFFFFFF);
+        if (f + 1 < x->funcs)
+            sets[f + 1] = (int64_t)(pair >> 32);
+    }
+    for (int64_t f = 0; f < x->funcs; f++)
+        if (x->moduli[f] > 0)
+            sets[f] = (int64_t)(block % (uint64_t)x->moduli[f]);
+}
+
 /* Probe the ways in order; returns the hit way, or -1 with every way's
- * candidate set in cand[] and the first invalid way (or -1) in *invalid. */
-static int64_t probe(const int64_t *tags, const int64_t *const *way_sets,
-                     int64_t ways, int64_t num_sets, int64_t i, int64_t block,
-                     int64_t *cand, int64_t *invalid)
+ * candidate set in cand[] and the first invalid way (or -1) in *invalid.
+ * One function serves every way of a conventional cache. */
+INLINE int64_t probe(const int64_t *tags, const index_t *x, int64_t ways,
+                     int64_t num_sets, int64_t block, int64_t *cand,
+                     int64_t *invalid)
 {
     int64_t first_invalid = -1;
+    index_sets(x, (uint64_t)block, cand);
     for (int64_t w = 0; w < ways; w++) {
-        int64_t s = way_sets[w][i];
+        int64_t s = cand[x->funcs == 1 ? 0 : w];
         int64_t tag = tags[w * num_sets + s];
         cand[w] = s;
         if (tag == block)
@@ -175,10 +248,10 @@ static int64_t probe(const int64_t *tags, const int64_t *const *way_sets,
 }
 
 /* One set-associative cache as a kernel call takes it (ckernels.py builds
- * it): way_sets[w][i] is way w's candidate set of access i, io = {clock,
- * random draws} is read and updated, counts accumulates NUM_COUNTS. */
+ * it): io = {clock, random draws} is read and updated, counts accumulates
+ * NUM_COUNTS. */
 typedef struct {
-    const int64_t *const *way_sets;
+    placement_t place;
     int64_t ways, num_sets, write_back, kind;
     int64_t *tags;
     uint8_t *dirty;
@@ -193,7 +266,7 @@ typedef struct {
  * pointers (so the compiler can keep them in registers while the state
  * arrays are written), its policy state, clock and counters. */
 typedef struct {
-    const int64_t *const *way_sets;
+    index_t x;
     int64_t ways, num_sets, write_back;
     int64_t *tags;
     uint8_t *dirty;
@@ -206,9 +279,10 @@ typedef struct {
 static int cache_open(cache_t *s, const level_t *l)
 {
     s->cand = malloc((size_t)l->ways * sizeof *s->cand);
-    if (s->cand == NULL)
+    if (s->cand == NULL || index_open(&s->x, &l->place) != 0) {
+        free(s->cand);
         return -1;
-    s->way_sets = l->way_sets;
+    }
     s->ways = l->ways;
     s->num_sets = l->num_sets;
     s->write_back = l->write_back;
@@ -229,21 +303,21 @@ static void cache_close(cache_t *s, const level_t *l)
     for (int i = 0; i < NUM_COUNTS; i++)
         l->counts[i] += s->c[i];
     free(s->cand);
+    free(s->x.tables);
 }
 
 /*
- * Access i of the run: `block`, a store when `write`.  Returns 1 on a hit;
- * *frame is the frame hit or filled (way * num_sets + set), or -1 when a
- * store miss did not allocate.
+ * One access: `block`, a store when `write`.  Returns 1 on a hit; *frame is
+ * the frame hit or filled (way * num_sets + set), or -1 when a store miss
+ * did not allocate.
  */
-INLINE int sa_access(cache_t *s, int64_t i, int64_t block, int write,
-                     int64_t *frame)
+INLINE int sa_access(cache_t *s, int64_t block, int write, int64_t *frame)
 {
     int64_t *cand = s->cand;
     int64_t invalid;
     s->clock += 1;
-    int64_t way = probe(s->tags, s->way_sets, s->ways, s->num_sets, i, block,
-                        cand, &invalid);
+    int64_t way = probe(s->tags, &s->x, s->ways, s->num_sets, block, cand,
+                        &invalid);
     count_access(s->c, write, way >= 0);
     if (way >= 0) {
         policy_touch(&s->p, way, cand[way], s->clock, 0);
@@ -281,7 +355,7 @@ int64_t repro_sa_run(int64_t n, const int64_t *blocks, const uint8_t *writes,
         return -1;
     for (int64_t i = 0; i < n; i++) {
         int64_t frame;
-        hits[i] = (uint8_t)sa_access(&s, i, blocks[i], writes[i] != 0, &frame);
+        hits[i] = (uint8_t)sa_access(&s, blocks[i], writes[i] != 0, &frame);
     }
     cache_close(&s, l);
     return 0;
@@ -331,6 +405,7 @@ int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
         return -1;
     if (cache_open(&l2, l2l) != 0) {
         free(l1.cand);
+        free(l1.x.tables);
         return -1;
     }
     int64_t e[NUM_EVENTS] = {0};
@@ -343,10 +418,10 @@ int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
             drop_l1(&l1, f, frame_of_line, l1_line);
             e[ALIAS_INVALIDATIONS]++;
         }
-        if (sa_access(&l1, i, block, w, &f)) {
+        if (sa_access(&l1, block, w, &f)) {
             l1_hits[i] = l2_hits[i] = 1;
             if (w) {
-                sa_access(&l2, i, l2_blocks[i], 1, &f2);
+                sa_access(&l2, l2_blocks[i], 1, &f2);
                 if (f2 >= 0)
                     l2_gid[f2] = line / ratio;
             }
@@ -359,7 +434,7 @@ int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
             l1_line[f] = line;
             frame_of_line[line] = f;
         }
-        l2_hits[i] = (uint8_t)sa_access(&l2, i, l2_blocks[i], w, &f2);
+        l2_hits[i] = (uint8_t)sa_access(&l2, l2_blocks[i], w, &f2);
         if (l2_hits[i] || f2 < 0)
             continue;
         int64_t evicted = l2_gid[f2];
@@ -394,9 +469,9 @@ int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
  * when scratch memory is unavailable.
  */
 int64_t repro_victim_run(int64_t n, const int64_t *blocks,
-                         const uint8_t *writes,
-                         const int64_t *const *way_sets, int64_t ways,
-                         int64_t num_sets, int64_t kind, int64_t *tags,
+                         const uint8_t *writes, const placement_t *place,
+                         int64_t ways, int64_t num_sets, int64_t kind,
+                         int64_t *tags,
                          uint8_t *dirty, int64_t *stamps, uint8_t *bits,
                          uint64_t seed, int64_t entries, int64_t *vtags,
                          uint8_t *vdirty, int64_t *vstamps, uint8_t *vbits,
@@ -405,7 +480,8 @@ int64_t repro_victim_run(int64_t n, const int64_t *blocks,
 {
     int64_t *cand = malloc((size_t)ways * sizeof *cand);
     int64_t *buffer_sets = calloc((size_t)entries, sizeof *buffer_sets);
-    if (cand == NULL || buffer_sets == NULL) {
+    index_t x;
+    if (cand == NULL || buffer_sets == NULL || index_open(&x, place) != 0) {
         free(cand);
         free(buffer_sets);
         return -1;
@@ -421,8 +497,7 @@ int64_t repro_victim_run(int64_t n, const int64_t *blocks,
         int64_t b = blocks[i];
         int w = writes[i] != 0;
         int64_t invalid;
-        int64_t way = probe(tags, way_sets, ways, num_sets, i, b, cand,
-                            &invalid);
+        int64_t way = probe(tags, &x, ways, num_sets, b, cand, &invalid);
         if (way >= 0) {
             main_clock += 1;
             policy_touch(&main_p, way, cand[way], main_clock, 0);
@@ -486,6 +561,7 @@ int64_t repro_victim_run(int64_t n, const int64_t *blocks,
 
     free(cand);
     free(buffer_sets);
+    free(x.tables);
     io[0] = main_clock;
     io[1] = victim_clock;
     io[2] = main_p.counter;
@@ -495,19 +571,25 @@ int64_t repro_victim_run(int64_t n, const int64_t *blocks,
 }
 
 /*
- * Column-associative cache.  sec_of[f] is the secondary index of the block
- * in frame f, so a displaced block retreats without a rehash.
+ * Column-associative cache: place function 0 is the primary index, 1 the
+ * secondary.  sec_of[f] is the secondary index of the block in frame f, so
+ * a displaced block retreats without a rehash.  Returns 0, or -1 when
+ * scratch memory is unavailable.
  */
 int64_t repro_column_run(int64_t n, const int64_t *blocks,
-                         const uint8_t *writes, const int64_t *primary,
-                         const int64_t *secondary, int64_t swap,
-                         int64_t *tags, uint8_t *dirty, int64_t *sec_of,
-                         uint8_t *hits, int64_t *counts)
+                         const uint8_t *writes, const placement_t *place,
+                         int64_t swap, int64_t *tags, uint8_t *dirty,
+                         int64_t *sec_of, uint8_t *hits, int64_t *counts)
 {
     int64_t c[NUM_COUNTS] = {0};
+    index_t x;
+    if (index_open(&x, place) != 0)
+        return -1;
 
     for (int64_t i = 0; i < n; i++) {
-        int64_t b = blocks[i], p = primary[i], s = secondary[i];
+        int64_t b = blocks[i], sets[2];
+        index_sets(&x, (uint64_t)b, sets);
+        int64_t p = sets[0], s = sets[1];
         int first_hit = tags[p] == b;
         int second_hit = !first_hit && s != p && tags[s] == b;
         hits[i] = first_hit || second_hit;
@@ -557,6 +639,7 @@ int64_t repro_column_run(int64_t n, const int64_t *blocks,
         sec_of[displaced_sec] = displaced_sec;
     }
 
+    free(x.tables);
     memcpy(counts, c, sizeof c);
     return 0;
 }
@@ -674,7 +757,7 @@ static void expire_inflight(core_t *k, int64_t now)
 }
 
 /* DataCacheModel.load for instruction i: returns the ready cycle. */
-static int64_t dcache_load(core_t *k, cache_t *l1, int64_t i, int64_t block,
+static int64_t dcache_load(core_t *k, cache_t *l1, int64_t block,
                            int64_t request, int predicted)
 {
     const int64_t *p = k->p;
@@ -689,7 +772,7 @@ static int64_t dcache_load(core_t *k, cache_t *l1, int64_t i, int64_t block,
             break;
         }
     }
-    int hit = sa_access(l1, i, block, 0, &frame);
+    int hit = sa_access(l1, block, 0, &frame);
     k->c[C_LOAD_ACCESSES]++;
     if (merged >= 0) {
         /* A secondary miss waits for the outstanding fill. */
@@ -726,10 +809,9 @@ static int64_t dcache_load(core_t *k, cache_t *l1, int64_t i, int64_t block,
  * OutOfOrderProcessor.run on a fresh processor, one call per program:
  * instruction i has op code ops[i], destination dests[i] (-1 for none),
  * sources srcs[i * nsrc ...] (padded with -1), dense address id
- * addr_ids[i], address addresses[i], block blocks[i] (cache set indices
- * in l1's way_sets), pc pcs[i] and branch outcome taken[i].  accessed[i]
- * is set when the instruction reached the L1.  Returns 0, or -1 when
- * scratch memory is unavailable.
+ * addr_ids[i], address addresses[i], cache block blocks[i], pc pcs[i] and
+ * branch outcome taken[i].  accessed[i] is set when the instruction
+ * reached the L1.  Returns 0, or -1 when scratch memory is unavailable.
  */
 int64_t repro_ooo_run(int64_t n, const int64_t *ops, const int64_t *dests,
                       const int64_t *srcs, int64_t nsrc,
@@ -833,11 +915,11 @@ int64_t repro_ooo_run(int64_t n, const int64_t *ops, const int64_t *dests,
                 accessed[i] = 1;
                 if (predicted) {
                     /* The access started with the predicted line. */
-                    complete = dcache_load(&k, &l1, i, blocks[i], start, 1);
+                    complete = dcache_load(&k, &l1, blocks[i], start, 1);
                     if (complete < done)
                         complete = done;
                 } else {
-                    complete = dcache_load(&k, &l1, i, blocks[i], done, 0);
+                    complete = dcache_load(&k, &l1, blocks[i], done, 0);
                 }
             }
         } else {
@@ -872,7 +954,7 @@ int64_t repro_ooo_run(int64_t n, const int64_t *ops, const int64_t *dests,
         if (op == op_store) {
             /* Written through to the cache at commit, and buffered. */
             int64_t frame, id = addr_ids[i];
-            sa_access(&l1, i, blocks[i], 1, &frame);
+            sa_access(&l1, blocks[i], 1, &frame);
             c[C_STORE_ACCESSES]++;
             accessed[i] = 1;
             sb_seq[id] = i;

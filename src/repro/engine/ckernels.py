@@ -32,11 +32,13 @@ The wrappers :func:`run_set_assoc`, :func:`run_victim`, :func:`run_column`,
 itself is its fallback) and :func:`build_program_columns` (the program
 generator of :mod:`repro.cpu.workloads`, whose fallback is likewise that
 module's ``_instruction_stream``) check every array (dtype, C-contiguity,
-shape, writability, set indices, frames and line ids in range) and every
-parameter before the call, raising ``ValueError`` — nothing malformed
-reaches C.  They return hit masks, counters or columns and mutate the state
-arrays they are given in place; no ``ctypes`` object outlives a call, so
-the caches that own the arrays stay picklable.
+shape, writability, blocks non-negative, frames and line ids in range),
+every placement (:class:`~repro.engine.index_vec.Placement`: each image
+and modulus within the cache's sets) and every parameter before the call,
+raising ``ValueError`` — nothing malformed reaches C.  They return hit
+masks, counters or columns and mutate the state arrays they are given in
+place; no ``ctypes`` object outlives a call, so the caches that own the
+arrays stay picklable.
 """
 
 from __future__ import annotations
@@ -246,10 +248,17 @@ def _load() -> ctypes.CDLL:
                       + "; ".join(unusable) + ")")
 
 
+class _Placement(ctypes.Structure):
+    """``placement_t`` of ckernels.c: an :class:`index_vec.Placement`."""
+
+    _fields_ = [("funcs", ctypes.c_int64), ("bits", ctypes.c_int64),
+                ("moduli", ctypes.c_void_p), ("images", ctypes.c_void_p)]
+
+
 class _Level(ctypes.Structure):
     """``level_t`` of ckernels.c: one set-associative cache's arrays."""
 
-    _fields_ = [("way_sets", ctypes.c_void_p), ("ways", ctypes.c_int64),
+    _fields_ = [("place", _Placement), ("ways", ctypes.c_int64),
                 ("num_sets", ctypes.c_int64), ("write_back", ctypes.c_int64),
                 ("kind", ctypes.c_int64), ("tags", ctypes.c_void_p),
                 ("dirty", ctypes.c_void_p), ("stamps", ctypes.c_void_p),
@@ -264,8 +273,8 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         "repro_victim_run": [i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr,
                              ptr, ptr, u64, i64, ptr, ptr, ptr, ptr, u64,
                              ptr, ptr, ptr],
-        "repro_column_run": [i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr,
-                             ptr, ptr],
+        "repro_column_run": [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr,
+                             ptr],
         "repro_hier_run": [i64, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr,
                            ptr, ptr, ptr, ptr, ptr],
         "repro_ooo_run": [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
@@ -307,21 +316,38 @@ def _index_pointer(name: str, array, n: int, limit: int,
     return address
 
 
-def _way_pointers(way_sets: Sequence[np.ndarray], n: int, ways: int,
-                  num_sets: int, label: str = ""):
-    """A ``const int64_t *[ways]`` over checked per-way set-index arrays.
-
-    A conventional cache passes one array for every way; it is checked once.
-    """
-    if len(way_sets) != ways:
-        raise ValueError(f"expected {ways} {label}set-index arrays, "
-                         f"got {len(way_sets)}")
-    checked = {}
-    for way, sets in enumerate(way_sets):
-        if id(sets) not in checked:
-            checked[id(sets)] = _index_pointer(
-                f"{label}way {way} set indices", sets, n, num_sets)
-    return (ctypes.c_void_p * ways)(*(checked[id(s)] for s in way_sets))
+def _checked_placement(label: str, place, funcs: Sequence[int],
+                       num_sets: int) -> _Placement:
+    """A checked :class:`_Placement` over ``place``'s arrays, which must
+    outlive the call: ``funcs`` lists the function counts allowed, every
+    modulus is in ``[1, num_sets]`` (0 marks a linear function), and no
+    function's images reach a set at or above ``num_sets`` (a linear set is
+    an XOR of images, so their OR bounds it; the kernels' XOR tables hold
+    32-bit sets)."""
+    moduli, images = getattr(place, "moduli", None), getattr(place, "images",
+                                                             None)
+    (count,) = _shape(moduli, 1)
+    if count not in funcs:
+        raise ValueError(f"{label}placement has {count} functions, expected "
+                         f"one of {sorted(set(funcs))}")
+    (_, bits) = _shape(images, 2)
+    moduli_ptr = _pointer(f"{label}placement moduli", moduli, np.int64,
+                          (count,), writable=False)
+    images_ptr = _pointer(f"{label}placement images", images, np.int64,
+                          (count, bits), writable=False)
+    if bits > 64:
+        raise ValueError(f"{label}placement images cover {bits} address "
+                         "bits; blocks have 64")
+    limit = min(num_sets, 2**32)
+    for modulus, row in zip(moduli.tolist(), images):
+        if modulus and not 1 <= modulus <= num_sets:
+            raise ValueError(f"{label}placement modulus {modulus} is outside "
+                             f"[1, {num_sets}]")
+        if bits and (int(row.min()) < 0
+                     or int(np.bitwise_or.reduce(row)) >= limit):
+            raise ValueError(f"{label}placement images reach a set outside "
+                             f"[0, {limit})")
+    return _Placement(count, bits, moduli_ptr, images_ptr)
 
 
 def _policy_pointers(prefix: str, policy: str, ways: int, num_sets: int,
@@ -351,9 +377,19 @@ def _shape(array, ndim: int) -> Tuple[int, ...]:
     return (0,) * ndim
 
 
+def check_blocks(name: str, blocks: np.ndarray) -> None:
+    """Reject negative block numbers: a negative block would index out of
+    bounds through ``block % modulus`` and match invalid frames (tag -1).
+    Blocks are int64, so every one is below ``2**63``."""
+    if blocks.size and int(blocks.min()) < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 def _inputs(blocks, writes) -> Tuple[int, int, int]:
     (n,) = _shape(blocks, 1)
-    return (n, _pointer("blocks", blocks, np.int64, (n,), writable=False),
+    block_ptr = _pointer("blocks", blocks, np.int64, (n,), writable=False)
+    check_blocks("blocks", blocks)
+    return (n, block_ptr,
             _pointer("writes", writes, np.uint8, (n,), writable=False))
 
 
@@ -370,15 +406,13 @@ def _call(function, n: int, *args):
 # kernels
 # --------------------------------------------------------------------- #
 
-def _checked_level(label: str, n: int, way_sets: Sequence[np.ndarray], *,
-           write_back: bool, policy: str, tags: np.ndarray, dirty: np.ndarray,
-           stamps: Optional[np.ndarray], bits: Optional[np.ndarray],
-           seed: int, io: np.ndarray):
+def _checked_level(label: str, *, place, write_back: bool, policy: str,
+                   tags: np.ndarray, dirty: np.ndarray,
+                   stamps: Optional[np.ndarray], bits: Optional[np.ndarray],
+                   seed: int, io: np.ndarray):
     """A checked :class:`_Level` over one cache's arrays.
 
-    Returns ``(level, counts, sets)``: ``counts`` receives the level's
-    counters, and ``sets`` (the per-way pointer array the structure points
-    into) must outlive the call.
+    Returns ``(level, counts)``: ``counts`` receives the level's counters.
     """
     ways, num_sets = _shape(tags, 2)
     if ways < 1 or num_sets < 1:
@@ -389,31 +423,30 @@ def _checked_level(label: str, n: int, way_sets: Sequence[np.ndarray], *,
     stamp_ptr, bit_ptr = _policy_pointers(label, policy, ways, num_sets,
                                           stamps, bits)
     io_ptr = _pointer(f"{label}io", io, np.int64, (2,))
-    sets = _way_pointers(way_sets, n, ways, num_sets, label)
+    placement = _checked_placement(label, place, (1, ways), num_sets)
     counts = np.zeros(NUM_COUNTS, dtype=np.int64)
-    level = _Level(ctypes.addressof(sets), ways, num_sets,
-                   int(write_back), POLICY_CODES[policy], tag_ptr, dirty_ptr,
-                   stamp_ptr, bit_ptr, seed & (2**64 - 1), io_ptr,
-                   counts.ctypes.data)
-    return level, counts, sets
+    level = _Level(placement, ways, num_sets, int(write_back),
+                   POLICY_CODES[policy], tag_ptr, dirty_ptr, stamp_ptr,
+                   bit_ptr, seed & (2**64 - 1), io_ptr, counts.ctypes.data)
+    return level, counts
 
 
-def run_set_assoc(blocks: np.ndarray, writes: np.ndarray,
-                  way_sets: Sequence[np.ndarray], *, write_back: bool,
-                  policy: str, tags: np.ndarray, dirty: np.ndarray,
-                  stamps: Optional[np.ndarray], bits: Optional[np.ndarray],
-                  seed: int, io: np.ndarray):
+def run_set_assoc(blocks: np.ndarray, writes: np.ndarray, *, place,
+                  write_back: bool, policy: str, tags: np.ndarray,
+                  dirty: np.ndarray, stamps: Optional[np.ndarray],
+                  bits: Optional[np.ndarray], seed: int, io: np.ndarray):
     """Run one batch through a set-associative cache's state.
 
-    ``tags``/``dirty``/``stamps`` are ``ways x num_sets`` (``stamps`` unused
-    by ``random``), ``bits`` the ``num_sets x tree`` PLRU table (PLRU only),
-    ``io`` holds ``[clock, random draws]`` and is updated.  Returns
-    ``(hits, counts)``.
+    ``place`` is the cache's :class:`~repro.engine.index_vec.Placement`
+    (one function, or one per way); ``tags``/``dirty``/``stamps`` are
+    ``ways x num_sets`` (``stamps`` unused by ``random``), ``bits`` the
+    ``num_sets x tree`` PLRU table (PLRU only), ``io`` holds ``[clock,
+    random draws]`` and is updated.  Returns ``(hits, counts)``.
     """
     library = _library()
     n, block_ptr, write_ptr = _inputs(blocks, writes)
-    level, counts, _sets = _checked_level(
-        "", n, way_sets, write_back=write_back, policy=policy, tags=tags,
+    level, counts = _checked_level(
+        "", place=place, write_back=write_back, policy=policy, tags=tags,
         dirty=dirty, stamps=stamps, bits=bits, seed=seed, io=io)
     hits = np.empty(n, dtype=np.uint8)
     if library.repro_sa_run(n, block_ptr, write_ptr, ctypes.byref(level),
@@ -422,16 +455,16 @@ def run_set_assoc(blocks: np.ndarray, writes: np.ndarray,
     return hits.view(bool), counts
 
 
-def run_victim(blocks: np.ndarray, writes: np.ndarray,
-               way_sets: Sequence[np.ndarray], *, policy: str,
-               tags: np.ndarray, dirty: np.ndarray,
+def run_victim(blocks: np.ndarray, writes: np.ndarray, *, place,
+               policy: str, tags: np.ndarray, dirty: np.ndarray,
                stamps: Optional[np.ndarray], bits: Optional[np.ndarray],
                seed: int, vtags: np.ndarray, vdirty: np.ndarray,
                vstamps: Optional[np.ndarray], vbits: Optional[np.ndarray],
                vseed: int, io: np.ndarray):
     """Run one batch through a victim cache's main cache and buffer.
 
-    Main-cache tables as in :func:`run_set_assoc`; the buffer's ``vtags``/
+    Main-cache placement and tables as in :func:`run_set_assoc`; the
+    buffer's ``vtags``/
     ``vdirty`` hold one entry each, ``vstamps`` is ``entries x 1`` and
     ``vbits`` ``1 x tree``.  ``io`` holds ``[main clock, buffer clock, main
     draws, buffer draws]``; the family counters are main and buffer hits.
@@ -451,21 +484,24 @@ def run_victim(blocks: np.ndarray, writes: np.ndarray,
     vstamp_ptr, vbit_ptr = _policy_pointers("buffer ", policy, entries, 1,
                                             vstamps, vbits)
     io_ptr = _pointer("io", io, np.int64, (4,))
-    sets_ptr = _way_pointers(way_sets, n, ways, num_sets)
+    placement = _checked_placement("", place, (1, ways), num_sets)
     return _call(
-        library.repro_victim_run, n, n, block_ptr, write_ptr, sets_ptr, ways,
+        library.repro_victim_run, n, n, block_ptr, write_ptr,
+        ctypes.byref(placement), ways,
         num_sets, POLICY_CODES[policy], tag_ptr, dirty_ptr, stamp_ptr,
         bit_ptr, seed & (2**64 - 1), entries, vtag_ptr, vdirty_ptr,
         vstamp_ptr, vbit_ptr, vseed & (2**64 - 1), io_ptr)
 
 
-def run_column(blocks: np.ndarray, writes: np.ndarray, primary: np.ndarray,
-               secondary: np.ndarray, *, swap: bool, tags: np.ndarray,
-               dirty: np.ndarray, sec_of: np.ndarray):
+def run_column(blocks: np.ndarray, writes: np.ndarray, *, place,
+               swap: bool, tags: np.ndarray, dirty: np.ndarray,
+               sec_of: np.ndarray):
     """Run one batch through a column-associative cache's frames.
 
-    ``sec_of[f]`` is the secondary index of the block in frame ``f``; the
-    family counters are first-probe hits, second-probe hits and probes.
+    ``place`` holds two functions over the frames, the primary index then
+    the secondary; ``sec_of[f]`` is the secondary index of the block in
+    frame ``f``.  The family counters are first-probe hits, second-probe
+    hits and probes.
     """
     library = _library()
     n, block_ptr, write_ptr = _inputs(blocks, writes)
@@ -475,11 +511,10 @@ def run_column(blocks: np.ndarray, writes: np.ndarray, primary: np.ndarray,
     tag_ptr = _pointer("tags", tags, np.int64, (frames,))
     dirty_ptr = _pointer("dirty", dirty, np.uint8, (frames,))
     sec_ptr = _index_pointer("sec_of", sec_of, frames, frames, writable=True)
-    primary_ptr = _index_pointer("primary indices", primary, n, frames)
-    secondary_ptr = _index_pointer("secondary indices", secondary, n, frames)
+    placement = _checked_placement("", place, (2,), frames)
     return _call(
-        library.repro_column_run, n, n, block_ptr, write_ptr, primary_ptr,
-        secondary_ptr, int(swap), tag_ptr, dirty_ptr, sec_ptr)
+        library.repro_column_run, n, n, block_ptr, write_ptr,
+        ctypes.byref(placement), int(swap), tag_ptr, dirty_ptr, sec_ptr)
 
 
 def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
@@ -489,8 +524,8 @@ def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
                   l2_gid: np.ndarray):
     """Run one batch through a two-level hierarchy with back-invalidation.
 
-    ``l1``/``l2`` hold each level's set indices (``way_sets``, for
-    ``l1_blocks``/``l2_blocks``) and :func:`run_set_assoc` state.  ``lines``
+    ``l1``/``l2`` hold each level's :func:`run_set_assoc` placement and
+    state, for ``l1_blocks``/``l2_blocks``.  ``lines``
     are the accesses' dense line ids, ``ratio`` per L2 block id;
     ``frame_of_line``, ``l1_line`` and ``l2_gid`` map line ids to L1
     frames, L1 frames to line ids and L2 frames to block ids (``-1`` for
@@ -503,8 +538,9 @@ def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
         raise ValueError("ratio must be positive")
     l2_block_ptr = _pointer("L2 blocks", l2_blocks, np.int64, (n,),
                             writable=False)
-    l1_level, l1_counts, _l1_sets = _checked_level("L1 ", n, **l1)
-    l2_level, l2_counts, _l2_sets = _checked_level("L2 ", n, **l2)
+    check_blocks("L2 blocks", l2_blocks)
+    l1_level, l1_counts = _checked_level("L1 ", **l1)
+    l2_level, l2_counts = _checked_level("L2 ", **l2)
     (num_lines,) = _shape(frame_of_line, 1)
     if num_lines % ratio:
         raise ValueError("frame_of_line must hold whole L2 blocks of lines")
@@ -595,7 +631,7 @@ def run_ooo(ops: np.ndarray, dests: np.ndarray, srcs: np.ndarray,
     block_ptr = _index_pointer("blocks", blocks, n, 2**63 - 1)
     pc_ptr = _index_pointer("pcs", pcs, n, 2**63 - 1)
     taken_ptr = _pointer("taken", taken, np.uint8, (n,), writable=False)
-    l1, l1_counts, _sets = _checked_level("L1 ", n, **level)
+    l1, l1_counts = _checked_level("L1 ", **level)
     library = _library()
     accessed = np.empty(n, dtype=np.uint8)
     counters = np.zeros(len(OOO_COUNTERS), dtype=np.int64)

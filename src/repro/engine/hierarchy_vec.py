@@ -102,7 +102,7 @@ class _BatchHierarchy:
         (``-1`` for none).  Returns the result, back-invalidations and
         alias invalidations."""
         l1, l2, ratio = self.l1, self.l2, self._ratio
-        s1, s2 = l1._kernel_state(l1_blocks), l2._kernel_state(l2_blocks)
+        s1, s2 = l1._kernel_state(), l2._kernel_state()
         tags1, tags2 = s1["tags"].reshape(-1), s2["tags"].reshape(-1)
         held_lines = resident_lines(tags1)
         held = held_lines >= 0

@@ -1,32 +1,30 @@
-"""Vectorized placement functions: whole-array set-index computation.
+"""Placement as data: the per-way descriptor the kernels evaluate.
 
-The scalar :mod:`repro.core.index` functions map one block number to one set
-index; every trace-level experiment calls them once per access (and, for
-skewed caches, once per way).  This module computes the same indices for a
-whole NumPy array of block numbers at once:
+Every placement function of :mod:`repro.core.index` is either a modulus
+(``a2-prime``) or linear over GF(2): bit selection, the XOR fold (skewed or
+not), I-Poly (skewed or not) and the single set of a fully-associative
+cache.  A linear function is fully described by the image of each address
+bit — the set of the block number ``1 << j`` — because the set of any block
+is the XOR of the images of its set bits (the paper's §3.4 XOR trees; see
+:func:`repro.core.xor_matrix.derive_xor_matrix`).  Bits at or above the
+function's window (``address_bits_used``) have image 0.
 
-* bit selection is a vectorized mask;
-* the XOR fold is two vectorized field extractions, a per-way rotate and an
-  XOR;
-* the I-Poly remainder exploits the linearity of GF(2) division — the
-  remainder of a sum (XOR) of terms is the XOR of the terms' remainders — so
-  the polynomial remainder of every address bit can be precomputed once into
-  per-byte lookup tables (:class:`GF2RemainderTable`) and the whole-array
-  remainder becomes a handful of table gathers and XORs;
-* the prime-modulus scheme is a vectorized ``%``.
-
-Every vectorized function is built *from* a scalar
-:class:`~repro.core.index.IndexFunction` instance via :func:`vectorize_index`
-and is bit-exact with it by construction; the differential test-suite
-(``tests/test_engine_equivalence.py`` and the Hypothesis properties in
-``tests/test_engine_properties.py``) asserts element-wise agreement for all
-families.
+:func:`way_function` probes one way of a function once per ``cache_key``;
+:class:`Placement` gathers the way-functions a cache needs (one for a
+conventional cache, one per way for a skewed cache, primary and secondary
+for a column-associative cache) as the two arrays the kernels take.  The C
+kernels expand the images into per-byte XOR tables at call start and
+compute the sets of a chunk of accesses at a time, one table lookup per
+byte of the window for every two functions; :meth:`Placement.sets` is the
+NumPy mirror of that evaluation for the Python kernel tier, and
+:class:`PlacementIndexing` the scalar one for the Python out-of-order core.
+The scalar :meth:`~repro.core.index.IndexFunction.index` stays the oracle.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Type
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -38,211 +36,165 @@ from ..core.index import (
     PrimeModuloIndexing,
     SingleSetIndexing,
     XorFoldIndexing,
+    _check_block_and_way,
 )
 
 __all__ = [
-    "GF2RemainderTable",
+    "WayFunction",
+    "way_function",
+    "Placement",
+    "placement",
+    "PlacementIndexing",
     "remainder_table",
-    "VectorizedIndex",
-    "vectorize_index",
 ]
 
-#: Width (in bits) of one lookup-table chunk.  Eight keeps every table at 256
-#: entries, small enough to stay resident in L1 while the gather runs.
-_CHUNK_BITS = 8
-_CHUNK_SIZE = 1 << _CHUNK_BITS
-_CHUNK_MASK = _CHUNK_SIZE - 1
+#: The linear families: their way-functions are probed.
+_LINEAR = (BitSelectIndexing, SingleSetIndexing, XorFoldIndexing,
+           IPolyIndexing)
 
 
-class GF2RemainderTable:
-    """Precomputed GF(2) remainders of byte-aligned chunks for one polynomial.
+class WayFunction(NamedTuple):
+    """One way's placement: ``block % modulus`` when ``modulus`` is
+    positive, else the XOR of ``images[j]`` over the block's set bits
+    ``j < len(images)``."""
 
-    ``gf2_mod`` is linear over GF(2): ``rem(a ^ b) == rem(a) ^ rem(b)``.
-    Splitting an ``address_bits``-wide block number into 8-bit chunks
-    therefore reduces the whole-array remainder to one 256-entry table lookup
-    per chunk plus XORs — no per-element Python division at all.
+    modulus: int
+    images: Tuple[int, ...]
 
-    Parameters
-    ----------
-    polynomial:
-        The modulus polynomial (integer bit-encoding, as in
-        :mod:`repro.core.gf2`).
-    address_bits:
-        Number of low-order block-number bits that participate; higher bits
-        are truncated exactly like the scalar
-        :class:`~repro.core.index.IPolyIndexing` does.
+
+#: Way-functions per (``cache_key``, way).
+_WAY_FUNCTIONS: Dict[tuple, WayFunction] = {}
+
+
+def way_function(fn: IndexFunction, way: int) -> WayFunction:
+    """The descriptor of ``fn``'s ``way``, probed once per ``cache_key``.
+
+    Raises ``ValueError`` for a function outside the registered families.
     """
-
-    def __init__(self, polynomial: int, address_bits: int) -> None:
-        if polynomial <= 1:
-            raise ValueError("polynomial must have degree >= 1")
-        if address_bits < 1:
-            raise ValueError("address_bits must be positive")
-        self.polynomial = polynomial
-        self.address_bits = address_bits
-        self._address_mask = np.uint64((1 << address_bits) - 1)
-        num_chunks = (address_bits + _CHUNK_BITS - 1) // _CHUNK_BITS
-        tables = np.empty((num_chunks, _CHUNK_SIZE), dtype=np.uint64)
-        for chunk in range(num_chunks):
-            shift = chunk * _CHUNK_BITS
-            for value in range(_CHUNK_SIZE):
-                tables[chunk, value] = gf2_mod(value << shift, polynomial)
-        self._tables = tables
-        # Plain-Python view of the same tables for scalar (per-int) lookups.
-        self.scalar_tables: List[List[int]] = tables.astype(int).tolist()
-
-    def reduce(self, blocks: np.ndarray) -> np.ndarray:
-        """Return ``gf2_mod(block & mask, polynomial)`` for a whole array."""
-        masked = blocks.astype(np.uint64, copy=False) & self._address_mask
-        result = self._tables[0][masked & np.uint64(_CHUNK_MASK)]
-        for chunk in range(1, self._tables.shape[0]):
-            shift = np.uint64(chunk * _CHUNK_BITS)
-            result ^= self._tables[chunk][(masked >> shift) & np.uint64(_CHUNK_MASK)]
-        return result
-
-    def reduce_scalar(self, block: int) -> int:
-        """Scalar chunked lookup, bit-exact with :func:`~repro.core.gf2.gf2_mod`."""
-        if block < 0:
-            raise ValueError("block_number must be non-negative")
-        masked = block & ((1 << self.address_bits) - 1)
-        result = 0
-        chunk = 0
-        while masked:
-            result ^= self.scalar_tables[chunk][masked & _CHUNK_MASK]
-            masked >>= _CHUNK_BITS
-            chunk += 1
-        return result
+    if isinstance(fn, PlacementIndexing):
+        fn = fn.base
+    if not isinstance(fn, _LINEAR + (PrimeModuloIndexing,)):
+        raise ValueError(
+            f"no placement descriptor for index function {type(fn).__name__}")
+    key = fn.cache_key
+    found = _WAY_FUNCTIONS.get((key, way)) if key is not None else None
+    if found is not None:
+        return found
+    if isinstance(fn, PrimeModuloIndexing):
+        found = WayFunction(fn.prime, ())
+    else:
+        found = WayFunction(0, tuple(fn.index(1 << j, way)
+                                     for j in range(fn.address_bits_used)))
+    if key is not None:
+        _WAY_FUNCTIONS[(key, way)] = found
+    return found
 
 
 @functools.lru_cache(maxsize=None)
-def remainder_table(polynomial: int, address_bits: int) -> GF2RemainderTable:
-    """Shared, cached :class:`GF2RemainderTable` per (polynomial, window).
-
-    Filling a table runs hundreds of scalar GF(2) divisions; sweeps that
-    build one cache per configuration (e.g. Figure 1's per-stride caches)
-    would otherwise rebuild identical tables thousands of times.  Tables are
-    immutable after construction, so sharing them is safe.
-    """
-    return GF2RemainderTable(polynomial, address_bits)
+def remainder_table(polynomial: int, address_bits: int) -> Tuple[int, ...]:
+    """The images of an I-Poly window: ``x**j mod polynomial`` for each bit
+    ``j < address_bits`` — what :func:`way_function` probes from an
+    :class:`~repro.core.index.IPolyIndexing` way using ``polynomial``."""
+    return tuple(gf2_mod(1 << j, polynomial) for j in range(address_bits))
 
 
-def _check_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Validate and normalise a block-number array.
-
-    Rejects negative entries (which a silent cast to an unsigned dtype would
-    wrap to huge positive block numbers) and entries at or above ``2**63``
-    (which would overflow the engine's signed tag stores) — mirroring the
-    scalar functions' ``ValueError`` on negative input.
-    """
-    blocks = np.asarray(blocks)
-    if blocks.dtype.kind not in "iu":
-        raise ValueError(f"block numbers must be integers, got dtype {blocks.dtype}")
-    if blocks.dtype.kind == "i" and blocks.size and int(blocks.min()) < 0:
-        raise ValueError("block numbers must be non-negative")
-    if blocks.size and int(blocks.max()) >= (1 << 63):
-        raise ValueError("block numbers must be below 2**63")
-    return blocks.astype(np.uint64, copy=False)
+def _byte_tables(images: Sequence[int]) -> np.ndarray:
+    """``bytes x 256`` XOR tables: entry ``[k, v]`` is the XOR of the
+    images of the set bits of ``v << 8 * k`` (as ckernels.c builds them)."""
+    padded = list(images) + [0] * (-len(images) % 8)
+    tables = np.zeros((len(padded) // 8, 256), dtype=np.int64)
+    for k in range(tables.shape[0]):
+        for j in range(8):
+            span = 1 << j
+            tables[k, span:2 * span] = tables[k, :span] ^ padded[8 * k + j]
+    return tables
 
 
-class VectorizedIndex:
-    """Array-at-a-time view of one scalar :class:`IndexFunction`.
+class Placement:
+    """The way-functions of one cache as the kernels take them.
 
-    Obtained from :func:`vectorize_index`; computes per-way set indices for
-    whole block-number arrays, bit-exactly matching ``scalar.index`` element
-    by element.
+    ``moduli`` is ``funcs`` int64 (0 for a linear function) and ``images``
+    ``funcs x bits`` int64, each row zero-padded to the widest window.
+    Set-associative kernels use function 0 for every way when ``funcs`` is
+    1 and function ``w`` for way ``w`` otherwise; the column-associative
+    kernel uses 0 as the primary and 1 as the secondary.  The kernel
+    wrappers check both arrays against the cache's sets.
     """
 
-    def __init__(self, scalar: IndexFunction) -> None:
-        self._scalar = scalar
+    def __init__(self, functions: Sequence[WayFunction]) -> None:
+        bits = max((len(f.images) for f in functions), default=0)
+        self.moduli = np.array([f.modulus for f in functions], dtype=np.int64)
+        self.images = np.zeros((len(functions), bits), dtype=np.int64)
+        for row, f in zip(self.images, functions):
+            row[:len(f.images)] = f.images
+        self._tables = None
 
     @property
-    def scalar(self) -> IndexFunction:
-        """The scalar function this vectorization was built from."""
-        return self._scalar
+    def funcs(self) -> int:
+        """Number of way-functions."""
+        return len(self.moduli)
+
+    def tables(self) -> List[np.ndarray]:
+        """Each function's per-byte XOR tables (built on first use)."""
+        if self._tables is None:
+            self._tables = [_byte_tables(row) for row in self.images]
+        return self._tables
+
+    def sets(self, blocks: np.ndarray) -> List[np.ndarray]:
+        """Every function's set of each of ``blocks`` (non-negative int64):
+        the kernels' evaluation in NumPy."""
+        blocks = blocks.view(np.uint64)
+        result = []
+        for modulus, tables in zip(self.moduli.tolist(), self.tables()):
+            if modulus:
+                result.append((blocks % np.uint64(modulus)).view(np.int64))
+                continue
+            sets = np.zeros(blocks.shape, dtype=np.int64)
+            for k, table in enumerate(tables):
+                sets ^= table[(blocks >> np.uint64(8 * k)) & np.uint64(255)]
+            result.append(sets)
+        return result
+
+
+def placement(fn: IndexFunction, ways: int) -> Placement:
+    """The placement of a ``ways``-way cache indexed by ``fn``: one
+    function for a conventional cache, one per way for a skewed one."""
+    return Placement([way_function(fn, way)
+                      for way in range(ways if fn.is_skewed else 1)])
+
+
+class PlacementIndexing(IndexFunction):
+    """A registered index function evaluated through its descriptor's byte
+    tables, one scalar lookup per byte of the window: the L1 placement of
+    the Python out-of-order core on ``index_engine="vectorized"``.
+
+    Bit-exact with ``base`` for ways below ``ways``; it declares no
+    ``cache_key`` of its own.
+    """
+
+    def __init__(self, base: IndexFunction, ways: int) -> None:
+        super().__init__(base.num_sets)
+        self.base = base
+        self.name = base.name
+        self._placement = placement(base, ways)
+        self._lists = [(modulus, tables.tolist()) for modulus, tables in zip(
+            self._placement.moduli.tolist(), self._placement.tables())]
 
     @property
-    def num_sets(self) -> int:
-        """Number of sets indexed into (same as the scalar function)."""
-        return self._scalar.num_sets
+    def is_skewed(self) -> bool:
+        return self.base.is_skewed
 
-    def way_indices(self, blocks: np.ndarray, way: int = 0) -> np.ndarray:
-        """Set index of every block in ``blocks`` for one way (uint64 array)."""
-        if way < 0:
-            raise ValueError("way must be non-negative")
-        return self._way_indices(_check_blocks(blocks), way)
+    @property
+    def address_bits_used(self) -> int:
+        return self.base.address_bits_used
 
-    # Subclasses implement the actual computation on validated uint64 input.
-    def _way_indices(self, blocks: np.ndarray, way: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _VecBitSelect(VectorizedIndex):
-    def _way_indices(self, blocks: np.ndarray, way: int) -> np.ndarray:
-        return blocks & np.uint64(self.num_sets - 1)
-
-
-class _VecSingleSet(VectorizedIndex):
-    def _way_indices(self, blocks: np.ndarray, way: int) -> np.ndarray:
-        return np.zeros(blocks.shape, dtype=np.uint64)
-
-
-class _VecPrimeModulo(VectorizedIndex):
-    def _way_indices(self, blocks: np.ndarray, way: int) -> np.ndarray:
-        return blocks % np.uint64(self._scalar.prime)
-
-
-class _VecXorFold(VectorizedIndex):
-    def _way_indices(self, blocks: np.ndarray, way: int) -> np.ndarray:
-        scalar = self._scalar
-        m = scalar.index_bits
-        mask = np.uint64(scalar.num_sets - 1)
-        low = blocks & mask
-        high = (blocks >> np.uint64(m)) & mask
-        if scalar.is_skewed:
-            amount = way % m if m else 0
-            if amount:
-                high = ((high << np.uint64(amount))
-                        | (high >> np.uint64(m - amount))) & mask
-        return low ^ high
-
-
-class _VecIPoly(VectorizedIndex):
-    def __init__(self, scalar: IPolyIndexing) -> None:
-        super().__init__(scalar)
-        address_bits = scalar.address_bits_used
-        self._tables: Dict[int, GF2RemainderTable] = {
-            poly: remainder_table(poly, address_bits)
-            for poly in scalar.polynomials
-        }
-
-    def table_for_way(self, way: int) -> GF2RemainderTable:
-        """The remainder table serving ``way``."""
-        return self._tables[self._scalar.polynomial_for_way(way)]
-
-    def _way_indices(self, blocks: np.ndarray, way: int) -> np.ndarray:
-        return self.table_for_way(way).reduce(blocks)
-
-
-_VECTORIZERS: Dict[Type[IndexFunction], Type[VectorizedIndex]] = {
-    BitSelectIndexing: _VecBitSelect,
-    SingleSetIndexing: _VecSingleSet,
-    PrimeModuloIndexing: _VecPrimeModulo,
-    XorFoldIndexing: _VecXorFold,
-    IPolyIndexing: _VecIPoly,
-}
-
-
-def vectorize_index(fn: IndexFunction) -> VectorizedIndex:
-    """Build the vectorized counterpart of a scalar index function.
-
-    Dispatches on the concrete class (subclasses inherit their parent's
-    vectorization, so e.g. :class:`~repro.cache.fully_assoc` single-set
-    functions and tabulated I-Poly variants are covered automatically).
-    """
-    for klass in type(fn).__mro__:
-        vectorizer = _VECTORIZERS.get(klass)
-        if vectorizer is not None:
-            return vectorizer(fn)
-    raise ValueError(
-        f"no vectorization registered for index function {type(fn).__name__}"
-    )
+    def index(self, block_number: int, way: int = 0) -> int:
+        _check_block_and_way(block_number, way)
+        modulus, tables = self._lists[way if len(self._lists) > 1 else 0]
+        if modulus:
+            return block_number % modulus
+        result = 0
+        for table in tables:
+            result ^= table[block_number & 255]
+            block_number >>= 8
+        return result

@@ -11,9 +11,12 @@ arrays in place.  Inside, :func:`_policy` is ``policy_t`` with
 the four kernels are the ``repro_*_run`` loops.
 
 Each kernel checks the state arrays out as flat lists (frame ``way *
-num_sets + set``, as the C kernels index them), runs the batch over them
-and writes them back at the end.  Arguments are not validated: the callers
-build them from their own state.
+num_sets + set``, as the C kernels index them), computes every access's
+candidate sets from the cache's placement at entry
+(:meth:`~repro.engine.index_vec.Placement.sets`, the C kernels' evaluation
+in NumPy), runs the batch over them and writes them back at the end.
+Blocks must be non-negative, as in C; other arguments are not validated:
+the callers build them from their own state.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..cache.replacement import plru_touch, plru_victim, splitmix64
-from .ckernels import NUM_COUNTS
+from .ckernels import NUM_COUNTS, check_blocks
 
 __all__ = ["run_set_assoc", "run_victim", "run_column", "run_hierarchy"]
 
@@ -31,14 +34,15 @@ __all__ = ["run_set_assoc", "run_victim", "run_column", "run_hierarchy"]
 _EVICTIONS, _WRITEBACKS, _EXTRA0, _EXTRA1, _EXTRA2 = 4, 5, 6, 7, 8
 
 
-def _probes(way_sets: Sequence[np.ndarray], num_sets: int):
-    """``(set indices, frame offset)`` per way: set ``s`` of way ``w`` is
-    frame ``w * num_sets + s``.  Ways that share one index array (every
-    way of a conventional cache) share one list, so a wide cache costs one
-    list per batch, not one per way."""
-    lists = {id(sets): sets.tolist() for sets in way_sets}
-    return [(lists[id(sets)], way * num_sets)
-            for way, sets in enumerate(way_sets)]
+def _probes(place, blocks: np.ndarray, ways: int, num_sets: int):
+    """``(set indices, frame offset)`` per way for ``blocks``: set ``s`` of
+    way ``w`` is frame ``w * num_sets + s``.  Every way of a conventional
+    cache shares its one function's list, so a wide cache costs one list
+    per batch, not one per way."""
+    check_blocks("blocks", blocks)
+    lists = [sets.tolist() for sets in place.sets(blocks)]
+    return [(lists[way if len(lists) > 1 else 0], way * num_sets)
+            for way in range(ways)]
 
 
 def _policy(policy: str, ways: int, num_sets: int,
@@ -93,16 +97,16 @@ def _policy(policy: str, ways: int, num_sets: int,
     return touch, victim, stamp_l, close
 
 
-def _level(way_sets: Sequence[np.ndarray], *, write_back: bool, policy: str,
+def _level(blocks: np.ndarray, *, place, write_back: bool, policy: str,
            tags: np.ndarray, dirty: np.ndarray, stamps: Optional[np.ndarray],
            bits: Optional[np.ndarray], seed: int, io: np.ndarray):
     """``sa_access`` over list views of one cache's :func:`run_set_assoc`
-    state: returns ``(access, close, tags, dirty)``.  ``access(i, block,
-    write)`` returns ``(hit, frame hit or filled, or -1)``; ``close()``
-    writes the views back and returns the counters; ``tags``/``dirty`` are
-    per-frame views."""
+    state for ``blocks``: returns ``(access, close, tags, dirty)``.
+    ``access(i, block, write)`` (``block`` is ``blocks[i]``) returns
+    ``(hit, frame hit or filled, or -1)``; ``close()`` writes the views back
+    and returns the counters; ``tags``/``dirty`` are per-frame views."""
     ways, num_sets = tags.shape
-    probes = _probes(way_sets, num_sets)
+    probes = _probes(place, blocks, ways, num_sets)
     tag_l = tags.reshape(-1).tolist()
     dirty_l = dirty.reshape(-1).tolist()
     clock, draws = io.tolist()
@@ -159,24 +163,22 @@ def _level(way_sets: Sequence[np.ndarray], *, write_back: bool, policy: str,
     return access, close, tag_l, dirty_l
 
 
-def run_set_assoc(blocks: np.ndarray, writes: np.ndarray,
-                  way_sets: Sequence[np.ndarray], *, write_back: bool,
-                  policy: str, tags: np.ndarray, dirty: np.ndarray,
-                  stamps: Optional[np.ndarray], bits: Optional[np.ndarray],
-                  seed: int, io: np.ndarray):
+def run_set_assoc(blocks: np.ndarray, writes: np.ndarray, *, place,
+                  write_back: bool, policy: str, tags: np.ndarray,
+                  dirty: np.ndarray, stamps: Optional[np.ndarray],
+                  bits: Optional[np.ndarray], seed: int, io: np.ndarray):
     """:func:`repro.engine.ckernels.run_set_assoc` in Python
     (``repro_sa_run``)."""
     access, close, _tags, _dirty = _level(
-        way_sets, write_back=write_back, policy=policy, tags=tags,
+        blocks, place=place, write_back=write_back, policy=policy, tags=tags,
         dirty=dirty, stamps=stamps, bits=bits, seed=seed, io=io)
     hits = [access(i, block, write)[0] for i, (block, write)
             in enumerate(zip(blocks.tolist(), writes.tolist()))]
     return np.array(hits, dtype=bool), close()
 
 
-def run_victim(blocks: np.ndarray, writes: np.ndarray,
-               way_sets: Sequence[np.ndarray], *, policy: str,
-               tags: np.ndarray, dirty: np.ndarray,
+def run_victim(blocks: np.ndarray, writes: np.ndarray, *, place,
+               policy: str, tags: np.ndarray, dirty: np.ndarray,
                stamps: Optional[np.ndarray], bits: Optional[np.ndarray],
                seed: int, vtags: np.ndarray, vdirty: np.ndarray,
                vstamps: Optional[np.ndarray], vbits: Optional[np.ndarray],
@@ -185,7 +187,7 @@ def run_victim(blocks: np.ndarray, writes: np.ndarray,
     (``repro_victim_run``)."""
     ways, num_sets = tags.shape
     entries = vtags.shape[0]
-    probes = _probes(way_sets, num_sets)
+    probes = _probes(place, blocks, ways, num_sets)
     tag_l = tags.reshape(-1).tolist()
     dirty_l = dirty.reshape(-1).tolist()
     vtag_l = vtags.tolist()
@@ -264,11 +266,13 @@ def run_victim(blocks: np.ndarray, writes: np.ndarray,
     return np.array(hits, dtype=bool), np.array(counts, dtype=np.int64)
 
 
-def run_column(blocks: np.ndarray, writes: np.ndarray, primary: np.ndarray,
-               secondary: np.ndarray, *, swap: bool, tags: np.ndarray,
-               dirty: np.ndarray, sec_of: np.ndarray):
+def run_column(blocks: np.ndarray, writes: np.ndarray, *, place,
+               swap: bool, tags: np.ndarray, dirty: np.ndarray,
+               sec_of: np.ndarray):
     """:func:`repro.engine.ckernels.run_column` in Python
     (``repro_column_run``)."""
+    check_blocks("blocks", blocks)
+    primary, secondary = place.sets(blocks)
     tag_l = tags.tolist()
     dirty_l = dirty.tolist()
     sec_l = sec_of.tolist()
@@ -330,8 +334,8 @@ def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
     """:func:`repro.engine.ckernels.run_hierarchy` in Python
     (``repro_hier_run``); the three maps are read, not written back, since
     the caller drops them."""
-    access1, close1, tags1, dirty1 = _level(**l1)
-    access2, close2, _tags2, _dirty2 = _level(**l2)
+    access1, close1, tags1, dirty1 = _level(l1_blocks, **l1)
+    access2, close2, _tags2, _dirty2 = _level(l2_blocks, **l2)
     frame_of = frame_of_line.tolist()
     line_of = l1_line.tolist()
     gid_of = l2_gid.tolist()

@@ -150,10 +150,9 @@ def run_table2(programs: Optional[Sequence[str]] = None,
     ``engine`` does not change *what* is simulated: ``"vectorized"`` runs
     each (program, machine) pair on the compiled out-of-order core when a C
     compiler is available (see :mod:`repro.cpu.processor`), over program
-    columns the compiled program builder writes, and otherwise
-    swaps the I-Poly placement function for the engine's table-accelerated,
-    bit-exact equivalent
-    (:class:`~repro.engine.tabulated.TabulatedIPolyIndexing`), producing
+    columns the compiled program builder writes, and otherwise evaluates
+    the L1 placement through the engine's per-byte XOR tables
+    (:class:`~repro.engine.index_vec.PlacementIndexing`), producing
     identical IPCs and miss ratios faster.
 
     ``sweep_options`` fans the per-program tasks (each simulating every

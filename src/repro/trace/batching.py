@@ -26,7 +26,7 @@ length, seed).  Every worker process of a fan-out sweep holds its own cache,
 so a worker materialises a given trace once per sweep instead of once per
 task.  Cached arrays are returned read-only and with stable identity — which
 is what lets :mod:`repro.engine.memo` additionally share the *derived*
-block-number and set-index arrays across tasks.
+block-number arrays across tasks.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from repro.cache.set_assoc import SetAssociativeCache, WritePolicy
 from repro.cache.victim import VictimCache
 from repro.core.index import (
     BitSelectIndexing,
+    IPolyIndexing,
     SingleSetIndexing,
     make_index_function,
 )
@@ -43,7 +44,10 @@ from repro.engine import (
     BatchColumnAssociativeCache,
     BatchSetAssociativeCache,
     BatchVictimCache,
+    Placement,
     ckernels,
+    placement,
+    way_function,
 )
 from repro.trace.batching import to_arrays
 from repro.trace.generators import random_accesses, strided_vector
@@ -397,7 +401,8 @@ def _set_assoc_args(n=8, ways=2, num_sets=4):
     blocks = np.arange(n, dtype=np.int64)
     return dict(
         blocks=blocks, writes=np.zeros(n, dtype=np.uint8),
-        way_sets=[blocks % num_sets] * ways, write_back=True, policy="plru",
+        place=placement(BitSelectIndexing(num_sets), ways), write_back=True,
+        policy="plru",
         tags=np.full((ways, num_sets), -1, dtype=np.int64),
         dirty=np.zeros((ways, num_sets), dtype=np.uint8),
         stamps=np.zeros((ways, num_sets), dtype=np.int64),
@@ -405,15 +410,33 @@ def _set_assoc_args(n=8, ways=2, num_sets=4):
         io=np.zeros(2, dtype=np.int64))
 
 
+def _place(moduli, images):
+    """A placement over raw arrays, unchecked until a kernel call."""
+    place = placement(BitSelectIndexing(4), 1)
+    place.moduli, place.images = moduli, images
+    return place
+
+
 BAD_ARGUMENTS = {
     "int32 blocks": ("blocks", lambda a: a["blocks"].astype(np.int32)),
     "strided blocks": ("blocks", lambda a: np.arange(16)[::2]),
+    "negative block": ("blocks", lambda a: a["blocks"] - 1),
     "bool writes": ("writes", lambda a: a["writes"].astype(bool)),
-    "short set indices": ("way_sets", lambda a: [a["blocks"][:4] % 4] * 2),
-    "set index == num_sets": ("way_sets",
-                              lambda a: [a["blocks"] % 4 + 1] * 2),
-    "negative set index": ("way_sets", lambda a: [a["blocks"] % 4 - 1] * 2),
-    "one way missing": ("way_sets", lambda a: a["way_sets"][:1]),
+    "images not a table": ("place", lambda a: _place(
+        np.zeros(1, np.int64), np.array([1, 2], dtype=np.int64))),
+    "image == num_sets": ("place", lambda a: _place(
+        np.zeros(1, np.int64), np.array([[1, 4]], dtype=np.int64))),
+    "negative image": ("place", lambda a: _place(
+        np.zeros(1, np.int64), np.array([[1, -1]], dtype=np.int64))),
+    "images past 64 bits": ("place", lambda a: _place(
+        np.zeros(1, np.int64), np.zeros((1, 65), dtype=np.int64))),
+    "modulus above num_sets": ("place", lambda a: _place(
+        np.array([5], np.int64), np.zeros((1, 0), np.int64))),
+    "negative modulus": ("place", lambda a: _place(
+        np.array([-3], np.int64), np.zeros((1, 0), np.int64))),
+    "three functions for two ways": ("place", lambda a: placement(
+        make_index_function("a2-Hx-Sk", 4), 3)),
+    "no placement": ("place", lambda a: None),
     "tags of the wrong shape": ("tags", lambda a: a["tags"].T.copy()),
     "read-only tags": ("tags", lambda a: _read_only(a["tags"])),
     "stamps missing": ("stamps", lambda a: None),
@@ -439,16 +462,62 @@ def test_malformed_arguments_raise_before_the_call(case, compiled_tier):
         ckernels.run_set_assoc(**args)
 
 
-def test_column_secondary_table_is_range_checked(compiled_tier):
-    n, frames = 4, 8
+def test_linear_images_bound_every_xor(compiled_tier):
+    """Over a non-power-of-two table each image can be in range while an
+    XOR of two is not: the OR of a function's images must be."""
+    args = _set_assoc_args()
+    args.update(place=_place(np.zeros(1, np.int64),
+                             np.array([[1, 4]], dtype=np.int64)),
+                tags=np.full((2, 5), -1, dtype=np.int64),
+                dirty=np.zeros((2, 5), dtype=np.uint8),
+                stamps=np.zeros((2, 5), dtype=np.int64),
+                bits=np.zeros((5, 1), dtype=np.uint8))
+    with pytest.raises(ValueError, match="placement images"):
+        ckernels.run_set_assoc(**args)
+
+
+def _column_args(n=4, frames=8):
     blocks = np.arange(n, dtype=np.int64)
-    with pytest.raises(ValueError, match="sec_of"):
-        ckernels.run_column(
-            blocks, np.zeros(n, dtype=np.uint8), blocks % frames,
-            blocks % frames, swap=True,
-            tags=np.full(frames, -1, dtype=np.int64),
-            dirty=np.zeros(frames, dtype=np.uint8),
-            sec_of=np.full(frames, frames, dtype=np.int64))
+    return dict(
+        blocks=blocks, writes=np.zeros(n, dtype=np.uint8),
+        place=Placement([way_function(BitSelectIndexing(frames), 0),
+                         way_function(IPolyIndexing(frames), 0)]),
+        swap=True, tags=np.full(frames, -1, dtype=np.int64),
+        dirty=np.zeros(frames, dtype=np.uint8),
+        sec_of=np.zeros(frames, dtype=np.int64))
+
+
+BAD_COLUMN_ARGUMENTS = {
+    "sec_of past the frames": ("sec_of", lambda a: np.full(8, 8, np.int64)),
+    "secondary image past the frames": ("place", lambda a: Placement(
+        [way_function(BitSelectIndexing(8), 0),
+         way_function(BitSelectIndexing(16), 0)])),
+    "no secondary": ("place", lambda a: placement(BitSelectIndexing(8), 1)),
+    "negative block": ("blocks", lambda a: a["blocks"] - 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COLUMN_ARGUMENTS))
+def test_malformed_column_arguments_raise(case, compiled_tier):
+    args = _column_args()
+    key, mutate = BAD_COLUMN_ARGUMENTS[case]
+    args[key] = mutate(args)
+    with pytest.raises(ValueError):
+        ckernels.run_column(**args)
+
+
+def test_python_tier_rejects_negative_blocks():
+    """The Python kernels take blocks under the same rule as C."""
+    from repro.engine import pykernels
+
+    args = _set_assoc_args()
+    args["blocks"] = args["blocks"] - 1
+    with pytest.raises(ValueError, match="non-negative"):
+        pykernels.run_set_assoc(**args)
+    args = _column_args()
+    args["blocks"] = args["blocks"] - 2
+    with pytest.raises(ValueError, match="non-negative"):
+        pykernels.run_column(**args)
 
 
 def test_well_formed_arguments_run(compiled_tier):

@@ -248,7 +248,7 @@ def kernel_args():
                 addr_ids=columns.addr_ids, addresses=columns.addresses,
                 blocks=blocks, pcs=columns.pcs, taken=columns.taken,
                 params=params, units=units,
-                level=cache._kernel_state(blocks))
+                level=cache._kernel_state())
 
 
 def test_kernel_args_are_valid(compiled_tier):
@@ -273,6 +273,15 @@ def bad_param(name, value):
 
 def bad_level(args):
     args["level"] = dict(args["level"], tags=np.zeros((2, 3)))
+
+
+def bad_place(args):
+    from repro.core.index import BitSelectIndexing
+    from repro.engine import placement
+
+    # The cache has 128 sets; this placement reaches 255.
+    args["level"] = dict(args["level"],
+                         place=placement(BitSelectIndexing(256), 1))
 
 
 def bad_units(args):
@@ -303,6 +312,7 @@ def bad_units(args):
     bad_units,
     bad("units", np.ones(12, dtype=np.int64)),
     bad_level,
+    bad_place,
 ], ids=lambda spoil: spoil.__name__)
 def test_malformed_arguments_raise_before_the_call(kernel_path, monkeypatch,
                                                    spoil):

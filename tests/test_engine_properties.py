@@ -1,10 +1,10 @@
 """Hypothesis property tests for the vectorized engine.
 
 Random address batches, random power-of-two geometries and random polynomial
-choices: the vectorized index functions must agree element-wise with the
-scalar :mod:`repro.core.index` implementations, the tabulated I-Poly lookup
-must agree with :func:`repro.core.gf2.gf2_mod`, and the batch cache must
-agree with the scalar cache on arbitrary random traces.
+choices: every family's placement descriptor, evaluated by the kernels, by
+their NumPy mirror and by the scalar lookup, must agree with the scalar
+:mod:`repro.core.index` implementations, and the batch cache must agree
+with the scalar cache on arbitrary random traces.
 """
 
 import contextlib
@@ -12,35 +12,26 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.set_assoc import SetAssociativeCache, WritePolicy
-from repro.core.gf2 import gf2_mod, irreducible_polynomials
-from repro.core.index import (
-    BitSelectIndexing,
-    IPolyIndexing,
-    PrimeModuloIndexing,
-    XorFoldIndexing,
-    make_index_function,
-)
+from repro.core.gf2 import irreducible_polynomials
+from repro.core.index import IndexFunction, IPolyIndexing, make_index_function
 from repro.engine import (
     AddressBatch,
+    BatchColumnAssociativeCache,
     BatchSetAssociativeCache,
-    TabulatedIPolyIndexing,
+    BatchVictimCache,
+    Placement,
+    PlacementIndexing,
     ckernels,
-    vectorize_index,
+    placement,
+    way_function,
 )
+from repro.engine.index_vec import remainder_table
 
-#: Block numbers cover the full 40-bit range the experiments ever touch.
-blocks_arrays = st.lists(st.integers(min_value=0, max_value=(1 << 40) - 1),
-                         min_size=1, max_size=200)
-index_bits = st.integers(min_value=1, max_value=12)
 ways_strategy = st.integers(min_value=1, max_value=4)
-
-
-def _scalar_indices(fn, blocks, way):
-    return [fn.index(b, way) for b in blocks]
 
 
 def _python_tier():
@@ -60,71 +51,144 @@ def _plain_state(cache):
     return [plain(item) for item in cache._state]
 
 
-@settings(max_examples=60, deadline=None)
-@given(blocks=blocks_arrays, m=index_bits, way=st.integers(0, 3))
-def test_bit_select_elementwise(blocks, m, way):
-    fn = BitSelectIndexing(1 << m)
-    vec = vectorize_index(fn)
-    result = vec.way_indices(np.array(blocks, dtype=np.uint64), way)
-    assert result.tolist() == _scalar_indices(fn, blocks, way)
-
-
-@settings(max_examples=60, deadline=None)
-@given(blocks=blocks_arrays, m=index_bits, way=st.integers(0, 5),
-       skewed=st.booleans())
-def test_xor_fold_elementwise(blocks, m, way, skewed):
-    fn = XorFoldIndexing(1 << m, skewed=skewed)
-    vec = vectorize_index(fn)
-    result = vec.way_indices(np.array(blocks, dtype=np.uint64), way)
-    assert result.tolist() == _scalar_indices(fn, blocks, way)
-
-
-@settings(max_examples=60, deadline=None)
-@given(blocks=blocks_arrays, m=st.integers(2, 10))
-def test_prime_modulo_elementwise(blocks, m):
-    fn = PrimeModuloIndexing(1 << m)
-    vec = vectorize_index(fn)
-    result = vec.way_indices(np.array(blocks, dtype=np.uint64), 0)
-    assert result.tolist() == _scalar_indices(fn, blocks, 0)
+#: Every registered family, by scheme label.
+FAMILIES = ["a2", "a2-Hx", "a2-Hx-Sk", "a2-Hp", "a2-Hp-Sk", "a2-prime",
+            "full"]
 
 
 @st.composite
-def ipoly_configs(draw):
-    """A random I-Poly geometry with a random valid polynomial choice."""
-    m = draw(st.integers(min_value=2, max_value=10))
-    ways = draw(st.integers(min_value=1, max_value=3))
-    skewed = draw(st.booleans())
-    address_bits = draw(st.integers(min_value=m, max_value=24))
-    candidates = list(irreducible_polynomials(m))
-    if skewed and len(candidates) >= ways:
-        polys = draw(st.permutations(candidates).map(lambda p: list(p)[:ways]))
-    else:
-        polys = [draw(st.sampled_from(candidates))]
-        skewed = False
-    return m, ways, skewed, address_bits, polys
+def placed_functions(draw, m=None):
+    """``(fn, ways, window)``: a function of a random family (over ``1 <<
+    m`` sets when ``m`` is given) for ways 1, 2 or 4, with an I-Poly window
+    that is narrow (the index width), byte-aligned or neither; ``window``
+    is ``address_bits_used``."""
+    scheme = draw(st.sampled_from(FAMILIES if m is None else FAMILIES[:-1]))
+    ways = draw(st.sampled_from([1, 2, 4]))
+    if m is None:
+        m = 0 if scheme == "full" else draw(st.integers(1, 12))
+    address_bits = draw(st.one_of(
+        st.just(m), st.sampled_from([8, 16, 24, 32, 56, 63]),
+        st.integers(m, 63).filter(lambda bits: bits % 8)))
+    assume(address_bits >= m)
+    try:
+        fn = make_index_function(scheme, 1 << m, ways=ways,
+                                 address_bits=address_bits)
+    except ValueError:
+        # Too few irreducible polynomials of this degree for the skew.
+        assume(False)
+    return fn, ways, fn.address_bits_used
 
 
-@settings(max_examples=60, deadline=None)
-@given(blocks=blocks_arrays, config=ipoly_configs(), way=st.integers(0, 2))
-def test_ipoly_elementwise(blocks, config, way):
-    m, ways, skewed, address_bits, polys = config
-    fn = IPolyIndexing(1 << m, ways=ways, skewed=skewed,
-                       address_bits=address_bits, polynomials=polys)
-    vec = vectorize_index(fn)
-    result = vec.way_indices(np.array(blocks, dtype=np.uint64), way)
-    assert result.tolist() == _scalar_indices(fn, blocks, way)
+def _blocks_for(window, draw):
+    """Random blocks plus the edges: every bit of the window set, the
+    first block past the window and the largest block."""
+    edges = [0, (1 << window) - 1, 1 << window, 2**63 - 1]
+    return (draw(st.lists(st.integers(0, 2**63 - 1), max_size=40))
+            + [edge for edge in edges if edge < 2**63])
 
 
-@settings(max_examples=60, deadline=None)
-@given(blocks=blocks_arrays, config=ipoly_configs(), way=st.integers(0, 2))
-def test_tabulated_ipoly_matches_gf2_mod(blocks, config, way):
-    m, ways, skewed, address_bits, polys = config
-    fast = TabulatedIPolyIndexing(1 << m, ways=ways, skewed=skewed,
-                                  address_bits=address_bits, polynomials=polys)
-    mask = (1 << address_bits) - 1
+def _kernels():
+    """The kernel module the engine runs on (``kernel_path`` picks it)."""
+    from repro.engine import pykernels
+
+    return ckernels if ckernels.available() else pykernels
+
+
+def _kernel_sets(kernels, place, blocks, ways, num_sets):
+    """Way ``w``'s set of each block, read back from one-access runs of a
+    kernel: ways before ``w`` hold another block, so the miss fills way
+    ``w`` at its candidate set."""
+    sets = []
     for block in blocks:
-        expected = gf2_mod(block & mask, fast.polynomial_for_way(way))
-        assert fast.index(block, way) == expected
+        row = []
+        for way in range(ways):
+            tags = np.full((ways, num_sets), -1, dtype=np.int64)
+            tags[:way] = block ^ 1
+            kernels.run_set_assoc(
+                np.array([block], dtype=np.int64), np.zeros(1, np.uint8),
+                place=place, write_back=True, policy="lru", tags=tags,
+                dirty=np.zeros((ways, num_sets), np.uint8),
+                stamps=np.zeros((ways, num_sets), np.int64), bits=None,
+                seed=0, io=np.zeros(2, np.int64))
+            row.append(int(np.flatnonzero(tags[way] == block)[0]))
+        sets.append(row)
+    return sets
+
+
+#: ``kernel_path`` only patches ``ckernels.available`` for the whole test.
+_STATELESS_FIXTURE = [HealthCheck.function_scoped_fixture]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=_STATELESS_FIXTURE)
+@given(case=placed_functions(), data=st.data())
+def test_placement_descriptor_matches_the_scalar_oracle(kernel_path, case,
+                                                        data):
+    """Every family's descriptor, evaluated by the kernels (on both tiers),
+    by their NumPy mirror and by the scalar lookup, gives ``fn.index(block,
+    way)``."""
+    fn, ways, window = case
+    blocks = _blocks_for(window, data.draw)
+    expected = [[fn.index(b, way) for way in range(ways)] for b in blocks]
+    place = placement(fn, ways)
+    assert place.funcs == (ways if fn.is_skewed else 1)
+    mirror = place.sets(np.array(blocks, dtype=np.int64))
+    assert [[mirror[way if fn.is_skewed else 0][i] for way in range(ways)]
+            for i in range(len(blocks))] == expected
+    lookup = PlacementIndexing(fn, ways)
+    assert [[lookup.index(b, way) for way in range(ways)]
+            for b in blocks] == expected
+    assert _kernel_sets(_kernels(), place, blocks, ways,
+                        fn.num_sets) == expected
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=_STATELESS_FIXTURE)
+@given(m=st.integers(1, 12), data=st.data())
+def test_column_placement_matches_the_scalar_oracle(kernel_path, m, data):
+    """The column-associative kernel's primary and secondary sets — read
+    back from the frame a cold miss fills and its ``sec_of`` entry — are
+    ``fn.index(block)`` of the two functions, of any families."""
+    (first, _, window1), (second, _, window2) = (
+        data.draw(placed_functions(m)), data.draw(placed_functions(m)))
+    frames = 1 << m
+    blocks = _blocks_for(max(window1, window2), data.draw)
+    place = Placement([way_function(first, 0), way_function(second, 0)])
+    kernels = _kernels()
+    for block in blocks:
+        tags = np.full(frames, -1, dtype=np.int64)
+        sec_of = np.zeros(frames, dtype=np.int64)
+        kernels.run_column(np.array([block], dtype=np.int64),
+                           np.zeros(1, np.uint8), place=place, swap=True,
+                           tags=tags, dirty=np.zeros(frames, np.uint8),
+                           sec_of=sec_of)
+        (frame,) = np.flatnonzero(tags == block)
+        assert (frame, sec_of[frame]) == (first.index(block),
+                                          second.index(block))
+
+
+def test_remainder_table_is_the_ipoly_probe():
+    fn = IPolyIndexing(128, ways=2, skewed=True, address_bits=19)
+    for way in range(2):
+        assert way_function(fn, way).images == remainder_table(
+            fn.polynomial_for_way(way), 19)
+
+
+def test_unregistered_index_function_fails_at_construction():
+    """A function outside the registered families has no descriptor: a
+    batch cache over it fails to build, with one ``ValueError``."""
+    class Custom(IndexFunction):
+        name = "custom"
+
+        def index(self, block_number, way=0):
+            return (block_number * 3) & (self._num_sets - 1)
+
+    with pytest.raises(ValueError, match="no placement descriptor"):
+        BatchSetAssociativeCache(4096, 32, 2, index_function=Custom(64))
+    with pytest.raises(ValueError, match="no placement descriptor"):
+        BatchVictimCache(4096, 32, ways=2, index_function=Custom(64))
+    with pytest.raises(ValueError, match="no placement descriptor"):
+        BatchColumnAssociativeCache(4096, 32, secondary_index=Custom(128))
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,7 +23,7 @@ from repro.cache.hierarchy import TwoLevelHierarchy
 from repro.cache.replacement import REPLACEMENT_POLICIES
 from repro.cache.set_assoc import SetAssociativeCache, WritePolicy
 from repro.cache.virtual_real import VirtualRealHierarchy
-from repro.core.index import IPolyIndexing
+from repro.core.index import BitSelectIndexing, IPolyIndexing
 from repro.engine import (
     AddressBatch,
     BatchTwoLevelHierarchy,
@@ -33,6 +33,7 @@ from repro.engine import (
     batch_page_frames,
     batch_virtual_real_like,
     ckernels,
+    placement,
     run_tlb_kernel,
 )
 from repro.memory.paging import TLB, PageTable
@@ -378,9 +379,8 @@ def _hierarchy_args():
     n, num_sets = 2, 4
 
     def level():
-        blocks = np.arange(n, dtype=np.int64)
-        return dict(way_sets=[blocks % num_sets], write_back=True,
-                    policy="lru", tags=np.full((1, num_sets), -1, np.int64),
+        return dict(place=placement(BitSelectIndexing(num_sets), 1),
+                    write_back=True, policy="lru", tags=np.full((1, num_sets), -1, np.int64),
                     dirty=np.zeros((1, num_sets), np.uint8),
                     stamps=np.zeros((1, num_sets), np.int64), bits=None,
                     seed=0, io=np.zeros(2, np.int64))
@@ -402,6 +402,9 @@ BAD_HIERARCHY_ARGUMENTS = {
     "l2_gid past the block ids": ("l2_gid", lambda a: np.full(4, 2, np.int64)),
     "lines not whole blocks": ("ratio", lambda a: 4),
     "short L2 blocks": ("l2_blocks", lambda a: a["l2_blocks"][:1].copy()),
+    "negative L2 block": ("l2_blocks", lambda a: a["l2_blocks"] - 1),
+    "L2 placement past its sets": ("l2", lambda a: {
+        **a["l2"], "place": placement(BitSelectIndexing(8), 1)}),
     "read-only map": ("l1_line", lambda a: _read_only(a["l1_line"])),
 }
 

@@ -1,10 +1,11 @@
-"""Sweep-wide memoisation: the trace cache and the derived-array memos.
+"""Sweep-wide memoisation: the trace cache, the block-number memo and the
+placement descriptors.
 
 Covers bit-exactness of the cached builders against their uncached
 counterparts, identity stability (the property the engine-side memo keys
-on), the LRU bounds, read-only protection of shared arrays, and the
-end-to-end effect: repeated vectorized study runs hit the caches and still
-produce identical results.
+on), the LRU bounds, read-only protection of shared arrays, descriptors
+shared per ``cache_key``, and the end-to-end effect: repeated vectorized
+study runs hit the caches and still produce identical results.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 
 from repro.core.index import (
     BitSelectIndexing,
-    IndexFunction,
     IPolyIndexing,
     PrimeModuloIndexing,
     SingleSetIndexing,
@@ -22,11 +22,12 @@ from repro.core.index import (
 from repro.engine import (
     AddressBatch,
     cached_block_numbers,
-    cached_set_indices,
     memo_clear,
     memo_info,
-    vectorize_index,
+    placement,
+    way_function,
 )
+from repro.engine.index_vec import _WAY_FUNCTIONS
 from repro.trace.batching import (
     cached_strided_arrays,
     cached_workload_arrays,
@@ -118,59 +119,44 @@ class TestDerivedArrayMemos:
         assert cached_block_numbers(batch, 32) is blocks
         assert cached_block_numbers(batch, 64) is not blocks
 
-    def test_set_indices_shared_across_equal_functions(self):
+    def test_way_functions_shared_across_equal_functions(self):
         """Two semantically identical index-function instances (what sweep
-        tasks build independently) are served one shared array."""
+        tasks build independently) are probed once and share one
+        descriptor, which evaluates to the function."""
         addresses, _ = cached_strided_arrays(7, elements=64, sweeps=2)
         batch = AddressBatch.from_arrays(addresses)
         blocks = cached_block_numbers(batch, 32)
         fn_a = make_index_function("a2-Hp", 128, ways=2, address_bits=19)
         fn_b = make_index_function("a2-Hp", 128, ways=2, address_bits=19)
         assert fn_a is not fn_b and fn_a.cache_key == fn_b.cache_key
-        sets_a = cached_set_indices(vectorize_index(fn_a), blocks, 0)
-        sets_b = cached_set_indices(vectorize_index(fn_b), blocks, 0)
-        assert sets_a is sets_b
-        assert sets_a.dtype == np.int64
-        assert sets_a.tolist() == [fn_a.index(b) for b in blocks.tolist()]
+        assert way_function(fn_a, 0) is way_function(fn_b, 0)
+        (sets,) = placement(fn_a, 2).sets(blocks)
+        assert sets.dtype == np.int64
+        assert sets.tolist() == [fn_a.index(b) for b in blocks.tolist()]
 
-    def test_set_indices_distinguish_functions_and_ways(self):
-        addresses, _ = cached_strided_arrays(11, elements=64, sweeps=2)
-        batch = AddressBatch.from_arrays(addresses)
-        blocks = cached_block_numbers(batch, 32)
-        skewed = vectorize_index(
-            make_index_function("a2-Hp-Sk", 128, ways=2, address_bits=19))
-        plain = vectorize_index(
-            make_index_function("a2", 128, ways=2, address_bits=19))
-        assert cached_set_indices(skewed, blocks, 0) is not \
-            cached_set_indices(skewed, blocks, 1)
-        assert cached_set_indices(skewed, blocks, 0) is not \
-            cached_set_indices(plain, blocks, 0)
+    def test_way_functions_distinguish_functions_and_ways(self):
+        skewed = make_index_function("a2-Hp-Sk", 128, ways=2, address_bits=19)
+        plain = make_index_function("a2", 128, ways=2, address_bits=19)
+        assert way_function(skewed, 0) != way_function(skewed, 1)
+        assert way_function(skewed, 0) != way_function(plain, 0)
+        assert placement(skewed, 2).funcs == 2
+        assert placement(plain, 2).funcs == 1
 
-    def test_unkeyed_functions_bypass_the_memo(self):
-        class Custom(IndexFunction):
-            name = "custom"
+    def test_unkeyed_functions_are_probed_fresh(self):
+        """A subclass of a registered family declares no key: it is probed
+        through its own ``index`` every time, never served another
+        function's descriptor."""
+        class Sub(BitSelectIndexing):
+            pass
 
-            def index(self, block_number, way=0):
-                return block_number & (self._num_sets - 1)
-
-        fn = Custom(64)
+        fn = Sub(64)
         assert fn.cache_key is None
-
-        class VecCustom:
-            def __init__(self, scalar):
-                self.scalar = scalar
-
-            def way_indices(self, blocks, way):
-                return blocks & 63
-
-        addresses, _ = cached_strided_arrays(13, elements=32, sweeps=1)
-        batch = AddressBatch.from_arrays(addresses)
-        blocks = cached_block_numbers(batch, 32)
-        vec = VecCustom(fn)
-        first = cached_set_indices(vec, blocks, 0)
-        second = cached_set_indices(vec, blocks, 0)
-        assert first is not second  # computed fresh, never aliased
-        assert first.tolist() == second.tolist()
+        plain = way_function(BitSelectIndexing(64), 0)
+        before = len(_WAY_FUNCTIONS)
+        first, second = way_function(fn, 0), way_function(fn, 0)
+        assert first is not second  # probed fresh, never cached
+        assert first == second == plain
+        assert len(_WAY_FUNCTIONS) == before
 
     @staticmethod
     def _frozen_batch(values):
@@ -238,21 +224,17 @@ class TestDerivedArrayMemos:
         assert Shifted(64).cache_key is None
         assert BitSelectIndexing(64).cache_key is not None
 
-    def test_tabulated_ipoly_shares_the_parent_key(self):
-        """TabulatedIPolyIndexing is a bit-exact drop-in, so it opts into
-        the same keyspace as plain IPolyIndexing — deliberately."""
-        from repro.engine import TabulatedIPolyIndexing
+    def test_placement_indexing_declares_no_key(self):
+        """The scalar lookup of the Python core declares no key of its own,
+        yet a batch cache over it runs its base function's descriptor."""
+        from repro.engine import BatchSetAssociativeCache, PlacementIndexing
 
         plain = IPolyIndexing(64, ways=2, skewed=True, address_bits=19)
-        fast = TabulatedIPolyIndexing(64, ways=2, skewed=True,
-                                      address_bits=19)
-        assert fast.cache_key == plain.cache_key is not None
-
-        class SubTabulated(TabulatedIPolyIndexing):
-            pass
-
-        assert SubTabulated(64, ways=2, skewed=True,
-                            address_bits=19).cache_key is None
+        lookup = PlacementIndexing(plain, 2)
+        assert lookup.cache_key is None
+        cache = BatchSetAssociativeCache(4096, 32, 2, index_function=lookup)
+        assert cache._place.images.tolist() == \
+            placement(plain, 2).images.tolist()
 
     def test_trace_cache_byte_bound_and_oversize_bypass(self):
         """Entries stay under the byte budget, and a trace bigger than half
@@ -278,11 +260,10 @@ class TestDerivedArrayMemos:
         finally:
             batching._TRACE_CACHE.byte_limit = old
 
-    def test_skewed_kernel_hits_the_index_memo(self, kernel_path):
-        """Regression for the kernels re-deriving per-way indices per batch:
-        the skewed batch kernels fetch their per-way index arrays through
-        the memo on both tiers, so a second cache over the same trace hits
-        it."""
+    def test_skewed_kernel_reuses_blocks_and_descriptor(self, kernel_path):
+        """A second skewed cache over the same trace derives nothing
+        afresh, on both tiers: its block numbers are a memo hit and its
+        placement the first cache's way-functions."""
         from repro.engine import BatchSetAssociativeCache
 
         addresses, writes = cached_strided_arrays(23, elements=128, sweeps=3)
@@ -295,16 +276,19 @@ class TestDerivedArrayMemos:
                                                    address_bits=19),
                 replacement="fifo")
 
-        build().run(batch)
-        info = memo_info()["sets"]
-        assert info["misses"] == 2 and info["hits"] == 0  # one per way
-        build().run(batch)
-        info = memo_info()["sets"]
-        assert info["misses"] == 2 and info["hits"] == 2  # served, not rebuilt
+        first = build()
+        first.run(batch)
+        assert memo_info()["blocks"]["misses"] == 1
+        probed = len(_WAY_FUNCTIONS)
+        second = build()
+        second.run(batch)
+        info = memo_info()["blocks"]
+        assert info["misses"] == 1 and info["hits"] == 1
+        assert len(_WAY_FUNCTIONS) == probed
+        assert second.stats == first.stats
 
-    def test_victim_kernel_hits_the_index_memo(self, kernel_path):
-        """The victim kernels route their index stream through the memo
-        too."""
+    def test_victim_kernel_reuses_blocks(self, kernel_path):
+        """The victim kernels take their blocks through the memo too."""
         from repro.engine import BatchVictimCache
 
         addresses, writes = cached_strided_arrays(29, elements=128, sweeps=3)
@@ -314,9 +298,9 @@ class TestDerivedArrayMemos:
             return BatchVictimCache(4096, 32, ways=1, victim_entries=8)
 
         build().run(batch)
-        assert memo_info()["sets"]["misses"] == 1
+        assert memo_info()["blocks"]["misses"] == 1
         build().run(batch)
-        assert memo_info()["sets"]["hits"] == 1
+        assert memo_info()["blocks"]["hits"] == 1
 
     def test_caches_survive_concurrent_thread_sweeps(self):
         """Threads share the process-global caches; hammering them
@@ -332,7 +316,7 @@ class TestDerivedArrayMemos:
                 stride % 5 + 1, elements=256, sweeps=2)
             batch = AddressBatch.from_arrays(addresses, writes)
             blocks = cached_block_numbers(batch, 32)
-            sets = cached_set_indices(vectorize_index(fn), blocks, 0)
+            (sets,) = placement(fn, 2).sets(blocks)
             return int(sets.sum())
 
         tasks = list(range(60))
@@ -420,11 +404,10 @@ class TestEndToEndMemoisation:
         memo_after = memo_info()
         assert second.miss_ratios == first.miss_ratios
         assert trace_cache_info()["hits"] > hits_before
-        # The repeat derives nothing afresh: every block-number and
-        # set-index lookup is a hit, on either kernel tier.
-        for table in ("blocks", "sets"):
-            assert memo_after[table]["misses"] == memo_before[table]["misses"]
-        assert memo_after["sets"]["hits"] > memo_before["sets"]["hits"]
+        # The repeat derives nothing afresh: every block-number lookup is
+        # a hit, on either kernel tier.
+        assert memo_after["blocks"]["misses"] == memo_before["blocks"]["misses"]
+        assert memo_after["blocks"]["hits"] > memo_before["blocks"]["hits"]
 
     def test_cached_and_uncached_study_agree(self):
         """The memoised vectorized path matches the reference engine."""
