@@ -1,11 +1,13 @@
 """E-ENG: scalar-reference versus vectorized-engine throughput.
 
-Drives the same 1M-access strided trace through the scalar
-:class:`~repro.cache.set_assoc.SetAssociativeCache` and through the batch
-engine for each of the paper's four index-function families, reporting
-accesses/second for both paths.  Besides tracking the speedup, each
+Drives a 1M-access strided trace through the batch engine and its first
+``SCALAR_PREFIX_ACCESSES`` (50k) accesses through the scalar
+:class:`~repro.cache.set_assoc.SetAssociativeCache` for each of the
+paper's four index-function families, reporting accesses/second for both
+paths and the per-access speedup.  Besides tracking the speedup, each
 benchmark asserts *bit-exact* :class:`~repro.cache.stats.CacheStats`
-agreement, so the performance claim can never drift away from correctness.
+agreement between the scalar model and a batch run over the same prefix,
+so the performance claim can never drift away from correctness.
 
 Every single-level row runs twice — on the compiled kernels
 (:mod:`repro.engine.ckernels`) and on the Python fallback — and records the
@@ -113,8 +115,10 @@ from repro.engine import (
     BatchVictimCache,
     batch_hierarchy_like,
     batch_virtual_real_like,
+    MultiConfigFIFOProfile,
+    MultiConfigLRUProfile,
+    ProfileCounts,
     ckernels,
-    profile_cache_clear,
     run_lru_grid,
 )
 from repro.experiments.config import (
@@ -233,6 +237,12 @@ PROGRAM_BUILD_INSTRUCTIONS = 12_000
 #: Minimum compiled-builder-over-generator instructions/s ratio (measured
 #: ~25x on a 2-CPU x86_64 host).
 REQUIRED_SPEEDUP_PROGRAM_BUILD = 10.0
+
+#: Accesses the scalar oracle replays: the first ones of each row's trace.
+#: The batch side is timed on the whole trace and checked bit-exact against
+#: the oracle on this prefix; speedups are per access.  (Replaying 1M
+#: accesses through the 256-way scalar cache alone took ~250 s a row.)
+SCALAR_PREFIX_ACCESSES = 50_000
 
 #: Below this trace length the constant batch-setup overhead dominates and
 #: wall-clock ratios are noise, so the speedup assertions are skipped (the
@@ -371,11 +381,18 @@ def _python_kernels():
         ckernels.available = available
 
 
-def _time_tiers(build, trace, check):
+def _oracle_prefix(trace):
+    """The first ``SCALAR_PREFIX_ACCESSES`` accesses of ``trace``: what the
+    scalar oracle replays."""
+    return trace.slice(0, SCALAR_PREFIX_ACCESSES)
+
+
+def _time_tiers(build, trace, prefix, check):
     """Time ``build()``'s batch engine on ``trace`` on the compiled kernels,
-    then on the Python fallback; ``check(engine)`` asserts bit-exactness
-    against the scalar model after each run.  Returns ``[(kernel,
-    seconds), ...]`` per tier."""
+    then on the Python fallback; after each, ``check(engine)`` asserts
+    bit-exactness against the scalar model of a fresh ``build()`` run over
+    the scalar oracle's ``prefix``.  Returns ``[(kernel, seconds), ...]``
+    per tier."""
     timings = []
     for tier in (contextlib.nullcontext, _python_kernels):
         with tier():
@@ -384,12 +401,20 @@ def _time_tiers(build, trace, check):
             start = time.perf_counter()
             engine.run(trace)
             seconds = time.perf_counter() - start
-        check(engine)
+            twin = build()
+            twin.run(prefix)
+        check(twin)
         timings.append((kernel, seconds))
     return timings
 
 
-def _row(scheme, replacement, n, scalar_seconds, timings, miss_ratio):
+def _speedup(scalar_seconds, scalar_accesses, seconds, accesses):
+    """Per-access speedup of a batch run over the scalar oracle."""
+    return (scalar_seconds / scalar_accesses) / (seconds / accesses)
+
+
+def _row(scheme, replacement, n, scalar_n, scalar_seconds, timings,
+         miss_ratio):
     (kernel, seconds), (fallback_kernel, fallback_seconds) = timings
     return {
         "scheme": scheme,
@@ -397,11 +422,13 @@ def _row(scheme, replacement, n, scalar_seconds, timings, miss_ratio):
         "kernel": kernel,
         "fallback_kernel": fallback_kernel,
         "accesses": n,
-        "scalar_aps": n / scalar_seconds,
+        "scalar_accesses": scalar_n,
+        "scalar_aps": scalar_n / scalar_seconds,
         "vector_aps": n / seconds,
         "fallback_aps": n / fallback_seconds,
-        "speedup": scalar_seconds / seconds,
-        "fallback_speedup": scalar_seconds / fallback_seconds,
+        "speedup": _speedup(scalar_seconds, scalar_n, seconds, n),
+        "fallback_speedup": _speedup(scalar_seconds, scalar_n,
+                                     fallback_seconds, n),
         "miss_ratio": miss_ratio,
     }
 
@@ -414,10 +441,12 @@ def _time_scalar(scalar, trace):
 
 def compare_engines(scheme, accesses=BENCH_ENGINE_ACCESSES, replacement=None,
                     ways=PAPER_L1_8KB.ways, label=None):
-    """Time the scalar model and both batch tiers on the same trace."""
+    """Time the scalar model on the oracle prefix and both batch tiers on
+    the whole trace."""
     trace = _build_trace(accesses)
+    prefix = _oracle_prefix(trace)
     scalar, _ = _make_caches(scheme, replacement=replacement, ways=ways)
-    scalar_seconds = _time_scalar(scalar, trace)
+    scalar_seconds = _time_scalar(scalar, prefix)
 
     def check(batch):
         assert _stats_tuple(scalar.stats) == _stats_tuple(batch.stats), (
@@ -425,18 +454,19 @@ def compare_engines(scheme, accesses=BENCH_ENGINE_ACCESSES, replacement=None,
 
     timings = _time_tiers(
         lambda: _make_caches(scheme, replacement=replacement, ways=ways)[1],
-        trace, check)
-    return _row(label or scheme, replacement, len(trace), scalar_seconds,
-                timings, scalar.stats.miss_ratio)
+        trace, prefix, check)
+    return _row(label or scheme, replacement, len(trace), len(prefix),
+                scalar_seconds, timings, scalar.stats.miss_ratio)
 
 
 def compare_victim_kernel(accesses=BENCH_ENGINE_ACCESSES, replacement=None):
     """Time the scalar victim cache against both BatchVictimCache tiers."""
     trace = _build_trace(accesses)
+    prefix = _oracle_prefix(trace)
     geometry = PAPER_L1_8KB
     scalar = VictimCache(geometry.size_bytes, geometry.block_size,
                          ways=1, victim_entries=8, replacement=replacement)
-    scalar_seconds = _time_scalar(scalar, trace)
+    scalar_seconds = _time_scalar(scalar, prefix)
 
     def check(batch):
         assert scalar.stats.load_misses == batch.stats.load_misses, (
@@ -448,16 +478,17 @@ def compare_victim_kernel(accesses=BENCH_ENGINE_ACCESSES, replacement=None):
         lambda: BatchVictimCache(geometry.size_bytes, geometry.block_size,
                                  ways=1, victim_entries=8,
                                  replacement=replacement),
-        trace, check)
-    return _row("victim-direct+8", replacement, len(trace), scalar_seconds,
-                timings, scalar.stats.miss_ratio)
+        trace, prefix, check)
+    return _row("victim-direct+8", replacement, len(trace), len(prefix),
+                scalar_seconds, timings, scalar.stats.miss_ratio)
 
 
 def compare_hierarchy_engines(accesses=BENCH_ENGINE_ACCESSES):
     """Time the inclusive two-level hierarchy on both engines."""
     trace = _build_trace(accesses)
+    prefix = _oracle_prefix(trace)
     scalar = TwoLevelHierarchy(*_make_hierarchy_caches())
-    scalar_seconds = _time_scalar(scalar, trace)
+    scalar_seconds = _time_scalar(scalar, prefix)
 
     def check(batch):
         assert _stats_tuple(scalar.l1.stats) == _stats_tuple(
@@ -472,16 +503,18 @@ def compare_hierarchy_engines(accesses=BENCH_ENGINE_ACCESSES):
 
     timings = _time_tiers(
         lambda: batch_hierarchy_like(
-            TwoLevelHierarchy(*_make_hierarchy_caches())), trace, check)
-    return _row("hierarchy-16K/1M", "lru", len(trace), scalar_seconds,
-                timings, scalar.l1.stats.miss_ratio)
+            TwoLevelHierarchy(*_make_hierarchy_caches())), trace, prefix,
+        check)
+    return _row("hierarchy-16K/1M", "lru", len(trace), len(prefix),
+                scalar_seconds, timings, scalar.l1.stats.miss_ratio)
 
 
 def compare_virtual_real_engines(accesses=BENCH_ENGINE_ACCESSES):
     """Time the virtual-real hierarchy (TLB-fronted) on both engines."""
     trace = _build_trace(accesses)
+    prefix = _oracle_prefix(trace)
     scalar, table, tlb, *_ = _make_vr_pair()
-    scalar_seconds = _time_scalar(scalar, trace)
+    scalar_seconds = _time_scalar(scalar, prefix)
     twins = {}
 
     def build():
@@ -506,9 +539,9 @@ def compare_virtual_real_engines(accesses=BENCH_ENGINE_ACCESSES):
             twins["tlb"].hits, twins["tlb"].misses), (
             "TLB counters diverged between virtual-real engines")
 
-    timings = _time_tiers(build, trace, check)
-    return _row("virtual-real-16K/1M", "lru", len(trace), scalar_seconds,
-                timings, scalar.l1.stats.miss_ratio)
+    timings = _time_tiers(build, trace, prefix, check)
+    return _row("virtual-real-16K/1M", "lru", len(trace), len(prefix),
+                scalar_seconds, timings, scalar.l1.stats.miss_ratio)
 
 
 def check_dispatch_coverage(rows):
@@ -531,7 +564,7 @@ def check_dispatch_coverage(rows):
 
         timings = _time_tiers(
             lambda: _make_caches("a2", replacement, ways=ways,
-                                 classify=classify)[1], trace, check)
+                                 classify=classify)[1], trace, trace, check)
         covered.extend(kernel for kernel, _ in timings)
     reached = {row[key] for row in rows for key in ("kernel",
                                                     "fallback_kernel")}
@@ -540,23 +573,44 @@ def check_dispatch_coverage(rows):
     return covered
 
 
+def _per_config(trace, block_size, grid, replacement):
+    """Each ``(num_sets, ways)`` cell of ``grid`` on its own batch kernel."""
+    counts = {}
+    for num_sets, ways in grid:
+        cache = BatchSetAssociativeCache(num_sets * ways * block_size,
+                                         block_size, ways,
+                                         replacement=replacement)
+        cache.run(trace)
+        counts[(num_sets, ways)] = ProfileCounts.from_stats(cache.stats)
+    return counts
+
+
+def _profiled(trace, block_size, grid, replacement):
+    """Every cell of ``grid`` priced out of one exact profile: the
+    all-associativity LRU or the event-replay FIFO one."""
+    level_caps = {}
+    for num_sets, ways in grid:
+        level_caps[num_sets] = max(level_caps.get(num_sets, 0), ways)
+    kind = (MultiConfigLRUProfile if replacement == "lru"
+            else MultiConfigFIFOProfile)
+    profile = kind(trace, block_size, level_caps)
+    return {cell: profile.miss_counts(*cell) for cell in grid}
+
+
 def _time_grid(trace, block_size, grid, replacement):
-    """Time ``run_lru_grid`` over ``grid`` three ways: per-config compiled
-    kernels, per-config Python fallback kernels and the one-pass profile
-    (cold).  Each per-config tier must match the profile exactly.  Returns
-    the profiled counts and the timing fields of a section record."""
+    """Time ``grid`` three ways: per-config compiled kernels, per-config
+    Python fallback kernels and one exact profile.  Each per-config tier
+    must match the profile exactly.  Returns the profiled counts and the
+    timing fields of a section record."""
     seconds = {}
     results = {}
-    runs = (("per_config", contextlib.nullcontext, "never"),
-            ("fallback_per_config", _python_kernels, "never"),
-            ("profile", contextlib.nullcontext, "always"))
-    for label, tier, profile in runs:
-        profile_cache_clear()  # time a cold profile, not a memo hit
+    runs = (("per_config", contextlib.nullcontext, _per_config),
+            ("fallback_per_config", _python_kernels, _per_config),
+            ("profile", contextlib.nullcontext, _profiled))
+    for label, tier, price in runs:
         with tier():
             start = time.perf_counter()
-            results[label] = run_lru_grid(trace, block_size, grid,
-                                          profile=profile,
-                                          replacement=replacement)
+            results[label] = price(trace, block_size, grid, replacement)
             seconds[label] = time.perf_counter() - start
     for label in ("per_config", "fallback_per_config"):
         for cell in grid:
@@ -578,12 +632,12 @@ def _time_grid(trace, block_size, grid, replacement):
 def compare_lru_grid_sweep(accesses=BENCH_ENGINE_ACCESSES, check_scalar=True):
     """Time the 16-configuration LRU grid: one-pass profiler vs per-config.
 
-    Every timing drives the *vectorized* engine over the same trace through
-    :func:`repro.engine.run_lru_grid` — ``profile="never"`` runs each
+    Every timing drives the *vectorized* engine over the same trace: each
     configuration's own batch kernel, compiled and on the Python fallback,
-    ``profile="always"`` prices the whole grid out of one capped stack pass
-    per set count.  ``profile="auto"`` picks the profiler only on the
-    fallback tier, so the record carries both ratios.  Every
+    and one :class:`~repro.engine.MultiConfigLRUProfile`, which prices the
+    whole grid out of one capped stack pass per set count.
+    ``MultiConfigPlan`` picks the profile only on the fallback tier, so the
+    record carries both ratios.  Every
     configuration's counts must agree exactly between the paths (and, when
     ``check_scalar`` is set, with a scalar-model replay), so the sweep-level
     speedup claims can never drift away from correctness.
@@ -652,20 +706,20 @@ def _spread_trace(accesses, seed=99, store_fraction=0.3):
 def compare_sampled_profiler(accesses=BENCH_ENGINE_ACCESSES):
     """Time SHARDS-sampled against exact profiling on the dense LRU grid.
 
-    Both sides price all ``len(SAMPLED_GRID)`` configurations through
-    :func:`repro.engine.run_lru_grid` over the same spread-mass trace —
-    ``profile="always"`` runs the exact one-pass-per-level profiler,
-    ``profile="sampled"`` the miniature-simulation profiles at
-    ``SAMPLED_RATE``.  Each seed in ``SAMPLED_SEEDS`` is timed separately
-    and its worst-cell miss-ratio error recorded; the caller asserts the
-    speedup and error bounds on full-length runs.
+    Both sides price all ``len(SAMPLED_GRID)`` configurations over the same
+    spread-mass trace — one exact
+    :class:`~repro.engine.MultiConfigLRUProfile`, and
+    :func:`repro.engine.run_lru_grid` with ``profile="sampled"``, the
+    miniature-simulation profile at ``SAMPLED_RATE``.  Each seed in
+    ``SAMPLED_SEEDS`` is timed separately and its worst-cell miss-ratio
+    error recorded; the caller asserts the speedup and error bounds on
+    full-length runs.
     """
     trace = _spread_trace(accesses)
     block_size = 32
 
-    profile_cache_clear()  # time a cold exact profile, not a memo hit
     start = time.perf_counter()
-    exact = run_lru_grid(trace, block_size, SAMPLED_GRID, profile="always")
+    exact = _profiled(trace, block_size, SAMPLED_GRID, "lru")
     exact_seconds = time.perf_counter() - start
 
     seeds = []
@@ -693,11 +747,10 @@ def compare_sampled_profiler(accesses=BENCH_ENGINE_ACCESSES):
 def compare_fifo_grid(accesses=BENCH_ENGINE_ACCESSES, check_scalar=False):
     """Time the single-pass FIFO profile against per-config FIFO kernels.
 
-    Both sides drive :func:`repro.engine.run_lru_grid` with
-    ``replacement="fifo"`` over the same workload trace —
-    ``profile="never"`` runs each configuration's FIFO batch kernel,
-    ``profile="always"`` prices the whole grid out of one
-    occurrence-list pass plus a miss-driven event replay per cell.  The
+    Both sides run over the same workload trace — each configuration's
+    FIFO batch kernel, and one :class:`~repro.engine.MultiConfigFIFOProfile`,
+    which prices the whole grid out of one occurrence-list pass plus a
+    miss-driven event replay per cell.  The
     per-config side runs on both kernel tiers, as in
     :func:`compare_lru_grid_sweep`.  Every cell must agree exactly (FIFO
     profiling is exact, not sampled), with an optional scalar-model
@@ -738,8 +791,8 @@ def compare_fifo_grid(accesses=BENCH_ENGINE_ACCESSES, check_scalar=False):
 
 def compare_deep_level(replacement, accesses=DEEP_LEVEL_ACCESSES):
     """Time one 256-way fully-associative configuration per-config (both
-    tiers) and profiled, bit-exact: the two sides of ``profile="auto"``'s
-    per-tier choice on its deepest level."""
+    tiers) and profiled, bit-exact: the two sides of the plan's per-tier
+    choice on its deepest level."""
     trace = _build_trace(accesses)
     _, timings = _time_grid(trace, PAPER_L1_8KB.block_size,
                             [(1, FULLY_ASSOCIATIVE_WAYS)], replacement)
@@ -998,7 +1051,9 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "machine": platform.machine(),
         "smoke": bool(smoke),
         "workload": {"elements": ELEMENTS, "stride": STRIDE,
-                     "accesses": accesses, "cache": PAPER_L1_8KB.label},
+                     "accesses": accesses, "cache": PAPER_L1_8KB.label,
+                     "scalar_accesses": min(accesses,
+                                            SCALAR_PREFIX_ACCESSES)},
         "required_speedup_lru": REQUIRED_SPEEDUP,
         "required_speedup_policy": REQUIRED_SPEEDUP_POLICY,
         "required_speedup_sweep": REQUIRED_SPEEDUP_SWEEP,
@@ -1028,96 +1083,67 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
     return path
 
 
-@pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_engine_throughput(benchmark, scheme):
-    trace = _build_trace(BENCH_ENGINE_ACCESSES)
-    scalar, batch = _make_caches(scheme)
-
-    start = time.perf_counter()
-    _run_scalar(scalar, trace)
-    scalar_seconds = time.perf_counter() - start
+def _bench_vector(benchmark, build, trace, scalar, check):
+    """Time the scalar oracle on the trace's prefix and ``build()``'s batch
+    engine (3 rounds, best of) on the whole trace; ``check(twin)`` asserts
+    a batch twin run over the prefix bit-exact against the oracle.
+    Returns the per-access speedup and both throughputs."""
+    prefix = _oracle_prefix(trace)
+    scalar_seconds = _time_scalar(scalar, prefix)
 
     def _vector_run():
-        _, fresh = _make_caches(scheme)
+        fresh = build()
         fresh.run(trace)
         return fresh
 
     fresh = benchmark.pedantic(_vector_run, rounds=3, iterations=1)
     vector_seconds = benchmark.stats.stats.min
+    twin = build()
+    twin.run(prefix)
+    check(twin)
+    return (fresh,
+            _speedup(scalar_seconds, len(prefix), vector_seconds, len(trace)),
+            len(prefix) / scalar_seconds, len(trace) / vector_seconds)
 
-    assert _stats_tuple(scalar.stats) == _stats_tuple(fresh.stats), (
-        f"CacheStats diverged between engines for {scheme}")
-    speedup = scalar_seconds / vector_seconds
-    print(f"\n{scheme}: scalar {len(trace) / scalar_seconds:,.0f} acc/s, "
-          f"vectorized {len(trace) / vector_seconds:,.0f} acc/s "
-          f"({speedup:.1f}x)")
+
+def _bench_cache_row(benchmark, scheme, replacement, required):
+    trace = _build_trace(BENCH_ENGINE_ACCESSES)
+    scalar, _ = _make_caches(scheme, replacement=replacement)
+    label = f"{scheme}/{replacement}" if replacement else scheme
+
+    def check(twin):
+        assert _stats_tuple(scalar.stats) == _stats_tuple(twin.stats), (
+            f"CacheStats diverged between engines for {label}")
+
+    _, speedup, scalar_aps, vector_aps = _bench_vector(
+        benchmark, lambda: _make_caches(scheme, replacement=replacement)[1],
+        trace, scalar, check)
+    print(f"\n{label}: scalar {scalar_aps:,.0f} acc/s, vectorized "
+          f"{vector_aps:,.0f} acc/s ({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
-        assert speedup >= REQUIRED_SPEEDUP, (
-            f"{scheme}: vectorized engine only {speedup:.1f}x over scalar "
-            f"(required {REQUIRED_SPEEDUP}x)")
+        assert speedup >= required, (
+            f"{label}: batch kernel only {speedup:.1f}x over scalar "
+            f"(required {required}x)")
+
+
+@pytest.mark.benchmark(group="engine")
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_engine_throughput(benchmark, scheme):
+    _bench_cache_row(benchmark, scheme, None, REQUIRED_SPEEDUP)
 
 
 @pytest.mark.benchmark(group="engine-policy")
 @pytest.mark.parametrize("policy", POLICY_ROWS)
 def test_policy_kernel_throughput(benchmark, policy):
     """Conventional two-way policy kernels hold the LRU paths' bar."""
-    trace = _build_trace(BENCH_ENGINE_ACCESSES)
-    scalar, batch = _make_caches("a2", replacement=policy)
-
-    start = time.perf_counter()
-    _run_scalar(scalar, trace)
-    scalar_seconds = time.perf_counter() - start
-
-    def _vector_run():
-        _, fresh = _make_caches("a2", replacement=policy)
-        fresh.run(trace)
-        return fresh
-
-    fresh = benchmark.pedantic(_vector_run, rounds=3, iterations=1)
-    vector_seconds = benchmark.stats.stats.min
-
-    assert _stats_tuple(scalar.stats) == _stats_tuple(fresh.stats), (
-        f"CacheStats diverged between engines for a2/{policy}")
-    speedup = scalar_seconds / vector_seconds
-    print(f"\na2/{policy}: scalar {len(trace) / scalar_seconds:,.0f} acc/s, "
-          f"vectorized {len(trace) / vector_seconds:,.0f} acc/s "
-          f"({speedup:.1f}x)")
-    if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
-        assert speedup >= REQUIRED_SPEEDUP_POLICY, (
-            f"a2/{policy}: batch kernel only {speedup:.1f}x over "
-            f"scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
+    _bench_cache_row(benchmark, "a2", policy, REQUIRED_SPEEDUP_POLICY)
 
 
 @pytest.mark.benchmark(group="engine-skew-policy")
 @pytest.mark.parametrize("policy", POLICY_ROWS)
 def test_skew_policy_kernel_throughput(benchmark, policy):
     """Policy kernels hold the same bar on skewed placement."""
-    trace = _build_trace(BENCH_ENGINE_ACCESSES)
-    scalar, batch = _make_caches("a2-Hp-Sk", replacement=policy)
-
-    start = time.perf_counter()
-    _run_scalar(scalar, trace)
-    scalar_seconds = time.perf_counter() - start
-
-    def _vector_run():
-        _, fresh = _make_caches("a2-Hp-Sk", replacement=policy)
-        fresh.run(trace)
-        return fresh
-
-    fresh = benchmark.pedantic(_vector_run, rounds=3, iterations=1)
-    vector_seconds = benchmark.stats.stats.min
-
-    assert _stats_tuple(scalar.stats) == _stats_tuple(fresh.stats), (
-        f"CacheStats diverged between engines for a2-Hp-Sk/{policy}")
-    speedup = scalar_seconds / vector_seconds
-    print(f"\na2-Hp-Sk/{policy}: scalar {len(trace) / scalar_seconds:,.0f} "
-          f"acc/s, vectorized {len(trace) / vector_seconds:,.0f} acc/s "
-          f"({speedup:.1f}x)")
-    if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
-        assert speedup >= REQUIRED_SPEEDUP_POLICY, (
-            f"a2-Hp-Sk/{policy}: batch kernel only {speedup:.1f}x "
-            f"over scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
+    _bench_cache_row(benchmark, "a2-Hp-Sk", policy, REQUIRED_SPEEDUP_POLICY)
 
 
 @pytest.mark.benchmark(group="engine-victim")
@@ -1130,30 +1156,18 @@ def test_victim_kernel_throughput(benchmark, policy):
     scalar = VictimCache(geometry.size_bytes, geometry.block_size,
                          ways=1, victim_entries=8, replacement=policy)
 
-    start = time.perf_counter()
-    access = scalar.access
-    for address in trace.addresses.tolist():
-        access(address, False)
-    scalar_seconds = time.perf_counter() - start
+    def check(twin):
+        assert scalar.stats.load_misses == twin.stats.load_misses
+        assert scalar.victim_hits == twin.victim_hits
+        assert scalar.main_hits == twin.main_hits
 
-    def _vector_run():
-        fresh = BatchVictimCache(geometry.size_bytes, geometry.block_size,
-                                 ways=1, victim_entries=8,
-                                 replacement=policy)
-        fresh.run(trace)
-        return fresh
-
-    fresh = benchmark.pedantic(_vector_run, rounds=3, iterations=1)
-    vector_seconds = benchmark.stats.stats.min
-
-    assert scalar.stats.load_misses == fresh.stats.load_misses
-    assert scalar.victim_hits == fresh.victim_hits
-    assert scalar.main_hits == fresh.main_hits
-    speedup = scalar_seconds / vector_seconds
+    _, speedup, scalar_aps, vector_aps = _bench_vector(
+        benchmark, lambda: BatchVictimCache(
+            geometry.size_bytes, geometry.block_size, ways=1,
+            victim_entries=8, replacement=policy), trace, scalar, check)
     label = policy or "lru"
-    print(f"\nvictim/{label}: scalar {len(trace) / scalar_seconds:,.0f} "
-          f"acc/s, vectorized {len(trace) / vector_seconds:,.0f} acc/s "
-          f"({speedup:.1f}x)")
+    print(f"\nvictim/{label}: scalar {scalar_aps:,.0f} acc/s, vectorized "
+          f"{vector_aps:,.0f} acc/s ({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
         assert speedup >= REQUIRED_SPEEDUP_POLICY, (
             f"victim/{label}: victim kernel only {speedup:.1f}x "
@@ -1166,29 +1180,19 @@ def test_hierarchy_engine_throughput(benchmark):
     trace = _build_trace(BENCH_ENGINE_ACCESSES)
     scalar = TwoLevelHierarchy(*_make_hierarchy_caches())
 
-    start = time.perf_counter()
-    access = scalar.access
-    for address in trace.addresses.tolist():
-        access(address, False)
-    scalar_seconds = time.perf_counter() - start
+    def check(twin):
+        assert _stats_tuple(scalar.l1.stats) == _stats_tuple(twin.l1.stats)
+        assert _stats_tuple(scalar.l2.stats) == _stats_tuple(twin.l2.stats)
+        assert scalar.holes_created == twin.holes_created
+        assert scalar.back_invalidations == twin.back_invalidations
 
-    def _vector_run():
-        fresh = batch_hierarchy_like(
-            TwoLevelHierarchy(*_make_hierarchy_caches()))
-        fresh.run(trace)
-        return fresh
-
-    fresh = benchmark.pedantic(_vector_run, rounds=3, iterations=1)
-    vector_seconds = benchmark.stats.stats.min
-
-    assert _stats_tuple(scalar.l1.stats) == _stats_tuple(fresh.l1.stats)
-    assert _stats_tuple(scalar.l2.stats) == _stats_tuple(fresh.l2.stats)
-    assert scalar.holes_created == fresh.holes_created
-    assert scalar.back_invalidations == fresh.back_invalidations
-    speedup = scalar_seconds / vector_seconds
-    print(f"\nhierarchy: scalar {len(trace) / scalar_seconds:,.0f} acc/s, "
-          f"{fresh.dispatch_strategy()} "
-          f"{len(trace) / vector_seconds:,.0f} acc/s ({speedup:.1f}x)")
+    fresh, speedup, scalar_aps, vector_aps = _bench_vector(
+        benchmark, lambda: batch_hierarchy_like(
+            TwoLevelHierarchy(*_make_hierarchy_caches())),
+        trace, scalar, check)
+    print(f"\nhierarchy: scalar {scalar_aps:,.0f} acc/s, "
+          f"{fresh.dispatch_strategy()} {vector_aps:,.0f} acc/s "
+          f"({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
         assert speedup >= REQUIRED_SPEEDUP, (
             f"hierarchy: batch engine only {speedup:.1f}x over scalar "
@@ -1199,35 +1203,27 @@ def test_hierarchy_engine_throughput(benchmark):
 def test_virtual_real_engine_throughput(benchmark):
     """The batch virtual-real hierarchy (TLB included) holds the same bar."""
     trace = _build_trace(BENCH_ENGINE_ACCESSES)
-    scalar, table, tlb, _batch, _tt, _ttlb = _make_vr_pair()
+    scalar, table, tlb, *_ = _make_vr_pair()
+    twins = {}
 
-    start = time.perf_counter()
-    access = scalar.access
-    for address in trace.addresses.tolist():
-        access(address, False)
-    scalar_seconds = time.perf_counter() - start
+    def build():
+        *_, batch, twins["table"], twins["tlb"] = _make_vr_pair()
+        return batch
 
-    state = {}
+    def check(twin):
+        assert _stats_tuple(scalar.l1.stats) == _stats_tuple(twin.l1.stats)
+        assert _stats_tuple(scalar.l2.stats) == _stats_tuple(twin.l2.stats)
+        assert scalar.holes_created == twin.holes_created
+        assert scalar.alias_invalidations == twin.alias_invalidations
+        assert table.page_faults == twins["table"].page_faults
+        assert (tlb.hits, tlb.misses) == (twins["tlb"].hits,
+                                          twins["tlb"].misses)
 
-    def _vector_run():
-        _s, _t, _l, fresh, fresh_table, fresh_tlb = _make_vr_pair()
-        fresh.run(trace)
-        state["table"], state["tlb"] = fresh_table, fresh_tlb
-        return fresh
-
-    fresh = benchmark.pedantic(_vector_run, rounds=3, iterations=1)
-    vector_seconds = benchmark.stats.stats.min
-
-    assert _stats_tuple(scalar.l1.stats) == _stats_tuple(fresh.l1.stats)
-    assert _stats_tuple(scalar.l2.stats) == _stats_tuple(fresh.l2.stats)
-    assert scalar.holes_created == fresh.holes_created
-    assert scalar.alias_invalidations == fresh.alias_invalidations
-    assert table.page_faults == state["table"].page_faults
-    assert (tlb.hits, tlb.misses) == (state["tlb"].hits, state["tlb"].misses)
-    speedup = scalar_seconds / vector_seconds
-    print(f"\nvirtual-real: scalar {len(trace) / scalar_seconds:,.0f} acc/s, "
-          f"{fresh.dispatch_strategy()} "
-          f"{len(trace) / vector_seconds:,.0f} acc/s ({speedup:.1f}x)")
+    fresh, speedup, scalar_aps, vector_aps = _bench_vector(
+        benchmark, build, trace, scalar, check)
+    print(f"\nvirtual-real: scalar {scalar_aps:,.0f} acc/s, "
+          f"{fresh.dispatch_strategy()} {vector_aps:,.0f} acc/s "
+          f"({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
         assert speedup >= REQUIRED_SPEEDUP, (
             f"virtual-real: batch engine only {speedup:.1f}x over scalar "

@@ -20,15 +20,15 @@ equivalence story, exercised by the :mod:`repro.cpu.fuzzer` harness), and
 :mod:`repro.engine.sweep` fans experiment sweeps across one process pool
 (``on_error="collect"`` slots a :class:`TaskFailure` in place of a failed
 task's result).
-:mod:`repro.engine.multiconfig` prices whole conventional-LRU
-capacity/associativity sweeps out of single stack-distance /
-all-associativity trace passes, and FIFO grids out of miss-driven event
-replays of one occurrence-list pass (``MultiConfigPlan`` partitions a
-sweep's tasks into profilable and kernel-run configurations; drivers
-expose the policy as ``profile={"auto", "always", "never", "sampled"}``,
-where ``"sampled"`` prices LRU groups approximately through the SHARDS
-spatial-sampling profiles of :mod:`repro.engine.shards` at
-``--sample-rate``/``--sample-size``/``--profile-seed``).
+:mod:`repro.engine.multiconfig` prices conventional LRU
+capacity/associativity grids out of one all-associativity pass per set
+count, and FIFO grids out of miss-driven event replays of one
+occurrence-list pass.  ``MultiConfigPlan`` routes a sweep's tasks: exact
+profiles on the Python kernel tier, every task on its own kernel while the
+compiled kernels are available.  The experiments expose the pricing as
+``profile={"auto", "sampled"}``, where ``"sampled"`` prices LRU groups
+approximately through the SHARDS profile of :mod:`repro.engine.shards` at
+``--sample-rate``/``--sample-size``/``--profile-seed``.
 
 Experiment drivers expose the choice as ``engine={"reference", "vectorized"}``
 (CLI: ``--engine``); :data:`ENGINES` names the valid values.
@@ -51,27 +51,16 @@ from .index_vec import Placement, PlacementIndexing, placement, way_function
 from .memo import cached_block_numbers, memo_clear, memo_info
 from .multiconfig import (
     PROFILE_MODES,
-    MultiCapacityFIFOProfile,
-    MultiConfigFIFOBuilder,
     MultiConfigFIFOProfile,
     MultiConfigLRUProfile,
     MultiConfigPlan,
-    MultiConfigProfileBuilder,
     ProfileCounts,
     ProfileOptions,
-    StackDistanceBuilder,
-    StackDistanceProfile,
     check_profile_mode,
-    profile_cache_clear,
     profile_cache_info,
     run_lru_grid,
 )
-from .shards import (
-    SampledMultiConfigLRUProfile,
-    SampledMultiConfigProfileBuilder,
-    SampledStackDistanceBuilder,
-    SampledStackDistanceProfile,
-)
+from .shards import SampledMultiConfigLRUProfile
 from .replacement_vec import PolicyTables
 from .replay import ReplayOutcome, batch_cache_like, replay_access_stream
 from .sweep import (
@@ -107,21 +96,12 @@ __all__ = [
     "check_profile_mode",
     "ProfileCounts",
     "ProfileOptions",
-    "StackDistanceProfile",
-    "StackDistanceBuilder",
     "MultiConfigLRUProfile",
-    "MultiConfigProfileBuilder",
-    "MultiCapacityFIFOProfile",
     "MultiConfigFIFOProfile",
-    "MultiConfigFIFOBuilder",
-    "SampledStackDistanceProfile",
-    "SampledStackDistanceBuilder",
     "SampledMultiConfigLRUProfile",
-    "SampledMultiConfigProfileBuilder",
     "MultiConfigPlan",
     "run_lru_grid",
     "profile_cache_info",
-    "profile_cache_clear",
     "ReplayOutcome",
     "batch_cache_like",
     "replay_access_stream",

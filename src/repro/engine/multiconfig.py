@@ -1,42 +1,33 @@
-"""One-pass multi-configuration LRU profiling (stack-distance simulation).
+"""One-pass pricing of conventional LRU and FIFO configuration grids.
 
 Every other kernel in this package simulates **one** cache configuration per
-trace pass.  A sweep over a family of conventional LRU caches — the
+trace pass.  A sweep over a family of conventional caches — the
 capacity/associativity grids of the classic miss-ratio studies — therefore
-costs O(configs x N).  This module implements the classic single-pass
-alternatives:
+costs O(configs x N).  This module prices such a grid in one pass:
 
-* **Mattson stack-distance profiling** (:class:`StackDistanceProfile`): one
-  pass over the block-number stream yields the full reuse-distance
-  histogram, from which the miss ratio of a fully-associative LRU cache of
-  *every* capacity falls out.  Distances are counted with a Fenwick (binary
-  indexed) tree over access positions, O(N log N) total, after the
-  previous-occurrence array is derived with vectorized NumPy sorting.
-
-* **All-associativity (Hill & Smith style) set profiling**
+* **All-associativity (Hill & Smith style) LRU set profiling**
   (:class:`MultiConfigLRUProfile`): bit-selection set mappings are nested —
   a cache with ``2^k`` sets partitions the sets of one with ``2^(k+1)`` —
   so one capped per-set LRU stack pass per *set count* serves every
-  associativity at that set count at once.  A (num_sets x ways) grid for a
-  fixed block size costs one pass per distinct ``num_sets`` instead of one
-  per configuration.
+  associativity at that set count at once (Mattson stack distances).  A
+  (num_sets x ways) grid for a fixed block size costs one pass per
+  distinct ``num_sets`` instead of one per configuration.
 
-* **Single-pass FIFO grids** (:class:`MultiConfigFIFOProfile`,
-  :class:`MultiCapacityFIFOProfile`): FIFO is not a stack algorithm
-  (Belady's anomaly), but it is *hit-transparent* — hits never mutate FIFO
-  state — so after one vectorized occurrence-list pass each configuration
-  is priced by an event-driven replay that touches only its misses, exact
-  to the per-configuration kernels at a cost proportional to the miss
-  count.
+* **Single-pass FIFO grids** (:class:`MultiConfigFIFOProfile`): FIFO is not
+  a stack algorithm (Belady's anomaly), but it is *hit-transparent* — hits
+  never mutate FIFO state — so after one vectorized occurrence-list pass
+  each configuration is priced by an event-driven replay that touches only
+  its misses, exact to the per-configuration kernels at a cost
+  proportional to the miss count.
 
 * **Sweep partitioning** (:class:`MultiConfigPlan`): experiment sweeps hand
   their task list to a plan, which splits it into *profilable*
   configurations (conventional bit-selection placement, LRU or FIFO
-  replacement, no 3C classifier, cold cache, and no write-policy
-  divergence — see below) served out of shared profiles, and everything
-  else (skewed, I-Poly, victim, column, other policies), which keeps its
-  PR 3/4 kernels untouched.  ``profile="sampled"`` swaps the exact LRU
-  profile for the approximate SHARDS one of :mod:`repro.engine.shards`.
+  replacement, no 3C classifier, cold cache — see below) and everything
+  else (skewed, I-Poly, victim, column, other policies), which runs its own
+  kernel.  Exact profiles serve only the Python kernel tier, where they
+  win; ``profile="sampled"`` prices LRU groups through the approximate
+  SHARDS profile of :mod:`repro.engine.shards` on either tier.
 
 Write-policy divergence
 -----------------------
@@ -54,11 +45,8 @@ algorithm in Mattson's sense, with last-touch time as the priority.  The
 store-aware kernel maintains exactly that priority stack; traces without
 stores use the plain move-to-front fast path.  What is **not** profilable
 is the 3C classifier (it needs per-access hit context in trace order) and
-any non-LRU policy — those keep their per-configuration kernels.
-
-Profiles are memoised process-globally per (trace identity, block size, set
-count, depth cap, store mode) with the same identity-anchor safety rules as
-:mod:`repro.engine.memo`, so every reader of a sweep group shares one pass.
+any policy other than LRU and FIFO — those keep their per-configuration
+kernels.
 """
 
 from __future__ import annotations
@@ -71,7 +59,6 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from ..cache.set_assoc import WritePolicy
-from ..core.memo_util import BoundedMemo
 from . import ckernels
 from .batch import AddressBatch
 from .batch_cache import BatchSetAssociativeCache
@@ -82,28 +69,20 @@ __all__ = [
     "check_profile_mode",
     "ProfileOptions",
     "ProfileCounts",
-    "StackDistanceProfile",
-    "StackDistanceBuilder",
     "MultiConfigLRUProfile",
-    "MultiConfigProfileBuilder",
-    "MultiCapacityFIFOProfile",
     "MultiConfigFIFOProfile",
-    "MultiConfigFIFOBuilder",
     "MultiConfigPlan",
     "run_lru_grid",
     "profile_cache_info",
-    "profile_cache_clear",
 ]
 
-#: Valid values of every driver's ``profile`` parameter: ``"auto"`` profiles
-#: where the profile wins — every profilable group on the Python fallback
-#: kernels, none while the compiled kernels are available — ``"always"``
-#: forces the profiler onto every profilable task, ``"never"`` keeps every
-#: task on its per-configuration kernel, and ``"sampled"``
-#: prices LRU groups approximately through the SHARDS profiles of
-#: :mod:`repro.engine.shards` (FIFO groups stay on the exact single-pass
-#: profiler — its cost already scales with misses, not accesses).
-PROFILE_MODES = ("auto", "always", "never", "sampled")
+#: Valid values of every experiment's ``profile`` parameter.  ``"auto"``
+#: prices every task bit-exactly: profilable groups out of the exact
+#: profiles on the Python fallback kernels, every task on its compiled
+#: kernel while :func:`repro.engine.ckernels.available`.  ``"sampled"``
+#: prices LRU groups approximately through the SHARDS profile of
+#: :mod:`repro.engine.shards` and everything else as ``"auto"`` does.
+PROFILE_MODES = ("auto", "sampled")
 
 
 def check_profile_mode(profile: str) -> str:
@@ -113,23 +92,6 @@ def check_profile_mode(profile: str) -> str:
         raise ValueError(
             f"unknown profile mode {profile!r}; expected one of {PROFILE_MODES}")
     return label
-
-
-def _check_profile_knobs(profile: str, sample_rate: float,
-                         sample_size: Optional[int],
-                         profile_seed: int) -> str:
-    """The one validation of a plan's pricing knobs (shared by
-    :class:`ProfileOptions` and :class:`MultiConfigPlan`); returns the
-    normalised profile mode."""
-    profile = check_profile_mode(profile)
-    if not 0.0 < float(sample_rate) <= 1.0:
-        raise ValueError(f"sample rate must be in (0, 1], got {sample_rate}")
-    if sample_size is not None and int(sample_size) < 1:
-        raise ValueError(f"sample size must be at least 1, got {sample_size}")
-    if int(profile_seed) < 0:
-        raise ValueError(
-            f"profile seed must be non-negative, got {profile_seed}")
-    return profile
 
 
 @dataclass(frozen=True)
@@ -149,9 +111,16 @@ class ProfileOptions:
     profile_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "profile", _check_profile_knobs(
-            self.profile, self.sample_rate, self.sample_size,
-            self.profile_seed))
+        object.__setattr__(self, "profile", check_profile_mode(self.profile))
+        if not 0.0 < float(self.sample_rate) <= 1.0:
+            raise ValueError(
+                f"sample rate must be in (0, 1], got {self.sample_rate}")
+        if self.sample_size is not None and int(self.sample_size) < 1:
+            raise ValueError(
+                f"sample size must be at least 1, got {self.sample_size}")
+        if int(self.profile_seed) < 0:
+            raise ValueError(f"profile seed must be non-negative, got "
+                             f"{self.profile_seed}")
 
     def plan(self) -> "MultiConfigPlan":
         """An empty plan with these options."""
@@ -256,147 +225,7 @@ class ProbeCounts(ProfileCounts):
 
 
 # --------------------------------------------------------------------- #
-# part (a): fully-associative reuse-distance histogram (Fenwick tree)
-# --------------------------------------------------------------------- #
-
-class StackDistanceProfile:
-    """Mattson reuse-distance histogram of a block-number stream.
-
-    ``distances[i]`` is the number of *distinct* blocks referenced between
-    access ``i`` and the previous access to the same block (``-1`` for a
-    first touch).  A fully-associative LRU cache of ``C`` blocks hits access
-    ``i`` iff ``0 <= distances[i] < C``, so one pass prices **every**
-    capacity.
-
-    The update is uniform (every access moves its block to MRU), which makes
-    the readout exact for load-only traces under any write policy and for
-    write-back/write-allocate caches with stores; for the store-touch
-    subtlety of write-through caches use :class:`MultiConfigLRUProfile`.
-
-    Distances are counted offline: the previous-occurrence array comes from
-    one stable NumPy argsort, then a Fenwick tree over access positions
-    (one live marker per currently-last occurrence) answers each "distinct
-    blocks in window" query in O(log N) — O(N log N) total, independent of
-    the footprint, where the naive stack walk is O(N * M).
-    """
-
-    def __init__(self, distances: np.ndarray) -> None:
-        distances = np.asarray(distances, dtype=np.int64)
-        if distances.ndim != 1:
-            raise ValueError("distances must be one-dimensional")
-        self._distances = distances
-        reused = distances[distances >= 0]
-        self._histogram = (np.bincount(reused) if reused.size
-                           else np.zeros(0, dtype=np.int64)).astype(np.int64)
-        self._cold = int(distances.shape[0] - reused.size)
-        #: hits_at_most[c] = accesses with distance < c + 1.
-        self._cumulative = np.cumsum(self._histogram, dtype=np.int64)
-
-    # -- construction -------------------------------------------------- #
-
-    @classmethod
-    def from_blocks(cls, blocks: np.ndarray) -> "StackDistanceProfile":
-        """Profile a raw block-number array (one entry per access)."""
-        blocks = np.asarray(blocks, dtype=np.int64)
-        n = blocks.shape[0]
-        if n == 0:
-            return cls(np.empty(0, dtype=np.int64))
-        # Previous occurrence of each access's block, fully vectorized: a
-        # stable sort by block groups equal blocks in position order, so
-        # each group's consecutive pairs are (previous, current).
-        order = np.argsort(blocks, kind="stable")
-        sorted_blocks = blocks[order]
-        same = np.empty(n, dtype=bool)
-        same[0] = False
-        np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same[1:])
-        prev = np.full(n, -1, dtype=np.int64)
-        repeat = same[1:]
-        prev[order[1:][repeat]] = order[:-1][repeat]
-
-        # Fenwick tree over 1-based positions; position j+1 holds a marker
-        # while access j is the latest occurrence of its block.  The count
-        # of markers strictly between the previous occurrence and the
-        # current access is exactly the number of distinct blocks touched
-        # in between.
-        tree = [0] * (n + 1)
-        distances = [0] * n
-        prev_l = prev.tolist()
-        for i, p in enumerate(prev_l):
-            if p < 0:
-                distances[i] = -1
-            else:
-                pos = i  # prefix over positions 1..i == accesses 0..i-1
-                count = 0
-                while pos:
-                    count += tree[pos]
-                    pos -= pos & -pos
-                pos = p + 1
-                while pos:
-                    count -= tree[pos]
-                    pos -= pos & -pos
-                distances[i] = count
-                pos = p + 1  # the previous occurrence stops being latest
-                while pos <= n:
-                    tree[pos] -= 1
-                    pos += pos & -pos
-            pos = i + 1  # this access is now the latest occurrence
-            while pos <= n:
-                tree[pos] += 1
-                pos += pos & -pos
-        return cls(np.array(distances, dtype=np.int64))
-
-    @classmethod
-    def from_batch(cls, batch: AddressBatch,
-                   block_size: int) -> "StackDistanceProfile":
-        """Profile a batch at the given line size (shares the block memo)."""
-        return cls.from_blocks(cached_block_numbers(batch, block_size))
-
-    # -- readout ------------------------------------------------------- #
-
-    @property
-    def accesses(self) -> int:
-        """Number of accesses profiled."""
-        return int(self._distances.shape[0])
-
-    @property
-    def distances(self) -> np.ndarray:
-        """Per-access reuse distances (``-1`` marks a first touch)."""
-        return self._distances
-
-    @property
-    def histogram(self) -> np.ndarray:
-        """``histogram[d]`` = accesses with reuse distance exactly ``d``."""
-        return self._histogram
-
-    @property
-    def cold_accesses(self) -> int:
-        """First-touch (compulsory) accesses."""
-        return self._cold
-
-    def hit_count(self, capacity_blocks: int) -> int:
-        """Hits of a fully-associative LRU cache of ``capacity_blocks``."""
-        if capacity_blocks < 1:
-            raise ValueError("capacity_blocks must be positive")
-        index = min(capacity_blocks, self._cumulative.shape[0]) - 1
-        return int(self._cumulative[index]) if index >= 0 else 0
-
-    def miss_count(self, capacity_blocks: int) -> int:
-        """Misses of a fully-associative LRU cache of ``capacity_blocks``."""
-        return self.accesses - self.hit_count(capacity_blocks)
-
-    def miss_ratio(self, capacity_blocks: int) -> float:
-        """Miss ratio at one capacity; 0.0 for an empty profile."""
-        if not self.accesses:
-            return 0.0
-        return self.miss_count(capacity_blocks) / self.accesses
-
-    def miss_ratio_curve(self, capacities: Sequence[int]) -> np.ndarray:
-        """Miss ratio at each capacity (blocks) — a dense curve for free."""
-        return np.array([self.miss_ratio(c) for c in capacities])
-
-
-# --------------------------------------------------------------------- #
-# part (b): per-level capped stack kernels (all-associativity readout)
+# part (a): per-level capped stack kernels (all-associativity readout)
 # --------------------------------------------------------------------- #
 
 def _level_pass_loads(blocks_l: list, mask: int, cap: int,
@@ -410,9 +239,7 @@ def _level_pass_loads(blocks_l: list, mask: int, cap: int,
     are exactly the content of a ``w``-way set (inclusion), and a block
     below the cap can only resurface at the top through its own (re-)access.
 
-    ``stacks``/``hist`` are caller-owned carried state, so the pass can be
-    fed one chunk at a time (:class:`MultiConfigProfileBuilder`) with
-    results identical to a single whole-trace call.
+    ``stacks``/``hist`` are caller-owned state (:class:`_LevelState`).
     """
     for b in blocks_l:
         st = stacks[b & mask]
@@ -435,7 +262,7 @@ def _level_pass_uniform(blocks_l: list, writes_l: list, mask: int, cap: int,
     Exact for write-back/write-allocate caches, where stores allocate and
     refresh recency exactly like loads — the per-access update never
     depends on the (configuration-specific) hit outcome.  State is
-    caller-owned and chunk-feedable, as in :func:`_level_pass_loads`.
+    caller-owned, as in :func:`_level_pass_loads`.
     """
     for b, w in zip(blocks_l, writes_l):
         st = stacks[b & mask]
@@ -467,8 +294,8 @@ def _level_pass_wtna(blocks_l: list, writes_l: list, mask: int, cap: int,
     most recent ``cap`` *positions* (top at index 0), with per-entry
     last-touch priorities alongside.
 
-    State (stacks, priorities, the returned clock) is caller-owned and
-    chunk-feedable, as in :func:`_level_pass_loads`.
+    State (stacks, priorities, the returned clock) is caller-owned, as in
+    :func:`_level_pass_loads`.
     """
     for b, w in zip(blocks_l, writes_l):
         clock += 1
@@ -534,15 +361,6 @@ class _LevelProfile:
     stores: int
 
 
-#: Memoised level profiles per (trace identity, level, store mode).  Values
-#: are tiny tuples of ints; the byte estimate is a flat guess that keeps the
-#: table honest without weighing every boxed int.
-_LEVEL_PROFILES = BoundedMemo(
-    256, 4 * 1024 * 1024,
-    nbytes_of=lambda value: 256 + 16 * (len(value[1].hist_load)
-                                        + len(value[1].hist_store)))
-
-
 def _checked_level_caps(level_caps: Mapping[int, int]) -> Dict[int, int]:
     """Validate a ``{num_sets: max_ways}`` request, returning it sorted."""
     if not level_caps:
@@ -570,9 +388,8 @@ def _store_mode(has_stores: bool, write_policy: str) -> str:
 def _round_cap(ways: int) -> int:
     """Depth cap actually profiled for a requested associativity.
 
-    Rounding up to a power of two (>= 8) makes unrelated readers of the
-    same trace land on the same memo entry: a cap-8 histogram serves every
-    associativity up to eight.
+    Rounded up to a power of two (>= 8): a cap-8 histogram serves every
+    associativity up to eight, not only the ones requested.
     """
     cap = 8
     while cap < ways:
@@ -581,12 +398,8 @@ def _round_cap(ways: int) -> int:
 
 
 class _LevelState:
-    """Carried state of one level's capped stack pass.
-
-    Feeding the whole trace in one :meth:`feed` call reproduces the original
-    one-shot kernels exactly; feeding it in chunks carries the per-set
-    stacks (and, for ``wtna``, priorities and the touch clock) across calls,
-    so chunked and one-shot profiles are bit-identical by construction.
+    """State of one level's capped stack pass: the per-set stacks (and, for
+    ``wtna``, priorities and the touch clock) and the distance histograms.
     """
 
     __slots__ = ("num_sets", "cap", "mode", "stacks", "prios",
@@ -606,7 +419,7 @@ class _LevelState:
         self.stores = 0
 
     def feed(self, blocks_l: list, writes_l: Optional[list]) -> None:
-        """Consume one chunk of block numbers (and store flags)."""
+        """Consume block numbers (and store flags) in trace order."""
         mask = self.num_sets - 1
         if self.mode == "loads":
             _level_pass_loads(blocks_l, mask, self.cap,
@@ -632,49 +445,14 @@ class _LevelState:
                              loads=self.loads, stores=self.stores)
 
 
-def _build_level(batch: AddressBatch, blocks: np.ndarray, num_sets: int,
-                 cap: int, mode: str) -> _LevelProfile:
-    state = _LevelState(num_sets, cap, mode)
-    writes_l = None if mode == "loads" else batch.is_write.tolist()
-    state.feed(blocks.tolist(), writes_l)
-    return state.profile()
-
-
-def _cached_level(batch: AddressBatch, blocks: np.ndarray, num_sets: int,
-                  cap: int, mode: str) -> _LevelProfile:
-    """One level's profile, memoised when the input arrays are immutable.
-
-    Keys combine the level parameters with the *identity* of the block and
-    store-mask arrays; the entry stores strong references to both, so a
-    served id can never belong to a different (recycled) array — the same
-    soundness rule as :mod:`repro.engine.memo`.  Writable inputs are
-    profiled fresh on every call.
-    """
-    writes = batch.is_write
-    if blocks.flags.writeable or (mode != "loads" and writes.flags.writeable):
-        return _build_level(batch, blocks, num_sets, cap, mode)
-    key = (id(blocks), id(writes) if mode != "loads" else None,
-           num_sets, cap, mode)
-    entry = _LEVEL_PROFILES.get(
-        key,
-        lambda: (writes, _build_level(batch, blocks, num_sets, cap, mode)),
-        anchor=blocks)
-    if mode != "loads" and entry[0] is not writes:  # pragma: no cover
-        # Paranoia: the stored mask is kept alive by the entry, so its id
-        # cannot be recycled while the entry exists — but recompute rather
-        # than trust that invariant if it ever breaks.
-        return _build_level(batch, blocks, num_sets, cap, mode)
-    return entry[1]
-
-
 class MultiConfigLRUProfile:
     """All-associativity profile of one (trace, block size) pair.
 
     ``level_caps`` maps each required set count (power of two; ``1`` is the
     fully-associative organisation) to the deepest associativity that will
-    be read out of it.  Construction runs one capped stack pass per level
-    (memoised process-globally); :meth:`miss_counts` then prices any
-    ``(num_sets, ways)`` configuration of the grid in O(ways).
+    be read out of it.  Construction runs one capped stack pass per level;
+    :meth:`miss_counts` then prices any ``(num_sets, ways)`` configuration
+    of the grid in O(ways).
     """
 
     def __init__(self, batch: AddressBatch, block_size: int,
@@ -685,22 +463,14 @@ class MultiConfigLRUProfile:
             raise ValueError(f"unknown write policy {write_policy!r}")
         self._block_size = block_size
         self._mode = _store_mode(batch.has_stores, write_policy)
-        blocks = cached_block_numbers(batch, block_size)
+        blocks_l = cached_block_numbers(batch, block_size).tolist()
+        writes_l = (None if self._mode == "loads"
+                    else batch.is_write.tolist())
         self._levels: Dict[int, _LevelProfile] = {}
         for num_sets, max_ways in _checked_level_caps(level_caps).items():
-            self._levels[num_sets] = _cached_level(
-                batch, blocks, num_sets, _round_cap(max_ways), self._mode)
-
-    @classmethod
-    def _from_levels(cls, block_size: int, mode: str,
-                     levels: Mapping[int, _LevelProfile],
-                     ) -> "MultiConfigLRUProfile":
-        """Wrap prebuilt level profiles (the builder's finish path)."""
-        self = cls.__new__(cls)
-        self._block_size = block_size
-        self._mode = mode
-        self._levels = dict(levels)
-        return self
+            state = _LevelState(num_sets, _round_cap(max_ways), self._mode)
+            state.feed(blocks_l, writes_l)
+            self._levels[num_sets] = state.profile()
 
     @property
     def block_size(self) -> int:
@@ -737,173 +507,7 @@ class MultiConfigLRUProfile:
 
 
 # --------------------------------------------------------------------- #
-# part (b'): incremental (chunk-fed) construction for streamed traces
-# --------------------------------------------------------------------- #
-
-class StackDistanceBuilder:
-    """Incremental :class:`StackDistanceProfile` over a chunked block stream.
-
-    ``from_blocks`` needs the whole block array up front (its
-    previous-occurrence pass is one global argsort); a streamed trace never
-    materialises that array.  The builder instead carries the per-block
-    last-occurrence table and a growable Fenwick tree across :meth:`feed`
-    calls, producing per-access distances identical to the one-shot pass —
-    both count live markers (latest occurrences) strictly between an
-    access and its block's previous occurrence.
-
-    Memory is O(footprint + accesses-so-far distances); each feed is
-    O(len(chunk) log N).  The tree doubles its capacity as positions grow,
-    rebuilding from the live-marker set (one entry per distinct block).
-    """
-
-    def __init__(self) -> None:
-        self._distances: List[int] = []
-        self._last_pos: Dict[int, int] = {}
-        self._count = 0
-        self._cap = 1024
-        self._tree = [0] * (self._cap + 1)
-
-    def _grow(self, need: int) -> None:
-        cap = self._cap
-        while cap < need:
-            cap <<= 1
-        self._cap = cap
-        tree = [0] * (cap + 1)
-        # Live markers are exactly the latest occurrence of each distinct
-        # block, so the rebuild is O(footprint log N), not O(N log N).
-        for position in self._last_pos.values():
-            pos = position + 1
-            while pos <= cap:
-                tree[pos] += 1
-                pos += pos & -pos
-        self._tree = tree
-
-    def _prefix(self, pos: int) -> int:
-        tree = self._tree
-        total = 0
-        while pos:
-            total += tree[pos]
-            pos -= pos & -pos
-        return total
-
-    def _update(self, pos: int, delta: int) -> None:
-        tree = self._tree
-        cap = self._cap
-        while pos <= cap:
-            tree[pos] += delta
-            pos += pos & -pos
-
-    def feed(self, blocks: np.ndarray) -> None:
-        """Consume one chunk of block numbers (trace order)."""
-        blocks_l = np.asarray(blocks, dtype=np.int64).tolist()
-        if not blocks_l:
-            return
-        i = self._count
-        if i + len(blocks_l) > self._cap:
-            self._grow(i + len(blocks_l))
-        last_pos = self._last_pos
-        distances = self._distances
-        for b in blocks_l:
-            p = last_pos.get(b, -1)
-            if p < 0:
-                distances.append(-1)
-            else:
-                distances.append(self._prefix(i) - self._prefix(p + 1))
-                self._update(p + 1, -1)
-            self._update(i + 1, 1)
-            last_pos[b] = i
-            i += 1
-        self._count = i
-
-    def feed_batch(self, batch: AddressBatch, block_size: int) -> None:
-        """Consume one :class:`AddressBatch` at the given line size."""
-        self.feed(cached_block_numbers(batch, block_size))
-
-    @property
-    def accesses(self) -> int:
-        """Accesses consumed so far."""
-        return self._count
-
-    def finish(self) -> StackDistanceProfile:
-        """The profile of everything fed so far (builder stays usable)."""
-        return StackDistanceProfile(np.array(self._distances, dtype=np.int64))
-
-
-class MultiConfigProfileBuilder:
-    """Incremental :class:`MultiConfigLRUProfile` over a chunked trace.
-
-    The capped per-set stack kernels are already sequential with carried
-    state, so the builder simply owns one :class:`_LevelState` per requested
-    set count and feeds each chunk through all of them; :meth:`finish`
-    freezes the states into a profile whose readout is bit-identical to a
-    one-shot :class:`MultiConfigLRUProfile` of the concatenated trace.
-
-    The store mode must be fixed before the first chunk (the one-shot path
-    derives it from ``batch.has_stores``, which a stream cannot know up
-    front): pass ``has_stores=False`` only when the whole trace is loads.
-    Feeding a chunk with stores in load-only mode raises rather than
-    silently diverging.
-    """
-
-    def __init__(self, block_size: int, level_caps: Mapping[int, int],
-                 write_policy: str = WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
-                 has_stores: bool = True) -> None:
-        if write_policy not in WritePolicy.ALL:
-            raise ValueError(f"unknown write policy {write_policy!r}")
-        self._block_size = block_size
-        self._mode = _store_mode(has_stores, write_policy)
-        self._states: Dict[int, _LevelState] = {
-            num_sets: _LevelState(num_sets, _round_cap(max_ways), self._mode)
-            for num_sets, max_ways in _checked_level_caps(level_caps).items()}
-        self._accesses = 0
-
-    @property
-    def store_mode(self) -> str:
-        """Stack-update semantics used (``loads``, ``uniform`` or ``wtna``)."""
-        return self._mode
-
-    @property
-    def accesses(self) -> int:
-        """Accesses consumed so far."""
-        return self._accesses
-
-    def feed(self, batch: AddressBatch) -> int:
-        """Consume one chunk; returns its length."""
-        if self._mode == "loads" and batch.has_stores:
-            raise ValueError(
-                "store mode changed mid-stream: this builder was created "
-                "with has_stores=False but the chunk fed after "
-                f"{self._accesses} accesses contains stores; create the "
-                "builder with has_stores=True (the write policy's store "
-                "semantics then apply to every chunk)")
-        blocks_l = cached_block_numbers(batch, self._block_size).tolist()
-        writes_l = (None if self._mode == "loads"
-                    else batch.is_write.tolist())
-        for state in self._states.values():
-            state.feed(blocks_l, writes_l)
-        self._accesses += len(blocks_l)
-        return len(blocks_l)
-
-    def finish(self) -> MultiConfigLRUProfile:
-        """Freeze into a profile (builder stays usable for more chunks)."""
-        return MultiConfigLRUProfile._from_levels(
-            self._block_size, self._mode,
-            {num_sets: state.profile()
-             for num_sets, state in self._states.items()})
-
-
-def profile_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the level-profile memo."""
-    return _LEVEL_PROFILES.info()
-
-
-def profile_cache_clear() -> None:
-    """Drop every memoised level profile and zero the counters."""
-    _LEVEL_PROFILES.clear()
-
-
-# --------------------------------------------------------------------- #
-# part (b2): single-pass multi-capacity FIFO profiling
+# part (b): single-pass FIFO grid profiling
 # --------------------------------------------------------------------- #
 
 def _block_occurrences(blocks: np.ndarray) -> Tuple[np.ndarray, List[List[int]]]:
@@ -1020,41 +624,21 @@ class MultiConfigFIFOProfile:
                  ) -> None:
         if write_policy not in WritePolicy.ALL:
             raise ValueError(f"unknown write policy {write_policy!r}")
-        mode = _store_mode(batch.has_stores, write_policy)
-        blocks = cached_block_numbers(batch, block_size)
-        stores = int(batch.store_count)
-        writes = batch.is_write if mode != "loads" else None
-        self._init_from_arrays(block_size, mode, blocks, writes,
-                               int(blocks.shape[0]) - stores, stores,
-                               level_caps)
-
-    def _init_from_arrays(self, block_size: int, mode: str,
-                          blocks: np.ndarray, writes: Optional[np.ndarray],
-                          loads: int, stores: int,
-                          level_caps: Mapping[int, int]) -> None:
         self._block_size = block_size
-        self._mode = mode
-        self._loads = loads
-        self._stores = stores
+        self._mode = _store_mode(batch.has_stores, write_policy)
+        blocks = cached_block_numbers(batch, block_size)
+        self._stores = int(batch.store_count)
+        self._loads = int(blocks.shape[0]) - self._stores
         self._level_caps = _checked_level_caps(level_caps)
         self._values, self._occurrences = _block_occurrences(blocks)
         shift = max(1, len(self._occurrences)).bit_length()
         self._first_events = sorted(
             (occ[0] << shift) | index
             for index, occ in enumerate(self._occurrences))
-        self._is_write = writes.tolist() if writes is not None else None
+        self._is_write = (None if self._mode == "loads"
+                          else batch.is_write.tolist())
         self._block_sets: Dict[int, List[int]] = {}
         self._counts: Dict[Tuple[int, int], Tuple[int, int]] = {}
-
-    @classmethod
-    def _from_arrays(cls, block_size: int, mode: str, blocks: np.ndarray,
-                     writes: Optional[np.ndarray], loads: int, stores: int,
-                     level_caps: Mapping[int, int],
-                     ) -> "MultiConfigFIFOProfile":
-        self = cls.__new__(cls)
-        self._init_from_arrays(block_size, mode, blocks, writes, loads,
-                               stores, level_caps)
-        return self
 
     # -- readout ------------------------------------------------------- #
 
@@ -1106,141 +690,6 @@ class MultiConfigFIFOProfile:
                              load_misses=lmiss, store_misses=smiss)
 
 
-class MultiCapacityFIFOProfile:
-    """Fully-associative FIFO miss-ratio readout at every listed capacity.
-
-    The fully-associative face of :class:`MultiConfigFIFOProfile` (one set,
-    ways = capacity in blocks), mirroring
-    :class:`StackDistanceProfile`'s readout API over a block-number
-    stream.  Because FIFO lacks the stack property the capacities must be
-    declared up front — each is priced by its own miss-driven event replay
-    off the shared single pass.
-    """
-
-    def __init__(self, blocks: np.ndarray,
-                 capacities: Sequence[int]) -> None:
-        capacities = sorted({int(c) for c in capacities})
-        if not capacities:
-            raise ValueError("capacities must name at least one size")
-        if capacities[0] < 1:
-            raise ValueError("capacities must be positive")
-        blocks = np.asarray(blocks, dtype=np.int64)
-        self._accesses = int(blocks.shape[0])
-        self._grid = MultiConfigFIFOProfile._from_arrays(
-            1, "loads", blocks, None, self._accesses, 0,
-            {1: capacities[-1]})
-        self._capacities = capacities
-
-    @classmethod
-    def from_batch(cls, batch: AddressBatch, block_size: int,
-                   capacities: Sequence[int]) -> "MultiCapacityFIFOProfile":
-        """Profile a batch's block stream at the given line size."""
-        return cls(cached_block_numbers(batch, block_size), capacities)
-
-    @property
-    def accesses(self) -> int:
-        """Accesses in the profiled stream."""
-        return self._accesses
-
-    @property
-    def capacities(self) -> List[int]:
-        """Capacities (in blocks) the profile prices, ascending."""
-        return list(self._capacities)
-
-    def miss_count(self, capacity_blocks: int) -> int:
-        """Exact misses of a FIFO cache of that capacity."""
-        if capacity_blocks not in self._capacities:
-            raise KeyError(
-                f"capacity {capacity_blocks} was not profiled "
-                f"(capacities: {self._capacities})")
-        return self._grid.miss_counts(1, capacity_blocks).misses
-
-    def hit_count(self, capacity_blocks: int) -> int:
-        """Exact hits at one capacity."""
-        return self._accesses - self.miss_count(capacity_blocks)
-
-    def miss_ratio(self, capacity_blocks: int) -> float:
-        """Exact miss ratio at one capacity; 0.0 for an empty stream."""
-        if not self._accesses:
-            return 0.0
-        return self.miss_count(capacity_blocks) / self._accesses
-
-    def miss_ratio_curve(self, capacities: Optional[Sequence[int]] = None,
-                         ) -> np.ndarray:
-        """Miss ratio at each capacity (defaults to every profiled one)."""
-        if capacities is None:
-            capacities = self._capacities
-        return np.array([self.miss_ratio(c) for c in capacities])
-
-
-class MultiConfigFIFOBuilder:
-    """Incremental :class:`MultiConfigFIFOProfile` over a chunked stream.
-
-    The FIFO profile needs whole-trace occurrence lists, so the builder
-    simply accumulates each chunk's block numbers (and store mask) and
-    defers the single vectorized pass to :meth:`finish` — bit-identical to
-    the one-shot profile of the concatenated trace by construction, with
-    peak extra memory of one int64 per access.
-
-    As with the exact LRU builder the store mode is fixed up front;
-    feeding a chunk that contradicts it raises immediately.
-    """
-
-    def __init__(self, block_size: int, level_caps: Mapping[int, int],
-                 write_policy: str = WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
-                 has_stores: bool = True) -> None:
-        if write_policy not in WritePolicy.ALL:
-            raise ValueError(f"unknown write policy {write_policy!r}")
-        self._block_size = block_size
-        self._mode = _store_mode(has_stores, write_policy)
-        self._level_caps = _checked_level_caps(level_caps)
-        self._chunks: List[np.ndarray] = []
-        self._write_chunks: List[np.ndarray] = []
-        self._loads = 0
-        self._stores = 0
-
-    @property
-    def store_mode(self) -> str:
-        """Store semantics used (``loads``, ``uniform`` or ``wtna``)."""
-        return self._mode
-
-    @property
-    def accesses(self) -> int:
-        """Accesses consumed so far."""
-        return self._loads + self._stores
-
-    def feed(self, batch: AddressBatch) -> int:
-        """Consume one chunk; returns its length."""
-        if self._mode == "loads" and batch.has_stores:
-            raise ValueError(
-                "store mode changed mid-stream: this builder was created "
-                "with has_stores=False but the chunk fed after "
-                f"{self.accesses} accesses contains stores; create the "
-                "builder with has_stores=True (the write policy's store "
-                "semantics then apply to every chunk)")
-        blocks = cached_block_numbers(batch, self._block_size)
-        stores = int(batch.store_count)
-        self._chunks.append(blocks)
-        if self._mode != "loads":
-            self._write_chunks.append(batch.is_write)
-        self._loads += int(blocks.shape[0]) - stores
-        self._stores += stores
-        return int(blocks.shape[0])
-
-    def finish(self) -> MultiConfigFIFOProfile:
-        """Freeze into a profile (builder stays usable for more chunks)."""
-        if self._chunks:
-            blocks = np.concatenate(self._chunks)
-            writes = (np.concatenate(self._write_chunks)
-                      if self._mode != "loads" else None)
-        else:
-            blocks = np.empty(0, dtype=np.int64)
-            writes = None
-        return MultiConfigFIFOProfile._from_arrays(
-            self._block_size, self._mode, blocks, writes,
-            self._loads, self._stores, self._level_caps)
-
-
 # --------------------------------------------------------------------- #
 # part (c): sweep partitioning
 # --------------------------------------------------------------------- #
@@ -1258,7 +707,7 @@ class _PlanTask:
     cache: object
     runner: Optional[Callable]
     level: Optional[Tuple[int, int]]  # (num_sets, ways) when profilable
-    kind: Optional[str] = None        # "lru" or "fifo" when profilable
+    kind: str                         # "lru" or "fifo"
 
 
 class MultiConfigPlan:
@@ -1267,31 +716,29 @@ class MultiConfigPlan:
     Drivers :meth:`add` one entry per task — a result key, the
     :class:`AddressBatch` the task replays, and a zero-argument cache
     factory — then call :meth:`run` once.  Profilable tasks (see the module
-    docstring) are grouped per (trace identity, block size, store mode);
-    each group is priced out of a single :class:`MultiConfigLRUProfile`
-    pass.  Every other task simply runs its cache's own kernel, so the plan
-    never changes *which* numbers a sweep produces — only how many trace
-    passes it takes to produce them.
+    docstring) are grouped per (kind, trace identity, block size, store
+    mode); each group is priced out of one :class:`MultiConfigLRUProfile`
+    or :class:`MultiConfigFIFOProfile`.  Every other task runs its cache's
+    own kernel.
 
-    ``profile="auto"`` (the default) profiles where the profile wins:
-    never while the compiled kernels of :mod:`repro.engine.ckernels` are
-    available (a compiled per-configuration run outpaces the exact profiles
-    — ~2x on the 16-configuration grids ``benchmarks/bench_engine.py``
-    times), and every profilable group on the Python fallback kernels,
-    whose per-access probe is linear in the ways (the profile wins there on
-    single configurations too, ~2x on a 256-way fully-associative one).
-    ``"always"`` and ``"never"`` force the choice either way (both still
-    bit-exact).
+    One rule picks the path.  Exact profiles serve the profilable groups
+    iff the compiled kernels of :mod:`repro.engine.ckernels` are
+    unavailable: a compiled per-configuration run outpaces the exact
+    profile (~2x on the 16-configuration LRU grid
+    ``benchmarks/bench_engine.py`` times at 1M accesses), while the Python
+    fallback kernels' per-access probe is linear in the ways, so the
+    profile wins there even on single configurations (9-13x on a 256-way
+    fully-associative LRU one).  Either path gives the same numbers.
+    ``profile="sampled"`` prices every LRU group through
+    :class:`~repro.engine.shards.SampledMultiConfigLRUProfile` instead, on
+    either tier; its FIFO groups follow the exact rule.
     """
 
     def __init__(self, profile: str = "auto", sample_rate: float = 0.01,
                  sample_size: Optional[int] = None,
                  profile_seed: int = 0) -> None:
-        self._profile = _check_profile_knobs(profile, sample_rate,
-                                             sample_size, profile_seed)
-        self._sample_rate = float(sample_rate)
-        self._sample_size = None if sample_size is None else int(sample_size)
-        self._profile_seed = int(profile_seed)
+        self._options = ProfileOptions(profile, sample_rate, sample_size,
+                                       profile_seed)
         self._tasks: List[_PlanTask] = []
 
     @staticmethod
@@ -1343,16 +790,11 @@ class MultiConfigPlan:
         replay shim so caller-supplied organisations keep working.
         """
         cache = factory()
-        level = None
-        kind = None
-        if self._profile != "never":
-            level = self.profilable(cache, batch)
-            if level is not None:
-                kind = "lru"
-            else:
-                level = self.profilable_fifo(cache, batch)
-                if level is not None:
-                    kind = "fifo"
+        kind = "lru"
+        level = self.profilable(cache, batch)
+        if level is None:
+            kind = "fifo"
+            level = self.profilable_fifo(cache, batch)
         self._tasks.append(_PlanTask(key=key, batch=batch, cache=cache,
                                      runner=runner, level=level, kind=kind))
 
@@ -1374,25 +816,28 @@ class MultiConfigPlan:
             return MultiConfigFIFOProfile(
                 exemplar.batch, exemplar.cache.block_size, level_caps,
                 write_policy=exemplar.cache.write_policy)
-        if self._profile == "sampled":
+        options = self._options
+        if options.profile == "sampled":
             from .shards import SampledMultiConfigLRUProfile
 
             return SampledMultiConfigLRUProfile(
                 exemplar.batch, exemplar.cache.block_size, level_caps,
                 write_policy=exemplar.cache.write_policy,
-                rate=self._sample_rate, seed=self._profile_seed,
-                sample_size=self._sample_size)
+                rate=options.sample_rate, seed=options.profile_seed,
+                sample_size=options.sample_size)
         return MultiConfigLRUProfile(
             exemplar.batch, exemplar.cache.block_size, level_caps,
             write_policy=exemplar.cache.write_policy)
 
     def run(self) -> Dict[Hashable, ProfileCounts]:
         """Execute the plan; returns ``{key: ProfileCounts}`` for every task."""
+        exact = not ckernels.available()
+        sampled = self._options.profile == "sampled"
         groups: Dict[tuple, List[_PlanTask]] = {}
-        if self._profile != "auto" or not ckernels.available():
-            for task in self._tasks:
-                if task.level is not None:
-                    groups.setdefault(self._group_key(task), []).append(task)
+        for task in self._tasks:
+            if task.level is not None and (
+                    exact or (sampled and task.kind == "lru")):
+                groups.setdefault(self._group_key(task), []).append(task)
 
         results: Dict[Hashable, ProfileCounts] = {}
         profiled: set = set()
@@ -1421,29 +866,22 @@ class MultiConfigPlan:
 def run_lru_grid(batch: AddressBatch, block_size: int,
                  grid: Sequence[Tuple[int, int]],
                  write_policy: str = WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
-                 profile: str = "always",
+                 profile: str = "auto",
                  replacement: str = "lru",
                  sample_rate: float = 0.01,
                  sample_size: Optional[int] = None,
                  profile_seed: int = 0,
                  ) -> Dict[Tuple[int, int], ProfileCounts]:
-    """Price a whole conventional ``(num_sets, ways)`` grid at once.
+    """Price a whole conventional ``(num_sets, ways)`` grid through one
+    :class:`MultiConfigPlan`.
 
-    The new scenario the profiler opens: dense capacity/associativity
-    curves over one trace.  ``grid`` lists ``(num_sets, ways)`` pairs (the
-    capacity is ``num_sets * ways * block_size``); the result maps each
-    pair to its exact :class:`ProfileCounts`.  ``profile="always"`` (the
-    default) runs one profile pass per distinct set count;
-    ``profile="never"`` runs every configuration through its own batch
-    kernel — the comparison ``benchmarks/bench_engine.py`` times and the
-    differential suite holds bit-exact; ``profile="sampled"`` prices LRU
-    grids approximately at ``sample_rate`` (see
+    ``grid`` lists ``(num_sets, ways)`` pairs (the capacity is
+    ``num_sets * ways * block_size``) of ``replacement`` caches; the result
+    maps each pair to its :class:`ProfileCounts`.  ``profile="auto"``
+    prices them exactly, by the plan's rule; ``profile="sampled"`` prices
+    LRU grids approximately at ``sample_rate`` (see
     :mod:`repro.engine.shards` — ``sample_size`` caps the expected number
-    of sampled blocks, ``profile_seed`` picks the hash universe).
-    ``replacement`` widens the grid beyond LRU: ``"fifo"`` grids are
-    priced exactly by the single-pass :class:`MultiConfigFIFOProfile`
-    under every profiled mode; any other policy the batch engine knows
-    simply runs per-configuration kernels.
+    of sampled accesses, ``profile_seed`` picks the hash universe).
     """
     plan = MultiConfigPlan(profile=profile, sample_rate=sample_rate,
                            sample_size=sample_size, profile_seed=profile_seed)
@@ -1456,3 +894,13 @@ def run_lru_grid(batch: AddressBatch, block_size: int,
                 write_policy=write_policy)
         plan.add((num_sets, ways), batch, factory)
     return plan.run()
+
+
+def profile_cache_info() -> Dict[str, int]:
+    """Counters of the retired level-profile memo, all zero.
+
+    Profiles are not memoised (each plan group builds its own once); the
+    function stays because ``perfbench/rep.py`` reads it.
+    """
+    return dict.fromkeys(("entries", "hits", "misses", "evictions",
+                          "bypasses", "limit", "byte_limit", "nbytes"), 0)

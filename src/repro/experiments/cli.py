@@ -21,14 +21,16 @@ picks the bit-exact batch engine (``vectorized``, the default) or the
 scalar reference models it is checked against (``reference``).  The
 sweeping sub-commands build the option values their drivers take from
 their flags: ``SweepOptions`` (``--workers``, ``--on-error``) and, on the
-trace-level studies, ``ProfileOptions`` (``--profile``, ``--sample-rate``,
-``--sample-size``, ``--profile-seed``) and ``TraceOptions`` (``--trace
-FILE``, ``--trace-chunk``); each value is validated by its option class.
-Bad input (a bad flag value, an unknown program, bad geometry or counts, a
-missing trace file) stops with one ``error:`` line and exit status 2
-before any simulation starts; an error raised while a simulation runs
-keeps its traceback.  A sweep run with ``--on-error collect`` whose tasks
-failed ends its report with one line per failed task and exits 1.
+trace-level studies, ``ProfileOptions`` (``--profile auto|sampled``,
+``--sample-rate``, ``--sample-size``, ``--profile-seed``) and
+``TraceOptions`` (``--trace FILE``, ``--trace-chunk``); each value is
+validated by its option class.  Bad input (a bad flag value, an unknown
+program, bad geometry or counts, a missing trace file, ``--profile
+sampled`` with ``--engine reference`` or ``--trace``) stops with one
+``error:`` line and exit status 2 before any simulation starts; an error
+raised while a simulation runs keeps its traceback.  A sweep run with
+``--on-error collect`` whose tasks failed ends its report with one line
+per failed task and exits 1.
 """
 
 from __future__ import annotations
@@ -101,10 +103,12 @@ def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
         return _checked(ProfileOptions, name, convert)
 
     parser.add_argument("--profile", choices=PROFILE_MODES, default="auto",
-                        help="one-pass multi-configuration LRU/FIFO profiling "
-                             "on the vectorized engine: auto (profile when it "
-                             "wins), always, never — bit-exact — or sampled "
-                             "(approximate SHARDS-sampled LRU profiles)")
+                        help="how the vectorized engine prices conventional "
+                             "LRU/FIFO caches: auto (bit-exact; one-pass "
+                             "profiles where no compiled kernel runs) or "
+                             "sampled (approximate SHARDS-sampled LRU "
+                             "profiles; not with --engine reference or "
+                             "--trace)")
     parser.add_argument("--sample-rate", type=checked("sample_rate", float),
                         default=0.01,
                         help="profile=sampled: spatial sampling rate in "
@@ -307,7 +311,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     A bad option value, or input a driver rejects before simulating
     (:class:`~repro.experiments.config.InputError`: unknown programs, bad
-    geometry or counts, a missing trace file), is a one-line usage error
+    geometry or counts, a missing trace file, a sampled profile no task
+    would use), is a one-line usage error
     with exit status 2.  Errors raised during the simulation propagate.  A
     sweep that finished with failed tasks (``--on-error collect``) prints
     its report, then one footer line per failed task, and returns 1.

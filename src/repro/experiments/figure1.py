@@ -46,7 +46,13 @@ from .config import (
     InputError,
     OrganisationSpec,
 )
-from .grid import StrideTrace, TraceOptions, run_grid, simulate
+from .grid import (
+    StrideTrace,
+    TraceOptions,
+    check_sampling,
+    run_grid,
+    simulate,
+)
 
 __all__ = ["Figure1Result", "stride_miss_ratio", "run_figure1"]
 
@@ -95,8 +101,9 @@ def stride_miss_ratio(scheme: str, stride: int,
     sweep's compulsory misses are amortised over the rest, as in the paper's
     "repeated accesses".  ``engine`` picks the scalar reference model or the
     bit-exact batch engine; ``replacement`` the replacement policy (``None``
-    means the paper's LRU).  A single-configuration task only leaves its
-    kernel under ``profile="always"`` (or ``"sampled"``).
+    means the paper's LRU).  ``profile_options`` picks how the vectorized
+    engine prices the task (see
+    :class:`~repro.engine.multiconfig.MultiConfigPlan`).
     """
     spec = OrganisationSpec(scheme=scheme, geometry=geometry,
                             replacement=replacement, address_bits=address_bits)
@@ -124,12 +131,14 @@ def run_figure1(max_stride: int = 4096,
     (``None`` means the paper's LRU) on ``engine``; ``sweep_options``
     fans the strides across workers, and under ``on_error="collect"`` a
     failed stride lands in ``result.failures`` and reads ``nan``.  Every
-    stride is its own trace, so only ``profile="always"`` (or
-    ``"sampled"``) moves the conventional LRU rows onto the one-pass
-    profiler.  ``trace_options.trace`` replaces the strides with one
-    recorded trace: the result then has one miss ratio per scheme.
+    stride is its own trace, so a profile prices one configuration: the
+    conventional LRU rows leave their kernel on the Python kernel tier and
+    under ``profile="sampled"``.  ``trace_options.trace`` replaces the
+    strides with one recorded trace: the result then has one miss ratio
+    per scheme.
     """
     engine = check_engine(engine)
+    check_sampling(engine, profile_options, trace_options)
     schemes = list(schemes) if schemes is not None else list(INDEX_SCHEMES)
     specs = [OrganisationSpec(scheme=scheme, geometry=geometry,
                               replacement=replacement,

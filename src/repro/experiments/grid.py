@@ -15,7 +15,8 @@ one engine and reads each cache's counters.  A driver says only *what*:
 
 Sources reject a bad description with
 :class:`~repro.experiments.config.InputError` when they are built, before
-any simulation starts.
+any simulation starts; :func:`check_sampling` rejects a sampled profile
+that no task of the run would use.
 
 :func:`simulate` replays one source through every organisation — on the
 vectorized engine through one :class:`~repro.engine.multiconfig.MultiConfigPlan`
@@ -50,6 +51,7 @@ __all__ = [
     "ProgramTrace",
     "StrideTrace",
     "TraceOptions",
+    "check_sampling",
     "simulate",
     "run_grid",
 ]
@@ -140,6 +142,25 @@ class TraceOptions:
         from ..trace.stream import read_trace_records
 
         return read_trace_records(self.trace)
+
+
+def check_sampling(engine: str, profile_options: ProfileOptions,
+                   trace_options: TraceOptions) -> None:
+    """Reject ``profile="sampled"`` where no plan would sample.
+
+    Only the vectorized engine's plan over a materialised trace prices
+    tasks out of profiles; the reference engine and a streamed recorded
+    trace run every cache access by access, so sampling would silently
+    change nothing.
+    """
+    if profile_options.profile != "sampled":
+        return
+    if engine != ENGINE_VECTORIZED:
+        raise InputError(f"profile 'sampled' needs the vectorized engine; "
+                         f"the {engine} engine runs every access")
+    if trace_options.trace is not None:
+        raise InputError("profile 'sampled' cannot apply to a recorded "
+                         "trace: it streams through every cache unsampled")
 
 
 def _feed(cache, batch: AddressBatch) -> None:

@@ -39,7 +39,13 @@ from ..engine import (
 )
 from ..trace.workloads import workload_names
 from .config import PAPER_L1_8KB, CacheGeometry, InputError, OrganisationSpec
-from .grid import ProgramTrace, TraceOptions, run_grid, simulate
+from .grid import (
+    ProgramTrace,
+    TraceOptions,
+    check_sampling,
+    run_grid,
+    simulate,
+)
 
 __all__ = [
     "MissRatioStudyResult",
@@ -150,6 +156,7 @@ def run_miss_ratio_study(programs: Optional[Sequence[str]] = None,
             raise TypeError("pass workers= or sweep_options=, not both")
         sweep_options = SweepOptions(workers=workers)
     engine = check_engine(engine)
+    check_sampling(engine, profile_options, trace_options)
     organisation_map = (dict(organisations) if organisations is not None
                         else study_organisations(replacement=replacement))
     labels, specs = list(organisation_map), list(organisation_map.values())

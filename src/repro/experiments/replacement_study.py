@@ -44,7 +44,13 @@ from ..engine import (
 )
 from ..trace.workloads import workload_names
 from .config import PAPER_L1_8KB, CacheGeometry, InputError, OrganisationSpec
-from .grid import ProgramTrace, TraceOptions, run_grid, simulate
+from .grid import (
+    ProgramTrace,
+    TraceOptions,
+    check_sampling,
+    run_grid,
+    simulate,
+)
 
 __all__ = [
     "ReplacementStudyResult",
@@ -155,6 +161,7 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
             raise TypeError("pass trace= or trace_options=, not both")
         trace_options = TraceOptions(trace, trace_chunk)
     engine = check_engine(engine)
+    check_sampling(engine, profile_options, trace_options)
     policy_list = list(policies) if policies is not None else list(REPLACEMENT_POLICIES)
     if not policy_list:
         raise InputError("at least one replacement policy is required")

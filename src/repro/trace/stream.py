@@ -31,9 +31,9 @@ Python object per access.  This module adds the scale path:
 * **chunked iteration** — :func:`iter_trace_chunks` feeds any supported
   trace file (format auto-detected by magic, never by suffix) to the batch
   kernels as a stream of bounded :class:`~repro.engine.batch.AddressBatch`
-  chunks.  The batch caches carry warm state across ``run()`` calls and the
-  multiconfig profiler has an incremental builder, so chunked replay is
-  bit-exact with materialising the whole trace at once — that equivalence
+  chunks.  The batch caches carry warm state across ``run()`` calls, so
+  chunked replay is bit-exact with materialising the whole trace at
+  once — that equivalence
   (and the error-precision parity of every corruption case) is asserted by
   ``tests/test_trace_stream.py``.
 """

@@ -31,9 +31,9 @@ class TestParser:
     def test_sweep_options_parity(self, command):
         """--workers/--profile exist on every trace-level sweeping command."""
         args = build_parser().parse_args(
-            [command, "--workers", "3", "--profile", "always"])
+            [command, "--workers", "3", "--profile", "sampled"])
         assert args.workers == 3
-        assert args.profile == "always"
+        assert args.profile == "sampled"
 
     def test_profile_choices_are_validated(self):
         with pytest.raises(SystemExit):
@@ -59,6 +59,8 @@ class TestParser:
         ["table2", "--workers", "1.5"],
         ["figure1", "--on-error", "ignore"],
         ["table3", "--workers", "-1"],
+        ["miss-ratio", "--profile", "always"],
+        ["figure1", "--profile", "never"],
     ])
     def test_bad_sweep_values_rejected_at_parse_time(self, argv, capsys):
         """Invalid sweep/fault values die in argparse (clear usage error),
@@ -291,7 +293,7 @@ class TestExecution:
     def test_miss_ratio_with_workers_and_profile(self, capsys):
         assert main(["miss-ratio", "--accesses", "4000", "--programs", "gcc",
                      "--engine", "vectorized", "--workers", "2",
-                     "--profile", "always"]) == 0
+                     "--profile", "sampled"]) == 0
         out = capsys.readouterr().out
         assert "conventional-2way" in out
 
@@ -313,7 +315,7 @@ class TestExecution:
     def test_replacement_study_with_workers(self, capsys):
         assert main(["replacement-study", "--accesses", "3000",
                      "--programs", "gcc", "--engine", "vectorized",
-                     "--workers", "2", "--profile", "always"]) == 0
+                     "--workers", "2", "--profile", "sampled"]) == 0
         assert "replacement sensitivity" in capsys.readouterr().out
 
 
@@ -326,6 +328,18 @@ class TestExecution:
         assert "Holes per L2 miss" in outputs[0]
         # Same numbers from both engines: the table is byte-identical.
         assert outputs[0] == outputs[1]
+
+
+def assert_usage_error(argv, message, capsys):
+    """``main(argv)`` exits 2 with one ``error:`` line naming ``message``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("repro-experiments: error: ")
+    assert message in line
 
 
 class TestBadInputFailsFast:
@@ -350,16 +364,30 @@ class TestBadInputFailsFast:
         (["table3", "--instructions", "10"], "instructions should be at least"),
         (["miss-ratio", "--trace", "no/such/file.ctr"],
          "trace file not found"),
+        (["miss-ratio", "--profile", "sampled", "--engine", "reference"],
+         "needs the vectorized engine"),
+        (["figure1", "--profile", "sampled", "--engine", "reference",
+          "--workers", "2"], "needs the vectorized engine"),
+        (["replacement-study", "--profile", "sampled", "--engine",
+          "reference", "--programs", "gcc"], "needs the vectorized engine"),
     ])
     def test_rejected_with_one_line_and_exit_2(self, argv, message, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith("repro-experiments: error: ")
-        assert message in line
+        assert_usage_error(argv, message, capsys)
+
+    @pytest.mark.parametrize("command", ["figure1", "miss-ratio",
+                                         "replacement-study"])
+    def test_sampled_profile_of_a_recorded_trace_is_rejected(
+            self, command, tmp_path, capsys):
+        """A recorded trace streams through every cache without a plan, so
+        --profile sampled would silently change nothing."""
+        from repro.trace.stream import write_trace_v2
+
+        path = tmp_path / "recorded.ctr"
+        write_trace_v2(path, [32 * i for i in range(100)])
+        assert_usage_error(
+            [command, "--trace", str(path), "--profile", "sampled",
+             "--sample-rate", "0.01"],
+            "profile 'sampled' cannot apply to a recorded trace", capsys)
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_trace_corrupt_partway_is_not_a_usage_error(self, tmp_path,

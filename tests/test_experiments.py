@@ -4,7 +4,13 @@ import os
 
 import pytest
 
-from repro.engine import ProfileOptions, SweepOptions, TaskFailure, run_sweep
+from repro.engine import (
+    ProfileOptions,
+    SweepOptions,
+    TaskFailure,
+    ckernels,
+    run_sweep,
+)
 from repro.experiments.column_assoc_study import run_column_assoc_study
 from repro.experiments.config import (
     PAPER_L1_8KB,
@@ -86,16 +92,15 @@ class TestFigure1:
 
 
 class TestFigure1Profile:
-    def test_profile_modes_are_bit_exact(self):
-        """Routing the a2 rows through the one-pass profiler (or refusing
-        to) must not change a single ratio."""
+    def test_kernel_tiers_are_bit_exact(self, monkeypatch):
+        """Without compiled kernels the a2 rows run on the one-pass
+        profiler; not a single ratio may change."""
         base = run_figure1(max_stride=33, stride_step=4, sweeps=4,
                            engine="vectorized")
-        for profile in ("always", "never"):
-            other = run_figure1(max_stride=33, stride_step=4, sweeps=4,
-                                engine="vectorized",
-                                profile_options=ProfileOptions(profile))
-            assert other.miss_ratios == base.miss_ratios
+        monkeypatch.setattr(ckernels, "available", lambda: False)
+        other = run_figure1(max_stride=33, stride_step=4, sweeps=4,
+                            engine="vectorized")
+        assert other.miss_ratios == base.miss_ratios
 
     def test_profile_mode_is_validated(self):
         with pytest.raises(ValueError):
@@ -382,14 +387,15 @@ class TestMissRatioStudy:
                                       sweep_options=SweepOptions(workers=2))
         assert fanned.miss_ratios == serial.miss_ratios
 
-    def test_profile_modes_are_bit_exact(self):
+    def test_kernel_tiers_are_bit_exact(self, monkeypatch):
         base = run_miss_ratio_study(programs=["gcc"], accesses=4_000,
                                     engine="vectorized")
-        for profile in ("always", "never"):
-            other = run_miss_ratio_study(
-                programs=["gcc"], accesses=4_000, engine="vectorized",
-                profile_options=ProfileOptions(profile))
-            assert other.miss_ratios == base.miss_ratios
+        monkeypatch.setattr(ckernels, "available", lambda: False)
+        other = run_miss_ratio_study(programs=["gcc"], accesses=4_000,
+                                     engine="vectorized")
+        assert other.miss_ratios == base.miss_ratios
+
+    def test_profile_mode_is_validated(self):
         with pytest.raises(ValueError):
             run_miss_ratio_study(programs=["gcc"], accesses=4_000,
                                  profile_options=ProfileOptions("sometimes"))
@@ -434,18 +440,21 @@ class TestReplacementStudy:
             run_replacement_study(accesses=3_000,
                                   profile_options=ProfileOptions("sometimes"))
 
-    def test_workers_and_profile_change_nothing(self):
+    def test_workers_change_nothing(self):
         serial = run_replacement_study(programs=["gcc", "swim"],
                                        accesses=3_000, engine="vectorized")
         fanned = run_replacement_study(programs=["gcc", "swim"],
                                        accesses=3_000, engine="vectorized",
                                        sweep_options=SweepOptions(workers=2))
         assert fanned.miss_ratios == serial.miss_ratios
-        profiled = run_replacement_study(programs=["gcc", "swim"],
-                                         accesses=3_000, engine="vectorized",
-                                         profile_options=ProfileOptions(
-                                             "always"))
-        assert profiled.miss_ratios == serial.miss_ratios
+
+    def test_kernel_tiers_are_bit_exact(self, monkeypatch):
+        base = run_replacement_study(programs=["gcc"], accesses=3_000,
+                                     engine="vectorized")
+        monkeypatch.setattr(ckernels, "available", lambda: False)
+        profiled = run_replacement_study(programs=["gcc"], accesses=3_000,
+                                         engine="vectorized")
+        assert profiled.miss_ratios == base.miss_ratios
 
 
 class TestHolesStudy:

@@ -236,10 +236,9 @@ def test_goldens_are_committed():
     assert set(grid["load_miss_ratios"]) == expected_levels
 
 
-@pytest.mark.parametrize("profile", ["always", "never"])
-def test_lru_grid_profile_matches_golden(profile):
-    """Profiler-driven miss-ratio grid (capacities x ways): both the
-    one-pass profile readout and the per-config batch kernels must
+def test_lru_grid_profile_matches_golden(kernel_path):
+    """Miss-ratio grid (capacities x ways): the one-pass profile readout
+    (the Python kernel tier) and the compiled per-config kernels must both
     reproduce the committed snapshot exactly."""
     from repro.engine import AddressBatch, run_lru_grid
     from repro.trace.batching import cached_workload_arrays
@@ -250,7 +249,7 @@ def test_lru_grid_profile_matches_golden(profile):
         params["program"], length=params["accesses"], seed=params["seed"]))
     grid = [(num_sets, ways) for num_sets in params["num_sets"]
             for ways in params["ways"]]
-    results = run_lru_grid(batch, params["block_size"], grid, profile=profile)
+    results = run_lru_grid(batch, params["block_size"], grid)
     miss_ratios = {
         str(num_sets): {str(ways): results[(num_sets, ways)].miss_ratio
                         for ways in params["ways"]}

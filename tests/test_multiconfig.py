@@ -1,11 +1,11 @@
-"""Unit tests for the one-pass multi-configuration LRU profiler.
+"""Unit tests for the one-pass multi-configuration LRU and FIFO profiles.
 
 The differential suites (``test_engine_equivalence.py``,
-``test_engine_properties.py``) pit the profiler against the batch kernels
+``test_engine_properties.py``) pit the profiles against the batch kernels
 and the scalar models over whole traces; this module covers the subsystem's
 own semantics — reuse-distance arithmetic, the distance == ways boundary,
-the capped priority-stack store handling, profile memoisation and the
-plan's partitioning policy.
+the capped priority-stack store handling, the FIFO event replays — and the
+plan's routing table: which path serves each (tier, mode, policy) cell.
 """
 
 import numpy as np
@@ -14,23 +14,18 @@ import pytest
 from repro.cache.set_assoc import SetAssociativeCache, WritePolicy
 from repro.core.index import SingleSetIndexing, make_index_function
 from repro.engine import (
+    PROFILE_MODES,
     AddressBatch,
     BatchSetAssociativeCache,
-    MultiCapacityFIFOProfile,
-    MultiConfigFIFOBuilder,
     MultiConfigFIFOProfile,
     MultiConfigLRUProfile,
     MultiConfigPlan,
-    MultiConfigProfileBuilder,
     ProfileCounts,
-    StackDistanceProfile,
     check_profile_mode,
     ckernels,
-    profile_cache_clear,
-    profile_cache_info,
     run_lru_grid,
 )
-from repro.engine import multiconfig, pykernels
+from repro.engine import multiconfig, shards
 from repro.trace.batching import cached_workload_arrays
 
 BLOCK = 32
@@ -73,51 +68,44 @@ class TestProfileCounts:
         assert counts.accesses == 6
 
 
-class TestStackDistanceProfile:
-    def test_known_distances(self):
-        # 0 1 2 0: two distinct blocks (1, 2) between the accesses to 0.
-        profile = StackDistanceProfile.from_blocks(
-            np.array([0, 1, 2, 0], dtype=np.int64))
-        assert profile.distances.tolist() == [-1, -1, -1, 2]
-        assert profile.cold_accesses == 3
-
-    def test_duplicate_blocks_count_once(self):
-        # 0 1 1 1 0: block 1 is one distinct block, not three.
-        profile = StackDistanceProfile.from_blocks(
-            np.array([0, 1, 1, 1, 0], dtype=np.int64))
-        assert profile.distances.tolist() == [-1, -1, 0, 0, 1]
-
-    def test_miss_counts_price_every_capacity(self):
-        blocks = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
-        profile = StackDistanceProfile.from_blocks(blocks)
-        # Cyclic over three blocks: distance 2 on every reuse.
-        assert profile.miss_count(2) == 6   # thrashes below the footprint
-        assert profile.miss_count(3) == 3   # compulsory only at capacity 3
-        assert profile.miss_ratio(3) == 0.5
+class TestFullyAssociativeLevel:
+    """The one-set level prices a fully-associative LRU cache of every
+    capacity up to its cap (Mattson's stack property)."""
 
     def test_matches_fully_associative_kernel(self):
         rng = np.random.default_rng(7)
         blocks = rng.integers(0, 60, size=3000)
         batch = batch_of_blocks(blocks.tolist())
-        profile = StackDistanceProfile.from_batch(batch, BLOCK)
+        profile = MultiConfigLRUProfile(batch, BLOCK, {1: 100})
         for capacity in (1, 2, 7, 16, 33, 64, 100):
             cache = BatchSetAssociativeCache(
                 capacity * BLOCK, BLOCK, capacity,
                 index_function=SingleSetIndexing())
             cache.run(batch)
-            assert profile.miss_count(capacity) == cache.stats.load_misses
+            assert (profile.miss_counts(1, capacity).load_misses
+                    == cache.stats.load_misses)
 
-    def test_empty_profile(self):
-        profile = StackDistanceProfile.from_blocks(np.empty(0, dtype=np.int64))
-        assert profile.accesses == 0
-        assert profile.miss_ratio(8) == 0.0
+    def test_duplicate_blocks_count_once(self):
+        # 0 1 1 1 0: block 1 is one distinct block, not three, so the
+        # final 0 sits at distance 1 and hits a two-way set.
+        profile = MultiConfigLRUProfile(batch_of_blocks([0, 1, 1, 1, 0]),
+                                        BLOCK, {1: 2})
+        assert profile.miss_counts(1, 1).load_misses == 3
+        assert profile.miss_counts(1, 2).load_misses == 2
 
-    def test_curve_is_monotone_nonincreasing(self):
+    def test_misses_never_grow_with_the_ways(self):
         rng = np.random.default_rng(11)
-        profile = StackDistanceProfile.from_blocks(
-            rng.integers(0, 40, size=2000))
-        curve = profile.miss_ratio_curve(range(1, 64))
-        assert (np.diff(curve) <= 0).all()
+        profile = MultiConfigLRUProfile(
+            batch_of_blocks(rng.integers(0, 40, size=2000).tolist()),
+            BLOCK, {1: 64})
+        misses = [profile.miss_counts(1, ways).misses
+                  for ways in range(1, 65)]
+        assert (np.diff(misses) <= 0).all()
+
+    def test_empty_trace(self):
+        profile = MultiConfigLRUProfile(batch_of_blocks([]), BLOCK, {1: 8})
+        assert profile.miss_counts(1, 8).accesses == 0
+        assert profile.miss_counts(1, 8).miss_ratio == 0.0
 
 
 class TestDistanceWaysBoundary:
@@ -216,33 +204,87 @@ class TestMultiConfigLRUProfile:
         for ways in range(1, 9):
             assert profile.miss_counts(64, ways) == kernel_counts(batch, 64, ways)
 
-    def test_levels_are_memoised_per_trace(self):
-        profile_cache_clear()
-        addresses, writes = cached_workload_arrays("gcc", length=4000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        MultiConfigLRUProfile(batch, BLOCK, {64: 4})
-        misses_after_first = profile_cache_info()["misses"]
-        MultiConfigLRUProfile(batch, BLOCK, {64: 4})
-        info = profile_cache_info()
-        assert info["misses"] == misses_after_first
-        assert info["hits"] >= 1
+    def test_loads_then_stores_take_the_store_mode(self):
+        """A trace whose stores come after a loads-only prefix is priced
+        under the store semantics throughout."""
+        batch = batch_of_blocks([0, 1, 2, 3, 4], [False] * 3 + [True, False])
+        profile = MultiConfigLRUProfile(batch, BLOCK, {16: 2})
+        assert profile.store_mode == "wtna"
+        assert profile.miss_counts(16, 2).accesses == 5
+        assert profile.miss_counts(16, 2) == kernel_counts(batch, 16, 2)
 
-    def test_writable_inputs_are_not_memoised(self):
-        profile_cache_clear()
-        batch = batch_of_blocks(list(range(16)) * 4)
-        assert batch.addresses.flags.writeable
-        MultiConfigLRUProfile(batch, BLOCK, {4: 2})
-        MultiConfigLRUProfile(batch, BLOCK, {4: 2})
-        assert profile_cache_info()["entries"] == 0
+
+@pytest.fixture
+def python_tier(monkeypatch):
+    """The tier without compiled kernels: the one where the plan profiles."""
+    monkeypatch.setattr(ckernels, "available", lambda: False)
+
+
+def serving_paths(monkeypatch):
+    """Record what serves each task of a plan: one entry per profile
+    built (its class name) and one ``"kernel"`` per kernel run."""
+    served = []
+    for module, name in ((multiconfig, "MultiConfigLRUProfile"),
+                         (multiconfig, "MultiConfigFIFOProfile"),
+                         (shards, "SampledMultiConfigLRUProfile")):
+        def build(*args, _real=getattr(module, name), _name=name, **kwargs):
+            served.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, build)
+    run = BatchSetAssociativeCache.run
+
+    def counting_run(self, batch):
+        served.append("kernel")
+        return run(self, batch)
+
+    monkeypatch.setattr(BatchSetAssociativeCache, "run", counting_run)
+    return served
+
+
+#: The routing table's grid: a 256-way fully-associative level and two
+#: set-associative levels, three configurations on one trace.
+ROUTING_GRID = [(1, 256), (16, 2), (64, 4)]
+
+
+def expected_path(tier, mode, replacement):
+    """The plan's one rule: exact profiles iff no compiled kernels, and
+    ``sampled`` moves LRU groups onto the sampled profile on either tier."""
+    if replacement == "lru" and mode == "sampled":
+        return ["SampledMultiConfigLRUProfile"]
+    if replacement in ("lru", "fifo") and tier == "fallback":
+        return ["MultiConfigLRUProfile" if replacement == "lru"
+                else "MultiConfigFIFOProfile"]
+    return ["kernel"] * len(ROUTING_GRID)
+
+
+@pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
+@pytest.mark.parametrize("mode", PROFILE_MODES)
+def test_routing_table(kernel_path, mode, replacement, monkeypatch):
+    """tier x mode x policy: which path serves each cell, and every cell
+    bit-exact with the per-configuration kernels (the sampled profile is
+    exact at rate 1.0)."""
+    addresses, writes = cached_workload_arrays("li", length=4000)
+    batch = AddressBatch.from_arrays(addresses, writes)
+    expected = {(num_sets, ways): kernel_counts(batch, num_sets, ways,
+                                               replacement=replacement)
+                for num_sets, ways in ROUTING_GRID}
+    served = serving_paths(monkeypatch)
+    results = run_lru_grid(batch, BLOCK, ROUTING_GRID, profile=mode,
+                           replacement=replacement, sample_rate=1.0)
+    assert served == expected_path(kernel_path, mode, replacement)
+    assert results == expected
 
 
 class TestMultiConfigPlan:
     def test_mode_validation(self):
-        assert check_profile_mode("Always ") == "always"
-        with pytest.raises(ValueError):
-            check_profile_mode("sometimes")
-        with pytest.raises(ValueError):
-            MultiConfigPlan(profile="sometimes")
+        assert PROFILE_MODES == ("auto", "sampled")
+        assert check_profile_mode("Sampled ") == "sampled"
+        for retired in ("always", "never", "sometimes"):
+            with pytest.raises(ValueError):
+                check_profile_mode(retired)
+            with pytest.raises(ValueError):
+                MultiConfigPlan(profile=retired)
 
     def test_profilable_predicate(self):
         batch = batch_of_blocks([0, 1, 2])
@@ -272,75 +314,28 @@ class TestMultiConfigPlan:
         warmed.reset_stats()
         assert MultiConfigPlan.profilable(warmed, batch) is None
 
-    def test_every_mode_is_bit_exact(self):
-        addresses, writes = cached_workload_arrays("tomcatv", length=5000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        grid = [(num_sets, ways) for num_sets in (32, 64, 128)
-                for ways in (1, 2, 4)]
-        results = {mode: run_lru_grid(batch, BLOCK, grid, profile=mode)
-                   for mode in ("auto", "always", "never")}
-        assert results["auto"] == results["never"]
-        assert results["always"] == results["never"]
+    def test_groups_share_one_pass_per_level(self, python_tier, monkeypatch):
+        levels = []
 
-    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
-    def test_auto_profiles_every_group_on_the_python_tier(self, replacement,
-                                                         monkeypatch):
-        """Without a compiler auto profiles every profilable group — a
-        single configuration and a 256-way fully-associative level too:
-        the Python kernels' probe is linear in the ways, and the profile
-        beats them at every shape the bench times."""
-        monkeypatch.setattr(ckernels, "available", lambda: False)
-        kernel_runs = []
-        run_set_assoc = pykernels.run_set_assoc
+        class CountingLevel(multiconfig._LevelState):
+            __slots__ = ()
 
-        def counting(*args, **kwargs):
-            kernel_runs.append(1)
-            return run_set_assoc(*args, **kwargs)
+            def __init__(self, num_sets, cap, mode):
+                levels.append(num_sets)
+                super().__init__(num_sets, cap, mode)
 
-        monkeypatch.setattr(pykernels, "run_set_assoc", counting)
-        addresses, writes = cached_workload_arrays("li", length=4000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        for grid in ([(64, 2)], [(1, 256), (64, 2), (64, 4)]):
-            auto = run_lru_grid(batch, BLOCK, grid, profile="auto",
-                                replacement=replacement)
-            assert kernel_runs == []
-            assert auto == run_lru_grid(batch, BLOCK, grid, profile="never",
-                                        replacement=replacement)
-            assert len(kernel_runs) == len(grid)
-            kernel_runs.clear()
-
-    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
-    def test_auto_runs_compiled_kernels_instead_of_profiles(
-            self, replacement, monkeypatch, compiled_tier):
-        """The compiled per-configuration kernels outrun the exact
-        profiles, so auto builds none while they are available."""
-        addresses, writes = cached_workload_arrays("li", length=4000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        grid = [(64, w) for w in (1, 2, 4, 8)]
-        exact = run_lru_grid(batch, BLOCK, grid, profile="always",
-                             replacement=replacement)
-
-        def no_profile(*args, **kwargs):
-            raise AssertionError("auto built a profile on the compiled tier")
-
-        for name in ("MultiConfigLRUProfile", "MultiConfigFIFOProfile"):
-            monkeypatch.setattr(multiconfig, name, no_profile)
-        assert run_lru_grid(batch, BLOCK, grid, profile="auto",
-                            replacement=replacement) == exact
-
-    def test_groups_share_one_pass_per_level(self):
-        profile_cache_clear()
+        monkeypatch.setattr(multiconfig, "_LevelState", CountingLevel)
         addresses, writes = cached_workload_arrays("gcc", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
         grid = [(64, w) for w in (1, 2, 3, 4, 5, 6, 7, 8)]
-        run_lru_grid(batch, BLOCK, grid, profile="always")
-        info = profile_cache_info()
-        assert info["misses"] == 1  # eight configurations, one level pass
+        run_lru_grid(batch, BLOCK, grid)
+        assert levels == [64]  # eight configurations, one level pass
 
-    def test_mixed_plan_keeps_kernel_tasks_on_their_kernels(self):
+    def test_mixed_plan_keeps_kernel_tasks_on_their_kernels(self,
+                                                            python_tier):
         addresses, writes = cached_workload_arrays("gcc", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
-        plan = MultiConfigPlan(profile="always")
+        plan = MultiConfigPlan()
         plan.add("conv", batch, lambda: BatchSetAssociativeCache(8192, BLOCK, 2))
         plan.add("skew", batch, lambda: BatchSetAssociativeCache(
             8192, BLOCK, 2, index_function=make_index_function(
@@ -355,7 +350,7 @@ class TestMultiConfigPlan:
         skewed.run(batch)
         assert results["skew"] == ProfileCounts.from_stats(skewed.stats)
 
-    def test_custom_runner_drives_fallback_tasks(self):
+    def test_custom_runner_drives_kernel_tasks(self):
         batch = batch_of_blocks([0, 1, 0, 1])
         seen = []
 
@@ -363,14 +358,15 @@ class TestMultiConfigPlan:
             seen.append(cache)
             cache.run(batch_)
 
-        plan = MultiConfigPlan(profile="never")
-        plan.add("row", batch, lambda: BatchSetAssociativeCache(1024, BLOCK, 2),
-                 runner=runner)
+        plan = MultiConfigPlan()
+        plan.add("row", batch, lambda: BatchSetAssociativeCache(
+            1024, BLOCK, 2, replacement="plru"), runner=runner)
         results = plan.run()
         assert len(seen) == 1
         assert results["row"].loads == 4
 
-    def test_shared_addresses_with_different_store_masks_do_not_alias(self):
+    def test_shared_addresses_with_different_store_masks_do_not_alias(
+            self, python_tier):
         """Two batches over one address array but different store masks
         must not share a profile group — their WTNA store-touch behaviour
         differs."""
@@ -380,7 +376,7 @@ class TestMultiConfigPlan:
             addresses, [False, False, True, False, False])
         all_loads_mask = AddressBatch.from_arrays(
             addresses, [False] * 5)
-        plan = MultiConfigPlan(profile="always")
+        plan = MultiConfigPlan()
         plan.add("stores", hot_store, lambda: BatchSetAssociativeCache(
             2 * BLOCK, BLOCK, 2))
         plan.add("loads", all_loads_mask, lambda: BatchSetAssociativeCache(
@@ -390,36 +386,22 @@ class TestMultiConfigPlan:
         assert results["loads"] == kernel_counts(all_loads_mask, 1, 2)
         assert results["stores"] != results["loads"]
 
-    def test_profile_never_runs_every_kernel(self):
-        """``profile="never"`` must produce the same numbers with zero
-        profile passes — every configuration on its own kernel."""
-        addresses, writes = cached_workload_arrays("li", length=3000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        grid = [(num_sets, ways) for num_sets in (16, 64) for ways in (1, 2, 4)]
-        profile_cache_clear()
-        never = run_lru_grid(batch, BLOCK, grid, profile="never")
-        assert profile_cache_info()["misses"] == 0
-        assert profile_cache_info()["hits"] == 0
-        for (num_sets, ways), counts in never.items():
-            assert counts == kernel_counts(batch, num_sets, ways)
-
-    def test_empty_trace_grid(self):
-        """A 0-access batch prices to all-zero counters in every mode."""
+    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    @pytest.mark.parametrize("mode", PROFILE_MODES)
+    def test_empty_trace_grid(self, kernel_path, mode, replacement):
+        """A 0-access batch prices to all-zero counters on every path."""
         batch = batch_of_blocks([])
         grid = [(16, 2), (64, 4)]
         zero = ProfileCounts(loads=0, stores=0, load_misses=0, store_misses=0)
-        for mode in ("auto", "always", "never", "sampled"):
-            results = run_lru_grid(batch, BLOCK, grid, profile=mode)
-            assert results == {key: zero for key in grid}, mode
-        fifo = run_lru_grid(batch, BLOCK, grid, profile="always",
-                            replacement="fifo")
-        assert fifo == {key: zero for key in grid}
+        results = run_lru_grid(batch, BLOCK, grid, profile=mode,
+                               replacement=replacement)
+        assert results == {key: zero for key in grid}
 
-    def test_grid_against_scalar_models(self):
+    def test_grid_against_scalar_models(self, python_tier):
         addresses, writes = cached_workload_arrays("compress", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
         grid = [(num_sets, ways) for num_sets in (16, 64) for ways in (1, 3, 8)]
-        results = run_lru_grid(batch, BLOCK, grid, profile="always")
+        results = run_lru_grid(batch, BLOCK, grid)
         for (num_sets, ways), counts in results.items():
             scalar = SetAssociativeCache(num_sets * ways * BLOCK, BLOCK, ways)
             for address, is_write in zip(batch.addresses.tolist(),
@@ -428,6 +410,7 @@ class TestMultiConfigPlan:
             assert counts == ProfileCounts.from_stats(scalar.stats), (
                 num_sets, ways)
 
+
 class TestMultiConfigFIFOProfile:
     """The single-pass FIFO grid: miss-driven event replays vs kernels."""
 
@@ -435,6 +418,8 @@ class TestMultiConfigFIFOProfile:
         batch = batch_of_blocks([0, 1])
         with pytest.raises(ValueError):
             MultiConfigFIFOProfile(batch, BLOCK, {3: 2})  # not a power of two
+        with pytest.raises(ValueError):
+            MultiConfigFIFOProfile(batch, BLOCK, {4: 0})  # no ways
         with pytest.raises(ValueError):
             MultiConfigFIFOProfile(batch, BLOCK, {})      # no levels
         with pytest.raises(ValueError):
@@ -460,6 +445,26 @@ class TestMultiConfigFIFOProfile:
         assert profile.miss_counts(1, 3).misses == 9
         assert profile.miss_counts(1, 4).misses == 10
 
+    def test_cyclic_trace_at_and_below_its_footprint(self):
+        profile = MultiConfigFIFOProfile(batch_of_blocks([0, 1, 2, 0, 1, 2]),
+                                         BLOCK, {1: 3})
+        assert profile.miss_counts(1, 2).misses == 6  # thrashes below it
+        assert profile.miss_counts(1, 3).misses == 3  # compulsory only
+        assert profile.miss_counts(1, 3).miss_ratio == 0.5
+
+    def test_matches_fully_associative_fifo_kernel(self):
+        rng = np.random.default_rng(17)
+        batch = batch_of_blocks(rng.integers(0, 80, size=4000).tolist())
+        profile = MultiConfigFIFOProfile(batch, BLOCK, {1: 100})
+        for capacity in (1, 2, 7, 16, 33, 64, 100):
+            cache = BatchSetAssociativeCache(
+                capacity * BLOCK, BLOCK, capacity,
+                index_function=SingleSetIndexing(), replacement="fifo")
+            cache.run(batch)
+            counts = profile.miss_counts(1, capacity)
+            assert counts.misses == cache.stats.misses
+            assert counts.hits == cache.stats.hits
+
     def test_matches_kernels_across_grid_and_policies(self):
         addresses, writes = cached_workload_arrays("gcc", length=6000)
         batch = AddressBatch.from_arrays(addresses, writes)
@@ -482,94 +487,29 @@ class TestMultiConfigFIFOProfile:
         assert profile.miss_counts(1, 3) == kernel_counts(
             batch, 1, 3, replacement="fifo")
 
+    def test_loads_then_stores_take_the_store_mode(self):
+        batch = batch_of_blocks([0, 1, 2, 3, 4], [False] * 3 + [True, False])
+        profile = MultiConfigFIFOProfile(batch, BLOCK, {16: 2})
+        assert profile.store_mode == "wtna"
+        assert profile.accesses == 5
+        assert profile.miss_counts(16, 2) == kernel_counts(
+            batch, 16, 2, replacement="fifo")
+
     def test_empty_trace(self):
         profile = MultiConfigFIFOProfile(batch_of_blocks([]), BLOCK, {4: 2})
         assert profile.accesses == 0
         assert profile.miss_counts(4, 2).miss_ratio == 0.0
 
-    def test_builder_chunked_equals_one_shot(self):
-        addresses, writes = cached_workload_arrays("m88ksim", length=9000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        one_shot = MultiConfigFIFOProfile(batch, BLOCK, {64: 4})
-        builder = MultiConfigFIFOBuilder(BLOCK, {64: 4}, has_stores=True)
-        for start in range(0, 9000, 1234):
-            builder.feed(AddressBatch.from_arrays(
-                addresses[start:start + 1234], writes[start:start + 1234]))
-        chunked = builder.finish()
-        for ways in (1, 2, 4):
-            assert (chunked.miss_counts(64, ways)
-                    == one_shot.miss_counts(64, ways))
-
-    def test_builder_rejects_mid_stream_store_mode_change(self):
-        builder = MultiConfigFIFOBuilder(BLOCK, {16: 2}, has_stores=False)
-        builder.feed(batch_of_blocks([0, 1, 2]))
-        with pytest.raises(ValueError, match="store mode changed mid-stream"):
-            builder.feed(batch_of_blocks([3, 4], [True, False]))
-
-
-class TestMultiCapacityFIFOProfile:
-    def test_validates_capacities(self):
-        blocks = np.array([0, 1, 2], dtype=np.int64)
-        with pytest.raises(ValueError):
-            MultiCapacityFIFOProfile(blocks, [])
-        with pytest.raises(ValueError):
-            MultiCapacityFIFOProfile(blocks, [0, 4])
-
-    def test_matches_fully_associative_fifo_kernel(self):
-        rng = np.random.default_rng(17)
-        blocks = rng.integers(0, 80, size=4000)
-        batch = batch_of_blocks(blocks.tolist())
-        capacities = [1, 2, 7, 16, 33, 64, 100]
-        profile = MultiCapacityFIFOProfile(blocks, capacities)
-        for capacity in capacities:
-            cache = BatchSetAssociativeCache(
-                capacity * BLOCK, BLOCK, capacity,
-                index_function=SingleSetIndexing(), replacement="fifo")
-            cache.run(batch)
-            assert profile.miss_count(capacity) == cache.stats.misses
-            assert profile.hit_count(capacity) == cache.stats.hits
-
-    def test_curve_and_guards(self):
-        blocks = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
-        profile = MultiCapacityFIFOProfile(blocks, [2, 3])
-        assert profile.miss_count(2) == 6    # thrashes below the footprint
-        assert profile.miss_count(3) == 3    # compulsory only
-        assert profile.miss_ratio(3) == 0.5
-        assert profile.miss_ratio_curve().tolist() == [1.0, 0.5]
-        with pytest.raises(KeyError):
-            profile.miss_count(4)            # capacity not declared
-
-    def test_from_batch_and_empty_stream(self):
-        batch = batch_of_blocks([0, 1, 0])
-        profile = MultiCapacityFIFOProfile.from_batch(batch, BLOCK, [2])
-        assert profile.miss_count(2) == 2
-        empty = MultiCapacityFIFOProfile(np.empty(0, dtype=np.int64), [4])
-        assert empty.miss_ratio(4) == 0.0
-
 
 class TestFIFOPlanRouting:
-    """MultiConfigPlan must price FIFO grids off the one-pass profile,
-    bit-exact with per-config kernels in every profiled mode."""
+    """On the Python tier MultiConfigPlan prices FIFO grids off the
+    one-pass profile, bit-exact with the per-config kernels."""
 
-    def test_fifo_grid_every_mode_is_bit_exact(self):
-        addresses, writes = cached_workload_arrays("compress", length=5000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        grid = [(num_sets, ways) for num_sets in (32, 128)
-                for ways in (1, 2, 4)]
-        results = {mode: run_lru_grid(batch, BLOCK, grid, profile=mode,
-                                      replacement="fifo")
-                   for mode in ("auto", "always", "never", "sampled")}
-        assert results["always"] == results["never"]
-        assert results["auto"] == results["never"]
-        # FIFO tasks have no sampled path: "sampled" prices them exactly.
-        assert results["sampled"] == results["never"]
-
-    def test_fifo_grid_against_scalar_models(self):
+    def test_fifo_grid_against_scalar_models(self, python_tier):
         addresses, writes = cached_workload_arrays("li", length=3000)
         batch = AddressBatch.from_arrays(addresses, writes)
         grid = [(16, 2), (64, 1), (64, 4)]
-        results = run_lru_grid(batch, BLOCK, grid, profile="always",
-                               replacement="fifo")
+        results = run_lru_grid(batch, BLOCK, grid, replacement="fifo")
         for (num_sets, ways), counts in results.items():
             scalar = SetAssociativeCache(num_sets * ways * BLOCK, BLOCK,
                                          ways, replacement="fifo")
@@ -579,12 +519,13 @@ class TestFIFOPlanRouting:
             assert counts == ProfileCounts.from_stats(scalar.stats), (
                 num_sets, ways)
 
-    def test_mixed_lru_and_fifo_plan(self):
+    def test_mixed_lru_and_fifo_plan(self, python_tier, monkeypatch):
         """LRU and FIFO tasks over one batch group separately, each priced
         by its own profile kind, both exact."""
         addresses, writes = cached_workload_arrays("go", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
-        plan = MultiConfigPlan(profile="always")
+        served = serving_paths(monkeypatch)
+        plan = MultiConfigPlan()
         for ways in (1, 2, 4):
             plan.add(("lru", ways), batch,
                      lambda ways=ways: BatchSetAssociativeCache(
@@ -593,28 +534,9 @@ class TestFIFOPlanRouting:
                      lambda ways=ways: BatchSetAssociativeCache(
                          64 * ways * BLOCK, BLOCK, ways, replacement="fifo"))
         results = plan.run()
+        assert sorted(served) == ["MultiConfigFIFOProfile",
+                                  "MultiConfigLRUProfile"]
         for ways in (1, 2, 4):
             assert results[("lru", ways)] == kernel_counts(batch, 64, ways)
             assert results[("fifo", ways)] == kernel_counts(
                 batch, 64, ways, replacement="fifo")
-
-
-class TestExactBuilderStoreModeGuard:
-    """Regression: chunks disagreeing on has_stores must raise a clear
-    error up front, not silently drift the profile's stats."""
-
-    def test_exact_builder_rejects_mid_stream_store_mode_change(self):
-        builder = MultiConfigProfileBuilder(BLOCK, {16: 2}, has_stores=False)
-        builder.feed(batch_of_blocks([0, 1, 2]))
-        with pytest.raises(ValueError) as err:
-            builder.feed(batch_of_blocks([3, 4], [True, False]))
-        message = str(err.value)
-        assert "store mode changed mid-stream" in message
-        assert "after 3 accesses" in message
-        assert "has_stores=True" in message   # the message names the fix
-
-    def test_declared_stores_accept_any_chunk_mix(self):
-        builder = MultiConfigProfileBuilder(BLOCK, {16: 2}, has_stores=True)
-        builder.feed(batch_of_blocks([0, 1, 2]))                # all loads
-        builder.feed(batch_of_blocks([3, 4], [True, False]))    # mixed
-        assert builder.finish().miss_counts(16, 2).accesses == 5

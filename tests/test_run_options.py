@@ -33,7 +33,8 @@ class TestOptionValues:
             SweepOptions(**options)
 
     @pytest.mark.parametrize("options", [
-        dict(profile="sometimes"), dict(sample_rate=0.0),
+        dict(profile="sometimes"), dict(profile="always"),
+        dict(profile="never"), dict(sample_rate=0.0),
         dict(sample_rate=1.5), dict(sample_size=0), dict(profile_seed=-1),
     ])
     def test_profile_options_reject_bad_values(self, options):
@@ -41,7 +42,7 @@ class TestOptionValues:
             ProfileOptions(**options)
 
     def test_profile_mode_is_normalised(self):
-        assert ProfileOptions(" Always ").profile == "always"
+        assert ProfileOptions(" Sampled ").profile == "sampled"
 
     def test_options_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -54,7 +55,7 @@ class TestOptionValues:
             TraceOptions(trace_chunk=0)
 
     @pytest.mark.parametrize("driver, knob", [
-        (run_figure1, dict(workers=2)), (run_figure1, dict(profile="never")),
+        (run_figure1, dict(workers=2)), (run_figure1, dict(profile="auto")),
         (run_table3, dict(workers=2)),
         (run_miss_ratio_study, dict(on_error="collect")),
     ])

@@ -4,9 +4,9 @@ Pins the two guarantees :mod:`repro.trace.stream` makes:
 
 * **bit-exactness** — replaying a trace through
   :func:`~repro.trace.stream.iter_trace_chunks` (any chunk size, any
-  format, mmap or buffered) produces the same statistics, policy state
-  tables and profiler histograms as materialising the whole trace at once,
-  for every batch kernel family and for the incremental profiler builders;
+  format, mmap or buffered) produces the same statistics and policy state
+  tables as materialising the whole trace at once, for every batch kernel
+  family;
 * **error precision** — every corruption case the one-shot readers locate
   (record index, byte offset, ``path:line``) is located identically when
   the same file streams through the chunked iterator, after every complete
@@ -34,12 +34,6 @@ from repro.engine.batch_cache import (
     BatchColumnAssociativeCache,
     BatchSetAssociativeCache,
     BatchVictimCache,
-)
-from repro.engine.multiconfig import (
-    MultiConfigLRUProfile,
-    MultiConfigProfileBuilder,
-    StackDistanceBuilder,
-    StackDistanceProfile,
 )
 from repro.trace.record import MemoryAccess
 from repro.trace.stream import (
@@ -708,72 +702,6 @@ class TestChunkedReplayBitExact:
             writer.append_records(iter(records))
         streamed = list(read_trace_records(path))
         assert streamed == records
-
-
-class TestIncrementalProfilerBitExact:
-    LEVEL_CAPS = {1: 64, 32: 8, 128: 4}
-
-    def _chunks(self, batch, chunk_size):
-        for start in range(0, len(batch), chunk_size):
-            yield AddressBatch.from_arrays(
-                batch.addresses[start:start + chunk_size],
-                batch.is_write[start:start + chunk_size])
-
-    @pytest.mark.parametrize("write_policy", ["write-through-no-allocate",
-                                              "write-back-allocate"])
-    def test_multiconfig_builder_matches_one_shot(self, write_policy):
-        batch = _cache_batch(n=4000, seed=13)
-        one_shot = MultiConfigLRUProfile(batch, 32, self.LEVEL_CAPS,
-                                         write_policy=write_policy)
-        builder = MultiConfigProfileBuilder(32, self.LEVEL_CAPS,
-                                            write_policy=write_policy)
-        for chunk in self._chunks(batch, 613):
-            builder.feed(chunk)
-        incremental = builder.finish()
-        assert incremental.store_mode == one_shot.store_mode
-        assert incremental.levels == one_shot.levels
-        for num_sets, cap in self.LEVEL_CAPS.items():
-            for ways in range(1, cap + 1):
-                assert (incremental.miss_counts(num_sets, ways)
-                        == one_shot.miss_counts(num_sets, ways))
-
-    def test_loads_only_mode_matches_and_guards(self):
-        batch = _cache_batch(n=2000, seed=14, cold_loads=2000)
-        one_shot = MultiConfigLRUProfile(batch, 32, {1: 16, 128: 2})
-        builder = MultiConfigProfileBuilder(32, {1: 16, 128: 2},
-                                            has_stores=False)
-        for chunk in self._chunks(batch, 333):
-            builder.feed(chunk)
-        incremental = builder.finish()
-        assert incremental.store_mode == one_shot.store_mode == "loads"
-        assert (incremental.miss_counts(128, 2)
-                == one_shot.miss_counts(128, 2))
-        dirty = AddressBatch.from_arrays(np.array([64], dtype=np.uint64),
-                                         np.array([True]))
-        with pytest.raises(ValueError, match="has_stores=False"):
-            builder.feed(dirty)
-
-    @pytest.mark.parametrize("chunk_size", [1, 7, 1024])
-    def test_stack_distance_builder_matches_one_shot(self, chunk_size):
-        batch = _cache_batch(n=1500, seed=15)
-        one_shot = StackDistanceProfile.from_batch(batch, 32)
-        builder = StackDistanceBuilder()
-        for chunk in self._chunks(batch, chunk_size):
-            builder.feed_batch(chunk, 32)
-        incremental = builder.finish()
-        assert np.array_equal(incremental.distances, one_shot.distances)
-        assert np.array_equal(incremental.histogram, one_shot.histogram)
-
-    def test_builder_streams_from_disk(self, tmp_path):
-        batch = _cache_batch(n=2500, seed=16)
-        path = tmp_path / "t.ctr"
-        write_trace_v2(path, batch.addresses, is_write=batch.is_write)
-        one_shot = MultiConfigLRUProfile(batch, 32, {128: 2})
-        builder = MultiConfigProfileBuilder(32, {128: 2})
-        for chunk in iter_trace_chunks(path, chunk_size=499):
-            builder.feed(chunk)
-        assert (builder.finish().miss_counts(128, 2)
-                == one_shot.miss_counts(128, 2))
 
 
 # --------------------------------------------------------------------- #
