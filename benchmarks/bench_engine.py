@@ -33,6 +33,13 @@ available):
 
 The fallback columns are recorded on every row and bounded on none.
 
+The ``holes-study`` row times ``run_holes_study`` at the CLI's defaults
+on the vectorized engine (best of ``HOLES_STUDY_RUNS``), 36 hierarchy
+runs of 40k accesses whose per-run set-up the 1M-access hierarchy rows
+hide; it reports accesses/s and the shares of translation, kernel,
+per-run set-up and the rest, unbounded, and asserts the study equal to
+the reference engine's on a prefix of every program.
+
 The ``ooo-core`` row times Table 2 — the 18 synthetic programs on its six
 machines — on the compiled out-of-order core (``compiled-ooo-core``) and
 on the Python core (``python-ooo-core``), bit-exact, and asserts the
@@ -119,6 +126,7 @@ from repro.engine import (
     MultiConfigLRUProfile,
     ProfileCounts,
     ckernels,
+    pykernels,
     run_lru_grid,
 )
 from repro.experiments.config import (
@@ -310,6 +318,12 @@ HIERARCHY_L2_BYTES = 1 << 20
 VR_PAGE_SIZE = 4096
 VR_TLB_ENTRIES = 64
 VR_SEED = 999
+
+#: Timed runs of the holes-study row (the best is reported), and the
+#: accesses per program of the prefix it checks against the reference
+#: engine.
+HOLES_STUDY_RUNS = 5
+HOLES_STUDY_CHECK_ACCESSES = 2_000
 
 
 def _make_hierarchy_caches():
@@ -542,6 +556,81 @@ def compare_virtual_real_engines(accesses=BENCH_ENGINE_ACCESSES):
     timings = _time_tiers(build, trace, prefix, check)
     return _row("virtual-real-16K/1M", "lru", len(trace), len(prefix),
                 scalar_seconds, timings, scalar.l1.stats.miss_ratio)
+
+
+@contextlib.contextmanager
+def _timed(owner, name, totals, key):
+    """Add the seconds spent in ``owner.name`` to ``totals[key]``."""
+    function = getattr(owner, name)
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            totals[key] += time.perf_counter() - start
+
+    setattr(owner, name, timed)
+    try:
+        yield
+    finally:
+        setattr(owner, name, function)
+
+
+def compare_holes_study(runs=HOLES_STUDY_RUNS):
+    """Time ``run_holes_study`` at the CLI's defaults on the vectorized
+    engine, best of ``runs``: many short hierarchy runs, so per-run set-up
+    counts, unlike in the 1M-access hierarchy rows.  One more run is split
+    into translation (``batch_page_frames``), the kernel
+    (``run_hierarchy``), the rest of each hierarchy ``run`` (set-up) and
+    everything else (trace synthesis, cache builds).  The study must agree
+    exactly with the reference engine on every program's first
+    ``HOLES_STUDY_CHECK_ACCESSES`` accesses."""
+    from repro.engine import hierarchy_vec
+    from repro.experiments.cli import build_parser
+    from repro.experiments.holes_study import run_holes_study
+
+    cli = build_parser().parse_args(["holes"])
+    l2_sizes = [kb * 1024 for kb in cli.l2_kilobytes]
+
+    def study(accesses=cli.accesses, engine="vectorized"):
+        return run_holes_study(l2_sizes=l2_sizes, accesses=accesses,
+                               seed=cli.seed, engine=engine)
+
+    def outcome(result):
+        return (result.per_program_hole_rate, result.l2_misses,
+                result.simulated_hole_rate)
+
+    reference, vectorized = (
+        outcome(study(HOLES_STUDY_CHECK_ACCESSES, engine))
+        for engine in ("reference", "vectorized"))
+    assert reference == vectorized, (
+        "holes study diverged between the reference and vectorized engines")
+    seconds = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        result = study()
+        seconds.append(time.perf_counter() - start)
+    totals = dict.fromkeys(("translation", "kernel", "run"), 0.0)
+    kernels = ckernels if ckernels.available() else pykernels
+    with _timed(hierarchy_vec, "batch_page_frames", totals, "translation"), \
+            _timed(kernels, "run_hierarchy", totals, "kernel"), \
+            _timed(hierarchy_vec.BatchVirtualRealHierarchy, "run", totals,
+                   "run"):
+        start = time.perf_counter()
+        study()
+        traced = time.perf_counter() - start
+    setup = totals["run"] - totals["translation"] - totals["kernel"]
+    accesses = result.accesses_per_program * sum(
+        len(rates) for rates in result.per_program_hole_rate.values())
+    return {"kernel": ("compiled-hierarchy" if kernels is ckernels
+                       else "hierarchy-loop"),
+            "runs": runs, "accesses": accesses, "seconds": min(seconds),
+            "aps": accesses / min(seconds),
+            "translation_share": totals["translation"] / traced,
+            "kernel_share": totals["kernel"] / traced,
+            "setup_share": setup / traced,
+            "other_share": 1 - totals["run"] / traced}
 
 
 def check_dispatch_coverage(rows):
@@ -1040,7 +1129,7 @@ def _load_trajectory(path):
 
 def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
                     smoke=False, trace_io=None, profiler=None, coverage=None,
-                    ooo_core=None, program_build=None):
+                    ooo_core=None, program_build=None, holes_study=None):
     """Append this run to the machine-readable trajectory artifact."""
     if not path:
         return None
@@ -1072,6 +1161,7 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "coverage": coverage,
         "ooo_core": ooo_core,
         "program_build": program_build,
+        "holes_study": holes_study,
     })
     artifact = {
         "benchmark": "bench_engine",
@@ -1299,6 +1389,15 @@ def main(argv=None):
         if check_bounds:
             assert row["speedup"] >= REQUIRED_SPEEDUP, (
                 f"{label}: only {row['speedup']:.1f}x")
+    # The holes study at the CLI's defaults: many short hierarchy runs.
+    holes = compare_holes_study(2 if args.smoke else HOLES_STUDY_RUNS)
+    print(f"\nholes-study ({holes['accesses']:,} accesses, best of "
+          f"{holes['runs']}): {holes['kernel']} {holes['aps']:,.0f} acc/s "
+          f"({holes['seconds']:.3f}s; translation "
+          f"{holes['translation_share']:.0%}, kernel "
+          f"{holes['kernel_share']:.0%}, set-up {holes['setup_share']:.0%}, "
+          f"other {holes['other_share']:.0%}), equal to the reference "
+          f"engine on a {HOLES_STUDY_CHECK_ACCESSES:,}-access prefix")
     # The out-of-order core: Table 2 on both cores.
     ooo = compare_ooo_core(SMOKE_OOO_INSTRUCTIONS if args.smoke
                            else OOO_INSTRUCTIONS)
@@ -1402,7 +1501,8 @@ def main(argv=None):
     path = _write_artifact(rows, accesses, sweep=sweep,
                            smoke=args.smoke, trace_io=trace_io,
                            profiler=profiler, coverage=coverage,
-                           ooo_core=ooo, program_build=build)
+                           ooo_core=ooo, program_build=build,
+                           holes_study=holes)
     if path:
         print(f"appended run to {path}")
 

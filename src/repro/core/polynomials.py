@@ -20,7 +20,8 @@ Polynomials are encoded as integers, bit ``i`` holding the coefficient of
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import functools
+from typing import Dict, List, Sequence, Tuple
 
 from .gf2 import degree, irreducible_polynomials, is_irreducible
 
@@ -116,11 +117,17 @@ def skewing_polynomials(index_bits: int, ways: int) -> List[int]:
     """Return ``ways`` distinct irreducible polynomials for a skewed I-Poly cache.
 
     The first polynomial returned is the degree-default, so a 1-way call
-    degenerates to :func:`default_polynomial`.
+    degenerates to :func:`default_polynomial`.  The search is memoised;
+    each call returns a fresh list.
 
     >>> skewing_polynomials(3, 2)
     [11, 13]
     """
+    return list(_skewing_polynomials(index_bits, ways))
+
+
+@functools.lru_cache(maxsize=256)
+def _skewing_polynomials(index_bits: int, ways: int) -> Tuple[int, ...]:
     if ways < 1:
         raise ValueError("ways must be at least 1")
     default = default_polynomial(index_bits)
@@ -135,7 +142,7 @@ def skewing_polynomials(index_bits: int, ways: int) -> List[int]:
             f"cannot find {ways} distinct irreducible polynomials of degree "
             f"{index_bits}; only {len(polys)} exist"
         )
-    return polys
+    return tuple(polys)
 
 
 def _verify_table(table: Dict[int, int] = DEFAULT_IRREDUCIBLE) -> Sequence[int]:

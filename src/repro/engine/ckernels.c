@@ -273,6 +273,7 @@ typedef struct {
     policy_t p;
     int64_t clock;
     int64_t *cand; /* scratch: each way's candidate set of one access */
+    int64_t evicted; /* the tag the last fill replaced (-1 for none) */
     int64_t c[NUM_COUNTS];
 } cache_t;
 
@@ -296,14 +297,19 @@ static int cache_open(cache_t *s, const level_t *l)
     return 0;
 }
 
+static void cache_free(cache_t *s)
+{
+    free(s->cand);
+    free(s->x.tables);
+}
+
 static void cache_close(cache_t *s, const level_t *l)
 {
     l->io[0] = s->clock;
     l->io[1] = s->p.counter;
     for (int i = 0; i < NUM_COUNTS; i++)
         l->counts[i] += s->c[i];
-    free(s->cand);
-    free(s->x.tables);
+    cache_free(s);
 }
 
 /*
@@ -337,6 +343,7 @@ INLINE int sa_access(cache_t *s, int64_t block, int write, int64_t *frame)
             s->c[WRITEBACKS]++;
     }
     *frame = way * s->num_sets + cand[way];
+    s->evicted = s->tags[*frame];
     s->tags[*frame] = block;
     s->dirty[*frame] = (uint8_t)(write && s->write_back);
     policy_touch(&s->p, way, cand[way], s->clock, 1);
@@ -365,15 +372,80 @@ int64_t repro_sa_run(int64_t n, const int64_t *blocks, const uint8_t *writes,
 enum { HOLES, MISSES_CAUSING_HOLES, BACK_INVALIDATIONS, ALIAS_INVALIDATIONS,
        NUM_EVENTS };
 
+/*
+ * Which L1 frame holds each line: a chained hash keyed by the raw line
+ * number, one chain link per frame.  line[f] is the line in frame f or -1
+ * (the caller's l1_line, kept current); head[] holds each bucket's first
+ * frame and next[] each frame's successor in its chain, -1 ending one.
+ */
+typedef struct {
+    int64_t *line, *head, *next;
+    int shift; /* 64 - log2(buckets) */
+} line_map_t;
+
+INLINE int64_t *line_bucket(const line_map_t *m, int64_t line)
+{
+    return m->head + (((uint64_t)line * 0x9E3779B97F4A7C15u) >> m->shift);
+}
+
+INLINE int64_t line_map_find(const line_map_t *m, int64_t line)
+{
+    int64_t f = *line_bucket(m, line);
+    while (f >= 0 && m->line[f] != line)
+        f = m->next[f];
+    return f;
+}
+
+/* Frame f now holds `line` (-1 for none). */
+static void line_map_set(line_map_t *m, int64_t f, int64_t line)
+{
+    if (m->line[f] >= 0) {
+        int64_t *link = line_bucket(m, m->line[f]);
+        while (*link != f)
+            link = m->next + *link;
+        *link = m->next[f];
+    }
+    m->line[f] = line;
+    if (line >= 0) {
+        int64_t *head = line_bucket(m, line);
+        m->next[f] = *head;
+        *head = f;
+    }
+}
+
+/* Index the lines of l1_line[0 .. frames): at least two buckets and one
+ * per frame.  A line held twice finds its highest frame. */
+static int line_map_open(line_map_t *m, int64_t *l1_line, int64_t frames)
+{
+    int64_t buckets = 2;
+    m->shift = 63;
+    while (buckets < frames) {
+        buckets *= 2;
+        m->shift--;
+    }
+    m->head = malloc((size_t)buckets * sizeof *m->head);
+    m->next = malloc((size_t)frames * sizeof *m->next);
+    if (m->head == NULL || m->next == NULL) {
+        free(m->head);
+        free(m->next);
+        return -1;
+    }
+    memset(m->head, 0xff, (size_t)buckets * sizeof *m->head);
+    m->line = l1_line;
+    for (int64_t f = 0; f < frames; f++) {
+        int64_t line = l1_line[f];
+        l1_line[f] = -1;
+        line_map_set(m, f, line);
+    }
+    return 0;
+}
+
 /* Invalidate L1 frame f and forget which line it held. */
-static void drop_l1(cache_t *l1, int64_t f, int64_t *frame_of_line,
-                    int64_t *l1_line)
+static void drop_l1(cache_t *l1, line_map_t *m, int64_t f)
 {
     l1->tags[f] = -1;
     l1->dirty[f] = 0;
-    if (l1_line[f] >= 0)
-        frame_of_line[l1_line[f]] = -1;
-    l1_line[f] = -1;
+    line_map_set(m, f, -1);
 }
 
 /*
@@ -381,31 +453,35 @@ static void drop_l1(cache_t *l1, int64_t f, int64_t *frame_of_line,
  * trace order, like repro.cache.hierarchy and repro.cache.virtual_real.
  *
  * Access i looks up l1_blocks[i] in L1 and l2_blocks[i] in L2.  Its
- * downstream line has the dense id lines[i]: lines of one L2 block are
- * `ratio` consecutive ids starting at ratio * (the block's id), so the L2
- * block of line id x has id x / ratio.  frame_of_line[x] is the L1 frame
- * holding line x or -1, l1_line[f] the line in L1 frame f or -1, and
- * l2_gid[f] the block id in L2 frame f or -1; the kernel keeps all three
- * current.  An L1 frame holding this access's line under another L1 block
- * is an alias and is invalidated first.  An L2 miss that evicts a block
- * invalidates every L1 copy of its lines when `inclusive`; a copy other
- * than the line being filled is a hole.  A store that hits L1 is written
- * through to L2 and never back-invalidates.
+ * downstream line is lines[i]: the lines of L2 block b are ratio * b up
+ * to ratio * b + ratio - 1.  l1_line[f] is the line in L1 frame f or -1;
+ * the kernel keeps it current and finds a line's frame through a
+ * line_map_t over it.  An L1 frame holding this access's line under
+ * another L1 block is an alias and is invalidated first.  An L2 miss
+ * that evicts a block invalidates every L1 copy of its lines when
+ * `inclusive`; a copy other than the line being filled is a hole.  A
+ * store that hits L1 is written through to L2 and never
+ * back-invalidates.  Returns 0, or -1 when scratch memory is
+ * unavailable (nothing changed).
  */
 int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
                        const int64_t *l2_blocks, const int64_t *lines,
                        const uint8_t *writes, int64_t ratio,
                        int64_t inclusive, const level_t *l1l,
-                       const level_t *l2l, int64_t *frame_of_line,
-                       int64_t *l1_line, int64_t *l2_gid, uint8_t *l1_hits,
-                       uint8_t *l2_hits, int64_t *events)
+                       const level_t *l2l, int64_t *l1_line,
+                       uint8_t *l1_hits, uint8_t *l2_hits, int64_t *events)
 {
     cache_t l1, l2;
+    line_map_t m;
     if (cache_open(&l1, l1l) != 0)
         return -1;
     if (cache_open(&l2, l2l) != 0) {
-        free(l1.cand);
-        free(l1.x.tables);
+        cache_free(&l1);
+        return -1;
+    }
+    if (line_map_open(&m, l1_line, l1.ways * l1.num_sets) != 0) {
+        cache_free(&l1);
+        cache_free(&l2);
         return -1;
     }
     int64_t e[NUM_EVENTS] = {0};
@@ -413,37 +489,28 @@ int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
     for (int64_t i = 0; i < n; i++) {
         int64_t block = l1_blocks[i], line = lines[i], f, f2;
         int w = writes[i] != 0;
-        f = frame_of_line[line];
+        f = line_map_find(&m, line);
         if (f >= 0 && l1.tags[f] != block) {
-            drop_l1(&l1, f, frame_of_line, l1_line);
+            drop_l1(&l1, &m, f);
             e[ALIAS_INVALIDATIONS]++;
         }
         if (sa_access(&l1, block, w, &f)) {
             l1_hits[i] = l2_hits[i] = 1;
-            if (w) {
+            if (w)
                 sa_access(&l2, l2_blocks[i], 1, &f2);
-                if (f2 >= 0)
-                    l2_gid[f2] = line / ratio;
-            }
             continue;
         }
         l1_hits[i] = 0;
-        if (f >= 0) {
-            if (l1_line[f] >= 0)
-                frame_of_line[l1_line[f]] = -1;
-            l1_line[f] = line;
-            frame_of_line[line] = f;
-        }
+        if (f >= 0)
+            line_map_set(&m, f, line);
         l2_hits[i] = (uint8_t)sa_access(&l2, l2_blocks[i], w, &f2);
-        if (l2_hits[i] || f2 < 0)
-            continue;
-        int64_t evicted = l2_gid[f2];
-        l2_gid[f2] = line / ratio;
-        if (evicted < 0 || !inclusive)
+        if (l2_hits[i] || f2 < 0 || l2.evicted < 0 || !inclusive)
             continue;
         int hole = 0;
-        for (int64_t x = evicted * ratio; x < (evicted + 1) * ratio; x++) {
-            int64_t g = frame_of_line[x];
+        /* Unsigned: lines past 2**63 (never passed) wrap, not overflow. */
+        uint64_t first = (uint64_t)l2.evicted * (uint64_t)ratio;
+        for (int64_t k = 0; k < ratio; k++) {
+            int64_t g = line_map_find(&m, (int64_t)(first + (uint64_t)k));
             if (g < 0)
                 continue;
             e[BACK_INVALIDATIONS]++;
@@ -451,13 +518,15 @@ int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
                 hole = 1;
                 e[HOLES]++;
             }
-            drop_l1(&l1, g, frame_of_line, l1_line);
+            drop_l1(&l1, &m, g);
         }
         e[MISSES_CAUSING_HOLES] += hole;
     }
 
     cache_close(&l1, l1l);
     cache_close(&l2, l2l);
+    free(m.head);
+    free(m.next);
     memcpy(events, e, sizeof e);
     return 0;
 }

@@ -32,7 +32,7 @@ The wrappers :func:`run_set_assoc`, :func:`run_victim`, :func:`run_column`,
 itself is its fallback) and :func:`build_program_columns` (the program
 generator of :mod:`repro.cpu.workloads`, whose fallback is likewise that
 module's ``_instruction_stream``) check every array (dtype, C-contiguity,
-shape, writability, blocks non-negative, frames and line ids in range),
+shape, writability, blocks and lines non-negative, indices in range),
 every placement (:class:`~repro.engine.index_vec.Placement`: each image
 and modulus within the cache's sets) and every parameter before the call,
 raising ``ValueError`` — nothing malformed reaches C.  They return hit
@@ -276,7 +276,7 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         "repro_column_run": [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr,
                              ptr],
         "repro_hier_run": [i64, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr,
-                           ptr, ptr, ptr, ptr, ptr],
+                           ptr, ptr, ptr],
         "repro_ooo_run": [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
                           ptr, ptr, ptr, ptr, ptr],
         "repro_build_program": [i64, u64, ptr, i64, ptr, ptr, ptr, ptr, ptr,
@@ -519,17 +519,16 @@ def run_column(blocks: np.ndarray, writes: np.ndarray, *, place,
 
 def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
                   lines: np.ndarray, writes: np.ndarray, *, ratio: int,
-                  inclusive: bool, l1: dict, l2: dict,
-                  frame_of_line: np.ndarray, l1_line: np.ndarray,
-                  l2_gid: np.ndarray):
+                  inclusive: bool, l1: dict, l2: dict, l1_line: np.ndarray):
     """Run one batch through a two-level hierarchy with back-invalidation.
 
     ``l1``/``l2`` hold each level's :func:`run_set_assoc` placement and
-    state, for ``l1_blocks``/``l2_blocks``.  ``lines``
-    are the accesses' dense line ids, ``ratio`` per L2 block id;
-    ``frame_of_line``, ``l1_line`` and ``l2_gid`` map line ids to L1
-    frames, L1 frames to line ids and L2 frames to block ids (``-1`` for
-    none) and are kept current.  Returns ``(l1_hits, l2_hits, l1_counts,
+    state, for ``l1_blocks``/``l2_blocks``.  ``lines`` are the accesses'
+    downstream lines, ``ratio`` per L2 block (``lines // ratio ==
+    l2_blocks``); ``l1_line`` holds the line in each L1 frame (``-1`` for
+    none) and is kept current.  The loop finds a line's L1 frame through a
+    hash over ``l1_line`` and an evicted L2 block's lines from its tag, so
+    lines need no compaction.  Returns ``(l1_hits, l2_hits, l1_counts,
     l2_counts, events)`` with the :data:`NUM_EVENTS` hierarchy counters.
     """
     library = _library()
@@ -539,28 +538,21 @@ def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
     l2_block_ptr = _pointer("L2 blocks", l2_blocks, np.int64, (n,),
                             writable=False)
     check_blocks("L2 blocks", l2_blocks)
+    line_ptr = _pointer("lines", lines, np.int64, (n,), writable=False)
+    check_blocks("lines", lines)
     l1_level, l1_counts = _checked_level("L1 ", **l1)
     l2_level, l2_counts = _checked_level("L2 ", **l2)
-    (num_lines,) = _shape(frame_of_line, 1)
-    if num_lines % ratio:
-        raise ValueError("frame_of_line must hold whole L2 blocks of lines")
-    l1_frames = l1_level.ways * l1_level.num_sets
-    l2_frames = l2_level.ways * l2_level.num_sets
-    line_ptr = _index_pointer("lines", lines, n, num_lines)
-    frame_ptr = _index_pointer("frame_of_line", frame_of_line, num_lines,
-                               l1_frames, writable=True, low=-1)
-    l1_line_ptr = _index_pointer("l1_line", l1_line, l1_frames, num_lines,
-                                 writable=True, low=-1)
-    l2_gid_ptr = _index_pointer("l2_gid", l2_gid, l2_frames,
-                                num_lines // ratio, writable=True, low=-1)
+    l1_line_ptr = _index_pointer("l1_line", l1_line,
+                                 l1_level.ways * l1_level.num_sets,
+                                 2**63 - 1, writable=True, low=-1)
     l1_hits = np.empty(n, dtype=np.uint8)
     l2_hits = np.empty(n, dtype=np.uint8)
     events = np.zeros(NUM_EVENTS, dtype=np.int64)
     if library.repro_hier_run(
             n, block_ptr, l2_block_ptr, line_ptr, write_ptr, int(ratio),
             int(inclusive), ctypes.byref(l1_level), ctypes.byref(l2_level),
-            frame_ptr, l1_line_ptr, l2_gid_ptr, l1_hits.ctypes.data,
-            l2_hits.ctypes.data, events.ctypes.data) != 0:
+            l1_line_ptr, l1_hits.ctypes.data, l2_hits.ctypes.data,
+            events.ctypes.data) != 0:
         raise MemoryError("compiled cache kernel could not allocate scratch")
     return (l1_hits.view(bool), l2_hits.view(bool), l1_counts, l2_counts,
             events)

@@ -7,15 +7,16 @@ of Sections 3.2/3.3 of the paper).  Both run one trace-order loop over the
 two levels' array state — ``run_hierarchy`` of :mod:`repro.engine.ckernels`,
 or of its Python mirror :mod:`repro.engine.pykernels` without a C
 compiler — that accesses each level through the set-associative kernel's
-per-access body.  Each run prepares in NumPy both levels' set indices, a
-dense id for every L2 block it can touch (``ratio`` line ids per block) and
-three maps over them — line -> L1 frame, L1 frame -> line, L2 frame ->
-block — rebuilt from the residents and dropped at the end.  A line is the
-L1 block (two-level) or the physical line behind the virtually-tagged L1
-line (virtual-real, ratio 1).  The scalar virtual-real model's pointer maps
-are not kept: they always equal {resident L1 line -> its translation},
-since a page mapping never changes once made and at most one alias of a
-line is resident at a time.
+per-access body.  A run hands the loop the accesses' raw block and line
+numbers and one array, the line each L1 frame holds, derived from L1's
+tags; the loop keys its line -> L1 frame map by line number (a hash over
+the L1 frames in C, a ``dict`` in Python) and reads an evicted L2 block
+from the tag its fill replaced, so nothing is compacted or kept between
+runs.  A line is the L1 block (two-level) or the physical line behind the
+virtually-tagged L1 line (virtual-real, ratio 1).  The scalar
+virtual-real model's pointer maps are not kept: they always equal
+{resident L1 line -> its translation}, since a page mapping never changes
+once made and at most one alias of a line is resident at a time.
 """
 
 from __future__ import annotations
@@ -98,34 +99,17 @@ class _BatchHierarchy:
              lines: np.ndarray, writes: np.ndarray,
              resident_lines: Callable[[np.ndarray], np.ndarray]):
         """One batch through both levels in trace order.  ``lines //
-        _ratio == l2_blocks``; ``resident_lines`` maps L1 tags to lines
-        (``-1`` for none).  Returns the result, back-invalidations and
-        alias invalidations."""
-        l1, l2, ratio = self.l1, self.l2, self._ratio
+        _ratio == l2_blocks``; ``resident_lines`` maps L1 tags to a fresh
+        array of lines (``-1`` for none).  Returns the result,
+        back-invalidations and alias invalidations."""
+        l1, l2 = self.l1, self.l2
         s1, s2 = l1._kernel_state(), l2._kernel_state()
-        tags1, tags2 = s1["tags"].reshape(-1), s2["tags"].reshape(-1)
-        held_lines = resident_lines(tags1)
-        held = held_lines >= 0
-        valid2 = tags2 >= 0
-        blocks = np.unique(np.concatenate(
-            (l2_blocks, tags2[valid2], held_lines[held] // ratio)))
-
-        def ids(x: np.ndarray) -> np.ndarray:
-            return np.searchsorted(blocks, x // ratio) * ratio + x % ratio
-
-        l1_line = np.full(tags1.size, -1, dtype=np.int64)
-        l1_line[held] = ids(held_lines[held])
-        frame_of_line = np.full(blocks.size * ratio, -1, dtype=np.int64)
-        frame_of_line[l1_line[held]] = np.flatnonzero(held)
-        l2_gid = np.full(tags2.size, -1, dtype=np.int64)
-        l2_gid[valid2] = np.searchsorted(blocks, tags2[valid2])
-
         kernels = ckernels if ckernels.available() else pykernels
         l1_hits, l2_hits, counts1, counts2, events = kernels.run_hierarchy(
-            l1_blocks, l2_blocks, ids(lines),
-            np.ascontiguousarray(writes).view(np.uint8), ratio=ratio,
+            l1_blocks, l2_blocks, lines,
+            np.ascontiguousarray(writes).view(np.uint8), ratio=self._ratio,
             inclusive=self._enforce_inclusion, l1=s1, l2=s2,
-            frame_of_line=frame_of_line, l1_line=l1_line, l2_gid=l2_gid)
+            l1_line=resident_lines(s1["tags"].reshape(-1)))
         l1._kernel_done(s1["io"], counts1)
         l2._kernel_done(s2["io"], counts2)
         holes, causing, back, aliases = events.tolist()
@@ -182,7 +166,7 @@ class BatchTwoLevelHierarchy(_BatchHierarchy):
         blocks = cached_block_numbers(batch, self.l1.block_size)
         result, back, _aliases = self._run(
             blocks, cached_block_numbers(batch, self.l2.block_size), blocks,
-            batch.is_write, lambda tags: tags)
+            batch.is_write, np.copy)
         self.back_invalidations += back
         return result
 

@@ -103,8 +103,9 @@ def _level(blocks: np.ndarray, *, place, write_back: bool, policy: str,
     """``sa_access`` over list views of one cache's :func:`run_set_assoc`
     state for ``blocks``: returns ``(access, close, tags, dirty)``.
     ``access(i, block, write)`` (``block`` is ``blocks[i]``) returns
-    ``(hit, frame hit or filled, or -1)``; ``close()`` writes the views back
-    and returns the counters; ``tags``/``dirty`` are per-frame views."""
+    ``(hit, frame hit or filled, or -1, the tag a fill replaced, or -1)``;
+    ``close()`` writes the views back and returns the counters;
+    ``tags``/``dirty`` are per-frame views."""
     ways, num_sets = tags.shape
     probes = _probes(place, blocks, ways, num_sets)
     tag_l = tags.reshape(-1).tolist()
@@ -115,7 +116,7 @@ def _level(blocks: np.ndarray, *, place, write_back: bool, policy: str,
     lru = policy == "lru"
     counts = [0] * NUM_COUNTS
 
-    def access(i: int, block: int, write: int) -> Tuple[bool, int]:
+    def access(i: int, block: int, write: int) -> Tuple[bool, int, int]:
         nonlocal clock
         clock += 1
         invalid = -1
@@ -131,14 +132,14 @@ def _level(blocks: np.ndarray, *, place, write_back: bool, policy: str,
                     touch(way, frame, clock, False)
                 if write and write_back:
                     dirty_l[frame] = 1
-                return True, frame
+                return True, frame, -1
             if tag < 0 and invalid < 0:
                 invalid = way
             cand.append(frame)
         counts[write] += 1
         counts[2 + write] += 1
         if write and not write_back:
-            return False, -1  # write-through / no-write-allocate
+            return False, -1, -1  # write-through / no-write-allocate
         way = invalid
         if way < 0:
             way = victim(cand)
@@ -146,13 +147,14 @@ def _level(blocks: np.ndarray, *, place, write_back: bool, policy: str,
             if dirty_l[cand[way]]:
                 counts[_WRITEBACKS] += 1
         frame = cand[way]
+        evicted = tag_l[frame]
         tag_l[frame] = block
         dirty_l[frame] = int(write and write_back)
         if lru:
             stamp_l[frame] = clock
         else:
             touch(way, frame, clock, True)
-        return False, frame
+        return False, frame, evicted
 
     def close() -> np.ndarray:
         tags.reshape(-1)[:] = tag_l
@@ -328,58 +330,49 @@ def run_column(blocks: np.ndarray, writes: np.ndarray, *, place,
 
 def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
                   lines: np.ndarray, writes: np.ndarray, *, ratio: int,
-                  inclusive: bool, l1: dict, l2: dict,
-                  frame_of_line: np.ndarray, l1_line: np.ndarray,
-                  l2_gid: np.ndarray):
+                  inclusive: bool, l1: dict, l2: dict, l1_line: np.ndarray):
     """:func:`repro.engine.ckernels.run_hierarchy` in Python
-    (``repro_hier_run``); the three maps are read, not written back, since
-    the caller drops them."""
+    (``repro_hier_run``), its line map a ``dict``; ``l1_line`` is read,
+    not written back, since the caller drops it."""
+    check_blocks("lines", lines)
     access1, close1, tags1, dirty1 = _level(l1_blocks, **l1)
     access2, close2, _tags2, _dirty2 = _level(l2_blocks, **l2)
-    frame_of = frame_of_line.tolist()
     line_of = l1_line.tolist()
-    gid_of = l2_gid.tolist()
+    frame_of = {line: frame for frame, line in enumerate(line_of)
+                if line >= 0}
     l1_hits, l2_hits = [False] * len(lines), [False] * len(lines)
     holes = causing = back = aliases = 0
 
     def drop(frame: int) -> None:
         tags1[frame] = -1
         dirty1[frame] = 0
-        if line_of[frame] >= 0:
-            frame_of[line_of[frame]] = -1
+        frame_of.pop(line_of[frame], None)
         line_of[frame] = -1
 
     for i, (block, block2, line, w) in enumerate(zip(
             l1_blocks.tolist(), l2_blocks.tolist(), lines.tolist(),
             writes.tolist())):
-        frame = frame_of[line]
+        frame = frame_of.get(line, -1)
         if frame >= 0 and tags1[frame] != block:
             drop(frame)
             aliases += 1
-        hit, frame = access1(i, block, w)
+        hit, frame, _evicted = access1(i, block, w)
         if hit:
             l1_hits[i] = l2_hits[i] = True
             if w:
-                _hit2, frame2 = access2(i, block2, True)
-                if frame2 >= 0:
-                    gid_of[frame2] = line // ratio
+                access2(i, block2, True)
             continue
         if frame >= 0:
-            if line_of[frame] >= 0:
-                frame_of[line_of[frame]] = -1
+            frame_of.pop(line_of[frame], None)
             line_of[frame] = line
             frame_of[line] = frame
-        hit2, frame2 = access2(i, block2, w)
+        hit2, _frame2, evicted = access2(i, block2, w)
         l2_hits[i] = hit2
-        if hit2 or frame2 < 0:
-            continue
-        evicted = gid_of[frame2]
-        gid_of[frame2] = line // ratio
         if evicted < 0 or not inclusive:
             continue
         hole = False
         for x in range(evicted * ratio, (evicted + 1) * ratio):
-            copy = frame_of[x]
+            copy = frame_of.get(x, -1)
             if copy < 0:
                 continue
             back += 1

@@ -138,12 +138,12 @@ def run_figure1(max_stride: int = 4096,
     per scheme.
     """
     engine = check_engine(engine)
-    check_sampling(engine, profile_options, trace_options)
     schemes = list(schemes) if schemes is not None else list(INDEX_SCHEMES)
     specs = [OrganisationSpec(scheme=scheme, geometry=geometry,
                               replacement=replacement,
                               address_bits=address_bits)
              for scheme in schemes]
+    check_sampling(engine, profile_options, trace_options, specs)
     if trace_options.trace is not None:
         cells = [simulate(trace_options, specs, engine, profile_options)]
         strides = 1

@@ -145,13 +145,16 @@ class TraceOptions:
 
 
 def check_sampling(engine: str, profile_options: ProfileOptions,
-                   trace_options: TraceOptions) -> None:
+                   trace_options: TraceOptions,
+                   organisations: Sequence[Any]) -> None:
     """Reject ``profile="sampled"`` where no plan would sample.
 
     Only the vectorized engine's plan over a materialised trace prices
-    tasks out of profiles; the reference engine and a streamed recorded
-    trace run every cache access by access, so sampling would silently
-    change nothing.
+    tasks out of profiles, and it samples LRU caches only.  The reference
+    engine and a streamed recorded trace run every cache access by access,
+    and ``organisations`` with no LRU cache among them (a zero-argument
+    factory counts as one: its policy is unknown) all run exactly, so
+    sampling would silently change nothing.
     """
     if profile_options.profile != "sampled":
         return
@@ -161,6 +164,12 @@ def check_sampling(engine: str, profile_options: ProfileOptions,
     if trace_options.trace is not None:
         raise InputError("profile 'sampled' cannot apply to a recorded "
                          "trace: it streams through every cache unsampled")
+    policies = {getattr(org, "replacement", None) or "lru"
+                for org in organisations}
+    if "lru" not in policies:
+        raise InputError("profile 'sampled' approximates LRU caches only; "
+                         f"with {'/'.join(sorted(policies))} replacement "
+                         "every cache runs exactly")
 
 
 def _feed(cache, batch: AddressBatch) -> None:

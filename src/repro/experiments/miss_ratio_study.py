@@ -156,10 +156,10 @@ def run_miss_ratio_study(programs: Optional[Sequence[str]] = None,
             raise TypeError("pass workers= or sweep_options=, not both")
         sweep_options = SweepOptions(workers=workers)
     engine = check_engine(engine)
-    check_sampling(engine, profile_options, trace_options)
     organisation_map = (dict(organisations) if organisations is not None
                         else study_organisations(replacement=replacement))
     labels, specs = list(organisation_map), list(organisation_map.values())
+    check_sampling(engine, profile_options, trace_options, specs)
     if trace_options.trace is not None:
         counts = simulate(trace_options, specs, engine, profile_options)
         result = MissRatioStudyResult(accesses_per_program=counts[0].accesses)

@@ -161,7 +161,6 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
             raise TypeError("pass trace= or trace_options=, not both")
         trace_options = TraceOptions(trace, trace_chunk)
     engine = check_engine(engine)
-    check_sampling(engine, profile_options, trace_options)
     policy_list = list(policies) if policies is not None else list(REPLACEMENT_POLICIES)
     if not policy_list:
         raise InputError("at least one replacement policy is required")
@@ -170,6 +169,7 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
     labels = list(per_policy[policy_list[0]])
     keys = [(label, policy) for label in labels for policy in policy_list]
     specs = [per_policy[policy][label] for label, policy in keys]
+    check_sampling(engine, profile_options, trace_options, specs)
     if trace_options.trace is not None:
         counts = simulate(trace_options, specs, engine, profile_options)
         cells = [counts]

@@ -389,6 +389,18 @@ class TestBadInputFailsFast:
              "--sample-rate", "0.01"],
             "profile 'sampled' cannot apply to a recorded trace", capsys)
 
+    @pytest.mark.parametrize("command, policy", [
+        ("miss-ratio", "fifo"), ("miss-ratio", "random"),
+        ("figure1", "plru"), ("figure1", "fifo")])
+    def test_sampled_profile_without_lru_caches_is_rejected(
+            self, command, policy, capsys):
+        """The sampler approximates LRU caches only: with every cache on
+        another policy --profile sampled would silently change nothing."""
+        assert_usage_error(
+            [command, "--replacement", policy, "--profile", "sampled",
+             "--sample-rate", "0.01"],
+            "profile 'sampled' approximates LRU caches only", capsys)
+
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_trace_corrupt_partway_is_not_a_usage_error(self, tmp_path,
                                                         engine):

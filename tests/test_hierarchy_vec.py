@@ -347,6 +347,86 @@ class TestVirtualReal:
         assert batch.tlb.entries == 8
 
 
+# --------------------------------------------------------------------- #
+# the loop's line map: raw line numbers, no compaction
+# --------------------------------------------------------------------- #
+
+def far_apart(count, regions=6, region_bytes=48 * 32, seed=5):
+    """Random accesses over ``regions`` small regions ``2**45`` bytes apart,
+    the first at ``2**45``: every line number is past ``2**40``, and the
+    lines in use span most of the 64-bit range's low half."""
+    rng = np.random.default_rng(seed)
+    region = rng.integers(1, regions + 1, count).tolist()
+    offset = rng.integers(0, region_bytes // 8, count).tolist()
+    write = (rng.random(count) < 0.3).tolist()
+    return [MemoryAccess((r << 45) + 8 * o, is_write=w)
+            for r, o, w in zip(region, offset, write)]
+
+
+def fibonacci_bucket(line, buckets):
+    """The compiled map's bucket of ``line`` among ``buckets`` (a power of
+    two): the top bits of ``line`` times the 64-bit golden ratio."""
+    return (line * 0x9E3779B97F4A7C15) % 2**64 >> \
+        (64 - (buckets.bit_length() - 1))
+
+
+class TestLineMap:
+    @pytest.mark.parametrize("ratio", [1, 2, 4])
+    def test_far_apart_lines(self, ratio, kernel_path):
+        """Lines past 2**40 and 2**45 bytes apart, L2 blocks of ``ratio``
+        lines: siblings are found by raw line number."""
+        trace = far_apart(3000)
+        assert min(a.address // 32 for a in trace) >= 2**40
+        scalar, batch = two_level_pair(make_l1(write_policy=WB),
+                                       make_level(1024, block=32 * ratio))
+        run_both(scalar, batch, trace)
+        assert batch.holes_created > 0
+        if ratio > 1:
+            assert batch.back_invalidations > batch.l2_misses_causing_holes
+
+    def test_lines_sharing_one_bucket(self, kernel_path):
+        """A 4-frame L1 has 4 buckets; every line of the trace falls into
+        bucket 0, so the map's finds and unlinks walk one chain."""
+        lines = [x for x in range(2**40, 2**40 + 4000)
+                 if fibonacci_bucket(x, 4) == 0][:40]
+        rng = np.random.default_rng(9)
+        trace = [MemoryAccess(32 * lines[k], is_write=bool(w))
+                 for k, w in zip(rng.integers(0, len(lines), 3000).tolist(),
+                                 (rng.random(3000) < 0.3).tolist())]
+        scalar, batch = two_level_pair(make_level(128, write_policy=WT),
+                                       make_level(512))
+        run_both(scalar, batch, trace)
+        assert batch.holes_created > 0
+
+    def test_far_physical_frames_with_aliases(self, kernel_path):
+        """Virtual pages mapped to frames past 2**36 (physical lines past
+        2**43), two pairs of them aliases of one frame."""
+        frames = ((0, 2**36), (1, 2**37 + 3), (2, 2**36), (3, 2**40 + 1),
+                  (4, 2**37 + 3), (5, 2**38))
+        scalar, batch, (table, tlb) = vr_pair(
+            l2=make_level(1024), tlb_entries=4, aliases=frames)
+        trace = list(random_accesses(3000, 24 * 1024, write_fraction=0.3,
+                                     seed=21))
+        run_both(scalar, batch, trace)
+        assert batch.alias_invalidations > 0 and batch.holes_created > 0
+        assert_translation_matches(batch, table, tlb)
+
+    def test_state_carries_across_many_runs(self, kernel_path):
+        """Twelve consecutive runs on each hierarchy: the line map is
+        rebuilt from L1's tags at every entry."""
+        trace = far_apart(3000, seed=8)
+        scalar, batch = two_level_pair(make_l1(write_policy=WB),
+                                       make_level(1024, block=64))
+        vr_scalar, vr_batch, (table, tlb) = vr_pair(
+            l2=make_level(1024), tlb_entries=8)
+        dense = list(DENSE())
+        for k in range(12):
+            run_both(scalar, batch, trace[250 * k:250 * (k + 1)])
+            run_both(vr_scalar, vr_batch, dense[250 * k:250 * (k + 1)])
+        assert batch.holes_created > 0 and vr_batch.holes_created > 0
+        assert_translation_matches(vr_batch, table, tlb)
+
+
 def test_batch_tlb_matches_scalar_translator():
     """Batch page walks plus the run-collapsing TLB kernel leave the page
     table, the TLB counters and its LRU order exactly where per-access
@@ -375,7 +455,8 @@ def test_batch_tlb_matches_scalar_translator():
 # --------------------------------------------------------------------- #
 
 def _hierarchy_args():
-    """A two-access run over two 1 x 4 caches, every map empty."""
+    """A two-access run over two 1 x 4 caches, L1 empty; the second line
+    is far past 2**40, where the loop keys its line map by raw number."""
     n, num_sets = 2, 4
 
     def level():
@@ -385,27 +466,24 @@ def _hierarchy_args():
                     stamps=np.zeros((1, num_sets), np.int64), bits=None,
                     seed=0, io=np.zeros(2, np.int64))
 
-    blocks = np.arange(n, dtype=np.int64)
-    return dict(l1_blocks=blocks, l2_blocks=blocks, lines=blocks,
+    blocks = np.array([0, 2**41 + 1], dtype=np.int64)
+    return dict(l1_blocks=blocks, l2_blocks=blocks, lines=blocks.copy(),
                 writes=np.zeros(n, np.uint8), ratio=1, inclusive=True,
                 l1=level(), l2=level(),
-                frame_of_line=np.full(n, -1, np.int64),
-                l1_line=np.full(num_sets, -1, np.int64),
-                l2_gid=np.full(num_sets, -1, np.int64))
+                l1_line=np.full(num_sets, -1, np.int64))
 
 
 BAD_HIERARCHY_ARGUMENTS = {
-    "line id out of range": ("lines", lambda a: a["lines"] + 1),
-    "frame_of_line past L1": ("frame_of_line",
-                              lambda a: np.full(2, 4, np.int64)),
+    "negative line": ("lines", lambda a: a["lines"] - 1),
+    "short lines": ("lines", lambda a: a["lines"][:1].copy()),
     "l1_line below -1": ("l1_line", lambda a: np.full(4, -2, np.int64)),
-    "l2_gid past the block ids": ("l2_gid", lambda a: np.full(4, 2, np.int64)),
-    "lines not whole blocks": ("ratio", lambda a: 4),
+    "short l1_line": ("l1_line", lambda a: np.full(3, -1, np.int64)),
+    "read-only l1_line": ("l1_line", lambda a: _read_only(a["l1_line"])),
+    "ratio below 1": ("ratio", lambda a: 0),
     "short L2 blocks": ("l2_blocks", lambda a: a["l2_blocks"][:1].copy()),
     "negative L2 block": ("l2_blocks", lambda a: a["l2_blocks"] - 1),
     "L2 placement past its sets": ("l2", lambda a: {
         **a["l2"], "place": placement(BitSelectIndexing(8), 1)}),
-    "read-only map": ("l1_line", lambda a: _read_only(a["l1_line"])),
 }
 
 
@@ -431,9 +509,10 @@ def test_well_formed_hierarchy_arguments_run(compiled_tier):
     assert not l1_hits.any() and not l2_hits.any()
     assert l1_counts.tolist()[:3] == l2_counts.tolist()[:3] == [2, 0, 2]
     assert events.tolist() == [0, 0, 0, 0]
-    assert args["frame_of_line"].tolist() == [0, 1]
-    assert args["l1_line"].tolist() == [0, 1, -1, -1]
-    assert args["l2_gid"].tolist() == [0, 1, -1, -1]
+    assert args["l1_line"].tolist() == [0, 2**41 + 1, -1, -1]
+    # A warm second run: both lines hit, found by their raw numbers.
+    l1_hits, _l2_hits, _c1, _c2, _events = ckernels.run_hierarchy(**args)
+    assert l1_hits.all()
 
 
 # --------------------------------------------------------------------- #

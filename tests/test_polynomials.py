@@ -91,3 +91,13 @@ class TestSkewing:
     def test_invalid_ways(self):
         with pytest.raises(ValueError):
             skewing_polynomials(5, 0)
+
+    def test_memoised_result_is_a_fresh_list(self):
+        """The search is memoised; mutating one call's list must not leak
+        into the next call."""
+        polys = skewing_polynomials(7, 2)
+        expected = list(polys)
+        polys.append(0)
+        polys[0] = 1
+        assert skewing_polynomials(7, 2) == expected
+        assert skewing_polynomials(7, 2) is not skewing_polynomials(7, 2)
