@@ -5,9 +5,10 @@ The paper's Figure 1 sweeps every vector stride from 1 to 4095 through four
 cache organisations and plots how many strides fall into each miss-ratio
 decile.  This example runs a subsampled sweep (every 8th stride by default,
 ~2 seconds) and prints the resulting histograms plus the pathological-stride
-summary, so you can see the qualitative result without waiting for the full
-benchmark (``pytest benchmarks/bench_figure1.py --benchmark-only`` runs the
-dense sweep).
+summary, so you can see the qualitative result quickly.  ``repro-experiments
+figure1 --max-stride 4096 --stride-step 1`` runs the dense sweep, and
+``repro-experiments claims`` checks Figure 1's claims on every other
+stride.
 
 Run it with::
 

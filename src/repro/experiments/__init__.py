@@ -18,6 +18,9 @@ and :class:`OrganisationSpec` organisations, plus frozen option values —
 :class:`~repro.engine.SweepOptions`, :class:`~repro.engine.ProfileOptions`
 and :class:`TraceOptions` — that the CLI builds and every driver takes.
 Input they reject before simulating raises :class:`InputError`.
+
+:mod:`.claims` checks the paper's claims against one run of these drivers
+(``repro-experiments claims``); it is not imported here.
 """
 
 from .column_assoc_study import ColumnAssocStudyResult, run_column_assoc_study

@@ -14,9 +14,13 @@ Usage (after ``pip install -e .``)::
     python -m repro.experiments.cli holes --engine reference --seed 7
     python -m repro.experiments.cli column-assoc --accesses 30000
     python -m repro.experiments.cli critical-path
+    python -m repro.experiments.cli claims
 
-Each sub-command prints the same table/histogram the corresponding benchmark
-regenerates (``--csv`` switches the tabular ones to CSV).  ``--engine``
+Each experiment sub-command prints its table or histogram (``--csv``
+switches the tabular ones to CSV); ``claims`` runs every experiment once
+and prints the paper-versus-measured ledger of
+:mod:`repro.experiments.claims`, exiting 1 with one line per failed
+claim.  ``--engine``
 picks the bit-exact batch engine (``vectorized``, the default) or the
 scalar reference models it is checked against (``reference``).  The
 sweeping sub-commands build the option values their drivers take from
@@ -235,17 +239,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine(column)
 
     sub.add_parser("critical-path", help="Section 3/3.4 hardware cost and CLA timing")
+
+    claims = sub.add_parser("claims",
+                            help="check every paper claim against a run")
+    add_engine(claims)
     return parser
 
 
 def _run_experiment(args: argparse.Namespace, options: Dict[str, object]
-                    ) -> Tuple[str, List[TaskFailure]]:
-    """The sub-command's report and the sweep tasks that failed."""
+                    ) -> Tuple[str, str]:
+    """The sub-command's report and its failure footer: one line per
+    failed sweep task or claim (``""`` when nothing failed)."""
     if args.experiment == "figure1":
         result = run_figure1(max_stride=args.max_stride, sweeps=args.sweeps,
                              stride_step=args.stride_step, engine=args.engine,
                              replacement=args.replacement, **options)
-        return result.render(), result.failures
+        return result.render(), _failure_footer(result.failures)
     if args.experiment == "table2":
         result = run_table2(programs=args.programs or None,
                             instructions=args.instructions,
@@ -253,40 +262,47 @@ def _run_experiment(args: argparse.Namespace, options: Dict[str, object]
         if args.csv:
             return (result.ipc_table().render_csv()
                     + "\n" + result.miss_ratio_table().render_csv(),
-                    result.failures)
+                    _failure_footer(result.failures))
+        footer = _failure_footer(result.failures)
         if not result.programs:
-            return result.render(), result.failures
+            return result.render(), footer
         stds = miss_ratio_std_dev(result)
         return (result.render()
                 + f"\n\nmiss-ratio std-dev: conventional={stds['8K-conv']:.2f} "
-                  f"ipoly={stds['8K-ipoly-noCP']:.2f}", result.failures)
+                  f"ipoly={stds['8K-ipoly-noCP']:.2f}", footer)
     if args.experiment == "table3":
         result = run_table3(instructions=args.instructions, engine=args.engine,
                             **options)
-        return result.render(), result.table2.failures
+        return result.render(), _failure_footer(result.table2.failures)
     if args.experiment == "miss-ratio":
         result = run_miss_ratio_study(programs=args.programs or None,
                                       accesses=args.accesses,
                                       engine=args.engine,
                                       replacement=args.replacement, **options)
         return (result.table().render_csv() if args.csv else result.render(),
-                result.failures)
+                _failure_footer(result.failures))
     if args.experiment == "replacement-study":
         result = run_replacement_study(programs=args.programs or None,
                                        accesses=args.accesses,
                                        engine=args.engine, **options)
         return (result.table().render_csv() if args.csv else result.render(),
-                result.failures)
+                _failure_footer(result.failures))
     if args.experiment == "holes":
         result = run_holes_study(l2_sizes=[kb * 1024 for kb in args.l2_kilobytes],
                                  accesses=args.accesses, seed=args.seed,
                                  engine=args.engine)
-        return result.render(), []
+        return result.render(), ""
     if args.experiment == "column-assoc":
         return run_column_assoc_study(accesses=args.accesses,
-                                      engine=args.engine).render(), []
+                                      engine=args.engine).render(), ""
     if args.experiment == "critical-path":
-        return run_critical_path_study().render(), []
+        return run_critical_path_study().render(), ""
+    if args.experiment == "claims":
+        # Imported here: no other sub-command loads the ledger.
+        from .claims import check_claims, run_experiments
+
+        ledger = check_claims(run_experiments(args.engine))
+        return ledger.render(), ledger.failure_report()
     raise ValueError(f"unknown experiment {args.experiment!r}")  # pragma: no cover
 
 
@@ -296,7 +312,10 @@ _TASK_WIDTH = 60
 
 
 def _failure_footer(failures: List[TaskFailure]) -> str:
-    """One line per failed sweep task: task and error type."""
+    """One line per failed sweep task: task and error type (``""`` when
+    none failed)."""
+    if not failures:
+        return ""
     lines = [f"{len(failures)} sweep task(s) failed:"]
     for failure in failures:
         task = failure.task
@@ -315,7 +334,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     would use), is a one-line usage error
     with exit status 2.  Errors raised during the simulation propagate.  A
     sweep that finished with failed tasks (``--on-error collect``) prints
-    its report, then one footer line per failed task, and returns 1.
+    its report, then one footer line per failed task, and returns 1; so
+    does ``claims`` when a claim fails, with one line per failed claim.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -324,12 +344,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:
-        report, failures = _run_experiment(args, options)
+        report, footer = _run_experiment(args, options)
     except InputError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(report)
-    if failures:
-        print("\n" + _failure_footer(failures))
+    if footer:
+        print("\n" + footer)
         return 1
     return 0
 

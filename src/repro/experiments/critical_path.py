@@ -37,10 +37,6 @@ class CriticalPathResult:
     costs: Dict[str, HardwareCost] = field(default_factory=dict)
     cla_delays: Dict[int, Dict[str, int]] = field(default_factory=dict)
 
-    def max_fan_in(self) -> int:
-        """Largest XOR fan-in over all evaluated index functions."""
-        return max(cost.max_fan_in for cost in self.costs.values())
-
     def cost_table(self) -> TableBuilder:
         """XOR-tree cost per index configuration."""
         columns = ["index bits", "max fan-in", "mean fan-in", "2-input gates",

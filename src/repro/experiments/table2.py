@@ -33,7 +33,7 @@ from ..analysis.reporting import TableBuilder
 from ..cpu.processor import OutOfOrderProcessor, ProcessorConfig, SimulationResult
 from ..cpu.program import Program
 from ..cpu.workloads import build_program, program_names
-from ..engine import SweepOptions, TaskFailure, check_engine
+from ..engine import ENGINE_REFERENCE, SweepOptions, TaskFailure, check_engine
 from ..trace.workloads import FP_PROGRAMS, INTEGER_PROGRAMS
 from .config import TABLE2_CONFIGS, InputError
 
@@ -137,7 +137,7 @@ def run_table2(programs: Optional[Sequence[str]] = None,
                instructions: int = 30_000,
                configurations: Optional[Mapping[str, dict]] = None,
                seed: int = 2027,
-               engine: str = "reference",
+               engine: str = ENGINE_REFERENCE,
                sweep_options: SweepOptions = SweepOptions(),
                workers: Optional[int] = None) -> Table2Result:
     """Simulate every (program, configuration) pair of Table 2.

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from ..analysis.metrics import arithmetic_mean, geometric_mean, percent_change
 from ..analysis.reporting import TableBuilder
-from ..engine import SweepOptions
+from ..engine import ENGINE_REFERENCE, SweepOptions
 from ..trace.workloads import HIGH_CONFLICT_PROGRAMS, LOW_CONFLICT_PROGRAMS
 from .table2 import Table2Result, run_table2
 
@@ -121,16 +121,23 @@ class Table3Result:
 def run_table3(instructions: int = 30_000,
                table2_result: Optional[Table2Result] = None,
                seed: int = 2027,
-               engine: str = "reference",
+               engine: str = ENGINE_REFERENCE,
                sweep_options: SweepOptions = SweepOptions()) -> Table3Result:
     """Run (or reuse) the underlying simulations and build the Table 3 view.
 
     When ``table2_result`` is provided it must contain at least the three
-    high-conflict programs; otherwise the full 18-program Table 2 experiment
-    is run first, with ``engine`` and ``sweep_options`` forwarded to
-    :func:`run_table2`.
+    high-conflict programs (``ValueError`` names the missing ones);
+    otherwise the full 18-program Table 2 experiment is run first, with
+    ``engine`` and ``sweep_options`` forwarded to :func:`run_table2`.
     """
     if table2_result is None:
         table2_result = run_table2(instructions=instructions, seed=seed,
                                    engine=engine, sweep_options=sweep_options)
+    else:
+        missing = [p for p in HIGH_CONFLICT_PROGRAMS
+                   if p not in table2_result.results]
+        if missing:
+            raise ValueError(f"table2_result lacks the high-conflict "
+                             f"programs {missing}; Table 3 needs all of "
+                             f"{HIGH_CONFLICT_PROGRAMS}")
     return Table3Result(table2=table2_result)

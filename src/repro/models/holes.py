@@ -21,9 +21,9 @@ giving a net hole probability per L2 miss of
 The paper evaluates this for an 8 KB L1 / 256 KB L2 with 32-byte lines
 (``P_H ~= 0.031``) and notes that the expected increase in L1 miss ratio is
 ``P_H`` times the L2 miss ratio, a negligible quantity for realistic size
-ratios.  These functions reproduce those numbers and are checked against the
-:class:`~repro.cache.virtual_real.VirtualRealHierarchy` simulator in the
-benchmark harness.
+ratios.  These functions reproduce those numbers; the holes rows of the
+claims ledger (:mod:`repro.experiments.claims`) check them against the
+:class:`~repro.cache.virtual_real.VirtualRealHierarchy` simulator.
 """
 
 from __future__ import annotations

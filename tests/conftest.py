@@ -43,3 +43,12 @@ def kernel_path(request, monkeypatch):
     else:
         monkeypatch.setattr(ckernels, "available", lambda: False)
     return request.param
+
+
+@pytest.fixture(scope="session")
+def ledger_results():
+    """Every experiment of the claims ledger, run once per session on the
+    vectorized engine."""
+    from repro.experiments.claims import run_experiments
+
+    return run_experiments("vectorized")

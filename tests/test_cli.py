@@ -1,7 +1,10 @@
 """Tests for the experiment command-line interface."""
 
+import dataclasses
+
 import pytest
 
+from repro.experiments import claims
 from repro.experiments.cli import build_parser, main
 
 
@@ -9,7 +12,8 @@ class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()
         for command in ("figure1", "table2", "table3", "miss-ratio", "holes",
-                        "column-assoc", "critical-path", "replacement-study"):
+                        "column-assoc", "critical-path", "replacement-study",
+                        "claims"):
             args = parser.parse_args([command] if command in
                                      ("critical-path",) else [command])
             assert args.experiment == command
@@ -340,6 +344,48 @@ def assert_usage_error(argv, message, capsys):
     [line] = captured.err.splitlines()
     assert line.startswith("repro-experiments: error: ")
     assert message in line
+
+
+class TestClaims:
+    """``claims`` on the session's one ledger run: the experiments are not
+    run again, only the rows are checked."""
+
+    @pytest.fixture()
+    def engines(self, monkeypatch, ledger_results):
+        """The engines ``claims`` asked the ledger to run on."""
+        engines = []
+        monkeypatch.setattr(claims, "run_experiments", lambda engine: (
+            engines.append(engine) or ledger_results))
+        return engines
+
+    @pytest.mark.parametrize("flag", ["--workers", "--json", "--scale"])
+    def test_takes_only_the_engine_flag(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["claims", flag, "2"])
+        assert flag in capsys.readouterr().err
+
+    def test_exit_0_when_every_claim_holds(self, engines, ledger_results,
+                                           capsys):
+        assert main(["claims", "--engine", "reference"]) == 0
+        assert engines == ["reference"]
+        out = capsys.readouterr().out
+        assert out == claims.check_claims(ledger_results).render() + "\n"
+
+    def test_exit_1_with_one_line_per_failed_claim(self, engines,
+                                                   monkeypatch, capsys):
+        rows = list(claims.CLAIMS)
+        failed = rows[3]
+        rows[3] = dataclasses.replace(failed, bound=("<", 0.0))
+        monkeypatch.setattr(claims, "CLAIMS", tuple(rows))
+        assert main(["claims"]) == 1
+        assert engines == ["vectorized"]
+        lines = capsys.readouterr().out.splitlines()
+        [row] = [line for line in lines
+                 if line.startswith(f"| `{failed.id}` |")]
+        assert row.endswith("| FAIL |")
+        assert sum(line.endswith("| pass |") for line in lines) == len(rows) - 1
+        assert lines[lines.index("1 claim(s) failed:") + 1:] == [
+            f"  {failed.id}: measured {row.split(' | ')[4]}, bound < 0.0"]
 
 
 class TestBadInputFailsFast:
