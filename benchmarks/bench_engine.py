@@ -40,6 +40,14 @@ hide; it reports accesses/s and the shares of translation, kernel,
 per-run set-up and the rest, unbounded, and asserts the study equal to
 the reference engine's on a prefix of every program.
 
+The ``trace-synthesis`` rows time synthesising the 18 workload traces at
+8k accesses each and at the run's trace length (1M by default) with
+``workload_arrays``: the compiled ``repro_workload_trace``
+(``compiled-workload-trace``), the NumPy block-draw tier
+(``numpy-block-draws``) and the scalar ``build_trace`` on a prefix, all
+three bit-exact on it; full-length runs assert the compiled side >= 5x
+the NumPy tier on the long row.
+
 The ``ooo-core`` row times Table 2 — the 18 synthetic programs on its six
 machines — on the compiled out-of-order core (``compiled-ooo-core``) and
 on the Python core (``python-ooo-core``), bit-exact, and asserts the
@@ -55,14 +63,14 @@ the sweep-wide reuse of materialised addresses and block numbers that a
 real sweep worker enjoys (the scalar path replays per access and cannot
 benefit); every batch run computes its set indices in the kernel.
 
-Runs under pytest-benchmark::
+Runs under pytest-benchmark, which records nothing::
 
     pytest benchmarks/bench_engine.py --benchmark-only
 
 or standalone, printing a comparison table and appending a run record to the
 machine-readable ``BENCH_engine.json`` trajectory artifact (one entry per
-invocation, newest last) so performance can be tracked across PRs without
-overwriting history::
+full invocation, newest last) so performance can be tracked across PRs
+without overwriting history::
 
     PYTHONPATH=src python benchmarks/bench_engine.py
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke
@@ -71,10 +79,11 @@ overwriting history::
 including the one-pass multi-configuration profiler of the sweep section —
 with bit-exactness still asserted but the speedup bounds skipped, so CI can
 catch dispatch regressions on every push without flaky wall-clock
-assertions; smoke runs append to the trajectory artifact tagged
-``"smoke": true`` (the CI smoke job uploads the file as a workflow
-artifact).  Each row records the kernels that served it on both tiers,
-straight from ``dispatch_strategy(batch)``; every run also replays the
+assertions; smoke runs append their record, tagged ``"smoke": true``, to
+the git-ignored ``BENCH_engine.smoke.json`` instead (the CI smoke job
+uploads that file as a workflow artifact), so a throwaway run leaves the
+committed trajectory alone.  Each row records the kernels that served it
+on both tiers, straight from ``dispatch_strategy(batch)``; every run also replays the
 short trace through the configurations no timed row runs
 (``COVERAGE_CASES``: wide conventional caches and the 3C classifier) on
 both tiers, bit-exact against the scalar model, and fails unless the rows
@@ -97,7 +106,7 @@ three ways, the two sides of ``profile="auto"``'s per-tier choice on its
 deepest level (profile >= 1x over the per-config fallback, compiled >= 1x
 over the profile).  ``REPRO_BENCH_ENGINE_ACCESSES`` overrides the
 trace length (default 1M); ``REPRO_BENCH_ENGINE_JSON`` overrides the
-artifact path (empty disables it).
+artifact path of either kind of run (empty disables it).
 """
 
 import argparse
@@ -277,9 +286,11 @@ def _env_int(name, default):
 
 BENCH_ENGINE_ACCESSES = _env_int("REPRO_BENCH_ENGINE_ACCESSES", 1_000_000)
 
-#: Path of the machine-readable artifact ``main()`` appends to (empty disables).
-BENCH_ENGINE_JSON = os.environ.get("REPRO_BENCH_ENGINE_JSON",
-                                   "BENCH_engine.json")
+#: The committed trajectory full runs append to, and the git-ignored file
+#: ``--smoke`` runs append to instead, so a throwaway run leaves the tree
+#: clean.  ``REPRO_BENCH_ENGINE_JSON`` overrides both (empty disables).
+BENCH_ENGINE_JSON = "BENCH_engine.json"
+SMOKE_JSON = "BENCH_engine.smoke.json"
 
 #: Non-LRU replacement policies benchmarked per organisation kind.
 POLICY_ROWS = ["fifo", "random", "plru"]
@@ -324,6 +335,15 @@ VR_SEED = 999
 #: engine.
 HOLES_STUDY_RUNS = 5
 HOLES_STUDY_CHECK_ACCESSES = 2_000
+
+#: Accesses per program of the trace-synthesis section's short row (the
+#: miss-ratio and holes studies synthesise 8k-40k); its long row takes the
+#: run's trace length.
+SYNTHESIS_SHORT_ACCESSES = 8_000
+
+#: Minimum compiled-over-NumPy-tier accesses/s ratio of the long
+#: trace-synthesis row (measured ~7x on a 2-CPU x86_64 host).
+REQUIRED_SPEEDUP_SYNTHESIS = 5.0
 
 
 def _make_hierarchy_caches():
@@ -581,21 +601,22 @@ def compare_holes_study(runs=HOLES_STUDY_RUNS):
     """Time ``run_holes_study`` at the CLI's defaults on the vectorized
     engine, best of ``runs``: many short hierarchy runs, so per-run set-up
     counts, unlike in the 1M-access hierarchy rows.  One more run is split
-    into translation (``batch_page_frames``), the kernel
-    (``run_hierarchy``), the rest of each hierarchy ``run`` (set-up) and
-    everything else (trace synthesis, cache builds).  The study must agree
-    exactly with the reference engine on every program's first
-    ``HOLES_STUDY_CHECK_ACCESSES`` accesses."""
+    into trace synthesis (``workload_arrays``), translation
+    (``batch_page_frames``), the kernel (``run_hierarchy``), the rest of
+    each hierarchy ``run`` (set-up) and everything else (cache builds).
+    The study must agree exactly with the reference engine on every
+    program's first ``HOLES_STUDY_CHECK_ACCESSES`` accesses."""
     from repro.engine import hierarchy_vec
+    from repro.experiments import holes_study
     from repro.experiments.cli import build_parser
-    from repro.experiments.holes_study import run_holes_study
 
     cli = build_parser().parse_args(["holes"])
     l2_sizes = [kb * 1024 for kb in cli.l2_kilobytes]
 
     def study(accesses=cli.accesses, engine="vectorized"):
-        return run_holes_study(l2_sizes=l2_sizes, accesses=accesses,
-                               seed=cli.seed, engine=engine)
+        return holes_study.run_holes_study(l2_sizes=l2_sizes,
+                                           accesses=accesses, seed=cli.seed,
+                                           engine=engine)
 
     def outcome(result):
         return (result.per_program_hole_rate, result.l2_misses,
@@ -611,9 +632,12 @@ def compare_holes_study(runs=HOLES_STUDY_RUNS):
         start = time.perf_counter()
         result = study()
         seconds.append(time.perf_counter() - start)
-    totals = dict.fromkeys(("translation", "kernel", "run"), 0.0)
+    totals = dict.fromkeys(("synthesis", "translation", "kernel", "run"),
+                           0.0)
     kernels = ckernels if ckernels.available() else pykernels
-    with _timed(hierarchy_vec, "batch_page_frames", totals, "translation"), \
+    with _timed(holes_study, "workload_arrays", totals, "synthesis"), \
+            _timed(hierarchy_vec, "batch_page_frames", totals,
+                   "translation"), \
             _timed(kernels, "run_hierarchy", totals, "kernel"), \
             _timed(hierarchy_vec.BatchVirtualRealHierarchy, "run", totals,
                    "run"):
@@ -627,10 +651,11 @@ def compare_holes_study(runs=HOLES_STUDY_RUNS):
                        else "hierarchy-loop"),
             "runs": runs, "accesses": accesses, "seconds": min(seconds),
             "aps": accesses / min(seconds),
+            "synthesis_share": totals["synthesis"] / traced,
             "translation_share": totals["translation"] / traced,
             "kernel_share": totals["kernel"] / traced,
             "setup_share": setup / traced,
-            "other_share": 1 - totals["run"] / traced}
+            "other_share": 1 - (totals["synthesis"] + totals["run"]) / traced}
 
 
 def check_dispatch_coverage(rows):
@@ -889,6 +914,55 @@ def compare_deep_level(replacement, accesses=DEEP_LEVEL_ACCESSES):
             "accesses": len(trace), **timings}
 
 
+def compare_trace_synthesis(accesses):
+    """Time synthesising the 18 workload traces, ``accesses`` each, with
+    ``workload_arrays``: one compiled ``repro_workload_trace`` call per
+    program and the NumPy block-draw tier, on the whole traces, and the
+    scalar ``to_arrays(build_trace(...))`` on their first
+    ``SCALAR_PREFIX_ACCESSES``.  Both tiers must equal the scalar columns
+    on that prefix, bit for bit."""
+    from repro.trace.batching import to_arrays
+    from repro.trace.workloads import (
+        build_trace,
+        workload_arrays,
+        workload_names,
+    )
+
+    names = workload_names()
+    prefix = min(accesses, SCALAR_PREFIX_ACCESSES)
+    timings, heads = [], []
+    for label, tier in (("compiled-workload-trace", contextlib.nullcontext),
+                        ("numpy-block-draws", _python_kernels)):
+        seconds, head = 0.0, []
+        with tier():
+            for name in names:
+                start = time.perf_counter()
+                columns = workload_arrays(name, accesses)
+                seconds += time.perf_counter() - start
+                head.append([column[:prefix].copy() for column in columns])
+        timings.append((label, seconds))
+        heads.append(head)
+    scalar_seconds = 0.0
+    for name, *tiers in zip(names, *heads):
+        start = time.perf_counter()
+        expected = to_arrays(build_trace(name, prefix))
+        scalar_seconds += time.perf_counter() - start
+        for (label, _), got in zip(timings, tiers):
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected)), (
+                f"{name}: {label} synthesis diverged from build_trace")
+    n, scalar_n = len(names) * accesses, len(names) * prefix
+    (kernel, seconds), (fallback_kernel, fallback_seconds) = timings
+    return {"label": f"trace-synthesis/{accesses:,}", "kernel": kernel,
+            "fallback_kernel": fallback_kernel, "programs": len(names),
+            "accesses": n, "scalar_accesses": scalar_n,
+            "scalar_aps": scalar_n / scalar_seconds, "vector_aps": n / seconds,
+            "fallback_aps": n / fallback_seconds,
+            "speedup": _speedup(scalar_seconds, scalar_n, seconds, n),
+            "fallback_speedup": _speedup(scalar_seconds, scalar_n,
+                                         fallback_seconds, n),
+            "speedup_vs_fallback": fallback_seconds / seconds}
+
+
 def compare_ooo_core(instructions=OOO_INSTRUCTIONS):
     """Time Table 2's per-program tasks on the compiled out-of-order core
     and on the Python core (the vectorized index engine with the Python
@@ -1127,9 +1201,18 @@ def _load_trajectory(path):
     return []
 
 
-def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
-                    smoke=False, trace_io=None, profiler=None, coverage=None,
-                    ooo_core=None, program_build=None, holes_study=None):
+def _artifact_path(smoke):
+    """Where a run records itself: ``REPRO_BENCH_ENGINE_JSON`` when set
+    (empty for nowhere), else :data:`SMOKE_JSON` for a smoke run and
+    :data:`BENCH_ENGINE_JSON` for a full one."""
+    return os.environ.get("REPRO_BENCH_ENGINE_JSON",
+                          SMOKE_JSON if smoke else BENCH_ENGINE_JSON)
+
+
+def _write_artifact(rows, accesses, path, sweep=None, smoke=False,
+                    trace_io=None, profiler=None, coverage=None,
+                    ooo_core=None, program_build=None, holes_study=None,
+                    trace_synthesis=None):
     """Append this run to the machine-readable trajectory artifact."""
     if not path:
         return None
@@ -1153,6 +1236,7 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "required_speedup_deep_level": REQUIRED_SPEEDUP_DEEP_LEVEL,
         "required_speedup_ooo": REQUIRED_SPEEDUP_OOO,
         "required_speedup_program_build": REQUIRED_SPEEDUP_PROGRAM_BUILD,
+        "required_speedup_synthesis": REQUIRED_SPEEDUP_SYNTHESIS,
         "sampled_error_bound": SAMPLED_ERROR_BOUND,
         "rows": rows,
         "sweep": sweep,
@@ -1162,6 +1246,7 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "ooo_core": ooo_core,
         "program_build": program_build,
         "holes_study": holes_study,
+        "trace_synthesis": trace_synthesis,
     })
     artifact = {
         "benchmark": "bench_engine",
@@ -1325,8 +1410,8 @@ def main(argv=None):
     parser.add_argument("--smoke", action="store_true",
                         help="short trace through every kernel-dispatch path "
                              "(sweep profiler included); bit-exactness "
-                             "asserted, speedup bounds skipped, the appended "
-                             "JSON run tagged smoke")
+                             "asserted, speedup bounds skipped, the run "
+                             f"recorded in the git-ignored {SMOKE_JSON}")
     args = parser.parse_args(argv)
     accesses = SMOKE_ACCESSES if args.smoke else BENCH_ENGINE_ACCESSES
 
@@ -1393,11 +1478,31 @@ def main(argv=None):
     holes = compare_holes_study(2 if args.smoke else HOLES_STUDY_RUNS)
     print(f"\nholes-study ({holes['accesses']:,} accesses, best of "
           f"{holes['runs']}): {holes['kernel']} {holes['aps']:,.0f} acc/s "
-          f"({holes['seconds']:.3f}s; translation "
+          f"({holes['seconds']:.3f}s; synthesis "
+          f"{holes['synthesis_share']:.0%}, translation "
           f"{holes['translation_share']:.0%}, kernel "
           f"{holes['kernel_share']:.0%}, set-up {holes['setup_share']:.0%}, "
           f"other {holes['other_share']:.0%}), equal to the reference "
           f"engine on a {HOLES_STUDY_CHECK_ACCESSES:,}-access prefix")
+    # Trace synthesis: the 18 workload traces, short and long.
+    synthesis = [compare_trace_synthesis(length)
+                 for length in (SYNTHESIS_SHORT_ACCESSES, accesses)]
+    print()
+    for row in synthesis:
+        print(f"{row['label']:26s} {row['kernel']:25s} "
+              f"{row['scalar_aps']:13,.0f} {row['vector_aps']:13,.0f} "
+              f"{row['speedup']:7.1f}x  {row['fallback_kernel']:22s} "
+              f"{row['fallback_aps']:11,.0f} {row['fallback_speedup']:7.1f}x "
+              f"(compiled {row['speedup_vs_fallback']:.1f}x the NumPy tier)")
+    print(f"  ({synthesis[0]['programs']} programs each; scalar "
+          f"build_trace on a {SCALAR_PREFIX_ACCESSES:,}-access prefix, "
+          f"bit-exact on both tiers)")
+    if check_bounds:
+        long_row = synthesis[-1]
+        assert long_row["speedup_vs_fallback"] >= REQUIRED_SPEEDUP_SYNTHESIS, (
+            f"{long_row['label']}: compiled only "
+            f"{long_row['speedup_vs_fallback']:.1f}x over the NumPy tier "
+            f"(required {REQUIRED_SPEEDUP_SYNTHESIS}x)")
     # The out-of-order core: Table 2 on both cores.
     ooo = compare_ooo_core(SMOKE_OOO_INSTRUCTIONS if args.smoke
                            else OOO_INSTRUCTIONS)
@@ -1498,11 +1603,11 @@ def main(argv=None):
                     f"{row['format']}: only {row['speedup_vs_v1']:.1f}x over "
                     f"v1 records (required {REQUIRED_SPEEDUP_TRACE_IO}x)")
 
-    path = _write_artifact(rows, accesses, sweep=sweep,
-                           smoke=args.smoke, trace_io=trace_io,
+    path = _write_artifact(rows, accesses, _artifact_path(args.smoke),
+                           sweep=sweep, smoke=args.smoke, trace_io=trace_io,
                            profiler=profiler, coverage=coverage,
                            ooo_core=ooo, program_build=build,
-                           holes_study=holes)
+                           holes_study=holes, trace_synthesis=synthesis)
     if path:
         print(f"appended run to {path}")
 

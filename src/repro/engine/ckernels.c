@@ -20,7 +20,11 @@
  *   repro_ooo_run     the out-of-order core of repro.cpu.processor over one
  *                     program, its L1 data cache through the same body;
  *   repro_build_program  the synthetic program generator of
- *                     repro.cpu.workloads, writing the core's input columns.
+ *                     repro.cpu.workloads, writing the core's input columns;
+ *   repro_workload_trace  the synthetic workload traces of
+ *                     repro.trace.workloads, writing their columns;
+ *   repro_first_touch the distinct pages of a page-number stream in
+ *                     first-touch order, for the batch page-table walk.
  *
  * Layouts: per-way tables are way-major (ways x num_sets), PLRU direction
  * bits are set-major (num_sets x tree), tag -1 marks an invalid frame.
@@ -1216,4 +1220,131 @@ int64_t repro_build_program(int64_t n, uint64_t seed, const int64_t *p,
     free(scratch);
     free(bias);
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* Workload traces (repro.trace.workloads) and first-touch page order */
+
+/* Slots of repro_workload_trace's `params`, in ckernels.WORKLOAD_PARAMS
+ * order: the cuts of the component draw (below WORKLOAD_PPM) and of the
+ * hot component's store draw, then _WorkloadState's layout. */
+enum { W_CONFLICT_CUT, W_STREAM_CUT, W_MEDIUM_CUT, W_WRITE_CUT,
+       W_BLOCK_SIZE, W_HOT_BASE, W_HOT_SLOTS, W_STREAM_BASE, W_MEDIUM_BASE,
+       W_MEDIUM_BLOCKS, W_CONFLICT_BASE, W_CONFLICT_SPACING,
+       W_CONFLICT_ELEMENTS, W_CONFLICT_ARRAYS, W_HOT_PC, W_STREAM_PC,
+       W_MEDIUM_PC, W_CONFLICT_PC, W_CONFLICT_PC_STEP };
+
+#define WORKLOAD_PPM 1000000
+
+/*
+ * build_trace(name, n, block_size, seed) as columns, draw for draw: a
+ * draw below the conflict, stream or medium cut picks that component for
+ * access i, any other the hot one, which takes a second draw for its
+ * store flag.  Each component keeps _WorkloadState's cursors.  Addresses
+ * are uint64 and wrap as the NumPy synthesis's do; pcs may be NULL.  seed
+ * is the initial SplitMix64 state.  Returns 0.
+ */
+int64_t repro_workload_trace(int64_t n, uint64_t seed, const int64_t *p,
+                             uint64_t *addresses, uint8_t *writes,
+                             int64_t *pcs)
+{
+    uint64_t rng = seed, block = (uint64_t)p[W_BLOCK_SIZE];
+    uint64_t stream = (uint64_t)p[W_STREAM_BASE];
+    int64_t hot = 0, medium = 0, array = 0, element = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t draw = draw_below(&rng, WORKLOAD_PPM), pc;
+        uint8_t write = 0;
+        if (draw < p[W_CONFLICT_CUT]) {
+            addresses[i] = (uint64_t)p[W_CONFLICT_BASE]
+                           + (uint64_t)array * (uint64_t)p[W_CONFLICT_SPACING]
+                           + (uint64_t)element * 8u;
+            if (++array == p[W_CONFLICT_ARRAYS]) {
+                array = 0;
+                if (++element == p[W_CONFLICT_ELEMENTS])
+                    element = 0;
+            }
+            pc = p[W_CONFLICT_PC] + p[W_CONFLICT_PC_STEP] * array;
+        } else if (draw < p[W_STREAM_CUT]) {
+            addresses[i] = stream;
+            stream += block;
+            pc = p[W_STREAM_PC];
+        } else if (draw < p[W_MEDIUM_CUT]) {
+            addresses[i] = (uint64_t)p[W_MEDIUM_BASE]
+                           + (uint64_t)medium * block;
+            if (++medium == p[W_MEDIUM_BLOCKS])
+                medium = 0;
+            pc = p[W_MEDIUM_PC];
+        } else {
+            addresses[i] = (uint64_t)p[W_HOT_BASE] + (uint64_t)hot * 8u;
+            if (++hot == p[W_HOT_SLOTS])
+                hot = 0;
+            write = draw_below(&rng, WORKLOAD_PPM) < p[W_WRITE_CUT];
+            pc = p[W_HOT_PC];
+        }
+        writes[i] = write;
+        if (pcs != NULL)
+            pcs[i] = pc;
+    }
+    return 0;
+}
+
+/* An open-addressing table of `size` (a power of two) slots, all -1. */
+static int64_t *slots_open(int64_t size)
+{
+    int64_t *slot = malloc((size_t)size * sizeof *slot);
+    if (slot != NULL)
+        memset(slot, 0xff, (size_t)size * sizeof *slot);
+    return slot;
+}
+
+/*
+ * The distinct pages of pages[0 .. n) in first-touch order: distinct[j]
+ * is the j-th page first touched and ordinals[i] the index j of
+ * pages[i].  A page's index is found through an open-addressing table
+ * (linear probing, Fibonacci-hashed, doubled whenever it passes half
+ * full), so the scratch grows with the distinct pages, not with n.
+ * Returns the number of distinct pages, or -1 when scratch memory is
+ * unavailable.
+ */
+int64_t repro_first_touch(int64_t n, const int64_t *pages, int64_t *distinct,
+                          int64_t *ordinals)
+{
+    int64_t size = 64, count = 0;
+    int shift = 58; /* 64 - log2(size) */
+    int64_t *slot = slots_open(size);
+    if (slot == NULL)
+        return -1;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t page = pages[i], j;
+        if (i > 0 && page == pages[i - 1]) {
+            ordinals[i] = ordinals[i - 1];
+            continue;
+        }
+        uint64_t h = ((uint64_t)page * 0x9E3779B97F4A7C15u) >> shift;
+        while ((j = slot[h]) >= 0 && distinct[j] != page)
+            h = (h + 1) & (uint64_t)(size - 1);
+        if (j < 0) {
+            j = count++;
+            distinct[j] = page;
+            slot[h] = j;
+            if (2 * count > size) {
+                free(slot);
+                size *= 2;
+                shift--;
+                slot = slots_open(size);
+                if (slot == NULL)
+                    return -1;
+                for (int64_t k = 0; k < count; k++) {
+                    h = ((uint64_t)distinct[k] * 0x9E3779B97F4A7C15u)
+                        >> shift;
+                    while (slot[h] >= 0)
+                        h = (h + 1) & (uint64_t)(size - 1);
+                    slot[h] = k;
+                }
+            }
+        }
+        ordinals[i] = j;
+    }
+    free(slot);
+    return count;
 }

@@ -29,9 +29,13 @@ Build and load happen lazily, on the first kernel call, never at import:
 The wrappers :func:`run_set_assoc`, :func:`run_victim`, :func:`run_column`,
 :func:`run_hierarchy`, :func:`run_ooo` (the out-of-order core of
 :mod:`repro.cpu.processor`, which has no Python twin here: the Python core
-itself is its fallback) and :func:`build_program_columns` (the program
+itself is its fallback), :func:`build_program_columns` (the program
 generator of :mod:`repro.cpu.workloads`, whose fallback is likewise that
-module's ``_instruction_stream``) check every array (dtype, C-contiguity,
+module's ``_instruction_stream``), :func:`workload_trace` (the workload
+synthesis of :mod:`repro.trace.workloads`, whose fallback is its NumPy
+block-draw path) and :func:`first_touch` (the page order of
+:func:`repro.engine.translate_vec.batch_page_frames`, whose fallback is
+``np.unique``) check every array (dtype, C-contiguity,
 shape, writability, blocks and lines non-negative, indices in range),
 every placement (:class:`~repro.engine.index_vec.Placement`: each image
 and modulus within the cache's sets) and every parameter before the call,
@@ -67,6 +71,9 @@ __all__ = [
     "run_ooo",
     "PROGRAM_PARAMS",
     "build_program_columns",
+    "WORKLOAD_PARAMS",
+    "workload_trace",
+    "first_touch",
 ]
 
 _SOURCE = Path(__file__).with_name("ckernels.c")
@@ -117,6 +124,23 @@ PROGRAM_PARAMS = {
     "op_load": 0, "op_store": 0, "op_branch": 0, "op_fp_div": 0,
     "op_fp_sqrt": 0, "op_fp_mul": 0, "op_fp_add": 0, "op_int_mul": 0,
     "op_int_div": 0, "op_int_alu": 0,
+}
+
+#: The workload synthesis draws below this bound (ckernels.c's
+#: ``WORKLOAD_PPM``).
+WORKLOAD_PPM = 1_000_000
+
+#: Slots of :func:`workload_trace`'s ``params`` (ckernels.c's ``W_*``),
+#: each with the least value the synthesis accepts: the cuts of the
+#: component draw and of the hot component's store draw, then the layout
+#: of ``trace.workloads._WorkloadState``.
+WORKLOAD_PARAMS = {
+    "conflict_cut": 0, "stream_cut": 0, "medium_cut": 0, "write_cut": 0,
+    "block_size": 1, "hot_base": 0, "hot_slots": 1, "stream_base": 0,
+    "medium_base": 0, "medium_blocks": 1, "conflict_base": 0,
+    "conflict_spacing": 0, "conflict_elements": 1, "conflict_arrays": 1,
+    "hot_pc": 0, "stream_pc": 0, "medium_pc": 0, "conflict_pc": 0,
+    "conflict_pc_step": 0,
 }
 
 #: The loaded library, once the first kernel call has tried to build it.
@@ -281,6 +305,8 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
                           ptr, ptr, ptr, ptr, ptr],
         "repro_build_program": [i64, u64, ptr, i64, ptr, ptr, ptr, ptr, ptr,
                                 ptr, ptr, ptr, ptr],
+        "repro_workload_trace": [i64, u64, ptr, ptr, ptr, ptr],
+        "repro_first_touch": [i64, ptr, ptr, ptr],
     }
     for symbol, argtypes in signatures.items():
         function = getattr(library, symbol)
@@ -638,19 +664,29 @@ def run_ooo(ops: np.ndarray, dests: np.ndarray, srcs: np.ndarray,
             l1_counts)
 
 
-def _program_params(params: dict) -> np.ndarray:
-    """:data:`PROGRAM_PARAMS` as the builder's array, each value checked:
-    every cut within ``ppm`` and every chance within ``percent``, the cuts
-    of one draw in order, the register classes larger than their base
-    registers, and a trimmed pool never empty."""
-    if not isinstance(params, dict) or set(params) != set(PROGRAM_PARAMS):
-        raise ValueError(f"params must name exactly {sorted(PROGRAM_PARAMS)}")
-    for name, least in PROGRAM_PARAMS.items():
+def _slot_values(params: dict, slots: dict) -> dict:
+    """``params`` as Python ints, after checking that it names exactly the
+    ``slots`` and that each value is an integer in ``[least, 2**62)``."""
+    if not isinstance(params, dict) or set(params) != set(slots):
+        raise ValueError(f"params must name exactly {sorted(slots)}")
+    values = {}
+    for name, least in slots.items():
         value = params[name]
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer")
         if not least <= value < 2**62:
             raise ValueError(f"{name} must be in [{least}, 2**62)")
+        values[name] = int(value)
+    return values
+
+
+def _program_params(params: dict) -> np.ndarray:
+    """:data:`PROGRAM_PARAMS` as the builder's array, each value checked:
+    every cut within ``ppm`` and every chance within ``percent``, the cuts
+    of one draw in order, the register classes larger than their base
+    registers, and a trimmed pool never empty."""
+    params = _slot_values(params, PROGRAM_PARAMS)
+    for name, value in params.items():
         if name.endswith("_cut") and value > params["ppm"]:
             raise ValueError(f"{name} must not exceed ppm")
         if name.endswith("_chance") and value > params["percent"]:
@@ -667,8 +703,7 @@ def _program_params(params: dict) -> np.ndarray:
             raise ValueError(f"{name} must exceed base_regs")
     if params["pool_drop"] > params["pool_limit"]:
         raise ValueError("pool_drop must not exceed pool_limit")
-    return np.array([int(params[name]) for name in PROGRAM_PARAMS],
-                    dtype=np.int64)
+    return np.array(list(params.values()), dtype=np.int64)
 
 
 def build_program_columns(length: int, seed: int, *, params: dict,
@@ -690,7 +725,9 @@ def build_program_columns(length: int, seed: int, *, params: dict,
     if not isinstance(length, (int, np.integer)) or length < 1:
         raise ValueError("length must be a positive integer")
     param_array = _program_params(params)
-    if max(params["pc_start"] + length * params["pc_step"],
+    # Python ints: NumPy scalars would wrap before the comparison.
+    params = dict(zip(PROGRAM_PARAMS, param_array.tolist()))
+    if max(params["pc_start"] + int(length) * params["pc_step"],
            params["branch_pc"] + params["branch_sites"] * params["pc_step"]
            ) >= 2**63:
         raise ValueError("the program's pcs would pass 2**63")
@@ -722,3 +759,65 @@ def build_program_columns(length: int, seed: int, *, params: dict,
     if (srcs[:, 1] < 0).all():
         columns[2] = np.ascontiguousarray(srcs[:, :1])
     return tuple(columns)
+
+
+def _workload_params(params: dict) -> np.ndarray:
+    """:data:`WORKLOAD_PARAMS` as the synthesis's array, each value
+    checked: the component cuts in order, every cut within
+    :data:`WORKLOAD_PPM`, and the conflict component's pcs below
+    ``2**63``."""
+    values = _slot_values(params, WORKLOAD_PARAMS)
+    if not (values["conflict_cut"] <= values["stream_cut"]
+            <= values["medium_cut"] <= WORKLOAD_PPM):
+        raise ValueError("the component cuts must rise and stay within "
+                         f"{WORKLOAD_PPM}")
+    if values["write_cut"] > WORKLOAD_PPM:
+        raise ValueError(f"write_cut must not exceed {WORKLOAD_PPM}")
+    if (values["conflict_pc"] + values["conflict_pc_step"]
+            * values["conflict_arrays"]) >= 2**63:
+        raise ValueError("the conflict component's pcs would pass 2**63")
+    return np.array(list(values.values()), dtype=np.int64)
+
+
+def workload_trace(length: int, seed: int, *, params: dict,
+                   addresses: np.ndarray, is_write: np.ndarray,
+                   pcs: Optional[np.ndarray] = None) -> None:
+    """Synthesise one workload trace into its columns.
+
+    ``length`` accesses from the generator seeded with ``seed`` (0 stands
+    for 1, as in ``_SplitMix64(seed or 1)``); ``params`` names every
+    :data:`WORKLOAD_PARAMS` slot.  Fills uint64 ``addresses``, bool
+    ``is_write`` and, unless it is ``None``, int64 ``pcs``: each a
+    writable C-contiguous array of ``length`` entries.
+    """
+    if (not isinstance(length, (int, np.integer)) or isinstance(length, bool)
+            or length < 1):
+        raise ValueError("length must be a positive integer")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError("seed must be an integer")
+    param_array = _workload_params(params)
+    n = int(length)
+    address_ptr = _pointer("addresses", addresses, np.uint64, (n,))
+    write_ptr = _pointer("is_write", is_write, np.bool_, (n,))
+    pc_ptr = None if pcs is None else _pointer("pcs", pcs, np.int64, (n,))
+    _library().repro_workload_trace(n, (int(seed) or 1) & (2**64 - 1),
+                                    param_array.ctypes.data, address_ptr,
+                                    write_ptr, pc_ptr)
+
+
+def first_touch(pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct non-negative int64 ``pages`` in first-touch order and
+    each access's index among them: ``(distinct, ordinals)``, fresh int64
+    arrays with ``distinct[ordinals] == pages``."""
+    (n,) = _shape(pages, 1)
+    page_ptr = _pointer("pages", pages, np.int64, (n,), writable=False)
+    check_blocks("pages", pages)
+    library = _library()
+    distinct = np.empty(n, dtype=np.int64)
+    ordinals = np.empty(n, dtype=np.int64)
+    count = library.repro_first_touch(n, page_ptr, distinct.ctypes.data,
+                                      ordinals.ctypes.data)
+    if count < 0:
+        raise MemoryError("compiled first-touch pass could not allocate "
+                          "scratch")
+    return distinct[:count].copy(), ordinals

@@ -32,6 +32,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from ..memory.paging import TLB, PageTable
+from . import ckernels
 from .batch import AddressBatch
 
 __all__ = ["batch_page_frames", "run_tlb_kernel"]
@@ -40,7 +41,7 @@ __all__ = ["batch_page_frames", "run_tlb_kernel"]
 def _address_array(addresses: Union[AddressBatch, np.ndarray]) -> np.ndarray:
     if isinstance(addresses, AddressBatch):
         addresses = addresses.addresses
-    return np.asarray(addresses).astype(np.int64)
+    return np.asarray(addresses).astype(np.int64, copy=False)
 
 
 def batch_page_frames(page_table: PageTable,
@@ -51,21 +52,32 @@ def batch_page_frames(page_table: PageTable,
     Pages not yet mapped are demand-allocated through the scalar
     :meth:`PageTable.frame_of` in first-touch trace order, so page-table
     state and ``page_faults`` end up identical to translating each address
-    in sequence.
+    in sequence.  The distinct pages come from one compiled
+    ``repro_first_touch`` pass, or from ``np.unique`` without the compiled
+    kernels.
     """
     addr = _address_array(addresses)
-    page = int(page_table.page_size)
-    vpns = addr // page
-    if vpns.size == 0:
-        return vpns, vpns.copy()
-    uniq, first_idx = np.unique(vpns, return_index=True)
-    mapping = page_table._mapping
-    for i in np.argsort(first_idx, kind="stable"):
-        page_table.frame_of(int(uniq[i]))
-    frame_lut = np.fromiter((mapping[int(v)] for v in uniq),
-                            dtype=np.int64, count=len(uniq))
-    frames = frame_lut[np.searchsorted(uniq, vpns)]
-    return vpns, frames
+    # Page sizes are powers of two, so the shift is the floor division.
+    vpns = addr >> (int(page_table.page_size).bit_length() - 1)
+    if ckernels.available():
+        pages, ordinals = ckernels.first_touch(vpns)
+    else:
+        pages, ordinals = _first_touch(vpns)
+    frame_of = page_table.frame_of
+    frame_lut = np.fromiter((frame_of(page) for page in pages.tolist()),
+                            dtype=np.int64, count=len(pages))
+    return vpns, frame_lut[ordinals]
+
+
+def _first_touch(vpns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`ckernels.first_touch` in NumPy: the distinct pages in
+    first-touch order and each access's index among them."""
+    uniq, first_idx, inverse = np.unique(vpns, return_index=True,
+                                         return_inverse=True)
+    order = np.argsort(first_idx, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return uniq[order], rank[inverse]
 
 
 def run_tlb_kernel(tlb: TLB, vpns: np.ndarray,

@@ -334,16 +334,19 @@ def workload_arrays(name: str, length: int = 100_000,
     :class:`MemoryAccess` is created.  The returned arrays are fresh and
     writeable.
 
-    The scalar generator takes one PRNG draw per access to pick its
-    component, and a hot access takes a second draw for its write
-    decision.  Draw ``k`` of ``_SplitMix64(s)`` is ``mix(s + (k+1)*gamma)``,
-    so all draws come out of one vectorized finalizer; counter ``c`` starts
-    an access unless counter ``c-1`` started a hot one.  Inside a run of
-    hot-valued draws the starts alternate, so each counter's role follows
-    from its distance to the last non-hot draw before it.  Draws are made
-    :data:`DRAW_BLOCK` at a time, carrying the one bit "the previous counter
-    started a hot access" from block to block; each component's cursor is
-    its running access count.
+    With the compiled kernels this is one ``repro_workload_trace`` call,
+    which replays :func:`build_trace`'s draws in order.  Without them the
+    NumPy tier draws in blocks: the scalar generator takes one PRNG draw
+    per access to pick its component, and a hot access takes a second draw
+    for its write decision.  Draw ``k`` of ``_SplitMix64(s)`` is
+    ``mix(s + (k+1)*gamma)``, so all draws come out of one vectorized
+    finalizer; counter ``c`` starts an access unless counter ``c-1``
+    started a hot one.  Inside a run of hot-valued draws the starts
+    alternate, so each counter's role follows from its distance to the
+    last non-hot draw before it.  Draws are made :data:`DRAW_BLOCK` at a
+    time, carrying the one bit "the previous counter started a hot access"
+    from block to block; each component's cursor is its running access
+    count.
     """
     addresses, is_write, _ = _workload_columns(name, length, block_size,
                                                seed, with_pcs=False)
@@ -357,21 +360,53 @@ def _workload_columns(name: str, length: int, block_size: int, seed: int,
     ``with_pcs``, else ``None``."""
     import numpy as np
 
+    from ..engine import ckernels
+
+    spec = _lookup(name, length)
+    layout = _WorkloadState(spec, block_size, seed)
+    addresses = np.empty(length, dtype=np.uint64)
+    is_write = np.zeros(length, dtype=bool)
+    pcs = np.empty(length, dtype=np.int64) if with_pcs else None
+    if ckernels.available():
+        ckernels.workload_trace(length, seed, params=_trace_params(layout),
+                                addresses=addresses, is_write=is_write,
+                                pcs=pcs)
+    else:
+        _draw_blocks(layout, seed, addresses, is_write, pcs)
+    return addresses, is_write, pcs
+
+
+def _trace_params(layout: _WorkloadState) -> Dict[str, int]:
+    """The compiled synthesis's ``WORKLOAD_PARAMS`` of one workload."""
+    conflict, stream, medium = _thresholds(layout.spec)
+    return dict(
+        conflict_cut=conflict, stream_cut=stream, medium_cut=medium,
+        write_cut=layout.write_threshold,
+        conflict_arrays=layout.spec.conflict_arrays,
+        **{name: getattr(layout, name) for name in (
+            "block_size", "hot_base", "hot_slots", "stream_base",
+            "medium_base", "medium_blocks", "conflict_base",
+            "conflict_spacing", "conflict_elements", "hot_pc", "stream_pc",
+            "medium_pc", "conflict_pc", "conflict_pc_step")})
+
+
+def _draw_blocks(layout: _WorkloadState, seed: int, addresses, is_write,
+                 pcs) -> None:
+    """Fill the columns of :func:`_workload_columns` on the NumPy tier,
+    :data:`DRAW_BLOCK` draws at a time (``pcs`` may be ``None``)."""
+    import numpy as np
+
     from ..engine.replacement_vec import (
         SPLITMIX64_GAMMA,
         splitmix64_finalize_array,
     )
 
-    spec = _lookup(name, length)
-    layout = _WorkloadState(spec, block_size, seed)
-    thresholds = np.array(_thresholds(spec), dtype=np.uint64)
+    thresholds = np.array(_thresholds(layout.spec), dtype=np.uint64)
     hot_threshold = thresholds[-1]
     origin = np.uint64((seed or 1) & 0xFFFFFFFFFFFFFFFF)
     u64 = np.uint64
 
-    addresses = np.empty(length, dtype=np.uint64)
-    is_write = np.zeros(length, dtype=bool)
-    pcs = np.empty(length, dtype=np.int64) if with_pcs else None
+    length = len(addresses)
     counts = [0, 0, 0, 0]  # accesses so far per component
     filled = 0
     counter = 0            # PRNG draws consumed so far
@@ -414,14 +449,13 @@ def _workload_columns(name: str, length: int, block_size: int, seed: int,
                                 dtype=np.uint64)
             counts[component] += rows.size
             out[rows] = _component_addresses(layout, component, ordinal)
-            if with_pcs:
+            if pcs is not None:
                 pcs[filled + rows] = _component_pcs(layout, component,
                                                     ordinal)
             if component == 3:
                 is_write[filled + rows] = (draws[starts[rows] + 1]
                                            < u64(layout.write_threshold))
         filled += starts.size
-    return addresses, is_write, pcs
 
 
 def _component_addresses(layout: _WorkloadState, component: int, ordinal):

@@ -28,6 +28,7 @@ from repro.experiments.holes_study import run_holes_study
 from repro.experiments.miss_ratio_study import run_miss_ratio_study
 from repro.experiments.replacement_study import run_replacement_study
 from repro.experiments.table2 import Table2Result, run_table2
+from repro.experiments import table3 as table3_module
 from repro.experiments.table3 import run_table3
 
 
@@ -605,8 +606,21 @@ class TestTable3:
         with pytest.raises(ValueError, match=r"\['wave5'\]"):
             run_table3(table2_result=partial)
 
-    def test_workers_forwarded_to_table2(self):
-        serial = run_table3(instructions=1_500)
-        fanned = run_table3(instructions=1_500,
-                            sweep_options=SweepOptions(workers=2))
-        assert fanned.table2.results == serial.table2.results
+    def test_workers_forwarded_to_table2(self, monkeypatch):
+        """``run_table3`` hands its engine and sweep options to
+        ``run_table2``; that Table 2 does not depend on the worker count is
+        ``TestTable2::test_workers_change_nothing``."""
+        calls = []
+        table2 = Table2Result(instructions_per_program=1_500, results={})
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return table2
+
+        monkeypatch.setattr(table3_module, "run_table2", spy)
+        options = SweepOptions(workers=2)
+        result = run_table3(instructions=1_500, seed=9, engine="vectorized",
+                            sweep_options=options)
+        assert result.table2 is table2
+        assert calls == [dict(instructions=1_500, seed=9,
+                              engine="vectorized", sweep_options=options)]

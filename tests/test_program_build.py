@@ -168,6 +168,7 @@ def drop_param(args):
     spoil_param("branch_sites", 0),
     spoil_param("ppm", 2.5),
     spoil_param("pc_step", 2**57),
+    spoil_param("pc_step", np.int64(2**61)),
 ], ids=lambda spoil_args: spoil_args.__name__)
 def test_malformed_arguments_raise_before_the_call(kernel_path, monkeypatch,
                                                    spoil_args):

@@ -5,11 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import FullyAssociativeCache, SetAssociativeCache
 from repro.core import make_index_function
+from repro.engine import ckernels
 from repro.trace.workloads import (
     FP_PROGRAMS,
     HIGH_CONFLICT_PROGRAMS,
@@ -124,32 +125,48 @@ class TestBehaviouralShape:
 
 
 def assert_columns_match(name, length, block_size=32, seed=12345):
+    """``workload_arrays`` and the synthesis's pcs equal
+    :func:`build_trace`'s, on whichever tier is active."""
     addresses, is_write = workload_arrays(name, length, block_size, seed)
-    expected = to_arrays(build_trace(name, length, block_size, seed))
+    trace = list(build_trace(name, length, block_size, seed))
+    expected = to_arrays(trace)
     assert addresses.dtype == np.uint64 and is_write.dtype == np.bool_
     np.testing.assert_array_equal(addresses, expected[0])
     np.testing.assert_array_equal(is_write, expected[1])
+    *_, pcs = workloads._workload_columns(name, length, block_size, seed,
+                                          with_pcs=True)
+    assert pcs.dtype == np.int64
+    assert pcs.tolist() == [access.pc for access in trace]
 
 
 #: A small draw block, so short traces already span several blocks.
 SMALL_BLOCK = 64
 
 
-class TestColumnarSynthesis:
-    """``workload_arrays`` is ``to_arrays(build_trace(...))``, bit for bit."""
+@pytest.fixture
+def numpy_tier(monkeypatch):
+    """The NumPy block-draw synthesis, whatever the compiler."""
+    monkeypatch.setattr(ckernels, "available", lambda: False)
 
-    @settings(max_examples=60, deadline=None)
+
+class TestColumnarSynthesis:
+    """``workload_arrays`` is ``to_arrays(build_trace(...))``, bit for bit,
+    on the compiled synthesis and on the NumPy tier."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(name=st.sampled_from(workload_names()),
            seed=st.one_of(st.sampled_from([0, 1, 2 ** 64 - 1]),
                           st.integers(0, 2 ** 64 - 1)),
            length=st.integers(1, 5 * SMALL_BLOCK),
            block_size=st.sampled_from([16, 32, 64]))
-    def test_matches_scalar_synthesis(self, name, seed, length, block_size):
+    def test_matches_scalar_synthesis(self, kernel_path, name, seed, length,
+                                      block_size):
         with mock.patch.object(workloads, "DRAW_BLOCK", SMALL_BLOCK):
             assert_columns_match(name, length, block_size, seed)
 
     @pytest.mark.parametrize("name", ["swim", "compress"])
-    def test_two_blocks_at_the_default_size(self, name):
+    def test_two_blocks_at_the_default_size(self, kernel_path, name):
         assert_columns_match(name, 3 * workloads.DRAW_BLOCK // 4, seed=7)
 
     @staticmethod
@@ -165,7 +182,7 @@ class TestColumnarSynthesis:
         return roles
 
     @pytest.mark.parametrize("carried", [True, False])
-    def test_hot_run_straddling_a_block_boundary(self, carried):
+    def test_hot_run_straddling_a_block_boundary(self, numpy_tier, carried):
         """A block ends inside a run of hot draws, with its last counter a
         hot start (the carried bit set) or a write draw (not set)."""
         name, seed = "gcc", 12345
@@ -177,19 +194,19 @@ class TestColumnarSynthesis:
         with mock.patch.object(workloads, "DRAW_BLOCK", boundary):
             assert_columns_match(name, 2 * boundary, seed=seed)
 
-    def test_arrays_are_fresh_and_writeable(self):
+    def test_arrays_are_fresh_and_writeable(self, kernel_path):
         first, _ = workload_arrays("swim", 100)
         second, _ = workload_arrays("swim", 100)
         assert first.flags.writeable and first is not second
 
-    def test_validation(self):
+    def test_validation(self, kernel_path):
         with pytest.raises(ValueError, match="unknown workload"):
             workload_arrays("doom", 10)
         with pytest.raises(ValueError, match="length"):
             workload_arrays("gcc", 0)
 
     @pytest.mark.slow
-    def test_memory_is_bounded_by_the_output(self):
+    def test_memory_is_bounded_by_the_output(self, kernel_path):
         """Blocked synthesis: scratch memory stays small at 1M accesses."""
         length = 1_000_000
         workload_arrays("swim", 10)  # imports out of the measurement
@@ -201,3 +218,163 @@ class TestColumnarSynthesis:
             tracemalloc.stop()
         assert len(addresses) == length
         assert peak <= addresses.nbytes + is_write.nbytes + 32 * 2 ** 20
+
+
+# --------------------------------------------------------------------- #
+# the compiled synthesis against the NumPy tier and the oracle
+# --------------------------------------------------------------------- #
+
+#: Lengths around the NumPy tier's draw blocks, and past two of them.
+LENGTHS = (1, 2, 7, workloads.DRAW_BLOCK - 1, workloads.DRAW_BLOCK + 1,
+           300_001)
+#: Seed 0 (which stands for 1), 1, the largest, and the CPU builder's
+#: ``seed + 17`` at Table 2's seed.
+SEEDS = (0, 1, 2 ** 64 - 1, 2027 + 17)
+BLOCK_SIZES = (16, 32, 64)
+
+
+def numpy_columns(name, length, block_size, seed):
+    with mock.patch.object(ckernels, "available", lambda: False):
+        return workloads._workload_columns(name, length, block_size, seed,
+                                           with_pcs=True)
+
+
+def assert_tiers_agree(name, length, block_size, seed):
+    compiled = workloads._workload_columns(name, length, block_size, seed,
+                                           with_pcs=True)
+    for got, want in zip(compiled, numpy_columns(name, length, block_size,
+                                                 seed)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_compiled_synthesis_matches_the_numpy_tier(compiled_tier, name):
+    """Every length, each with the next seed and block size in turn."""
+    for k, length in enumerate(LENGTHS):
+        assert_tiers_agree(name, length, BLOCK_SIZES[k % 3],
+                           SEEDS[(k + len(name)) % 4])
+
+
+@pytest.mark.parametrize("name", workload_names())
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compiled_synthesis_matches_the_oracle(compiled_tier, name, seed):
+    for length, block_size in zip((1, 2, 7, 3_000), (16, 32, 64, 32)):
+        assert_columns_match(name, length, block_size, seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", workload_names())
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compiled_synthesis_deep(compiled_tier, name, seed):
+    """The whole length x block-size matrix against the NumPy tier, and
+    against the oracle at every length but the longest, which one block
+    size covers."""
+    for length in LENGTHS:
+        for block_size in BLOCK_SIZES:
+            assert_tiers_agree(name, length, block_size, seed)
+            if length < LENGTHS[-1] or block_size == 32:
+                assert_columns_match(name, length, block_size, seed)
+
+
+# --------------------------------------------------------------------- #
+# malformed arguments fail in the wrapper, before the C call
+# --------------------------------------------------------------------- #
+
+def synthesis_args(length=50):
+    layout = workloads._WorkloadState(WORKLOADS["gcc"], 32, 7)
+    return dict(length=length, seed=7, params=workloads._trace_params(layout),
+                addresses=np.empty(length, dtype=np.uint64),
+                is_write=np.empty(length, dtype=bool),
+                pcs=np.empty(length, dtype=np.int64))
+
+
+def test_synthesis_args_are_valid(compiled_tier):
+    args = synthesis_args()
+    ckernels.workload_trace(**args)
+    assert args["addresses"].tolist() == [
+        access.address for access in build_trace("gcc", 50, 32, 7)]
+
+
+def spoil(name, value):
+    def spoil_(args):
+        args[name] = value
+    spoil_.__name__ = f"{name}={value!r}"
+    return spoil_
+
+
+def spoil_column(name, make):
+    def spoil_(args):
+        args[name] = make(args[name])
+    spoil_.__name__ = f"{name}:{make.__name__}"
+    return spoil_
+
+
+def spoil_param(name, value):
+    def spoil_(args):
+        args["params"] = dict(args["params"], **{name: value})
+    spoil_.__name__ = f"{name}={value!r}"
+    return spoil_
+
+
+def wrong_dtype(column):
+    return column.view(np.int64 if column.dtype == np.uint64
+                       else np.uint8 if column.dtype == np.bool_
+                       else np.uint64)
+
+
+def too_short(column):
+    return column[:-1]
+
+
+def strided(column):
+    return np.empty(2 * len(column), dtype=column.dtype)[::2]
+
+
+def read_only(column):
+    column.flags.writeable = False
+    return column
+
+
+def drop_slot(args):
+    args["params"] = {key: value for key, value in args["params"].items()
+                      if key != "hot_slots"}
+
+
+def extra_slot(args):
+    args["params"] = dict(args["params"], ppm=1_000_000)
+
+
+@pytest.mark.parametrize("spoil_args", [
+    *(spoil_column(column, make)
+      for column in ("addresses", "is_write", "pcs")
+      for make in (wrong_dtype, too_short, strided, read_only)),
+    spoil("addresses", [0] * 50),
+    spoil("length", 0),
+    spoil("length", -3),
+    spoil("length", True),
+    spoil("seed", 1.5),
+    spoil_param("block_size", 0),
+    spoil_param("block_size", -32),
+    drop_slot,
+    extra_slot,
+    spoil_param("hot_slots", 0),
+    spoil_param("medium_blocks", 0),
+    spoil_param("conflict_arrays", 0),
+    spoil_param("conflict_elements", 0),
+    spoil_param("stream_cut", -1),
+    spoil_param("medium_cut", 1_000_001),
+    spoil_param("conflict_cut", 999_999),
+    spoil_param("write_cut", 1_000_001),
+    spoil_param("hot_base", 2 ** 62),
+    spoil_param("hot_pc", 2.5),
+    spoil_param("conflict_pc_step", 2 ** 61),
+], ids=lambda spoil_args: spoil_args.__name__)
+def test_malformed_arguments_raise_before_the_call(kernel_path, monkeypatch,
+                                                   spoil_args):
+    args = synthesis_args()
+    spoil_args(args)
+    monkeypatch.setattr(ckernels, "_library", lambda: pytest.fail(
+        "malformed arguments reached the library"))
+    with pytest.raises(ValueError):
+        ckernels.workload_trace(**args)
