@@ -21,8 +21,9 @@ available):
   stay >= 10x over scalar on every index family;
 * FIFO, random and PLRU (``compiled-set-assoc-*``; fallback
   ``generic-policy-kernel``) must stay >= 10x over scalar on the
-  conventional two-way organisation, on skewed I-Poly placement and on a
-  fully-associative 256-way cache, and the victim kernels
+  conventional two-way organisation and on skewed I-Poly placement, all
+  four policies (``compiled-fully-assoc-*``, the one-set path; same
+  fallback) on a fully-associative 256-way cache, and the victim kernels
   (``compiled-victim-*``; fallback ``victim-generic-kernel``, all four
   policies) must also stay >= 10x over scalar;
 * the multi-level hierarchies — the inclusive two-level hierarchy and the
@@ -301,6 +302,7 @@ POLICY_ROWS = ["fifo", "random", "plru"]
 DISPATCH_NAMES = frozenset(
     ["generic-policy-kernel", "victim-generic-kernel"]
     + [f"compiled-set-assoc-{policy}" for policy in ["lru"] + POLICY_ROWS]
+    + [f"compiled-fully-assoc-{policy}" for policy in ["lru"] + POLICY_ROWS]
     + [f"compiled-victim-{policy}" for policy in ["lru"] + POLICY_ROWS]
     + ["compiled-hierarchy", "hierarchy-loop"]
     + ["compiled-ooo-core", "python-ooo-core"])
@@ -309,12 +311,12 @@ DISPATCH_NAMES = frozenset(
 FULLY_ASSOCIATIVE_WAYS = PAPER_L1_8KB.size_bytes // PAPER_L1_8KB.block_size
 
 #: Conventional ``(ways, replacement, classify_misses)`` configurations no
-#: timed row runs: four-way caches and a classifying non-LRU cache (whose
-#: 3C shadow replays over the compiled kernel's hit mask).  They are
-#: coverage, not throughput claims, so they are checked bit-exact on the
-#: ``SMOKE_ACCESSES`` trace on both tiers and not timed.
+#: timed row runs: four-way caches and classifying caches (whose 3C shadow
+#: replays over the compiled kernel's hit mask), one of them one-set.
+#: They are coverage, not throughput claims, so they are checked bit-exact
+#: on the ``SMOKE_ACCESSES`` trace on both tiers and not timed.
 COVERAGE_CASES = ([(4, policy, False) for policy in POLICY_ROWS]
-                  + [(2, "fifo", True)])
+                  + [(2, "fifo", True), (FULLY_ASSOCIATIVE_WAYS, "lru", True)])
 
 #: Multi-level rows: a 16 KB skewed I-Poly L1 over a 1 MB conventional
 #: write-back L2 — the Section 3 deployment shape.  At this L1 capacity the
@@ -1442,14 +1444,15 @@ def main(argv=None):
         if check_bounds:
             assert row["speedup"] >= REQUIRED_SPEEDUP, (
                 f"{row['scheme']}: only {row['speedup']:.1f}x")
-    # FIFO/random/PLRU on conventional two-way, skewed and
-    # fully-associative placement: bounded.
-    placements = (("a2", PAPER_L1_8KB.ways, None),
-                  ("a2-Hp-Sk", PAPER_L1_8KB.ways, None),
+    # FIFO/random/PLRU on conventional two-way and skewed placement, and
+    # every policy on the fully-associative cache the paper measures
+    # against (its LRU row included): bounded.
+    placements = (("a2", PAPER_L1_8KB.ways, None, POLICY_ROWS),
+                  ("a2-Hp-Sk", PAPER_L1_8KB.ways, None, POLICY_ROWS),
                   ("a2", FULLY_ASSOCIATIVE_WAYS,
-                   f"full-{FULLY_ASSOCIATIVE_WAYS}way"))
-    for scheme, ways, label in placements:
-        for policy in POLICY_ROWS:
+                   f"full-{FULLY_ASSOCIATIVE_WAYS}way", ["lru"] + POLICY_ROWS))
+    for scheme, ways, label, policies in placements:
+        for policy in policies:
             row = compare_engines(scheme, accesses=accesses,
                                   replacement=policy, ways=ways, label=label)
             rows.append(row)

@@ -15,8 +15,10 @@ Kernels: each cache's ``run`` picks a kernel module once — ``kernels =
 ckernels if ckernels.available() else pykernels`` — and makes one call.
 
 * :mod:`repro.engine.ckernels`: one generic C kernel per family, used
-  whenever the library builds (``dispatch_strategy`` names
+  whenever the library builds, plus an O(1)-per-access path for one-set
+  caches (``dispatch_strategy`` names
   ``compiled-set-assoc-{lru,fifo,random,plru}``,
+  ``compiled-fully-assoc-{lru,fifo,random,plru}``,
   ``compiled-victim-{lru,fifo,random,plru}`` and
   ``compiled-column-associative``).
 * :mod:`repro.engine.pykernels`: the same kernels in Python, function for
@@ -362,16 +364,20 @@ class BatchSetAssociativeCache(_BatchCache):
 
         Tests introspect it to see which kernel serves a given
         (organisation, policy) combination.  The route depends only on
-        whether the compiled kernels built; ``batch`` is accepted so every
+        whether the compiled kernels built and on the cache's shape
+        (:func:`ckernels.set_assoc_path`); ``batch`` is accepted so every
         batch cache shares one signature.  Possible values:
 
-        * ``"compiled-set-assoc-{lru,fifo,random,plru}"`` — every cache,
-          with or without the 3C classifier, when the C library is
+        * ``"compiled-fully-assoc-{lru,fifo,random,plru}"`` — a one-set
+          cache, with or without the 3C classifier, when the C library is
           available;
+        * ``"compiled-set-assoc-{lru,fifo,random,plru}"`` — every other
+          cache, likewise;
         * ``"generic-policy-kernel"`` — otherwise, the Python mirror.
         """
         if ckernels.available():
-            return f"compiled-set-assoc-{self._replacement_name}"
+            return (f"compiled-{ckernels.set_assoc_path(self._num_sets)}-"
+                    f"{self._replacement_name}")
         return "generic-policy-kernel"
 
     def run(self, batch: AddressBatch) -> np.ndarray:

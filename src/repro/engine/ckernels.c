@@ -10,6 +10,10 @@
  *   repro_sa_run      set-associative: conventional, skewed or fully
  *                     associative placement, any ways, LRU/FIFO/random/PLRU,
  *                     either write policy;
+ *   repro_fa_run      the same for a one-set (fully-associative) cache, in
+ *                     O(1) per access where repro_sa_run scans every way:
+ *                     a block -> way map finds hits, and a recency list of
+ *                     the ways (LRU/FIFO) or the PLRU tree picks victims;
  *   repro_victim_run  a main cache backed by a fully-associative victim
  *                     buffer, any main ways, any buffer size, any policy;
  *   repro_column_run  the column-associative cache;
@@ -355,8 +359,10 @@ INLINE int sa_access(cache_t *s, int64_t block, int write, int64_t *frame)
 }
 
 /*
- * Set-associative cache: conventional, skewed or fully associative.
- * Returns 0, or -1 when scratch memory is unavailable (nothing changed).
+ * Set-associative cache: conventional, skewed or fully associative, one
+ * sa_access per access.  ckernels.py sends one-set caches to
+ * repro_fa_run instead.  Returns 0, or -1 when scratch memory is
+ * unavailable (nothing changed).
  */
 int64_t repro_sa_run(int64_t n, const int64_t *blocks, const uint8_t *writes,
                      const level_t *l, uint8_t *hits)
@@ -417,9 +423,9 @@ static void line_map_set(line_map_t *m, int64_t f, int64_t line)
     }
 }
 
-/* Index the lines of l1_line[0 .. frames): at least two buckets and one
- * per frame.  A line held twice finds its highest frame. */
-static int line_map_open(line_map_t *m, int64_t *l1_line, int64_t frames)
+/* An empty map over line[0 .. frames): at least two buckets and one per
+ * frame. */
+INLINE int line_map_alloc(line_map_t *m, int64_t *line, int64_t frames)
 {
     int64_t buckets = 2;
     m->shift = 63;
@@ -435,7 +441,16 @@ static int line_map_open(line_map_t *m, int64_t *l1_line, int64_t frames)
         return -1;
     }
     memset(m->head, 0xff, (size_t)buckets * sizeof *m->head);
-    m->line = l1_line;
+    m->line = line;
+    return 0;
+}
+
+/* Index the lines of l1_line[0 .. frames).  Each frame goes to the head
+ * of its chain, so a line held twice finds its highest frame. */
+static int line_map_open(line_map_t *m, int64_t *l1_line, int64_t frames)
+{
+    if (line_map_alloc(m, l1_line, frames) != 0)
+        return -1;
     for (int64_t f = 0; f < frames; f++) {
         int64_t line = l1_line[f];
         l1_line[f] = -1;
@@ -1347,4 +1362,202 @@ int64_t repro_first_touch(int64_t n, const int64_t *pages, int64_t *distinct,
     }
     free(slot);
     return count;
+}
+
+/*
+ * One-set caches (repro_fa_run).  Kept last in the file: code placed
+ * before the other kernels moves them, and moving repro_victim_run alone,
+ * its instructions unchanged, slowed it by ~10% on x86-64 with GCC 12.
+ */
+
+/* The valid ways of a one-set cache from the least to the most recently
+ * stamped, ties towards way 0: prev[]/next[] link them, -1 ending the
+ * list at head and tail. */
+typedef struct {
+    int64_t *prev, *next;
+    int64_t head, tail;
+} way_list_t;
+
+INLINE void way_list_push(way_list_t *l, int64_t w)
+{
+    l->prev[w] = l->tail;
+    l->next[w] = -1;
+    if (l->tail >= 0)
+        l->next[l->tail] = w;
+    else
+        l->head = w;
+    l->tail = w;
+}
+
+INLINE void way_list_unlink(way_list_t *l, int64_t w)
+{
+    if (l->prev[w] >= 0)
+        l->next[l->prev[w]] = l->next[w];
+    else
+        l->head = l->next[w];
+    if (l->next[w] >= 0)
+        l->prev[l->next[w]] = l->prev[w];
+    else
+        l->tail = l->prev[w];
+}
+
+typedef struct {
+    int64_t stamp, way;
+} stamped_way_t;
+
+INLINE int stamped_before(stamped_way_t a, stamped_way_t b)
+{
+    return a.stamp < b.stamp || (a.stamp == b.stamp && a.way < b.way);
+}
+
+/* Heap-sort v[0 .. n) into (stamp, way) order: first build the heap from
+ * v[n / 2 - 1] down to v[0], then move its top behind it n - 1 times. */
+INLINE void stamped_sort(stamped_way_t *v, int64_t n)
+{
+    int64_t top = n / 2, end = n;
+    while (end > 1) {
+        stamped_way_t x;
+        int64_t i, c;
+        if (top > 0) {
+            i = --top;
+            x = v[i];
+        } else {
+            x = v[--end];
+            v[end] = v[0];
+            i = 0;
+        }
+        for (; (c = 2 * i + 1) < end; i = c) {
+            if (c + 1 < end && stamped_before(v[c], v[c + 1]))
+                c++;
+            if (!stamped_before(x, v[c]))
+                break;
+            v[i] = v[c];
+        }
+        v[i] = x;
+    }
+}
+
+/*
+ * sa_access over a one-set cache, n times, in O(1) per access where the
+ * probe and policy_victim scan every way; same hits, same state written.
+ * A line_map_t over the tags finds the hit way, indexed so that a block
+ * held twice finds its lowest way, as the probe does.  A cursor finds the
+ * first invalid way: nothing is invalidated during a call, so it only
+ * moves forward.  LRU and FIFO victims are the head of a way_list_t built
+ * in (stamp, way) order, each way moving to its tail when stamped; that
+ * order holds while every stamp is below the clock, so a cache whose
+ * stamps run ahead of it (the kernels never write one) is declined.  PLRU
+ * victims come straight from the set's tree, random ones from
+ * policy_victim.  Returns 0, or -1 when it declined or scratch memory is
+ * unavailable (nothing changed).
+ */
+static int fa_loop(cache_t *s, int64_t n, const int64_t *blocks,
+                   const uint8_t *writes, uint8_t *hits)
+{
+    int64_t ways = s->ways, kind = s->p.kind, *tags = s->tags;
+    int64_t *stamps = s->p.stamps;
+    uint8_t *dirty = s->dirty;
+    int listed = kind == POLICY_LRU || kind == POLICY_FIFO;
+    int64_t valid = 0, cursor = 0;
+    way_list_t l = {NULL, NULL, -1, -1};
+    line_map_t m;
+
+    if (listed) {
+        /* prev[], next[], then the valid ways to sort */
+        stamped_way_t *order;
+        l.prev = malloc((size_t)ways * 4 * sizeof *l.prev);
+        if (l.prev == NULL)
+            return -1;
+        l.next = l.prev + ways;
+        order = (stamped_way_t *)(l.next + ways);
+        for (int64_t w = 0; w < ways; w++) {
+            if (tags[w] < 0)
+                continue;
+            if (stamps[w] > s->clock)
+                goto declined;
+            order[valid++] = (stamped_way_t){stamps[w], w};
+        }
+        stamped_sort(order, valid);
+        for (int64_t k = 0; k < valid; k++)
+            way_list_push(&l, order[k].way);
+    }
+    if (line_map_alloc(&m, tags, ways) != 0)
+        goto declined;
+    for (int64_t w = ways - 1; w >= 0; w--) { /* the lowest way first */
+        int64_t block = tags[w];
+        tags[w] = -1;
+        line_map_set(&m, w, block);
+    }
+    while (cursor < ways && tags[cursor] >= 0)
+        cursor++;
+
+    for (int64_t i = 0; i < n; i++) {
+        int64_t block = blocks[i], way = line_map_find(&m, block);
+        int write = writes[i] != 0;
+        s->clock += 1;
+        count_access(s->c, write, way >= 0);
+        hits[i] = way >= 0;
+        if (way >= 0) {
+            if (kind == POLICY_LRU && way != l.tail) {
+                way_list_unlink(&l, way);
+                way_list_push(&l, way);
+            }
+            policy_touch(&s->p, way, 0, s->clock, 0);
+            if (write && s->write_back)
+                dirty[way] = 1;
+            continue;
+        }
+        if (write && !s->write_back)
+            continue; /* write-through / no-write-allocate */
+        if (cursor < ways) {
+            way = cursor;
+        } else {
+            if (listed)
+                way_list_unlink(&l, way = l.head);
+            else if (kind == POLICY_PLRU)
+                way = plru_victim(s->p.bits, ways);
+            else
+                way = policy_victim(&s->p, s->cand);
+            s->c[EVICTIONS]++;
+            if (dirty[way])
+                s->c[WRITEBACKS]++;
+        }
+        line_map_set(&m, way, block); /* tags[way] = block */
+        while (cursor < ways && tags[cursor] >= 0)
+            cursor++;
+        dirty[way] = (uint8_t)(write && s->write_back);
+        policy_touch(&s->p, way, 0, s->clock, 1);
+        if (listed)
+            way_list_push(&l, way);
+    }
+    free(m.head);
+    free(m.next);
+    free(l.prev);
+    return 0;
+
+declined:
+    free(l.prev);
+    return -1;
+}
+
+/*
+ * A one-set (fully-associative) cache: repro_sa_run's results and state,
+ * through fa_loop, or through repro_sa_run's loop when fa_loop declines.
+ * Returns 0, or -1 when scratch memory is unavailable (nothing changed).
+ */
+int64_t repro_fa_run(int64_t n, const int64_t *blocks, const uint8_t *writes,
+                     const level_t *l, uint8_t *hits)
+{
+    cache_t s;
+    if (cache_open(&s, l) != 0)
+        return -1;
+    if (fa_loop(&s, n, blocks, writes, hits) != 0) {
+        for (int64_t i = 0; i < n; i++) {
+            int64_t frame;
+            hits[i] = (uint8_t)sa_access(&s, blocks[i], writes[i] != 0,
+                                         &frame);
+        }
+    }
+    cache_close(&s, l);
+    return 0;
 }

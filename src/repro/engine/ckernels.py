@@ -26,7 +26,8 @@ Build and load happen lazily, on the first kernel call, never at import:
   ``RuntimeWarning`` per process and the Python kernels run instead — same
   results, slower.
 
-The wrappers :func:`run_set_assoc`, :func:`run_victim`, :func:`run_column`,
+The wrappers :func:`run_set_assoc` (one-set caches on their own O(1)
+path, :func:`set_assoc_path`), :func:`run_victim`, :func:`run_column`,
 :func:`run_hierarchy`, :func:`run_ooo` (the out-of-order core of
 :mod:`repro.cpu.processor`, which has no Python twin here: the Python core
 itself is its fallback), :func:`build_program_columns` (the program
@@ -62,6 +63,7 @@ import numpy as np
 __all__ = [
     "POLICY_CODES",
     "available",
+    "set_assoc_path",
     "run_set_assoc",
     "run_victim",
     "run_column",
@@ -294,6 +296,7 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     i64, u64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
     signatures = {
         "repro_sa_run": [i64, ptr, ptr, ptr, ptr],
+        "repro_fa_run": [i64, ptr, ptr, ptr, ptr],
         "repro_victim_run": [i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr,
                              ptr, ptr, u64, i64, ptr, ptr, ptr, ptr, u64,
                              ptr, ptr, ptr],
@@ -457,6 +460,14 @@ def _checked_level(label: str, *, place, write_back: bool, policy: str,
     return level, counts
 
 
+def set_assoc_path(num_sets: int) -> str:
+    """The compiled path of a set-associative cache of ``num_sets`` sets:
+    ``"fully-assoc"`` (``repro_fa_run``, O(1) per access) for one set,
+    else ``"set-assoc"`` (``repro_sa_run``).  :func:`run_set_assoc` takes
+    it, and the batch cache's ``dispatch_strategy`` names it."""
+    return "fully-assoc" if num_sets == 1 else "set-assoc"
+
+
 def run_set_assoc(blocks: np.ndarray, writes: np.ndarray, *, place,
                   write_back: bool, policy: str, tags: np.ndarray,
                   dirty: np.ndarray, stamps: Optional[np.ndarray],
@@ -467,16 +478,21 @@ def run_set_assoc(blocks: np.ndarray, writes: np.ndarray, *, place,
     (one function, or one per way); ``tags``/``dirty``/``stamps`` are
     ``ways x num_sets`` (``stamps`` unused by ``random``), ``bits`` the
     ``num_sets x tree`` PLRU table (PLRU only), ``io`` holds ``[clock,
-    random draws]`` and is updated.  Returns ``(hits, counts)``.
+    random draws]`` and is updated.  The cache's :func:`set_assoc_path`
+    picks the kernel; both give the same results and state.  Returns
+    ``(hits, counts)``.
     """
     library = _library()
     n, block_ptr, write_ptr = _inputs(blocks, writes)
     level, counts = _checked_level(
         "", place=place, write_back=write_back, policy=policy, tags=tags,
         dirty=dirty, stamps=stamps, bits=bits, seed=seed, io=io)
+    kernel = (library.repro_fa_run
+              if set_assoc_path(level.num_sets) == "fully-assoc"
+              else library.repro_sa_run)
     hits = np.empty(n, dtype=np.uint8)
-    if library.repro_sa_run(n, block_ptr, write_ptr, ctypes.byref(level),
-                            hits.ctypes.data) != 0:
+    if kernel(n, block_ptr, write_ptr, ctypes.byref(level),
+              hits.ctypes.data) != 0:
         raise MemoryError("compiled cache kernel could not allocate scratch")
     return hits.view(bool), counts
 

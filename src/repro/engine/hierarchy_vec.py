@@ -231,7 +231,7 @@ class BatchVirtualRealHierarchy(_BatchHierarchy):
     def _physical_lines(self, virt_lines: np.ndarray) -> np.ndarray:
         """Each virtual line's physical line, ``-1`` for a negative entry
         or an unmapped page (nothing is faulted in)."""
-        mapping = self._page_table._mapping
+        mapping = self._page_table.mapping
         bpp = self._bpp
         frames = np.array([mapping.get(v // bpp, -1) if v >= 0 else -1
                            for v in virt_lines.tolist()], dtype=np.int64)

@@ -8,7 +8,11 @@ ckernels if ckernels.available() else pykernels`` and makes one call.
 as their :mod:`repro.engine.ckernels` namesakes, and mutate the same state
 arrays in place.  Inside, :func:`_policy` is ``policy_t`` with
 ``policy_touch``/``policy_victim``, :func:`_level` is ``sa_access``, and
-the four kernels are the ``repro_*_run`` loops.
+the four kernels are the ``repro_*_run`` loops.  ``repro_fa_run``, the
+compiled O(1) path of one-set caches, has no twin here: it writes what
+``repro_sa_run`` writes, so :func:`run_set_assoc`'s generic loop serves
+one-set caches too and stays the oracle both compiled paths are tested
+against.
 
 Each kernel checks the state arrays out as flat lists (frame ``way *
 num_sets + set``, as the C kernels index them), computes every access's

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Set
 
 from .address import log2_exact, page_number, page_offset
 
@@ -54,7 +55,10 @@ class PageTable:
             raise ValueError("allocation must be 'scatter' or 'sequential'")
         self._page_size = page_size
         self._allocation = allocation
-        self._mapping: Dict[int, int] = {}
+        self._frames: Dict[int, int] = {}
+        # The frames of _frames' values, kept beside it so a scatter fault
+        # costs O(1); None until the next fault rebuilds it.
+        self._used: Optional[Set[int]] = None
         self._next_frame = 0
         self._state = seed & 0xFFFFFFFFFFFFFFFF or 0xC0FFEE
         self.page_faults = 0
@@ -67,7 +71,20 @@ class PageTable:
     @property
     def mapped_pages(self) -> int:
         """Number of virtual pages currently mapped."""
-        return len(self._mapping)
+        return len(self._frames)
+
+    @property
+    def mapping(self) -> Mapping[int, int]:
+        """A read-only view of the virtual page -> frame map."""
+        return MappingProxyType(self._frames)
+
+    @property
+    def _mapping(self) -> Dict[int, int]:
+        """The virtual page -> frame dict itself, for code that edits it.
+        Whoever takes it may change it, so the used-frame set is rebuilt
+        at the next fault; take it again for each edit."""
+        self._used = None
+        return self._frames
 
     def _next_scatter(self) -> int:
         # SplitMix64 step: uniform, deterministic, and cheap.
@@ -82,20 +99,23 @@ class PageTable:
             frame = self._next_frame
             self._next_frame += 1
             return frame
-        used = set(self._mapping.values())
+        if self._used is None:
+            self._used = set(self._frames.values())
         while True:
             frame = self._next_scatter() & 0xFFFFF  # 2^20 frames = 4 GB of 4K pages
-            if frame not in used:
+            if frame not in self._used:
                 return frame
 
     def frame_of(self, virtual_page: int) -> int:
         """Return (allocating on demand) the physical frame of ``virtual_page``."""
         if virtual_page < 0:
             raise ValueError("virtual_page must be non-negative")
-        frame = self._mapping.get(virtual_page)
+        frame = self._frames.get(virtual_page)
         if frame is None:
             frame = self._allocate_frame()
-            self._mapping[virtual_page] = frame
+            self._frames[virtual_page] = frame
+            if self._used is not None:
+                self._used.add(frame)
             self.page_faults += 1
         return frame
 
@@ -107,7 +127,7 @@ class PageTable:
 
     def is_mapped(self, virtual_address: int) -> bool:
         """True if the page containing ``virtual_address`` has been touched before."""
-        return page_number(virtual_address, self._page_size) in self._mapping
+        return page_number(virtual_address, self._page_size) in self._frames
 
 
 class TLB:

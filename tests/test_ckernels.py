@@ -140,9 +140,11 @@ def set_assoc_oracle(cell):
     return hits, stats_of(scalar.stats), sorted(scalar.resident_blocks())
 
 
-def expected_set_assoc_kernel(policy, path):
+def expected_set_assoc_kernel(placement, policy, path):
     if path == "compiled":
-        return f"compiled-set-assoc-{policy}"
+        family = ("fully-assoc" if placement == "fully-associative"
+                  else "set-assoc")
+        return f"compiled-{family}-{policy}"
     return "generic-policy-kernel"
 
 
@@ -158,7 +160,7 @@ def test_set_assoc_three_paths(placement, ways, policy, write_policy,
     for batch_runs in ([batch_of(TRACE)], list(chunked(TRACE))):
         cache = build_set_assoc(cell, batch=True)
         assert cache.dispatch_strategy(batch_runs[0]) == \
-            expected_set_assoc_kernel(policy, kernel_path)
+            expected_set_assoc_kernel(placement, policy, kernel_path)
         hits = np.concatenate([cache.run(b) for b in batch_runs])
         np.testing.assert_array_equal(hits, ref_hits)
         assert stats_of(cache.stats) == ref_stats

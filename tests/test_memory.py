@@ -1,5 +1,7 @@
 """Unit tests for the memory substrate: addresses, paging, translation, main memory."""
 
+import hashlib
+
 import pytest
 
 from repro.memory.address import (
@@ -96,6 +98,35 @@ class TestPageTable:
     def test_invalid_allocation(self):
         with pytest.raises(ValueError):
             PageTable(allocation="hugepages")
+
+    def test_scatter_frame_sequence_is_pinned(self):
+        """5,000 scatter faults hand out the frames they did when every
+        fault rebuilt its used-frame set from the mapping, and consume the
+        same 5,012 draws (twelve drew a used frame)."""
+        table = PageTable(allocation="scatter", seed=2024)
+        frames = [table.frame_of(vpn) for vpn in range(5000)]
+        assert frames[:4] == [978133, 127698, 763263, 768089]
+        assert hashlib.sha256(repr(frames).encode()).hexdigest() == (
+            "37e4286cc205b4f2b9ecc8a1d30119030118422b43255ed1c267fd992575a04d")
+        assert table._state == 10816278169389454092
+
+    def test_frames_doctored_into_the_mapping_are_never_handed_out(self):
+        """Frames written into ``_mapping`` by hand, before the first fault
+        and between faults, are skipped like any allocated frame."""
+        upcoming = PageTable(allocation="scatter", seed=7)
+        draws = [upcoming._next_scatter() & 0xFFFFF for _ in range(200)]
+        table = PageTable(allocation="scatter", seed=7)
+        table._mapping[10**6] = draws[0]
+        frames = [table.frame_of(vpn) for vpn in range(50)]
+        table._mapping[10**6 + 1] = draws[60]
+        table._mapping[10**6 + 2] = draws[70]
+        table._mapping[10**6] = frames[0]  # an overwrite, not an addition
+        frames += [table.frame_of(vpn) for vpn in range(50, 150)]
+        assert frames[:50] == draws[1:51]
+        assert frames[50:] == [frame for frame in draws[51:]
+                               if frame not in (draws[60], draws[70])][:100]
+        assert len(set(frames)) == len(frames) == 150
+        assert table.mapped_pages == 153 == table.page_faults + 3
 
 
 class TestTLB:
