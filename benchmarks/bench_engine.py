@@ -58,11 +58,9 @@ instructions: the compiled program builder (``compiled-program-builder``)
 against the generator's instruction stream (``instruction-stream``),
 column for column bit-exact, and asserts the builder >= 10x.
 
-The trace is built
-through the process-global trace cache, so the vectorized timings include
-the sweep-wide reuse of materialised addresses and block numbers that a
-real sweep worker enjoys (the scalar path replays per access and cannot
-benefit); every batch run computes its set indices in the kernel.
+The trace is materialised once, outside the timed regions, and every
+batch run shifts its addresses to blocks and computes its set indices in
+the kernel, as a sweep task's run does.
 
 Runs under pytest-benchmark, which records nothing::
 
@@ -147,7 +145,7 @@ from repro.experiments.config import (
 )
 from repro.memory.paging import TLB, PageTable
 from repro.memory.translation import AddressTranslator
-from repro.trace.batching import cached_strided_arrays
+from repro.trace.batching import strided_vector_arrays
 from repro.trace.record import MemoryAccess
 from repro.trace.stream import iter_trace_chunks, write_trace_v2
 from repro.trace.trace_io import write_binary_trace
@@ -375,7 +373,7 @@ def _make_vr_pair():
 
 def _build_trace(accesses):
     sweeps = max(1, accesses // ELEMENTS)
-    addresses, writes = cached_strided_arrays(STRIDE, elements=ELEMENTS,
+    addresses, writes = strided_vector_arrays(STRIDE, elements=ELEMENTS,
                                               sweeps=sweeps)
     return AddressBatch.from_arrays(addresses, writes)
 
@@ -603,13 +601,13 @@ def compare_holes_study(runs=HOLES_STUDY_RUNS):
     """Time ``run_holes_study`` at the CLI's defaults on the vectorized
     engine, best of ``runs``: many short hierarchy runs, so per-run set-up
     counts, unlike in the 1M-access hierarchy rows.  One more run is split
-    into trace synthesis (``workload_arrays``), translation
+    into trace synthesis (``cached_workload_arrays``), translation
     (``batch_page_frames``), the kernel (``run_hierarchy``), the rest of
     each hierarchy ``run`` (set-up) and everything else (cache builds).
     The study must agree exactly with the reference engine on every
     program's first ``HOLES_STUDY_CHECK_ACCESSES`` accesses."""
     from repro.engine import hierarchy_vec
-    from repro.experiments import holes_study
+    from repro.experiments import grid, holes_study
     from repro.experiments.cli import build_parser
 
     cli = build_parser().parse_args(["holes"])
@@ -637,7 +635,7 @@ def compare_holes_study(runs=HOLES_STUDY_RUNS):
     totals = dict.fromkeys(("synthesis", "translation", "kernel", "run"),
                            0.0)
     kernels = ckernels if ckernels.available() else pykernels
-    with _timed(holes_study, "workload_arrays", totals, "synthesis"), \
+    with _timed(grid, "cached_workload_arrays", totals, "synthesis"), \
             _timed(hierarchy_vec, "batch_page_frames", totals,
                    "translation"), \
             _timed(kernels, "run_hierarchy", totals, "kernel"), \

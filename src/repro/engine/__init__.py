@@ -7,8 +7,9 @@ arrays (:class:`AddressBatch`), describes each cache's placement as data
 (:mod:`repro.engine.index_vec`: per way, the image of each address bit of a
 GF(2)-linear function, or a modulus), and simulates set-associative, skewed,
 victim and column-associative caches over address batches
-(:mod:`repro.engine.batch_cache`) in kernels that compute every access's
-set from that descriptor, with bit-exact
+(:mod:`repro.engine.batch_cache`) in kernels that shift every access's
+address to its block and compute its set from that descriptor, so nothing
+derived from a trace is kept between runs, with bit-exact
 :class:`~repro.cache.stats.CacheStats` agreement — enforced by the
 differential suite in ``tests/test_engine_equivalence.py``.
 
@@ -48,7 +49,6 @@ from .hierarchy_vec import (
     batch_virtual_real_like,
 )
 from .index_vec import Placement, PlacementIndexing, placement, way_function
-from .memo import cached_block_numbers, memo_clear, memo_info
 from .multiconfig import (
     PROFILE_MODES,
     MultiConfigFIFOProfile,
@@ -57,6 +57,7 @@ from .multiconfig import (
     ProfileCounts,
     ProfileOptions,
     check_profile_mode,
+    memo_info,
     profile_cache_info,
     run_lru_grid,
 )
@@ -89,9 +90,6 @@ __all__ = [
     "batch_page_frames",
     "run_tlb_kernel",
     "PolicyTables",
-    "cached_block_numbers",
-    "memo_info",
-    "memo_clear",
     "PROFILE_MODES",
     "check_profile_mode",
     "ProfileCounts",
@@ -102,6 +100,7 @@ __all__ = [
     "MultiConfigPlan",
     "run_lru_grid",
     "profile_cache_info",
+    "memo_info",
     "ReplayOutcome",
     "batch_cache_like",
     "replay_access_stream",

@@ -115,11 +115,14 @@ class AddressBatch:
         return cls.from_arrays(addresses, writes)
 
     def block_numbers(self, block_size: int) -> np.ndarray:
-        """Addresses shifted down to block numbers (``int64``)."""
+        """Addresses shifted down to block numbers, a fresh ``int64``
+        array.  The kernels shift addresses themselves; the 3C classifier,
+        the one-pass profiles and SHARDS ask for the array."""
         if block_size < 1 or block_size & (block_size - 1):
             raise ValueError("block_size must be a positive power of two")
         offset_bits = np.uint64(block_size.bit_length() - 1)
-        return (self.addresses >> offset_bits).astype(np.int64)
+        # Addresses are validated below 2**63, so the view is exact.
+        return (self.addresses >> offset_bits).view(np.int64)
 
     def slice(self, start: int, stop: int) -> "AddressBatch":
         """A view batch over ``[start, stop)``."""

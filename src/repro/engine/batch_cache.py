@@ -45,9 +45,10 @@ Every cache exposes ``dispatch_strategy(batch)`` — the name of the kernel
 ``run`` will execute — which the differential suite introspects to prove
 each path is covered.
 
-Block-number arrays are obtained through the sweep-wide memo table of
-:mod:`repro.engine.memo`, so tasks that share one materialised trace (see
-:mod:`repro.trace.batching`) also share the derived array.
+The kernels take the batch's byte addresses and the cache's block shift
+and shift each address to its block themselves, so a run derives no
+block-number array; only the 3C classifier's replay asks the batch for
+one (:meth:`~repro.engine.batch.AddressBatch.block_numbers`).
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from ..core.index import BitSelectIndexing, IndexFunction, IPolyIndexing
 from . import ckernels, pykernels
 from .batch import AddressBatch
 from .index_vec import Placement, placement, way_function
-from .memo import cached_block_numbers
 from .replacement_vec import PolicyTables
 
 __all__ = [
@@ -140,6 +140,11 @@ def _writes(batch: AddressBatch) -> np.ndarray:
     return np.ascontiguousarray(batch.is_write).view(np.uint8)
 
 
+def _addresses(batch: AddressBatch) -> np.ndarray:
+    """The batch's addresses as the kernels take them (contiguous uint64)."""
+    return np.ascontiguousarray(batch.addresses)
+
+
 class _BatchCache:
     """What the batch caches share: the chunk-consume entry point, the
     counters and the state arrays.
@@ -163,6 +168,12 @@ class _BatchCache:
     def block_size(self) -> int:
         """Line size in bytes."""
         return self._block_size
+
+    @property
+    def block_shift(self) -> int:
+        """log2 of :attr:`block_size`: an address's block is ``address >>
+        block_shift``."""
+        return self._block_size.bit_length() - 1
 
     def run_chunks(self, chunks: Iterable[AddressBatch]) -> int:
         """Consume a stream of batches; returns the accesses simulated.
@@ -390,14 +401,16 @@ class BatchSetAssociativeCache(_BatchCache):
         if len(batch) == 0:
             return np.zeros(0, dtype=bool)
         kernels = ckernels if ckernels.available() else pykernels
-        blocks = cached_block_numbers(batch, self._block_size)
         state = self._kernel_state()
-        hits, counts = kernels.run_set_assoc(blocks, _writes(batch), **state)
+        hits, counts = kernels.run_set_assoc(
+            _addresses(batch), _writes(batch), shift=self.block_shift,
+            **state)
         self._kernel_done(state["io"], counts)
         if self._classifier is not None:
             # The 3C shadow sees only (block, hit) in trace order, so it
             # replays over the finished hit mask.
-            _classify_over_hits(self._classifier, self.stats, blocks, hits)
+            _classify_over_hits(self._classifier, self.stats,
+                                batch.block_numbers(self._block_size), hits)
         return hits
 
     def _kernel_state(self) -> dict:
@@ -532,14 +545,15 @@ class BatchColumnAssociativeCache(_BatchCache):
         if len(batch) == 0:
             return np.zeros(0, dtype=bool)
         kernels = ckernels if ckernels.available() else pykernels
-        blocks = cached_block_numbers(batch, self._block_size)
         tags, dirty, sec_of = self._arrays()
         hits, counts = kernels.run_column(
-            blocks, _writes(batch), place=self._place, swap=self._swap,
-            tags=tags, dirty=dirty, sec_of=sec_of)
+            _addresses(batch), _writes(batch), shift=self.block_shift,
+            place=self._place, swap=self._swap, tags=tags, dirty=dirty,
+            sec_of=sec_of)
         self._add_counts(*counts.tolist())
         if self._classifier is not None:
-            _classify_over_hits(self._classifier, self.stats, blocks, hits)
+            _classify_over_hits(self._classifier, self.stats,
+                                batch.block_numbers(self._block_size), hits)
         return hits
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -654,16 +668,15 @@ class BatchVictimCache(_BatchCache):
         if len(batch) == 0:
             return np.zeros(0, dtype=bool)
         kernels = ckernels if ckernels.available() else pykernels
-        blocks = cached_block_numbers(batch, self._block_size)
         tags, dirty, main, vtags, vdirty, buffer = self._arrays()
         io = np.array([self._main_clock, self._victim_clock, main.draws,
                        buffer.draws], dtype=np.int64)
         hits, counts = kernels.run_victim(
-            blocks, _writes(batch), place=self._place,
-            policy=self._replacement_name, tags=tags, dirty=dirty,
-            stamps=main.stamps, bits=main.bits, seed=main.seed, vtags=vtags,
-            vdirty=vdirty, vstamps=buffer.stamps, vbits=buffer.bits,
-            vseed=buffer.seed, io=io)
+            _addresses(batch), _writes(batch), shift=self.block_shift,
+            place=self._place, policy=self._replacement_name, tags=tags,
+            dirty=dirty, stamps=main.stamps, bits=main.bits, seed=main.seed,
+            vtags=vtags, vdirty=vdirty, vstamps=buffer.stamps,
+            vbits=buffer.bits, vseed=buffer.seed, io=io)
         (self._main_clock, self._victim_clock, main.draws,
          buffer.draws) = io.tolist()
         self._add_counts(*counts.tolist())

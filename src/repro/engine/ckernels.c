@@ -32,8 +32,10 @@
  *
  * Layouts: per-way tables are way-major (ways x num_sets), PLRU direction
  * bits are set-major (num_sets x tree), tag -1 marks an invalid frame.
- * Blocks are non-negative; each access's set is computed inline from the
- * cache's placement (index_vec.Placement).
+ * The cache kernels take byte addresses and a block shift (log2 of the
+ * block size) and shift each address to its block inline: the wrappers
+ * keep every block below 2**63, so no block is negative.  Each access's
+ * set is computed inline from the cache's placement (index_vec.Placement).
  */
 
 #include <stdint.h>
@@ -358,21 +360,28 @@ INLINE int sa_access(cache_t *s, int64_t block, int write, int64_t *frame)
     return 0;
 }
 
+/* The block of byte address `addr` under a block shift. */
+INLINE int64_t block_of(uint64_t addr, int64_t shift)
+{
+    return (int64_t)(addr >> shift);
+}
+
 /*
  * Set-associative cache: conventional, skewed or fully associative, one
- * sa_access per access.  ckernels.py sends one-set caches to
- * repro_fa_run instead.  Returns 0, or -1 when scratch memory is
- * unavailable (nothing changed).
+ * sa_access per access of block addr[i] >> shift.  ckernels.py sends
+ * one-set caches to repro_fa_run instead.  Returns 0, or -1 when scratch
+ * memory is unavailable (nothing changed).
  */
-int64_t repro_sa_run(int64_t n, const int64_t *blocks, const uint8_t *writes,
-                     const level_t *l, uint8_t *hits)
+int64_t repro_sa_run(int64_t n, const uint64_t *addr, int64_t shift,
+                     const uint8_t *writes, const level_t *l, uint8_t *hits)
 {
     cache_t s;
     if (cache_open(&s, l) != 0)
         return -1;
     for (int64_t i = 0; i < n; i++) {
         int64_t frame;
-        hits[i] = (uint8_t)sa_access(&s, blocks[i], writes[i] != 0, &frame);
+        hits[i] = (uint8_t)sa_access(&s, block_of(addr[i], shift),
+                                     writes[i] != 0, &frame);
     }
     cache_close(&s, l);
     return 0;
@@ -471,9 +480,13 @@ static void drop_l1(cache_t *l1, line_map_t *m, int64_t f)
  * Two-level hierarchy with back-invalidation, one access at a time in
  * trace order, like repro.cache.hierarchy and repro.cache.virtual_real.
  *
- * Access i looks up l1_blocks[i] in L1 and l2_blocks[i] in L2.  Its
- * downstream line is lines[i]: the lines of L2 block b are ratio * b up
- * to ratio * b + ratio - 1.  l1_line[f] is the line in L1 frame f or -1;
+ * Access i looks up block l1_addr[i] >> l1_shift in L1 and block
+ * l2_addr[i] >> l2_shift in L2 (l2_shift >= l1_shift).  Its downstream
+ * line is l2_addr[i] >> l1_shift: the lines of L2 block b are ratio * b
+ * up to ratio * b + ratio - 1, ratio = 2**(l2_shift - l1_shift).  The
+ * two-level twin passes one address array twice; the virtual-real twin
+ * passes the virtual addresses for L1 and the physical ones for L2, one
+ * shift for both.  l1_line[f] is the line in L1 frame f or -1;
  * the kernel keeps it current and finds a line's frame through a
  * line_map_t over it.  An L1 frame holding this access's line under
  * another L1 block is an alias and is invalidated first.  An L2 miss
@@ -483,9 +496,9 @@ static void drop_l1(cache_t *l1, line_map_t *m, int64_t f)
  * back-invalidates.  Returns 0, or -1 when scratch memory is
  * unavailable (nothing changed).
  */
-int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
-                       const int64_t *l2_blocks, const int64_t *lines,
-                       const uint8_t *writes, int64_t ratio,
+int64_t repro_hier_run(int64_t n, const uint64_t *l1_addr,
+                       const uint64_t *l2_addr, const uint8_t *writes,
+                       int64_t l1_shift, int64_t l2_shift,
                        int64_t inclusive, const level_t *l1l,
                        const level_t *l2l, int64_t *l1_line,
                        uint8_t *l1_hits, uint8_t *l2_hits, int64_t *events)
@@ -504,9 +517,12 @@ int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
         return -1;
     }
     int64_t e[NUM_EVENTS] = {0};
+    uint64_t ratio = (uint64_t)1 << (l2_shift - l1_shift);
 
     for (int64_t i = 0; i < n; i++) {
-        int64_t block = l1_blocks[i], line = lines[i], f, f2;
+        int64_t block = block_of(l1_addr[i], l1_shift), f, f2;
+        int64_t line = block_of(l2_addr[i], l1_shift);
+        int64_t block2 = block_of(l2_addr[i], l2_shift);
         int w = writes[i] != 0;
         f = line_map_find(&m, line);
         if (f >= 0 && l1.tags[f] != block) {
@@ -516,20 +532,20 @@ int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
         if (sa_access(&l1, block, w, &f)) {
             l1_hits[i] = l2_hits[i] = 1;
             if (w)
-                sa_access(&l2, l2_blocks[i], 1, &f2);
+                sa_access(&l2, block2, 1, &f2);
             continue;
         }
         l1_hits[i] = 0;
         if (f >= 0)
             line_map_set(&m, f, line);
-        l2_hits[i] = (uint8_t)sa_access(&l2, l2_blocks[i], w, &f2);
+        l2_hits[i] = (uint8_t)sa_access(&l2, block2, w, &f2);
         if (l2_hits[i] || f2 < 0 || l2.evicted < 0 || !inclusive)
             continue;
         int hole = 0;
         /* Unsigned: lines past 2**63 (never passed) wrap, not overflow. */
-        uint64_t first = (uint64_t)l2.evicted * (uint64_t)ratio;
-        for (int64_t k = 0; k < ratio; k++) {
-            int64_t g = line_map_find(&m, (int64_t)(first + (uint64_t)k));
+        uint64_t first = (uint64_t)l2.evicted * ratio;
+        for (uint64_t k = 0; k < ratio; k++) {
+            int64_t g = line_map_find(&m, (int64_t)(first + k));
             if (g < 0)
                 continue;
             e[BACK_INVALIDATIONS]++;
@@ -556,7 +572,7 @@ int64_t repro_hier_run(int64_t n, const int64_t *l1_blocks,
  * buffer clock, main random draws, buffer random draws}.  Returns 0, or -1
  * when scratch memory is unavailable.
  */
-int64_t repro_victim_run(int64_t n, const int64_t *blocks,
+int64_t repro_victim_run(int64_t n, const uint64_t *addr, int64_t shift,
                          const uint8_t *writes, const placement_t *place,
                          int64_t ways, int64_t num_sets, int64_t kind,
                          int64_t *tags,
@@ -582,7 +598,7 @@ int64_t repro_victim_run(int64_t n, const int64_t *blocks,
     int64_t c[NUM_COUNTS] = {0};
 
     for (int64_t i = 0; i < n; i++) {
-        int64_t b = blocks[i];
+        int64_t b = block_of(addr[i], shift);
         int w = writes[i] != 0;
         int64_t invalid;
         int64_t way = probe(tags, &x, ways, num_sets, b, cand, &invalid);
@@ -664,7 +680,7 @@ int64_t repro_victim_run(int64_t n, const int64_t *blocks,
  * a displaced block retreats without a rehash.  Returns 0, or -1 when
  * scratch memory is unavailable.
  */
-int64_t repro_column_run(int64_t n, const int64_t *blocks,
+int64_t repro_column_run(int64_t n, const uint64_t *addr, int64_t shift,
                          const uint8_t *writes, const placement_t *place,
                          int64_t swap, int64_t *tags, uint8_t *dirty,
                          int64_t *sec_of, uint8_t *hits, int64_t *counts)
@@ -675,7 +691,7 @@ int64_t repro_column_run(int64_t n, const int64_t *blocks,
         return -1;
 
     for (int64_t i = 0; i < n; i++) {
-        int64_t b = blocks[i], sets[2];
+        int64_t b = block_of(addr[i], shift), sets[2];
         index_sets(&x, (uint64_t)b, sets);
         int64_t p = sets[0], s = sets[1];
         int first_hit = tags[p] == b;
@@ -1451,8 +1467,8 @@ INLINE void stamped_sort(stamped_way_t *v, int64_t n)
  * policy_victim.  Returns 0, or -1 when it declined or scratch memory is
  * unavailable (nothing changed).
  */
-static int fa_loop(cache_t *s, int64_t n, const int64_t *blocks,
-                   const uint8_t *writes, uint8_t *hits)
+static int fa_loop(cache_t *s, int64_t n, const uint64_t *addr,
+                   int64_t shift, const uint8_t *writes, uint8_t *hits)
 {
     int64_t ways = s->ways, kind = s->p.kind, *tags = s->tags;
     int64_t *stamps = s->p.stamps;
@@ -1492,7 +1508,8 @@ static int fa_loop(cache_t *s, int64_t n, const int64_t *blocks,
         cursor++;
 
     for (int64_t i = 0; i < n; i++) {
-        int64_t block = blocks[i], way = line_map_find(&m, block);
+        int64_t block = block_of(addr[i], shift);
+        int64_t way = line_map_find(&m, block);
         int write = writes[i] != 0;
         s->clock += 1;
         count_access(s->c, write, way >= 0);
@@ -1545,17 +1562,17 @@ declined:
  * through fa_loop, or through repro_sa_run's loop when fa_loop declines.
  * Returns 0, or -1 when scratch memory is unavailable (nothing changed).
  */
-int64_t repro_fa_run(int64_t n, const int64_t *blocks, const uint8_t *writes,
-                     const level_t *l, uint8_t *hits)
+int64_t repro_fa_run(int64_t n, const uint64_t *addr, int64_t shift,
+                     const uint8_t *writes, const level_t *l, uint8_t *hits)
 {
     cache_t s;
     if (cache_open(&s, l) != 0)
         return -1;
-    if (fa_loop(&s, n, blocks, writes, hits) != 0) {
+    if (fa_loop(&s, n, addr, shift, writes, hits) != 0) {
         for (int64_t i = 0; i < n; i++) {
             int64_t frame;
-            hits[i] = (uint8_t)sa_access(&s, blocks[i], writes[i] != 0,
-                                         &frame);
+            hits[i] = (uint8_t)sa_access(&s, block_of(addr[i], shift),
+                                         writes[i] != 0, &frame);
         }
     }
     cache_close(&s, l);

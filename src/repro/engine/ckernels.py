@@ -37,7 +37,9 @@ synthesis of :mod:`repro.trace.workloads`, whose fallback is its NumPy
 block-draw path) and :func:`first_touch` (the page order of
 :func:`repro.engine.translate_vec.batch_page_frames`, whose fallback is
 ``np.unique``) check every array (dtype, C-contiguity,
-shape, writability, blocks and lines non-negative, indices in range),
+shape, writability, indices in range), every block shift (in ``[0, 63]``,
+and no address at or past ``2**63`` under shift 0, so the blocks the
+kernels shift the addresses to are never negative),
 every placement (:class:`~repro.engine.index_vec.Placement`: each image
 and modulus within the cache's sets) and every parameter before the call,
 raising ``ValueError`` — nothing malformed reaches C.  They return hit
@@ -295,14 +297,14 @@ class _Level(ctypes.Structure):
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     i64, u64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
     signatures = {
-        "repro_sa_run": [i64, ptr, ptr, ptr, ptr],
-        "repro_fa_run": [i64, ptr, ptr, ptr, ptr],
-        "repro_victim_run": [i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr,
-                             ptr, ptr, u64, i64, ptr, ptr, ptr, ptr, u64,
-                             ptr, ptr, ptr],
-        "repro_column_run": [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr,
-                             ptr],
-        "repro_hier_run": [i64, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr,
+        "repro_sa_run": [i64, ptr, i64, ptr, ptr, ptr],
+        "repro_fa_run": [i64, ptr, i64, ptr, ptr, ptr],
+        "repro_victim_run": [i64, ptr, i64, ptr, ptr, i64, i64, i64, ptr,
+                             ptr, ptr, ptr, u64, i64, ptr, ptr, ptr, ptr,
+                             u64, ptr, ptr, ptr],
+        "repro_column_run": [i64, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr,
+                             ptr, ptr],
+        "repro_hier_run": [i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
                            ptr, ptr, ptr],
         "repro_ooo_run": [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
                           ptr, ptr, ptr, ptr, ptr],
@@ -407,18 +409,30 @@ def _shape(array, ndim: int) -> Tuple[int, ...]:
 
 
 def check_blocks(name: str, blocks: np.ndarray) -> None:
-    """Reject negative block numbers: a negative block would index out of
-    bounds through ``block % modulus`` and match invalid frames (tag -1).
-    Blocks are int64, so every one is below ``2**63``."""
+    """Reject negative int64 page or block numbers."""
     if blocks.size and int(blocks.min()) < 0:
         raise ValueError(f"{name} must be non-negative")
 
 
-def _inputs(blocks, writes) -> Tuple[int, int, int]:
-    (n,) = _shape(blocks, 1)
-    block_ptr = _pointer("blocks", blocks, np.int64, (n,), writable=False)
-    check_blocks("blocks", blocks)
-    return (n, block_ptr,
+def check_shift(name: str, addresses: np.ndarray, shift) -> int:
+    """``shift`` as an int, after rejecting a block shift outside ``[0,
+    63]`` and an address at or past ``2**63`` under shift 0: the kernels
+    shift uint64 addresses to int64 blocks, and a negative block would
+    index out of bounds through ``block % modulus`` and match invalid
+    frames (tag -1)."""
+    if (not isinstance(shift, (int, np.integer)) or isinstance(shift, bool)
+            or not 0 <= shift <= 63):
+        raise ValueError(f"{name} shift must be an integer in [0, 63]")
+    if shift == 0 and addresses.size and int(addresses.max()) >= 2**63:
+        raise ValueError(f"{name} addresses must be below 2**63 at shift 0")
+    return int(shift)
+
+
+def _inputs(addresses, writes, shift) -> Tuple[int, int, int, int]:
+    (n,) = _shape(addresses, 1)
+    address_ptr = _pointer("addresses", addresses, np.uint64, (n,),
+                           writable=False)
+    return (n, address_ptr, check_shift("block", addresses, shift),
             _pointer("writes", writes, np.uint8, (n,), writable=False))
 
 
@@ -468,14 +482,17 @@ def set_assoc_path(num_sets: int) -> str:
     return "fully-assoc" if num_sets == 1 else "set-assoc"
 
 
-def run_set_assoc(blocks: np.ndarray, writes: np.ndarray, *, place,
-                  write_back: bool, policy: str, tags: np.ndarray,
+def run_set_assoc(addresses: np.ndarray, writes: np.ndarray, *, shift: int,
+                  place, write_back: bool, policy: str, tags: np.ndarray,
                   dirty: np.ndarray, stamps: Optional[np.ndarray],
                   bits: Optional[np.ndarray], seed: int, io: np.ndarray):
     """Run one batch through a set-associative cache's state.
 
-    ``place`` is the cache's :class:`~repro.engine.index_vec.Placement`
-    (one function, or one per way); ``tags``/``dirty``/``stamps`` are
+    Access ``i`` is block ``addresses[i] >> shift`` (uint64 byte
+    addresses, ``shift`` the log2 of the block size), a store where
+    ``writes[i]`` (uint8).  ``place`` is the cache's
+    :class:`~repro.engine.index_vec.Placement` (one function, or one per
+    way); ``tags``/``dirty``/``stamps`` are
     ``ways x num_sets`` (``stamps`` unused by ``random``), ``bits`` the
     ``num_sets x tree`` PLRU table (PLRU only), ``io`` holds ``[clock,
     random draws]`` and is updated.  The cache's :func:`set_assoc_path`
@@ -483,7 +500,7 @@ def run_set_assoc(blocks: np.ndarray, writes: np.ndarray, *, place,
     ``(hits, counts)``.
     """
     library = _library()
-    n, block_ptr, write_ptr = _inputs(blocks, writes)
+    n, address_ptr, shift, write_ptr = _inputs(addresses, writes, shift)
     level, counts = _checked_level(
         "", place=place, write_back=write_back, policy=policy, tags=tags,
         dirty=dirty, stamps=stamps, bits=bits, seed=seed, io=io)
@@ -491,28 +508,28 @@ def run_set_assoc(blocks: np.ndarray, writes: np.ndarray, *, place,
               if set_assoc_path(level.num_sets) == "fully-assoc"
               else library.repro_sa_run)
     hits = np.empty(n, dtype=np.uint8)
-    if kernel(n, block_ptr, write_ptr, ctypes.byref(level),
+    if kernel(n, address_ptr, shift, write_ptr, ctypes.byref(level),
               hits.ctypes.data) != 0:
         raise MemoryError("compiled cache kernel could not allocate scratch")
     return hits.view(bool), counts
 
 
-def run_victim(blocks: np.ndarray, writes: np.ndarray, *, place,
-               policy: str, tags: np.ndarray, dirty: np.ndarray,
+def run_victim(addresses: np.ndarray, writes: np.ndarray, *, shift: int,
+               place, policy: str, tags: np.ndarray, dirty: np.ndarray,
                stamps: Optional[np.ndarray], bits: Optional[np.ndarray],
                seed: int, vtags: np.ndarray, vdirty: np.ndarray,
                vstamps: Optional[np.ndarray], vbits: Optional[np.ndarray],
                vseed: int, io: np.ndarray):
     """Run one batch through a victim cache's main cache and buffer.
 
-    Main-cache placement and tables as in :func:`run_set_assoc`; the
-    buffer's ``vtags``/
+    Accesses, main-cache placement and tables as in
+    :func:`run_set_assoc`; the buffer's ``vtags``/
     ``vdirty`` hold one entry each, ``vstamps`` is ``entries x 1`` and
     ``vbits`` ``1 x tree``.  ``io`` holds ``[main clock, buffer clock, main
     draws, buffer draws]``; the family counters are main and buffer hits.
     """
     library = _library()
-    n, block_ptr, write_ptr = _inputs(blocks, writes)
+    n, address_ptr, shift, write_ptr = _inputs(addresses, writes, shift)
     ways, num_sets = _shape(tags, 2)
     (entries,) = _shape(vtags, 1)
     if ways < 1 or num_sets < 1 or entries < 1:
@@ -528,25 +545,25 @@ def run_victim(blocks: np.ndarray, writes: np.ndarray, *, place,
     io_ptr = _pointer("io", io, np.int64, (4,))
     placement = _checked_placement("", place, (1, ways), num_sets)
     return _call(
-        library.repro_victim_run, n, n, block_ptr, write_ptr,
+        library.repro_victim_run, n, n, address_ptr, shift, write_ptr,
         ctypes.byref(placement), ways,
         num_sets, POLICY_CODES[policy], tag_ptr, dirty_ptr, stamp_ptr,
         bit_ptr, seed & (2**64 - 1), entries, vtag_ptr, vdirty_ptr,
         vstamp_ptr, vbit_ptr, vseed & (2**64 - 1), io_ptr)
 
 
-def run_column(blocks: np.ndarray, writes: np.ndarray, *, place,
-               swap: bool, tags: np.ndarray, dirty: np.ndarray,
+def run_column(addresses: np.ndarray, writes: np.ndarray, *, shift: int,
+               place, swap: bool, tags: np.ndarray, dirty: np.ndarray,
                sec_of: np.ndarray):
     """Run one batch through a column-associative cache's frames.
 
-    ``place`` holds two functions over the frames, the primary index then
-    the secondary; ``sec_of[f]`` is the secondary index of the block in
-    frame ``f``.  The family counters are first-probe hits, second-probe
-    hits and probes.
+    Accesses as in :func:`run_set_assoc`; ``place`` holds two functions
+    over the frames, the primary index then the secondary; ``sec_of[f]`` is
+    the secondary index of the block in frame ``f``.  The family counters
+    are first-probe hits, second-probe hits and probes.
     """
     library = _library()
-    n, block_ptr, write_ptr = _inputs(blocks, writes)
+    n, address_ptr, shift, write_ptr = _inputs(addresses, writes, shift)
     (frames,) = _shape(tags, 1)
     if frames < 1:
         raise ValueError("tags must be a non-empty frame table")
@@ -555,33 +572,35 @@ def run_column(blocks: np.ndarray, writes: np.ndarray, *, place,
     sec_ptr = _index_pointer("sec_of", sec_of, frames, frames, writable=True)
     placement = _checked_placement("", place, (2,), frames)
     return _call(
-        library.repro_column_run, n, n, block_ptr, write_ptr,
+        library.repro_column_run, n, n, address_ptr, shift, write_ptr,
         ctypes.byref(placement), int(swap), tag_ptr, dirty_ptr, sec_ptr)
 
 
-def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
-                  lines: np.ndarray, writes: np.ndarray, *, ratio: int,
+def run_hierarchy(l1_addresses: np.ndarray, l2_addresses: np.ndarray,
+                  writes: np.ndarray, *, l1_shift: int, l2_shift: int,
                   inclusive: bool, l1: dict, l2: dict, l1_line: np.ndarray):
     """Run one batch through a two-level hierarchy with back-invalidation.
 
     ``l1``/``l2`` hold each level's :func:`run_set_assoc` placement and
-    state, for ``l1_blocks``/``l2_blocks``.  ``lines`` are the accesses'
-    downstream lines, ``ratio`` per L2 block (``lines // ratio ==
-    l2_blocks``); ``l1_line`` holds the line in each L1 frame (``-1`` for
-    none) and is kept current.  The loop finds a line's L1 frame through a
-    hash over ``l1_line`` and an evicted L2 block's lines from its tag, so
-    lines need no compaction.  Returns ``(l1_hits, l2_hits, l1_counts,
-    l2_counts, events)`` with the :data:`NUM_EVENTS` hierarchy counters.
+    state.  Access ``i`` is block ``l1_addresses[i] >> l1_shift`` in L1 and
+    ``l2_addresses[i] >> l2_shift`` in L2 (``l2_shift >= l1_shift``); its
+    downstream line is ``l2_addresses[i] >> l1_shift``, so an L2 block
+    holds ``2**(l2_shift - l1_shift)`` lines.  ``l1_line`` holds the line
+    in each L1 frame (``-1`` for none) and is kept current.  The loop
+    finds a line's L1 frame through a hash over ``l1_line`` and an evicted
+    L2 block's lines from its tag, so lines need no compaction.  Returns
+    ``(l1_hits, l2_hits, l1_counts, l2_counts, events)`` with the
+    :data:`NUM_EVENTS` hierarchy counters.
     """
     library = _library()
-    n, block_ptr, write_ptr = _inputs(l1_blocks, writes)
-    if ratio < 1:
-        raise ValueError("ratio must be positive")
-    l2_block_ptr = _pointer("L2 blocks", l2_blocks, np.int64, (n,),
-                            writable=False)
-    check_blocks("L2 blocks", l2_blocks)
-    line_ptr = _pointer("lines", lines, np.int64, (n,), writable=False)
-    check_blocks("lines", lines)
+    n, l1_address_ptr, l1_shift, write_ptr = _inputs(l1_addresses, writes,
+                                                     l1_shift)
+    l2_address_ptr = _pointer("L2 addresses", l2_addresses, np.uint64, (n,),
+                              writable=False)
+    l2_shift = check_shift("L2 block", l2_addresses, l2_shift)
+    if l2_shift < l1_shift:
+        raise ValueError("the L2 block shift must not be below the L1's")
+    check_shift("line", l2_addresses, l1_shift)
     l1_level, l1_counts = _checked_level("L1 ", **l1)
     l2_level, l2_counts = _checked_level("L2 ", **l2)
     l1_line_ptr = _index_pointer("l1_line", l1_line,
@@ -591,10 +610,10 @@ def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
     l2_hits = np.empty(n, dtype=np.uint8)
     events = np.zeros(NUM_EVENTS, dtype=np.int64)
     if library.repro_hier_run(
-            n, block_ptr, l2_block_ptr, line_ptr, write_ptr, int(ratio),
-            int(inclusive), ctypes.byref(l1_level), ctypes.byref(l2_level),
-            l1_line_ptr, l1_hits.ctypes.data, l2_hits.ctypes.data,
-            events.ctypes.data) != 0:
+            n, l1_address_ptr, l2_address_ptr, write_ptr, l1_shift,
+            l2_shift, int(inclusive), ctypes.byref(l1_level),
+            ctypes.byref(l2_level), l1_line_ptr, l1_hits.ctypes.data,
+            l2_hits.ctypes.data, events.ctypes.data) != 0:
         raise MemoryError("compiled cache kernel could not allocate scratch")
     return (l1_hits.view(bool), l2_hits.view(bool), l1_counts, l2_counts,
             events)

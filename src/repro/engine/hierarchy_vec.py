@@ -7,13 +7,15 @@ of Sections 3.2/3.3 of the paper).  Both run one trace-order loop over the
 two levels' array state — ``run_hierarchy`` of :mod:`repro.engine.ckernels`,
 or of its Python mirror :mod:`repro.engine.pykernels` without a C
 compiler — that accesses each level through the set-associative kernel's
-per-access body.  A run hands the loop the accesses' raw block and line
-numbers and one array, the line each L1 frame holds, derived from L1's
-tags; the loop keys its line -> L1 frame map by line number (a hash over
-the L1 frames in C, a ``dict`` in Python) and reads an evicted L2 block
-from the tag its fill replaced, so nothing is compacted or kept between
-runs.  A line is the L1 block (two-level) or the physical line behind the
-virtually-tagged L1 line (virtual-real, ratio 1).  The scalar
+per-access body.  A run hands the loop an L1 and an L2 address array with
+each level's block shift, and one array, the line each L1 frame holds,
+derived from L1's tags; the loop shifts the addresses to blocks and lines
+itself, keys its line -> L1 frame map by line number (a hash over the L1
+frames in C, a ``dict`` in Python) and reads an evicted L2 block from the
+tag its fill replaced, so nothing is compacted or kept between runs.  A
+line is the L1 block (two-level: the batch's addresses at both levels) or
+the physical line behind the virtually-tagged L1 line (virtual-real: the
+virtual addresses at L1, their translations at L2, one shift).  The scalar
 virtual-real model's pointer maps are not kept: they always equal
 {resident L1 line -> its translation}, since a page mapping never changes
 once made and at most one alias of a line is resident at a time.
@@ -30,7 +32,6 @@ from ..memory.paging import TLB, PageTable
 from . import ckernels, pykernels
 from .batch import AddressBatch
 from .batch_cache import BatchSetAssociativeCache
-from .memo import cached_block_numbers
 from .translate_vec import batch_page_frames, run_tlb_kernel
 
 __all__ = [
@@ -68,7 +69,6 @@ class _BatchHierarchy:
     loop (:meth:`_run`).  Each twin checks its block sizes in
     ``_check_blocks(l1_block, l2_block)``."""
 
-    _ratio = 1
     _enforce_inclusion = True
 
     def __init__(self, l1: BatchSetAssociativeCache,
@@ -95,19 +95,21 @@ class _BatchHierarchy:
         return ("compiled-hierarchy" if ckernels.available()
                 else "hierarchy-loop")
 
-    def _run(self, l1_blocks: np.ndarray, l2_blocks: np.ndarray,
-             lines: np.ndarray, writes: np.ndarray,
+    def _run(self, l1_addresses: np.ndarray, l2_addresses: np.ndarray,
+             writes: np.ndarray,
              resident_lines: Callable[[np.ndarray], np.ndarray]):
-        """One batch through both levels in trace order.  ``lines //
-        _ratio == l2_blocks``; ``resident_lines`` maps L1 tags to a fresh
-        array of lines (``-1`` for none).  Returns the result,
+        """One batch through both levels in trace order: L1 looks up the
+        blocks of ``l1_addresses``, L2 those of ``l2_addresses``, whose
+        lines are the L1-sized blocks; ``resident_lines`` maps L1 tags to
+        a fresh array of lines (``-1`` for none).  Returns the result,
         back-invalidations and alias invalidations."""
         l1, l2 = self.l1, self.l2
         s1, s2 = l1._kernel_state(), l2._kernel_state()
         kernels = ckernels if ckernels.available() else pykernels
         l1_hits, l2_hits, counts1, counts2, events = kernels.run_hierarchy(
-            l1_blocks, l2_blocks, lines,
-            np.ascontiguousarray(writes).view(np.uint8), ratio=self._ratio,
+            l1_addresses, l2_addresses,
+            np.ascontiguousarray(writes).view(np.uint8),
+            l1_shift=l1.block_shift, l2_shift=l2.block_shift,
             inclusive=self._enforce_inclusion, l1=s1, l2=s2,
             l1_line=resident_lines(s1["tags"].reshape(-1)))
         l1._kernel_done(s1["io"], counts1)
@@ -163,10 +165,9 @@ class BatchTwoLevelHierarchy(_BatchHierarchy):
 
     def run(self, batch: AddressBatch) -> HierarchyBatchResult:
         """Simulate a whole batch; state carries over to the next call."""
-        blocks = cached_block_numbers(batch, self.l1.block_size)
-        result, back, _aliases = self._run(
-            blocks, cached_block_numbers(batch, self.l2.block_size), blocks,
-            batch.is_write, np.copy)
+        addresses = np.ascontiguousarray(batch.addresses)
+        result, back, _aliases = self._run(addresses, addresses,
+                                           batch.is_write, np.copy)
         self.back_invalidations += back
         return result
 
@@ -239,19 +240,18 @@ class BatchVirtualRealHierarchy(_BatchHierarchy):
 
     def run(self, batch: AddressBatch) -> HierarchyBatchResult:
         """Simulate a whole batch of virtual addresses."""
-        # AddressBatch stores uint64; mixing with the int64 translation
-        # arrays would promote to float64, so cast once up front (batches
-        # validate addresses < 2**63).
-        addr = batch.addresses.astype(np.int64)
-        vpns, frames = batch_page_frames(self._page_table, addr)
+        addresses = np.ascontiguousarray(batch.addresses)
+        vpns, frames = batch_page_frames(self._page_table, addresses)
         if self._tlb is not None:
             run_tlb_kernel(self._tlb, vpns, frames)
+        # Page sizes are powers of two: a frame's base is a shift and the
+        # offset a mask (frames are non-negative, so the view is exact).
         page = self._page_table.page_size
-        phys_blocks = (frames * page + (addr - vpns * page)) // \
-            self.l1.block_size
+        physical = ((frames.view(np.uint64)
+                     << np.uint64(page.bit_length() - 1))
+                    | (addresses & np.uint64(page - 1)))
         result, _back, aliases = self._run(
-            cached_block_numbers(batch, self.l1.block_size), phys_blocks,
-            phys_blocks, batch.is_write, self._physical_lines)
+            addresses, physical, batch.is_write, self._physical_lines)
         self.alias_invalidations += aliases
         return result
 

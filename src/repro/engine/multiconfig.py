@@ -62,7 +62,6 @@ from ..cache.set_assoc import WritePolicy
 from . import ckernels
 from .batch import AddressBatch
 from .batch_cache import BatchSetAssociativeCache
-from .memo import cached_block_numbers
 
 __all__ = [
     "PROFILE_MODES",
@@ -74,6 +73,7 @@ __all__ = [
     "MultiConfigPlan",
     "run_lru_grid",
     "profile_cache_info",
+    "memo_info",
 ]
 
 #: Valid values of every experiment's ``profile`` parameter.  ``"auto"``
@@ -463,7 +463,7 @@ class MultiConfigLRUProfile:
             raise ValueError(f"unknown write policy {write_policy!r}")
         self._block_size = block_size
         self._mode = _store_mode(batch.has_stores, write_policy)
-        blocks_l = cached_block_numbers(batch, block_size).tolist()
+        blocks_l = batch.block_numbers(block_size).tolist()
         writes_l = (None if self._mode == "loads"
                     else batch.is_write.tolist())
         self._levels: Dict[int, _LevelProfile] = {}
@@ -626,7 +626,7 @@ class MultiConfigFIFOProfile:
             raise ValueError(f"unknown write policy {write_policy!r}")
         self._block_size = block_size
         self._mode = _store_mode(batch.has_stores, write_policy)
-        blocks = cached_block_numbers(batch, block_size)
+        blocks = batch.block_numbers(block_size)
         self._stores = int(batch.store_count)
         self._loads = int(blocks.shape[0]) - self._stores
         self._level_caps = _checked_level_caps(level_caps)
@@ -904,3 +904,13 @@ def profile_cache_info() -> Dict[str, int]:
     """
     return dict.fromkeys(("entries", "hits", "misses", "evictions",
                           "bypasses", "limit", "byte_limit", "nbytes"), 0)
+
+
+def memo_info() -> Dict[str, Dict[str, int]]:
+    """Counters of the retired derived-array memos: there are none.
+
+    The kernels shift addresses to blocks themselves, so nothing derived
+    from a trace is memoised; the function stays because
+    ``perfbench/rep.py`` and ``perfbench/tracing.py`` read it.
+    """
+    return {}

@@ -14,13 +14,14 @@ compiled O(1) path of one-set caches, has no twin here: it writes what
 one-set caches too and stays the oracle both compiled paths are tested
 against.
 
-Each kernel checks the state arrays out as flat lists (frame ``way *
-num_sets + set``, as the C kernels index them), computes every access's
-candidate sets from the cache's placement at entry
-(:meth:`~repro.engine.index_vec.Placement.sets`, the C kernels' evaluation
-in NumPy), runs the batch over them and writes them back at the end.
-Blocks must be non-negative, as in C; other arguments are not validated:
-the callers build them from their own state.
+Each kernel shifts the batch's addresses to blocks, checks the state
+arrays out as flat lists (frame ``way * num_sets + set``, as the C kernels
+index them), computes every access's candidate sets from the cache's
+placement at entry (:meth:`~repro.engine.index_vec.Placement.sets`, the C
+kernels' evaluation in NumPy), runs the batch over them and writes them
+back at the end.  Shifts and addresses are checked as in C
+(:func:`~repro.engine.ckernels.check_shift`); other arguments are not
+validated: the callers build them from their own state.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..cache.replacement import plru_touch, plru_victim, splitmix64
-from .ckernels import NUM_COUNTS, check_blocks
+from .ckernels import NUM_COUNTS, check_shift
 
 __all__ = ["run_set_assoc", "run_victim", "run_column", "run_hierarchy"]
 
@@ -38,12 +39,17 @@ __all__ = ["run_set_assoc", "run_victim", "run_column", "run_hierarchy"]
 _EVICTIONS, _WRITEBACKS, _EXTRA0, _EXTRA1, _EXTRA2 = 4, 5, 6, 7, 8
 
 
+def _blocks(name: str, addresses: np.ndarray, shift: int) -> np.ndarray:
+    """Each address's block, ``addresses >> shift``, as int64."""
+    shift = check_shift(name, addresses, shift)
+    return (addresses >> np.uint64(shift)).view(np.int64)
+
+
 def _probes(place, blocks: np.ndarray, ways: int, num_sets: int):
     """``(set indices, frame offset)`` per way for ``blocks``: set ``s`` of
     way ``w`` is frame ``w * num_sets + s``.  Every way of a conventional
     cache shares its one function's list, so a wide cache costs one list
     per batch, not one per way."""
-    check_blocks("blocks", blocks)
     lists = [sets.tolist() for sets in place.sets(blocks)]
     return [(lists[way if len(lists) > 1 else 0], way * num_sets)
             for way in range(ways)]
@@ -169,12 +175,13 @@ def _level(blocks: np.ndarray, *, place, write_back: bool, policy: str,
     return access, close, tag_l, dirty_l
 
 
-def run_set_assoc(blocks: np.ndarray, writes: np.ndarray, *, place,
-                  write_back: bool, policy: str, tags: np.ndarray,
+def run_set_assoc(addresses: np.ndarray, writes: np.ndarray, *, shift: int,
+                  place, write_back: bool, policy: str, tags: np.ndarray,
                   dirty: np.ndarray, stamps: Optional[np.ndarray],
                   bits: Optional[np.ndarray], seed: int, io: np.ndarray):
     """:func:`repro.engine.ckernels.run_set_assoc` in Python
     (``repro_sa_run``)."""
+    blocks = _blocks("block", addresses, shift)
     access, close, _tags, _dirty = _level(
         blocks, place=place, write_back=write_back, policy=policy, tags=tags,
         dirty=dirty, stamps=stamps, bits=bits, seed=seed, io=io)
@@ -183,14 +190,15 @@ def run_set_assoc(blocks: np.ndarray, writes: np.ndarray, *, place,
     return np.array(hits, dtype=bool), close()
 
 
-def run_victim(blocks: np.ndarray, writes: np.ndarray, *, place,
-               policy: str, tags: np.ndarray, dirty: np.ndarray,
+def run_victim(addresses: np.ndarray, writes: np.ndarray, *, shift: int,
+               place, policy: str, tags: np.ndarray, dirty: np.ndarray,
                stamps: Optional[np.ndarray], bits: Optional[np.ndarray],
                seed: int, vtags: np.ndarray, vdirty: np.ndarray,
                vstamps: Optional[np.ndarray], vbits: Optional[np.ndarray],
                vseed: int, io: np.ndarray):
     """:func:`repro.engine.ckernels.run_victim` in Python
     (``repro_victim_run``)."""
+    blocks = _blocks("block", addresses, shift)
     ways, num_sets = tags.shape
     entries = vtags.shape[0]
     probes = _probes(place, blocks, ways, num_sets)
@@ -272,12 +280,12 @@ def run_victim(blocks: np.ndarray, writes: np.ndarray, *, place,
     return np.array(hits, dtype=bool), np.array(counts, dtype=np.int64)
 
 
-def run_column(blocks: np.ndarray, writes: np.ndarray, *, place,
-               swap: bool, tags: np.ndarray, dirty: np.ndarray,
+def run_column(addresses: np.ndarray, writes: np.ndarray, *, shift: int,
+               place, swap: bool, tags: np.ndarray, dirty: np.ndarray,
                sec_of: np.ndarray):
     """:func:`repro.engine.ckernels.run_column` in Python
     (``repro_column_run``)."""
-    check_blocks("blocks", blocks)
+    blocks = _blocks("block", addresses, shift)
     primary, secondary = place.sets(blocks)
     tag_l = tags.tolist()
     dirty_l = dirty.tolist()
@@ -332,13 +340,18 @@ def run_column(blocks: np.ndarray, writes: np.ndarray, *, place,
     return np.array(hits, dtype=bool), np.array(counts, dtype=np.int64)
 
 
-def run_hierarchy(l1_blocks: np.ndarray, l2_blocks: np.ndarray,
-                  lines: np.ndarray, writes: np.ndarray, *, ratio: int,
+def run_hierarchy(l1_addresses: np.ndarray, l2_addresses: np.ndarray,
+                  writes: np.ndarray, *, l1_shift: int, l2_shift: int,
                   inclusive: bool, l1: dict, l2: dict, l1_line: np.ndarray):
     """:func:`repro.engine.ckernels.run_hierarchy` in Python
     (``repro_hier_run``), its line map a ``dict``; ``l1_line`` is read,
     not written back, since the caller drops it."""
-    check_blocks("lines", lines)
+    l1_blocks = _blocks("block", l1_addresses, l1_shift)
+    l2_blocks = _blocks("L2 block", l2_addresses, l2_shift)
+    if l2_shift < l1_shift:
+        raise ValueError("the L2 block shift must not be below the L1's")
+    lines = _blocks("line", l2_addresses, l1_shift)
+    ratio = 1 << (l2_shift - l1_shift)
     access1, close1, tags1, dirty1 = _level(l1_blocks, **l1)
     access2, close2, _tags2, _dirty2 = _level(l2_blocks, **l2)
     line_of = l1_line.tolist()

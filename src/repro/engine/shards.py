@@ -43,7 +43,6 @@ import numpy as np
 from ..cache.replacement import splitmix64
 from ..cache.set_assoc import WritePolicy
 from .batch import AddressBatch
-from .memo import cached_block_numbers
 from .multiconfig import (
     ProfileCounts,
     _checked_level_caps,
@@ -170,7 +169,7 @@ class SampledMultiConfigLRUProfile:
         self._block_size = block_size
         self._mode = _store_mode(batch.has_stores, write_policy)
         self._rate = _effective_rate(rate, sample_size, len(batch))
-        blocks = cached_block_numbers(batch, block_size)
+        blocks = batch.block_numbers(block_size)
         self._stores = int(batch.store_count)
         self._loads = int(blocks.shape[0]) - self._stores
         hashes = hash_blocks(blocks, self._seed)

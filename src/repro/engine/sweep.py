@@ -6,10 +6,10 @@ applies a worker to every task and returns the results in task order:
 
 * **serially**, in-process, when ``workers`` is ``None``, ``0`` or ``1``;
 * otherwise on one ``ProcessPoolExecutor`` of ``workers`` processes, fed
-  ordered chunks of about a quarter of a worker's share of the tasks, so a
-  worker reuses its process-global trace cache
-  (:mod:`repro.trace.batching`) and derived-array memo
-  (:mod:`repro.engine.memo`) across the related tasks of its chunk.
+  ordered chunks of about a quarter of a worker's share of the tasks, so
+  tiny tasks are not dominated by dispatch.  Each task materialises its own
+  trace; nothing derived from it outlives the task but the one-entry trace
+  cache of :mod:`repro.trace.batching`.
 
 A failing task either stops the sweep (``on_error="raise"``: its own
 exception propagates and chunks not yet started are cancelled) or takes a

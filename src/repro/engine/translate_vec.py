@@ -41,7 +41,12 @@ __all__ = ["batch_page_frames", "run_tlb_kernel"]
 def _address_array(addresses: Union[AddressBatch, np.ndarray]) -> np.ndarray:
     if isinstance(addresses, AddressBatch):
         addresses = addresses.addresses
-    return np.asarray(addresses).astype(np.int64, copy=False)
+    addresses = np.asarray(addresses)
+    if addresses.dtype == np.uint64:
+        # A view, not a copy: it wraps an address past 2**63 as a cast
+        # would (a batch holds none).
+        return addresses.view(np.int64)
+    return addresses.astype(np.int64, copy=False)
 
 
 def batch_page_frames(page_table: PageTable,

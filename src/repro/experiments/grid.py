@@ -42,7 +42,7 @@ from ..engine import (
     SweepOptions,
     check_engine,
 )
-from ..trace.batching import cached_strided_arrays, cached_workload_arrays
+from ..trace.batching import cached_workload_arrays, strided_vector_arrays
 from ..trace.generators import strided_vector
 from ..trace.workloads import build_trace, workload_names
 from .config import InputError, OrganisationSpec
@@ -96,7 +96,7 @@ class StrideTrace:
                     f"{name} must be >= 1, got {getattr(self, name)}")
 
     def batch(self) -> AddressBatch:
-        return AddressBatch.from_arrays(*cached_strided_arrays(
+        return AddressBatch.from_arrays(*strided_vector_arrays(
             self.stride, elements=self.elements,
             element_size=self.element_size, sweeps=self.sweeps))
 

@@ -30,13 +30,12 @@ from ..cache.virtual_real import VirtualRealHierarchy
 from ..engine import (
     ENGINE_REFERENCE,
     ENGINE_VECTORIZED,
-    AddressBatch,
     BatchVirtualRealHierarchy,
     check_engine,
 )
 from ..memory.paging import PageTable
 from ..models.holes import HoleModel
-from ..trace.workloads import workload_arrays, workload_names
+from ..trace.workloads import workload_names
 from .config import CacheGeometry, OrganisationSpec
 from .grid import ProgramTrace
 
@@ -100,8 +99,8 @@ def run_holes_study(l2_sizes: Sequence[int] = (256 * 1024, 1024 * 1024),
     Both levels are :class:`~repro.experiments.config.OrganisationSpec`
     rows built for the chosen engine.  ``engine="vectorized"`` builds batch
     caches and runs each program's columnar trace
-    (:func:`~repro.trace.workloads.workload_arrays`, synthesised once per
-    program) through
+    (:meth:`~repro.experiments.grid.ProgramTrace.batch`, synthesised once
+    per program) through
     :class:`~repro.engine.hierarchy_vec.BatchVirtualRealHierarchy` —
     batched translation, then both levels in one trace-order loop —
     instead of the per-access scalar protocol; no scalar cache and no
@@ -131,9 +130,7 @@ def run_holes_study(l2_sizes: Sequence[int] = (256 * 1024, 1024 * 1024),
         # The vectorized engine synthesises each program once, as columns,
         # and replays that one batch at every L2 size (nothing in the engine
         # writes into a batch's arrays).
-        batch = (AddressBatch.from_arrays(*workload_arrays(
-            source.name, length=source.length, seed=source.seed))
-            if engine == ENGINE_VECTORIZED else None)
+        batch = source.batch() if engine == ENGINE_VECTORIZED else None
         for size, l2_spec in zip(l2_sizes, l2_specs):
             page_table = PageTable(page_size=page_size, allocation="scatter",
                                    seed=seed)

@@ -12,30 +12,23 @@ synthetic programs, :func:`strided_vector_arrays` Figure 1's vectors.
 Array builders are bit-exact with their generator counterparts (asserted in
 ``tests/test_engine_equivalence.py`` and ``tests/test_trace_workloads.py``).
 
-Sweep-wide trace memoisation
-----------------------------
+The trace cache
+---------------
 
-A sweep replays the same few traces against many configurations: the
-replacement study drives one program trace through every (organisation,
-policy) pair, the miss-ratio study through seven organisations, Figure 1
-through four schemes per stride.  Re-materialising the trace per task is the
-single largest fixed cost of small tasks, so :func:`cached_workload_arrays`
-and :func:`cached_strided_arrays` keep a process-global, size-bounded cache
-keyed by the trace's defining parameters (workload name / stride shape,
-length, seed).  Every worker process of a fan-out sweep holds its own cache,
-so a worker materialises a given trace once per sweep instead of once per
-task.  Cached arrays are returned read-only and with stable identity — which
-is what lets :mod:`repro.engine.memo` additionally share the *derived*
-block-number arrays across tasks.
+:func:`cached_workload_arrays` keeps the last workload trace it built and
+hands the same read-only arrays to a repeat of that call.  It holds one
+entry: each sweep task owns one trace source, so a larger cache only kept
+finished tasks' traces alive.  Nothing downstream keys on the arrays'
+identity; the batch kernels shift addresses to blocks themselves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Tuple
+import functools
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from ..core.memo_util import BoundedMemo
 from .record import MemoryAccess
 from .workloads import workload_arrays
 
@@ -44,10 +37,8 @@ __all__ = [
     "strided_vector_arrays",
     "workload_arrays",
     "cached_workload_arrays",
-    "cached_strided_arrays",
     "trace_cache_info",
     "trace_cache_clear",
-    "set_trace_cache_limit",
 ]
 
 
@@ -109,73 +100,38 @@ def strided_vector_arrays(
 # process-global trace cache
 # --------------------------------------------------------------------- #
 
-_TraceArrays = Tuple[np.ndarray, np.ndarray]
-
-#: The process-global trace cache.  40 entries comfortably hold a full
-#: workload suite (18 programs) plus strided traces; the byte bound keeps a
-#: large-``accesses`` study from pinning gigabytes of dead trace arrays in
-#: every worker process for its lifetime (traces bigger than half the
-#: budget are returned uncached — at that size simulation, not
-#: materialisation, dominates the task anyway).  Lock-guarded inside
-#: :class:`BoundedMemo` because the threads of one process share it.
-_TRACE_CACHE = BoundedMemo(
-    40, 256 * 1024 * 1024,
-    nbytes_of=lambda entry: entry[0].nbytes + entry[1].nbytes)
-
-
-def _trace_cache_get(key: tuple,
-                     build: Callable[[], _TraceArrays]) -> _TraceArrays:
-    def build_frozen() -> _TraceArrays:
-        addresses, writes = build()
-        # Shared arrays must be immutable: a task scribbling on its "own"
-        # trace would silently corrupt every later task's input (and the
-        # engine-side memo only trusts read-only arrays).
-        addresses.flags.writeable = False
-        writes.flags.writeable = False
-        return addresses, writes
-
-    return _TRACE_CACHE.get(key, build_frozen)
+@functools.lru_cache(maxsize=1)
+def _frozen_workload_arrays(name: str, length: int, block_size: int,
+                            seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    addresses, writes = workload_arrays(name, length=length,
+                                        block_size=block_size, seed=seed)
+    # Shared arrays must be immutable: a task scribbling on its "own"
+    # trace would silently corrupt the next task's input.
+    addresses.flags.writeable = False
+    writes.flags.writeable = False
+    return addresses, writes
 
 
 def cached_workload_arrays(name: str, length: int = 100_000,
                            block_size: int = 32,
-                           seed: int = 12345) -> _TraceArrays:
+                           seed: int = 12345) -> Tuple[np.ndarray, np.ndarray]:
     """Materialised ``(addresses, is_write)`` of one synthetic workload.
 
-    :func:`workload_arrays` behind the trace cache: the first call per
-    process synthesises and caches, later calls return the identical
-    (read-only) arrays.
+    :func:`workload_arrays` behind the one-entry trace cache: a repeat of
+    the last call returns the identical read-only arrays, any other call
+    synthesises afresh and replaces the entry.
     """
-    key = ("workload", str(name), int(length), int(block_size), int(seed))
-    return _trace_cache_get(
-        key, lambda: workload_arrays(name, length=length,
-                                     block_size=block_size, seed=seed))
-
-
-def cached_strided_arrays(stride: int, elements: int = 64,
-                          element_size: int = 8, sweeps: int = 4,
-                          base: int = 0,
-                          is_write: bool = False) -> _TraceArrays:
-    """Cached counterpart of :func:`strided_vector_arrays` (same semantics)."""
-    key = ("strided", int(stride), int(elements), int(element_size),
-           int(sweeps), int(base), bool(is_write))
-    return _trace_cache_get(
-        key, lambda: strided_vector_arrays(stride, elements=elements,
-                                           element_size=element_size,
-                                           sweeps=sweeps, base=base,
-                                           is_write=is_write))
+    return _frozen_workload_arrays(str(name), int(length), int(block_size),
+                                   int(seed))
 
 
 def trace_cache_info() -> Dict[str, int]:
-    """Entry count, hit/miss counters and bounds of the trace cache."""
-    return _TRACE_CACHE.info()
+    """Entry count and hit/miss counters of the trace cache."""
+    info = _frozen_workload_arrays.cache_info()
+    return {"entries": info.currsize, "hits": info.hits,
+            "misses": info.misses}
 
 
 def trace_cache_clear() -> None:
-    """Drop every cached trace and zero the hit/miss counters."""
-    _TRACE_CACHE.clear()
-
-
-def set_trace_cache_limit(limit: int) -> int:
-    """Change the cache bound (evicting immediately); returns the old bound."""
-    return _TRACE_CACHE.set_limit(limit)
+    """Drop the cached trace and zero the hit/miss counters."""
+    _frozen_workload_arrays.cache_clear()

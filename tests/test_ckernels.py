@@ -400,9 +400,10 @@ def test_caches_pickle_and_resume(family, moment, kernel_path):
 
 
 def _set_assoc_args(n=8, ways=2, num_sets=4):
-    blocks = np.arange(n, dtype=np.int64)
+    """``n`` accesses to blocks ``0 .. n - 1`` at block shift 0."""
     return dict(
-        blocks=blocks, writes=np.zeros(n, dtype=np.uint8),
+        addresses=np.arange(n, dtype=np.uint64),
+        writes=np.zeros(n, dtype=np.uint8), shift=0,
         place=placement(BitSelectIndexing(num_sets), ways), write_back=True,
         policy="plru",
         tags=np.full((ways, num_sets), -1, dtype=np.int64),
@@ -419,11 +420,23 @@ def _place(moduli, images):
     return place
 
 
-BAD_ARGUMENTS = {
-    "int32 blocks": ("blocks", lambda a: a["blocks"].astype(np.int32)),
-    "strided blocks": ("blocks", lambda a: np.arange(16)[::2]),
-    "negative block": ("blocks", lambda a: a["blocks"] - 1),
+#: Address arguments every cache kernel rejects, as (key, mutation).
+BAD_ADDRESS_ARGUMENTS = {
+    "int64 addresses": ("addresses",
+                        lambda a: a["addresses"].astype(np.int64)),
+    "strided addresses": ("addresses",
+                          lambda a: np.arange(16, dtype=np.uint64)[::2]),
+    "short writes": ("writes", lambda a: a["writes"][:-1].copy()),
     "bool writes": ("writes", lambda a: a["writes"].astype(bool)),
+    "negative shift": ("shift", lambda a: -1),
+    "shift past 63": ("shift", lambda a: 64),
+    "float shift": ("shift", lambda a: 5.0),
+    "address 2**63 at shift 0": ("addresses", lambda a: a["addresses"]
+                                 | np.uint64(2**63)),
+}
+
+BAD_ARGUMENTS = {
+    **BAD_ADDRESS_ARGUMENTS,
     "images not a table": ("place", lambda a: _place(
         np.zeros(1, np.int64), np.array([1, 2], dtype=np.int64))),
     "image == num_sets": ("place", lambda a: _place(
@@ -464,6 +477,21 @@ def test_malformed_arguments_raise_before_the_call(case, compiled_tier):
         ckernels.run_set_assoc(**args)
 
 
+def test_addresses_past_2_63_run_at_a_positive_shift(kernel_path):
+    """Only shift 0 keeps an address at or past 2**63 a negative block:
+    at shift 1 it is block 2**62 and up, on both tiers."""
+    from repro.engine import pykernels
+
+    kernels = ckernels if ckernels.available() else pykernels
+    args = _set_assoc_args()
+    args.update(addresses=(args["addresses"] << np.uint64(1))
+                | np.uint64(2**63), shift=1)
+    hits, counts = kernels.run_set_assoc(**args)
+    assert not hits.any() and counts.tolist()[:3] == [8, 0, 8]
+    assert sorted(args["tags"].reshape(-1).tolist()) == [
+        2**62 + b for b in range(8)]
+
+
 def test_linear_images_bound_every_xor(compiled_tier):
     """Over a non-power-of-two table each image can be in range while an
     XOR of two is not: the OR of a function's images must be."""
@@ -479,9 +507,9 @@ def test_linear_images_bound_every_xor(compiled_tier):
 
 
 def _column_args(n=4, frames=8):
-    blocks = np.arange(n, dtype=np.int64)
     return dict(
-        blocks=blocks, writes=np.zeros(n, dtype=np.uint8),
+        addresses=np.arange(n, dtype=np.uint64),
+        writes=np.zeros(n, dtype=np.uint8), shift=0,
         place=Placement([way_function(BitSelectIndexing(frames), 0),
                          way_function(IPolyIndexing(frames), 0)]),
         swap=True, tags=np.full(frames, -1, dtype=np.int64),
@@ -495,7 +523,7 @@ BAD_COLUMN_ARGUMENTS = {
         [way_function(BitSelectIndexing(8), 0),
          way_function(BitSelectIndexing(16), 0)])),
     "no secondary": ("place", lambda a: placement(BitSelectIndexing(8), 1)),
-    "negative block": ("blocks", lambda a: a["blocks"] - 2),
+    **BAD_ADDRESS_ARGUMENTS,
 }
 
 
@@ -508,18 +536,47 @@ def test_malformed_column_arguments_raise(case, compiled_tier):
         ckernels.run_column(**args)
 
 
-def test_python_tier_rejects_negative_blocks():
-    """The Python kernels take blocks under the same rule as C."""
+def _victim_args(n=8, num_sets=4, entries=2):
+    return dict(
+        addresses=np.arange(n, dtype=np.uint64),
+        writes=np.zeros(n, dtype=np.uint8), shift=0,
+        place=placement(BitSelectIndexing(num_sets), 1), policy="lru",
+        tags=np.full((1, num_sets), -1, dtype=np.int64),
+        dirty=np.zeros((1, num_sets), dtype=np.uint8),
+        stamps=np.zeros((1, num_sets), dtype=np.int64), bits=None, seed=1,
+        vtags=np.full(entries, -1, dtype=np.int64),
+        vdirty=np.zeros(entries, dtype=np.uint8),
+        vstamps=np.zeros((entries, 1), dtype=np.int64), vbits=None, vseed=1,
+        io=np.zeros(4, dtype=np.int64))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ADDRESS_ARGUMENTS))
+def test_malformed_victim_addresses_raise(case, compiled_tier):
+    args = _victim_args()
+    key, mutate = BAD_ADDRESS_ARGUMENTS[case]
+    args[key] = mutate(args)
+    with pytest.raises(ValueError):
+        ckernels.run_victim(**args)
+
+
+def test_well_formed_victim_arguments_run(compiled_tier):
+    hits, counts = ckernels.run_victim(**_victim_args())
+    assert not hits.any() and counts.tolist()[:3] == [8, 0, 8]
+
+
+@pytest.mark.parametrize("case", ["negative shift", "shift past 63",
+                                  "address 2**63 at shift 0"])
+def test_python_tier_checks_shifts_like_c(case):
+    """The Python kernels take shifts and addresses under the rules of C,
+    so neither tier ever sees a negative block."""
     from repro.engine import pykernels
 
-    args = _set_assoc_args()
-    args["blocks"] = args["blocks"] - 1
-    with pytest.raises(ValueError, match="non-negative"):
-        pykernels.run_set_assoc(**args)
-    args = _column_args()
-    args["blocks"] = args["blocks"] - 2
-    with pytest.raises(ValueError, match="non-negative"):
-        pykernels.run_column(**args)
+    key, mutate = BAD_ADDRESS_ARGUMENTS[case]
+    for run, args in ((pykernels.run_set_assoc, _set_assoc_args()),
+                      (pykernels.run_column, _column_args())):
+        args[key] = mutate(args)
+        with pytest.raises(ValueError, match="shift"):
+            run(**args)
 
 
 def test_well_formed_arguments_run(compiled_tier):

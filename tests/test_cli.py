@@ -1,6 +1,9 @@
 """Tests for the experiment command-line interface."""
 
 import dataclasses
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -524,3 +527,46 @@ class TestVirtualRealExample:
                              "--json"]) == 0
         import json
         assert json.loads(capsys.readouterr().out)["l2_bytes"] == 64 * 1024
+
+
+#: Runs the CLI on its arguments and writes the process's own peak
+#: resident set (``VmHWM``, which starts afresh at exec, unlike
+#: ``ru_maxrss``, which inherits the parent's) to stderr at exit.
+PEAK_PROBE = textwrap.dedent("""
+    import atexit, sys
+
+    def report():
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    sys.stderr.write(line)
+
+    atexit.register(report)
+    from repro.experiments.cli import main
+    sys.exit(main(sys.argv[1:]))
+""")
+
+
+def _has_vmhwm():
+    try:
+        with open("/proc/self/status") as status:
+            return any(line.startswith("VmHWM:") for line in status)
+    except OSError:
+        return False
+
+
+@pytest.mark.slow
+def test_miss_ratio_at_a_million_accesses_peaks_under_128_mb(compiled_tier):
+    """Each program's trace dies with its task: ``miss-ratio`` over 18
+    programs of 1M accesses holds one trace at a time, not all 18."""
+    if not _has_vmhwm():
+        pytest.skip("no VmHWM in /proc/self/status")
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, "miss-ratio", "--accesses",
+         "1000000"], capture_output=True, text=True, timeout=1800)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [line for line in proc.stderr.splitlines()
+               if line.startswith("VmHWM:")]
+    peak_kb = int(line.split()[1])
+    assert peak_kb <= 128 * 1024, (
+        f"miss-ratio --accesses 1000000 peaked at {peak_kb / 1024:.1f} MB")

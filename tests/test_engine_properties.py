@@ -105,8 +105,8 @@ def _kernel_sets(kernels, place, blocks, ways, num_sets):
             tags = np.full((ways, num_sets), -1, dtype=np.int64)
             tags[:way] = block ^ 1
             kernels.run_set_assoc(
-                np.array([block], dtype=np.int64), np.zeros(1, np.uint8),
-                place=place, write_back=True, policy="lru", tags=tags,
+                np.array([block], dtype=np.uint64), np.zeros(1, np.uint8),
+                shift=0, place=place, write_back=True, policy="lru", tags=tags,
                 dirty=np.zeros((ways, num_sets), np.uint8),
                 stamps=np.zeros((ways, num_sets), np.int64), bits=None,
                 seed=0, io=np.zeros(2, np.int64))
@@ -158,10 +158,10 @@ def test_column_placement_matches_the_scalar_oracle(kernel_path, m, data):
     for block in blocks:
         tags = np.full(frames, -1, dtype=np.int64)
         sec_of = np.zeros(frames, dtype=np.int64)
-        kernels.run_column(np.array([block], dtype=np.int64),
-                           np.zeros(1, np.uint8), place=place, swap=True,
-                           tags=tags, dirty=np.zeros(frames, np.uint8),
-                           sec_of=sec_of)
+        kernels.run_column(np.array([block], dtype=np.uint64),
+                           np.zeros(1, np.uint8), shift=0, place=place,
+                           swap=True, tags=tags,
+                           dirty=np.zeros(frames, np.uint8), sec_of=sec_of)
         (frame,) = np.flatnonzero(tags == block)
         assert (frame, sec_of[frame]) == (first.index(block),
                                           second.index(block))

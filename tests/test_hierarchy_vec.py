@@ -455,8 +455,9 @@ def test_batch_tlb_matches_scalar_translator():
 # --------------------------------------------------------------------- #
 
 def _hierarchy_args():
-    """A two-access run over two 1 x 4 caches, L1 empty; the second line
-    is far past 2**40, where the loop keys its line map by raw number."""
+    """A two-access run over two 1 x 4 caches at block shift 0, L1 empty;
+    the second line is far past 2**40, where the loop keys its line map by
+    raw number."""
     n, num_sets = 2, 4
 
     def level():
@@ -466,22 +467,38 @@ def _hierarchy_args():
                     stamps=np.zeros((1, num_sets), np.int64), bits=None,
                     seed=0, io=np.zeros(2, np.int64))
 
-    blocks = np.array([0, 2**41 + 1], dtype=np.int64)
-    return dict(l1_blocks=blocks, l2_blocks=blocks, lines=blocks.copy(),
-                writes=np.zeros(n, np.uint8), ratio=1, inclusive=True,
-                l1=level(), l2=level(),
+    addresses = np.array([0, 2**41 + 1], dtype=np.uint64)
+    return dict(l1_addresses=addresses, l2_addresses=addresses.copy(),
+                writes=np.zeros(n, np.uint8), l1_shift=0, l2_shift=0,
+                inclusive=True, l1=level(), l2=level(),
                 l1_line=np.full(num_sets, -1, np.int64))
 
 
+#: An address at 2**63: a negative block or line at shift 0.
+_PAST_2_63 = np.uint64(2**63)
+
 BAD_HIERARCHY_ARGUMENTS = {
-    "negative line": ("lines", lambda a: a["lines"] - 1),
-    "short lines": ("lines", lambda a: a["lines"][:1].copy()),
+    "int64 L1 addresses": ("l1_addresses",
+                           lambda a: a["l1_addresses"].astype(np.int64)),
+    "int64 L2 addresses": ("l2_addresses",
+                           lambda a: a["l2_addresses"].astype(np.int64)),
+    "strided L1 addresses": ("l1_addresses",
+                             lambda a: np.zeros(4, np.uint64)[::2]),
+    "strided L2 addresses": ("l2_addresses",
+                             lambda a: np.zeros(4, np.uint64)[::2]),
+    "short L2 addresses": ("l2_addresses",
+                           lambda a: a["l2_addresses"][:1].copy()),
+    "short writes": ("writes", lambda a: a["writes"][:1].copy()),
+    "negative L1 shift": ("l1_shift", lambda a: -1),
+    "L2 shift past 63": ("l2_shift", lambda a: 64),
+    "L2 shift below the L1 shift": ("l1_shift", lambda a: 1),
+    "L1 address 2**63 at shift 0": ("l1_addresses",
+                                    lambda a: a["l1_addresses"] | _PAST_2_63),
+    "L2 address 2**63 at shift 0": ("l2_addresses",
+                                    lambda a: a["l2_addresses"] | _PAST_2_63),
     "l1_line below -1": ("l1_line", lambda a: np.full(4, -2, np.int64)),
     "short l1_line": ("l1_line", lambda a: np.full(3, -1, np.int64)),
     "read-only l1_line": ("l1_line", lambda a: _read_only(a["l1_line"])),
-    "ratio below 1": ("ratio", lambda a: 0),
-    "short L2 blocks": ("l2_blocks", lambda a: a["l2_blocks"][:1].copy()),
-    "negative L2 block": ("l2_blocks", lambda a: a["l2_blocks"] - 1),
     "L2 placement past its sets": ("l2", lambda a: {
         **a["l2"], "place": placement(BitSelectIndexing(8), 1)}),
 }
@@ -500,6 +517,34 @@ def test_malformed_hierarchy_arguments_raise(case, compiled_tier):
     args[key] = mutate(args)
     with pytest.raises(ValueError):
         ckernels.run_hierarchy(**args)
+
+
+@pytest.mark.parametrize("case", ["L2 shift below the L1 shift",
+                                  "L1 address 2**63 at shift 0",
+                                  "L2 address 2**63 at shift 0"])
+def test_python_loop_checks_shifts_like_c(case):
+    from repro.engine import pykernels
+
+    args = _hierarchy_args()
+    key, mutate = BAD_HIERARCHY_ARGUMENTS[case]
+    args[key] = mutate(args)
+    with pytest.raises(ValueError, match="shift"):
+        pykernels.run_hierarchy(**args)
+
+
+def test_l2_addresses_past_2_63_run_at_a_positive_l1_shift(kernel_path):
+    """The lines of L2 addresses past 2**63 stay non-negative at an L1
+    shift of 1: accepted, and found again on the warm second run."""
+    from repro.engine import pykernels
+
+    kernels = ckernels if ckernels.available() else pykernels
+    args = _hierarchy_args()
+    doubled = args["l1_addresses"] << np.uint64(1)
+    args.update(l1_addresses=doubled, l2_addresses=doubled | _PAST_2_63,
+                l1_shift=1, l2_shift=1)
+    for _ in range(2):
+        l1_hits, *_rest = kernels.run_hierarchy(**args)
+    assert l1_hits.all()
 
 
 def test_well_formed_hierarchy_arguments_run(compiled_tier):

@@ -1,16 +1,23 @@
-"""Sweep-wide memoisation: the trace cache, the block-number memo and the
-placement descriptors.
+"""What the engine keeps between runs: the one-entry trace cache and the
+placement descriptors, and nothing derived from a trace's addresses.
 
-Covers bit-exactness of the cached builders against their uncached
-counterparts, identity stability (the property the engine-side memo keys
-on), the LRU bounds, read-only protection of shared arrays, descriptors
-shared per ``cache_key``, and the end-to-end effect: repeated vectorized
-study runs hit the caches and still produce identical results.
+Covers the trace cache (bit-exact with its builder, one read-only entry,
+the counters ``perfbench`` reads), descriptors shared per ``cache_key``,
+block numbers derived afresh in one pass, and the property the deleted
+block-number memo could only approximate: a writable batch mutated in
+place between two runs is simulated as it now reads, by every batch cache
+and both hierarchies, on both kernel tiers.
 """
 
 import numpy as np
 import pytest
 
+from repro.cache.column_assoc import ColumnAssociativeCache
+from repro.cache.fully_assoc import FullyAssociativeCache
+from repro.cache.hierarchy import TwoLevelHierarchy
+from repro.cache.set_assoc import SetAssociativeCache, WritePolicy
+from repro.cache.victim import VictimCache
+from repro.cache.virtual_real import VirtualRealHierarchy
 from repro.core.index import (
     BitSelectIndexing,
     IPolyIndexing,
@@ -21,17 +28,19 @@ from repro.core.index import (
 )
 from repro.engine import (
     AddressBatch,
-    cached_block_numbers,
-    memo_clear,
+    BatchColumnAssociativeCache,
+    BatchSetAssociativeCache,
+    BatchVictimCache,
+    batch_hierarchy_like,
+    batch_virtual_real_like,
     memo_info,
     placement,
     way_function,
 )
 from repro.engine.index_vec import _WAY_FUNCTIONS
+from repro.memory.paging import PageTable
 from repro.trace.batching import (
-    cached_strided_arrays,
     cached_workload_arrays,
-    set_trace_cache_limit,
     strided_vector_arrays,
     to_arrays,
     trace_cache_clear,
@@ -39,15 +48,15 @@ from repro.trace.batching import (
 )
 from repro.trace.workloads import build_trace
 
+WB = WritePolicy.WRITE_BACK_ALLOCATE
+
 
 @pytest.fixture(autouse=True)
-def fresh_caches():
-    """Each test sees empty process-global caches (and leaves them empty)."""
+def fresh_trace_cache():
+    """Each test sees an empty trace cache (and leaves it empty)."""
     trace_cache_clear()
-    memo_clear()
     yield
     trace_cache_clear()
-    memo_clear()
 
 
 class TestTraceCache:
@@ -57,75 +66,56 @@ class TestTraceCache:
         assert addresses.tolist() == fresh_a.tolist()
         assert writes.tolist() == fresh_w.tolist()
 
-    def test_strided_arrays_bit_exact_with_builder(self):
-        addresses, writes = cached_strided_arrays(67, elements=32, sweeps=3)
-        fresh_a, fresh_w = strided_vector_arrays(67, elements=32, sweeps=3)
-        assert addresses.tolist() == fresh_a.tolist()
-        assert writes.tolist() == fresh_w.tolist()
-
     def test_identity_stable_across_calls(self):
         first = cached_workload_arrays("gcc", length=1500, seed=3)
         second = cached_workload_arrays("gcc", length=1500, seed=3)
         assert first[0] is second[0]
         assert first[1] is second[1]
-        info = trace_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
+        assert trace_cache_info() == {"entries": 1, "hits": 1, "misses": 1}
 
-    def test_distinct_parameters_are_distinct_entries(self):
-        a = cached_workload_arrays("gcc", length=1500, seed=3)
-        b = cached_workload_arrays("gcc", length=1500, seed=4)
-        c = cached_workload_arrays("li", length=1500, seed=3)
-        assert a[0] is not b[0] and a[0] is not c[0]
-        assert trace_cache_info()["entries"] == 3
+    def test_holds_one_entry(self):
+        """Another trace replaces the entry: asking for the first again
+        synthesises it afresh."""
+        first = cached_workload_arrays("gcc", length=1500, seed=3)
+        cached_workload_arrays("li", length=1500, seed=3)
+        assert trace_cache_info()["entries"] == 1
+        again = cached_workload_arrays("gcc", length=1500, seed=3)
+        assert again[0] is not first[0]
+        assert again[0].tolist() == first[0].tolist()
+        assert trace_cache_info()["misses"] == 3
 
     def test_cached_arrays_are_read_only(self):
-        addresses, writes = cached_strided_arrays(17, elements=16, sweeps=2)
+        addresses, writes = cached_workload_arrays("li", length=100)
         with pytest.raises(ValueError):
             addresses[0] = 1
         with pytest.raises(ValueError):
             writes[0] = True
-
-    def test_lru_bound_evicts_oldest(self):
-        old = set_trace_cache_limit(2)
-        try:
-            cached_strided_arrays(1, elements=8, sweeps=1)
-            cached_strided_arrays(2, elements=8, sweeps=1)
-            first_again = cached_strided_arrays(1, elements=8, sweeps=1)  # refresh
-            cached_strided_arrays(3, elements=8, sweeps=1)  # evicts stride 2
-            assert trace_cache_info()["entries"] == 2
-            assert cached_strided_arrays(1, elements=8, sweeps=1)[0] is first_again[0]
-            before = trace_cache_info()["misses"]
-            cached_strided_arrays(2, elements=8, sweeps=1)  # rebuilt
-            assert trace_cache_info()["misses"] == before + 1
-        finally:
-            set_trace_cache_limit(old)
-
-    def test_limit_validation(self):
-        with pytest.raises(ValueError):
-            set_trace_cache_limit(0)
 
     def test_batch_wraps_cached_arrays_without_copy(self):
         addresses, writes = cached_workload_arrays("gcc", length=1200)
         batch = AddressBatch.from_arrays(addresses, writes)
         assert batch.addresses is addresses  # uint64 in, no copy
 
+    def test_no_derived_array_memo_remains(self):
+        assert memo_info() == {}
 
-class TestDerivedArrayMemos:
-    def test_block_numbers_identity_and_value(self):
-        addresses, writes = cached_strided_arrays(5, elements=64, sweeps=2)
+
+class TestDescriptors:
+    def test_block_numbers_in_one_pass(self):
+        """A fresh int64 array of ``address // block_size``."""
+        addresses, writes = strided_vector_arrays(5, elements=64, sweeps=2)
         batch = AddressBatch.from_arrays(addresses, writes)
-        blocks = cached_block_numbers(batch, 32)
-        assert blocks.tolist() == batch.block_numbers(32).tolist()
-        assert cached_block_numbers(batch, 32) is blocks
-        assert cached_block_numbers(batch, 64) is not blocks
+        blocks = batch.block_numbers(32)
+        assert blocks.dtype == np.int64 and blocks.flags.writeable
+        assert not np.shares_memory(blocks, batch.addresses)
+        assert blocks.tolist() == [a // 32 for a in addresses.tolist()]
 
     def test_way_functions_shared_across_equal_functions(self):
         """Two semantically identical index-function instances (what sweep
         tasks build independently) are probed once and share one
         descriptor, which evaluates to the function."""
-        addresses, _ = cached_strided_arrays(7, elements=64, sweeps=2)
-        batch = AddressBatch.from_arrays(addresses)
-        blocks = cached_block_numbers(batch, 32)
+        addresses, _ = strided_vector_arrays(7, elements=64, sweeps=2)
+        blocks = AddressBatch.from_arrays(addresses).block_numbers(32)
         fn_a = make_index_function("a2-Hp", 128, ways=2, address_bits=19)
         fn_b = make_index_function("a2-Hp", 128, ways=2, address_bits=19)
         assert fn_a is not fn_b and fn_a.cache_key == fn_b.cache_key
@@ -158,53 +148,6 @@ class TestDerivedArrayMemos:
         assert first == second == plain
         assert len(_WAY_FUNCTIONS) == before
 
-    @staticmethod
-    def _frozen_batch(values):
-        array = np.asarray(values, dtype=np.uint64)
-        array.flags.writeable = False
-        return AddressBatch.from_arrays(array)
-
-    def test_identity_anchor_rejects_recycled_keys(self):
-        """An entry is only served while its input array is the *same
-        object*; equal content in a different array misses."""
-        batch_a = self._frozen_batch(np.arange(64))
-        batch_b = self._frozen_batch(np.arange(64))
-        blocks_a = cached_block_numbers(batch_a, 32)
-        blocks_b = cached_block_numbers(batch_b, 32)
-        assert blocks_a.tolist() == blocks_b.tolist()
-        info = memo_info()["blocks"]
-        assert info["misses"] >= 2
-
-    def test_writable_addresses_bypass_the_memo(self):
-        """Regression: a writable address array can be mutated in place,
-        which the identity anchor cannot detect — so it must never be
-        memoised.  Mutating the trace between runs yields fresh results."""
-        addresses = np.arange(0, 64 * 32, 32, dtype=np.uint64)
-        cache_args = (2048, 32, 2)
-        from repro.engine import BatchSetAssociativeCache
-
-        first = BatchSetAssociativeCache(*cache_args)
-        first.run(AddressBatch.from_arrays(addresses))
-        assert first.stats.load_misses == 64  # 64 distinct blocks, cold
-        addresses[:] = 0  # in-place mutation of the "same" array object
-        second = BatchSetAssociativeCache(*cache_args)
-        second.run(AddressBatch.from_arrays(addresses))
-        assert second.stats.load_misses == 1  # one block now — not stale
-        assert memo_info()["blocks"]["entries"] == 0
-
-    def test_memoised_arrays_are_read_only(self):
-        batch = self._frozen_batch(np.arange(32))
-        blocks = cached_block_numbers(batch, 32)
-        with pytest.raises(ValueError):
-            blocks[0] = 5
-
-    def test_byte_bound_keeps_footprint_small(self):
-        from repro.engine.memo import _BLOCKS
-
-        big = self._frozen_batch(np.arange(200_000))
-        cached_block_numbers(big, 32)
-        assert memo_info()["blocks"]["nbytes"] <= _BLOCKS.byte_limit
-
     def test_every_builtin_index_function_declares_a_key(self):
         fns = [BitSelectIndexing(64), SingleSetIndexing(),
                PrimeModuloIndexing(64), XorFoldIndexing(64, skewed=True),
@@ -216,7 +159,7 @@ class TestDerivedArrayMemos:
 
     def test_subclasses_do_not_inherit_concrete_keys(self):
         """A subclass that overrides index() must not be served the parent
-        mapping's memoised arrays: inherited cache_key is None."""
+        mapping's descriptor: inherited cache_key is None."""
         class Shifted(BitSelectIndexing):
             def index(self, block_number, way=0):
                 return (block_number >> 1) & (self._num_sets - 1)
@@ -227,7 +170,7 @@ class TestDerivedArrayMemos:
     def test_placement_indexing_declares_no_key(self):
         """The scalar lookup of the Python core declares no key of its own,
         yet a batch cache over it runs its base function's descriptor."""
-        from repro.engine import BatchSetAssociativeCache, PlacementIndexing
+        from repro.engine import PlacementIndexing
 
         plain = IPolyIndexing(64, ways=2, skewed=True, address_bits=19)
         lookup = PlacementIndexing(plain, 2)
@@ -236,37 +179,11 @@ class TestDerivedArrayMemos:
         assert cache._place.images.tolist() == \
             placement(plain, 2).images.tolist()
 
-    def test_trace_cache_byte_bound_and_oversize_bypass(self):
-        """Entries stay under the byte budget, and a trace bigger than half
-        of it is returned uncached instead of monopolising the cache."""
-        import repro.trace.batching as batching
-
-        old = batching._TRACE_CACHE.byte_limit
-        batching._TRACE_CACHE.byte_limit = 64 * 1024
-        try:
-            # ~9 KB per strided entry: cached, and eviction keeps the sum
-            # under the bound.
-            for stride in range(1, 12):
-                cached_strided_arrays(stride, elements=1024, sweeps=1)
-            info = trace_cache_info()
-            assert info["nbytes"] <= 64 * 1024
-            assert info["entries"] < 11
-            # An oversize trace bypasses the cache entirely.
-            before = trace_cache_info()["entries"]
-            a1 = cached_strided_arrays(99, elements=8192, sweeps=1)
-            a2 = cached_strided_arrays(99, elements=8192, sweeps=1)
-            assert a1[0] is not a2[0]
-            assert trace_cache_info()["entries"] == before
-        finally:
-            batching._TRACE_CACHE.byte_limit = old
-
-    def test_skewed_kernel_reuses_blocks_and_descriptor(self, kernel_path):
-        """A second skewed cache over the same trace derives nothing
-        afresh, on both tiers: its block numbers are a memo hit and its
-        placement the first cache's way-functions."""
-        from repro.engine import BatchSetAssociativeCache
-
-        addresses, writes = cached_strided_arrays(23, elements=128, sweeps=3)
+    def test_second_skewed_cache_reuses_the_descriptor(self, kernel_path):
+        """A second skewed cache over the same trace probes no index
+        function afresh, on both tiers: its placement is the first cache's
+        way-functions."""
+        addresses, writes = strided_vector_arrays(23, elements=128, sweeps=3)
         batch = AddressBatch.from_arrays(addresses, writes)
 
         def build():
@@ -278,143 +195,108 @@ class TestDerivedArrayMemos:
 
         first = build()
         first.run(batch)
-        assert memo_info()["blocks"]["misses"] == 1
         probed = len(_WAY_FUNCTIONS)
         second = build()
         second.run(batch)
-        info = memo_info()["blocks"]
-        assert info["misses"] == 1 and info["hits"] == 1
         assert len(_WAY_FUNCTIONS) == probed
         assert second.stats == first.stats
 
-    def test_victim_kernel_reuses_blocks(self, kernel_path):
-        """The victim kernels take their blocks through the memo too."""
-        from repro.engine import BatchVictimCache
 
-        addresses, writes = cached_strided_arrays(29, elements=128, sweeps=3)
-        batch = AddressBatch.from_arrays(addresses, writes)
+# --------------------------------------------------------------------- #
+# writable batches mutated between runs
+# --------------------------------------------------------------------- #
 
-        def build():
-            return BatchVictimCache(4096, 32, ways=1, victim_entries=8)
+def _vr_pair():
+    def table():
+        return PageTable(page_size=4096, allocation="scatter", seed=5)
 
-        build().run(batch)
-        assert memo_info()["blocks"]["misses"] == 1
-        build().run(batch)
-        assert memo_info()["blocks"]["hits"] == 1
-
-    def test_caches_survive_concurrent_thread_sweeps(self):
-        """Threads share the process-global caches; hammering them
-        concurrently must neither raise nor corrupt the accounting."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.engine.memo import _BLOCKS
-
-        fn = make_index_function("a2-Hp", 64, ways=2, address_bits=19)
-
-        def worker(stride):
-            addresses, writes = cached_strided_arrays(
-                stride % 5 + 1, elements=256, sweeps=2)
-            batch = AddressBatch.from_arrays(addresses, writes)
-            blocks = cached_block_numbers(batch, 32)
-            (sets,) = placement(fn, 2).sets(blocks)
-            return int(sets.sum())
-
-        tasks = list(range(60))
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(worker, tasks))
-        assert results == [worker(task) for task in tasks]
-        assert _BLOCKS.nbytes >= 0
-        assert memo_info()["blocks"]["nbytes"] <= _BLOCKS.byte_limit
+    scalar = VirtualRealHierarchy(
+        SetAssociativeCache(1024, 32, 2), SetAssociativeCache(
+            4096, 32, 2, write_policy=WB),
+        translate=table().translate, page_size=4096)
+    return scalar, batch_virtual_real_like(scalar, table())
 
 
-class TestBoundedMemoStats:
-    def test_stats_reports_every_counter(self):
-        from repro.core.memo_util import BoundedMemo
-
-        memo = BoundedMemo(limit=2, byte_limit=64, nbytes_of=len)
-        memo.get(("a",), lambda: b"x" * 8)           # miss
-        memo.get(("a",), lambda: b"x" * 8)           # hit
-        memo.get(("big",), lambda: b"x" * 40)        # oversize bypass
-        memo.get(("b",), lambda: b"y" * 8)           # miss
-        memo.get(("c",), lambda: b"z" * 8)           # miss -> evicts ("a",)
-        stats = memo.stats()
-        assert stats == {"entries": 2, "hits": 1, "misses": 4,
-                         "evictions": 1, "bypasses": 1,
-                         "limit": 2, "byte_limit": 64, "nbytes": 16}
-        assert memo.info() == stats  # the historical name stays an alias
-        memo.clear()
-        cleared = memo.stats()
-        assert cleared["entries"] == cleared["nbytes"] == 0
-        assert cleared["hits"] == cleared["misses"] == 0
-        assert cleared["evictions"] == cleared["bypasses"] == 0
-
-    def test_stats_consistent_under_thread_hammering(self):
-        """Many threads hammering a tiny memo: the counters must add up and
-        the bounds must hold at every snapshot."""
-        import threading
-
-        from repro.core.memo_util import BoundedMemo
-
-        memo = BoundedMemo(limit=4, byte_limit=256, nbytes_of=len)
-        gets_per_thread = 400
-        num_threads = 8
-        start = threading.Barrier(num_threads)
-        errors = []
-
-        def hammer(thread_index):
-            try:
-                start.wait()
-                for step in range(gets_per_thread):
-                    key = ((thread_index + step) % 10,)
-                    oversized = key[0] == 9
-                    payload = b"v" * (200 if oversized else 16)
-                    value = memo.get(key, lambda p=payload: p)
-                    assert value == payload
-                    snapshot = memo.stats()
-                    assert snapshot["entries"] <= snapshot["limit"]
-                    assert snapshot["nbytes"] <= snapshot["byte_limit"]
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(index,))
-                   for index in range(num_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        stats = memo.stats()
-        assert stats["hits"] + stats["misses"] == gets_per_thread * num_threads
-        assert stats["bypasses"] >= 1
-        assert stats["evictions"] >= 1
-        assert stats["entries"] == len(memo)
-        assert stats["nbytes"] == memo.nbytes <= memo.byte_limit
+def _two_level_pair():
+    scalar = TwoLevelHierarchy(SetAssociativeCache(1024, 32, 2),
+                               SetAssociativeCache(4096, 64, 2,
+                                                   write_policy=WB))
+    return scalar, batch_hierarchy_like(scalar)
 
 
-class TestEndToEndMemoisation:
-    def test_repeated_vectorized_study_hits_the_caches(self, kernel_path):
-        from repro.experiments.replacement_study import run_replacement_study
+#: (scalar model, batch twin) per batch cache family and hierarchy.
+PAIRS = {
+    "set-assoc": lambda: (
+        SetAssociativeCache(2048, 32, 2, write_policy=WB),
+        BatchSetAssociativeCache(2048, 32, 2, write_policy=WB)),
+    "skewed": lambda: tuple(cls(
+        2048, 32, 2, index_function=make_index_function(
+            "a2-Hp-Sk", 32, ways=2, address_bits=19), replacement="plru")
+        for cls in (SetAssociativeCache, BatchSetAssociativeCache)),
+    "one-set": lambda: (
+        FullyAssociativeCache(1024, 32, replacement="lru"),
+        BatchSetAssociativeCache(1024, 32, 32,
+                                 index_function=SingleSetIndexing(),
+                                 replacement="lru")),
+    "victim": lambda: tuple(cls(2048, 32, ways=1, victim_entries=4)
+                            for cls in (VictimCache, BatchVictimCache)),
+    "column": lambda: tuple(cls(2048, 32, address_bits=19) for cls in (
+        ColumnAssociativeCache, BatchColumnAssociativeCache)),
+    "two-level": _two_level_pair,
+    "virtual-real": _vr_pair,
+}
 
-        first = run_replacement_study(programs=["gcc"], accesses=2000,
-                                      engine="vectorized")
-        hits_before = trace_cache_info()["hits"]
-        memo_before = memo_info()
-        second = run_replacement_study(programs=["gcc"], accesses=2000,
-                                       engine="vectorized")
-        memo_after = memo_info()
-        assert second.miss_ratios == first.miss_ratios
-        assert trace_cache_info()["hits"] > hits_before
-        # The repeat derives nothing afresh: every block-number lookup is
-        # a hit, on either kernel tier.
-        assert memo_after["blocks"]["misses"] == memo_before["blocks"]["misses"]
-        assert memo_after["blocks"]["hits"] > memo_before["blocks"]["hits"]
 
-    def test_cached_and_uncached_study_agree(self):
-        """The memoised vectorized path matches the reference engine."""
-        from repro.experiments.miss_ratio_study import run_miss_ratio_study
+def _counters(model):
+    """Every counter a scalar model and its batch twin share."""
+    if hasattr(model, "l1"):
+        return (_counters(model.l1), _counters(model.l2),
+                model.holes_created, model.l2_misses_causing_holes)
+    stats = model.stats
+    return (stats.loads, stats.stores, stats.load_misses, stats.store_misses,
+            stats.evictions, stats.writebacks, stats.invalidations,
+            *(getattr(model, name, None) for name in (
+                "main_hits", "victim_hits", "first_probe_hits",
+                "second_probe_hits", "total_probes")))
 
-        ref = run_miss_ratio_study(programs=["li"], accesses=2000,
-                                   engine="reference")
-        vec = run_miss_ratio_study(programs=["li"], accesses=2000,
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_writable_batch_mutated_between_runs(pair, kernel_path):
+    """A batch's writable arrays, mutated in place between two runs of one
+    model, are simulated as they read at each run: nothing derived from
+    the first run's addresses is served to the second."""
+    scalar, twin = PAIRS[pair]()
+    rng = np.random.default_rng(17)
+    addresses = rng.integers(0, 1 << 15, 800).astype(np.uint64)
+    writes = rng.random(800) < 0.3
+    batch = AddressBatch.from_arrays(addresses, writes)
+    assert batch.addresses is addresses and batch.is_write is writes
+    for _ in range(2):
+        twin.run(batch)
+        for address, write in zip(addresses.tolist(), writes.tolist()):
+            scalar.access(address, is_write=write)
+        assert _counters(twin) == _counters(scalar)
+        # In place, as a caller reusing its buffer would.
+        addresses[:] = addresses[::-1] * np.uint64(3) + np.uint64(64)
+        writes[:] = ~writes
+
+
+def test_repeated_vectorized_study_is_identical(kernel_path):
+    from repro.experiments.replacement_study import run_replacement_study
+
+    first = run_replacement_study(programs=["gcc"], accesses=2000,
+                                  engine="vectorized")
+    second = run_replacement_study(programs=["gcc"], accesses=2000,
                                    engine="vectorized")
-        assert ref.miss_ratios == vec.miss_ratios
+    assert second.miss_ratios == first.miss_ratios
+    assert trace_cache_info()["entries"] == 1
+
+
+def test_vectorized_study_matches_the_reference_engine():
+    from repro.experiments.miss_ratio_study import run_miss_ratio_study
+
+    ref = run_miss_ratio_study(programs=["li"], accesses=2000,
+                               engine="reference")
+    vec = run_miss_ratio_study(programs=["li"], accesses=2000,
+                               engine="vectorized")
+    assert ref.miss_ratios == vec.miss_ratios
