@@ -87,23 +87,20 @@ short trace through the configurations no timed row runs
 (``COVERAGE_CASES``: wide conventional caches and the 3C classifier) on
 both tiers, bit-exact against the scalar model, and fails unless the rows
 and those cases together reach every name in ``DISPATCH_NAMES`` — so a run
-without the compiled kernels fails.  Each run carries a ``sweep`` section
-comparing the profiler against the per-config vectorized path, on both
-kernel tiers, on a 16-configuration conventional-LRU
-capacity/associativity grid.  ``profile="auto"`` picks the profiler only
-on the Python fallback tier, so full-length runs bound each side of that
-choice: the profile >= 5x over the per-config fallback kernels, the
-compiled per-config kernels >= 1x over the profile.  A ``profiler``
-section extends the sweep story to the approximate and FIFO paths:
-SHARDS-sampled profiling must beat exact profiling >= 20x on a dense
+without the compiled kernels fails.  The ``one-set-path`` rows are the
+margin of the Python tier's one-set path (``python-fully-assoc-*``) over
+its generic loop (``generic-policy-kernel``, reached by patching
+``ckernels.set_assoc_path``) on the 256-way fully-associative cache, every
+policy, bit-exact, recorded unbounded: the specialised path stays only
+while these rows show its margin.  Each run carries a ``sweep`` section
+timing the exact one-pass LRU profile (rate 1) against the per-config
+kernels of both tiers on a 16-configuration conventional-LRU
+capacity/associativity grid, bit-exact against both and against the
+scalar models, unbounded (``profile="auto"`` runs the kernels on both
+tiers).  A ``profiler`` section times the approximate path:
+SHARDS-sampled profiling must beat the exact profile >= 20x on a dense
 80-configuration LRU grid with per-seed miss-ratio error within
-``SAMPLED_ERROR_BOUND``, and the single-pass FIFO profile is bounded like
-the sweep (>= 5x over the per-config FIFO fallback kernels, compiled
-kernels >= 1x over it), bit-exact on every cell; the deep-level rows
-time one 256-way fully-associative configuration (LRU and FIFO) the same
-three ways, the two sides of ``profile="auto"``'s per-tier choice on its
-deepest level (profile >= 1x over the per-config fallback, compiled >= 1x
-over the profile).  ``REPRO_BENCH_ENGINE_ACCESSES`` overrides the
+``SAMPLED_ERROR_BOUND``.  ``REPRO_BENCH_ENGINE_ACCESSES`` overrides the
 trace length (default 1M); ``REPRO_BENCH_ENGINE_JSON`` overrides the
 artifact path of either kind of run (empty disables it).
 """
@@ -130,7 +127,6 @@ from repro.engine import (
     BatchVictimCache,
     batch_hierarchy_like,
     batch_virtual_real_like,
-    MultiConfigFIFOProfile,
     MultiConfigLRUProfile,
     ProfileCounts,
     ckernels,
@@ -167,17 +163,6 @@ REQUIRED_SPEEDUP = 10.0
 #: (same bar as LRU).
 REQUIRED_SPEEDUP_POLICY = 10.0
 
-#: Minimum one-pass-profiler-over-per-config ratio on the conventional-LRU
-#: capacity/associativity sweep below, against the per-config *Python
-#: fallback* kernels: the tier on which ``profile="auto"`` picks the
-#: profiler (measured ~13x at 1M accesses).
-REQUIRED_SPEEDUP_SWEEP = 5.0
-
-#: Minimum compiled-per-config-over-profiler ratio on the sweep and FIFO
-#: grids: the tier on which ``profile="auto"`` picks the per-config
-#: kernels, so they must be the faster side (measured ~2x at 1M accesses).
-REQUIRED_SPEEDUP_COMPILED_GRID = 1.0
-
 #: The conventional-LRU capacity/associativity grid of the sweep section:
 #: two set counts x eight associativities = 16 configurations (2 KB-32 KB at
 #: 32-byte lines), priced by two one-pass level profiles.
@@ -209,34 +194,10 @@ SAMPLED_RATE = 0.01
 SAMPLED_GRID = [(num_sets, ways) for num_sets in (512, 1024, 2048, 4096, 8192)
                 for ways in range(1, 17)]
 
-#: Minimum FIFO-profile-over-per-config-kernels ratio on the FIFO grid
-#: below, against the per-config Python fallback kernels (the tier on
-#: which ``profile="auto"`` picks the profile).  The event replay's cost
-#: scales with the *miss* count, so the win is trace-dependent:
-#: locality-rich traces (m88ksim: ~2-4% miss ratios) measure ~7x,
-#: miss-heavy ones (gcc: ~10-20%) only ~2x.  The bench uses the
-#: locality-rich workload and asserts 5x.
-REQUIRED_SPEEDUP_FIFO_GRID = 5.0
-
-#: The bit-selection FIFO grid: four set counts x four associativities
-#: = 16 configurations, priced by one occurrence-list pass + 16 miss-driven
-#: event replays.
-FIFO_GRID = [(num_sets, ways) for num_sets in (256, 512, 1024, 2048)
-             for ways in (1, 2, 4, 8)]
-
-#: Workload of the FIFO grid section (see REQUIRED_SPEEDUP_FIFO_GRID).
-FIFO_GRID_PROGRAM = "m88ksim"
-
-#: Accesses of the deep-level section: one 256-way fully-associative
-#: configuration, LRU and FIFO, the shape whose Python per-config probe
-#: (linear in the ways) is slowest.
-DEEP_LEVEL_ACCESSES = 200_000
-
-#: Minimum profile-over-per-config-fallback ratio on the deep level: the
-#: Python tier, where ``profile="auto"`` profiles it (measured ~2x LRU,
-#: ~40x FIFO at 30k accesses).  The compiled side is bounded by
-#: ``REQUIRED_SPEEDUP_COMPILED_GRID``.
-REQUIRED_SPEEDUP_DEEP_LEVEL = 1.0
+#: Accesses of the one-set-path rows: the 256-way fully-associative cache
+#: on the Python tier, whose generic loop (linear in the ways) is its
+#: slowest shape.
+ONE_SET_ACCESSES = 200_000
 
 #: Instructions per program of the out-of-order core section, which runs
 #: Table 2 — the 18 synthetic programs on its six machines — on the
@@ -301,6 +262,7 @@ DISPATCH_NAMES = frozenset(
     ["generic-policy-kernel", "victim-generic-kernel"]
     + [f"compiled-set-assoc-{policy}" for policy in ["lru"] + POLICY_ROWS]
     + [f"compiled-fully-assoc-{policy}" for policy in ["lru"] + POLICY_ROWS]
+    + [f"python-fully-assoc-{policy}" for policy in ["lru"] + POLICY_ROWS]
     + [f"compiled-victim-{policy}" for policy in ["lru"] + POLICY_ROWS]
     + ["compiled-hierarchy", "hierarchy-loop"]
     + ["compiled-ooo-core", "python-ooo-core"])
@@ -405,14 +367,19 @@ def _run_scalar(scalar, batch_trace):
 
 
 @contextlib.contextmanager
-def _python_kernels():
-    """Run the batch caches on their Python fallback kernels."""
-    available = ckernels.available
-    ckernels.available = lambda: False
+def _patched(owner, name, value):
+    """Set ``owner.name`` to ``value`` for the duration."""
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
     try:
         yield
     finally:
-        ckernels.available = available
+        setattr(owner, name, saved)
+
+
+def _python_kernels():
+    """Run the batch caches on their Python fallback kernels."""
+    return _patched(ckernels, "available", lambda: False)
 
 
 def _oracle_prefix(trace):
@@ -687,31 +654,28 @@ def check_dispatch_coverage(rows):
     return covered
 
 
-def _per_config(trace, block_size, grid, replacement):
-    """Each ``(num_sets, ways)`` cell of ``grid`` on its own batch kernel."""
+def _per_config(trace, block_size, grid):
+    """Each ``(num_sets, ways)`` LRU cell of ``grid`` on its own batch
+    kernel."""
     counts = {}
     for num_sets, ways in grid:
         cache = BatchSetAssociativeCache(num_sets * ways * block_size,
-                                         block_size, ways,
-                                         replacement=replacement)
+                                         block_size, ways)
         cache.run(trace)
         counts[(num_sets, ways)] = ProfileCounts.from_stats(cache.stats)
     return counts
 
 
-def _profiled(trace, block_size, grid, replacement):
-    """Every cell of ``grid`` priced out of one exact profile: the
-    all-associativity LRU or the event-replay FIFO one."""
+def _profiled(trace, block_size, grid):
+    """Every LRU cell of ``grid`` priced out of one exact profile."""
     level_caps = {}
     for num_sets, ways in grid:
         level_caps[num_sets] = max(level_caps.get(num_sets, 0), ways)
-    kind = (MultiConfigLRUProfile if replacement == "lru"
-            else MultiConfigFIFOProfile)
-    profile = kind(trace, block_size, level_caps)
+    profile = MultiConfigLRUProfile(trace, block_size, level_caps)
     return {cell: profile.miss_counts(*cell) for cell in grid}
 
 
-def _time_grid(trace, block_size, grid, replacement):
+def _time_grid(trace, block_size, grid):
     """Time ``grid`` three ways: per-config compiled kernels, per-config
     Python fallback kernels and one exact profile.  Each per-config tier
     must match the profile exactly.  Returns the profiled counts and the
@@ -724,20 +688,17 @@ def _time_grid(trace, block_size, grid, replacement):
     for label, tier, price in runs:
         with tier():
             start = time.perf_counter()
-            results[label] = price(trace, block_size, grid, replacement)
+            results[label] = price(trace, block_size, grid)
             seconds[label] = time.perf_counter() - start
     for label in ("per_config", "fallback_per_config"):
         for cell in grid:
             assert results["profile"][cell] == results[label][cell], (
-                f"{replacement} profile diverged from the {label} kernels "
+                f"profile diverged from the {label} kernels "
                 f"at {cell[0]} sets x {cell[1]} ways")
     return results["profile"], {
         "per_config_seconds": seconds["per_config"],
         "fallback_per_config_seconds": seconds["fallback_per_config"],
         "profile_seconds": seconds["profile"],
-        # The profile over the fallback kernels (bounded where auto picks
-        # the profile) and the compiled kernels over the profile (bounded
-        # where auto picks the kernels).
         "speedup": seconds["fallback_per_config"] / seconds["profile"],
         "compiled_speedup": seconds["profile"] / seconds["per_config"],
     }
@@ -748,13 +709,11 @@ def compare_lru_grid_sweep(accesses=BENCH_ENGINE_ACCESSES, check_scalar=True):
 
     Every timing drives the *vectorized* engine over the same trace: each
     configuration's own batch kernel, compiled and on the Python fallback,
-    and one :class:`~repro.engine.MultiConfigLRUProfile`, which prices the
-    whole grid out of one capped stack pass per set count.
-    ``MultiConfigPlan`` picks the profile only on the fallback tier, so the
-    record carries both ratios.  Every
-    configuration's counts must agree exactly between the paths (and, when
-    ``check_scalar`` is set, with a scalar-model replay), so the sweep-level
-    speedup claims can never drift away from correctness.
+    and one exact :class:`~repro.engine.MultiConfigLRUProfile`, which
+    prices the whole grid out of one capped stack pass per set count.  The
+    record carries both ratios, unbounded.  Every configuration's counts
+    must agree exactly between the paths (and, when ``check_scalar`` is
+    set, with a scalar-model replay).
 
     The scalar cross-check replays the trace once per grid configuration
     outside the timed regions; at the default 1M accesses that dominates
@@ -765,7 +724,7 @@ def compare_lru_grid_sweep(accesses=BENCH_ENGINE_ACCESSES, check_scalar=True):
     """
     trace = _build_trace(accesses)
     block_size = PAPER_L1_8KB.block_size
-    profiled, timings = _time_grid(trace, block_size, SWEEP_GRID, "lru")
+    profiled, timings = _time_grid(trace, block_size, SWEEP_GRID)
 
     configs = []
     for num_sets, ways in SWEEP_GRID:
@@ -833,7 +792,7 @@ def compare_sampled_profiler(accesses=BENCH_ENGINE_ACCESSES):
     block_size = 32
 
     start = time.perf_counter()
-    exact = _profiled(trace, block_size, SAMPLED_GRID, "lru")
+    exact = _profiled(trace, block_size, SAMPLED_GRID)
     exact_seconds = time.perf_counter() - start
 
     seeds = []
@@ -858,60 +817,37 @@ def compare_sampled_profiler(accesses=BENCH_ENGINE_ACCESSES):
     }
 
 
-def compare_fifo_grid(accesses=BENCH_ENGINE_ACCESSES, check_scalar=False):
-    """Time the single-pass FIFO profile against per-config FIFO kernels.
-
-    Both sides run over the same workload trace — each configuration's
-    FIFO batch kernel, and one :class:`~repro.engine.MultiConfigFIFOProfile`,
-    which prices the whole grid out of one occurrence-list pass plus a
-    miss-driven event replay per cell.  The
-    per-config side runs on both kernel tiers, as in
-    :func:`compare_lru_grid_sweep`.  Every cell must agree exactly (FIFO
-    profiling is exact, not sampled), with an optional scalar-model
-    cross-check outside the timed regions.
-    """
-    from repro.trace.batching import cached_workload_arrays
-
-    addresses, writes = cached_workload_arrays(FIFO_GRID_PROGRAM,
-                                               length=accesses)
-    trace = AddressBatch.from_arrays(addresses, writes)
-    block_size = 32
-    profiled, timings = _time_grid(trace, block_size, FIFO_GRID, "fifo")
-
-    for num_sets, ways in FIFO_GRID:
-        counts = profiled[(num_sets, ways)]
-        if check_scalar:
-            scalar = SetAssociativeCache(num_sets * ways * block_size,
-                                         block_size, ways,
-                                         replacement="fifo")
-            for address, is_write in zip(trace.addresses.tolist(),
-                                         trace.is_write.tolist()):
-                scalar.access(address, is_write=is_write)
-            assert (scalar.stats.loads, scalar.stats.stores,
-                    scalar.stats.load_misses, scalar.stats.store_misses) == (
-                counts.loads, counts.stores,
-                counts.load_misses, counts.store_misses), (
-                f"FIFO profile diverged from the scalar model at "
-                f"{num_sets} sets x {ways} ways")
-    return {
-        "kernel": "multiconfig-fifo-profile",
-        "configs": len(FIFO_GRID),
-        "accesses": len(trace),
-        "program": FIFO_GRID_PROGRAM,
-        **timings,
-        "scalar_checked": bool(check_scalar),
-    }
-
-
-def compare_deep_level(replacement, accesses=DEEP_LEVEL_ACCESSES):
-    """Time one 256-way fully-associative configuration per-config (both
-    tiers) and profiled, bit-exact: the two sides of the plan's per-tier
-    choice on its deepest level."""
+def compare_one_set_path(replacement, accesses=ONE_SET_ACCESSES):
+    """Time the 256-way fully-associative cache on the Python tier's
+    one-set path and on its generic loop, bit-exact (hits, counters and
+    state): the margin that keeps the specialised path."""
     trace = _build_trace(accesses)
-    _, timings = _time_grid(trace, PAPER_L1_8KB.block_size,
-                            [(1, FULLY_ASSOCIATIVE_WAYS)], replacement)
+    seconds, kernels, outcomes = {}, {}, {}
+    for path in ("fully-assoc", "set-assoc"):
+        with _python_kernels(), _patched(ckernels, "set_assoc_path",
+                                         lambda num_sets, path=path: path):
+            cache = _make_caches("a2", replacement,
+                                 ways=FULLY_ASSOCIATIVE_WAYS)[1]
+            kernels[path] = cache.dispatch_strategy(trace)
+            start = time.perf_counter()
+            hits = cache.run(trace)
+            seconds[path] = time.perf_counter() - start
+        tags, dirty, policy = cache._arrays()
+        outcomes[path] = (hits.tolist(), _stats_tuple(cache.stats),
+                          tags.tolist(), dirty.tolist(),
+                          None if policy.stamps is None
+                          else policy.stamps.tolist(),
+                          None if policy.bits is None
+                          else policy.bits.tolist(),
+                          cache._clock, policy.draws)
+    assert outcomes["fully-assoc"] == outcomes["set-assoc"], (
+        f"{kernels['fully-assoc']} diverged from {kernels['set-assoc']}")
     return {"replacement": replacement, "ways": FULLY_ASSOCIATIVE_WAYS,
-            "accesses": len(trace), **timings}
+            "accesses": len(trace), "kernel": kernels["fully-assoc"],
+            "generic_kernel": kernels["set-assoc"],
+            "seconds": seconds["fully-assoc"],
+            "generic_seconds": seconds["set-assoc"],
+            "speedup": seconds["set-assoc"] / seconds["fully-assoc"]}
 
 
 def compare_trace_synthesis(accesses):
@@ -1110,38 +1046,23 @@ def test_trace_io_throughput(benchmark):
                 f"v1 records (required {REQUIRED_SPEEDUP_TRACE_IO}x)")
 
 
-def _assert_grid_bounds(label, result, required):
-    """The profile beats the per-config fallback kernels >= ``required``
-    (where auto profiles) and the compiled per-config kernels beat the
-    profile (where auto runs them)."""
-    assert result["speedup"] >= required, (
-        f"{label}: profile only {result['speedup']:.1f}x over the "
-        f"per-config fallback kernels (required {required}x)")
-    assert result["compiled_speedup"] >= REQUIRED_SPEEDUP_COMPILED_GRID, (
-        f"{label}: compiled per-config kernels only "
-        f"{result['compiled_speedup']:.1f}x over the profile (required "
-        f"{REQUIRED_SPEEDUP_COMPILED_GRID}x)")
-
-
 def _grid_summary(result):
     return (f"per-config {result['per_config_seconds']:.2f}s compiled / "
             f"{result['fallback_per_config_seconds']:.2f}s fallback, "
             f"one-pass profile {result['profile_seconds']:.2f}s "
             f"({result['speedup']:.1f}x over fallback, compiled "
-            f"{result['compiled_speedup']:.1f}x over profile)")
+            f"{result['compiled_speedup']:.1f}x over profile; unbounded)")
 
 
 @pytest.mark.benchmark(group="engine-sweep")
 def test_lru_grid_profiler_throughput(benchmark):
-    """The one-pass profiler beats the per-config fallback sweep >= 5x and
-    loses to the compiled one, bit-exact on every configuration."""
+    """The exact one-pass profile against the per-config kernels of both
+    tiers, bit-exact on every configuration."""
     result = benchmark.pedantic(
         lambda: compare_lru_grid_sweep(BENCH_ENGINE_ACCESSES,
                                        check_scalar=False),
         rounds=1, iterations=1)
     print(f"\nlru-grid x{result['configs']}: {_grid_summary(result)}")
-    if BENCH_ENGINE_ACCESSES >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
-        _assert_grid_bounds("lru-grid sweep", result, REQUIRED_SPEEDUP_SWEEP)
 
 
 @pytest.mark.benchmark(group="engine-sweep")
@@ -1165,19 +1086,6 @@ def test_sampled_profiler_throughput(benchmark):
                 f"seed {entry['seed']}: max miss-ratio error "
                 f"{entry['max_miss_ratio_error']:.4f} exceeds "
                 f"{SAMPLED_ERROR_BOUND}")
-
-
-@pytest.mark.benchmark(group="engine-sweep")
-def test_fifo_grid_profiler_throughput(benchmark):
-    """The single-pass FIFO profile beats per-config FIFO fallback kernels
-    >= 5x and loses to the compiled ones, bit-exact on every grid cell."""
-    result = benchmark.pedantic(
-        lambda: compare_fifo_grid(BENCH_ENGINE_ACCESSES),
-        rounds=1, iterations=1)
-    print(f"\nfifo-grid x{result['configs']} ({result['program']}): "
-          f"{_grid_summary(result)}")
-    if BENCH_ENGINE_ACCESSES >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
-        _assert_grid_bounds("fifo-grid", result, REQUIRED_SPEEDUP_FIFO_GRID)
 
 
 def _load_trajectory(path):
@@ -1212,7 +1120,7 @@ def _artifact_path(smoke):
 def _write_artifact(rows, accesses, path, sweep=None, smoke=False,
                     trace_io=None, profiler=None, coverage=None,
                     ooo_core=None, program_build=None, holes_study=None,
-                    trace_synthesis=None):
+                    trace_synthesis=None, one_set_path=None):
     """Append this run to the machine-readable trajectory artifact."""
     if not path:
         return None
@@ -1228,12 +1136,8 @@ def _write_artifact(rows, accesses, path, sweep=None, smoke=False,
                                             SCALAR_PREFIX_ACCESSES)},
         "required_speedup_lru": REQUIRED_SPEEDUP,
         "required_speedup_policy": REQUIRED_SPEEDUP_POLICY,
-        "required_speedup_sweep": REQUIRED_SPEEDUP_SWEEP,
         "required_speedup_trace_io": REQUIRED_SPEEDUP_TRACE_IO,
         "required_speedup_sampled": REQUIRED_SPEEDUP_SAMPLED,
-        "required_speedup_fifo_grid": REQUIRED_SPEEDUP_FIFO_GRID,
-        "required_speedup_compiled_grid": REQUIRED_SPEEDUP_COMPILED_GRID,
-        "required_speedup_deep_level": REQUIRED_SPEEDUP_DEEP_LEVEL,
         "required_speedup_ooo": REQUIRED_SPEEDUP_OOO,
         "required_speedup_program_build": REQUIRED_SPEEDUP_PROGRAM_BUILD,
         "required_speedup_synthesis": REQUIRED_SPEEDUP_SYNTHESIS,
@@ -1247,6 +1151,7 @@ def _write_artifact(rows, accesses, path, sweep=None, smoke=False,
         "program_build": program_build,
         "holes_study": holes_study,
         "trace_synthesis": trace_synthesis,
+        "one_set_path": one_set_path,
     })
     artifact = {
         "benchmark": "bench_engine",
@@ -1540,17 +1445,26 @@ def main(argv=None):
     print(f"dispatch coverage ({SMOKE_ACCESSES:,} accesses, untimed): "
           f"{', '.join(coverage)} bit-exact; every dispatch name reached")
 
-    # Sweep-level section: the one-pass multi-configuration profiler against
-    # the per-config vectorized path on a 16-configuration LRU grid.
+    # The Python tier's one-set path over its generic loop: unbounded.
+    one_set = [compare_one_set_path(policy, SMOKE_ACCESSES if args.smoke
+                                    else ONE_SET_ACCESSES)
+               for policy in ["lru"] + POLICY_ROWS]
+    print()
+    for row in one_set:
+        print(f"one-set path ({row['replacement']}, 1 set x {row['ways']} "
+              f"ways, {row['accesses']:,} accesses): {row['kernel']} "
+              f"{row['seconds']:.2f}s, {row['generic_kernel']} "
+              f"{row['generic_seconds']:.2f}s ({row['speedup']:.1f}x), "
+              f"bit-exact")
+
+    # Sweep-level section: the exact one-pass profile against the
+    # per-config vectorized path on a 16-configuration LRU grid.
     sweep = compare_lru_grid_sweep(accesses=accesses)
     print(f"\nlru-grid sweep ({sweep['configs']} conventional-LRU configs, "
           f"{sweep['accesses']:,} accesses): {_grid_summary(sweep)}, "
           f"bit-exact vs per-config kernels and scalar models")
-    if check_bounds:
-        _assert_grid_bounds("lru-grid sweep", sweep, REQUIRED_SPEEDUP_SWEEP)
 
-    # Profiler section: SHARDS-sampled vs exact on the dense LRU grid, and
-    # the single-pass FIFO profile vs per-config FIFO kernels.
+    # Profiler section: SHARDS-sampled vs exact on the dense LRU grid.
     sampled = compare_sampled_profiler(accesses=accesses)
     print(f"\nsampled-grid ({sampled['configs']} conventional-LRU configs, "
           f"{sampled['accesses']:,} accesses, R={sampled['rate']}): exact "
@@ -1567,27 +1481,7 @@ def main(argv=None):
                 f"seed {entry['seed']}: max miss-ratio error "
                 f"{entry['max_miss_ratio_error']:.4f} exceeds "
                 f"{SAMPLED_ERROR_BOUND}")
-    fifo_grid = compare_fifo_grid(accesses=accesses,
-                                  check_scalar=args.smoke)
-    print(f"fifo-grid ({fifo_grid['configs']} FIFO configs, "
-          f"{fifo_grid['accesses']:,} accesses of {fifo_grid['program']}): "
-          f"{_grid_summary(fifo_grid)}, bit-exact on every cell")
-    if check_bounds:
-        _assert_grid_bounds("fifo-grid", fifo_grid,
-                            REQUIRED_SPEEDUP_FIFO_GRID)
-    deep = [compare_deep_level(policy,
-                               SMOKE_ACCESSES if args.smoke
-                               else DEEP_LEVEL_ACCESSES)
-            for policy in ("lru", "fifo")]
-    for level in deep:
-        print(f"deep level ({level['replacement']}, 1 set x {level['ways']} "
-              f"ways, {level['accesses']:,} accesses): "
-              f"{_grid_summary(level)}, bit-exact")
-        if check_bounds:
-            _assert_grid_bounds(f"deep level ({level['replacement']})",
-                                level, REQUIRED_SPEEDUP_DEEP_LEVEL)
-    profiler = {"sampled": sampled, "fifo_grid": fifo_grid,
-                "deep_level": deep}
+    profiler = {"sampled": sampled}
 
     # Trace-I/O section: on-disk ingestion throughput per format/read mode.
     trace_io = compare_trace_io(accesses=accesses)
@@ -1608,7 +1502,8 @@ def main(argv=None):
                            sweep=sweep, smoke=args.smoke, trace_io=trace_io,
                            profiler=profiler, coverage=coverage,
                            ooo_core=ooo, program_build=build,
-                           holes_study=holes, trace_synthesis=synthesis)
+                           holes_study=holes, trace_synthesis=synthesis,
+                           one_set_path=one_set)
     if path:
         print(f"appended run to {path}")
 

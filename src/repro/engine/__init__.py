@@ -23,13 +23,11 @@ equivalence story, exercised by the :mod:`repro.cpu.fuzzer` harness), and
 task's result).
 :mod:`repro.engine.multiconfig` prices conventional LRU
 capacity/associativity grids out of one all-associativity pass per set
-count, and FIFO grids out of miss-driven event replays of one
-occurrence-list pass.  ``MultiConfigPlan`` routes a sweep's tasks: exact
-profiles on the Python kernel tier, every task on its own kernel while the
-compiled kernels are available.  The experiments expose the pricing as
-``profile={"auto", "sampled"}``, where ``"sampled"`` prices LRU groups
-approximately through the SHARDS profile of :mod:`repro.engine.shards` at
-``--sample-rate``/``--sample-size``/``--profile-seed``.
+count, exact or SHARDS-sampled.  ``MultiConfigPlan`` routes a sweep's
+tasks by one rule on both kernel tiers, exposed by the experiments as
+``profile={"auto", "sampled"}``: ``"auto"`` runs every task on its own
+kernel, and ``"sampled"`` prices LRU groups approximately through a
+sampled profile at ``--sample-rate``/``--sample-size``/``--profile-seed``.
 
 Experiment drivers expose the choice as ``engine={"reference", "vectorized"}``
 (CLI: ``--engine``); :data:`ENGINES` names the valid values.
@@ -51,7 +49,6 @@ from .hierarchy_vec import (
 from .index_vec import Placement, PlacementIndexing, placement, way_function
 from .multiconfig import (
     PROFILE_MODES,
-    MultiConfigFIFOProfile,
     MultiConfigLRUProfile,
     MultiConfigPlan,
     ProfileCounts,
@@ -61,7 +58,6 @@ from .multiconfig import (
     profile_cache_info,
     run_lru_grid,
 )
-from .shards import SampledMultiConfigLRUProfile
 from .replacement_vec import PolicyTables
 from .replay import ReplayOutcome, batch_cache_like, replay_access_stream
 from .sweep import (
@@ -95,8 +91,6 @@ __all__ = [
     "ProfileCounts",
     "ProfileOptions",
     "MultiConfigLRUProfile",
-    "MultiConfigFIFOProfile",
-    "SampledMultiConfigLRUProfile",
     "MultiConfigPlan",
     "run_lru_grid",
     "profile_cache_info",

@@ -116,8 +116,8 @@ class AddressBatch:
 
     def block_numbers(self, block_size: int) -> np.ndarray:
         """Addresses shifted down to block numbers, a fresh ``int64``
-        array.  The kernels shift addresses themselves; the 3C classifier,
-        the one-pass profiles and SHARDS ask for the array."""
+        array.  The kernels shift addresses themselves; the 3C classifier
+        and the one-pass LRU profile ask for the array."""
         if block_size < 1 or block_size & (block_size - 1):
             raise ValueError("block_size must be a positive power of two")
         offset_bits = np.uint64(block_size.bit_length() - 1)

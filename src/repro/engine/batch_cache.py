@@ -23,6 +23,7 @@ ckernels if ckernels.available() else pykernels`` — and makes one call.
   ``compiled-column-associative``).
 * :mod:`repro.engine.pykernels`: the same kernels in Python, function for
   function, without a C compiler (``generic-policy-kernel``,
+  ``python-fully-assoc-{lru,fifo,random,plru}``,
   ``victim-generic-kernel`` and ``column-associative``).
 
 Each cache builds its placement descriptor once, at construction
@@ -384,11 +385,15 @@ class BatchSetAssociativeCache(_BatchCache):
           available;
         * ``"compiled-set-assoc-{lru,fifo,random,plru}"`` — every other
           cache, likewise;
-        * ``"generic-policy-kernel"`` — otherwise, the Python mirror.
+        * ``"python-fully-assoc-{lru,fifo,random,plru}"`` — a one-set
+          cache on the Python mirror;
+        * ``"generic-policy-kernel"`` — every other cache on it.
         """
+        path = ckernels.set_assoc_path(self._num_sets)
         if ckernels.available():
-            return (f"compiled-{ckernels.set_assoc_path(self._num_sets)}-"
-                    f"{self._replacement_name}")
+            return f"compiled-{path}-{self._replacement_name}"
+        if path == "fully-assoc":
+            return f"python-fully-assoc-{self._replacement_name}"
         return "generic-policy-kernel"
 
     def run(self, batch: AddressBatch) -> np.ndarray:

@@ -3,9 +3,9 @@
 The batch caches of :mod:`repro.engine.batch_cache` and the batch
 hierarchies of :mod:`repro.engine.hierarchy_vec` run their per-access loops
 here when a C compiler is available, and run the same four kernels in
-Python, from :mod:`repro.engine.pykernels`, when it is not
-(:func:`available` is the one switch, and the one seam tests patch to reach
-the Python tier).
+Python, from :mod:`repro.engine.pykernels` (the one-set path included),
+when it is not (:func:`available` is the one switch, and the one seam
+tests patch to reach the Python tier).
 
 Build and load happen lazily, on the first kernel call, never at import:
 
@@ -475,10 +475,11 @@ def _checked_level(label: str, *, place, write_back: bool, policy: str,
 
 
 def set_assoc_path(num_sets: int) -> str:
-    """The compiled path of a set-associative cache of ``num_sets`` sets:
+    """The kernel path of a set-associative cache of ``num_sets`` sets:
     ``"fully-assoc"`` (``repro_fa_run``, O(1) per access) for one set,
-    else ``"set-assoc"`` (``repro_sa_run``).  :func:`run_set_assoc` takes
-    it, and the batch cache's ``dispatch_strategy`` names it."""
+    else ``"set-assoc"`` (``repro_sa_run``).  :func:`run_set_assoc` and
+    its Python twin in :mod:`repro.engine.pykernels` take it, and the
+    batch cache's ``dispatch_strategy`` names it."""
     return "fully-assoc" if num_sets == 1 else "set-assoc"
 
 

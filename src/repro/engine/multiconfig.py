@@ -1,7 +1,7 @@
-"""One-pass pricing of conventional LRU and FIFO configuration grids.
+"""One-pass pricing of conventional LRU configuration grids.
 
 Every other kernel in this package simulates **one** cache configuration per
-trace pass.  A sweep over a family of conventional caches — the
+trace pass.  A sweep over a family of conventional LRU caches — the
 capacity/associativity grids of the classic miss-ratio studies — therefore
 costs O(configs x N).  This module prices such a grid in one pass:
 
@@ -11,23 +11,16 @@ costs O(configs x N).  This module prices such a grid in one pass:
   so one capped per-set LRU stack pass per *set count* serves every
   associativity at that set count at once (Mattson stack distances).  A
   (num_sets x ways) grid for a fixed block size costs one pass per
-  distinct ``num_sets`` instead of one per configuration.
-
-* **Single-pass FIFO grids** (:class:`MultiConfigFIFOProfile`): FIFO is not
-  a stack algorithm (Belady's anomaly), but it is *hit-transparent* — hits
-  never mutate FIFO state — so after one vectorized occurrence-list pass
-  each configuration is priced by an event-driven replay that touches only
-  its misses, exact to the per-configuration kernels at a cost
-  proportional to the miss count.
+  distinct ``num_sets`` instead of one per configuration.  At a sampling
+  ``rate`` below 1 the profile is SHARDS-approximate (spatially hashed
+  sampling with miniature simulation, see below); at rate 1 it is exact.
 
 * **Sweep partitioning** (:class:`MultiConfigPlan`): experiment sweeps hand
-  their task list to a plan, which splits it into *profilable*
-  configurations (conventional bit-selection placement, LRU or FIFO
-  replacement, no 3C classifier, cold cache — see below) and everything
-  else (skewed, I-Poly, victim, column, other policies), which runs its own
-  kernel.  Exact profiles serve only the Python kernel tier, where they
-  win; ``profile="sampled"`` prices LRU groups through the approximate
-  SHARDS profile of :mod:`repro.engine.shards` on either tier.
+  their task list to a plan.  One rule, on both kernel tiers:
+  ``profile="auto"`` runs every task on its own kernel, bit-exact;
+  ``profile="sampled"`` prices the *profilable* ones (conventional
+  bit-selection placement, LRU replacement, no 3C classifier, cold cache)
+  out of a sampled profile, and runs everything else on its own kernel.
 
 Write-policy divergence
 -----------------------
@@ -45,31 +38,52 @@ algorithm in Mattson's sense, with last-touch time as the priority.  The
 store-aware kernel maintains exactly that priority stack; traces without
 stores use the plain move-to-front fast path.  What is **not** profilable
 is the 3C classifier (it needs per-access hit context in trace order) and
-any policy other than LRU and FIFO — those keep their per-configuration
-kernels.
+any policy other than LRU — those keep their per-configuration kernels.
+
+Sampling
+--------
+
+A full pass still pays stack work on every access.  **Spatially hashed
+sampling** (SHARDS — Waldspurger, Park, Garthwaite & Ahmad, FAST'15) hashes
+each block number with a fixed seed and keeps only the blocks whose hash
+falls under a threshold: it samples *blocks*, not accesses, so all the
+accesses to a sampled block stay together and reuse survives the filter.
+Naive distance rescaling is badly biased at small associativity, so the
+profile uses **miniature simulation** (Waldspurger et al., ATC'17): per
+set-count level it picks the largest power-of-two exponent ``k`` with
+``2^-k >= rate`` (capped so the mini cache keeps :data:`MIN_MINI_SETS`
+sets, :func:`level_rate_exponent`), keeps the blocks whose hash has ``k``
+leading zero bits and runs the exact stack pass over a mini cache with
+``num_sets >> k`` sets at the same associativities.  Sampled hit ratios are
+scaled to the exact access totals.  Levels where ``k == 0`` (small set
+counts, or rate 1) are the exact pass, and compute no hashes.  The hash is
+the splitmix64 finalizer over ``block XOR mix(seed)``
+(:func:`hash_blocks`), so a profile is a pure function of (trace, block
+size, rate, seed).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cache.replacement import splitmix64
 from ..cache.set_assoc import WritePolicy
-from . import ckernels
 from .batch import AddressBatch
 from .batch_cache import BatchSetAssociativeCache
+from .replacement_vec import SPLITMIX64_GAMMA, splitmix64_finalize_array
 
 __all__ = [
     "PROFILE_MODES",
     "check_profile_mode",
     "ProfileOptions",
+    "check_sample_options",
     "ProfileCounts",
+    "hash_blocks",
+    "level_rate_exponent",
     "MultiConfigLRUProfile",
-    "MultiConfigFIFOProfile",
     "MultiConfigPlan",
     "run_lru_grid",
     "profile_cache_info",
@@ -77,11 +91,9 @@ __all__ = [
 ]
 
 #: Valid values of every experiment's ``profile`` parameter.  ``"auto"``
-#: prices every task bit-exactly: profilable groups out of the exact
-#: profiles on the Python fallback kernels, every task on its compiled
-#: kernel while :func:`repro.engine.ckernels.available`.  ``"sampled"``
-#: prices LRU groups approximately through the SHARDS profile of
-#: :mod:`repro.engine.shards` and everything else as ``"auto"`` does.
+#: runs every task on its own kernel, bit-exactly; ``"sampled"`` prices
+#: LRU groups approximately through a sampled :class:`MultiConfigLRUProfile`
+#: and everything else as ``"auto"`` does.
 PROFILE_MODES = ("auto", "sampled")
 
 
@@ -94,13 +106,34 @@ def check_profile_mode(profile: str) -> str:
     return label
 
 
+def check_sample_options(rate: float, sample_size: Optional[int] = None,
+                         seed: int = 0,
+                         ) -> Tuple[float, Optional[int], int]:
+    """Validate the sampling knobs — a rate in (0, 1], a sample-size cap of
+    at least 1 (or ``None``) and a non-negative hash seed — returning them
+    as ``(float, int or None, int)``: the one check of all three, for the
+    plan's options and the profile alike."""
+    rate = float(rate)
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"sample rate must be in (0, 1], got {rate}")
+    if sample_size is not None:
+        sample_size = int(sample_size)
+        if sample_size < 1:
+            raise ValueError(
+                f"sample size must be at least 1, got {sample_size}")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"profile seed must be non-negative, got {seed}")
+    return rate, sample_size, seed
+
+
 @dataclass(frozen=True)
 class ProfileOptions:
     """How a :class:`MultiConfigPlan` prices its tasks.
 
     ``profile`` is one of :data:`PROFILE_MODES`; ``sample_rate`` (in
     (0, 1]), ``sample_size`` (a cap on the expected sample, or ``None``)
-    and ``profile_seed`` configure the SHARDS sampler of
+    and ``profile_seed`` configure the sampled profile of
     ``profile="sampled"``.  The fields are the plan's keywords, validated
     at construction.
     """
@@ -112,15 +145,8 @@ class ProfileOptions:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "profile", check_profile_mode(self.profile))
-        if not 0.0 < float(self.sample_rate) <= 1.0:
-            raise ValueError(
-                f"sample rate must be in (0, 1], got {self.sample_rate}")
-        if self.sample_size is not None and int(self.sample_size) < 1:
-            raise ValueError(
-                f"sample size must be at least 1, got {self.sample_size}")
-        if int(self.profile_seed) < 0:
-            raise ValueError(f"profile seed must be non-negative, got "
-                             f"{self.profile_seed}")
+        check_sample_options(self.sample_rate, self.sample_size,
+                             self.profile_seed)
 
     def plan(self) -> "MultiConfigPlan":
         """An empty plan with these options."""
@@ -445,6 +471,53 @@ class _LevelState:
                              loads=self.loads, stores=self.stores)
 
 
+def hash_blocks(blocks: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Spatial sampling hash: uint64 splitmix64 finalizer per block number.
+
+    A pure function of ``(block, seed)`` — every access to a block hashes
+    identically, which is exactly what makes hash-threshold sampling
+    *spatial* (whole blocks are kept or dropped, never individual
+    accesses).  Finalized by
+    :func:`repro.engine.replacement_vec.splitmix64_finalize_array`, like the
+    random policy's draws.
+    """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    x = np.asarray(blocks).astype(np.uint64, copy=True)
+    x ^= np.uint64(splitmix64(seed))
+    x += np.uint64(SPLITMIX64_GAMMA)
+    return splitmix64_finalize_array(x)
+
+
+#: Smallest mini cache a level may be scaled down to.  A mini cache with
+#: very few sets hosts too few sampled blocks for its hit ratio to be a
+#: stable estimate (a one-set mini is a ~R-rate sample of a single LRU
+#: stack); floors of ~16 sets keep miniature-simulation variance in line
+#: with the fully-associative SHARDS estimator.
+MIN_MINI_SETS = 16
+
+
+def level_rate_exponent(num_sets: int, rate: float,
+                        min_sets: int = MIN_MINI_SETS) -> int:
+    """Mini-simulation exponent of one set-count level at a nominal rate.
+
+    The largest ``k`` with ``2^-k >= rate``, capped so the mini cache
+    keeps at least ``min_sets`` sets (never more than ``num_sets``): the
+    level samples blocks at rate ``2^-k`` and scales its set count down by
+    the same factor, preserving associativity.  Small-set levels are thus
+    profiled at a higher rate than requested — variance control takes
+    precedence over speed exactly where the level is cheap anyway.
+    ``k == 0`` means the level is profiled exactly.
+    """
+    k = 0
+    log2_sets = num_sets.bit_length() - 1
+    log2_floor = max(1, min_sets).bit_length() - 1
+    max_k = max(0, log2_sets - log2_floor)
+    while k < max_k and 2.0 ** -(k + 1) >= rate:
+        k += 1
+    return k
+
+
 class MultiConfigLRUProfile:
     """All-associativity profile of one (trace, block size) pair.
 
@@ -453,24 +526,56 @@ class MultiConfigLRUProfile:
     be read out of it.  Construction runs one capped stack pass per level;
     :meth:`miss_counts` then prices any ``(num_sets, ways)`` configuration
     of the grid in O(ways).
+
+    At ``rate`` 1 (the default) every level is exact.  Below it, each level
+    runs a miniature cache with ``num_sets >> k`` sets (at rate ``2^-k``,
+    see :func:`level_rate_exponent`) over the blocks ``seed``'s hash keeps,
+    and :meth:`miss_counts` scales its hit ratios to the exact load/store
+    totals of the full stream; levels with ``k == 0`` stay exact.
+    ``sample_size`` (optional) caps the expected sampled volume by lowering
+    the rate to ``sample_size / accesses``, which keeps the mini caches'
+    set scale fixed.
     """
 
     def __init__(self, batch: AddressBatch, block_size: int,
                  level_caps: Mapping[int, int],
                  write_policy: str = WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
-                 ) -> None:
+                 rate: float = 1.0, seed: int = 0,
+                 sample_size: Optional[int] = None) -> None:
         if write_policy not in WritePolicy.ALL:
             raise ValueError(f"unknown write policy {write_policy!r}")
+        rate, sample_size, seed = check_sample_options(rate, sample_size,
+                                                      seed)
+        if sample_size is not None and len(batch):
+            rate = max(min(rate, sample_size / len(batch)), 2.0 ** -64)
+        self._rate = rate
         self._block_size = block_size
         self._mode = _store_mode(batch.has_stores, write_policy)
-        blocks_l = batch.block_numbers(block_size).tolist()
-        writes_l = (None if self._mode == "loads"
-                    else batch.is_write.tolist())
+        blocks = batch.block_numbers(block_size)
+        self._stores = int(batch.store_count)
+        self._loads = len(batch) - self._stores
+        writes = batch.is_write if self._mode != "loads" else None
+        hashes = None
         self._levels: Dict[int, _LevelProfile] = {}
+        self._level_rates: Dict[int, float] = {}
+        # Levels sharing one exponent share one filtered substream.
+        filtered: Dict[int, tuple] = {}
         for num_sets, max_ways in _checked_level_caps(level_caps).items():
-            state = _LevelState(num_sets, _round_cap(max_ways), self._mode)
-            state.feed(blocks_l, writes_l)
+            k = level_rate_exponent(num_sets, rate)
+            if k not in filtered:
+                keep = slice(None)
+                if k:
+                    if hashes is None:
+                        hashes = hash_blocks(blocks, seed)
+                    keep = (hashes >> np.uint64(64 - k)) == 0
+                filtered[k] = (blocks[keep].tolist(),
+                               None if writes is None
+                               else writes[keep].tolist())
+            state = _LevelState(num_sets >> k, _round_cap(max_ways),
+                                self._mode)
+            state.feed(*filtered[k])
             self._levels[num_sets] = state.profile()
+            self._level_rates[num_sets] = 2.0 ** -k
 
     @property
     def block_size(self) -> int:
@@ -483,16 +588,36 @@ class MultiConfigLRUProfile:
         return self._mode
 
     @property
+    def rate(self) -> float:
+        """Effective nominal sampling rate (1.0 = exact)."""
+        return self._rate
+
+    @property
     def levels(self) -> List[int]:
         """Profiled set counts."""
         return sorted(self._levels)
 
-    def miss_counts(self, num_sets: int, ways: int) -> ProfileCounts:
-        """Exact counters of the ``(num_sets, ways)`` LRU configuration."""
+    def _level(self, num_sets: int) -> _LevelProfile:
         level = self._levels.get(num_sets)
         if level is None:
             raise KeyError(f"set count {num_sets} was not profiled "
                            f"(levels: {self.levels})")
+        return level
+
+    def level_rate(self, num_sets: int) -> float:
+        """The power-of-two rate one level was sampled at (1.0 = exact)."""
+        self._level(num_sets)
+        return self._level_rates[num_sets]
+
+    def miss_counts(self, num_sets: int, ways: int) -> ProfileCounts:
+        """Counters of the ``(num_sets, ways)`` LRU configuration.
+
+        Exact when the level's rate is 1.0; otherwise the mini cache's
+        load/store hit ratios scaled to the exact full-stream totals and
+        rounded to integers (so the derived ratios stay consistent with
+        the counts).
+        """
+        level = self._level(num_sets)
         if ways > level.cap:
             raise ValueError(
                 f"ways {ways} exceeds the profiled depth cap {level.cap} "
@@ -501,197 +626,21 @@ class MultiConfigLRUProfile:
         # distance == ways is exactly the first miss — no tolerance band.
         load_hits = sum(level.hist_load[:ways])
         store_hits = sum(level.hist_store[:ways])
-        return ProfileCounts(loads=level.loads, stores=level.stores,
-                             load_misses=level.loads - load_hits,
-                             store_misses=level.stores - store_hits)
-
-
-# --------------------------------------------------------------------- #
-# part (b): single-pass FIFO grid profiling
-# --------------------------------------------------------------------- #
-
-def _block_occurrences(blocks: np.ndarray) -> Tuple[np.ndarray, List[List[int]]]:
-    """Distinct block numbers and each one's ascending access positions.
-
-    One stable vectorized sort of the block stream; the per-block position
-    lists then serve *every* FIFO configuration priced from the stream
-    (the single trace-order pass all the event simulations share).
-    """
-    blocks = np.asarray(blocks)
-    if blocks.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), []
-    order = np.argsort(blocks, kind="stable")
-    sorted_blocks = blocks[order]
-    boundary = np.empty(sorted_blocks.shape[0], dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    values = sorted_blocks[starts].astype(np.int64, copy=False)
-    occurrences = [part.tolist() for part in np.split(order, starts[1:])]
-    return values, occurrences
-
-
-def _fifo_level_counts(num_sets: int, ways: int, mode: str,
-                       occurrences: List[List[int]],
-                       block_sets: List[int],
-                       first_events: List[int],
-                       is_write: Optional[List[bool]],
-                       ) -> Tuple[int, int]:
-    """Load/store misses of one ``(num_sets, ways)`` FIFO configuration.
-
-    Event-driven over misses only — FIFO's **hit transparency**: a hit
-    never mutates FIFO state (the queue reorders only on allocation), so
-    every access between a block's allocation and its eviction can be
-    skipped wholesale.  The pending-miss heap holds, per non-resident block
-    with a future access, that access's position; popping in position order
-    replays exactly the misses the per-access kernel would count.  Each
-    allocation appends to its set's insertion log, and the victim of
-    allocation ``a`` is the block logged at ``a - ways`` (a block is never
-    re-allocated while resident, so log entries are live exactly once) —
-    whose next access after the eviction point re-enters the heap as a
-    pending miss.  Cost is O((footprint + misses) log footprint),
-    independent of the hit count.
-
-    Events are single ints, ``position << shift | block_index`` (a pending
-    block's event sits at a position accessing that very block, so events
-    occupy distinct positions and the packed ordering is the position
-    ordering) — plain-int heap compares are markedly cheaper than tuple
-    compares, and ``next_occ`` carries each block's pending occurrence
-    index on the side.
-    """
-    shift = max(1, len(occurrences)).bit_length()
-    mask = (1 << shift) - 1
-    heap = list(first_events)  # ascending unique positions: already a heap
-    next_occ = [0] * len(occurrences)
-    lmiss = 0
-    smiss = 0
-    rings: List[List[int]] = [[] for _ in range(num_sets)]
-    wtna = mode == "wtna"
-    classify = mode != "loads" and is_write is not None
-    pop, push = heappop, heappush
-    while heap:
-        event = pop(heap)
-        block = event & mask
-        pos = event >> shift
-        if classify and is_write[pos]:
-            smiss += 1
-            if wtna:
-                # Write-through/no-allocate store miss: no state change;
-                # the block's very next access is still a pending miss.
-                occ = occurrences[block]
-                index = next_occ[block] + 1
-                if index < len(occ):
-                    next_occ[block] = index
-                    push(heap, (occ[index] << shift) | block)
-                continue
-        else:
-            lmiss += 1
-        ring = rings[block_sets[block]]
-        ring.append(block)
-        alloc = len(ring)
-        if alloc > ways:
-            victim = ring[alloc - ways - 1]
-            occ = occurrences[victim]
-            index = bisect_right(occ, pos)
-            if index < len(occ):
-                next_occ[victim] = index
-                push(heap, (occ[index] << shift) | victim)
-    return lmiss, smiss
-
-
-class MultiConfigFIFOProfile:
-    """Single-pass pricing of a bit-selection ``(num_sets, ways)`` FIFO grid.
-
-    FIFO is **not** a stack algorithm (Belady's anomaly: a larger cache can
-    miss more), so no reuse-distance histogram can serve every capacity the
-    way :class:`MultiConfigLRUProfile` does.  What FIFO does have is *hit
-    transparency*: hits never touch FIFO state.  This profile therefore
-    makes one vectorized pass over the trace (per-block occurrence lists),
-    after which each requested configuration is priced by an event-driven
-    replay that touches only its misses — exact to the per-configuration
-    kernels, at a cost proportional to the miss count rather than the
-    access count.  Configurations are priced lazily on first query and
-    memoised for the profile's lifetime.
-
-    Store semantics match the batch kernels: a write-back/write-allocate
-    store misses like a load (dirtiness never changes the queue), a
-    write-through/no-allocate store miss leaves the set untouched.
-    """
-
-    def __init__(self, batch: AddressBatch, block_size: int,
-                 level_caps: Mapping[int, int],
-                 write_policy: str = WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
-                 ) -> None:
-        if write_policy not in WritePolicy.ALL:
-            raise ValueError(f"unknown write policy {write_policy!r}")
-        self._block_size = block_size
-        self._mode = _store_mode(batch.has_stores, write_policy)
-        blocks = batch.block_numbers(block_size)
-        self._stores = int(batch.store_count)
-        self._loads = int(blocks.shape[0]) - self._stores
-        self._level_caps = _checked_level_caps(level_caps)
-        self._values, self._occurrences = _block_occurrences(blocks)
-        shift = max(1, len(self._occurrences)).bit_length()
-        self._first_events = sorted(
-            (occ[0] << shift) | index
-            for index, occ in enumerate(self._occurrences))
-        self._is_write = (None if self._mode == "loads"
-                          else batch.is_write.tolist())
-        self._block_sets: Dict[int, List[int]] = {}
-        self._counts: Dict[Tuple[int, int], Tuple[int, int]] = {}
-
-    # -- readout ------------------------------------------------------- #
-
-    @property
-    def block_size(self) -> int:
-        """Line size the profile was taken at."""
-        return self._block_size
-
-    @property
-    def store_mode(self) -> str:
-        """Store semantics used (``loads``, ``uniform`` or ``wtna``)."""
-        return self._mode
-
-    @property
-    def accesses(self) -> int:
-        """Total accesses in the profiled stream."""
-        return self._loads + self._stores
-
-    @property
-    def levels(self) -> List[int]:
-        """Set counts the profile can price, ascending."""
-        return sorted(self._level_caps)
-
-    def miss_counts(self, num_sets: int, ways: int) -> ProfileCounts:
-        """Exact counters of the ``(num_sets, ways)`` FIFO configuration."""
-        cap = self._level_caps.get(num_sets)
-        if cap is None:
-            raise KeyError(f"set count {num_sets} was not profiled "
-                           f"(levels: {self.levels})")
-        if ways > cap:
-            raise ValueError(
-                f"ways {ways} exceeds the profiled depth cap {cap} "
-                f"at {num_sets} sets")
-        if ways < 1:
-            raise ValueError("ways must be at least 1")
-        counts = self._counts.get((num_sets, ways))
-        if counts is None:
-            block_sets = self._block_sets.get(num_sets)
-            if block_sets is None:
-                mask = np.int64(num_sets - 1)
-                block_sets = (self._values & mask).tolist()
-                self._block_sets[num_sets] = block_sets
-            counts = _fifo_level_counts(
-                num_sets, ways, self._mode, self._occurrences, block_sets,
-                self._first_events, self._is_write)
-            self._counts[(num_sets, ways)] = counts
-        lmiss, smiss = counts
+        if self._level_rates[num_sets] >= 1.0:
+            return ProfileCounts(loads=level.loads, stores=level.stores,
+                                 load_misses=level.loads - load_hits,
+                                 store_misses=level.stores - store_hits)
+        est_load_hits = (round(self._loads * load_hits / level.loads)
+                         if level.loads else 0)
+        est_store_hits = (round(self._stores * store_hits / level.stores)
+                          if level.stores else 0)
         return ProfileCounts(loads=self._loads, stores=self._stores,
-                             load_misses=lmiss, store_misses=smiss)
+                             load_misses=self._loads - est_load_hits,
+                             store_misses=self._stores - est_store_hits)
 
 
 # --------------------------------------------------------------------- #
-# part (c): sweep partitioning
+# part (b): sweep partitioning
 # --------------------------------------------------------------------- #
 
 #: Index-function ``cache_key`` heads whose set mapping is plain bit
@@ -706,8 +655,7 @@ class _PlanTask:
     batch: AddressBatch
     cache: object
     runner: Optional[Callable]
-    level: Optional[Tuple[int, int]]  # (num_sets, ways) when profilable
-    kind: str                         # "lru" or "fifo"
+    level: Optional[Tuple[int, int]]  # (num_sets, ways) when profiled
 
 
 class MultiConfigPlan:
@@ -715,23 +663,12 @@ class MultiConfigPlan:
 
     Drivers :meth:`add` one entry per task — a result key, the
     :class:`AddressBatch` the task replays, and a zero-argument cache
-    factory — then call :meth:`run` once.  Profilable tasks (see the module
-    docstring) are grouped per (kind, trace identity, block size, store
-    mode); each group is priced out of one :class:`MultiConfigLRUProfile`
-    or :class:`MultiConfigFIFOProfile`.  Every other task runs its cache's
-    own kernel.
-
-    One rule picks the path.  Exact profiles serve the profilable groups
-    iff the compiled kernels of :mod:`repro.engine.ckernels` are
-    unavailable: a compiled per-configuration run outpaces the exact
-    profile (~2x on the 16-configuration LRU grid
-    ``benchmarks/bench_engine.py`` times at 1M accesses), while the Python
-    fallback kernels' per-access probe is linear in the ways, so the
-    profile wins there even on single configurations (9-13x on a 256-way
-    fully-associative LRU one).  Either path gives the same numbers.
-    ``profile="sampled"`` prices every LRU group through
-    :class:`~repro.engine.shards.SampledMultiConfigLRUProfile` instead, on
-    either tier; its FIFO groups follow the exact rule.
+    factory — then call :meth:`run` once.  One rule, on both kernel tiers:
+    ``profile="auto"`` runs every task on its cache's own kernel;
+    ``profile="sampled"`` groups the :meth:`profilable` tasks per (trace
+    identity, block size, store mode) and prices each group out of one
+    sampled :class:`MultiConfigLRUProfile`, and runs every other task on
+    its own kernel.
     """
 
     def __init__(self, profile: str = "auto", sample_rate: float = 0.01,
@@ -740,18 +677,6 @@ class MultiConfigPlan:
         self._options = ProfileOptions(profile, sample_rate, sample_size,
                                        profile_seed)
         self._tasks: List[_PlanTask] = []
-
-    @staticmethod
-    def _profilable_shape(cache) -> Optional[Tuple[int, int]]:
-        """Common profilability gate: cold bit-selection batch cache."""
-        if not isinstance(cache, BatchSetAssociativeCache):
-            return None
-        if cache._classifier is not None or cache._clock != 0:
-            return None
-        key = cache.index_function.cache_key
-        if key is None or key[0] not in _BIT_SELECT_KEYS:
-            return None
-        return cache.num_sets, cache.ways
 
     @staticmethod
     def profilable(cache, batch: AddressBatch) -> Optional[Tuple[int, int]]:
@@ -763,42 +688,34 @@ class MultiConfigPlan:
         difference — but a warmed cache never does (profiles assume a cold
         start).
         """
-        if getattr(cache, "replacement_name", None) != "lru":
+        if not isinstance(cache, BatchSetAssociativeCache):
             return None
-        return MultiConfigPlan._profilable_shape(cache)
-
-    @staticmethod
-    def profilable_fifo(cache, batch: AddressBatch,
-                        ) -> Optional[Tuple[int, int]]:
-        """The ``(num_sets, ways)`` level of a FIFO-profilable cache, or None.
-
-        Same shape gate as :meth:`profilable` with FIFO replacement: such
-        tasks are priced by :class:`MultiConfigFIFOProfile`'s miss-driven
-        event replays instead of per-configuration kernel passes.
-        """
-        if getattr(cache, "replacement_name", None) != "fifo":
+        if cache.replacement_name != "lru":
             return None
-        return MultiConfigPlan._profilable_shape(cache)
+        if cache._classifier is not None or cache._clock != 0:
+            return None
+        key = cache.index_function.cache_key
+        if key is None or key[0] not in _BIT_SELECT_KEYS:
+            return None
+        return cache.num_sets, cache.ways
 
     def add(self, key: Hashable, batch: AddressBatch,
             factory: Callable[[], object],
             runner: Optional[Callable] = None) -> None:
         """Register one task: result ``key``, its batch, a cache factory.
 
-        ``runner(cache, batch)`` overrides how a fallback task is driven
+        ``runner(cache, batch)`` overrides how a kernel-run task is driven
         (defaults to ``cache.run(batch)``) — the studies pass their scalar
         replay shim so caller-supplied organisations keep working.
         """
         cache = factory()
-        kind = "lru"
-        level = self.profilable(cache, batch)
-        if level is None:
-            kind = "fifo"
-            level = self.profilable_fifo(cache, batch)
+        level = (self.profilable(cache, batch)
+                 if self._options.profile == "sampled" else None)
         self._tasks.append(_PlanTask(key=key, batch=batch, cache=cache,
-                                     runner=runner, level=level, kind=kind))
+                                     runner=runner, level=level))
 
-    def _group_key(self, task: _PlanTask) -> tuple:
+    @staticmethod
+    def _group_key(task: _PlanTask) -> tuple:
         cache = task.cache
         mode = _store_mode(task.batch.has_stores, cache.write_policy)
         # Two batches may share one address array under different store
@@ -806,54 +723,33 @@ class MultiConfigPlan:
         # too (an all-loads mask is behaviourally unique, so "loads" mode
         # only needs the addresses).
         mask_id = id(task.batch.is_write) if mode != "loads" else None
-        return (task.kind, id(task.batch.addresses), mask_id,
-                cache.block_size, mode)
-
-    def _build_profile(self, kind: str, exemplar: _PlanTask,
-                       level_caps: Dict[int, int]):
-        """The shared profile one task group is priced out of."""
-        if kind == "fifo":
-            return MultiConfigFIFOProfile(
-                exemplar.batch, exemplar.cache.block_size, level_caps,
-                write_policy=exemplar.cache.write_policy)
-        options = self._options
-        if options.profile == "sampled":
-            from .shards import SampledMultiConfigLRUProfile
-
-            return SampledMultiConfigLRUProfile(
-                exemplar.batch, exemplar.cache.block_size, level_caps,
-                write_policy=exemplar.cache.write_policy,
-                rate=options.sample_rate, seed=options.profile_seed,
-                sample_size=options.sample_size)
-        return MultiConfigLRUProfile(
-            exemplar.batch, exemplar.cache.block_size, level_caps,
-            write_policy=exemplar.cache.write_policy)
+        return (id(task.batch.addresses), mask_id, cache.block_size, mode)
 
     def run(self) -> Dict[Hashable, ProfileCounts]:
         """Execute the plan; returns ``{key: ProfileCounts}`` for every task."""
-        exact = not ckernels.available()
-        sampled = self._options.profile == "sampled"
         groups: Dict[tuple, List[_PlanTask]] = {}
         for task in self._tasks:
-            if task.level is not None and (
-                    exact or (sampled and task.kind == "lru")):
+            if task.level is not None:
                 groups.setdefault(self._group_key(task), []).append(task)
 
+        options = self._options
         results: Dict[Hashable, ProfileCounts] = {}
-        profiled: set = set()
-        for group_key, group in groups.items():
-            kind = group_key[0]
+        for group in groups.values():
             level_caps: Dict[int, int] = {}
             for task in group:
                 num_sets, ways = task.level
                 level_caps[num_sets] = max(level_caps.get(num_sets, 0), ways)
-            profile = self._build_profile(kind, group[0], level_caps)
+            exemplar = group[0]
+            profile = MultiConfigLRUProfile(
+                exemplar.batch, exemplar.cache.block_size, level_caps,
+                write_policy=exemplar.cache.write_policy,
+                rate=options.sample_rate, seed=options.profile_seed,
+                sample_size=options.sample_size)
             for task in group:
                 results[task.key] = profile.miss_counts(*task.level)
-                profiled.add(id(task))
 
         for task in self._tasks:
-            if id(task) in profiled:
+            if task.level is not None:
                 continue
             if task.runner is not None:
                 task.runner(task.cache, task.batch)
@@ -878,10 +774,10 @@ def run_lru_grid(batch: AddressBatch, block_size: int,
     ``grid`` lists ``(num_sets, ways)`` pairs (the capacity is
     ``num_sets * ways * block_size``) of ``replacement`` caches; the result
     maps each pair to its :class:`ProfileCounts`.  ``profile="auto"``
-    prices them exactly, by the plan's rule; ``profile="sampled"`` prices
-    LRU grids approximately at ``sample_rate`` (see
-    :mod:`repro.engine.shards` — ``sample_size`` caps the expected number
-    of sampled accesses, ``profile_seed`` picks the hash universe).
+    runs each on its own kernel; ``profile="sampled"`` prices LRU grids
+    out of one :class:`MultiConfigLRUProfile` at ``sample_rate``
+    (``sample_size`` caps the expected number of sampled accesses,
+    ``profile_seed`` picks the hash universe; rate 1 is exact).
     """
     plan = MultiConfigPlan(profile=profile, sample_rate=sample_rate,
                            sample_size=sample_size, profile_seed=profile_seed)

@@ -7,12 +7,11 @@ ckernels if ckernels.available() else pykernels`` and makes one call.
 :func:`run_hierarchy` take the same arguments and return the same results
 as their :mod:`repro.engine.ckernels` namesakes, and mutate the same state
 arrays in place.  Inside, :func:`_policy` is ``policy_t`` with
-``policy_touch``/``policy_victim``, :func:`_level` is ``sa_access``, and
-the four kernels are the ``repro_*_run`` loops.  ``repro_fa_run``, the
-compiled O(1) path of one-set caches, has no twin here: it writes what
-``repro_sa_run`` writes, so :func:`run_set_assoc`'s generic loop serves
-one-set caches too and stays the oracle both compiled paths are tested
-against.
+``policy_touch``/``policy_victim``, :func:`_level` is ``sa_access``,
+:func:`_fa_run` is ``fa_loop`` (the O(1) path of one-set caches, which
+:func:`run_set_assoc` takes where :func:`ckernels.set_assoc_path
+<repro.engine.ckernels.set_assoc_path>` says ``"fully-assoc"``, as
+``repro_fa_run`` does) and the four kernels are the ``repro_*_run`` loops.
 
 Each kernel shifts the batch's addresses to blocks, checks the state
 arrays out as flat lists (frame ``way * num_sets + set``, as the C kernels
@@ -26,11 +25,13 @@ validated: the callers build them from their own state.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cache.replacement import plru_touch, plru_victim, splitmix64
+from . import ckernels
 from .ckernels import NUM_COUNTS, check_shift
 
 __all__ = ["run_set_assoc", "run_victim", "run_column", "run_hierarchy"]
@@ -123,7 +124,10 @@ def _level(blocks: np.ndarray, *, place, write_back: bool, policy: str,
     clock, draws = io.tolist()
     touch, victim, stamp_l, close_policy = _policy(
         policy, ways, num_sets, stamps, bits, seed, draws)
-    lru = policy == "lru"
+    # ``touch`` inlined: a hit stamps under LRU and moves nothing under
+    # FIFO or random, a fill stamps under every policy but random; PLRU
+    # calls it for its tree.
+    lru, plru = policy == "lru", policy == "plru"
     counts = [0] * NUM_COUNTS
 
     def access(i: int, block: int, write: int) -> Tuple[bool, int, int]:
@@ -136,9 +140,9 @@ def _level(blocks: np.ndarray, *, place, write_back: bool, policy: str,
             tag = tag_l[frame]
             if tag == block:
                 counts[write] += 1
-                if lru:  # the common case, without a call
+                if lru:
                     stamp_l[frame] = clock
-                else:
+                elif plru:
                     touch(way, frame, clock, False)
                 if write and write_back:
                     dirty_l[frame] = 1
@@ -160,10 +164,10 @@ def _level(blocks: np.ndarray, *, place, write_back: bool, policy: str,
         evicted = tag_l[frame]
         tag_l[frame] = block
         dirty_l[frame] = int(write and write_back)
-        if lru:
-            stamp_l[frame] = clock
-        else:
+        if plru:
             touch(way, frame, clock, True)
+        elif stamp_l is not None:
+            stamp_l[frame] = clock
         return False, frame, evicted
 
     def close() -> np.ndarray:
@@ -175,13 +179,118 @@ def _level(blocks: np.ndarray, *, place, write_back: bool, policy: str,
     return access, close, tag_l, dirty_l
 
 
+def _fa_run(blocks: np.ndarray, writes: np.ndarray, *, write_back: bool,
+            policy: str, tags: np.ndarray, dirty: np.ndarray,
+            stamps: Optional[np.ndarray], bits: Optional[np.ndarray],
+            seed: int, io: np.ndarray):
+    """``fa_loop``: :func:`_level`'s accesses over a one-set cache in O(1)
+    each, where its probe and victim scan every way; same hits, same state
+    written.  A dict maps each block to the lowest way holding it, as the
+    probe finds it.  A cursor finds the first invalid way: nothing is
+    invalidated during a call, so it only moves forward.  LRU and FIFO
+    victims are the head of an ordered dict of the valid ways, built in
+    (stamp, way) order, each way moving to its end when stamped; that
+    order holds while every stamp is at or below the clock, so a cache
+    whose stamps run past it (the kernels never write one) is declined.
+    PLRU victims come from the set's tree, random ones from the draws.
+    Returns ``(hits, counts)``, or ``None`` when it declined (nothing
+    changed)."""
+    ways = tags.shape[0]
+    tag_l = tags.reshape(-1).tolist()
+    stamp_l = None if stamps is None else stamps.reshape(-1).tolist()
+    clock, draws = io.tolist()
+    lru, plru = policy == "lru", policy == "plru"
+    order = None
+    if policy in ("lru", "fifo"):
+        valid = sorted((stamp_l[way], way) for way in range(ways)
+                       if tag_l[way] >= 0)
+        if valid and valid[-1][0] > clock:
+            return None
+        order = OrderedDict.fromkeys(way for _stamp, way in valid)
+    dirty_l = dirty.reshape(-1).tolist()
+    tree = bits[0].tolist() if plru else None
+    # Filled from the top way down, so a block held twice maps to its
+    # lowest way; ``shared`` marks a cache holding one so.
+    way_of = {tag: way for way, tag in reversed(list(enumerate(tag_l)))
+              if tag >= 0}
+    shared = len(way_of) < sum(tag >= 0 for tag in tag_l)
+    cursor = 0
+    while cursor < ways and tag_l[cursor] >= 0:
+        cursor += 1
+    counts = [0] * NUM_COUNTS
+    hits = []
+
+    for block, write in zip(blocks.tolist(), writes.tolist()):
+        clock += 1
+        counts[write] += 1
+        way = way_of.get(block, -1)
+        hits.append(way >= 0)
+        if way >= 0:
+            if lru:
+                order.move_to_end(way)
+                stamp_l[way] = clock
+            elif plru:
+                stamp_l[way] = clock
+                plru_touch(tree, way, ways)
+            if write and write_back:
+                dirty_l[way] = 1
+            continue
+        counts[2 + write] += 1
+        if write and not write_back:
+            continue  # write-through / no-write-allocate
+        if cursor < ways:
+            way = cursor
+        else:
+            if order is not None:
+                way = order.popitem(last=False)[0]
+            elif plru:
+                way = plru_victim(tree, ways)
+            else:
+                way = splitmix64(seed + draws) % ways
+                draws += 1
+            counts[_EVICTIONS] += 1
+            if dirty_l[way]:
+                counts[_WRITEBACKS] += 1
+        evicted = tag_l[way]
+        tag_l[way] = block
+        if way_of.get(evicted) == way:
+            del way_of[evicted]
+            if shared and evicted in tag_l:
+                way_of[evicted] = tag_l.index(evicted)
+        way_of[block] = way
+        while cursor < ways and tag_l[cursor] >= 0:
+            cursor += 1
+        dirty_l[way] = int(write and write_back)
+        if stamp_l is not None:
+            stamp_l[way] = clock
+        if plru:
+            plru_touch(tree, way, ways)
+        elif order is not None:
+            order[way] = None
+
+    tags.reshape(-1)[:] = tag_l
+    dirty.reshape(-1)[:] = dirty_l
+    if stamp_l is not None:
+        stamps.reshape(-1)[:] = stamp_l
+    if plru:
+        bits[0] = tree
+    io[:] = (clock, draws)
+    return np.array(hits, dtype=bool), np.array(counts, dtype=np.int64)
+
+
 def run_set_assoc(addresses: np.ndarray, writes: np.ndarray, *, shift: int,
                   place, write_back: bool, policy: str, tags: np.ndarray,
                   dirty: np.ndarray, stamps: Optional[np.ndarray],
                   bits: Optional[np.ndarray], seed: int, io: np.ndarray):
     """:func:`repro.engine.ckernels.run_set_assoc` in Python
-    (``repro_sa_run``)."""
+    (``repro_sa_run``, or ``repro_fa_run`` on the one-set path)."""
     blocks = _blocks("block", addresses, shift)
+    if ckernels.set_assoc_path(tags.shape[1]) == "fully-assoc":
+        done = _fa_run(blocks, writes, write_back=write_back, policy=policy,
+                       tags=tags, dirty=dirty, stamps=stamps, bits=bits,
+                       seed=seed, io=io)
+        if done is not None:
+            return done
     access, close, _tags, _dirty = _level(
         blocks, place=place, write_back=write_back, policy=policy, tags=tags,
         dirty=dirty, stamps=stamps, bits=bits, seed=seed, io=io)

@@ -108,11 +108,10 @@ def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument("--profile", choices=PROFILE_MODES, default="auto",
                         help="how the vectorized engine prices conventional "
-                             "LRU/FIFO caches: auto (bit-exact; one-pass "
-                             "profiles where no compiled kernel runs) or "
-                             "sampled (approximate SHARDS-sampled LRU "
-                             "profiles; not with --engine reference or "
-                             "--trace)")
+                             "LRU caches: auto (bit-exact; every cache on "
+                             "its own kernel) or sampled (approximate "
+                             "SHARDS-sampled LRU profiles; not with "
+                             "--engine reference or --trace)")
     parser.add_argument("--sample-rate", type=checked("sample_rate", float),
                         default=0.01,
                         help="profile=sampled: spatial sampling rate in "

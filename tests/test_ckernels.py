@@ -141,10 +141,11 @@ def set_assoc_oracle(cell):
 
 
 def expected_set_assoc_kernel(placement, policy, path):
+    if placement == "fully-associative":
+        tier = "compiled" if path == "compiled" else "python"
+        return f"{tier}-fully-assoc-{policy}"
     if path == "compiled":
-        family = ("fully-assoc" if placement == "fully-associative"
-                  else "set-assoc")
-        return f"compiled-{family}-{policy}"
+        return f"compiled-set-assoc-{policy}"
     return "generic-policy-kernel"
 
 

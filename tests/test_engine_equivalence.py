@@ -285,8 +285,9 @@ def test_dispatch_strategy_covers_every_kernel_path(scheme, ways, policy,
     cell matches the scalar engine — stats, 3C miss kinds and residency
     included."""
     mixed = list(random_accesses(2000, 32 * 1024, write_fraction=0.3))
-    family = "fully-assoc" if ways == "full" else "set-assoc"
-    expected = (f"compiled-{family}-{policy}" if kernel_path == "compiled"
+    tier = "compiled" if kernel_path == "compiled" else "python"
+    expected = (f"{tier}-fully-assoc-{policy}" if ways == "full"
+                else f"compiled-set-assoc-{policy}" if tier == "compiled"
                 else "generic-policy-kernel")
     if ways == "full":
         ways, size = 64, 2048

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.cache.replacement import REPLACEMENT_POLICIES
 from repro.cpu.workloads import program_names
 from repro.engine import (
     ProfileOptions,
@@ -95,8 +96,9 @@ class TestFigure1:
 
 class TestFigure1Profile:
     def test_kernel_tiers_are_bit_exact(self, monkeypatch):
-        """Without compiled kernels the a2 rows run on the one-pass
-        profiler; not a single ratio may change."""
+        """Without compiled kernels every row runs on the Python kernels
+        (the fully-associative one on their one-set path); not a single
+        ratio may change."""
         base = run_figure1(max_stride=33, stride_step=4, sweeps=4,
                            engine="vectorized")
         monkeypatch.setattr(ckernels, "available", lambda: False)
@@ -380,12 +382,17 @@ class TestMissRatioStudy:
         assert fanned.miss_ratios == serial.miss_ratios
         assert "Average" in serial.render()
 
-    def test_kernel_tiers_are_bit_exact(self, monkeypatch):
+    @pytest.mark.parametrize("replacement", REPLACEMENT_POLICIES)
+    def test_kernel_tiers_are_bit_exact(self, monkeypatch, replacement):
+        """Every organisation, the fully-associative yardstick among them,
+        gives the same ratios on both kernel tiers under every policy."""
         base = run_miss_ratio_study(programs=["gcc"], accesses=4_000,
-                                    engine="vectorized")
+                                    engine="vectorized",
+                                    replacement=replacement)
         monkeypatch.setattr(ckernels, "available", lambda: False)
         other = run_miss_ratio_study(programs=["gcc"], accesses=4_000,
-                                     engine="vectorized")
+                                     engine="vectorized",
+                                     replacement=replacement)
         assert other.miss_ratios == base.miss_ratios
 
     def test_profile_mode_is_validated(self):
@@ -445,9 +452,9 @@ class TestReplacementStudy:
         base = run_replacement_study(programs=["gcc"], accesses=3_000,
                                      engine="vectorized")
         monkeypatch.setattr(ckernels, "available", lambda: False)
-        profiled = run_replacement_study(programs=["gcc"], accesses=3_000,
-                                         engine="vectorized")
-        assert profiled.miss_ratios == base.miss_ratios
+        other = run_replacement_study(programs=["gcc"], accesses=3_000,
+                                      engine="vectorized")
+        assert other.miss_ratios == base.miss_ratios
 
 
 class TestHolesStudy:

@@ -237,10 +237,10 @@ def test_goldens_are_committed():
 
 
 def test_lru_grid_profile_matches_golden(kernel_path):
-    """Miss-ratio grid (capacities x ways): the one-pass profile readout
-    (the Python kernel tier) and the compiled per-config kernels must both
-    reproduce the committed snapshot exactly."""
-    from repro.engine import AddressBatch, run_lru_grid
+    """Miss-ratio grid (capacities x ways): the per-config kernels of the
+    tier (``auto``) and the exact one-pass profile (``sampled`` at rate 1)
+    must both reproduce the committed snapshot exactly."""
+    from repro.engine import PROFILE_MODES, AddressBatch, run_lru_grid
     from repro.trace.batching import cached_workload_arrays
 
     golden = load_golden("lru_grid_profile.json")
@@ -249,19 +249,22 @@ def test_lru_grid_profile_matches_golden(kernel_path):
         params["program"], length=params["accesses"], seed=params["seed"]))
     grid = [(num_sets, ways) for num_sets in params["num_sets"]
             for ways in params["ways"]]
-    results = run_lru_grid(batch, params["block_size"], grid)
-    miss_ratios = {
-        str(num_sets): {str(ways): results[(num_sets, ways)].miss_ratio
-                        for ways in params["ways"]}
-        for num_sets in params["num_sets"]
-    }
-    load_miss_ratios = {
-        str(num_sets): {str(ways): results[(num_sets, ways)].load_miss_ratio
-                        for ways in params["ways"]}
-        for num_sets in params["num_sets"]
-    }
-    assert miss_ratios == golden["miss_ratios"]
-    assert load_miss_ratios == golden["load_miss_ratios"]
+    for mode in PROFILE_MODES:
+        results = run_lru_grid(batch, params["block_size"], grid,
+                               profile=mode, sample_rate=1.0)
+        miss_ratios = {
+            str(num_sets): {str(ways): results[(num_sets, ways)].miss_ratio
+                            for ways in params["ways"]}
+            for num_sets in params["num_sets"]
+        }
+        load_miss_ratios = {
+            str(num_sets): {
+                str(ways): results[(num_sets, ways)].load_miss_ratio
+                for ways in params["ways"]}
+            for num_sets in params["num_sets"]
+        }
+        assert miss_ratios == golden["miss_ratios"], mode
+        assert load_miss_ratios == golden["load_miss_ratios"], mode
 
 
 def test_sampled_grid_profile_matches_golden():

@@ -1,11 +1,12 @@
-"""Unit tests for the one-pass multi-configuration LRU and FIFO profiles.
+"""Unit tests for the one-pass multi-configuration LRU profile and the plan.
 
 The differential suites (``test_engine_equivalence.py``,
-``test_engine_properties.py``) pit the profiles against the batch kernels
+``test_engine_properties.py``) pit the profile against the batch kernels
 and the scalar models over whole traces; this module covers the subsystem's
-own semantics — reuse-distance arithmetic, the distance == ways boundary,
-the capped priority-stack store handling, the FIFO event replays — and the
-plan's routing table: which path serves each (tier, mode, policy) cell.
+own semantics at rate 1, where the profile is exact — reuse-distance
+arithmetic, the distance == ways boundary, the capped priority-stack store
+handling — and the plan's routing table: which path serves each (tier,
+mode, policy) cell.  ``test_shards.py`` covers the sampled rates.
 """
 
 import numpy as np
@@ -17,15 +18,13 @@ from repro.engine import (
     PROFILE_MODES,
     AddressBatch,
     BatchSetAssociativeCache,
-    MultiConfigFIFOProfile,
     MultiConfigLRUProfile,
     MultiConfigPlan,
     ProfileCounts,
     check_profile_mode,
-    ckernels,
     run_lru_grid,
 )
-from repro.engine import multiconfig, shards
+from repro.engine import multiconfig
 from repro.trace.batching import cached_workload_arrays
 
 BLOCK = 32
@@ -214,24 +213,17 @@ class TestMultiConfigLRUProfile:
         assert profile.miss_counts(16, 2) == kernel_counts(batch, 16, 2)
 
 
-@pytest.fixture
-def python_tier(monkeypatch):
-    """The tier without compiled kernels: the one where the plan profiles."""
-    monkeypatch.setattr(ckernels, "available", lambda: False)
-
-
 def serving_paths(monkeypatch):
-    """Record what serves each task of a plan: one entry per profile
-    built (its class name) and one ``"kernel"`` per kernel run."""
+    """Record what serves each task of a plan: one ``"profile"`` per
+    profile built and one ``"kernel"`` per kernel run."""
     served = []
-    for module, name in ((multiconfig, "MultiConfigLRUProfile"),
-                         (multiconfig, "MultiConfigFIFOProfile"),
-                         (shards, "SampledMultiConfigLRUProfile")):
-        def build(*args, _real=getattr(module, name), _name=name, **kwargs):
-            served.append(_name)
-            return _real(*args, **kwargs)
+    profile = multiconfig.MultiConfigLRUProfile
 
-        monkeypatch.setattr(module, name, build)
+    def build(*args, **kwargs):
+        served.append("profile")
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(multiconfig, "MultiConfigLRUProfile", build)
     run = BatchSetAssociativeCache.run
 
     def counting_run(self, batch):
@@ -247,23 +239,20 @@ def serving_paths(monkeypatch):
 ROUTING_GRID = [(1, 256), (16, 2), (64, 4)]
 
 
-def expected_path(tier, mode, replacement):
-    """The plan's one rule: exact profiles iff no compiled kernels, and
-    ``sampled`` moves LRU groups onto the sampled profile on either tier."""
+def expected_path(mode, replacement):
+    """The plan's one rule, the same on both tiers: ``sampled`` prices an
+    LRU group out of one profile, and every other task runs its kernel."""
     if replacement == "lru" and mode == "sampled":
-        return ["SampledMultiConfigLRUProfile"]
-    if replacement in ("lru", "fifo") and tier == "fallback":
-        return ["MultiConfigLRUProfile" if replacement == "lru"
-                else "MultiConfigFIFOProfile"]
+        return ["profile"]
     return ["kernel"] * len(ROUTING_GRID)
 
 
 @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
 @pytest.mark.parametrize("mode", PROFILE_MODES)
 def test_routing_table(kernel_path, mode, replacement, monkeypatch):
-    """tier x mode x policy: which path serves each cell, and every cell
-    bit-exact with the per-configuration kernels (the sampled profile is
-    exact at rate 1.0)."""
+    """tier x mode x policy: which path serves each cell — one rule on both
+    tiers — and every cell bit-exact with the per-configuration kernels
+    (the sampled profile is exact at rate 1.0)."""
     addresses, writes = cached_workload_arrays("li", length=4000)
     batch = AddressBatch.from_arrays(addresses, writes)
     expected = {(num_sets, ways): kernel_counts(batch, num_sets, ways,
@@ -272,7 +261,7 @@ def test_routing_table(kernel_path, mode, replacement, monkeypatch):
     served = serving_paths(monkeypatch)
     results = run_lru_grid(batch, BLOCK, ROUTING_GRID, profile=mode,
                            replacement=replacement, sample_rate=1.0)
-    assert served == expected_path(kernel_path, mode, replacement)
+    assert served == expected_path(mode, replacement)
     assert results == expected
 
 
@@ -297,15 +286,10 @@ class TestMultiConfigPlan:
             8192, BLOCK, 2, index_function=make_index_function(
                 "a2-Hp-Sk", num_sets=128, ways=2, address_bits=19))
         assert MultiConfigPlan.profilable(skewed, batch) is None
-        fifo = BatchSetAssociativeCache(8192, BLOCK, 2, replacement="fifo")
-        assert MultiConfigPlan.profilable(fifo, batch) is None
-        assert MultiConfigPlan.profilable_fifo(fifo, batch) == (128, 2)
-        conventional_not_fifo = BatchSetAssociativeCache(8192, BLOCK, 2)
-        assert MultiConfigPlan.profilable_fifo(
-            conventional_not_fifo, batch) is None
-        random_policy = BatchSetAssociativeCache(8192, BLOCK, 2,
-                                                 replacement="random")
-        assert MultiConfigPlan.profilable_fifo(random_policy, batch) is None
+        for policy in ("fifo", "random", "plru"):
+            other = BatchSetAssociativeCache(8192, BLOCK, 2,
+                                             replacement=policy)
+            assert MultiConfigPlan.profilable(other, batch) is None
         classified = BatchSetAssociativeCache(8192, BLOCK, 2,
                                               classify_misses=True)
         assert MultiConfigPlan.profilable(classified, batch) is None
@@ -314,7 +298,7 @@ class TestMultiConfigPlan:
         warmed.reset_stats()
         assert MultiConfigPlan.profilable(warmed, batch) is None
 
-    def test_groups_share_one_pass_per_level(self, python_tier, monkeypatch):
+    def test_groups_share_one_pass_per_level(self, monkeypatch):
         levels = []
 
         class CountingLevel(multiconfig._LevelState):
@@ -328,14 +312,13 @@ class TestMultiConfigPlan:
         addresses, writes = cached_workload_arrays("gcc", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
         grid = [(64, w) for w in (1, 2, 3, 4, 5, 6, 7, 8)]
-        run_lru_grid(batch, BLOCK, grid)
+        run_lru_grid(batch, BLOCK, grid, profile="sampled", sample_rate=1.0)
         assert levels == [64]  # eight configurations, one level pass
 
-    def test_mixed_plan_keeps_kernel_tasks_on_their_kernels(self,
-                                                            python_tier):
+    def test_mixed_plan_keeps_kernel_tasks_on_their_kernels(self):
         addresses, writes = cached_workload_arrays("gcc", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
-        plan = MultiConfigPlan()
+        plan = MultiConfigPlan(profile="sampled", sample_rate=1.0)
         plan.add("conv", batch, lambda: BatchSetAssociativeCache(8192, BLOCK, 2))
         plan.add("skew", batch, lambda: BatchSetAssociativeCache(
             8192, BLOCK, 2, index_function=make_index_function(
@@ -365,8 +348,7 @@ class TestMultiConfigPlan:
         assert len(seen) == 1
         assert results["row"].loads == 4
 
-    def test_shared_addresses_with_different_store_masks_do_not_alias(
-            self, python_tier):
+    def test_shared_addresses_with_different_store_masks_do_not_alias(self):
         """Two batches over one address array but different store masks
         must not share a profile group — their WTNA store-touch behaviour
         differs."""
@@ -376,7 +358,7 @@ class TestMultiConfigPlan:
             addresses, [False, False, True, False, False])
         all_loads_mask = AddressBatch.from_arrays(
             addresses, [False] * 5)
-        plan = MultiConfigPlan()
+        plan = MultiConfigPlan(profile="sampled", sample_rate=1.0)
         plan.add("stores", hot_store, lambda: BatchSetAssociativeCache(
             2 * BLOCK, BLOCK, 2))
         plan.add("loads", all_loads_mask, lambda: BatchSetAssociativeCache(
@@ -397,11 +379,13 @@ class TestMultiConfigPlan:
                                replacement=replacement)
         assert results == {key: zero for key in grid}
 
-    def test_grid_against_scalar_models(self, python_tier):
+    @pytest.mark.parametrize("mode", PROFILE_MODES)
+    def test_grid_against_scalar_models(self, mode):
         addresses, writes = cached_workload_arrays("compress", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
         grid = [(num_sets, ways) for num_sets in (16, 64) for ways in (1, 3, 8)]
-        results = run_lru_grid(batch, BLOCK, grid)
+        results = run_lru_grid(batch, BLOCK, grid, profile=mode,
+                               sample_rate=1.0)
         for (num_sets, ways), counts in results.items():
             scalar = SetAssociativeCache(num_sets * ways * BLOCK, BLOCK, ways)
             for address, is_write in zip(batch.addresses.tolist(),
@@ -411,101 +395,11 @@ class TestMultiConfigPlan:
                 num_sets, ways)
 
 
-class TestMultiConfigFIFOProfile:
-    """The single-pass FIFO grid: miss-driven event replays vs kernels."""
-
-    def test_validates_geometry_and_policy(self):
-        batch = batch_of_blocks([0, 1])
-        with pytest.raises(ValueError):
-            MultiConfigFIFOProfile(batch, BLOCK, {3: 2})  # not a power of two
-        with pytest.raises(ValueError):
-            MultiConfigFIFOProfile(batch, BLOCK, {4: 0})  # no ways
-        with pytest.raises(ValueError):
-            MultiConfigFIFOProfile(batch, BLOCK, {})      # no levels
-        with pytest.raises(ValueError):
-            MultiConfigFIFOProfile(batch, BLOCK, {4: 2}, write_policy="bogus")
-
-    def test_readout_guards(self):
-        batch = batch_of_blocks([0, 1, 2])
-        profile = MultiConfigFIFOProfile(batch, BLOCK, {4: 2})
-        with pytest.raises(KeyError):
-            profile.miss_counts(8, 2)     # level never declared
-        with pytest.raises(ValueError):
-            profile.miss_counts(4, 3)     # beyond the declared depth cap
-        with pytest.raises(ValueError):
-            profile.miss_counts(4, 0)
-
-    def test_beladys_anomaly_is_reproduced(self):
-        """FIFO is not a stack algorithm: the classic anomaly trace misses
-        *more* at four frames than at three — the per-capacity event
-        replays must reproduce it (a stack-style readout cannot)."""
-        anomaly = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
-        batch = batch_of_blocks(anomaly)
-        profile = MultiConfigFIFOProfile(batch, BLOCK, {1: 4})
-        assert profile.miss_counts(1, 3).misses == 9
-        assert profile.miss_counts(1, 4).misses == 10
-
-    def test_cyclic_trace_at_and_below_its_footprint(self):
-        profile = MultiConfigFIFOProfile(batch_of_blocks([0, 1, 2, 0, 1, 2]),
-                                         BLOCK, {1: 3})
-        assert profile.miss_counts(1, 2).misses == 6  # thrashes below it
-        assert profile.miss_counts(1, 3).misses == 3  # compulsory only
-        assert profile.miss_counts(1, 3).miss_ratio == 0.5
-
-    def test_matches_fully_associative_fifo_kernel(self):
-        rng = np.random.default_rng(17)
-        batch = batch_of_blocks(rng.integers(0, 80, size=4000).tolist())
-        profile = MultiConfigFIFOProfile(batch, BLOCK, {1: 100})
-        for capacity in (1, 2, 7, 16, 33, 64, 100):
-            cache = BatchSetAssociativeCache(
-                capacity * BLOCK, BLOCK, capacity,
-                index_function=SingleSetIndexing(), replacement="fifo")
-            cache.run(batch)
-            counts = profile.miss_counts(1, capacity)
-            assert counts.misses == cache.stats.misses
-            assert counts.hits == cache.stats.hits
-
-    def test_matches_kernels_across_grid_and_policies(self):
-        addresses, writes = cached_workload_arrays("gcc", length=6000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        for policy in (WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
-                       WritePolicy.WRITE_BACK_ALLOCATE):
-            profile = MultiConfigFIFOProfile(batch, BLOCK, {16: 8, 64: 8},
-                                             write_policy=policy)
-            for num_sets in (16, 64):
-                for ways in (1, 2, 3, 4, 8):
-                    assert (profile.miss_counts(num_sets, ways)
-                            == kernel_counts(batch, num_sets, ways,
-                                             write_policy=policy,
-                                             replacement="fifo")), (
-                        policy, num_sets, ways)
-
-    def test_loads_only_stream(self):
-        batch = batch_of_blocks([0, 1, 2, 0, 1, 2, 3, 0])
-        profile = MultiConfigFIFOProfile(batch, BLOCK, {1: 4})
-        assert profile.store_mode == "loads"
-        assert profile.miss_counts(1, 3) == kernel_counts(
-            batch, 1, 3, replacement="fifo")
-
-    def test_loads_then_stores_take_the_store_mode(self):
-        batch = batch_of_blocks([0, 1, 2, 3, 4], [False] * 3 + [True, False])
-        profile = MultiConfigFIFOProfile(batch, BLOCK, {16: 2})
-        assert profile.store_mode == "wtna"
-        assert profile.accesses == 5
-        assert profile.miss_counts(16, 2) == kernel_counts(
-            batch, 16, 2, replacement="fifo")
-
-    def test_empty_trace(self):
-        profile = MultiConfigFIFOProfile(batch_of_blocks([]), BLOCK, {4: 2})
-        assert profile.accesses == 0
-        assert profile.miss_counts(4, 2).miss_ratio == 0.0
-
-
 class TestFIFOPlanRouting:
-    """On the Python tier MultiConfigPlan prices FIFO grids off the
-    one-pass profile, bit-exact with the per-config kernels."""
+    """FIFO grids run on their kernels on both tiers, bit-exact with the
+    scalar models, beside LRU tasks priced out of a profile."""
 
-    def test_fifo_grid_against_scalar_models(self, python_tier):
+    def test_fifo_grid_against_scalar_models(self, kernel_path):
         addresses, writes = cached_workload_arrays("li", length=3000)
         batch = AddressBatch.from_arrays(addresses, writes)
         grid = [(16, 2), (64, 1), (64, 4)]
@@ -519,13 +413,29 @@ class TestFIFOPlanRouting:
             assert counts == ProfileCounts.from_stats(scalar.stats), (
                 num_sets, ways)
 
-    def test_mixed_lru_and_fifo_plan(self, python_tier, monkeypatch):
-        """LRU and FIFO tasks over one batch group separately, each priced
-        by its own profile kind, both exact."""
+    def test_beladys_anomaly_is_reproduced(self, kernel_path):
+        """FIFO is not a stack algorithm: the classic anomaly trace misses
+        *more* at four frames than at three."""
+        batch = batch_of_blocks([1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5])
+        results = run_lru_grid(batch, BLOCK, [(1, 3), (1, 4)],
+                               replacement="fifo")
+        assert results[(1, 3)].misses == 9
+        assert results[(1, 4)].misses == 10
+
+    def test_cyclic_trace_at_and_below_its_footprint(self, kernel_path):
+        results = run_lru_grid(batch_of_blocks([0, 1, 2, 0, 1, 2]), BLOCK,
+                               [(1, 2), (1, 3)], replacement="fifo")
+        assert results[(1, 2)].misses == 6  # thrashes below it
+        assert results[(1, 3)].misses == 3  # compulsory only
+        assert results[(1, 3)].miss_ratio == 0.5
+
+    def test_mixed_lru_and_fifo_plan(self, kernel_path, monkeypatch):
+        """Under ``sampled``, the LRU tasks over one batch share one profile
+        while the FIFO tasks run their kernels, both exact at rate 1."""
         addresses, writes = cached_workload_arrays("go", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
         served = serving_paths(monkeypatch)
-        plan = MultiConfigPlan()
+        plan = MultiConfigPlan(profile="sampled", sample_rate=1.0)
         for ways in (1, 2, 4):
             plan.add(("lru", ways), batch,
                      lambda ways=ways: BatchSetAssociativeCache(
@@ -534,8 +444,7 @@ class TestFIFOPlanRouting:
                      lambda ways=ways: BatchSetAssociativeCache(
                          64 * ways * BLOCK, BLOCK, ways, replacement="fifo"))
         results = plan.run()
-        assert sorted(served) == ["MultiConfigFIFOProfile",
-                                  "MultiConfigLRUProfile"]
+        assert served == ["profile"] + ["kernel"] * 3
         for ways in (1, 2, 4):
             assert results[("lru", ways)] == kernel_counts(batch, 64, ways)
             assert results[("fifo", ways)] == kernel_counts(

@@ -1,17 +1,18 @@
-"""The one-set (fully-associative) path of the compiled tier, differentially.
+"""The one-set (fully-associative) path of both kernel tiers, differentially.
 
-A one-set cache runs ``repro_fa_run`` (``compiled-fully-assoc-*``): a
-block -> way map finds hits, a cursor finds fills and a recency list (LRU,
-FIFO) or the PLRU tree picks victims, where ``repro_sa_run`` scans every
-way.  Each case runs one trace through a batch cache on three kernels —
-that path, the generic compiled loop (``repro_sa_run``, reached by
-patching :func:`ckernels.set_assoc_path`) and the Python kernels — and
-compares everything a run writes: hits, tags, dirty bits, stamps, PLRU
-bits, the clock, the random draws and the counters.  Cold caches also
-match the scalar :class:`~repro.cache.fully_assoc.FullyAssociativeCache`
-on both tiers; doctored caches start from states the kernels never write
-themselves (a block in several ways, invalid ways amid valid ones, tied
-stamps, stamps past the clock).
+A one-set cache runs ``repro_fa_run`` (``compiled-fully-assoc-*``) or its
+Python twin (``python-fully-assoc-*``): a block -> way map finds hits, a
+cursor finds fills and a recency order (LRU, FIFO) or the PLRU tree picks
+victims, where the generic loops scan every way.  Each case runs one trace
+through a batch cache on four kernels — the two one-set paths and the two
+generic loops (``repro_sa_run`` and its Python twin, reached by patching
+:func:`ckernels.set_assoc_path`) — and compares everything a run writes:
+hits, tags, dirty bits, stamps, PLRU bits, the clock, the random draws and
+the counters.  Cold caches also match the scalar
+:class:`~repro.cache.fully_assoc.FullyAssociativeCache` on both tiers;
+doctored caches start from states the kernels never write themselves (a
+block in several ways, invalid ways amid valid ones, tied stamps, stamps
+past the clock).
 """
 
 from functools import lru_cache
@@ -32,7 +33,11 @@ WRITE_POLICIES = (WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
 #: Chunk sizes of a replay; ``None`` is the whole trace in one call.  One
 #: access per call on the widest caches is deep-sweep only (``-m slow``).
 CHUNKS = (pytest.param(1, marks=pytest.mark.slow), 7, 4096, None)
-TIERS = ("one-set", "generic", "python")
+#: Each kernel a case runs on, and the head of its dispatch name.
+TIERS = {"one-set": "compiled-fully-assoc-",
+         "generic": "compiled-set-assoc-",
+         "python-one-set": "python-fully-assoc-",
+         "python-generic": "generic-policy-kernel"}
 
 
 @lru_cache(maxsize=None)
@@ -76,11 +81,12 @@ def by_way(outcome, key):
 def run_tier(monkeypatch, tier, cache, runs):
     """Replay ``runs`` on ``tier``; returns everything the runs wrote."""
     with monkeypatch.context() as patch:
-        if tier == "generic":
+        if tier.endswith("generic"):
             patch.setattr(ckernels, "set_assoc_path", lambda num_sets:
                           "set-assoc")
-        elif tier == "python":
+        if tier.startswith("python"):
             patch.setattr(ckernels, "available", lambda: False)
+        assert cache.dispatch_strategy(runs[0]).startswith(TIERS[tier])
         hits = np.concatenate([cache.run(batch) for batch in runs])
     tags, dirty, policy = cache._arrays()
     return {"hits": hits.tolist(), "tags": tags.tolist(),
@@ -101,8 +107,8 @@ def assert_tiers_agree(monkeypatch, build, runs, doctor=None):
         if doctor is not None:
             doctor(cache)
         outcomes[tier] = run_tier(monkeypatch, tier, cache, runs)
-    assert outcomes["one-set"] == outcomes["generic"]
-    assert outcomes["one-set"] == outcomes["python"]
+    for tier in TIERS:
+        assert outcomes[tier] == outcomes["one-set"], tier
     return outcomes["one-set"]
 
 
@@ -117,15 +123,17 @@ def scalar_oracle(ways, policy, write_policy):
     return hits, stats_of(scalar.stats), sorted(scalar.resident_blocks())
 
 
-def test_one_set_caches_dispatch_to_their_path(compiled_tier):
+def test_one_set_caches_dispatch_to_their_path(kernel_path):
     batch = AddressBatch.from_arrays([0])
+    tier = "compiled" if kernel_path == "compiled" else "python"
     for policy in REPLACEMENT_POLICIES:
         assert batch_cache(64, policy, WRITE_POLICIES[0]).dispatch_strategy(
-            batch) == f"compiled-fully-assoc-{policy}"
+            batch) == f"{tier}-fully-assoc-{policy}"
         two_sets = BatchSetAssociativeCache(128 * BLOCK, BLOCK, 64,
                                             replacement=policy)
-        assert two_sets.dispatch_strategy(batch) == \
-            f"compiled-set-assoc-{policy}"
+        assert two_sets.dispatch_strategy(batch) == (
+            f"compiled-set-assoc-{policy}" if tier == "compiled"
+            else "generic-policy-kernel")
 
 
 @pytest.mark.parametrize("chunk", CHUNKS, ids=str)

@@ -1,10 +1,11 @@
 """Unit tests for SHARDS-style sampled all-associativity profiling.
 
-The sampled profile of :mod:`repro.engine.shards` trades exactness for
-speed, so the suite pins the three properties that make it usable:
+:class:`~repro.engine.MultiConfigLRUProfile` below rate 1 trades exactness
+for speed, so the suite pins the three properties that make it usable:
 **determinism** (a profile is a pure function of (trace, rate, seed)),
-**degeneracy** (rate 1.0 must be bit-identical to the exact twin, as must
-levels whose mini cache hits the set floor), and a **bounded error
+**degeneracy** (rate 1.0 must be bit-identical to the exact profile, which
+computes no hashes, as must levels whose mini cache hits the set floor,
+and both must equal the kernels), and a **bounded error
 envelope** at the production rate R = 0.01 across several seeds on a
 spread-mass trace.  Hypothesis drives the degeneracy claims over random
 geometries.
@@ -18,13 +19,15 @@ from hypothesis import strategies as st
 from repro.cache.set_assoc import WritePolicy
 from repro.engine import (
     AddressBatch,
+    BatchSetAssociativeCache,
     MultiConfigLRUProfile,
-    SampledMultiConfigLRUProfile,
+    ProfileCounts,
     run_lru_grid,
 )
-from repro.engine.shards import (
+from repro.engine import multiconfig
+from repro.engine.multiconfig import (
     MIN_MINI_SETS,
-    check_sample_rate,
+    check_sample_options,
     hash_blocks,
     level_rate_exponent,
 )
@@ -51,6 +54,16 @@ def spread_trace(n, seed, store_fraction=0.3):
     return AddressBatch.from_arrays(addresses, writes)
 
 
+def kernel_counts(batch, num_sets, ways,
+                  write_policy=WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
+                  block=BLOCK):
+    """The counters of one LRU configuration's own batch kernel."""
+    cache = BatchSetAssociativeCache(num_sets * ways * block, block, ways,
+                                     write_policy=write_policy)
+    cache.run(batch)
+    return ProfileCounts.from_stats(cache.stats)
+
+
 class TestHashAndRates:
     def test_hash_is_deterministic_and_seed_sensitive(self):
         blocks = np.arange(1000, dtype=np.int64)
@@ -60,10 +73,12 @@ class TestHashAndRates:
             hash_blocks(blocks, -1)
 
     def test_rate_validation(self):
-        assert check_sample_rate(1) == 1.0
-        for bad in (0.0, -0.5, 1.5, 2):
+        assert check_sample_options(1) == (1.0, None, 0)
+        assert check_sample_options(0.5, 8, 3) == (0.5, 8, 3)
+        for bad in ((0.0,), (-0.5,), (1.5,), (2,), (0.5, 0), (0.5, -8),
+                    (0.5, None, -1)):
             with pytest.raises(ValueError):
-                check_sample_rate(bad)
+                check_sample_options(*bad)
 
     def test_leading_zero_filter_keeps_roughly_its_rate_of_blocks(self):
         """A level at exponent k keeps blocks whose hash has k leading zero
@@ -97,18 +112,24 @@ class TestHashAndRates:
 class TestSampledMultiConfig:
     GRID = {64: 8, 1024: 8}
 
-    def test_rate_one_is_bit_exact(self):
+    def test_rate_one_is_bit_exact(self, monkeypatch):
+        """Rate 1 is the exact profile: it hashes nothing and every cell
+        equals the kernels'."""
+        def no_hashes(*args):
+            raise AssertionError("rate 1 hashed the blocks")
+
+        monkeypatch.setattr(multiconfig, "hash_blocks", no_hashes)
         batch = spread_trace(5000, seed=31)
         for policy in (WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
                        WritePolicy.WRITE_BACK_ALLOCATE):
             exact = MultiConfigLRUProfile(batch, BLOCK, self.GRID,
-                                          write_policy=policy)
-            sampled = SampledMultiConfigLRUProfile(
-                batch, BLOCK, self.GRID, write_policy=policy, rate=1.0)
+                                          write_policy=policy, rate=1.0)
             for num_sets in self.GRID:
+                assert exact.level_rate(num_sets) == 1.0
                 for ways in (1, 2, 4, 8):
-                    assert (sampled.miss_counts(num_sets, ways)
-                            == exact.miss_counts(num_sets, ways)), (
+                    assert (exact.miss_counts(num_sets, ways)
+                            == kernel_counts(batch, num_sets, ways,
+                                             policy)), (
                         policy, num_sets, ways)
 
     def test_floored_levels_are_bit_exact_at_any_rate(self):
@@ -117,7 +138,7 @@ class TestSampledMultiConfig:
         batch = spread_trace(4000, seed=32)
         grid = {1: 8, MIN_MINI_SETS: 4}
         exact = MultiConfigLRUProfile(batch, BLOCK, grid)
-        sampled = SampledMultiConfigLRUProfile(batch, BLOCK, grid, rate=0.01)
+        sampled = MultiConfigLRUProfile(batch, BLOCK, grid, rate=0.01)
         assert sampled.level_rate(1) == 1.0
         assert sampled.level_rate(MIN_MINI_SETS) == 1.0
         for num_sets, cap in grid.items():
@@ -127,12 +148,12 @@ class TestSampledMultiConfig:
 
     def test_deterministic_per_seed(self):
         batch = spread_trace(20_000, seed=33)
-        one_shot = SampledMultiConfigLRUProfile(batch, BLOCK, self.GRID,
-                                                rate=0.05, seed=9)
-        again = SampledMultiConfigLRUProfile(batch, BLOCK, self.GRID,
-                                             rate=0.05, seed=9)
-        other_seed = SampledMultiConfigLRUProfile(batch, BLOCK, self.GRID,
-                                                  rate=0.05, seed=10)
+        one_shot = MultiConfigLRUProfile(batch, BLOCK, self.GRID,
+                                         rate=0.05, seed=9)
+        again = MultiConfigLRUProfile(batch, BLOCK, self.GRID,
+                                      rate=0.05, seed=9)
+        other_seed = MultiConfigLRUProfile(batch, BLOCK, self.GRID,
+                                           rate=0.05, seed=10)
         differs = False
         for num_sets in self.GRID:
             assert again.level_rate(num_sets) == one_shot.level_rate(num_sets)
@@ -150,8 +171,8 @@ class TestSampledMultiConfig:
         grid = {1024: 8, 2048: 8}
         exact = MultiConfigLRUProfile(batch, BLOCK, grid)
         for seed in range(3):
-            sampled = SampledMultiConfigLRUProfile(batch, BLOCK, grid,
-                                                   rate=0.01, seed=seed)
+            sampled = MultiConfigLRUProfile(batch, BLOCK, grid,
+                                            rate=0.01, seed=seed)
             for num_sets in grid:
                 assert sampled.level_rate(num_sets) < 1.0
                 for ways in (1, 2, 4, 8):
@@ -161,16 +182,16 @@ class TestSampledMultiConfig:
 
     def test_sample_size_caps_the_rate(self):
         batch = spread_trace(50_000, seed=34)
-        capped = SampledMultiConfigLRUProfile(batch, BLOCK, {1024: 4},
-                                              rate=1.0, sample_size=500)
+        capped = MultiConfigLRUProfile(batch, BLOCK, {1024: 4},
+                                       rate=1.0, sample_size=500)
         assert capped.rate == pytest.approx(500 / 50_000)
         with pytest.raises(ValueError):
-            SampledMultiConfigLRUProfile(batch, BLOCK, {1024: 4},
-                                         sample_size=0)
+            MultiConfigLRUProfile(batch, BLOCK, {1024: 4},
+                                  sample_size=0)
 
     def test_readout_guards_match_exact_twin(self):
         batch = spread_trace(2000, seed=35)
-        sampled = SampledMultiConfigLRUProfile(batch, BLOCK, {64: 4})
+        sampled = MultiConfigLRUProfile(batch, BLOCK, {64: 4}, rate=0.01)
         with pytest.raises(KeyError):
             sampled.miss_counts(128, 2)
         with pytest.raises(KeyError):
@@ -178,9 +199,9 @@ class TestSampledMultiConfig:
         with pytest.raises(ValueError):
             sampled.miss_counts(64, 1000)
         with pytest.raises(ValueError):
-            SampledMultiConfigLRUProfile(batch, BLOCK, {64: 4}, rate=0.0)
+            MultiConfigLRUProfile(batch, BLOCK, {64: 4}, rate=0.0)
         with pytest.raises(ValueError):
-            SampledMultiConfigLRUProfile(batch, BLOCK, {64: 4}, seed=-1)
+            MultiConfigLRUProfile(batch, BLOCK, {64: 4}, seed=-1)
 
     def test_plan_sampled_mode_routes_lru_grids(self):
         """run_lru_grid(profile="sampled") at rate 1.0 degenerates to the
@@ -210,18 +231,17 @@ class TestSampledMultiConfig:
 )
 def test_sampled_profile_rate_one_matches_exact_on_random_geometries(
         addresses, writes, set_bits, ways, seed):
-    """Degeneracy property: at rate 1.0 the sampled profile is the exact
-    profile, over random traces, geometries and hash seeds."""
+    """Degeneracy property: at rate 1.0 the profile is exact, whatever the
+    hash seed, over random traces and geometries."""
     is_write = writes.draw(st.lists(st.booleans(), min_size=len(addresses),
                                     max_size=len(addresses)))
     num_sets = 1 << set_bits
     batch = AddressBatch.from_arrays(np.array(addresses, dtype=np.uint64),
                                      np.array(is_write, dtype=bool))
-    exact = MultiConfigLRUProfile(batch, 16, {num_sets: ways})
-    sampled = SampledMultiConfigLRUProfile(batch, 16, {num_sets: ways},
-                                           rate=1.0, seed=seed)
+    sampled = MultiConfigLRUProfile(batch, 16, {num_sets: ways},
+                                    rate=1.0, seed=seed)
     assert (sampled.miss_counts(num_sets, ways)
-            == exact.miss_counts(num_sets, ways))
+            == kernel_counts(batch, num_sets, ways, block=16))
 
 
 @settings(max_examples=30, deadline=None)
@@ -240,12 +260,12 @@ def test_sampled_profile_is_sane_on_random_geometries(
     num_sets = 1 << set_bits
     rate = rate_percent / 100.0
     batch = AddressBatch.from_arrays(np.array(addresses, dtype=np.uint64))
-    sampled = SampledMultiConfigLRUProfile(batch, 16, {num_sets: ways},
-                                           rate=rate, seed=seed)
+    sampled = MultiConfigLRUProfile(batch, 16, {num_sets: ways},
+                                    rate=rate, seed=seed)
     counts = sampled.miss_counts(num_sets, ways)
     assert counts.accesses == len(addresses)
     assert 0 <= counts.load_misses <= counts.loads
     assert 0.0 <= counts.miss_ratio <= 1.0
-    rebuilt = SampledMultiConfigLRUProfile(batch, 16, {num_sets: ways},
-                                           rate=rate, seed=seed)
+    rebuilt = MultiConfigLRUProfile(batch, 16, {num_sets: ways},
+                                    rate=rate, seed=seed)
     assert rebuilt.miss_counts(num_sets, ways) == counts
