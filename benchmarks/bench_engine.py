@@ -26,18 +26,18 @@ available):
   fallback) on a fully-associative 256-way cache, and the victim kernels
   (``compiled-victim-*``; fallback ``victim-generic-kernel``, all four
   policies) must also stay >= 10x over scalar;
-* the multi-level hierarchies — the inclusive two-level hierarchy and the
-  virtual-real hierarchy with a TLB-fronted page table
-  (``compiled-hierarchy``; fallback ``hierarchy-loop``) — must stay >= 10x
-  over the per-access scalar protocols (bit-exact per-level CacheStats,
-  hole/back-invalidation counters, page faults and TLB hits/misses).
+* the virtual-real hierarchy, both levels built from one
+  ``OrganisationSpec`` per engine as the holes study builds them
+  (``compiled-hierarchy``; fallback ``hierarchy-loop``), must stay >= 10x
+  over the per-access scalar protocol (bit-exact per-level CacheStats,
+  hole/alias counters and page faults).
 
 The fallback columns are recorded on every row and bounded on none.
 
 The ``holes-study`` row times ``run_holes_study`` at the CLI's defaults
 on the vectorized engine (best of ``HOLES_STUDY_RUNS``), 36 hierarchy
-runs of 40k accesses whose per-run set-up the 1M-access hierarchy rows
-hide; it reports accesses/s and the shares of translation, kernel,
+runs of 40k accesses whose per-run set-up the 1M-access hierarchy row
+hides; it reports accesses/s and the shares of translation, kernel,
 per-run set-up and the rest, unbounded, and asserts the study equal to
 the reference engine's on a prefix of every program.
 
@@ -116,8 +116,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cache.hierarchy import TwoLevelHierarchy
-from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.set_assoc import SetAssociativeCache, WritePolicy
 from repro.cache.victim import VictimCache
 from repro.cache.virtual_real import VirtualRealHierarchy
 from repro.core.index import make_index_function
@@ -125,8 +124,7 @@ from repro.engine import (
     AddressBatch,
     BatchSetAssociativeCache,
     BatchVictimCache,
-    batch_hierarchy_like,
-    batch_virtual_real_like,
+    BatchVirtualRealHierarchy,
     MultiConfigLRUProfile,
     ProfileCounts,
     ckernels,
@@ -137,10 +135,9 @@ from repro.experiments.config import (
     PAPER_HASH_BITS,
     PAPER_L1_8KB,
     CacheGeometry,
-    build_cache,
+    OrganisationSpec,
 )
-from repro.memory.paging import TLB, PageTable
-from repro.memory.translation import AddressTranslator
+from repro.memory.paging import PageTable
 from repro.trace.batching import strided_vector_arrays
 from repro.trace.record import MemoryAccess
 from repro.trace.stream import iter_trace_chunks, write_trace_v2
@@ -278,18 +275,18 @@ FULLY_ASSOCIATIVE_WAYS = PAPER_L1_8KB.size_bytes // PAPER_L1_8KB.block_size
 COVERAGE_CASES = ([(4, policy, False) for policy in POLICY_ROWS]
                   + [(2, "fifo", True), (FULLY_ASSOCIATIVE_WAYS, "lru", True)])
 
-#: Multi-level rows: a 16 KB skewed I-Poly L1 over a 1 MB conventional
-#: write-back L2 — the Section 3 deployment shape.  At this L1 capacity the
-#: strided trace misses ~38% of the time, so L2 traffic is busy without
-#: being degenerate.
-HIERARCHY_L1 = CacheGeometry(16 * 1024, block_size=32, ways=2)
-HIERARCHY_L2_BYTES = 1 << 20
-
-#: Translation front-end of the virtual-real row.  The scalar protocol
-#: translates every access through the TLB, the batch engine through the
-#: run-collapsing TLB kernel; counters must agree exactly either way.
+#: The virtual-real row: a 16 KB skewed I-Poly L1 over a 1 MB conventional
+#: write-back L2 — the Section 3 deployment shape — behind a scatter page
+#: table.  At this L1 capacity the strided trace misses ~38% of the time,
+#: so L2 traffic is busy without being degenerate.
+VR_L1 = OrganisationSpec(scheme="a2-Hp-Sk",
+                         geometry=CacheGeometry(16 * 1024, block_size=32,
+                                                ways=2))
+VR_L2 = OrganisationSpec(scheme="a2",
+                         geometry=CacheGeometry(1 << 20, block_size=32,
+                                                ways=2),
+                         write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
 VR_PAGE_SIZE = 4096
-VR_TLB_ENTRIES = 64
 VR_SEED = 999
 
 #: Timed runs of the holes-study row (the best is reported), and the
@@ -308,29 +305,17 @@ SYNTHESIS_SHORT_ACCESSES = 8_000
 REQUIRED_SPEEDUP_SYNTHESIS = 5.0
 
 
-def _make_hierarchy_caches():
-    l1 = build_cache(HIERARCHY_L1, "a2-Hp-Sk", address_bits=PAPER_HASH_BITS)
-    l2 = build_cache(CacheGeometry(HIERARCHY_L2_BYTES,
-                                   block_size=HIERARCHY_L1.block_size,
-                                   ways=2),
-                     "a2", write_policy="write-back-allocate")
-    return l1, l2
-
-
-def _make_vr_pair():
-    """Scalar virtual-real hierarchy + its batch twin, identically seeded."""
+def _make_vr(engine):
+    """A cold virtual-real hierarchy on ``engine`` and its page table, both
+    levels built from their ``OrganisationSpec`` as the holes study builds
+    them; every call is seeded identically."""
     page_table = PageTable(page_size=VR_PAGE_SIZE, allocation="scatter",
                            seed=VR_SEED)
-    tlb = TLB(entries=VR_TLB_ENTRIES, page_size=VR_PAGE_SIZE)
-    translate = AddressTranslator(page_table, tlb).translate
-    scalar = VirtualRealHierarchy(*_make_hierarchy_caches(),
-                                  translate=translate,
-                                  page_size=VR_PAGE_SIZE)
-    twin_table = PageTable(page_size=VR_PAGE_SIZE, allocation="scatter",
-                           seed=VR_SEED)
-    twin_tlb = TLB(entries=VR_TLB_ENTRIES, page_size=VR_PAGE_SIZE)
-    batch = batch_virtual_real_like(scalar, twin_table, tlb=twin_tlb)
-    return scalar, page_table, tlb, batch, twin_table, twin_tlb
+    l1, l2 = VR_L1.build(engine), VR_L2.build(engine)
+    if engine == "vectorized":
+        return BatchVirtualRealHierarchy(l1, l2, page_table), page_table
+    return VirtualRealHierarchy(l1, l2, translate=page_table.translate,
+                                page_size=VR_PAGE_SIZE), page_table
 
 
 def _build_trace(accesses):
@@ -484,42 +469,16 @@ def compare_victim_kernel(accesses=BENCH_ENGINE_ACCESSES, replacement=None):
                 scalar_seconds, timings, scalar.stats.miss_ratio)
 
 
-def compare_hierarchy_engines(accesses=BENCH_ENGINE_ACCESSES):
-    """Time the inclusive two-level hierarchy on both engines."""
-    trace = _build_trace(accesses)
-    prefix = _oracle_prefix(trace)
-    scalar = TwoLevelHierarchy(*_make_hierarchy_caches())
-    scalar_seconds = _time_scalar(scalar, prefix)
-
-    def check(batch):
-        assert _stats_tuple(scalar.l1.stats) == _stats_tuple(
-            batch.l1.stats), "L1 CacheStats diverged between hierarchy engines"
-        assert _stats_tuple(scalar.l2.stats) == _stats_tuple(
-            batch.l2.stats), "L2 CacheStats diverged between hierarchy engines"
-        assert (scalar.holes_created, scalar.l2_misses_causing_holes,
-                scalar.back_invalidations) == (
-                batch.holes_created, batch.l2_misses_causing_holes,
-                batch.back_invalidations), (
-            "hole accounting diverged between hierarchy engines")
-
-    timings = _time_tiers(
-        lambda: batch_hierarchy_like(
-            TwoLevelHierarchy(*_make_hierarchy_caches())), trace, prefix,
-        check)
-    return _row("hierarchy-16K/1M", "lru", len(trace), len(prefix),
-                scalar_seconds, timings, scalar.l1.stats.miss_ratio)
-
-
 def compare_virtual_real_engines(accesses=BENCH_ENGINE_ACCESSES):
-    """Time the virtual-real hierarchy (TLB-fronted) on both engines."""
+    """Time the virtual-real hierarchy on both engines."""
     trace = _build_trace(accesses)
     prefix = _oracle_prefix(trace)
-    scalar, table, tlb, *_ = _make_vr_pair()
+    scalar, table = _make_vr("reference")
     scalar_seconds = _time_scalar(scalar, prefix)
-    twins = {}
+    tables = {}
 
     def build():
-        *_, batch, twins["table"], twins["tlb"] = _make_vr_pair()
+        batch, tables["twin"] = _make_vr("vectorized")
         return batch
 
     def check(batch):
@@ -534,11 +493,8 @@ def compare_virtual_real_engines(accesses=BENCH_ENGINE_ACCESSES):
                 batch.holes_created, batch.l2_misses_causing_holes,
                 batch.alias_invalidations), (
             "hole accounting diverged between virtual-real engines")
-        assert table.page_faults == twins["table"].page_faults, (
+        assert table.page_faults == tables["twin"].page_faults, (
             "page-fault counts diverged between virtual-real engines")
-        assert (tlb.hits, tlb.misses) == (
-            twins["tlb"].hits, twins["tlb"].misses), (
-            "TLB counters diverged between virtual-real engines")
 
     timings = _time_tiers(build, trace, prefix, check)
     return _row("virtual-real-16K/1M", "lru", len(trace), len(prefix),
@@ -1254,40 +1210,16 @@ def test_victim_kernel_throughput(benchmark, policy):
             f"over scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
 
 
-@pytest.mark.benchmark(group="engine-hierarchy")
-def test_hierarchy_engine_throughput(benchmark):
-    """The batch two-level hierarchy holds the LRU bar over the scalar one."""
-    trace = _build_trace(BENCH_ENGINE_ACCESSES)
-    scalar = TwoLevelHierarchy(*_make_hierarchy_caches())
-
-    def check(twin):
-        assert _stats_tuple(scalar.l1.stats) == _stats_tuple(twin.l1.stats)
-        assert _stats_tuple(scalar.l2.stats) == _stats_tuple(twin.l2.stats)
-        assert scalar.holes_created == twin.holes_created
-        assert scalar.back_invalidations == twin.back_invalidations
-
-    fresh, speedup, scalar_aps, vector_aps = _bench_vector(
-        benchmark, lambda: batch_hierarchy_like(
-            TwoLevelHierarchy(*_make_hierarchy_caches())),
-        trace, scalar, check)
-    print(f"\nhierarchy: scalar {scalar_aps:,.0f} acc/s, "
-          f"{fresh.dispatch_strategy()} {vector_aps:,.0f} acc/s "
-          f"({speedup:.1f}x)")
-    if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
-        assert speedup >= REQUIRED_SPEEDUP, (
-            f"hierarchy: batch engine only {speedup:.1f}x over scalar "
-            f"(required {REQUIRED_SPEEDUP}x)")
-
-
 @pytest.mark.benchmark(group="engine-virtual-real")
 def test_virtual_real_engine_throughput(benchmark):
-    """The batch virtual-real hierarchy (TLB included) holds the same bar."""
+    """The batch virtual-real hierarchy holds the LRU bar over the scalar
+    one."""
     trace = _build_trace(BENCH_ENGINE_ACCESSES)
-    scalar, table, tlb, *_ = _make_vr_pair()
-    twins = {}
+    scalar, table = _make_vr("reference")
+    tables = {}
 
     def build():
-        *_, batch, twins["table"], twins["tlb"] = _make_vr_pair()
+        batch, tables["twin"] = _make_vr("vectorized")
         return batch
 
     def check(twin):
@@ -1295,9 +1227,7 @@ def test_virtual_real_engine_throughput(benchmark):
         assert _stats_tuple(scalar.l2.stats) == _stats_tuple(twin.l2.stats)
         assert scalar.holes_created == twin.holes_created
         assert scalar.alias_invalidations == twin.alias_invalidations
-        assert table.page_faults == twins["table"].page_faults
-        assert (tlb.hits, tlb.misses) == (twins["tlb"].hits,
-                                          twins["tlb"].misses)
+        assert table.page_faults == tables["twin"].page_faults
 
     fresh, speedup, scalar_aps, vector_aps = _bench_vector(
         benchmark, build, trace, scalar, check)
@@ -1371,15 +1301,13 @@ def main(argv=None):
         if check_bounds:
             assert row["speedup"] >= REQUIRED_SPEEDUP_POLICY, (
                 f"victim/{row['replacement']}: only {row['speedup']:.1f}x")
-    # Multi-level compositions: inclusive hierarchy and virtual-real + TLB.
-    for compare, label in ((compare_hierarchy_engines, "hierarchy"),
-                           (compare_virtual_real_engines, "virtual-real")):
-        row = compare(accesses=accesses)
-        rows.append(row)
-        show(row)
-        if check_bounds:
-            assert row["speedup"] >= REQUIRED_SPEEDUP, (
-                f"{label}: only {row['speedup']:.1f}x")
+    # The virtual-real hierarchy.
+    row = compare_virtual_real_engines(accesses=accesses)
+    rows.append(row)
+    show(row)
+    if check_bounds:
+        assert row["speedup"] >= REQUIRED_SPEEDUP, (
+            f"virtual-real: only {row['speedup']:.1f}x")
     # The holes study at the CLI's defaults: many short hierarchy runs.
     holes = compare_holes_study(2 if args.smoke else HOLES_STUDY_RUNS)
     print(f"\nholes-study ({holes['accesses']:,} accesses, best of "

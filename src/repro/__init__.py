@@ -5,14 +5,13 @@ Topham, Gonzalez & Gonzalez, MICRO-30 (1997).
 The package is organised bottom-up:
 
 * :mod:`repro.core` — the I-Poly placement function and the baselines it is
-  compared against (conventional bit selection, skewed XOR, prime modulus),
+  compared against (conventional bit selection, skewed XOR),
   plus the GF(2) machinery and the XOR-tree hardware cost model.
 * :mod:`repro.cache` — single-level cache organisations (set-associative,
-  fully-associative, skewed, victim, column-associative) and two-level
-  hierarchies with Inclusion, including the virtual-real organisation the
-  paper recommends.
-* :mod:`repro.memory` — paging, TLB, address translation and the main-memory
-  / bus timing model.
+  fully-associative, skewed, victim, column-associative) and the two-level
+  virtual-real organisation with Inclusion that the paper recommends.
+* :mod:`repro.memory` — addresses, the page table and the main-memory / bus
+  timing model.
 * :mod:`repro.trace` — synthetic address-trace generators and the Spec95-like
   workload models used in place of the original benchmark traces.
 * :mod:`repro.cpu` — the out-of-order superscalar processor model used for

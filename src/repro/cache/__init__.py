@@ -1,4 +1,4 @@
-"""Cache simulators: single-level organisations and multi-level hierarchies.
+"""Cache simulators: single-level organisations and the virtual-real hierarchy.
 
 Everything in this package is driven by block-level accesses and is
 independent of where the addresses come from (synthetic traces or the
@@ -10,8 +10,6 @@ conventional, skewed-XOR and I-Poly organisations.
 from .block import CacheBlock
 from .column_assoc import ColumnAssociativeCache, ColumnAssociativeResult
 from .fully_assoc import FullyAssociativeCache
-from .hierarchy import HierarchyAccessResult, TwoLevelHierarchy
-from .mshr import MSHRAllocation, MSHREntry, MSHRFile
 from .replacement import (
     DEFAULT_RANDOM_SEED,
     REPLACEMENT_POLICIES,
@@ -40,13 +38,8 @@ __all__ = [
     "VictimCacheResult",
     "ColumnAssociativeCache",
     "ColumnAssociativeResult",
-    "TwoLevelHierarchy",
-    "HierarchyAccessResult",
     "VirtualRealHierarchy",
     "VirtualRealAccessResult",
-    "MSHRFile",
-    "MSHREntry",
-    "MSHRAllocation",
     "ReplacementPolicy",
     "LRUReplacement",
     "FIFOReplacement",

@@ -58,7 +58,7 @@ class VirtualRealHierarchy:
         as L1 (the Wang-style protocol keeps the mapping one-to-one).
     translate:
         Callable mapping a virtual byte address to a physical byte address
-        (typically :meth:`repro.memory.translation.AddressTranslator.translate`).
+        (typically :meth:`repro.memory.paging.PageTable.translate`).
     page_size:
         Optional page size (bytes) of the translation behind ``translate``.
         When given, it is validated against the cache geometry — the same

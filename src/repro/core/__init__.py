@@ -14,19 +14,14 @@ from .gf2 import (
     gf2_mod,
     gf2_mul,
     gf2_mul_mod,
-    gf2_pow_mod,
     irreducible_polynomials,
     is_irreducible,
-    is_primitive,
     poly_to_string,
-    primitive_polynomials,
-    string_to_poly,
 )
 from .index import (
     BitSelectIndexing,
     IndexFunction,
     IPolyIndexing,
-    PrimeModuloIndexing,
     SingleSetIndexing,
     XorFoldIndexing,
     make_index_function,
@@ -55,13 +50,9 @@ __all__ = [
     "gf2_mod",
     "gf2_mul",
     "gf2_mul_mod",
-    "gf2_pow_mod",
     "irreducible_polynomials",
     "is_irreducible",
-    "is_primitive",
     "poly_to_string",
-    "primitive_polynomials",
-    "string_to_poly",
     # polynomials
     "DEFAULT_IRREDUCIBLE",
     "default_polynomial",
@@ -73,7 +64,6 @@ __all__ = [
     "BitSelectIndexing",
     "XorFoldIndexing",
     "IPolyIndexing",
-    "PrimeModuloIndexing",
     "SingleSetIndexing",
     "make_index_function",
     # hardware view

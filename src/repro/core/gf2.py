@@ -15,9 +15,7 @@ The module provides:
 * carry-less multiplication (:func:`gf2_mul`),
 * polynomial division and remainder (:func:`gf2_divmod`, :func:`gf2_mod`),
 * greatest common divisor (:func:`gf2_gcd`),
-* modular exponentiation (:func:`gf2_pow_mod`),
-* irreducibility and primitivity tests (:func:`is_irreducible`,
-  :func:`is_primitive`), and
+* the irreducibility test (:func:`is_irreducible`), and
 * enumeration helpers used to build polynomial tables
   (:func:`irreducible_polynomials`).
 
@@ -36,14 +34,10 @@ __all__ = [
     "gf2_divmod",
     "gf2_mod",
     "gf2_gcd",
-    "gf2_pow_mod",
     "gf2_mul_mod",
     "is_irreducible",
-    "is_primitive",
     "irreducible_polynomials",
-    "primitive_polynomials",
     "poly_to_string",
-    "string_to_poly",
 ]
 
 
@@ -143,27 +137,6 @@ def gf2_mul_mod(a: int, b: int, modulus: int) -> int:
     return gf2_mod(gf2_mul(a, b), modulus)
 
 
-def gf2_pow_mod(base: int, exponent: int, modulus: int) -> int:
-    """Return ``base ** exponent mod modulus`` over GF(2) (square-and-multiply).
-
-    >>> gf2_pow_mod(0b10, 3, 0b1011)   # x^3 mod (x^3 + x + 1) == x + 1
-    3
-    """
-    _check_non_negative(base)
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    if modulus == 0:
-        raise ZeroDivisionError("modulus must be non-zero")
-    result = 1
-    base = gf2_mod(base, modulus)
-    while exponent:
-        if exponent & 1:
-            result = gf2_mul_mod(result, base, modulus)
-        base = gf2_mul_mod(base, base, modulus)
-        exponent >>= 1
-    return result
-
-
 def is_irreducible(poly: int) -> bool:
     """Test whether ``poly`` is irreducible over GF(2).
 
@@ -199,30 +172,6 @@ def is_irreducible(poly: int) -> bool:
     return True
 
 
-def is_primitive(poly: int) -> bool:
-    """Test whether ``poly`` is a primitive polynomial over GF(2).
-
-    A primitive polynomial of degree ``n`` is irreducible and has ``x`` as a
-    generator of the multiplicative group of GF(2^n), i.e. the order of ``x``
-    modulo ``poly`` is exactly ``2^n - 1``.
-
-    >>> is_primitive(0b1011)
-    True
-    >>> is_primitive(0b10111)      # x^4+x^2+x+1 is not even irreducible
-    False
-    """
-    n = degree(poly)
-    if n <= 0 or not is_irreducible(poly):
-        return False
-    group_order = (1 << n) - 1
-    if gf2_pow_mod(0b10, group_order, poly) != 1:
-        return False
-    for q in _prime_factors(group_order):
-        if gf2_pow_mod(0b10, group_order // q, poly) == 1:
-            return False
-    return True
-
-
 def irreducible_polynomials(deg: int) -> Iterator[int]:
     """Yield all irreducible polynomials of degree ``deg`` in increasing order.
 
@@ -241,13 +190,6 @@ def irreducible_polynomials(deg: int) -> Iterator[int]:
         if deg > 1 and not candidate & 1:
             continue
         if is_irreducible(candidate):
-            yield candidate
-
-
-def primitive_polynomials(deg: int) -> Iterator[int]:
-    """Yield all primitive polynomials of degree ``deg`` in increasing order."""
-    for candidate in irreducible_polynomials(deg):
-        if is_primitive(candidate):
             yield candidate
 
 
@@ -272,38 +214,6 @@ def poly_to_string(poly: int) -> str:
             else:
                 terms.append(f"x^{i}")
     return " + ".join(terms)
-
-
-def string_to_poly(text: str) -> int:
-    """Parse a polynomial string produced by :func:`poly_to_string`.
-
-    >>> string_to_poly('x^3 + x + 1')
-    11
-    >>> string_to_poly('0')
-    0
-    """
-    text = text.strip()
-    if text == "0":
-        return 0
-    poly = 0
-    for raw_term in text.split("+"):
-        term = raw_term.strip()
-        if not term:
-            raise ValueError(f"malformed polynomial string: {text!r}")
-        if term == "1":
-            exponent = 0
-        elif term == "x":
-            exponent = 1
-        elif term.startswith("x^"):
-            exponent = int(term[2:])
-            if exponent < 0:
-                raise ValueError(f"negative exponent in {text!r}")
-        else:
-            raise ValueError(f"unrecognised term {term!r} in {text!r}")
-        if poly >> exponent & 1:
-            raise ValueError(f"duplicate term {term!r} in {text!r}")
-        poly |= 1 << exponent
-    return poly
 
 
 def _prime_factors(n: int) -> List[int]:

@@ -18,9 +18,8 @@ The paper compares four families:
     the block number (restricted to ``v`` low bits) divided by an irreducible
     polynomial over GF(2).  ``-Sk`` uses a distinct polynomial per way.
 
-In addition this module implements the prime-modulus function of Lawrie &
-Vora (a classic interleaved-memory scheme, useful as a further baseline) and
-a trivial single-set function for fully-associative caches.
+In addition this module implements a trivial single-set function for
+fully-associative caches.
 
 All functions map a *block number* — the memory address with the block-offset
 bits already stripped — to a set index, optionally per way.  Keeping the
@@ -33,7 +32,7 @@ from __future__ import annotations
 import abc
 from typing import List, Optional, Sequence
 
-from .gf2 import degree, gf2_mod
+from .gf2 import gf2_mod
 from .polynomials import (
     default_polynomial,
     skewing_polynomials,
@@ -45,7 +44,6 @@ __all__ = [
     "BitSelectIndexing",
     "XorFoldIndexing",
     "IPolyIndexing",
-    "PrimeModuloIndexing",
     "SingleSetIndexing",
     "make_index_function",
 ]
@@ -61,7 +59,7 @@ def _check_block_and_way(block_number: int, way: int) -> None:
     """Shared argument validation for every placement function.
 
     All families must reject negative block numbers *and* negative ways the
-    same way; the differential harness surfaced that bit-selection, prime and
+    same way; the differential harness surfaced that bit-selection and
     single-set indexing silently accepted negative ways (they ignore the
     argument) while the XOR and I-Poly families raised — an inconsistency
     that let malformed skewed-cache configurations slip through on some
@@ -307,42 +305,6 @@ class IPolyIndexing(IndexFunction):
         return gf2_mod(block_number & self._address_mask, poly)
 
 
-class PrimeModuloIndexing(IndexFunction):
-    """Prime-modulus indexing (Lawrie & Vora's prime memory system).
-
-    The index is the block number modulo the largest prime not exceeding the
-    number of sets.  Sets with index >= that prime are never used, so a small
-    fraction of capacity is wasted — the classic trade-off of the scheme.
-    Included as an additional conflict-avoiding baseline.
-    """
-
-    name = "a2-prime"
-
-    def __init__(self, num_sets: int) -> None:
-        super().__init__(num_sets)
-        self._prime = _largest_prime_at_most(num_sets)
-
-    @property
-    def prime(self) -> int:
-        """The prime modulus actually used."""
-        return self._prime
-
-    @property
-    def usable_sets(self) -> int:
-        """Number of sets that can ever be selected."""
-        return self._prime
-
-    @property
-    def cache_key(self):
-        if type(self) is not PrimeModuloIndexing:
-            return None
-        return ("prime-modulo", self._num_sets)
-
-    def index(self, block_number: int, way: int = 0) -> int:
-        _check_block_and_way(block_number, way)
-        return block_number % self._prime
-
-
 class SingleSetIndexing(IndexFunction):
     """Trivial function mapping every block to set 0 (fully-associative caches)."""
 
@@ -371,7 +333,7 @@ def make_index_function(
     """Build an index function from the paper's scheme label.
 
     Recognised labels (case-insensitive): ``a2``, ``a2-Hx``, ``a2-Hx-Sk``,
-    ``a2-Hp``, ``a2-Hp-Sk``, ``a2-prime``, ``full``.
+    ``a2-Hp``, ``a2-Hp-Sk``, ``full``.
 
     >>> make_index_function("a2-Hp-Sk", num_sets=128, ways=2).name
     'a2-Hp-Sk'
@@ -387,32 +349,7 @@ def make_index_function(
         return IPolyIndexing(num_sets, ways=ways, skewed=False, address_bits=address_bits)
     if label == "a2-hp-sk":
         return IPolyIndexing(num_sets, ways=ways, skewed=True, address_bits=address_bits)
-    if label == "a2-prime":
-        return PrimeModuloIndexing(num_sets)
     if label == "full":
         return SingleSetIndexing()
     raise ValueError(f"unknown indexing scheme {scheme!r}")
 
-
-def _largest_prime_at_most(n: int) -> int:
-    if n < 2:
-        raise ValueError("no prime exists at or below 1")
-    for candidate in range(n, 1, -1):
-        if _is_prime(candidate):
-            return candidate
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    divisor = 3
-    while divisor * divisor <= n:
-        if n % divisor == 0:
-            return False
-        divisor += 2
-    return True

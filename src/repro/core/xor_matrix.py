@@ -129,8 +129,8 @@ def derive_xor_matrix(func: IndexFunction, way: int = 0) -> XorMatrix:
     """Derive the XOR matrix of a linear index function by single-bit probing.
 
     Raises :class:`ValueError` if the function is not linear over GF(2)
-    (e.g. :class:`~repro.core.index.PrimeModuloIndexing`), because such a
-    function has no pure-XOR hardware realisation.
+    (e.g. a block-number modulus), because such a function has no pure-XOR
+    hardware realisation.
     """
     bits = func.address_bits_used
     if func.index(0, way) != 0:

@@ -9,17 +9,6 @@ from .functional_units import (
     FunctionalUnitPool,
     OperationTiming,
 )
-from .fuzzer import (
-    ADDRESS_PATTERNS,
-    CONFIG_VARIANTS,
-    DifferentialOutcome,
-    FuzzParams,
-    build_fuzz_program,
-    fuzz_config,
-    random_params,
-    repro_line,
-    run_differential,
-)
 from .isa import FP_REGS, INT_REGS, Instruction, OpClass, is_fp_register
 from .lsq import BufferedStore, StoreForwardingBuffer
 from .processor import OutOfOrderProcessor, ProcessorConfig, SimulationResult
@@ -55,13 +44,4 @@ __all__ = [
     "INSTRUCTION_MIXES",
     "build_program",
     "program_names",
-    "ADDRESS_PATTERNS",
-    "CONFIG_VARIANTS",
-    "FuzzParams",
-    "DifferentialOutcome",
-    "random_params",
-    "build_fuzz_program",
-    "fuzz_config",
-    "run_differential",
-    "repro_line",
 ]

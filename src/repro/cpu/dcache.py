@@ -20,7 +20,7 @@ paper's tables report) with the timing behaviour of the modelled L1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..cache.set_assoc import SetAssociativeCache
@@ -76,9 +76,9 @@ class DataCacheModel:
     secondary misses included; forwarded loads never reach the cache and are
     therefore absent) and stores at commit.  Replaying that stream through a
     fresh cache of the same configuration reproduces the functional
-    statistics exactly, which is what lets the fuzz harness
-    (:mod:`repro.cpu.fuzzer`) cross-check the processor's cache behaviour
-    against the batch kernels via :func:`repro.engine.replay.replay_access_stream`.
+    statistics exactly, which is what lets the differential fuzz harness
+    of the test suite (``tests/fuzz_harness.py``) cross-check the
+    processor's cache behaviour against the batch kernels.
     """
 
     def __init__(self, cache: SetAssociativeCache,

@@ -115,11 +115,6 @@ class Instruction:
         return self.op in OpClass.MEMORY
 
     @property
-    def is_branch(self) -> bool:
-        """True for branches."""
-        return self.op == OpClass.BRANCH
-
-    @property
     def writes_fp(self) -> bool:
         """True when the destination is a floating-point register."""
         return self.dest is not None and is_fp_register(self.dest)

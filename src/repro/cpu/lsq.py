@@ -81,11 +81,6 @@ class StoreForwardingBuffer:
         self.forwards += 1
         return max(load_ready_cycle, store.address_ready_cycle) + self._forward_latency
 
-    @property
-    def forward_ratio(self) -> float:
-        """Fraction of observed stores that later fed a forwarding load."""
-        return self.forwards / self.stores_observed if self.stores_observed else 0.0
-
     def reset(self) -> None:
         """Clear all buffered stores and statistics."""
         self._by_address.clear()

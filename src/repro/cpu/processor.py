@@ -235,7 +235,8 @@ class SimulationResult:
 class CompiledRun:
     """What a compiled-core run leaves besides its :class:`SimulationResult`:
     the counters the Python core keeps on its ``dcache`` and the functional
-    L1, for the differential harness (:mod:`repro.cpu.fuzzer`)."""
+    L1, for the test suite's differential harness
+    (``tests/fuzz_harness.py``)."""
 
     #: The L1 after the run (its ``stats`` and ``resident_blocks()``).
     cache: BatchSetAssociativeCache
@@ -365,7 +366,8 @@ class OutOfOrderProcessor:
         of its own (every stochastic choice lives in the program generator),
         so running the same program on a freshly built processor always
         produces identical results — the property the differential fuzz
-        harness (:mod:`repro.cpu.fuzzer`) depends on and audits.
+        harness of the test suite (``tests/fuzz_harness.py``) depends on
+        and audits.
         :meth:`dispatch_strategy` names the core that runs it.  A processor
         runs one program (its pipeline state would leak into a second run),
         so a second call raises ``RuntimeError``.

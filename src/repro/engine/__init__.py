@@ -5,7 +5,7 @@ The scalar models in :mod:`repro.cache` process one
 reference; this package is the fast path.  It materialises traces into NumPy
 arrays (:class:`AddressBatch`), describes each cache's placement as data
 (:mod:`repro.engine.index_vec`: per way, the image of each address bit of a
-GF(2)-linear function, or a modulus), and simulates set-associative, skewed,
+GF(2)-linear function), and simulates set-associative, skewed,
 victim and column-associative caches over address batches
 (:mod:`repro.engine.batch_cache`) in kernels that shift every access's
 address to its block and compute its set from that descriptor, so nothing
@@ -14,10 +14,9 @@ derived from a trace is kept between runs, with bit-exact
 differential suite in ``tests/test_engine_equivalence.py``.
 
 :class:`PlacementIndexing` evaluates the same descriptor one block at a
-time for the Python out-of-order core, :mod:`repro.engine.replay` replays
-the recorded data-cache access stream of a processor simulation through the
-batch kernels (bit-exact against the scalar L1 — the CPU leg of the
-equivalence story, exercised by the :mod:`repro.cpu.fuzzer` harness), and
+time for the Python out-of-order core,
+:class:`BatchVirtualRealHierarchy` runs the holes study's virtually-indexed
+L1 over a physical L2 in one trace-order loop, and
 :mod:`repro.engine.sweep` fans experiment sweeps across one process pool
 (``on_error="collect"`` slots a :class:`TaskFailure` in place of a failed
 task's result).
@@ -39,13 +38,7 @@ from .batch_cache import (
     BatchSetAssociativeCache,
     BatchVictimCache,
 )
-from .hierarchy_vec import (
-    BatchTwoLevelHierarchy,
-    BatchVirtualRealHierarchy,
-    HierarchyBatchResult,
-    batch_hierarchy_like,
-    batch_virtual_real_like,
-)
+from .hierarchy_vec import BatchVirtualRealHierarchy, HierarchyBatchResult
 from .index_vec import Placement, PlacementIndexing, placement, way_function
 from .multiconfig import (
     PROFILE_MODES,
@@ -59,14 +52,13 @@ from .multiconfig import (
     run_lru_grid,
 )
 from .replacement_vec import PolicyTables
-from .replay import ReplayOutcome, batch_cache_like, replay_access_stream
 from .sweep import (
     ON_ERROR_POLICIES,
     SweepOptions,
     TaskFailure,
     run_sweep,
 )
-from .translate_vec import batch_page_frames, run_tlb_kernel
+from .translate_vec import batch_page_frames
 
 __all__ = [
     "ENGINES",
@@ -78,13 +70,9 @@ __all__ = [
     "BatchSetAssociativeCache",
     "BatchColumnAssociativeCache",
     "BatchVictimCache",
-    "BatchTwoLevelHierarchy",
     "BatchVirtualRealHierarchy",
     "HierarchyBatchResult",
-    "batch_hierarchy_like",
-    "batch_virtual_real_like",
     "batch_page_frames",
-    "run_tlb_kernel",
     "PolicyTables",
     "PROFILE_MODES",
     "check_profile_mode",
@@ -95,9 +83,6 @@ __all__ = [
     "run_lru_grid",
     "profile_cache_info",
     "memo_info",
-    "ReplayOutcome",
-    "batch_cache_like",
-    "replay_access_stream",
     "Placement",
     "PlacementIndexing",
     "placement",

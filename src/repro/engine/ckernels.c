@@ -17,10 +17,10 @@
  *   repro_victim_run  a main cache backed by a fully-associative victim
  *                     buffer, any main ways, any buffer size, any policy;
  *   repro_column_run  the column-associative cache;
- *   repro_hier_run    a two-level hierarchy with back-invalidation (the
- *                     two-level and virtual-real twins), each level any
- *                     set-associative cache, through repro_sa_run's
- *                     per-access body;
+ *   repro_hier_run    the virtual-real hierarchy: a virtually-indexed L1
+ *                     over a physical L2 with back-invalidation, each
+ *                     level any set-associative cache, through
+ *                     repro_sa_run's per-access body;
  *   repro_ooo_run     the out-of-order core of repro.cpu.processor over one
  *                     program, its L1 data cache through the same body;
  *   repro_build_program  the synthetic program generator of
@@ -167,11 +167,10 @@ static int64_t policy_victim(policy_t *p, const int64_t *cand)
 }
 
 /* A placement as a kernel call takes it (index_vec.Placement): function f
- * maps a block to block % moduli[f] when moduli[f] > 0, else to the XOR of
- * images[f * bits + j] over the block's set bits j < bits. */
+ * maps a block to the XOR of images[f * bits + j] over the block's set
+ * bits j < bits. */
 typedef struct {
     int64_t funcs, bits;
-    const int64_t *moduli;
     const int64_t *images;
 } placement_t;
 
@@ -183,7 +182,6 @@ typedef struct {
  */
 typedef struct {
     int64_t funcs, bytes;
-    const int64_t *moduli;
     uint64_t *tables; /* (funcs + 1) / 2 x bytes x 256 */
 } index_t;
 
@@ -193,7 +191,6 @@ static int index_open(index_t *x, const placement_t *p)
     x->funcs = p->funcs;
     /* One table at least: all zeros for a window of no bits. */
     x->bytes = p->bits > 8 ? (p->bits + 7) / 8 : 1;
-    x->moduli = p->moduli;
     x->tables = malloc((size_t)(pairs * x->bytes * 256) * sizeof *x->tables);
     if (x->tables == NULL)
         return -1;
@@ -217,8 +214,8 @@ static int index_open(index_t *x, const placement_t *p)
     return 0;
 }
 
-/* sets[f] = the set of `block` under function f, for every function:
- * block % moduli[f], or the XOR of one table entry per window byte. */
+/* sets[f] = the set of `block` under function f, for every function: the
+ * XOR of one table entry per window byte. */
 INLINE void index_sets(const index_t *x, uint64_t block, int64_t *sets)
 {
     for (int64_t f = 0; f < x->funcs; f += 2) {
@@ -230,9 +227,6 @@ INLINE void index_sets(const index_t *x, uint64_t block, int64_t *sets)
         if (f + 1 < x->funcs)
             sets[f + 1] = (int64_t)(pair >> 32);
     }
-    for (int64_t f = 0; f < x->funcs; f++)
-        if (x->moduli[f] > 0)
-            sets[f] = (int64_t)(block % (uint64_t)x->moduli[f]);
 }
 
 /* Probe the ways in order; returns the hit way, or -1 with every way's
@@ -388,8 +382,7 @@ int64_t repro_sa_run(int64_t n, const uint64_t *addr, int64_t shift,
 }
 
 /* Slots of the hierarchy kernel's `events` output. */
-enum { HOLES, MISSES_CAUSING_HOLES, BACK_INVALIDATIONS, ALIAS_INVALIDATIONS,
-       NUM_EVENTS };
+enum { HOLES, BACK_INVALIDATIONS, ALIAS_INVALIDATIONS, NUM_EVENTS };
 
 /*
  * Which L1 frame holds each line: a chained hash keyed by the raw line
@@ -477,31 +470,26 @@ static void drop_l1(cache_t *l1, line_map_t *m, int64_t f)
 }
 
 /*
- * Two-level hierarchy with back-invalidation, one access at a time in
- * trace order, like repro.cache.hierarchy and repro.cache.virtual_real.
+ * The virtual-real hierarchy, one access at a time in trace order, like
+ * repro.cache.virtual_real: a virtually-indexed L1 over a physical L2 that
+ * enforces Inclusion, both levels with one block shift.
  *
- * Access i looks up block l1_addr[i] >> l1_shift in L1 and block
- * l2_addr[i] >> l2_shift in L2 (l2_shift >= l1_shift).  Its downstream
- * line is l2_addr[i] >> l1_shift: the lines of L2 block b are ratio * b
- * up to ratio * b + ratio - 1, ratio = 2**(l2_shift - l1_shift).  The
- * two-level twin passes one address array twice; the virtual-real twin
- * passes the virtual addresses for L1 and the physical ones for L2, one
- * shift for both.  l1_line[f] is the line in L1 frame f or -1;
- * the kernel keeps it current and finds a line's frame through a
- * line_map_t over it.  An L1 frame holding this access's line under
- * another L1 block is an alias and is invalidated first.  An L2 miss
- * that evicts a block invalidates every L1 copy of its lines when
- * `inclusive`; a copy other than the line being filled is a hole.  A
- * store that hits L1 is written through to L2 and never
- * back-invalidates.  Returns 0, or -1 when scratch memory is
- * unavailable (nothing changed).
+ * Access i looks up block l1_addr[i] >> shift (virtual) in L1 and block
+ * l2_addr[i] >> shift (physical) in L2; the L2 block is the access's line.
+ * l1_line[f] is the line in L1 frame f or -1; the kernel keeps it current
+ * and finds a line's frame through a line_map_t over it.  An L1 frame
+ * holding this access's line under another L1 block is an alias and is
+ * invalidated first.  An L2 miss that evicts a block invalidates the L1
+ * copy of that line, if any; a copy other than the line being filled is
+ * a hole, so an L2 miss creates at most one.  A store that hits L1 is
+ * written through to L2 and never back-invalidates.  Returns 0, or -1
+ * when scratch memory is unavailable (nothing changed).
  */
 int64_t repro_hier_run(int64_t n, const uint64_t *l1_addr,
                        const uint64_t *l2_addr, const uint8_t *writes,
-                       int64_t l1_shift, int64_t l2_shift,
-                       int64_t inclusive, const level_t *l1l,
-                       const level_t *l2l, int64_t *l1_line,
-                       uint8_t *l1_hits, uint8_t *l2_hits, int64_t *events)
+                       int64_t shift, const level_t *l1l, const level_t *l2l,
+                       int64_t *l1_line, uint8_t *l1_hits, uint8_t *l2_hits,
+                       int64_t *events)
 {
     cache_t l1, l2;
     line_map_t m;
@@ -517,12 +505,10 @@ int64_t repro_hier_run(int64_t n, const uint64_t *l1_addr,
         return -1;
     }
     int64_t e[NUM_EVENTS] = {0};
-    uint64_t ratio = (uint64_t)1 << (l2_shift - l1_shift);
 
     for (int64_t i = 0; i < n; i++) {
-        int64_t block = block_of(l1_addr[i], l1_shift), f, f2;
-        int64_t line = block_of(l2_addr[i], l1_shift);
-        int64_t block2 = block_of(l2_addr[i], l2_shift);
+        int64_t block = block_of(l1_addr[i], shift), f, f2;
+        int64_t line = block_of(l2_addr[i], shift);
         int w = writes[i] != 0;
         f = line_map_find(&m, line);
         if (f >= 0 && l1.tags[f] != block) {
@@ -532,30 +518,22 @@ int64_t repro_hier_run(int64_t n, const uint64_t *l1_addr,
         if (sa_access(&l1, block, w, &f)) {
             l1_hits[i] = l2_hits[i] = 1;
             if (w)
-                sa_access(&l2, block2, 1, &f2);
+                sa_access(&l2, line, 1, &f2);
             continue;
         }
         l1_hits[i] = 0;
         if (f >= 0)
             line_map_set(&m, f, line);
-        l2_hits[i] = (uint8_t)sa_access(&l2, block2, w, &f2);
-        if (l2_hits[i] || f2 < 0 || l2.evicted < 0 || !inclusive)
+        l2_hits[i] = (uint8_t)sa_access(&l2, line, w, &f2);
+        if (l2_hits[i] || f2 < 0 || l2.evicted < 0)
             continue;
-        int hole = 0;
-        /* Unsigned: lines past 2**63 (never passed) wrap, not overflow. */
-        uint64_t first = (uint64_t)l2.evicted * ratio;
-        for (uint64_t k = 0; k < ratio; k++) {
-            int64_t g = line_map_find(&m, (int64_t)(first + k));
-            if (g < 0)
-                continue;
-            e[BACK_INVALIDATIONS]++;
-            if (l1.tags[g] != block) {
-                hole = 1;
-                e[HOLES]++;
-            }
-            drop_l1(&l1, &m, g);
-        }
-        e[MISSES_CAUSING_HOLES] += hole;
+        int64_t g = line_map_find(&m, l2.evicted);
+        if (g < 0)
+            continue;
+        e[BACK_INVALIDATIONS]++;
+        if (l1.tags[g] != block)
+            e[HOLES]++;
+        drop_l1(&l1, &m, g);
     }
 
     cache_close(&l1, l1l);

@@ -1,7 +1,7 @@
 """Compiled kernel tier: ``ckernels.c`` built with the system C compiler.
 
 The batch caches of :mod:`repro.engine.batch_cache` and the batch
-hierarchies of :mod:`repro.engine.hierarchy_vec` run their per-access loops
+hierarchy of :mod:`repro.engine.hierarchy_vec` run their per-access loops
 here when a C compiler is available, and run the same four kernels in
 Python, from :mod:`repro.engine.pykernels` (the one-set path included),
 when it is not (:func:`available` is the one switch, and the one seam
@@ -41,7 +41,7 @@ shape, writability, indices in range), every block shift (in ``[0, 63]``,
 and no address at or past ``2**63`` under shift 0, so the blocks the
 kernels shift the addresses to are never negative),
 every placement (:class:`~repro.engine.index_vec.Placement`: each image
-and modulus within the cache's sets) and every parameter before the call,
+within the cache's sets) and every parameter before the call,
 raising ``ValueError`` — nothing malformed reaches C.  They return hit
 masks, counters or columns and mutate the state arrays they are given in
 place; no ``ctypes`` object outlives a call, so the caches that own the
@@ -90,9 +90,9 @@ POLICY_CODES = {"lru": 0, "fifo": 1, "random": 2, "plru": 3}
 #: misses, evictions, writebacks, then up to three family counters.
 NUM_COUNTS = 9
 
-#: Length of the hierarchy kernel's ``events``: holes, L2 misses causing
-#: holes, back-invalidations, alias invalidations.
-NUM_EVENTS = 4
+#: Length of the hierarchy kernel's ``events``: holes (one L2 miss causes
+#: at most one), back-invalidations, alias invalidations.
+NUM_EVENTS = 3
 
 #: Slots of :func:`run_ooo`'s ``params`` (ckernels.c's ``P_*``), each with
 #: the least value the core accepts.
@@ -280,7 +280,7 @@ class _Placement(ctypes.Structure):
     """``placement_t`` of ckernels.c: an :class:`index_vec.Placement`."""
 
     _fields_ = [("funcs", ctypes.c_int64), ("bits", ctypes.c_int64),
-                ("moduli", ctypes.c_void_p), ("images", ctypes.c_void_p)]
+                ("images", ctypes.c_void_p)]
 
 
 class _Level(ctypes.Structure):
@@ -304,8 +304,8 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
                              u64, ptr, ptr, ptr],
         "repro_column_run": [i64, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr,
                              ptr, ptr],
-        "repro_hier_run": [i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
-                           ptr, ptr, ptr],
+        "repro_hier_run": [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+                           ptr],
         "repro_ooo_run": [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
                           ptr, ptr, ptr, ptr, ptr],
         "repro_build_program": [i64, u64, ptr, i64, ptr, ptr, ptr, ptr, ptr,
@@ -350,35 +350,27 @@ def _index_pointer(name: str, array, n: int, limit: int,
 def _checked_placement(label: str, place, funcs: Sequence[int],
                        num_sets: int) -> _Placement:
     """A checked :class:`_Placement` over ``place``'s arrays, which must
-    outlive the call: ``funcs`` lists the function counts allowed, every
-    modulus is in ``[1, num_sets]`` (0 marks a linear function), and no
-    function's images reach a set at or above ``num_sets`` (a linear set is
-    an XOR of images, so their OR bounds it; the kernels' XOR tables hold
-    32-bit sets)."""
-    moduli, images = getattr(place, "moduli", None), getattr(place, "images",
-                                                             None)
-    (count,) = _shape(moduli, 1)
+    outlive the call: ``funcs`` lists the function counts allowed, and no
+    function's images reach a set at or above ``num_sets`` (a set is an XOR
+    of images, so their OR bounds it; the kernels' XOR tables hold 32-bit
+    sets)."""
+    images = getattr(place, "images", None)
+    (count, bits) = _shape(images, 2)
     if count not in funcs:
         raise ValueError(f"{label}placement has {count} functions, expected "
                          f"one of {sorted(set(funcs))}")
-    (_, bits) = _shape(images, 2)
-    moduli_ptr = _pointer(f"{label}placement moduli", moduli, np.int64,
-                          (count,), writable=False)
     images_ptr = _pointer(f"{label}placement images", images, np.int64,
                           (count, bits), writable=False)
     if bits > 64:
         raise ValueError(f"{label}placement images cover {bits} address "
                          "bits; blocks have 64")
     limit = min(num_sets, 2**32)
-    for modulus, row in zip(moduli.tolist(), images):
-        if modulus and not 1 <= modulus <= num_sets:
-            raise ValueError(f"{label}placement modulus {modulus} is outside "
-                             f"[1, {num_sets}]")
+    for row in images:
         if bits and (int(row.min()) < 0
                      or int(np.bitwise_or.reduce(row)) >= limit):
             raise ValueError(f"{label}placement images reach a set outside "
                              f"[0, {limit})")
-    return _Placement(count, bits, moduli_ptr, images_ptr)
+    return _Placement(count, bits, images_ptr)
 
 
 def _policy_pointers(prefix: str, policy: str, ways: int, num_sets: int,
@@ -418,8 +410,7 @@ def check_shift(name: str, addresses: np.ndarray, shift) -> int:
     """``shift`` as an int, after rejecting a block shift outside ``[0,
     63]`` and an address at or past ``2**63`` under shift 0: the kernels
     shift uint64 addresses to int64 blocks, and a negative block would
-    index out of bounds through ``block % modulus`` and match invalid
-    frames (tag -1)."""
+    match invalid frames (tag -1)."""
     if (not isinstance(shift, (int, np.integer)) or isinstance(shift, bool)
             or not 0 <= shift <= 63):
         raise ValueError(f"{name} shift must be an integer in [0, 63]")
@@ -578,30 +569,26 @@ def run_column(addresses: np.ndarray, writes: np.ndarray, *, shift: int,
 
 
 def run_hierarchy(l1_addresses: np.ndarray, l2_addresses: np.ndarray,
-                  writes: np.ndarray, *, l1_shift: int, l2_shift: int,
-                  inclusive: bool, l1: dict, l2: dict, l1_line: np.ndarray):
-    """Run one batch through a two-level hierarchy with back-invalidation.
+                  writes: np.ndarray, *, shift: int, l1: dict, l2: dict,
+                  l1_line: np.ndarray):
+    """Run one batch through the virtual-real hierarchy: an L1 over an
+    inclusive L2 with back-invalidation, both with block shift ``shift``.
 
     ``l1``/``l2`` hold each level's :func:`run_set_assoc` placement and
-    state.  Access ``i`` is block ``l1_addresses[i] >> l1_shift`` in L1 and
-    ``l2_addresses[i] >> l2_shift`` in L2 (``l2_shift >= l1_shift``); its
-    downstream line is ``l2_addresses[i] >> l1_shift``, so an L2 block
-    holds ``2**(l2_shift - l1_shift)`` lines.  ``l1_line`` holds the line
-    in each L1 frame (``-1`` for none) and is kept current.  The loop
-    finds a line's L1 frame through a hash over ``l1_line`` and an evicted
-    L2 block's lines from its tag, so lines need no compaction.  Returns
-    ``(l1_hits, l2_hits, l1_counts, l2_counts, events)`` with the
-    :data:`NUM_EVENTS` hierarchy counters.
+    state.  Access ``i`` is block ``l1_addresses[i] >> shift`` in L1 and
+    ``l2_addresses[i] >> shift`` in L2, which is also its line.
+    ``l1_line`` holds the line in each L1 frame (``-1`` for none) and is
+    kept current.  The loop finds a line's L1 frame through a hash over
+    ``l1_line`` and an evicted L2 block's line from its tag, so lines need
+    no compaction.  Returns ``(l1_hits, l2_hits, l1_counts, l2_counts,
+    events)`` with the :data:`NUM_EVENTS` hierarchy counters.
     """
     library = _library()
-    n, l1_address_ptr, l1_shift, write_ptr = _inputs(l1_addresses, writes,
-                                                     l1_shift)
+    n, l1_address_ptr, shift, write_ptr = _inputs(l1_addresses, writes,
+                                                  shift)
     l2_address_ptr = _pointer("L2 addresses", l2_addresses, np.uint64, (n,),
                               writable=False)
-    l2_shift = check_shift("L2 block", l2_addresses, l2_shift)
-    if l2_shift < l1_shift:
-        raise ValueError("the L2 block shift must not be below the L1's")
-    check_shift("line", l2_addresses, l1_shift)
+    check_shift("L2 block", l2_addresses, shift)
     l1_level, l1_counts = _checked_level("L1 ", **l1)
     l2_level, l2_counts = _checked_level("L2 ", **l2)
     l1_line_ptr = _index_pointer("l1_line", l1_line,
@@ -611,10 +598,10 @@ def run_hierarchy(l1_addresses: np.ndarray, l2_addresses: np.ndarray,
     l2_hits = np.empty(n, dtype=np.uint8)
     events = np.zeros(NUM_EVENTS, dtype=np.int64)
     if library.repro_hier_run(
-            n, l1_address_ptr, l2_address_ptr, write_ptr, l1_shift,
-            l2_shift, int(inclusive), ctypes.byref(l1_level),
-            ctypes.byref(l2_level), l1_line_ptr, l1_hits.ctypes.data,
-            l2_hits.ctypes.data, events.ctypes.data) != 0:
+            n, l1_address_ptr, l2_address_ptr, write_ptr, shift,
+            ctypes.byref(l1_level), ctypes.byref(l2_level), l1_line_ptr,
+            l1_hits.ctypes.data, l2_hits.ctypes.data,
+            events.ctypes.data) != 0:
         raise MemoryError("compiled cache kernel could not allocate scratch")
     return (l1_hits.view(bool), l2_hits.view(bool), l1_counts, l2_counts,
             events)

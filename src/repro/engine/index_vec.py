@@ -1,18 +1,18 @@
 """Placement as data: the per-way descriptor the kernels evaluate.
 
-Every placement function of :mod:`repro.core.index` is either a modulus
-(``a2-prime``) or linear over GF(2): bit selection, the XOR fold (skewed or
-not), I-Poly (skewed or not) and the single set of a fully-associative
-cache.  A linear function is fully described by the image of each address
-bit — the set of the block number ``1 << j`` — because the set of any block
-is the XOR of the images of its set bits (the paper's §3.4 XOR trees; see
+Every placement function of :mod:`repro.core.index` is linear over GF(2):
+bit selection, the XOR fold (skewed or not), I-Poly (skewed or not) and the
+single set of a fully-associative cache.  A linear function is fully
+described by the image of each address bit — the set of the block number
+``1 << j`` — because the set of any block is the XOR of the images of its
+set bits (the paper's §3.4 XOR trees; see
 :func:`repro.core.xor_matrix.derive_xor_matrix`).  Bits at or above the
 function's window (``address_bits_used``) have image 0.
 
 :func:`way_function` probes one way of a function once per ``cache_key``;
 :class:`Placement` gathers the way-functions a cache needs (one for a
 conventional cache, one per way for a skewed cache, primary and secondary
-for a column-associative cache) as the two arrays the kernels take.  The C
+for a column-associative cache) as the array the kernels take.  The C
 kernels expand the images into per-byte XOR tables at call start and
 compute the sets of a chunk of accesses at a time, one table lookup per
 byte of the window for every two functions; :meth:`Placement.sets` is the
@@ -33,7 +33,6 @@ from ..core.index import (
     BitSelectIndexing,
     IndexFunction,
     IPolyIndexing,
-    PrimeModuloIndexing,
     SingleSetIndexing,
     XorFoldIndexing,
     _check_block_and_way,
@@ -54,11 +53,9 @@ _LINEAR = (BitSelectIndexing, SingleSetIndexing, XorFoldIndexing,
 
 
 class WayFunction(NamedTuple):
-    """One way's placement: ``block % modulus`` when ``modulus`` is
-    positive, else the XOR of ``images[j]`` over the block's set bits
-    ``j < len(images)``."""
+    """One way's placement: the XOR of ``images[j]`` over the block's set
+    bits ``j < len(images)``."""
 
-    modulus: int
     images: Tuple[int, ...]
 
 
@@ -73,18 +70,15 @@ def way_function(fn: IndexFunction, way: int) -> WayFunction:
     """
     if isinstance(fn, PlacementIndexing):
         fn = fn.base
-    if not isinstance(fn, _LINEAR + (PrimeModuloIndexing,)):
+    if not isinstance(fn, _LINEAR):
         raise ValueError(
             f"no placement descriptor for index function {type(fn).__name__}")
     key = fn.cache_key
     found = _WAY_FUNCTIONS.get((key, way)) if key is not None else None
     if found is not None:
         return found
-    if isinstance(fn, PrimeModuloIndexing):
-        found = WayFunction(fn.prime, ())
-    else:
-        found = WayFunction(0, tuple(fn.index(1 << j, way)
-                                     for j in range(fn.address_bits_used)))
+    found = WayFunction(tuple(fn.index(1 << j, way)
+                              for j in range(fn.address_bits_used)))
     if key is not None:
         _WAY_FUNCTIONS[(key, way)] = found
     return found
@@ -113,17 +107,16 @@ def _byte_tables(images: Sequence[int]) -> np.ndarray:
 class Placement:
     """The way-functions of one cache as the kernels take them.
 
-    ``moduli`` is ``funcs`` int64 (0 for a linear function) and ``images``
-    ``funcs x bits`` int64, each row zero-padded to the widest window.
-    Set-associative kernels use function 0 for every way when ``funcs`` is
-    1 and function ``w`` for way ``w`` otherwise; the column-associative
-    kernel uses 0 as the primary and 1 as the secondary.  The kernel
-    wrappers check both arrays against the cache's sets.
+    ``images`` is ``funcs x bits`` int64, each row zero-padded to the
+    widest window.  Set-associative kernels use function 0 for every way
+    when ``funcs`` is 1 and function ``w`` for way ``w`` otherwise; the
+    column-associative kernel uses 0 as the primary and 1 as the
+    secondary.  The kernel wrappers check the images against the cache's
+    sets.
     """
 
     def __init__(self, functions: Sequence[WayFunction]) -> None:
         bits = max((len(f.images) for f in functions), default=0)
-        self.moduli = np.array([f.modulus for f in functions], dtype=np.int64)
         self.images = np.zeros((len(functions), bits), dtype=np.int64)
         for row, f in zip(self.images, functions):
             row[:len(f.images)] = f.images
@@ -132,7 +125,7 @@ class Placement:
     @property
     def funcs(self) -> int:
         """Number of way-functions."""
-        return len(self.moduli)
+        return self.images.shape[0]
 
     def tables(self) -> List[np.ndarray]:
         """Each function's per-byte XOR tables (built on first use)."""
@@ -145,10 +138,7 @@ class Placement:
         the kernels' evaluation in NumPy."""
         blocks = blocks.view(np.uint64)
         result = []
-        for modulus, tables in zip(self.moduli.tolist(), self.tables()):
-            if modulus:
-                result.append((blocks % np.uint64(modulus)).view(np.int64))
-                continue
+        for tables in self.tables():
             sets = np.zeros(blocks.shape, dtype=np.int64)
             for k, table in enumerate(tables):
                 sets ^= table[(blocks >> np.uint64(8 * k)) & np.uint64(255)]
@@ -177,8 +167,8 @@ class PlacementIndexing(IndexFunction):
         self.base = base
         self.name = base.name
         self._placement = placement(base, ways)
-        self._lists = [(modulus, tables.tolist()) for modulus, tables in zip(
-            self._placement.moduli.tolist(), self._placement.tables())]
+        self._lists = [tables.tolist()
+                       for tables in self._placement.tables()]
 
     @property
     def is_skewed(self) -> bool:
@@ -190,9 +180,7 @@ class PlacementIndexing(IndexFunction):
 
     def index(self, block_number: int, way: int = 0) -> int:
         _check_block_and_way(block_number, way)
-        modulus, tables = self._lists[way if len(self._lists) > 1 else 0]
-        if modulus:
-            return block_number % modulus
+        tables = self._lists[way if len(self._lists) > 1 else 0]
         result = 0
         for table in tables:
             result ^= table[block_number & 255]

@@ -1,6 +1,6 @@
 """Python kernel tier: the kernels of ``ckernels.c``, function for function.
 
-Without a C compiler the batch caches and hierarchies run these kernels
+Without a C compiler the batch caches and hierarchy run these kernels
 instead of the compiled ones: each picks its module with ``kernels =
 ckernels if ckernels.available() else pykernels`` and makes one call.
 :func:`run_set_assoc`, :func:`run_victim`, :func:`run_column` and
@@ -450,24 +450,20 @@ def run_column(addresses: np.ndarray, writes: np.ndarray, *, shift: int,
 
 
 def run_hierarchy(l1_addresses: np.ndarray, l2_addresses: np.ndarray,
-                  writes: np.ndarray, *, l1_shift: int, l2_shift: int,
-                  inclusive: bool, l1: dict, l2: dict, l1_line: np.ndarray):
+                  writes: np.ndarray, *, shift: int, l1: dict, l2: dict,
+                  l1_line: np.ndarray):
     """:func:`repro.engine.ckernels.run_hierarchy` in Python
     (``repro_hier_run``), its line map a ``dict``; ``l1_line`` is read,
     not written back, since the caller drops it."""
-    l1_blocks = _blocks("block", l1_addresses, l1_shift)
-    l2_blocks = _blocks("L2 block", l2_addresses, l2_shift)
-    if l2_shift < l1_shift:
-        raise ValueError("the L2 block shift must not be below the L1's")
-    lines = _blocks("line", l2_addresses, l1_shift)
-    ratio = 1 << (l2_shift - l1_shift)
+    l1_blocks = _blocks("block", l1_addresses, shift)
+    lines = _blocks("L2 block", l2_addresses, shift)
     access1, close1, tags1, dirty1 = _level(l1_blocks, **l1)
-    access2, close2, _tags2, _dirty2 = _level(l2_blocks, **l2)
+    access2, close2, _tags2, _dirty2 = _level(lines, **l2)
     line_of = l1_line.tolist()
     frame_of = {line: frame for frame, line in enumerate(line_of)
                 if line >= 0}
     l1_hits, l2_hits = [False] * len(lines), [False] * len(lines)
-    holes = causing = back = aliases = 0
+    holes = back = aliases = 0
 
     def drop(frame: int) -> None:
         tags1[frame] = -1
@@ -475,9 +471,8 @@ def run_hierarchy(l1_addresses: np.ndarray, l2_addresses: np.ndarray,
         frame_of.pop(line_of[frame], None)
         line_of[frame] = -1
 
-    for i, (block, block2, line, w) in enumerate(zip(
-            l1_blocks.tolist(), l2_blocks.tolist(), lines.tolist(),
-            writes.tolist())):
+    for i, (block, line, w) in enumerate(zip(
+            l1_blocks.tolist(), lines.tolist(), writes.tolist())):
         frame = frame_of.get(line, -1)
         if frame >= 0 and tags1[frame] != block:
             drop(frame)
@@ -486,28 +481,22 @@ def run_hierarchy(l1_addresses: np.ndarray, l2_addresses: np.ndarray,
         if hit:
             l1_hits[i] = l2_hits[i] = True
             if w:
-                access2(i, block2, True)
+                access2(i, line, True)
             continue
         if frame >= 0:
             frame_of.pop(line_of[frame], None)
             line_of[frame] = line
             frame_of[line] = frame
-        hit2, _frame2, evicted = access2(i, block2, w)
+        hit2, _frame2, evicted = access2(i, line, w)
         l2_hits[i] = hit2
-        if evicted < 0 or not inclusive:
+        copy = frame_of.get(evicted, -1) if evicted >= 0 else -1
+        if copy < 0:
             continue
-        hole = False
-        for x in range(evicted * ratio, (evicted + 1) * ratio):
-            copy = frame_of.get(x, -1)
-            if copy < 0:
-                continue
-            back += 1
-            if tags1[copy] != block:
-                hole = True
-                holes += 1
-            drop(copy)
-        causing += hole
+        back += 1
+        if tags1[copy] != block:
+            holes += 1
+        drop(copy)
 
     return (np.array(l1_hits, dtype=bool), np.array(l2_hits, dtype=bool),
             close1(), close2(),
-            np.array((holes, causing, back, aliases), dtype=np.int64))
+            np.array((holes, back, aliases), dtype=np.int64))

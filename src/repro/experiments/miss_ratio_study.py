@@ -8,7 +8,7 @@ that I-Poly indexing recovers almost all of the benefit of full associativity
 at two-way cost.
 
 This driver replays the synthetic workload suite through a configurable set
-of cache organisations (conventional, skewed-XOR, I-Poly, prime-modulus,
+of cache organisations (conventional, skewed-XOR, I-Poly,
 fully-associative, victim and column-associative are all available) and
 reports per-program and suite-average miss ratios, so the ordering
 ``conventional > I-Poly >= fully-associative`` — and the near-equality of the

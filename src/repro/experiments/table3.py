@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..analysis.metrics import arithmetic_mean, geometric_mean, percent_change
+from ..analysis.metrics import geometric_mean, percent_change
 from ..analysis.reporting import TableBuilder
 from ..engine import ENGINE_REFERENCE, SweepOptions
 from ..trace.workloads import HIGH_CONFLICT_PROGRAMS, LOW_CONFLICT_PROGRAMS
@@ -49,11 +49,6 @@ class Table3Result:
     def group_ipc(self, programs: List[str], configuration: str) -> float:
         """Geometric-mean IPC of a program group under one configuration."""
         return geometric_mean([self.table2.ipc(p, configuration) for p in programs])
-
-    def group_miss_ratio(self, programs: List[str], configuration: str) -> float:
-        """Arithmetic-mean load miss ratio (percent) of a program group."""
-        return arithmetic_mean([self.table2.miss_ratio_percent(p, configuration)
-                                for p in programs])
 
     def ipc_table(self) -> TableBuilder:
         """Per-program rows for the bad programs plus the two average rows."""

@@ -1,4 +1,4 @@
-"""Memory-system substrate: addresses, paging, translation and main memory."""
+"""Memory-system substrate: addresses, paging and main memory."""
 
 from .address import (
     AddressLayout,
@@ -11,8 +11,7 @@ from .address import (
     page_offset,
 )
 from .main_memory import Bus, MainMemory, MemoryRequest
-from .paging import PageSizePolicy, PageTable, Segment, TLB
-from .translation import AddressTranslator, TranslationResult
+from .paging import PageTable
 
 __all__ = [
     "AddressLayout",
@@ -24,11 +23,6 @@ __all__ = [
     "page_number",
     "page_offset",
     "PageTable",
-    "TLB",
-    "Segment",
-    "PageSizePolicy",
-    "AddressTranslator",
-    "TranslationResult",
     "MainMemory",
     "Bus",
     "MemoryRequest",

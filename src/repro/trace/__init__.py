@@ -8,10 +8,7 @@ importable without NumPy.
 """
 
 from .generators import (
-    interleave,
-    matrix_traversal,
     multi_array_sweep,
-    pointer_chase,
     random_accesses,
     strided_vector,
     tiled_matrix_multiply,
@@ -65,11 +62,8 @@ __all__ = [
     *_STREAM_EXPORTS,
     "strided_vector",
     "multi_array_sweep",
-    "matrix_traversal",
     "tiled_matrix_multiply",
-    "pointer_chase",
     "random_accesses",
-    "interleave",
     "write_text_trace",
     "read_text_trace",
     "write_binary_trace",

@@ -8,14 +8,9 @@ on:
 * :func:`multi_array_sweep` — simultaneous streaming through several arrays
   whose base addresses may collide under conventional indexing (the classic
   tomcatv/swim pattern).
-* :func:`matrix_traversal` — row- or column-major walks of a 2-D array,
-  where column-major walks of power-of-two-sized rows are the textbook
-  pathological stride.
 * :func:`tiled_matrix_multiply` — the blocked kernel the conclusions mention:
   tiling introduces conflicts that depend on array dimensions, which an
   I-Poly cache removes.
-* :func:`pointer_chase` — a deterministic pseudo-random dependent-load chain,
-  modelling the low-conflict pointer-heavy behaviour of the integer codes.
 * :func:`random_accesses` — uniform random references over a footprint.
 
 Every generator is deterministic: randomness comes from an explicit seed via
@@ -24,18 +19,15 @@ a SplitMix64 stream so experiments are exactly reproducible.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional
 
 from .record import MemoryAccess
 
 __all__ = [
     "strided_vector",
     "multi_array_sweep",
-    "matrix_traversal",
     "tiled_matrix_multiply",
-    "pointer_chase",
     "random_accesses",
-    "interleave",
 ]
 
 
@@ -118,39 +110,6 @@ def multi_array_sweep(
                                    pc=pc_base + 8 * a, size=element_size)
 
 
-def matrix_traversal(
-    rows: int,
-    cols: int,
-    element_size: int = 8,
-    order: str = "column",
-    passes: int = 1,
-    base: int = 0,
-    pc_base: int = 0x3000,
-) -> Iterator[MemoryAccess]:
-    """Walk a ``rows x cols`` row-major matrix in row- or column-major order.
-
-    A column-major walk touches addresses separated by ``cols * element_size``
-    — a large power-of-two stride whenever ``cols`` is a power of two, which
-    is the canonical conventional-indexing disaster.
-    """
-    if order not in ("row", "column"):
-        raise ValueError("order must be 'row' or 'column'")
-    if rows < 1 or cols < 1 or passes < 1:
-        raise ValueError("rows, cols and passes must be positive")
-    row_bytes = cols * element_size
-    for _ in range(passes):
-        if order == "row":
-            for r in range(rows):
-                for c in range(cols):
-                    yield MemoryAccess(base + r * row_bytes + c * element_size,
-                                       pc=pc_base, size=element_size)
-        else:
-            for c in range(cols):
-                for r in range(rows):
-                    yield MemoryAccess(base + r * row_bytes + c * element_size,
-                                       pc=pc_base, size=element_size)
-
-
 def tiled_matrix_multiply(
     n: int = 64,
     tile: int = 16,
@@ -198,37 +157,6 @@ def tiled_matrix_multiply(
                                            pc=pc_base + 24, size=element_size)
 
 
-def pointer_chase(
-    nodes: int = 4096,
-    node_size: int = 64,
-    hops: int = 10000,
-    base: int = 0,
-    seed: int = 1,
-    pc_base: int = 0x5000,
-) -> Iterator[MemoryAccess]:
-    """Follow a deterministic pseudo-random cycle through ``nodes`` records.
-
-    The permutation is built from a seeded shuffle, so the stream is a single
-    long dependent chain with essentially no spatial regularity — the
-    behaviour that dominates pointer-heavy integer codes and that no indexing
-    function can improve (misses are capacity/compulsory, not conflict).
-    """
-    if nodes < 2 or hops < 1:
-        raise ValueError("nodes must be >= 2 and hops >= 1")
-    rng = _SplitMix64(seed)
-    order = list(range(nodes))
-    for i in range(nodes - 1, 0, -1):
-        j = rng.below(i + 1)
-        order[i], order[j] = order[j], order[i]
-    successor = [0] * nodes
-    for i in range(nodes):
-        successor[order[i]] = order[(i + 1) % nodes]
-    current = order[0]
-    for _ in range(hops):
-        yield MemoryAccess(base + current * node_size, pc=pc_base, size=8)
-        current = successor[current]
-
-
 def random_accesses(
     count: int,
     footprint_bytes: int,
@@ -252,31 +180,3 @@ def random_accesses(
         yield MemoryAccess(base + slot * element_size, is_write=is_write,
                            pc=pc_base, size=element_size)
 
-
-def interleave(traces: Sequence[Iterator[MemoryAccess]],
-               chunk: int = 1) -> Iterator[MemoryAccess]:
-    """Round-robin interleave several traces, ``chunk`` accesses at a time.
-
-    Useful for modelling interleaved accesses to independent data structures
-    (e.g. the virtual-alias experiment, or mixing a strided stream with a
-    pointer chase).  Exhausted traces drop out; iteration ends when all are
-    exhausted.
-    """
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-    active: List[Iterator[MemoryAccess]] = [iter(t) for t in traces]
-    while active:
-        still_active: List[Iterator[MemoryAccess]] = []
-        for trace in active:
-            emitted = 0
-            exhausted = False
-            while emitted < chunk:
-                try:
-                    yield next(trace)
-                except StopIteration:
-                    exhausted = True
-                    break
-                emitted += 1
-            if not exhausted:
-                still_active.append(trace)
-        active = still_active

@@ -9,7 +9,7 @@ trace needs to be replayed across many cache configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, List
 
 __all__ = ["MemoryAccess", "trace_length", "materialise"]
 
@@ -61,9 +61,3 @@ def replay(trace: Iterable[MemoryAccess], cache) -> None:
     """Drive any cache-like object (with an ``access`` method) with a trace."""
     for access in trace:
         cache.access(access.address, is_write=access.is_write)
-
-
-def iter_addresses(trace: Iterable[MemoryAccess]) -> Iterator[int]:
-    """Yield just the addresses of a trace."""
-    for access in trace:
-        yield access.address

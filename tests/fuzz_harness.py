@@ -1,4 +1,4 @@
-"""Random-program fuzzing for the out-of-order CPU path.
+"""Test support: random-program fuzzing for the out-of-order CPU path.
 
 Every other subsystem of this reproduction is locked down by a differential
 harness: the trace-level cache studies pit the batch kernels against the
@@ -32,9 +32,8 @@ differential harness over it:
   and compares the same state against the Python core, its access stream
   taken from the instructions the kernel reports reaching the cache.  It
   then replays each recorded stream through the batch kernels
-  (:func:`repro.engine.replay.replay_access_stream`) and checks the
-  hit/miss statistics again — the CPU path's entry into the engine
-  equivalence story.
+  (:func:`replay_access_stream`) and checks the hit/miss statistics
+  again — the CPU path's entry into the engine equivalence story.
 
 Every failure carries a one-line repro (:func:`repro_line`): the seed and
 generator parameters that rebuild the failing program exactly.
@@ -43,13 +42,23 @@ generator parameters that rebuild the failing program exactly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..trace.generators import _SplitMix64
-from .dcache import DataCacheModel
-from .isa import FP_REGS, INT_REGS, Instruction, OpClass
-from .processor import OutOfOrderProcessor, ProcessorConfig, SimulationResult
-from .program import Program
+import numpy as np
+
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.stats import CacheStats
+from repro.cpu.dcache import DataCacheModel
+from repro.cpu.isa import FP_REGS, INT_REGS, Instruction, OpClass
+from repro.cpu.processor import (
+    OutOfOrderProcessor,
+    ProcessorConfig,
+    SimulationResult,
+)
+from repro.cpu.program import Program
+from repro.engine.batch import AddressBatch
+from repro.engine.batch_cache import BatchSetAssociativeCache
+from repro.trace.generators import _SplitMix64
 
 __all__ = [
     "ADDRESS_PATTERNS",
@@ -61,6 +70,9 @@ __all__ = [
     "fuzz_config",
     "run_differential",
     "repro_line",
+    "ReplayOutcome",
+    "batch_cache_like",
+    "replay_access_stream",
 ]
 
 #: Valid load/store address patterns of the generator.
@@ -382,7 +394,7 @@ def repro_line(seed: int, params: FuzzParams) -> str:
     """One-line reproduction recipe for a fuzz failure."""
     return (f"repro: seed={seed} "
             f"params=FuzzParams(**{asdict(params)!r}) "
-            f"via repro.cpu.fuzzer.run_differential(*build_fuzz_program"
+            f"via fuzz_harness.run_differential(*build_fuzz_program"
             f"({seed}, params))")
 
 
@@ -496,8 +508,6 @@ def run_differential(program: Program,
                       vec_stream)
 
     if check_replay:
-        # Local import: repro.cpu stays importable without NumPy installed.
-        from ..engine.replay import replay_access_stream
         for label, proc, stream in (("reference", ref_proc, ref_stream),
                                     ("vectorized", vec_proc, vec_stream)):
             replay = replay_access_stream(stream[0], stream[1],
@@ -549,3 +559,78 @@ def _compare_compiled(outcome: DifferentialOutcome, program: Program,
         note("resident cache contents differ between the cores")
     if run.stream() != tuple(python_stream):
         note("functional access streams differ between the cores")
+
+
+# --------------------------------------------------------------------------- #
+# batch replay of a recorded access stream
+# --------------------------------------------------------------------------- #
+#
+# The out-of-order processor drives its L1 data cache one access at a time,
+# so the CPU path can never consume an AddressBatch directly.  What it can
+# do is record the functional access stream its DataCacheModel produced
+# (``record_stream=True``) and replay it here: the stream becomes an
+# AddressBatch, the scalar cache's configuration is mirrored into a
+# BatchSetAssociativeCache, and the kernel ``dispatch_strategy`` selects must
+# reproduce the scalar cache's hit/miss statistics bit-exactly, on a
+# processor-shaped stream (issue-order loads with merged secondary misses,
+# commit-order write-through stores interleaved).
+
+@dataclass(frozen=True)
+class ReplayOutcome:
+    """Result of replaying one recorded stream through a batch kernel."""
+
+    #: Statistics accumulated by the batch cache over the replay.
+    stats: CacheStats
+    #: Kernel name reported by ``dispatch_strategy`` for the replayed batch.
+    strategy: str
+    #: Number of accesses replayed.
+    accesses: int
+    #: Per-access hit mask returned by the kernel.
+    hits: np.ndarray
+
+    def matches(self, stats: CacheStats) -> bool:
+        """True when the batch statistics equal ``stats`` exactly."""
+        return self.stats == stats
+
+
+def batch_cache_like(cache: SetAssociativeCache) -> BatchSetAssociativeCache:
+    """Build a cold batch cache mirroring a scalar cache's configuration.
+
+    Geometry, placement function, write policy and replacement policy are
+    carried over verbatim (the index function object is shared — batch
+    caches only read it; a configured random policy's draw seed is
+    preserved), so replaying the scalar cache's access stream from cold must
+    reproduce its statistics exactly.
+    """
+    return BatchSetAssociativeCache(
+        size_bytes=cache.size_bytes,
+        block_size=cache.block_size,
+        ways=cache.ways,
+        index_function=cache.index_function,
+        replacement=cache.replacement,
+        write_policy=cache.write_policy,
+        name=f"{cache.name}-replay",
+    )
+
+
+def replay_access_stream(
+    addresses: Union[np.ndarray, Sequence[int]],
+    is_write: Union[np.ndarray, Sequence[bool]],
+    cache: SetAssociativeCache,
+) -> ReplayOutcome:
+    """Replay a recorded ``(address, is_store)`` stream through the batch engine.
+
+    ``cache`` is the scalar cache whose configuration the batch kernel must
+    mirror — typically the L1 of a finished processor simulation, in which
+    case ``ReplayOutcome.matches(cache.stats)`` asserts the batch kernel and
+    the scalar model agree bit-exactly on the whole stream.
+
+    The replayed batch cache starts cold, so the stream must be the
+    *complete* access history of ``cache`` since its own cold start.
+    """
+    batch = AddressBatch.from_arrays(addresses, is_write)
+    mirror = batch_cache_like(cache)
+    strategy = mirror.dispatch_strategy(batch)
+    hits = mirror.run(batch)
+    return ReplayOutcome(stats=mirror.stats, strategy=strategy,
+                         accesses=len(batch), hits=hits)

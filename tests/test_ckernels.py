@@ -414,10 +414,10 @@ def _set_assoc_args(n=8, ways=2, num_sets=4):
         io=np.zeros(2, dtype=np.int64))
 
 
-def _place(moduli, images):
-    """A placement over raw arrays, unchecked until a kernel call."""
+def _place(images):
+    """A placement over a raw image array, unchecked until a kernel call."""
     place = placement(BitSelectIndexing(4), 1)
-    place.moduli, place.images = moduli, images
+    place.images = images
     return place
 
 
@@ -439,17 +439,13 @@ BAD_ADDRESS_ARGUMENTS = {
 BAD_ARGUMENTS = {
     **BAD_ADDRESS_ARGUMENTS,
     "images not a table": ("place", lambda a: _place(
-        np.zeros(1, np.int64), np.array([1, 2], dtype=np.int64))),
+        np.array([1, 2], dtype=np.int64))),
     "image == num_sets": ("place", lambda a: _place(
-        np.zeros(1, np.int64), np.array([[1, 4]], dtype=np.int64))),
+        np.array([[1, 4]], dtype=np.int64))),
     "negative image": ("place", lambda a: _place(
-        np.zeros(1, np.int64), np.array([[1, -1]], dtype=np.int64))),
+        np.array([[1, -1]], dtype=np.int64))),
     "images past 64 bits": ("place", lambda a: _place(
-        np.zeros(1, np.int64), np.zeros((1, 65), dtype=np.int64))),
-    "modulus above num_sets": ("place", lambda a: _place(
-        np.array([5], np.int64), np.zeros((1, 0), np.int64))),
-    "negative modulus": ("place", lambda a: _place(
-        np.array([-3], np.int64), np.zeros((1, 0), np.int64))),
+        np.zeros((1, 65), dtype=np.int64))),
     "three functions for two ways": ("place", lambda a: placement(
         make_index_function("a2-Hx-Sk", 4), 3)),
     "no placement": ("place", lambda a: None),
@@ -497,8 +493,7 @@ def test_linear_images_bound_every_xor(compiled_tier):
     """Over a non-power-of-two table each image can be in range while an
     XOR of two is not: the OR of a function's images must be."""
     args = _set_assoc_args()
-    args.update(place=_place(np.zeros(1, np.int64),
-                             np.array([[1, 4]], dtype=np.int64)),
+    args.update(place=_place(np.array([[1, 4]], dtype=np.int64)),
                 tags=np.full((2, 5), -1, dtype=np.int64),
                 dirty=np.zeros((2, 5), dtype=np.uint8),
                 stamps=np.zeros((2, 5), dtype=np.int64),

@@ -337,6 +337,73 @@ class TestExecution:
         assert outputs[0] == outputs[1]
 
 
+class TestTraceFormats:
+    """``--trace`` reads every format it accepts to the same accesses: one
+    recorded trace, written in each, prints byte-identical ``miss-ratio``
+    output on both engines.  Detection is by content, so every copy has
+    the same file name (the study's row label) in a directory of its own.
+    zstd is left out: its module is optional."""
+
+    FORMATS = ("v2", "v2-gzip", "v2-bz2", "v2-xz", "v1-text", "v1-binary",
+               "din")
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        import numpy as np
+
+        from repro.trace.record import MemoryAccess
+        from repro.trace.stream import write_trace_v2
+        from repro.trace.trace_io import write_binary_trace, write_text_trace
+
+        rng = np.random.default_rng(11)
+        addresses = rng.integers(0, 1 << 10, size=1500,
+                                 dtype=np.uint64) * np.uint64(16)
+        writes = rng.random(1500) < 0.3
+        records = [MemoryAccess(a, is_write=w)
+                   for a, w in zip(addresses.tolist(), writes.tolist())]
+        root = tmp_path_factory.mktemp("formats")
+        paths = {}
+        for name in self.FORMATS:
+            directory = root / name
+            directory.mkdir()
+            path = directory / "recorded.trace"
+            if name.startswith("v2"):
+                suffix = {"v2": "", "v2-gzip": ".gz", "v2-bz2": ".bz2",
+                          "v2-xz": ".xz"}[name]
+                written = directory / f"written{suffix}"
+                write_trace_v2(written, addresses, is_write=writes)
+                written.rename(path)
+            elif name == "v1-text":
+                write_text_trace(path, records)
+            elif name == "v1-binary":
+                write_binary_trace(path, records)
+            else:
+                path.write_text("".join(f"{int(r.is_write)} {r.address:x}\n"
+                                        for r in records))
+            paths[name] = path
+        return paths
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_every_format_prints_the_same_miss_ratios(self, traces, engine,
+                                                      capsys):
+        from repro.trace.stream import detect_trace_format
+
+        outputs = {}
+        for name, path in traces.items():
+            fmt = detect_trace_format(path)
+            assert (fmt.kind, fmt.compression) == {
+                "v2": ("v2", None), "v2-gzip": ("v2", "gzip"),
+                "v2-bz2": ("v2", "bz2"), "v2-xz": ("v2", "xz"),
+                "v1-text": ("text", None), "v1-binary": ("v1-binary", None),
+                "din": ("din", None)}[name]
+            assert main(["miss-ratio", "--trace", str(path), "--engine",
+                         engine, "--trace-chunk", "400"]) == 0
+            outputs[name] = capsys.readouterr().out
+        assert "recorded.trace" in outputs["v2"]
+        assert all(out == outputs["v2"] for out in outputs.values()), [
+            name for name, out in outputs.items() if out != outputs["v2"]]
+
+
 def assert_usage_error(argv, message, capsys):
     """``main(argv)`` exits 2 with one ``error:`` line naming ``message``."""
     with pytest.raises(SystemExit) as excinfo:

@@ -1,6 +1,6 @@
 """The compiled out-of-order core against the Python core.
 
-Every case runs through :func:`repro.cpu.fuzzer.run_differential`, whose
+Every case runs through :func:`fuzz_harness.run_differential`, whose
 third arm runs the program on a fresh vectorized-engine processor — the
 compiled core (``repro_ooo_run``) when the C kernels are available — and
 compares every result field, ``op_counts`` key order, the ``CacheStats``,
@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from repro.cpu.dcache import DataCacheModel
-from repro.cpu.fuzzer import FuzzParams, build_fuzz_program, run_differential
 from repro.cpu.isa import Instruction, OpClass
 from repro.cpu.processor import OutOfOrderProcessor, ProcessorConfig
 from repro.cpu.program import Program
 from repro.engine import ckernels
+
+from fuzz_harness import FuzzParams, build_fuzz_program, run_differential
 
 VECTORIZED = ProcessorConfig(index_engine="vectorized")
 

@@ -28,7 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.fuzzer import (
+from repro.cpu.isa import FP_REGS, INT_REGS, OpClass
+from repro.engine import ckernels
+
+from fuzz_harness import (
     ADDRESS_PATTERNS,
     CONFIG_VARIANTS,
     FuzzParams,
@@ -38,8 +41,6 @@ from repro.cpu.fuzzer import (
     repro_line,
     run_differential,
 )
-from repro.cpu.isa import FP_REGS, INT_REGS, OpClass
-from repro.engine import ckernels
 
 CORPUS_PATH = Path(__file__).parent / "corpus" / "cpu_fuzz_corpus.json"
 

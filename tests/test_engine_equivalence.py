@@ -34,8 +34,8 @@ from repro.trace.generators import (
     tiled_matrix_multiply,
 )
 
-#: The paper's four index families plus the prime-modulus baseline.
-FAMILIES = ["a2", "a2-Hx-Sk", "a2-Hp", "a2-Hp-Sk", "a2-prime"]
+#: The paper's four index families.
+FAMILIES = ["a2", "a2-Hx-Sk", "a2-Hp", "a2-Hp-Sk"]
 
 #: Trace builders exercised by the differential suite (name -> factory).
 TRACES = {

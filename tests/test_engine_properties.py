@@ -52,8 +52,7 @@ def _plain_state(cache):
 
 
 #: Every registered family, by scheme label.
-FAMILIES = ["a2", "a2-Hx", "a2-Hx-Sk", "a2-Hp", "a2-Hp-Sk", "a2-prime",
-            "full"]
+FAMILIES = ["a2", "a2-Hx", "a2-Hx-Sk", "a2-Hp", "a2-Hp-Sk", "full"]
 
 
 @st.composite
@@ -549,8 +548,7 @@ def _level_outcome(level):
 def _hierarchy_outcome(h, hits):
     return (hits, _level_outcome(h.l1), _level_outcome(h.l2),
             h.holes_created, h.l2_misses_causing_holes,
-            getattr(h, "back_invalidations", None),
-            getattr(h, "alias_invalidations", None), h.check_inclusion())
+            h.alias_invalidations, h.check_inclusion())
 
 
 def _scalar_runs(h, addresses, is_write, cut):
@@ -583,75 +581,27 @@ write_policies = st.sampled_from([WritePolicy.WRITE_BACK_ALLOCATE,
     addresses=st.lists(st.integers(0, (1 << 16) - 1), min_size=1,
                        max_size=400),
     writes=st.data(),
-    l1_m=st.integers(3, 4),
-    l2_m=st.integers(3, 6),
-    ratio=st.sampled_from([1, 2, 4]),
-    l2_skewed=st.booleans(),
+    seed=st.integers(0, 2**10),
     policies=st.tuples(hierarchy_policies, hierarchy_policies),
     write=st.tuples(write_policies, write_policies),
-    inclusive=st.booleans(),
-    cut=st.floats(0, 1),
-)
-def test_batch_hierarchy_matches_scalar_on_random_traces(
-        addresses, writes, l1_m, l2_m, ratio, l2_skewed, policies, write,
-        inclusive, cut):
-    """Random traces and geometries — block ratio, placement, policy and
-    write policy per level, inclusion on or off — in two runs through the
-    batch two-level hierarchy on both tiers: per-level counters, hole
-    accounting, residency and the per-access hit masks must match the
-    scalar protocol exactly."""
-    from repro.cache.hierarchy import TwoLevelHierarchy
-    from repro.engine import batch_hierarchy_like
-
-    block = 16
-    is_write = writes.draw(st.lists(st.booleans(), min_size=len(addresses),
-                                    max_size=len(addresses)))
-    l1 = SetAssociativeCache(
-        (1 << l1_m) * block * 2, block, 2,
-        index_function=IPolyIndexing(1 << l1_m, ways=2, skewed=True,
-                                     address_bits=16),
-        replacement=policies[0], write_policy=write[0])
-    l2_index = (IPolyIndexing(1 << l2_m, ways=2, skewed=True,
-                              address_bits=16) if l2_skewed else None)
-    l2 = SetAssociativeCache((1 << l2_m) * block * ratio * 2, block * ratio,
-                             2, index_function=l2_index,
-                             replacement=policies[1], write_policy=write[1])
-    assume(l2.size_bytes >= l1.size_bytes)
-    scalar = TwoLevelHierarchy(l1, l2, enforce_inclusion=inclusive)
-    split = int(cut * len(addresses))
-    expected = _hierarchy_outcome(
-        scalar, _scalar_runs(scalar, addresses, is_write, split))
-    for tier in _hierarchy_tiers():
-        with tier:
-            batch = batch_hierarchy_like(scalar)  # cold, same configuration
-            hits = _batch_runs(batch, addresses, is_write, split)
-            assert _hierarchy_outcome(batch, hits) == expected
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    addresses=st.lists(st.integers(0, (1 << 16) - 1), min_size=1,
-                       max_size=400),
-    writes=st.data(),
-    seed=st.integers(0, 2**10),
-    tlb_entries=st.sampled_from([None, 2, 8]),
-    policies=st.tuples(hierarchy_policies, hierarchy_policies),
-    l1_write=write_policies,
+    l2_skewed=st.booleans(),
     aliases=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 3)),
                      max_size=4),
     cut=st.floats(0, 1),
 )
 def test_batch_virtual_real_matches_scalar_on_random_traces(
-        addresses, writes, seed, tlb_entries, policies, l1_write, aliases,
-        cut):
+        addresses, writes, seed, policies, write, l2_skewed, aliases, cut):
     """Random virtual traces in two runs through batched translation and
-    the virtual-real loop on both tiers, with random pre-mapped (possibly
-    aliasing) pages: cache counters, hole/alias accounting, page faults and
-    TLB counters must match the per-access scalar protocol exactly."""
+    the virtual-real loop on both tiers — placement of L2, policy and
+    write policy per level — with random pre-mapped (possibly aliasing)
+    pages: cache counters, hole/alias accounting, residency, the per-access
+    hit masks and page faults must match the per-access scalar protocol
+    exactly."""
     from repro.cache.virtual_real import VirtualRealHierarchy
-    from repro.engine import batch_virtual_real_like
-    from repro.memory.paging import TLB, PageTable
-    from repro.memory.translation import AddressTranslator
+    from repro.engine import BatchVirtualRealHierarchy
+    from repro.memory.paging import PageTable
+
+    from fuzz_harness import batch_cache_like
 
     block = 16
     page_size = 1024
@@ -659,39 +609,34 @@ def test_batch_virtual_real_matches_scalar_on_random_traces(
                                     max_size=len(addresses)))
 
     def build_level(num_sets, l2=False):
-        index = None if l2 else IPolyIndexing(num_sets, ways=2, skewed=True,
-                                              address_bits=16)
+        skewed = l2_skewed if l2 else True
+        index = (IPolyIndexing(num_sets, ways=2, skewed=True, address_bits=16)
+                 if skewed else None)
         return SetAssociativeCache(
             num_sets * block * 2, block, 2, index_function=index,
-            replacement=policies[l2],
-            write_policy=WritePolicy.WRITE_BACK_ALLOCATE if l2 else l1_write)
+            replacement=policies[l2], write_policy=write[l2])
 
     def translation():
         table = PageTable(page_size=page_size, allocation="scatter",
                           seed=seed)
         for page, frame in aliases:
             table._mapping[page] = frame
-        tlb = (TLB(entries=tlb_entries, page_size=page_size)
-               if tlb_entries else None)
-        return table, tlb
+        return table
 
-    table, tlb = translation()
-    translate = (AddressTranslator(table, tlb).translate if tlb
-                 else table.translate)
+    table = translation()
     scalar = VirtualRealHierarchy(build_level(8), build_level(32, l2=True),
-                                  translate=translate, page_size=page_size)
+                                  translate=table.translate,
+                                  page_size=page_size)
     split = int(cut * len(addresses))
     expected = (_hierarchy_outcome(
         scalar, _scalar_runs(scalar, addresses, is_write, split)),
-        table.page_faults, table._mapping,
-        tlb and (tlb.hits, tlb.misses, list(tlb._table.items())))
+        table.page_faults, table._mapping)
     for tier in _hierarchy_tiers():
         with tier:
-            twin_table, twin_tlb = translation()
-            batch = batch_virtual_real_like(scalar, twin_table,
-                                            tlb=twin_tlb)
+            twin_table = translation()
+            batch = BatchVirtualRealHierarchy(batch_cache_like(scalar.l1),
+                                              batch_cache_like(scalar.l2),
+                                              twin_table)
             hits = _batch_runs(batch, addresses, is_write, split)
             assert (_hierarchy_outcome(batch, hits), twin_table.page_faults,
-                    twin_table._mapping,
-                    twin_tlb and (twin_tlb.hits, twin_tlb.misses,
-                                  list(twin_tlb._table.items()))) == expected
+                    twin_table._mapping) == expected

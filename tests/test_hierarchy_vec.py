@@ -1,17 +1,15 @@
-"""Three-path differential tests for the batch multi-level engine.
+"""Three-path differential tests for the batch virtual-real hierarchy.
 
 Every case runs one trace through the scalar
-:class:`~repro.cache.hierarchy.TwoLevelHierarchy` or
 :class:`~repro.cache.virtual_real.VirtualRealHierarchy` — the oracle — and
-through the batch twin on both tiers (the ``kernel_path`` fixture: the
+through its batch twin on both tiers (the ``kernel_path`` fixture: the
 compiled loop of :mod:`repro.engine.ckernels`, then its Python
 transliteration), and compares both levels'
-:class:`~repro.cache.stats.CacheStats`, the hole, back-invalidation and
-alias counters, the per-access L1/L2 hit masks and the resident blocks.
-Virtual-real cases also compare page faults, TLB counters and the scalar
-model's virtual->physical map with the one the twin derives from L1
-residency.  Multi-run cases carry state across runs, with point operations
-between them, and pickle a twin mid-stream.
+:class:`~repro.cache.stats.CacheStats`, the hole, alias and external
+invalidation counters, the per-access L1/L2 hit masks, the resident blocks,
+the page faults and the scalar model's virtual->physical map with the one
+the twin derives from L1 residency.  Multi-run cases carry state across
+runs, with point operations between them, and pickle a twin mid-stream.
 """
 
 import pickle
@@ -19,31 +17,26 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.cache.hierarchy import TwoLevelHierarchy
 from repro.cache.replacement import REPLACEMENT_POLICIES
 from repro.cache.set_assoc import SetAssociativeCache, WritePolicy
 from repro.cache.virtual_real import VirtualRealHierarchy
 from repro.core.index import BitSelectIndexing, IPolyIndexing
 from repro.engine import (
     AddressBatch,
-    BatchTwoLevelHierarchy,
+    BatchSetAssociativeCache,
     BatchVirtualRealHierarchy,
-    batch_cache_like,
-    batch_hierarchy_like,
-    batch_page_frames,
-    batch_virtual_real_like,
     ckernels,
     placement,
-    run_tlb_kernel,
 )
-from repro.memory.paging import TLB, PageTable
-from repro.memory.translation import AddressTranslator
+from repro.memory.paging import PageTable
 from repro.trace.generators import (
     multi_array_sweep,
     random_accesses,
     strided_vector,
 )
 from repro.trace.record import MemoryAccess
+
+from fuzz_harness import batch_cache_like
 
 WB = WritePolicy.WRITE_BACK_ALLOCATE
 WT = WritePolicy.WRITE_THROUGH_NO_ALLOCATE
@@ -85,9 +78,7 @@ def outcome(h):
     """Everything both hierarchies must agree on after a run."""
     return (stats_tuple(h.l1.stats), stats_tuple(h.l2.stats),
             h.holes_created, h.l2_misses_causing_holes,
-            getattr(h, "back_invalidations", None),
-            getattr(h, "alias_invalidations", None),
-            getattr(h, "external_invalidations", None),
+            h.alias_invalidations, h.external_invalidations,
             sorted(h.l1.resident_blocks()), sorted(h.l2.resident_blocks()),
             h.check_inclusion())
 
@@ -108,11 +99,10 @@ def run_both(scalar, batch, trace):
     assert result.l1_hits.tolist() == l1_hits
     assert result.l2_hits.tolist() == l2_hits
     assert outcome(batch) == outcome(scalar)
-    if isinstance(batch, BatchVirtualRealHierarchy):
-        table, bpp = batch.page_table._mapping, 4096 // batch.l1.block_size
-        assert scalar._phys_of_virt == {
-            v: table[v // bpp] * bpp + v % bpp
-            for v in batch.l1.resident_blocks()}
+    table, bpp = batch.page_table._mapping, 4096 // batch.l1.block_size
+    assert scalar._phys_of_virt == {
+        v: table[v // bpp] * bpp + v % bpp
+        for v in batch.l1.resident_blocks()}
     return result
 
 
@@ -121,93 +111,101 @@ def expected_strategy(path):
 
 
 # --------------------------------------------------------------------- #
-# two-level hierarchy
+# virtual-real hierarchy
 # --------------------------------------------------------------------- #
 
-def two_level_pair(l1, l2, enforce_inclusion=True):
-    scalar = TwoLevelHierarchy(l1, l2, enforce_inclusion=enforce_inclusion)
-    return scalar, batch_hierarchy_like(scalar)
+def vr_pair(l1=None, l2=None, seed=7, allocation="scatter", aliases=()):
+    """Identically-seeded scalar virtual-real hierarchy and batch twin.
+
+    ``aliases`` maps virtual pages to frames up front in both page tables;
+    mapping two pages to one frame makes them aliases.
+    """
+    page_size = 4096
+
+    def page_table():
+        table = PageTable(page_size=page_size, allocation=allocation,
+                          seed=seed)
+        for page, frame in aliases:
+            table._mapping[page] = frame
+        return table
+
+    table = page_table()
+    scalar = VirtualRealHierarchy(l1 or make_l1(), l2 or make_level(2048),
+                                  translate=table.translate,
+                                  page_size=page_size)
+    batch = BatchVirtualRealHierarchy(batch_cache_like(scalar.l1),
+                                      batch_cache_like(scalar.l2),
+                                      page_table())
+    return scalar, batch, table
 
 
-class TestTwoLevel:
+def assert_translation_matches(batch, table):
+    assert table.page_faults == batch.page_table.page_faults
+    assert table._mapping == batch.page_table._mapping
+
+
+class TestVirtualReal:
     @pytest.mark.parametrize("trace_name", sorted(TRACES))
-    @pytest.mark.parametrize("skewed", [True, False], ids=["ipoly", "conv"])
-    def test_matches_scalar(self, trace_name, skewed, kernel_path):
-        scalar, batch = two_level_pair(
-            make_level(512, skewed=skewed, write_policy=WT),
-            make_level(2048))
+    def test_matches_scalar(self, trace_name, kernel_path):
+        scalar, batch, table = vr_pair()
         assert batch.dispatch_strategy() == expected_strategy(kernel_path)
         run_both(scalar, batch, list(TRACES[trace_name]()))
+        assert_translation_matches(batch, table)
 
-    @pytest.mark.parametrize("ratio", [1, 2, 4])
-    def test_block_ratio_back_invalidates_siblings(self, ratio, kernel_path):
-        """An L2 block of ``ratio`` L1 blocks: one eviction can punch up
-        to ``ratio`` holes."""
-        scalar, batch = two_level_pair(make_l1(),
-                                       make_level(1024, block=32 * ratio))
+    @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+    def test_small_l2_creates_holes(self, policy, kernel_path):
+        scalar, batch, table = vr_pair(
+            l1=make_l1(replacement=policy),
+            l2=make_level(1024, replacement=policy))
         run_both(scalar, batch, list(DENSE()))
-        assert batch.l2_misses_causing_holes > 0
-        if ratio > 1:
-            assert batch.back_invalidations > batch.l2_misses_causing_holes
-
-    def test_inclusion_off(self, kernel_path):
-        scalar, batch = two_level_pair(make_l1(), make_level(1024),
-                                       enforce_inclusion=False)
-        run_both(scalar, batch, list(DENSE()))
-        assert batch.holes_created == batch.back_invalidations == 0
+        assert batch.holes_created > 0
+        assert_translation_matches(batch, table)
 
     @pytest.mark.parametrize("l1_policy", [WT, WB], ids=["l1-wt", "l1-wb"])
     @pytest.mark.parametrize("l2_policy", [WT, WB], ids=["l2-wt", "l2-wb"])
     def test_write_policies(self, l1_policy, l2_policy, kernel_path):
-        scalar, batch = two_level_pair(
-            make_l1(write_policy=l1_policy),
-            make_level(1024, write_policy=l2_policy))
+        scalar, batch, table = vr_pair(
+            l1=make_l1(write_policy=l1_policy),
+            l2=make_level(1024, write_policy=l2_policy))
         run_both(scalar, batch, list(DENSE()))
+        assert_translation_matches(batch, table)
 
     @pytest.mark.parametrize("level", ["l1", "l2"])
     @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
     def test_replacement_policies(self, level, policy, kernel_path):
-        l1 = make_l1(replacement=policy if level == "l1" else None)
-        l2 = make_level(1024, ways=4,
-                        replacement=policy if level == "l2" else None)
-        scalar, batch = two_level_pair(l1, l2)
+        scalar, batch, table = vr_pair(
+            l1=make_l1(replacement=policy if level == "l1" else None),
+            l2=make_level(1024, ways=4,
+                          replacement=policy if level == "l2" else None))
         run_both(scalar, batch, list(DENSE()))
+        assert_translation_matches(batch, table)
 
     @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
     def test_skewed_l2(self, policy, kernel_path):
-        scalar, batch = two_level_pair(
-            make_l1(), make_level(1024, skewed=True, replacement=policy))
+        scalar, batch, table = vr_pair(
+            l2=make_level(1024, skewed=True, replacement=policy))
         run_both(scalar, batch, list(DENSE()))
+        assert_translation_matches(batch, table)
 
-    def test_state_carries_across_runs(self, kernel_path):
-        """Warm runs with point operations and a flush between them.
-
-        Dropping L2 copies of lines L1 still holds breaks inclusion: the
-        next store hits in L1 then miss in L2 and fill it, displacing
-        blocks without back-invalidation, exactly as the scalar model."""
-        trace = list(DENSE())
-        scalar, batch = two_level_pair(make_l1(write_policy=WB),
-                                       make_level(1024, block=64))
-        run_both(scalar, batch, trace[:1000])
-        resident = sorted(scalar.l1.resident_blocks())
-        for block in resident[::3] + [10**6]:
-            assert (batch.l1.invalidate_block(block)
-                    == scalar.l1.invalidate_block(block))
-        for block in resident[1::3]:
-            assert (batch.l2.invalidate_block(block // 2)
-                    == scalar.l2.invalidate_block(block // 2))
-        run_both(scalar, batch, trace[1000:2000])
-        scalar.flush()
-        batch.flush()
-        assert batch.check_inclusion()
-        run_both(scalar, batch, trace[2000:])
+    def test_aliasing_page_map(self, kernel_path):
+        """Pages 0 and 1 share frame 0, and the sequential allocator hands
+        frame 0 out again: alias invalidations, exactly as the scalar
+        protocol counts them."""
+        scalar, batch, table = vr_pair(
+            allocation="sequential", aliases=((0, 0), (1, 0)))
+        trace = list(random_accesses(2000, 16 * 1024, write_fraction=0.2,
+                                     seed=17))
+        run_both(scalar, batch, trace)
+        assert batch.alias_invalidations > 0
+        assert_translation_matches(batch, table)
 
     def test_store_hit_refills_l2(self, kernel_path):
         """A store that hits L1 after L2 dropped the line refills L2 with
         no back-invalidation; evicting that refill later back-invalidates
         the L1 copy."""
-        scalar, batch = two_level_pair(make_level(128),
-                                       make_level(256, ways=1))
+        scalar, batch, _table = vr_pair(l1=make_level(128),
+                                        l2=make_level(256, ways=1),
+                                        allocation="sequential")
         run_both(scalar, batch, [MemoryAccess(0)])
         assert batch.l2.invalidate_block(0) and scalar.l2.invalidate_block(0)
         result = run_both(scalar, batch, [MemoryAccess(0, is_write=True),
@@ -216,98 +214,13 @@ class TestTwoLevel:
         assert result.l1_hits.tolist() == [True, False, False]
         assert batch.holes_created == 2
 
-    def test_pickled_mid_stream(self, kernel_path):
-        trace = list(DENSE())
-        scalar, batch = two_level_pair(make_l1(replacement="random"),
-                                       make_level(1024, replacement="plru"))
-        run_both(scalar, batch, trace[:1500])
-        run_both(scalar, pickle.loads(pickle.dumps(batch)), trace[1500:])
-
-    def test_empty_batch(self, kernel_path):
-        _scalar, batch = two_level_pair(make_l1(), make_level(1024))
-        result = batch.run(AddressBatch.from_arrays(
-            np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)))
-        assert len(result) == 0 and result.memory_accesses == 0
-        assert batch.l1.stats.accesses == 0
-
-
-# --------------------------------------------------------------------- #
-# virtual-real hierarchy
-# --------------------------------------------------------------------- #
-
-def vr_pair(l1=None, l2=None, tlb_entries=None, seed=7,
-            allocation="scatter", aliases=()):
-    """Identically-seeded scalar virtual-real hierarchy and batch twin.
-
-    ``aliases`` maps virtual pages to frames up front in both page tables;
-    mapping two pages to one frame makes them aliases.
-    """
-    page_size = 4096
-
-    def table_and_tlb():
-        table = PageTable(page_size=page_size, allocation=allocation,
-                          seed=seed)
-        for page, frame in aliases:
-            table._mapping[page] = frame
-        tlb = (TLB(entries=tlb_entries, page_size=page_size)
-               if tlb_entries else None)
-        return table, tlb
-
-    table, tlb = table_and_tlb()
-    translate = (AddressTranslator(table, tlb).translate if tlb
-                 else table.translate)
-    scalar = VirtualRealHierarchy(l1 or make_l1(), l2 or make_level(2048),
-                                  translate=translate, page_size=page_size)
-    twin_table, twin_tlb = table_and_tlb()
-    batch = batch_virtual_real_like(scalar, twin_table, tlb=twin_tlb)
-    return scalar, batch, (table, tlb)
-
-
-def assert_translation_matches(batch, table, tlb):
-    assert table.page_faults == batch.page_table.page_faults
-    assert table._mapping == batch.page_table._mapping
-    if tlb is not None:
-        assert (tlb.hits, tlb.misses) == (batch.tlb.hits, batch.tlb.misses)
-        assert list(tlb._table.items()) == list(batch.tlb._table.items())
-
-
-class TestVirtualReal:
-    @pytest.mark.parametrize("trace_name", sorted(TRACES))
-    @pytest.mark.parametrize("tlb_entries", [None, 8], ids=["no-tlb", "tlb8"])
-    def test_matches_scalar(self, trace_name, tlb_entries, kernel_path):
-        scalar, batch, (table, tlb) = vr_pair(tlb_entries=tlb_entries)
-        assert batch.dispatch_strategy() == expected_strategy(kernel_path)
-        run_both(scalar, batch, list(TRACES[trace_name]()))
-        assert_translation_matches(batch, table, tlb)
-
-    @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
-    def test_small_l2_creates_holes(self, policy, kernel_path):
-        scalar, batch, (table, tlb) = vr_pair(
-            l1=make_l1(replacement=policy),
-            l2=make_level(1024, replacement=policy))
-        run_both(scalar, batch, list(DENSE()))
-        assert batch.holes_created > 0
-        assert_translation_matches(batch, table, tlb)
-
-    def test_aliasing_page_map(self, kernel_path):
-        """Pages 0 and 1 share frame 0, and the sequential allocator hands
-        frame 0 out again: alias invalidations, exactly as the scalar
-        protocol counts them."""
-        scalar, batch, (table, tlb) = vr_pair(
-            allocation="sequential", aliases=((0, 0), (1, 0)))
-        trace = list(random_accesses(2000, 16 * 1024, write_fraction=0.2,
-                                     seed=17))
-        run_both(scalar, batch, trace)
-        assert batch.alias_invalidations > 0
-        assert_translation_matches(batch, table, tlb)
-
     def test_state_carries_across_runs(self, kernel_path):
         """Warm runs with L1 invalidations, external invalidations and a
         flush between them."""
         trace = list(TRACES["multi-array"]())
         third = len(trace) // 3
-        scalar, batch, (table, tlb) = vr_pair(
-            l1=make_l1(write_policy=WB), l2=make_level(1024), tlb_entries=4)
+        scalar, batch, table = vr_pair(l1=make_l1(write_policy=WB),
+                                       l2=make_level(1024))
         run_both(scalar, batch, trace[:third])
         resident = sorted(scalar.l1.resident_blocks())
         for virt in resident[::4]:
@@ -330,38 +243,32 @@ class TestVirtualReal:
         batch.flush()
         assert batch.l1.resident_blocks() == [] and batch.check_inclusion()
         run_both(scalar, batch, trace[:third])
-        assert_translation_matches(batch, table, tlb)
+        assert_translation_matches(batch, table)
 
     def test_pickled_mid_stream(self, kernel_path):
         trace = list(DENSE())
-        scalar, batch, (table, tlb) = vr_pair(l2=make_level(1024),
-                                              tlb_entries=8)
+        scalar, batch, table = vr_pair(l1=make_l1(replacement="random"),
+                                       l2=make_level(1024, replacement="plru"))
         run_both(scalar, batch, trace[:1500])
         clone = pickle.loads(pickle.dumps(batch))
         run_both(scalar, clone, trace[1500:])
-        assert_translation_matches(clone, table, tlb)
+        assert_translation_matches(clone, table)
+
+    def test_empty_batch(self, kernel_path):
+        _scalar, batch, _table = vr_pair()
+        result = batch.run(AddressBatch.from_arrays(
+            np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)))
+        assert len(result) == 0 and result.memory_accesses == 0
+        assert batch.l1.stats.accesses == 0
 
     def test_exposes_translation_state(self):
-        _scalar, batch, _ = vr_pair(tlb_entries=8)
+        _scalar, batch, _table = vr_pair()
         assert isinstance(batch.page_table, PageTable)
-        assert batch.tlb.entries == 8
 
 
 # --------------------------------------------------------------------- #
 # the loop's line map: raw line numbers, no compaction
 # --------------------------------------------------------------------- #
-
-def far_apart(count, regions=6, region_bytes=48 * 32, seed=5):
-    """Random accesses over ``regions`` small regions ``2**45`` bytes apart,
-    the first at ``2**45``: every line number is past ``2**40``, and the
-    lines in use span most of the 64-bit range's low half."""
-    rng = np.random.default_rng(seed)
-    region = rng.integers(1, regions + 1, count).tolist()
-    offset = rng.integers(0, region_bytes // 8, count).tolist()
-    write = (rng.random(count) < 0.3).tolist()
-    return [MemoryAccess((r << 45) + 8 * o, is_write=w)
-            for r, o, w in zip(region, offset, write)]
-
 
 def fibonacci_bucket(line, buckets):
     """The compiled map's bucket of ``line`` among ``buckets`` (a power of
@@ -371,83 +278,47 @@ def fibonacci_bucket(line, buckets):
 
 
 class TestLineMap:
-    @pytest.mark.parametrize("ratio", [1, 2, 4])
-    def test_far_apart_lines(self, ratio, kernel_path):
-        """Lines past 2**40 and 2**45 bytes apart, L2 blocks of ``ratio``
-        lines: siblings are found by raw line number."""
-        trace = far_apart(3000)
-        assert min(a.address // 32 for a in trace) >= 2**40
-        scalar, batch = two_level_pair(make_l1(write_policy=WB),
-                                       make_level(1024, block=32 * ratio))
-        run_both(scalar, batch, trace)
-        assert batch.holes_created > 0
-        if ratio > 1:
-            assert batch.back_invalidations > batch.l2_misses_causing_holes
-
     def test_lines_sharing_one_bucket(self, kernel_path):
-        """A 4-frame L1 has 4 buckets; every line of the trace falls into
-        bucket 0, so the map's finds and unlinks walk one chain."""
+        """A 4-frame L1 has 4 buckets; every physical line of the trace
+        falls into bucket 0, so the map's finds and unlinks walk one chain.
+        Each frame the lines sit in is mapped to a virtual page of its own."""
         lines = [x for x in range(2**40, 2**40 + 4000)
                  if fibonacci_bucket(x, 4) == 0][:40]
+        frames = sorted({line // 128 for line in lines})
+        page_of = {frame: page for page, frame in enumerate(frames)}
         rng = np.random.default_rng(9)
-        trace = [MemoryAccess(32 * lines[k], is_write=bool(w))
+        trace = [MemoryAccess(4096 * page_of[lines[k] // 128]
+                              + 32 * (lines[k] % 128), is_write=bool(w))
                  for k, w in zip(rng.integers(0, len(lines), 3000).tolist(),
                                  (rng.random(3000) < 0.3).tolist())]
-        scalar, batch = two_level_pair(make_level(128, write_policy=WT),
-                                       make_level(512))
+        scalar, batch, table = vr_pair(
+            l1=make_level(128, write_policy=WT), l2=make_level(512),
+            aliases=tuple((page, frame) for frame, page in page_of.items()))
         run_both(scalar, batch, trace)
         assert batch.holes_created > 0
+        assert_translation_matches(batch, table)
 
     def test_far_physical_frames_with_aliases(self, kernel_path):
         """Virtual pages mapped to frames past 2**36 (physical lines past
         2**43), two pairs of them aliases of one frame."""
         frames = ((0, 2**36), (1, 2**37 + 3), (2, 2**36), (3, 2**40 + 1),
                   (4, 2**37 + 3), (5, 2**38))
-        scalar, batch, (table, tlb) = vr_pair(
-            l2=make_level(1024), tlb_entries=4, aliases=frames)
+        scalar, batch, table = vr_pair(l2=make_level(1024), aliases=frames)
         trace = list(random_accesses(3000, 24 * 1024, write_fraction=0.3,
                                      seed=21))
         run_both(scalar, batch, trace)
         assert batch.alias_invalidations > 0 and batch.holes_created > 0
-        assert_translation_matches(batch, table, tlb)
+        assert_translation_matches(batch, table)
 
     def test_state_carries_across_many_runs(self, kernel_path):
-        """Twelve consecutive runs on each hierarchy: the line map is
-        rebuilt from L1's tags at every entry."""
-        trace = far_apart(3000, seed=8)
-        scalar, batch = two_level_pair(make_l1(write_policy=WB),
-                                       make_level(1024, block=64))
-        vr_scalar, vr_batch, (table, tlb) = vr_pair(
-            l2=make_level(1024), tlb_entries=8)
+        """Twelve consecutive runs: the line map is rebuilt from L1's tags
+        at every entry."""
+        scalar, batch, table = vr_pair(l2=make_level(1024))
         dense = list(DENSE())
         for k in range(12):
-            run_both(scalar, batch, trace[250 * k:250 * (k + 1)])
-            run_both(vr_scalar, vr_batch, dense[250 * k:250 * (k + 1)])
-        assert batch.holes_created > 0 and vr_batch.holes_created > 0
-        assert_translation_matches(vr_batch, table, tlb)
-
-
-def test_batch_tlb_matches_scalar_translator():
-    """Batch page walks plus the run-collapsing TLB kernel leave the page
-    table, the TLB counters and its LRU order exactly where per-access
-    AddressTranslator lookups would."""
-    addresses = [a.address for a in TRACES["strided"]()]
-    table = PageTable(page_size=4096, allocation="scatter", seed=23)
-    tlb = TLB(entries=4, page_size=4096)
-    translator = AddressTranslator(table, tlb)
-    scalar = [translator.lookup(a) for a in addresses]
-
-    twin_table = PageTable(page_size=4096, allocation="scatter", seed=23)
-    twin_tlb = TLB(entries=4, page_size=4096)
-    addr = np.array(addresses, dtype=np.int64)
-    vpns, frames = batch_page_frames(twin_table, addr)
-    tlb_hits = run_tlb_kernel(twin_tlb, vpns, frames)
-    physical = frames * 4096 + addr % 4096
-    assert physical.tolist() == [r.physical_address for r in scalar]
-    assert tlb_hits.tolist() == [r.tlb_hit for r in scalar]
-    assert (tlb.hits, tlb.misses) == (twin_tlb.hits, twin_tlb.misses)
-    assert list(tlb._table.items()) == list(twin_tlb._table.items())
-    assert table.page_faults == twin_table.page_faults
+            run_both(scalar, batch, dense[250 * k:250 * (k + 1)])
+        assert batch.holes_created > 0
+        assert_translation_matches(batch, table)
 
 
 # --------------------------------------------------------------------- #
@@ -469,8 +340,7 @@ def _hierarchy_args():
 
     addresses = np.array([0, 2**41 + 1], dtype=np.uint64)
     return dict(l1_addresses=addresses, l2_addresses=addresses.copy(),
-                writes=np.zeros(n, np.uint8), l1_shift=0, l2_shift=0,
-                inclusive=True, l1=level(), l2=level(),
+                writes=np.zeros(n, np.uint8), shift=0, l1=level(), l2=level(),
                 l1_line=np.full(num_sets, -1, np.int64))
 
 
@@ -489,9 +359,8 @@ BAD_HIERARCHY_ARGUMENTS = {
     "short L2 addresses": ("l2_addresses",
                            lambda a: a["l2_addresses"][:1].copy()),
     "short writes": ("writes", lambda a: a["writes"][:1].copy()),
-    "negative L1 shift": ("l1_shift", lambda a: -1),
-    "L2 shift past 63": ("l2_shift", lambda a: 64),
-    "L2 shift below the L1 shift": ("l1_shift", lambda a: 1),
+    "negative shift": ("shift", lambda a: -1),
+    "shift past 63": ("shift", lambda a: 64),
     "L1 address 2**63 at shift 0": ("l1_addresses",
                                     lambda a: a["l1_addresses"] | _PAST_2_63),
     "L2 address 2**63 at shift 0": ("l2_addresses",
@@ -519,7 +388,7 @@ def test_malformed_hierarchy_arguments_raise(case, compiled_tier):
         ckernels.run_hierarchy(**args)
 
 
-@pytest.mark.parametrize("case", ["L2 shift below the L1 shift",
+@pytest.mark.parametrize("case", ["shift past 63",
                                   "L1 address 2**63 at shift 0",
                                   "L2 address 2**63 at shift 0"])
 def test_python_loop_checks_shifts_like_c(case):
@@ -532,16 +401,16 @@ def test_python_loop_checks_shifts_like_c(case):
         pykernels.run_hierarchy(**args)
 
 
-def test_l2_addresses_past_2_63_run_at_a_positive_l1_shift(kernel_path):
-    """The lines of L2 addresses past 2**63 stay non-negative at an L1
-    shift of 1: accepted, and found again on the warm second run."""
+def test_l2_addresses_past_2_63_run_at_a_positive_shift(kernel_path):
+    """The lines of L2 addresses past 2**63 stay non-negative at a shift
+    of 1: accepted, and found again on the warm second run."""
     from repro.engine import pykernels
 
     kernels = ckernels if ckernels.available() else pykernels
     args = _hierarchy_args()
     doubled = args["l1_addresses"] << np.uint64(1)
     args.update(l1_addresses=doubled, l2_addresses=doubled | _PAST_2_63,
-                l1_shift=1, l2_shift=1)
+                shift=1)
     for _ in range(2):
         l1_hits, *_rest = kernels.run_hierarchy(**args)
     assert l1_hits.all()
@@ -553,7 +422,7 @@ def test_well_formed_hierarchy_arguments_run(compiled_tier):
         ckernels.run_hierarchy(**args)
     assert not l1_hits.any() and not l2_hits.any()
     assert l1_counts.tolist()[:3] == l2_counts.tolist()[:3] == [2, 0, 2]
-    assert events.tolist() == [0, 0, 0, 0]
+    assert events.tolist() == [0, 0, 0]
     assert args["l1_line"].tolist() == [0, 2**41 + 1, -1, -1]
     # A warm second run: both lines hit, found by their raw numbers.
     l1_hits, _l2_hits, _c1, _c2, _events = ckernels.run_hierarchy(**args)
@@ -565,24 +434,17 @@ def test_well_formed_hierarchy_arguments_run(compiled_tier):
 # --------------------------------------------------------------------- #
 
 class TestValidation:
-    def test_l1_block_must_not_exceed_l2_block(self):
-        l1 = batch_cache_like(SetAssociativeCache(512, 64, 2))
-        l2 = batch_cache_like(SetAssociativeCache(2048, 32, 2))
-        with pytest.raises(ValueError, match="must not exceed"):
-            BatchTwoLevelHierarchy(l1, l2)
-
     def test_l2_must_not_be_smaller_than_l1(self):
         l1 = batch_cache_like(SetAssociativeCache(2048, 32, 2))
         l2 = batch_cache_like(SetAssociativeCache(1024, 32, 2))
         with pytest.raises(ValueError, match="at least as large"):
-            BatchTwoLevelHierarchy(l1, l2)
+            BatchVirtualRealHierarchy(l1, l2, PageTable(4096))
 
     def test_classifying_levels_rejected(self):
-        from repro.engine import BatchSetAssociativeCache
         l1 = BatchSetAssociativeCache(512, 32, 2, classify_misses=True)
         l2 = batch_cache_like(make_level(2048))
         with pytest.raises(ValueError, match="classification"):
-            BatchTwoLevelHierarchy(l1, l2)
+            BatchVirtualRealHierarchy(l1, l2, PageTable(4096))
 
     def test_vr_blocks_must_match(self):
         l1 = batch_cache_like(SetAssociativeCache(512, 32, 2))
@@ -595,10 +457,3 @@ class TestValidation:
         l2 = batch_cache_like(SetAssociativeCache(4096, 64, 2))
         with pytest.raises(ValueError, match="multiple of the cache block"):
             BatchVirtualRealHierarchy(l1, l2, PageTable(page_size=32))
-
-    def test_vr_tlb_page_size_must_agree(self):
-        l1 = batch_cache_like(make_l1())
-        l2 = batch_cache_like(make_level(2048))
-        with pytest.raises(ValueError, match="agree on page size"):
-            BatchVirtualRealHierarchy(l1, l2, PageTable(4096),
-                                      tlb=TLB(entries=8, page_size=8192))

@@ -6,7 +6,6 @@ from repro.core.gf2 import gf2_mod
 from repro.core.index import (
     BitSelectIndexing,
     IPolyIndexing,
-    PrimeModuloIndexing,
     SingleSetIndexing,
     XorFoldIndexing,
     make_index_function,
@@ -124,22 +123,6 @@ class TestIPoly:
             assert fn.index(a ^ b) == fn.index(a) ^ fn.index(b)
 
 
-class TestPrimeModulo:
-    def test_prime_below_sets(self):
-        fn = PrimeModuloIndexing(128)
-        assert fn.prime == 127
-        assert fn.usable_sets == 127
-
-    def test_range_is_within_prime(self):
-        fn = PrimeModuloIndexing(128)
-        assert all(fn.index(b) < 127 for b in range(0, 10000, 7))
-
-    def test_simple_values(self):
-        fn = PrimeModuloIndexing(128)
-        assert fn.index(127) == 0
-        assert fn.index(128) == 1
-
-
 class TestSingleSet:
     def test_always_zero(self):
         fn = SingleSetIndexing()
@@ -154,7 +137,6 @@ class TestFactory:
         ("a2-Hx-Sk", XorFoldIndexing),
         ("a2-Hp", IPolyIndexing),
         ("a2-Hp-Sk", IPolyIndexing),
-        ("a2-prime", PrimeModuloIndexing),
         ("full", SingleSetIndexing),
     ])
     def test_labels(self, label, cls):

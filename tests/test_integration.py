@@ -4,7 +4,6 @@ import pytest
 
 from repro.cache import (
     SetAssociativeCache,
-    TwoLevelHierarchy,
     VirtualRealHierarchy,
     WritePolicy,
 )
@@ -16,7 +15,7 @@ from repro.cpu import (
     ProcessorConfig,
     Program,
 )
-from repro.memory import AddressTranslator, PageTable, TLB
+from repro.memory import PageTable
 from repro.models import HoleModel
 from repro.trace import (
     build_trace,
@@ -45,14 +44,16 @@ class TestTraceToCachePipeline:
         assert run(trace) == run(read_binary_trace(path))
 
     def test_kernel_trace_through_full_hierarchy(self):
-        """A blocked-matmul trace through an I-Poly L1 / conventional L2 pair
-        keeps Inclusion and produces sensible statistics."""
+        """A blocked-matmul trace through a virtual-real I-Poly L1 /
+        conventional L2 pair keeps Inclusion and produces sensible
+        statistics."""
         l1 = SetAssociativeCache(
             8 * 1024, 32, 2,
             index_function=IPolyIndexing(128, ways=2, skewed=True, address_bits=19))
         l2 = SetAssociativeCache(64 * 1024, 32, 4,
                                  write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        hierarchy = TwoLevelHierarchy(l1, l2)
+        hierarchy = VirtualRealHierarchy(l1, l2,
+                                         translate=PageTable(4096).translate)
         for access in tiled_matrix_multiply(n=24, tile=8):
             hierarchy.access(access.address, is_write=access.is_write)
         assert hierarchy.check_inclusion()
@@ -63,16 +64,15 @@ class TestTraceToCachePipeline:
 
 class TestVirtualRealWithTranslationStack:
     def test_translator_backed_hierarchy(self):
-        """The full stack: TLB + page table + virtual-real hierarchy + hole model."""
+        """The full stack: page table + virtual-real hierarchy + hole model."""
         page_table = PageTable(page_size=4096, allocation="scatter", seed=11)
-        translator = AddressTranslator(page_table, TLB(entries=32))
         l1 = SetAssociativeCache(
             8 * 1024, 32, 2,
             index_function=make_index_function("a2-Hp-Sk", 128, ways=2,
                                                address_bits=19))
         l2 = SetAssociativeCache(128 * 1024, 32, 2,
                                  write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        hierarchy = VirtualRealHierarchy(l1, l2, translate=translator.translate)
+        hierarchy = VirtualRealHierarchy(l1, l2, translate=page_table.translate)
 
         for access in build_trace("wave5", length=15_000):
             hierarchy.access(access.address, is_write=access.is_write)
@@ -80,7 +80,6 @@ class TestVirtualRealWithTranslationStack:
         model = HoleModel(8 * 1024, 128 * 1024, 32)
         assert hierarchy.check_inclusion()
         assert hierarchy.hole_rate_per_l2_miss <= model.hole_probability + 0.05
-        assert translator._tlb.hit_ratio > 0.5
 
 
 class TestTraceDrivenProcessor:

@@ -6,7 +6,7 @@ the counters ``perfbench`` reads), descriptors shared per ``cache_key``,
 block numbers derived afresh in one pass, and the property the deleted
 block-number memo could only approximate: a writable batch mutated in
 place between two runs is simulated as it now reads, by every batch cache
-and both hierarchies, on both kernel tiers.
+and the virtual-real hierarchy, on both kernel tiers.
 """
 
 import numpy as np
@@ -14,14 +14,12 @@ import pytest
 
 from repro.cache.column_assoc import ColumnAssociativeCache
 from repro.cache.fully_assoc import FullyAssociativeCache
-from repro.cache.hierarchy import TwoLevelHierarchy
 from repro.cache.set_assoc import SetAssociativeCache, WritePolicy
 from repro.cache.victim import VictimCache
 from repro.cache.virtual_real import VirtualRealHierarchy
 from repro.core.index import (
     BitSelectIndexing,
     IPolyIndexing,
-    PrimeModuloIndexing,
     SingleSetIndexing,
     XorFoldIndexing,
     make_index_function,
@@ -31,8 +29,7 @@ from repro.engine import (
     BatchColumnAssociativeCache,
     BatchSetAssociativeCache,
     BatchVictimCache,
-    batch_hierarchy_like,
-    batch_virtual_real_like,
+    BatchVirtualRealHierarchy,
     memo_info,
     placement,
     way_function,
@@ -150,7 +147,7 @@ class TestDescriptors:
 
     def test_every_builtin_index_function_declares_a_key(self):
         fns = [BitSelectIndexing(64), SingleSetIndexing(),
-               PrimeModuloIndexing(64), XorFoldIndexing(64, skewed=True),
+               XorFoldIndexing(64, skewed=True),
                XorFoldIndexing(64, skewed=False),
                IPolyIndexing(64, ways=2, skewed=True, address_bits=19)]
         keys = [fn.cache_key for fn in fns]
@@ -214,14 +211,9 @@ def _vr_pair():
         SetAssociativeCache(1024, 32, 2), SetAssociativeCache(
             4096, 32, 2, write_policy=WB),
         translate=table().translate, page_size=4096)
-    return scalar, batch_virtual_real_like(scalar, table())
-
-
-def _two_level_pair():
-    scalar = TwoLevelHierarchy(SetAssociativeCache(1024, 32, 2),
-                               SetAssociativeCache(4096, 64, 2,
-                                                   write_policy=WB))
-    return scalar, batch_hierarchy_like(scalar)
+    return scalar, BatchVirtualRealHierarchy(
+        BatchSetAssociativeCache(1024, 32, 2),
+        BatchSetAssociativeCache(4096, 32, 2, write_policy=WB), table())
 
 
 #: (scalar model, batch twin) per batch cache family and hierarchy.
@@ -242,7 +234,6 @@ PAIRS = {
                             for cls in (VictimCache, BatchVictimCache)),
     "column": lambda: tuple(cls(2048, 32, address_bits=19) for cls in (
         ColumnAssociativeCache, BatchColumnAssociativeCache)),
-    "two-level": _two_level_pair,
     "virtual-real": _vr_pair,
 }
 

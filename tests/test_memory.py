@@ -15,8 +15,7 @@ from repro.memory.address import (
     page_offset,
 )
 from repro.memory.main_memory import Bus, MainMemory
-from repro.memory.paging import PageSizePolicy, PageTable, Segment, TLB
-from repro.memory.translation import AddressTranslator
+from repro.memory.paging import PageTable
 
 
 class TestAddressHelpers:
@@ -127,72 +126,6 @@ class TestPageTable:
                                if frame not in (draws[60], draws[70])][:100]
         assert len(set(frames)) == len(frames) == 150
         assert table.mapped_pages == 153 == table.page_faults + 3
-
-
-class TestTLB:
-    def test_miss_then_hit(self):
-        tlb = TLB(entries=4)
-        assert tlb.lookup(0x1000) is None
-        tlb.insert(0x1000, frame=7)
-        assert tlb.lookup(0x1080) == 7
-        assert tlb.hits == 1 and tlb.misses == 1
-
-    def test_lru_eviction(self):
-        tlb = TLB(entries=2)
-        tlb.insert(0x0000, 1)
-        tlb.insert(0x1000, 2)
-        tlb.lookup(0x0000)           # refresh page 0
-        tlb.insert(0x2000, 3)        # evicts page 1
-        assert tlb.lookup(0x1000) is None
-        assert tlb.lookup(0x0000) == 1
-
-    def test_flush(self):
-        tlb = TLB(entries=4)
-        tlb.insert(0, 1)
-        tlb.flush()
-        assert tlb.lookup(0) is None
-
-
-class TestPageSizePolicy:
-    def test_enables_only_when_all_segments_large(self):
-        policy = PageSizePolicy(threshold=256 * 1024)
-        policy.add_segment("data", Segment(0, 1 << 20, page_size=256 * 1024))
-        assert policy.poly_indexing_enabled
-        policy.add_segment("stack", Segment(1 << 30, 1 << 16, page_size=4096))
-        assert not policy.poly_indexing_enabled
-
-    def test_flush_counted_on_transitions(self):
-        policy = PageSizePolicy()
-        policy.add_segment("a", Segment(0, 4096, page_size=1 << 20))
-        policy.add_segment("b", Segment(1 << 21, 4096, page_size=4096))
-        policy.remove_segment("b")
-        assert policy.flushes_required == 3   # off->on, on->off, off->on
-
-    def test_unmapped_bits(self):
-        policy = PageSizePolicy()
-        policy.add_segment("a", Segment(0, 4096, page_size=256 * 1024))
-        assert policy.unmapped_bits(cache_offset_bits=5) == 13
-
-
-class TestTranslator:
-    def test_tlb_hit_is_cheaper(self):
-        table = PageTable()
-        translator = AddressTranslator(table, TLB(entries=8),
-                                       tlb_latency=1, walk_latency=20)
-        first = translator.lookup(0x5000)
-        second = translator.lookup(0x5010)
-        assert not first.tlb_hit and second.tlb_hit
-        assert second.latency < first.latency
-        assert first.physical_address // 4096 == second.physical_address // 4096
-
-    def test_translate_without_tlb(self):
-        table = PageTable()
-        translator = AddressTranslator(table)
-        assert translator.translate(0x77) % 4096 == 0x77
-
-    def test_page_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            AddressTranslator(PageTable(page_size=4096), TLB(page_size=8192))
 
 
 class TestMainMemoryAndBus:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.cpu import workloads
-from repro.cpu.fuzzer import build_fuzz_program
 from repro.cpu.processor import OutOfOrderProcessor, ProcessorConfig
 from repro.cpu.program import ProgramColumns
 from repro.cpu.workloads import (
@@ -27,6 +26,8 @@ from repro.engine import ckernels
 from repro.experiments.config import TABLE2_CONFIGS
 from repro.experiments.table2 import _table2_program_task
 from repro.trace.workloads import _workload_columns
+
+from fuzz_harness import build_fuzz_program
 
 FIELDS = ("ops", "dests", "srcs", "addresses", "pcs", "taken", "addr_ids")
 

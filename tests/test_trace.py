@@ -3,10 +3,7 @@
 import pytest
 
 from repro.trace.generators import (
-    interleave,
-    matrix_traversal,
     multi_array_sweep,
-    pointer_chase,
     random_accesses,
     strided_vector,
     tiled_matrix_multiply,
@@ -73,23 +70,6 @@ class TestMultiArraySweep:
         assert all(a.address >= 64 * 1024 for a in writes)
 
 
-class TestMatrixTraversal:
-    def test_row_major_is_sequential(self):
-        trace = list(matrix_traversal(2, 4, element_size=8, order="row"))
-        assert [a.address for a in trace] == [0, 8, 16, 24, 32, 40, 48, 56]
-
-    def test_column_major_strides_by_row(self):
-        trace = list(matrix_traversal(4, 4, element_size=8, order="column"))
-        assert trace[1].address - trace[0].address == 32
-
-    def test_length(self):
-        assert trace_length(matrix_traversal(8, 8, passes=2)) == 128
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            list(matrix_traversal(2, 2, order="diagonal"))
-
-
 class TestTiledMatrixMultiply:
     def test_touches_all_three_matrices(self):
         n, e = 8, 8
@@ -103,22 +83,6 @@ class TestTiledMatrixMultiply:
 
     def test_tile_larger_than_n_is_clamped(self):
         assert trace_length(tiled_matrix_multiply(n=4, tile=64)) > 0
-
-
-class TestPointerChase:
-    def test_deterministic(self):
-        a = [x.address for x in pointer_chase(nodes=64, hops=100, seed=3)]
-        b = [x.address for x in pointer_chase(nodes=64, hops=100, seed=3)]
-        assert a == b
-
-    def test_visits_whole_cycle(self):
-        nodes = 32
-        trace = list(pointer_chase(nodes=nodes, node_size=64, hops=nodes))
-        assert len({a.address for a in trace}) == nodes
-
-    def test_addresses_aligned_to_node_size(self):
-        assert all(a.address % 64 == 0
-                   for a in pointer_chase(nodes=16, node_size=64, hops=50))
 
 
 class TestRandomAccesses:
@@ -139,26 +103,6 @@ class TestRandomAccesses:
             list(random_accesses(10, footprint_bytes=4, element_size=8))
         with pytest.raises(ValueError):
             list(random_accesses(10, footprint_bytes=64, write_fraction=1.5))
-
-
-class TestInterleave:
-    def test_round_robin(self):
-        a = (MemoryAccess(i) for i in (0, 1))
-        b = (MemoryAccess(i) for i in (100, 101))
-        merged = [x.address for x in interleave([a, b])]
-        assert merged == [0, 100, 1, 101]
-
-    def test_uneven_lengths(self):
-        a = (MemoryAccess(i) for i in (0,))
-        b = (MemoryAccess(i) for i in (100, 101, 102))
-        merged = [x.address for x in interleave([a, b])]
-        assert merged == [0, 100, 101, 102]
-
-    def test_chunked(self):
-        a = (MemoryAccess(i) for i in range(4))
-        b = (MemoryAccess(i + 100) for i in range(4))
-        merged = [x.address for x in interleave([a, b], chunk=2)]
-        assert merged[:4] == [0, 1, 100, 101]
 
 
 class TestTraceIO:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.index import (
     BitSelectIndexing,
+    IndexFunction,
     IPolyIndexing,
-    PrimeModuloIndexing,
     XorFoldIndexing,
 )
 from repro.core.xor_matrix import (
@@ -13,6 +13,18 @@ from repro.core.xor_matrix import (
     derive_xor_matrix,
     is_linear,
 )
+
+
+class _Modulo127(IndexFunction):
+    """A block-number modulus: a placement with no XOR realisation."""
+
+    name = "mod-127"
+
+    def __init__(self) -> None:
+        super().__init__(128)
+
+    def index(self, block_number: int, way: int = 0) -> int:
+        return block_number % 127
 
 
 class TestDerivation:
@@ -43,7 +55,7 @@ class TestDerivation:
 
     def test_nonlinear_function_rejected(self):
         with pytest.raises(ValueError):
-            derive_xor_matrix(PrimeModuloIndexing(128))
+            derive_xor_matrix(_Modulo127())
 
     def test_is_linear_helper(self):
         fn = IPolyIndexing(64, address_bits=14)
