@@ -264,7 +264,7 @@ def victim_oracle(scheme, ways, policy):
 
 @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
 @pytest.mark.parametrize("ways", [1, 2, 4])
-@pytest.mark.parametrize("scheme", ["a2", "a2-Hp-Sk"])
+@pytest.mark.parametrize("scheme", ["a2", "a2-Hx-Sk", "a2-Hp", "a2-Hp-Sk"])
 def test_victim_three_paths(scheme, ways, policy, kernel_path):
     ref_hits, ref_outcome = victim_oracle(scheme, ways, policy)
     expected = (f"compiled-victim-{policy}" if kernel_path == "compiled"

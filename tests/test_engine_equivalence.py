@@ -115,6 +115,19 @@ class TestSetAssociativeEquivalence:
         scalar, batch = build_pair(scheme, classify=True)
         assert_equivalent(scalar, batch, TRACES[trace_name]())
 
+    def test_write_back_with_3c_classifier(self, scheme, trace_name):
+        """Store misses allocate under write-back, so the classifier's
+        shadow caches see them too."""
+        scalar, batch = build_pair(
+            scheme, write_policy=WritePolicy.WRITE_BACK_ALLOCATE,
+            classify=True)
+        assert_equivalent(scalar, batch, TRACES[trace_name]())
+
+    def test_four_way_write_back(self, scheme, trace_name):
+        scalar, batch = build_pair(
+            scheme, ways=4, write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
+        assert_equivalent(scalar, batch, TRACES[trace_name]())
+
 
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
 def test_direct_mapped_equivalence(trace_name):

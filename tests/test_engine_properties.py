@@ -30,6 +30,11 @@ from repro.engine import (
     way_function,
 )
 from repro.engine.index_vec import remainder_table
+from repro.experiments.config import (
+    INDEX_SCHEMES,
+    PAPER_HASH_BITS,
+    CacheGeometry,
+)
 
 ways_strategy = st.integers(min_value=1, max_value=4)
 
@@ -112,6 +117,31 @@ def _kernel_sets(kernels, place, blocks, ways, num_sets):
             row.append(int(np.flatnonzero(tags[way] == block)[0]))
         sets.append(row)
     return sets
+
+
+#: 64 fixed blocks over the whole 63-bit range, plus the edges of the
+#: paper's 19-bit hash window.
+_PAPER_BLOCKS = (np.random.default_rng(41).integers(0, 2**63, 64).tolist()
+                 + [0, 2**19 - 1, 2**19, 2**63 - 1])
+
+
+@pytest.mark.parametrize("ways", [1, 2, 4])
+@pytest.mark.parametrize("size", [8 * 1024, 16 * 1024], ids=["8KB", "16KB"])
+@pytest.mark.parametrize("scheme", INDEX_SCHEMES)
+def test_paper_placements_match_the_scalar_oracle(scheme, size, ways,
+                                                  kernel_path):
+    """Every placement the experiments build (the paper's four schemes at
+    both L1 sizes, 32-byte blocks, 19 hashed bits) is evaluated by the
+    kernels exactly as ``fn.index(block, way)``, on both tiers."""
+    geometry = CacheGeometry(size_bytes=size, ways=ways)
+    fn = make_index_function(scheme, geometry.num_sets, ways=ways,
+                             address_bits=PAPER_HASH_BITS)
+    place = placement(fn, ways)
+    assert int(place.images.max(initial=0)) < geometry.num_sets
+    expected = [[fn.index(b, way) for way in range(ways)]
+                for b in _PAPER_BLOCKS]
+    assert _kernel_sets(_kernels(), place, _PAPER_BLOCKS, ways,
+                        geometry.num_sets) == expected
 
 
 #: ``kernel_path`` only patches ``ckernels.available`` for the whole test.

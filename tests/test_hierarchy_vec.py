@@ -146,8 +146,13 @@ def assert_translation_matches(batch, table):
 
 class TestVirtualReal:
     @pytest.mark.parametrize("trace_name", sorted(TRACES))
-    def test_matches_scalar(self, trace_name, kernel_path):
-        scalar, batch, table = vr_pair()
+    @pytest.mark.parametrize("allocation", ["scatter", "sequential"])
+    @pytest.mark.parametrize("skewed", [True, False], ids=["ipoly", "conv"])
+    def test_matches_scalar(self, trace_name, allocation, skewed,
+                            kernel_path):
+        scalar, batch, table = vr_pair(
+            l1=make_level(512, skewed=skewed, write_policy=WT),
+            allocation=allocation)
         assert batch.dispatch_strategy() == expected_strategy(kernel_path)
         run_both(scalar, batch, list(TRACES[trace_name]()))
         assert_translation_matches(batch, table)
@@ -270,6 +275,18 @@ class TestVirtualReal:
 # the loop's line map: raw line numbers, no compaction
 # --------------------------------------------------------------------- #
 
+def far_apart(count, regions=6, region_bytes=48 * 32, seed=5):
+    """Random accesses over ``regions`` small regions ``2**45`` bytes apart,
+    the first at ``2**45``: every virtual line number is past ``2**40``, and
+    the lines in use span most of the 64-bit range's low half."""
+    rng = np.random.default_rng(seed)
+    region = rng.integers(1, regions + 1, count).tolist()
+    offset = rng.integers(0, region_bytes // 8, count).tolist()
+    write = (rng.random(count) < 0.3).tolist()
+    return [MemoryAccess((r << 45) + 8 * o, is_write=w)
+            for r, o, w in zip(region, offset, write)]
+
+
 def fibonacci_bucket(line, buckets):
     """The compiled map's bucket of ``line`` among ``buckets`` (a power of
     two): the top bits of ``line`` times the 64-bit golden ratio."""
@@ -308,6 +325,21 @@ class TestLineMap:
                                      seed=21))
         run_both(scalar, batch, trace)
         assert batch.alias_invalidations > 0 and batch.holes_created > 0
+        assert_translation_matches(batch, table)
+
+    @pytest.mark.parametrize("l1", ["ipoly", "conv", "direct"])
+    def test_far_apart_virtual_lines(self, l1, kernel_path):
+        """Virtual pages ``2**33`` pages apart, each given a frame of its
+        own on first touch: L1 tags past ``2**40`` and a page map whose keys
+        span most of the 64-bit range's low half."""
+        level = {"ipoly": lambda: make_l1(),
+                 "conv": lambda: make_level(512, write_policy=WT),
+                 "direct": lambda: make_level(512, ways=1, write_policy=WT)}
+        scalar, batch, table = vr_pair(l1=level[l1](), l2=make_level(1024))
+        trace = far_apart(3000)
+        assert min(a.address >> 5 for a in trace) >= 2**40
+        run_both(scalar, batch, trace)
+        assert batch.holes_created > 0
         assert_translation_matches(batch, table)
 
     def test_state_carries_across_many_runs(self, kernel_path):

@@ -41,6 +41,36 @@ class TestBasicFlow:
         assert hierarchy.access(0x9000).memory_access
         assert not hierarchy.access(0x9000).memory_access
 
+    def test_miss_fills_both_levels(self):
+        hierarchy, page_table = build()
+        result = hierarchy.access(0x100)
+        assert not result.l1_hit and not result.l2_hit
+        assert hierarchy.l1.contains(0x100)
+        assert hierarchy.l2.contains(page_table.translate(0x100))
+
+    def test_l1_hit_does_not_touch_l2_loads(self):
+        hierarchy, _ = build()
+        hierarchy.access(0x100)
+        l2_accesses_before = hierarchy.l2.stats.accesses
+        result = hierarchy.access(0x100)
+        assert result.l1_hit
+        assert hierarchy.l2.stats.accesses == l2_accesses_before
+
+    def test_write_through_propagates_stores_to_l2(self):
+        hierarchy, _ = build()
+        hierarchy.access(0x100)
+        hierarchy.access(0x100, is_write=True)
+        assert hierarchy.l2.stats.stores == 1
+
+    def test_l2_hit_after_l1_eviction(self):
+        hierarchy, _ = build(l1_size=128, l2_size=4096)  # tiny L1
+        hierarchy.access(0)
+        for i in range(1, 8):
+            hierarchy.access(i * 512)        # push block 0 out of L1
+        result = hierarchy.access(0)
+        assert not result.l1_hit
+        assert result.l2_hit
+
 
 class TestAliases:
     def test_at_most_one_alias_resident(self):
@@ -77,6 +107,65 @@ class TestAliases:
 
 
 class TestInclusionAndHoles:
+    def test_inclusion_invariant_holds_under_stress(self):
+        hierarchy, _ = build(l1_size=512, l2_size=2048)
+        for i in range(500):
+            hierarchy.access((i * 37 % 211) * 32)
+            if i % 50 == 0:
+                assert hierarchy.check_inclusion()
+        assert hierarchy.check_inclusion()
+
+    def test_back_invalidation_creates_holes(self):
+        # Identity translation: four lines that collide in one L2 set (1 KB
+        # 2-way = 16 sets) but fit comfortably in the 16-line skewed L1, so
+        # every L2 eviction removes a line that is still live in L1.
+        l1 = SetAssociativeCache(
+            512, 32, 2,
+            index_function=IPolyIndexing(8, ways=2, skewed=True,
+                                         address_bits=16))
+        l2 = SetAssociativeCache(1024, 32, 2,
+                                 write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
+        hierarchy = VirtualRealHierarchy(l1, l2, translate=lambda a: a)
+        blocks = [0, 16, 32, 48]
+        for _ in range(6):
+            for b in blocks:
+                hierarchy.access(b * 32)
+        assert hierarchy.l2_misses_causing_holes > 0
+        assert hierarchy.holes_created > 0
+        assert l1.stats.holes_created == hierarchy.holes_created
+        assert hierarchy.check_inclusion()
+
+    def test_hole_rate_definition(self):
+        hierarchy, _ = build(l1_size=512, l2_size=1024)
+        for i in range(256):
+            hierarchy.access(i * 32)
+        rate = hierarchy.hole_rate_per_l2_miss
+        assert 0.0 <= rate <= 1.0
+        assert rate == (hierarchy.l2_misses_causing_holes
+                        / hierarchy.l2.stats.misses)
+
+    def test_dirty_l1_victim_back_invalidated_by_l2_eviction(self):
+        """A write-back L1 line killed by an L2 eviction vanishes silently:
+        back-invalidation discards the dirty data without a writeback (the
+        line's L2 copy is itself on the way out)."""
+        l1 = SetAssociativeCache(
+            1024, 32, 2,
+            index_function=IPolyIndexing(16, ways=2, skewed=True,
+                                         address_bits=16),
+            write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
+        l2 = SetAssociativeCache(2048, 32, 2,
+                                 write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
+        hierarchy = VirtualRealHierarchy(l1, l2, translate=lambda a: a)
+        hierarchy.access(0, is_write=True)      # block 0 dirty in L1
+        hierarchy.access(1024)                  # same L2 set (32 sets, 2-way)
+        assert hierarchy.l1.contains_block(0)   # still live and dirty in L1
+        writebacks_before = l1.stats.writebacks
+        hierarchy.access(2048)                  # L2 evicts block 0
+        assert not hierarchy.l1.contains_block(0)
+        assert hierarchy.holes_created >= 1
+        assert l1.stats.writebacks == writebacks_before
+        assert hierarchy.check_inclusion()
+
     def test_inclusion_maintained(self):
         hierarchy, _ = build(l1_size=512, l2_size=1024)
         for i in range(300):
