@@ -74,9 +74,8 @@ without overwriting history::
     PYTHONPATH=src python benchmarks/bench_engine.py
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke
 
-``--smoke`` runs a short trace through every kernel-dispatch path —
-including the one-pass multi-configuration profiler of the sweep section —
-with bit-exactness still asserted but the speedup bounds skipped, so CI can
+``--smoke`` runs a short trace through every kernel-dispatch path with
+bit-exactness still asserted but the speedup bounds skipped, so CI can
 catch dispatch regressions on every push without flaky wall-clock
 assertions; smoke runs append their record, tagged ``"smoke": true``, to
 the git-ignored ``BENCH_engine.smoke.json`` instead (the CI smoke job
@@ -92,17 +91,12 @@ margin of the Python tier's one-set path (``python-fully-assoc-*``) over
 its generic loop (``generic-policy-kernel``, reached by patching
 ``ckernels.set_assoc_path``) on the 256-way fully-associative cache, every
 policy, bit-exact, recorded unbounded: the specialised path stays only
-while these rows show its margin.  Each run carries a ``sweep`` section
-timing the exact one-pass LRU profile (rate 1) against the per-config
-kernels of both tiers on a 16-configuration conventional-LRU
-capacity/associativity grid, bit-exact against both and against the
-scalar models, unbounded (``profile="auto"`` runs the kernels on both
-tiers).  A ``profiler`` section times the approximate path:
-SHARDS-sampled profiling must beat the exact profile >= 20x on a dense
-80-configuration LRU grid with per-seed miss-ratio error within
-``SAMPLED_ERROR_BOUND``.  ``REPRO_BENCH_ENGINE_ACCESSES`` overrides the
-trace length (default 1M); ``REPRO_BENCH_ENGINE_JSON`` overrides the
-artifact path of either kind of run (empty disables it).
+while these rows show its margin.  The ``trace-io`` rows time chunked
+ingestion of the trace from disk, packed v2 columns (``v2-read``) against
+v1 records (``v1-records``), and assert v2 >= 5x on full-length runs.
+``REPRO_BENCH_ENGINE_ACCESSES`` overrides the trace length (default 1M);
+``REPRO_BENCH_ENGINE_JSON`` overrides the artifact path of either kind of
+run (empty disables it).
 """
 
 import argparse
@@ -125,11 +119,8 @@ from repro.engine import (
     BatchSetAssociativeCache,
     BatchVictimCache,
     BatchVirtualRealHierarchy,
-    MultiConfigLRUProfile,
-    ProfileCounts,
     ckernels,
     pykernels,
-    run_lru_grid,
 )
 from repro.experiments.config import (
     PAPER_HASH_BITS,
@@ -159,37 +150,6 @@ REQUIRED_SPEEDUP = 10.0
 #: skewed and fully-associative placement) and for the victim-cache rows
 #: (same bar as LRU).
 REQUIRED_SPEEDUP_POLICY = 10.0
-
-#: The conventional-LRU capacity/associativity grid of the sweep section:
-#: two set counts x eight associativities = 16 configurations (2 KB-32 KB at
-#: 32-byte lines), priced by two one-pass level profiles.
-SWEEP_GRID = [(num_sets, ways) for num_sets in (64, 128)
-              for ways in range(1, 9)]
-
-#: Minimum sampled-over-exact profiling ratio on the dense LRU grid below
-#: at the production rate R = 0.01 (measured ~50-60x; 20x is the tentpole's
-#: asserted floor with generous headroom).
-REQUIRED_SPEEDUP_SAMPLED = 20.0
-
-#: Maximum |sampled - exact| miss-ratio error tolerated on any cell of the
-#: dense grid, for every benchmarked seed.  Measured envelope on the
-#: spread-mass trace is ~0.03 at R = 0.01; hot-set traces (a handful of
-#: blocks carrying most of the access mass) can exceed any fixed bound and
-#: are not what sampled profiling is for — see the README section.
-SAMPLED_ERROR_BOUND = 0.05
-
-#: Hash seeds the sampled section measures (the error bound must hold for
-#: each one, not just a lucky draw).
-SAMPLED_SEEDS = (0, 1, 2)
-
-#: Nominal spatial sampling rate of the sampled section.
-SAMPLED_RATE = 0.01
-
-#: The dense conventional-LRU grid of the sampled section: five set counts
-#: x sixteen associativities = 80 configurations (16 KB-4 MB at 32-byte
-#: lines), priced out of five exact or five miniature level passes.
-SAMPLED_GRID = [(num_sets, ways) for num_sets in (512, 1024, 2048, 4096, 8192)
-                for ways in range(1, 17)]
 
 #: Accesses of the one-set-path rows: the 256-way fully-associative cache
 #: on the Python tier, whose generic loop (linear in the ways) is its
@@ -610,169 +570,6 @@ def check_dispatch_coverage(rows):
     return covered
 
 
-def _per_config(trace, block_size, grid):
-    """Each ``(num_sets, ways)`` LRU cell of ``grid`` on its own batch
-    kernel."""
-    counts = {}
-    for num_sets, ways in grid:
-        cache = BatchSetAssociativeCache(num_sets * ways * block_size,
-                                         block_size, ways)
-        cache.run(trace)
-        counts[(num_sets, ways)] = ProfileCounts.from_stats(cache.stats)
-    return counts
-
-
-def _profiled(trace, block_size, grid):
-    """Every LRU cell of ``grid`` priced out of one exact profile."""
-    level_caps = {}
-    for num_sets, ways in grid:
-        level_caps[num_sets] = max(level_caps.get(num_sets, 0), ways)
-    profile = MultiConfigLRUProfile(trace, block_size, level_caps)
-    return {cell: profile.miss_counts(*cell) for cell in grid}
-
-
-def _time_grid(trace, block_size, grid):
-    """Time ``grid`` three ways: per-config compiled kernels, per-config
-    Python fallback kernels and one exact profile.  Each per-config tier
-    must match the profile exactly.  Returns the profiled counts and the
-    timing fields of a section record."""
-    seconds = {}
-    results = {}
-    runs = (("per_config", contextlib.nullcontext, _per_config),
-            ("fallback_per_config", _python_kernels, _per_config),
-            ("profile", contextlib.nullcontext, _profiled))
-    for label, tier, price in runs:
-        with tier():
-            start = time.perf_counter()
-            results[label] = price(trace, block_size, grid)
-            seconds[label] = time.perf_counter() - start
-    for label in ("per_config", "fallback_per_config"):
-        for cell in grid:
-            assert results["profile"][cell] == results[label][cell], (
-                f"profile diverged from the {label} kernels "
-                f"at {cell[0]} sets x {cell[1]} ways")
-    return results["profile"], {
-        "per_config_seconds": seconds["per_config"],
-        "fallback_per_config_seconds": seconds["fallback_per_config"],
-        "profile_seconds": seconds["profile"],
-        "speedup": seconds["fallback_per_config"] / seconds["profile"],
-        "compiled_speedup": seconds["profile"] / seconds["per_config"],
-    }
-
-
-def compare_lru_grid_sweep(accesses=BENCH_ENGINE_ACCESSES, check_scalar=True):
-    """Time the 16-configuration LRU grid: one-pass profiler vs per-config.
-
-    Every timing drives the *vectorized* engine over the same trace: each
-    configuration's own batch kernel, compiled and on the Python fallback,
-    and one exact :class:`~repro.engine.MultiConfigLRUProfile`, which
-    prices the whole grid out of one capped stack pass per set count.  The
-    record carries both ratios, unbounded.  Every configuration's counts
-    must agree exactly between the paths (and, when ``check_scalar`` is
-    set, with a scalar-model replay).
-
-    The scalar cross-check replays the trace once per grid configuration
-    outside the timed regions; at the default 1M accesses that dominates
-    this function's wall clock.  It stays on by default because the sweep
-    section's contract is exact equality against *both* the per-config
-    kernels and the scalar models — pass ``check_scalar=False`` for a
-    timing-only run.
-    """
-    trace = _build_trace(accesses)
-    block_size = PAPER_L1_8KB.block_size
-    profiled, timings = _time_grid(trace, block_size, SWEEP_GRID)
-
-    configs = []
-    for num_sets, ways in SWEEP_GRID:
-        counts = profiled[(num_sets, ways)]
-        if check_scalar:
-            scalar = SetAssociativeCache(num_sets * ways * block_size,
-                                         block_size, ways)
-            _run_scalar(scalar, trace)
-            scalar_counts = (scalar.stats.loads, scalar.stats.stores,
-                             scalar.stats.load_misses,
-                             scalar.stats.store_misses)
-            assert scalar_counts == (counts.loads, counts.stores,
-                                     counts.load_misses,
-                                     counts.store_misses), (
-                f"profiler diverged from the scalar model at "
-                f"{num_sets} sets x {ways} ways")
-            assert counts.miss_ratio == scalar.stats.miss_ratio
-        configs.append({"num_sets": num_sets, "ways": ways,
-                        "size_bytes": num_sets * ways * block_size,
-                        "miss_ratio": counts.miss_ratio})
-    return {
-        "kernel": "multiconfig-profile",
-        "configs": len(SWEEP_GRID),
-        "accesses": len(trace),
-        **timings,
-        "scalar_checked": bool(check_scalar),
-        "rows": configs,
-    }
-
-
-def _spread_trace(accesses, seed=99, store_fraction=0.3):
-    """A spread-mass trace for the sampled section: hot / warm / cold
-    regions plus a streaming component, with no single block carrying a
-    macroscopic fraction of the access mass.  Spatial sampling is a
-    per-block coin flip, so this is the trace class its error bound is
-    stated for (the strided bench trace concentrates mass on 512 blocks
-    and would measure sampler luck, not profiling accuracy)."""
-    rng = np.random.default_rng(seed)
-    comp = rng.choice(4, size=accesses, p=[0.35, 0.30, 0.20, 0.15])
-    blocks = np.empty(accesses, dtype=np.int64)
-    blocks[comp == 0] = rng.integers(0, 4096, size=(comp == 0).sum())
-    blocks[comp == 1] = 4096 + rng.integers(0, 32768, size=(comp == 1).sum())
-    blocks[comp == 2] = 40000 + rng.integers(0, 1 << 18,
-                                             size=(comp == 2).sum())
-    stream = comp == 3
-    blocks[stream] = (1 << 19) + np.arange(stream.sum())
-    addresses = blocks.astype(np.uint64) << np.uint64(5)
-    writes = rng.random(accesses) < store_fraction
-    return AddressBatch.from_arrays(addresses, writes)
-
-
-def compare_sampled_profiler(accesses=BENCH_ENGINE_ACCESSES):
-    """Time SHARDS-sampled against exact profiling on the dense LRU grid.
-
-    Both sides price all ``len(SAMPLED_GRID)`` configurations over the same
-    spread-mass trace — one exact
-    :class:`~repro.engine.MultiConfigLRUProfile`, and
-    :func:`repro.engine.run_lru_grid` with ``profile="sampled"``, the
-    miniature-simulation profile at ``SAMPLED_RATE``.  Each seed in
-    ``SAMPLED_SEEDS`` is timed separately and its worst-cell miss-ratio
-    error recorded; the caller asserts the speedup and error bounds on
-    full-length runs.
-    """
-    trace = _spread_trace(accesses)
-    block_size = 32
-
-    start = time.perf_counter()
-    exact = _profiled(trace, block_size, SAMPLED_GRID)
-    exact_seconds = time.perf_counter() - start
-
-    seeds = []
-    for seed in SAMPLED_SEEDS:
-        start = time.perf_counter()
-        sampled = run_lru_grid(trace, block_size, SAMPLED_GRID,
-                               profile="sampled", sample_rate=SAMPLED_RATE,
-                               profile_seed=seed)
-        seconds = time.perf_counter() - start
-        max_error = max(abs(sampled[key].miss_ratio - exact[key].miss_ratio)
-                        for key in SAMPLED_GRID)
-        seeds.append({"seed": seed, "seconds": seconds,
-                      "speedup": exact_seconds / seconds,
-                      "max_miss_ratio_error": max_error})
-    return {
-        "kernel": "shards-sampled-profile",
-        "configs": len(SAMPLED_GRID),
-        "accesses": len(trace),
-        "rate": SAMPLED_RATE,
-        "exact_seconds": exact_seconds,
-        "seeds": seeds,
-    }
-
-
 def compare_one_set_path(replacement, accesses=ONE_SET_ACCESSES):
     """Time the 256-way fully-associative cache on the Python tier's
     one-set path and on its generic loop, bit-exact (hits, counters and
@@ -941,14 +738,14 @@ TRACE_IO_CHUNK = 1 << 18
 
 
 def compare_trace_io(accesses=BENCH_ENGINE_ACCESSES):
-    """Time on-disk trace ingestion: v2 mmap / v2 buffered / v1 records.
+    """Time on-disk trace ingestion: v2 columns / v1 records.
 
     Writes the benchmark trace to a temporary directory in both formats,
-    then times three full chunked passes into :class:`AddressBatch` form:
-    the packed v2 columns via ``np.memmap``, the same file through buffered
-    reads (the bounded-RSS path the nightly streaming job uses), and the
-    v1 per-record binary format.  Every pass must reproduce the written
-    arrays exactly before its throughput is reported.
+    then times two full chunked passes into :class:`AddressBatch` form:
+    the packed v2 columns through buffered reads (the bounded-RSS path
+    ``--trace`` and the nightly streaming job use) and the v1 per-record
+    binary format.  Every pass must reproduce the written arrays exactly
+    before its throughput is reported.
     """
     trace = _build_trace(accesses)
     addresses, writes = trace.addresses, trace.is_write
@@ -961,13 +758,10 @@ def compare_trace_io(accesses=BENCH_ENGINE_ACCESSES):
             MemoryAccess(address=a, is_write=w)
             for a, w in zip(addresses.tolist(), writes.tolist())))
 
-        for label, path, use_mmap in (("v2-mmap", v2_path, True),
-                                      ("v2-read", v2_path, False),
-                                      ("v1-records", v1_path, False)):
+        for label, path in (("v2-read", v2_path), ("v1-records", v1_path)):
             start = time.perf_counter()
             got_a, got_w, count = [], [], 0
-            for batch in iter_trace_chunks(path, chunk_size=TRACE_IO_CHUNK,
-                                           use_mmap=use_mmap):
+            for batch in iter_trace_chunks(path, chunk_size=TRACE_IO_CHUNK):
                 got_a.append(batch.addresses)
                 got_w.append(batch.is_write)
                 count += len(batch)
@@ -996,52 +790,10 @@ def test_trace_io_throughput(benchmark):
     print("\ntrace-io: " + ", ".join(
         f"{row['format']} {row['aps']:,.0f} acc/s" for row in result["rows"]))
     if BENCH_ENGINE_ACCESSES >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
-        for label in ("v2-mmap", "v2-read"):
-            assert by_format[label]["speedup_vs_v1"] >= REQUIRED_SPEEDUP_TRACE_IO, (
-                f"{label}: only {by_format[label]['speedup_vs_v1']:.1f}x over "
-                f"v1 records (required {REQUIRED_SPEEDUP_TRACE_IO}x)")
-
-
-def _grid_summary(result):
-    return (f"per-config {result['per_config_seconds']:.2f}s compiled / "
-            f"{result['fallback_per_config_seconds']:.2f}s fallback, "
-            f"one-pass profile {result['profile_seconds']:.2f}s "
-            f"({result['speedup']:.1f}x over fallback, compiled "
-            f"{result['compiled_speedup']:.1f}x over profile; unbounded)")
-
-
-@pytest.mark.benchmark(group="engine-sweep")
-def test_lru_grid_profiler_throughput(benchmark):
-    """The exact one-pass profile against the per-config kernels of both
-    tiers, bit-exact on every configuration."""
-    result = benchmark.pedantic(
-        lambda: compare_lru_grid_sweep(BENCH_ENGINE_ACCESSES,
-                                       check_scalar=False),
-        rounds=1, iterations=1)
-    print(f"\nlru-grid x{result['configs']}: {_grid_summary(result)}")
-
-
-@pytest.mark.benchmark(group="engine-sweep")
-def test_sampled_profiler_throughput(benchmark):
-    """SHARDS-sampled profiling beats exact >= 20x on the dense LRU grid,
-    with every seed's worst-cell miss-ratio error within the bound."""
-    result = benchmark.pedantic(
-        lambda: compare_sampled_profiler(BENCH_ENGINE_ACCESSES),
-        rounds=1, iterations=1)
-    print(f"\nsampled-grid x{result['configs']}: exact "
-          f"{result['exact_seconds']:.2f}s; " + ", ".join(
-              f"seed {s['seed']} {s['seconds']:.2f}s ({s['speedup']:.0f}x, "
-              f"max err {s['max_miss_ratio_error']:.3f})"
-              for s in result["seeds"]))
-    if BENCH_ENGINE_ACCESSES >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
-        for entry in result["seeds"]:
-            assert entry["speedup"] >= REQUIRED_SPEEDUP_SAMPLED, (
-                f"seed {entry['seed']}: sampled only {entry['speedup']:.1f}x "
-                f"over exact (required {REQUIRED_SPEEDUP_SAMPLED}x)")
-            assert entry["max_miss_ratio_error"] <= SAMPLED_ERROR_BOUND, (
-                f"seed {entry['seed']}: max miss-ratio error "
-                f"{entry['max_miss_ratio_error']:.4f} exceeds "
-                f"{SAMPLED_ERROR_BOUND}")
+        speedup = by_format["v2-read"]["speedup_vs_v1"]
+        assert speedup >= REQUIRED_SPEEDUP_TRACE_IO, (
+            f"v2-read: only {speedup:.1f}x over v1 records "
+            f"(required {REQUIRED_SPEEDUP_TRACE_IO}x)")
 
 
 def _load_trajectory(path):
@@ -1073,8 +825,8 @@ def _artifact_path(smoke):
                           SMOKE_JSON if smoke else BENCH_ENGINE_JSON)
 
 
-def _write_artifact(rows, accesses, path, sweep=None, smoke=False,
-                    trace_io=None, profiler=None, coverage=None,
+def _write_artifact(rows, accesses, path, smoke=False,
+                    trace_io=None, coverage=None,
                     ooo_core=None, program_build=None, holes_study=None,
                     trace_synthesis=None, one_set_path=None):
     """Append this run to the machine-readable trajectory artifact."""
@@ -1093,15 +845,11 @@ def _write_artifact(rows, accesses, path, sweep=None, smoke=False,
         "required_speedup_lru": REQUIRED_SPEEDUP,
         "required_speedup_policy": REQUIRED_SPEEDUP_POLICY,
         "required_speedup_trace_io": REQUIRED_SPEEDUP_TRACE_IO,
-        "required_speedup_sampled": REQUIRED_SPEEDUP_SAMPLED,
         "required_speedup_ooo": REQUIRED_SPEEDUP_OOO,
         "required_speedup_program_build": REQUIRED_SPEEDUP_PROGRAM_BUILD,
         "required_speedup_synthesis": REQUIRED_SPEEDUP_SYNTHESIS,
-        "sampled_error_bound": SAMPLED_ERROR_BOUND,
         "rows": rows,
-        "sweep": sweep,
         "trace_io": trace_io,
-        "profiler": profiler,
         "coverage": coverage,
         "ooo_core": ooo_core,
         "program_build": program_build,
@@ -1243,10 +991,10 @@ def test_virtual_real_engine_throughput(benchmark):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="short trace through every kernel-dispatch path "
-                             "(sweep profiler included); bit-exactness "
-                             "asserted, speedup bounds skipped, the run "
-                             f"recorded in the git-ignored {SMOKE_JSON}")
+                        help="short trace through every kernel-dispatch "
+                             "path; bit-exactness asserted, speedup bounds "
+                             "skipped, the run recorded in the git-ignored "
+                             f"{SMOKE_JSON}")
     args = parser.parse_args(argv)
     accesses = SMOKE_ACCESSES if args.smoke else BENCH_ENGINE_ACCESSES
 
@@ -1385,32 +1133,6 @@ def main(argv=None):
               f"{row['generic_seconds']:.2f}s ({row['speedup']:.1f}x), "
               f"bit-exact")
 
-    # Sweep-level section: the exact one-pass profile against the
-    # per-config vectorized path on a 16-configuration LRU grid.
-    sweep = compare_lru_grid_sweep(accesses=accesses)
-    print(f"\nlru-grid sweep ({sweep['configs']} conventional-LRU configs, "
-          f"{sweep['accesses']:,} accesses): {_grid_summary(sweep)}, "
-          f"bit-exact vs per-config kernels and scalar models")
-
-    # Profiler section: SHARDS-sampled vs exact on the dense LRU grid.
-    sampled = compare_sampled_profiler(accesses=accesses)
-    print(f"\nsampled-grid ({sampled['configs']} conventional-LRU configs, "
-          f"{sampled['accesses']:,} accesses, R={sampled['rate']}): exact "
-          f"{sampled['exact_seconds']:.2f}s")
-    for entry in sampled["seeds"]:
-        print(f"  seed {entry['seed']}: {entry['seconds']:.2f}s "
-              f"({entry['speedup']:.0f}x, max miss-ratio error "
-              f"{entry['max_miss_ratio_error']:.3f})")
-        if check_bounds:
-            assert entry["speedup"] >= REQUIRED_SPEEDUP_SAMPLED, (
-                f"seed {entry['seed']}: sampled only {entry['speedup']:.1f}x "
-                f"over exact (required {REQUIRED_SPEEDUP_SAMPLED}x)")
-            assert entry["max_miss_ratio_error"] <= SAMPLED_ERROR_BOUND, (
-                f"seed {entry['seed']}: max miss-ratio error "
-                f"{entry['max_miss_ratio_error']:.4f} exceeds "
-                f"{SAMPLED_ERROR_BOUND}")
-    profiler = {"sampled": sampled}
-
     # Trace-I/O section: on-disk ingestion throughput per format/read mode.
     trace_io = compare_trace_io(accesses=accesses)
     print(f"\ntrace-io ({trace_io['rows'][0]['accesses']:,} accesses, "
@@ -1427,8 +1149,8 @@ def main(argv=None):
                     f"v1 records (required {REQUIRED_SPEEDUP_TRACE_IO}x)")
 
     path = _write_artifact(rows, accesses, _artifact_path(args.smoke),
-                           sweep=sweep, smoke=args.smoke, trace_io=trace_io,
-                           profiler=profiler, coverage=coverage,
+                           smoke=args.smoke, trace_io=trace_io,
+                           coverage=coverage,
                            ooo_core=ooo, program_build=build,
                            holes_study=holes, trace_synthesis=synthesis,
                            one_set_path=one_set)

@@ -3,9 +3,9 @@
 
 Runs a fixed set of runs (:data:`RUNS`) — every CLI sub-command at its
 defaults, the trace-level studies, ``holes``, ``column-assoc`` and
-``table2`` on ``--engine reference``, ``claims``, ``miss-ratio --profile
-sampled``, the three trace-level studies on a recorded v2 trace,
-``miss-ratio`` on the same trace in every other format ``--trace`` reads
+``table2`` on ``--engine reference``, ``claims``, ``miss-ratio --workers
+1``, the three trace-level studies on a recorded v2 trace, ``miss-ratio``
+on the same trace in every other format ``--trace`` reads
 (gzip/bzip2/xz-compressed v2, v1 text and binary, Dinero ``.din``), and
 the five ``examples/`` — each in its own subprocess under ``sys.setprofile``,
 which records the code object of every Python function called.  The set
@@ -52,9 +52,8 @@ RUNS: Tuple[Tuple[str, Tuple[str, ...], str], ...] = tuple(
      for name in ("figure1", "miss-ratio", "replacement-study", "holes",
                   "table2", "table3", "column-assoc", "critical-path",
                   "claims")]
-    + [("cli miss-ratio --profile sampled",
-        CLI + ("miss-ratio", "--profile", "sampled", "--sample-rate", "0.5",
-               "--workers", "1"), "both")]
+    + [("cli miss-ratio --workers 1",
+        CLI + ("miss-ratio", "--workers", "1"), "both")]
     + [(f"cli {name} --csv", CLI + (name, "--csv"), "compiled")
        for name in ("miss-ratio", "table2")]
     + [(f"cli {name} --trace", CLI + (name, "--trace", "{trace:v2}"), "both")
@@ -92,8 +91,8 @@ _TRACE_API = ("trace-file API to record, convert and read whole traces for "
 _ZSTD = "zstd traces: the optional zstandard module is not installed"
 _TEST_INPUT = "builds inputs of the engine differential tests and benchmarks"
 _FUZZ = "the recording path the fuzz harness (tests/fuzz_harness.py) diffs"
-_NO_RUN = ("a mode no CLI run turns on (3C classification, load-only or "
-           "write-allocate sampled profiles); the differential tests cover it")
+_NO_RUN = ("a mode no CLI run turns on (3C classification); the "
+           "differential tests cover it")
 _TESTS_ONLY = ("library API only the tests call; no run reaches it, so it "
                "is the next candidate for deletion")
 
@@ -118,13 +117,16 @@ ALLOWLIST: Dict[str, str] = {
         "repro.cache.*:*.ways", "repro.*:*.num_frames",
         "repro.cache.*:*.replacement", "repro.*:*.replacement_name",
         "repro.cache.*:*.write_policy", "repro.*:*.victim_entries",
+        "repro.engine.batch_cache:BatchSetAssociativeCache.index_function",
+        "repro.engine.batch_cache:BatchSetAssociativeCache.num_sets",
+        "repro.engine.batch_cache:BatchSetAssociativeCache.ways",
+        "repro.engine.batch_cache:BatchSetAssociativeCache.write_policy",
         "repro.cache.replacement:RandomReplacement.*",
         "repro.cache.virtual_real:VirtualRealHierarchy.page_size",
         "repro.engine.hierarchy_vec:BatchVirtualRealHierarchy.page_table",
         "repro.core.index:IPolyIndexing.polynomials",
         "repro.engine.index_vec:Placement.funcs",
         "repro.engine.index_vec:PlacementIndexing.*",
-        "repro.engine.multiconfig:MultiConfigLRUProfile.*",
         "repro.cpu.*:*.entries",
         "repro.cpu.lsq:StoreForwardingBuffer.forward_latency",
         "repro.cpu.resources:*.width", "repro.cpu.resources:*.capacity",
@@ -158,7 +160,6 @@ ALLOWLIST: Dict[str, str] = {
         "repro.trace.stream:read_din_trace",
         "repro.trace.stream:read_trace_v2",
         "repro.trace.stream:trace_record_count",
-        "repro.trace.stream:_iter_v2_chunks_mmap",
         "repro.trace.trace_io:*",
     ], _TRACE_API),
     "repro.trace.stream:_zstd_module": _ZSTD,
@@ -168,7 +169,6 @@ ALLOWLIST: Dict[str, str] = {
         "repro.engine.batch:AddressBatch.from_trace",
         "repro.engine.batch:AddressBatch.slice",
         "repro.trace.record:*",
-        "repro.engine.multiconfig:run_lru_grid*",
     ], _TEST_INPUT),
     **dict.fromkeys([
         "repro.cpu.dcache:DataCacheModel.recorded_stream",
@@ -177,8 +177,7 @@ ALLOWLIST: Dict[str, str] = {
     ], _FUZZ),
     **dict.fromkeys([
         "repro.engine.batch_cache:_classify_over_hits",
-        "repro.engine.multiconfig:_level_pass_loads",
-        "repro.engine.multiconfig:_level_pass_uniform",
+        "repro.engine.batch:AddressBatch.block_numbers",
     ], _NO_RUN),
     **dict.fromkeys([
         "repro.analysis.*",

@@ -20,13 +20,9 @@ L1 over a physical L2 in one trace-order loop, and
 :mod:`repro.engine.sweep` fans experiment sweeps across one process pool
 (``on_error="collect"`` slots a :class:`TaskFailure` in place of a failed
 task's result).
-:mod:`repro.engine.multiconfig` prices conventional LRU
-capacity/associativity grids out of one all-associativity pass per set
-count, exact or SHARDS-sampled.  ``MultiConfigPlan`` routes a sweep's
-tasks by one rule on both kernel tiers, exposed by the experiments as
-``profile={"auto", "sampled"}``: ``"auto"`` runs every task on its own
-kernel, and ``"sampled"`` prices LRU groups approximately through a
-sampled profile at ``--sample-rate``/``--sample-size``/``--profile-seed``.
+:class:`MultiConfigPlan` runs the tasks of one experiment's trace, each
+on its own cache's kernel, and reads their counters back as
+:class:`ProfileCounts`.
 
 Experiment drivers expose the choice as ``engine={"reference", "vectorized"}``
 (CLI: ``--engine``); :data:`ENGINES` names the valid values.
@@ -41,15 +37,10 @@ from .batch_cache import (
 from .hierarchy_vec import BatchVirtualRealHierarchy, HierarchyBatchResult
 from .index_vec import Placement, PlacementIndexing, placement, way_function
 from .multiconfig import (
-    PROFILE_MODES,
-    MultiConfigLRUProfile,
     MultiConfigPlan,
     ProfileCounts,
-    ProfileOptions,
-    check_profile_mode,
     memo_info,
     profile_cache_info,
-    run_lru_grid,
 )
 from .replacement_vec import PolicyTables
 from .sweep import (
@@ -74,13 +65,9 @@ __all__ = [
     "HierarchyBatchResult",
     "batch_page_frames",
     "PolicyTables",
-    "PROFILE_MODES",
-    "check_profile_mode",
     "ProfileCounts",
-    "ProfileOptions",
-    "MultiConfigLRUProfile",
     "MultiConfigPlan",
-    "run_lru_grid",
+    # Read by perfbench/rep.py on every timed run.
     "profile_cache_info",
     "memo_info",
     "Placement",

@@ -78,16 +78,6 @@ class AddressBatch:
     def __len__(self) -> int:
         return self.addresses.shape[0]
 
-    @property
-    def store_count(self) -> int:
-        """Number of stores in the batch."""
-        return int(self.is_write.sum())
-
-    @property
-    def has_stores(self) -> bool:
-        """True when the batch contains at least one store."""
-        return bool(self.is_write.any())
-
     @classmethod
     def from_arrays(cls, addresses: Union[np.ndarray, Iterable[int]],
                     is_write: Optional[Union[np.ndarray, Iterable[bool]]] = None,
@@ -117,7 +107,7 @@ class AddressBatch:
     def block_numbers(self, block_size: int) -> np.ndarray:
         """Addresses shifted down to block numbers, a fresh ``int64``
         array.  The kernels shift addresses themselves; the 3C classifier
-        and the one-pass LRU profile ask for the array."""
+        asks for the array."""
         if block_size < 1 or block_size & (block_size - 1):
             raise ValueError("block_size must be a positive power of two")
         offset_bits = np.uint64(block_size.bit_length() - 1)

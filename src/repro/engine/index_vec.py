@@ -44,6 +44,7 @@ __all__ = [
     "Placement",
     "placement",
     "PlacementIndexing",
+    # Read by perfbench/rep.py on every timed run.
     "remainder_table",
 ]
 

@@ -14,8 +14,8 @@ as the scalar policies — the PLRU tree walk, ``splitmix64`` and the
 policy) pair bit-exact across engines, including identical random-victim
 sequences from the shared :data:`~repro.cache.replacement.DEFAULT_RANDOM_SEED`.
 
-The module also holds the vectorized splitmix64 finalizer that SHARDS
-sampling and the columnar workload synthesis share.
+The module also holds the vectorized splitmix64 finalizer of the columnar
+workload synthesis.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def splitmix64_finalize_array(x: np.ndarray) -> np.ndarray:
 
     ``x`` holds already-incremented generator states (``uint64``); the
     result is a new ``uint64`` array, ``x`` is left untouched.  This is the
-    one vectorized copy of the finalizer's constants: the SHARDS sampling
-    hash and the columnar workload synthesis both go through it.
+    one vectorized copy of the finalizer's constants; the columnar workload
+    synthesis goes through it.
     """
     # The multiplies wrap by design; NumPy warns about that only for 0-d
     # input, which it computes as scalars.

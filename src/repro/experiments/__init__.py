@@ -15,8 +15,8 @@ E-RP          replacement x organisation ablation         :mod:`.replacement_stu
 
 The trace-level studies describe a run the same way (:mod:`.grid`): traces
 and :class:`OrganisationSpec` organisations, plus frozen option values —
-:class:`~repro.engine.SweepOptions`, :class:`~repro.engine.ProfileOptions`
-and :class:`TraceOptions` — that the CLI builds and every driver takes.
+:class:`~repro.engine.SweepOptions` and :class:`TraceOptions` — that the
+CLI builds and every driver takes.
 Input they reject before simulating raises :class:`InputError`.
 
 :mod:`.claims` checks the paper's claims against one run of these drivers

@@ -22,19 +22,17 @@ and prints the paper-versus-measured ledger of
 :mod:`repro.experiments.claims`, exiting 1 with one line per failed
 claim.  ``--engine``
 picks the bit-exact batch engine (``vectorized``, the default) or the
-scalar reference models it is checked against (``reference``).  The
-sweeping sub-commands build the option values their drivers take from
-their flags: ``SweepOptions`` (``--workers``, ``--on-error``) and, on the
-trace-level studies, ``ProfileOptions`` (``--profile auto|sampled``,
-``--sample-rate``, ``--sample-size``, ``--profile-seed``) and
-``TraceOptions`` (``--trace FILE``, ``--trace-chunk``); each value is
-validated by its option class.  Bad input (a bad flag value, an unknown
-program, bad geometry or counts, a missing trace file, ``--profile
-sampled`` with ``--engine reference`` or ``--trace``) stops with one
-``error:`` line and exit status 2 before any simulation starts; an error
-raised while a simulation runs keeps its traceback.  A sweep run with
-``--on-error collect`` whose tasks failed ends its report with one line
-per failed task and exits 1.
+scalar reference models it is checked against (``reference``); either
+way every cache of a study runs on its own model.  The sweeping
+sub-commands build the option values their drivers take from their
+flags: ``SweepOptions`` (``--workers``, ``--on-error``) and, on the
+trace-level studies, ``TraceOptions`` (``--trace FILE``,
+``--trace-chunk``); each value is validated by its option class.  Bad
+input (a bad flag value, an unknown program, bad geometry or counts, a
+missing trace file) stops with one ``error:`` line and exit status 2
+before any simulation starts; an error raised while a simulation runs
+keeps its traceback.  A sweep run with ``--on-error collect`` whose tasks
+failed ends its report with one line per failed task and exits 1.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ from ..cache.replacement import REPLACEMENT_POLICIES
 from ..engine import (
     ENGINES,
     ON_ERROR_POLICIES,
-    PROFILE_MODES,
-    ProfileOptions,
     SweepOptions,
     TaskFailure,
 )
@@ -67,7 +63,7 @@ __all__ = ["main", "build_parser"]
 
 #: Sub-commands that take ``SweepOptions`` flags.
 _SWEEPING = ("figure1", "table2", "table3", "miss-ratio", "replacement-study")
-#: Sub-commands that also take ``ProfileOptions`` and ``TraceOptions`` flags.
+#: Sub-commands that also take ``TraceOptions`` flags.
 _TRACE_LEVEL = ("figure1", "miss-ratio", "replacement-study")
 
 
@@ -102,31 +98,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                              "tasks and exit 1")
 
 
-def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
-    def checked(name: str, convert: Callable) -> Callable:
-        return _checked(ProfileOptions, name, convert)
-
-    parser.add_argument("--profile", choices=PROFILE_MODES, default="auto",
-                        help="how the vectorized engine prices conventional "
-                             "LRU caches: auto (bit-exact; every cache on "
-                             "its own kernel) or sampled (approximate "
-                             "SHARDS-sampled LRU profiles; not with "
-                             "--engine reference or --trace)")
-    parser.add_argument("--sample-rate", type=checked("sample_rate", float),
-                        default=0.01,
-                        help="profile=sampled: spatial sampling rate in "
-                             "(0, 1]; 1.0 degenerates to the exact profile")
-    parser.add_argument("--sample-size", type=checked("sample_size", int),
-                        help="profile=sampled: cap the expected sample to "
-                             "about this many accesses (fixed-size SHARDS; "
-                             "lowers the effective rate on long traces)")
-    parser.add_argument("--profile-seed", type=checked("profile_seed", int),
-                        default=0,
-                        help="profile=sampled: seed of the spatial hash "
-                             "(same seed + rate => bit-identical sampled "
-                             "results)")
-
-
 def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", metavar="FILE",
                         help="replay this recorded trace instead of the "
@@ -153,7 +124,6 @@ def _options(args: argparse.Namespace) -> Dict[str, object]:
     if args.experiment in _SWEEPING:
         options["sweep_options"] = _from_args(SweepOptions, args)
     if args.experiment in _TRACE_LEVEL:
-        options["profile_options"] = _from_args(ProfileOptions, args)
         options["trace_options"] = _from_args(TraceOptions, args)
     return options
 
@@ -189,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(figure1)
     add_engine(figure1)
     add_replacement(figure1)
-    _add_profile_flags(figure1)
     _add_trace_flags(figure1)
 
     table2 = sub.add_parser("table2", help="Table 2 IPC / miss-ratio sweep")
@@ -211,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(miss_ratio)
     add_engine(miss_ratio)
     add_replacement(miss_ratio)
-    _add_profile_flags(miss_ratio)
     _add_trace_flags(miss_ratio)
 
     replacement = sub.add_parser(
@@ -222,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     replacement.add_argument("--csv", action="store_true")
     _add_sweep_flags(replacement)
     add_engine(replacement)
-    _add_profile_flags(replacement)
     _add_trace_flags(replacement)
 
     holes = sub.add_parser("holes", help="Section 3.3 hole model vs simulation")
@@ -329,8 +296,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     A bad option value, or input a driver rejects before simulating
     (:class:`~repro.experiments.config.InputError`: unknown programs, bad
-    geometry or counts, a missing trace file, a sampled profile no task
-    would use), is a one-line usage error
+    geometry or counts, a missing trace file), is a one-line usage error
     with exit status 2.  Errors raised during the simulation propagate.  A
     sweep that finished with failed tasks (``--on-error collect``) prints
     its report, then one footer line per failed task, and returns 1; so

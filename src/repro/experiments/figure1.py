@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis.histograms import MissRatioHistogram
 from ..engine import (
     ENGINE_REFERENCE,
-    ProfileOptions,
     SweepOptions,
     TaskFailure,
     check_engine,
@@ -49,7 +48,6 @@ from .config import (
 from .grid import (
     StrideTrace,
     TraceOptions,
-    check_sampling,
     run_grid,
     simulate,
 )
@@ -93,7 +91,6 @@ def stride_miss_ratio(scheme: str, stride: int,
                       sweeps: int = 8, address_bits: int = 19,
                       engine: str = ENGINE_REFERENCE,
                       replacement: Optional[str] = None,
-                      profile_options: ProfileOptions = ProfileOptions(),
                       ) -> float:
     """Miss ratio of one (scheme, stride) pair under the Figure 1 workload.
 
@@ -101,15 +98,12 @@ def stride_miss_ratio(scheme: str, stride: int,
     sweep's compulsory misses are amortised over the rest, as in the paper's
     "repeated accesses".  ``engine`` picks the scalar reference model or the
     bit-exact batch engine; ``replacement`` the replacement policy (``None``
-    means the paper's LRU).  ``profile_options`` picks how the vectorized
-    engine prices the task (see
-    :class:`~repro.engine.multiconfig.MultiConfigPlan`).
+    means the paper's LRU).
     """
     spec = OrganisationSpec(scheme=scheme, geometry=geometry,
                             replacement=replacement, address_bits=address_bits)
     source = StrideTrace(stride, elements, element_size, sweeps)
-    return simulate(source, [spec], check_engine(engine),
-                    profile_options)[0].miss_ratio
+    return simulate(source, [spec], check_engine(engine))[0].miss_ratio
 
 
 def run_figure1(max_stride: int = 4096,
@@ -121,7 +115,6 @@ def run_figure1(max_stride: int = 4096,
                 address_bits: int = 19,
                 replacement: Optional[str] = None,
                 sweep_options: SweepOptions = SweepOptions(),
-                profile_options: ProfileOptions = ProfileOptions(),
                 trace_options: TraceOptions = TraceOptions(),
                 ) -> Figure1Result:
     """Run the Figure 1 stride sweep over ``1 <= S < max_stride``.
@@ -130,12 +123,9 @@ def run_figure1(max_stride: int = 4096,
     ``schemes`` (default: the four of Figure 1) with ``replacement``
     (``None`` means the paper's LRU) on ``engine``; ``sweep_options``
     fans the strides across workers, and under ``on_error="collect"`` a
-    failed stride lands in ``result.failures`` and reads ``nan``.  Every
-    stride is its own trace, so a profile prices one configuration: the
-    conventional LRU rows leave their kernel on the Python kernel tier and
-    under ``profile="sampled"``.  ``trace_options.trace`` replaces the
-    strides with one recorded trace: the result then has one miss ratio
-    per scheme.
+    failed stride lands in ``result.failures`` and reads ``nan``.
+    ``trace_options.trace`` replaces the strides with one recorded trace:
+    the result then has one miss ratio per scheme.
     """
     engine = check_engine(engine)
     schemes = list(schemes) if schemes is not None else list(INDEX_SCHEMES)
@@ -143,9 +133,8 @@ def run_figure1(max_stride: int = 4096,
                               replacement=replacement,
                               address_bits=address_bits)
              for scheme in schemes]
-    check_sampling(engine, profile_options, trace_options, specs)
     if trace_options.trace is not None:
-        cells = [simulate(trace_options, specs, engine, profile_options)]
+        cells = [simulate(trace_options, specs, engine)]
         strides = 1
     else:
         if max_stride < 2:
@@ -154,8 +143,7 @@ def run_figure1(max_stride: int = 4096,
             raise InputError("stride_step must be positive")
         sources = [StrideTrace(stride, elements, sweeps=sweeps)
                    for stride in range(1, max_stride, stride_step)]
-        cells = run_grid(sources, specs, engine, profile_options,
-                         sweep_options)
+        cells = run_grid(sources, specs, engine, sweep_options)
         strides = len(sources)
 
     result = Figure1Result(geometry=geometry, strides=strides)

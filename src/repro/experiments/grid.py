@@ -8,20 +8,19 @@ one engine and reads each cache's counters.  A driver says only *what*:
   (a recorded on-disk trace);
 * **organisations** — :class:`~repro.experiments.config.OrganisationSpec`
   values, built for either engine;
-* **options** — frozen values validated once: :class:`TraceOptions`,
-  :class:`~repro.engine.sweep.SweepOptions` and
-  :class:`~repro.engine.multiconfig.ProfileOptions`.  The CLI builds them
-  and the drivers take them.
+* **options** — frozen values validated once: :class:`TraceOptions` and
+  :class:`~repro.engine.sweep.SweepOptions`.  The CLI builds them and the
+  drivers take them.
 
 Sources reject a bad description with
 :class:`~repro.experiments.config.InputError` when they are built, before
-any simulation starts; :func:`check_sampling` rejects a sampled profile
-that no task of the run would use.
+any simulation starts.
 
-:func:`simulate` replays one source through every organisation — on the
-vectorized engine through one :class:`~repro.engine.multiconfig.MultiConfigPlan`
-over the once-materialised trace, or, for a recorded trace, in one bounded
-chunked pass feeding every cache (bit-identical to a whole-trace replay);
+:func:`simulate` replays one source through a cold cache of every
+organisation, each on its own kernel — on the vectorized engine through
+one :class:`~repro.engine.multiconfig.MultiConfigPlan` over the
+once-materialised trace, or, for a recorded trace, in one bounded chunked
+pass feeding every cache (bit-identical to a whole-trace replay);
 :func:`run_grid` runs one :func:`simulate` task per source through
 :func:`~repro.engine.sweep.run_sweep`, serially or on one process pool.
 """
@@ -37,8 +36,8 @@ from typing import Any, List, Optional, Sequence
 from ..engine import (
     ENGINE_VECTORIZED,
     AddressBatch,
+    MultiConfigPlan,
     ProfileCounts,
-    ProfileOptions,
     SweepOptions,
     check_engine,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ProgramTrace",
     "StrideTrace",
     "TraceOptions",
-    "check_sampling",
     "simulate",
     "run_grid",
 ]
@@ -144,34 +142,6 @@ class TraceOptions:
         return read_trace_records(self.trace)
 
 
-def check_sampling(engine: str, profile_options: ProfileOptions,
-                   trace_options: TraceOptions,
-                   organisations: Sequence[Any]) -> None:
-    """Reject ``profile="sampled"`` where no plan would sample.
-
-    Only the vectorized engine's plan over a materialised trace prices
-    tasks out of profiles, and it samples LRU caches only.  The reference
-    engine and a streamed recorded trace run every cache access by access,
-    and ``organisations`` with no LRU cache among them (a zero-argument
-    factory counts as one: its policy is unknown) all run exactly, so
-    sampling would silently change nothing.
-    """
-    if profile_options.profile != "sampled":
-        return
-    if engine != ENGINE_VECTORIZED:
-        raise InputError(f"profile 'sampled' needs the vectorized engine; "
-                         f"the {engine} engine runs every access")
-    if trace_options.trace is not None:
-        raise InputError("profile 'sampled' cannot apply to a recorded "
-                         "trace: it streams through every cache unsampled")
-    policies = {getattr(org, "replacement", None) or "lru"
-                for org in organisations}
-    if "lru" not in policies:
-        raise InputError("profile 'sampled' approximates LRU caches only; "
-                         f"with {'/'.join(sorted(policies))} replacement "
-                         "every cache runs exactly")
-
-
 def _feed(cache, batch: AddressBatch) -> None:
     """Drive a cache with a batch: native ``run`` or scalar replay."""
     if hasattr(cache, "run"):
@@ -183,10 +153,10 @@ def _feed(cache, batch: AddressBatch) -> None:
         access(address, is_write=is_write)
 
 
-def simulate(source, organisations: Sequence[Any], engine: str,
-             profile_options: ProfileOptions = ProfileOptions(),
-             ) -> List[ProfileCounts]:
-    """Replay ``source`` through cold caches of every organisation.
+def simulate(source, organisations: Sequence[Any],
+             engine: str) -> List[ProfileCounts]:
+    """Replay ``source`` through cold caches of every organisation, each
+    cache on its own kernel.
 
     ``organisations`` holds :class:`OrganisationSpec` values or
     zero-argument cache factories; the counts
@@ -198,7 +168,7 @@ def simulate(source, organisations: Sequence[Any], engine: str,
                  for org in organisations]
     if engine == ENGINE_VECTORIZED and not isinstance(source, TraceOptions):
         batch = source.batch()
-        plan = profile_options.plan()
+        plan = MultiConfigPlan()
         for index, factory in enumerate(factories):
             plan.add(index, batch, factory, runner=_feed)
         counts = plan.run()
@@ -223,7 +193,6 @@ def _grid_task(task: tuple) -> List[ProfileCounts]:
 
 def run_grid(sources: Sequence[Any], organisations: Sequence[OrganisationSpec],
              engine: str,
-             profile_options: ProfileOptions = ProfileOptions(),
              sweep_options: SweepOptions = SweepOptions()) -> List[Any]:
     """:func:`simulate` every source, one sweep task per source.
 
@@ -232,6 +201,5 @@ def run_grid(sources: Sequence[Any], organisations: Sequence[OrganisationSpec],
     that took its place.
     """
     engine = check_engine(engine)
-    tasks = [(source, tuple(organisations), engine, profile_options)
-             for source in sources]
+    tasks = [(source, tuple(organisations), engine) for source in sources]
     return sweep_options.run(_grid_task, tasks)

@@ -32,7 +32,6 @@ from ..analysis.metrics import arithmetic_mean
 from ..analysis.reporting import TableBuilder
 from ..engine import (
     ENGINE_REFERENCE,
-    ProfileOptions,
     SweepOptions,
     TaskFailure,
     check_engine,
@@ -42,7 +41,6 @@ from .config import PAPER_L1_8KB, CacheGeometry, InputError, OrganisationSpec
 from .grid import (
     ProgramTrace,
     TraceOptions,
-    check_sampling,
     run_grid,
     simulate,
 )
@@ -125,7 +123,6 @@ def run_miss_ratio_study(programs: Optional[Sequence[str]] = None,
                          engine: str = ENGINE_REFERENCE,
                          replacement: Optional[str] = None,
                          sweep_options: SweepOptions = SweepOptions(),
-                         profile_options: ProfileOptions = ProfileOptions(),
                          trace_options: TraceOptions = TraceOptions(),
                          workers: Optional[int] = None,
                          ) -> MissRatioStudyResult:
@@ -135,8 +132,7 @@ def run_miss_ratio_study(programs: Optional[Sequence[str]] = None,
     the paper's LRU) on either engine through
     :func:`~repro.experiments.grid.run_grid`, one sweep task per program
     (``sweep_options``; under ``on_error="collect"`` a failed program lands
-    in ``result.failures`` instead of the table).  ``profile_options``
-    picks how the vectorized engine prices the conventional rows.
+    in ``result.failures`` instead of the table).
 
     A caller-supplied ``organisations`` mapping (label ->
     :class:`OrganisationSpec`, or a zero-argument cache factory — batch
@@ -159,9 +155,8 @@ def run_miss_ratio_study(programs: Optional[Sequence[str]] = None,
     organisation_map = (dict(organisations) if organisations is not None
                         else study_organisations(replacement=replacement))
     labels, specs = list(organisation_map), list(organisation_map.values())
-    check_sampling(engine, profile_options, trace_options, specs)
     if trace_options.trace is not None:
-        counts = simulate(trace_options, specs, engine, profile_options)
+        counts = simulate(trace_options, specs, engine)
         result = MissRatioStudyResult(accesses_per_program=counts[0].accesses)
         result.miss_ratios[trace_options.label] = _percent(labels, counts)
         return result
@@ -172,11 +167,9 @@ def run_miss_ratio_study(programs: Optional[Sequence[str]] = None,
 
     result = MissRatioStudyResult(accesses_per_program=accesses)
     if organisations is not None:
-        cells = [simulate(source, specs, engine, profile_options)
-                 for source in sources]
+        cells = [simulate(source, specs, engine) for source in sources]
     else:
-        cells = run_grid(sources, specs, engine, profile_options,
-                         sweep_options)
+        cells = run_grid(sources, specs, engine, sweep_options)
     for name, counts in zip(program_list, cells):
         if isinstance(counts, TaskFailure):
             result.failures.append(counts)

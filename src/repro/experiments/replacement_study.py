@@ -37,7 +37,6 @@ from ..analysis.reporting import TableBuilder
 from ..cache.replacement import REPLACEMENT_POLICIES
 from ..engine import (
     ENGINE_REFERENCE,
-    ProfileOptions,
     SweepOptions,
     TaskFailure,
     check_engine,
@@ -47,7 +46,6 @@ from .config import PAPER_L1_8KB, CacheGeometry, InputError, OrganisationSpec
 from .grid import (
     ProgramTrace,
     TraceOptions,
-    check_sampling,
     run_grid,
     simulate,
 )
@@ -133,7 +131,6 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
                           seed: int = 12345,
                           engine: str = ENGINE_REFERENCE,
                           sweep_options: SweepOptions = SweepOptions(),
-                          profile_options: ProfileOptions = ProfileOptions(),
                           trace_options: TraceOptions = TraceOptions(),
                           trace: Optional[str] = None,
                           trace_chunk: int = TraceOptions.trace_chunk,
@@ -145,9 +142,7 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
     miss ratios.  Runs through :func:`~repro.experiments.grid.run_grid`, one
     sweep task per program (``sweep_options``; under
     ``on_error="collect"`` a failed program lands in ``result.failures`` and
-    the averages cover the surviving programs); ``profile_options`` picks
-    how the vectorized engine prices the LRU and FIFO rows (``sampled``
-    approximates the LRU rows only).
+    the averages cover the surviving programs).
 
     ``trace_options.trace`` replaces the synthetic suite with one recorded
     on-disk trace; the reported ratios are then that trace's.
@@ -169,9 +164,8 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
     labels = list(per_policy[policy_list[0]])
     keys = [(label, policy) for label in labels for policy in policy_list]
     specs = [per_policy[policy][label] for label, policy in keys]
-    check_sampling(engine, profile_options, trace_options, specs)
     if trace_options.trace is not None:
-        counts = simulate(trace_options, specs, engine, profile_options)
+        counts = simulate(trace_options, specs, engine)
         cells = [counts]
         program_list = [trace_options.label]
         accesses = counts[0].accesses
@@ -181,7 +175,7 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
         program_list = list(programs) if programs is not None else workload_names()
         cells = run_grid([ProgramTrace(name, accesses, seed)
                           for name in program_list],
-                         specs, engine, profile_options, sweep_options)
+                         specs, engine, sweep_options)
 
     result = ReplacementStudyResult(accesses_per_program=accesses,
                                     programs=program_list,

@@ -636,29 +636,6 @@ def _iter_v2_chunk_columns(path: Path, compression: Optional[str],
             raise ValueError(f"{label}: trailing data after {count} records")
 
 
-def _iter_v2_chunks_mmap(path: Path, label: str, chunk_size: int):
-    """Chunked (addresses, is_write) iteration over an mmap-ed v2 file.
-
-    Zero-copy per chunk; note that pages touched stay resident until the
-    OS reclaims them, so for strict peak-RSS bounds prefer the buffered
-    path (``use_mmap=False``, the default of :func:`iter_trace_chunks`).
-    """
-    with path.open("rb") as handle:
-        count = _read_v2_count(handle, label)
-    _check_v2_size(path, count, label)
-    addresses = np.memmap(path, dtype="<u8", mode="r",
-                          offset=_v2_column_offset(count, "addresses"),
-                          shape=(count,))
-    flags = np.memmap(path, dtype="u1", mode="r",
-                      offset=_v2_column_offset(count, "is_write"),
-                      shape=(count,))
-    for start in range(0, count, chunk_size):
-        stop = min(start + chunk_size, count)
-        flag_chunk = np.asarray(flags[start:stop])
-        _check_flags(flag_chunk, start, label)
-        yield np.asarray(addresses[start:stop]), flag_chunk.astype(bool)
-
-
 def _iter_v2_records(path: Path, compression: Optional[str], label: str,
                      chunk_size: int = 65536) -> Iterator[MemoryAccess]:
     """Record-level v2 iteration (for the scalar engine and converters)."""
@@ -792,22 +769,18 @@ def _iter_record_chunks(records: Iterator[MemoryAccess], chunk_size: int):
 
 
 def iter_trace_chunks(path: Union[str, Path],
-                      chunk_size: int = DEFAULT_CHUNK_SIZE,
-                      use_mmap: bool = False):
+                      chunk_size: int = DEFAULT_CHUNK_SIZE):
     """Stream any trace file as bounded :class:`AddressBatch` chunks.
 
     The engine-facing entry point of the streaming layer: every yielded
     batch holds at most ``chunk_size`` accesses, so peak memory is bounded
     by the chunk (plus cache state) regardless of trace length.  Feeding
-    the chunks to ``BatchSetAssociativeCache.run_chunks`` (or the
-    multiconfig builders) is bit-exact with one ``run()`` over the whole
-    trace.
+    the chunks to ``BatchSetAssociativeCache.run_chunks`` is bit-exact with
+    one ``run()`` over the whole trace.
 
-    ``use_mmap=True`` maps uncompressed v2 columns instead of reading them
-    — faster on warm files, but mapped pages count against resident memory
-    until the OS evicts them, so the memory-bounded sweeps keep the
-    default buffered path.  v1/text/din inputs go through their validating
-    record parsers, preserving each format's error precision mid-stream.
+    v2 columns are read through buffered per-column cursors (compressed or
+    not); v1/text/din inputs go through their validating record parsers,
+    preserving each format's error precision mid-stream.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
@@ -818,11 +791,6 @@ def iter_trace_chunks(path: Union[str, Path],
         from ..engine.batch import AddressBatch
 
         def v2_batches():
-            if fmt.compression is None and use_mmap:
-                chunks = _iter_v2_chunks_mmap(path, label, chunk_size)
-                for addresses, flags in chunks:
-                    yield AddressBatch.from_arrays(addresses, flags)
-                return
             columns = ("addresses", "is_write")
             for start, chunk in _iter_v2_chunk_columns(
                     path, fmt.compression, label, chunk_size, columns):

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from repro.experiments import claims
+from repro.experiments import claims, cli
 from repro.experiments.cli import build_parser, main
 
 
@@ -36,15 +36,9 @@ class TestParser:
     @pytest.mark.parametrize("command", ["figure1", "miss-ratio",
                                          "replacement-study"])
     def test_sweep_options_parity(self, command):
-        """--workers/--profile exist on every trace-level sweeping command."""
-        args = build_parser().parse_args(
-            [command, "--workers", "3", "--profile", "sampled"])
+        """--workers exists on every trace-level sweeping command."""
+        args = build_parser().parse_args([command, "--workers", "3"])
         assert args.workers == 3
-        assert args.profile == "sampled"
-
-    def test_profile_choices_are_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["miss-ratio", "--profile", "sometimes"])
 
     @pytest.mark.parametrize("command", ["figure1", "miss-ratio",
                                          "replacement-study", "table2",
@@ -66,8 +60,6 @@ class TestParser:
         ["table2", "--workers", "1.5"],
         ["figure1", "--on-error", "ignore"],
         ["table3", "--workers", "-1"],
-        ["miss-ratio", "--profile", "always"],
-        ["figure1", "--profile", "never"],
     ])
     def test_bad_sweep_values_rejected_at_parse_time(self, argv, capsys):
         """Invalid sweep/fault values die in argparse (clear usage error),
@@ -118,41 +110,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         assert "--trace-chunk" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["figure1", "miss-ratio",
-                                         "replacement-study"])
-    def test_sampling_options_parity(self, command):
-        """--sample-rate/--sample-size/--profile-seed exist on every
-        profiling command and default to the documented knob values."""
-        parser = build_parser()
-        defaults = parser.parse_args([command])
-        assert defaults.sample_rate == 0.01
-        assert defaults.sample_size is None
-        assert defaults.profile_seed == 0
-        args = parser.parse_args(
-            [command, "--profile", "sampled", "--sample-rate", "0.05",
-             "--sample-size", "4096", "--profile-seed", "7"])
-        assert args.profile == "sampled"
-        assert args.sample_rate == 0.05
-        assert args.sample_size == 4096
-        assert args.profile_seed == 7
-
-    @pytest.mark.parametrize("argv", [
-        ["figure1", "--sample-rate", "0"],
-        ["miss-ratio", "--sample-rate", "-0.1"],
-        ["replacement-study", "--sample-rate", "1.5"],
-        ["figure1", "--sample-rate", "lots"],
-        ["miss-ratio", "--sample-size", "0"],
-        ["replacement-study", "--sample-size", "-8"],
-        ["figure1", "--profile-seed", "-1"],
-        ["miss-ratio", "--profile-seed", "x"],
-    ])
-    def test_bad_sampling_values_rejected_at_parse_time(self, argv, capsys):
-        """Invalid sampling knobs die in argparse (clear usage error),
-        never deep inside a driver or the plan constructor."""
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
-        assert argv[1] in capsys.readouterr().err  # error names the flag
 
     def test_holes_options(self):
         args = build_parser().parse_args(
@@ -297,10 +254,9 @@ class TestExecution:
         out = capsys.readouterr().out
         assert out.startswith("organisation,")
 
-    def test_miss_ratio_with_workers_and_profile(self, capsys):
+    def test_miss_ratio_with_workers(self, capsys):
         assert main(["miss-ratio", "--accesses", "4000", "--programs", "gcc",
-                     "--engine", "vectorized", "--workers", "2",
-                     "--profile", "sampled"]) == 0
+                     "--engine", "vectorized", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "conventional-2way" in out
 
@@ -322,7 +278,7 @@ class TestExecution:
     def test_replacement_study_with_workers(self, capsys):
         assert main(["replacement-study", "--accesses", "3000",
                      "--programs", "gcc", "--engine", "vectorized",
-                     "--workers", "2", "--profile", "sampled"]) == 0
+                     "--workers", "2"]) == 0
         assert "replacement sensitivity" in capsys.readouterr().out
 
 
@@ -480,42 +436,31 @@ class TestBadInputFailsFast:
         (["table3", "--instructions", "10"], "instructions should be at least"),
         (["miss-ratio", "--trace", "no/such/file.ctr"],
          "trace file not found"),
-        (["miss-ratio", "--profile", "sampled", "--engine", "reference"],
-         "needs the vectorized engine"),
-        (["figure1", "--profile", "sampled", "--engine", "reference",
-          "--workers", "2"], "needs the vectorized engine"),
-        (["replacement-study", "--profile", "sampled", "--engine",
-          "reference", "--programs", "gcc"], "needs the vectorized engine"),
     ])
     def test_rejected_with_one_line_and_exit_2(self, argv, message, capsys):
         assert_usage_error(argv, message, capsys)
 
     @pytest.mark.parametrize("command", ["figure1", "miss-ratio",
                                          "replacement-study"])
-    def test_sampled_profile_of_a_recorded_trace_is_rejected(
-            self, command, tmp_path, capsys):
-        """A recorded trace streams through every cache without a plan, so
-        --profile sampled would silently change nothing."""
-        from repro.trace.stream import write_trace_v2
+    @pytest.mark.parametrize("flag, value", [
+        ("--profile", "sampled"), ("--sample-rate", "0.5"),
+        ("--sample-size", "64"), ("--profile-seed", "1")])
+    def test_removed_profile_flags_are_rejected(self, command, flag, value,
+                                                monkeypatch, capsys):
+        """The sampled-profile flags are gone: each one stops argument
+        parsing with exit 2 and an error line that names it."""
+        def unreachable(*args):
+            raise AssertionError("the experiment ran")
 
-        path = tmp_path / "recorded.ctr"
-        write_trace_v2(path, [32 * i for i in range(100)])
-        assert_usage_error(
-            [command, "--trace", str(path), "--profile", "sampled",
-             "--sample-rate", "0.01"],
-            "profile 'sampled' cannot apply to a recorded trace", capsys)
-
-    @pytest.mark.parametrize("command, policy", [
-        ("miss-ratio", "fifo"), ("miss-ratio", "random"),
-        ("figure1", "plru"), ("figure1", "fifo")])
-    def test_sampled_profile_without_lru_caches_is_rejected(
-            self, command, policy, capsys):
-        """The sampler approximates LRU caches only: with every cache on
-        another policy --profile sampled would silently change nothing."""
-        assert_usage_error(
-            [command, "--replacement", policy, "--profile", "sampled",
-             "--sample-rate", "0.01"],
-            "profile 'sampled' approximates LRU caches only", capsys)
+        monkeypatch.setattr(cli, "_run_experiment", unreachable)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert flag in line
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_trace_corrupt_partway_is_not_a_usage_error(self, tmp_path,

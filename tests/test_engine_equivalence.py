@@ -11,6 +11,8 @@ The small configurations run in tier-1; the deep sweeps (longer traces, more
 geometry combinations) are marked ``slow`` and run with ``pytest -m slow``.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -591,20 +593,28 @@ def test_deep_strided_sweep(scheme):
 
 
 # --------------------------------------------------------------------- #
-# one-pass multi-configuration profiler: three-path equality
+# conventional grids: batch kernel == scalar model, on both tiers
 # --------------------------------------------------------------------- #
 
-from repro.engine import MultiConfigLRUProfile, ProfileCounts  # noqa: E402
-
-#: The (num_sets, ways) grid the profile-equality tests price out of one
-#: pass per set count — fully-associative (one set) included.
-PROFILE_GRID = [(num_sets, ways) for num_sets in (1, 16, 64, 128)
-                for ways in (1, 2, 3, 4, 8)]
+#: A (num_sets, ways) grid of conventional caches — fully-associative
+#: (one set) included.
+GRID = [(num_sets, ways) for num_sets in (1, 16, 64, 128)
+        for ways in (1, 2, 3, 4, 8)]
 
 
-def counts_snapshot(stats):
-    """The profile-comparable subset of a CacheStats."""
-    return ProfileCounts.from_stats(stats)
+@functools.lru_cache(maxsize=None)
+def scalar_grid(trace_name, write_policy, policy):
+    """Every ``GRID`` point's scalar counters (shared by both tiers)."""
+    trace = list(TRACES[trace_name]())
+    snapshots = []
+    for num_sets, ways in GRID:
+        scalar = SetAssociativeCache(num_sets * ways * 32, 32, ways,
+                                     replacement=policy,
+                                     write_policy=write_policy)
+        for access in trace:
+            scalar.access(access.address, is_write=access.is_write)
+        snapshots.append(stats_snapshot(scalar.stats))
+    return snapshots
 
 
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
@@ -612,40 +622,20 @@ def counts_snapshot(stats):
     WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
     WritePolicy.WRITE_BACK_ALLOCATE,
 ])
-class TestProfileThreePathEquality:
-    """Profile == batch kernel == scalar model, for every grid point.
+@pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+class TestConventionalGridEquality:
+    """Batch kernel == scalar model at every grid point, for every policy,
+    under both write policies (the traces include stores), on the
+    compiled kernels and on the Python tier."""
 
-    One :class:`MultiConfigLRUProfile` pass per set count must price every
-    conventional-LRU configuration of the grid with exactly the counters
-    the per-config batch kernels and the scalar models produce — under
-    both write policies (the traces include stores, so this pins the
-    priority-stack store handling as well as the uniform update).
-    """
-
-    def test_profile_matches_both_engines(self, trace_name, write_policy):
-        trace = list(TRACES[trace_name]())
-        batch = batch_of(trace)
-        level_caps = {}
-        for num_sets, ways in PROFILE_GRID:
-            level_caps[num_sets] = max(level_caps.get(num_sets, 0), ways)
-        profile = MultiConfigLRUProfile(batch, 32, level_caps,
-                                        write_policy=write_policy)
-        for num_sets, ways in PROFILE_GRID:
-            expected = profile.miss_counts(num_sets, ways)
-
+    def test_kernel_matches_scalar(self, trace_name, write_policy, policy,
+                                   kernel_path):
+        batch = batch_of(list(TRACES[trace_name]()))
+        expected = scalar_grid(trace_name, write_policy, policy)
+        for (num_sets, ways), scalar in zip(GRID, expected):
             kernel = BatchSetAssociativeCache(
-                num_sets * ways * 32, 32, ways, write_policy=write_policy)
+                num_sets * ways * 32, 32, ways, replacement=policy,
+                write_policy=write_policy)
             kernel.run(batch)
-            assert counts_snapshot(kernel.stats) == expected, (
-                trace_name, write_policy, num_sets, ways)
-
-            scalar = SetAssociativeCache(
-                num_sets * ways * 32, 32, ways, write_policy=write_policy)
-            for access in trace:
-                scalar.access(access.address, is_write=access.is_write)
-            assert counts_snapshot(scalar.stats) == expected, (
-                trace_name, write_policy, num_sets, ways)
-            # The study-facing ratios are the same IEEE doubles, not merely
-            # close: identical integer counters divide identically.
-            assert expected.miss_ratio == scalar.stats.miss_ratio
-            assert expected.load_miss_ratio == scalar.stats.load_miss_ratio
+            assert stats_snapshot(kernel.stats) == scalar, (
+                trace_name, write_policy, policy, num_sets, ways)

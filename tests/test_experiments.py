@@ -7,7 +7,6 @@ import pytest
 from repro.cache.replacement import REPLACEMENT_POLICIES
 from repro.cpu.workloads import program_names
 from repro.engine import (
-    ProfileOptions,
     SweepOptions,
     TaskFailure,
     ckernels,
@@ -94,7 +93,7 @@ class TestFigure1:
         assert fanned.summary() == serial.summary()
 
 
-class TestFigure1Profile:
+class TestFigure1KernelTiers:
     def test_kernel_tiers_are_bit_exact(self, monkeypatch):
         """Without compiled kernels every row runs on the Python kernels
         (the fully-associative one on their one-set path); not a single
@@ -105,14 +104,6 @@ class TestFigure1Profile:
         other = run_figure1(max_stride=33, stride_step=4, sweeps=4,
                             engine="vectorized")
         assert other.miss_ratios == base.miss_ratios
-
-    def test_profile_mode_is_validated(self):
-        with pytest.raises(ValueError):
-            run_figure1(max_stride=16,
-                        profile_options=ProfileOptions("sometimes"))
-        with pytest.raises(ValueError):
-            stride_miss_ratio("a2", 3, engine="vectorized",
-                              profile_options=ProfileOptions("sometimes"))
 
 
 def _square_unless_three(task):
@@ -395,11 +386,6 @@ class TestMissRatioStudy:
                                      replacement=replacement)
         assert other.miss_ratios == base.miss_ratios
 
-    def test_profile_mode_is_validated(self):
-        with pytest.raises(ValueError):
-            run_miss_ratio_study(programs=["gcc"], accesses=4_000,
-                                 profile_options=ProfileOptions("sometimes"))
-
 
 class TestReplacementStudy:
     def test_engines_agree_exactly(self):
@@ -436,9 +422,6 @@ class TestReplacementStudy:
             run_replacement_study(accesses=10)
         with pytest.raises(ValueError):
             run_replacement_study(policies=["mru"], accesses=3_000)
-        with pytest.raises(ValueError):
-            run_replacement_study(accesses=3_000,
-                                  profile_options=ProfileOptions("sometimes"))
 
     def test_workers_change_nothing(self):
         serial = run_replacement_study(programs=["gcc", "swim"],

@@ -237,61 +237,28 @@ def test_goldens_are_committed():
 
 
 def test_lru_grid_profile_matches_golden(kernel_path):
-    """Miss-ratio grid (capacities x ways): the per-config kernels of the
-    tier (``auto``) and the exact one-pass profile (``sampled`` at rate 1)
-    must both reproduce the committed snapshot exactly."""
-    from repro.engine import PROFILE_MODES, AddressBatch, run_lru_grid
+    """Miss-ratio grid (capacities x ways): each configuration's LRU
+    kernel on the tier must reproduce the committed snapshot exactly."""
+    from repro.engine import AddressBatch, BatchSetAssociativeCache
     from repro.trace.batching import cached_workload_arrays
 
     golden = load_golden("lru_grid_profile.json")
     params = golden["params"]
+    block_size = params["block_size"]
     batch = AddressBatch.from_arrays(*cached_workload_arrays(
         params["program"], length=params["accesses"], seed=params["seed"]))
-    grid = [(num_sets, ways) for num_sets in params["num_sets"]
-            for ways in params["ways"]]
-    for mode in PROFILE_MODES:
-        results = run_lru_grid(batch, params["block_size"], grid,
-                               profile=mode, sample_rate=1.0)
-        miss_ratios = {
-            str(num_sets): {str(ways): results[(num_sets, ways)].miss_ratio
-                            for ways in params["ways"]}
-            for num_sets in params["num_sets"]
-        }
-        load_miss_ratios = {
-            str(num_sets): {
-                str(ways): results[(num_sets, ways)].load_miss_ratio
-                for ways in params["ways"]}
-            for num_sets in params["num_sets"]
-        }
-        assert miss_ratios == golden["miss_ratios"], mode
-        assert load_miss_ratios == golden["load_miss_ratios"], mode
-
-
-def test_sampled_grid_profile_matches_golden():
-    """SHARDS-sampled miss-ratio grid: the sampled profile is a pure
-    function of (trace, rate, seed), so each profile seed's estimates are
-    pinned *exactly* — any drift in the spatial hash, the mini-cache
-    scaling or the ratio readout fails here."""
-    from repro.engine import AddressBatch, run_lru_grid
-    from repro.trace.batching import cached_workload_arrays
-
-    golden = load_golden("sampled_grid_profile.json")
-    params = golden["params"]
-    batch = AddressBatch.from_arrays(*cached_workload_arrays(
-        params["program"], length=params["accesses"], seed=params["seed"]))
-    grid = [(num_sets, ways) for num_sets in params["num_sets"]
-            for ways in params["ways"]]
-    for profile_seed in params["profile_seeds"]:
-        results = run_lru_grid(batch, params["block_size"], grid,
-                               profile="sampled",
-                               sample_rate=params["sample_rate"],
-                               profile_seed=profile_seed)
-        miss_ratios = {
-            str(num_sets): {str(ways): results[(num_sets, ways)].miss_ratio
-                            for ways in params["ways"]}
-            for num_sets in params["num_sets"]
-        }
-        assert miss_ratios == golden["miss_ratios"][str(profile_seed)]
+    miss_ratios, load_miss_ratios = {}, {}
+    for num_sets in params["num_sets"]:
+        for ways in params["ways"]:
+            cache = BatchSetAssociativeCache(num_sets * ways * block_size,
+                                             block_size, ways)
+            cache.run(batch)
+            miss_ratios.setdefault(str(num_sets), {})[str(ways)] = (
+                cache.stats.miss_ratio)
+            load_miss_ratios.setdefault(str(num_sets), {})[str(ways)] = (
+                cache.stats.load_miss_ratio)
+    assert miss_ratios == golden["miss_ratios"]
+    assert load_miss_ratios == golden["load_miss_ratios"]
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))

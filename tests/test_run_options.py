@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.cache import WritePolicy
-from repro.engine import ENGINES, ProfileOptions, SweepOptions
+from repro.engine import ENGINES, SweepOptions
 from repro.experiments import (
     CacheGeometry,
     InputError,
@@ -32,18 +32,6 @@ class TestOptionValues:
         with pytest.raises(ValueError):
             SweepOptions(**options)
 
-    @pytest.mark.parametrize("options", [
-        dict(profile="sometimes"), dict(profile="always"),
-        dict(profile="never"), dict(sample_rate=0.0),
-        dict(sample_rate=1.5), dict(sample_size=0), dict(profile_seed=-1),
-    ])
-    def test_profile_options_reject_bad_values(self, options):
-        with pytest.raises(ValueError):
-            ProfileOptions(**options)
-
-    def test_profile_mode_is_normalised(self):
-        assert ProfileOptions(" Sampled ").profile == "sampled"
-
     def test_options_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             SweepOptions().workers = 2
@@ -55,7 +43,7 @@ class TestOptionValues:
             TraceOptions(trace_chunk=0)
 
     @pytest.mark.parametrize("driver, knob", [
-        (run_figure1, dict(workers=2)), (run_figure1, dict(profile="auto")),
+        (run_figure1, dict(workers=2)),
         (run_table3, dict(workers=2)),
         (run_miss_ratio_study, dict(on_error="collect")),
     ])

@@ -4,7 +4,7 @@ Pins the two guarantees :mod:`repro.trace.stream` makes:
 
 * **bit-exactness** — replaying a trace through
   :func:`~repro.trace.stream.iter_trace_chunks` (any chunk size, any
-  format, mmap or buffered) produces the same statistics and policy state
+  format) produces the same statistics and policy state
   tables as materialising the whole trace at once, for every batch kernel
   family;
 * **error precision** — every corruption case the one-shot readers locate
@@ -83,11 +83,10 @@ def _records(n, seed=0):
             for a, w, p, s in zip(addresses, flags, pcs, sizes)]
 
 
-def _drain(path, chunk_size, use_mmap=False):
+def _drain(path, chunk_size):
     """Concatenate every chunk of ``iter_trace_chunks`` into two arrays."""
     addresses, writes = [], []
-    for batch in iter_trace_chunks(path, chunk_size=chunk_size,
-                                   use_mmap=use_mmap):
+    for batch in iter_trace_chunks(path, chunk_size=chunk_size):
         addresses.append(batch.addresses)
         writes.append(batch.is_write)
     if not addresses:
@@ -425,8 +424,6 @@ class TestV2Corruption:
     @pytest.mark.parametrize("consume", [
         lambda path: read_trace_v2(path),
         lambda path: list(iter_trace_chunks(path, chunk_size=3)),
-        lambda path: list(iter_trace_chunks(path, chunk_size=3,
-                                            use_mmap=True)),
     ])
     def test_truncated_header(self, tmp_path, consume):
         path = tmp_path / "t.ctr"
@@ -452,7 +449,7 @@ class TestV2Corruption:
         with pytest.raises(ValueError, match=message):
             read_trace_v2(path, use_mmap=use_mmap)
         with pytest.raises(ValueError, match=message):
-            list(iter_trace_chunks(path, chunk_size=4, use_mmap=use_mmap))
+            list(iter_trace_chunks(path, chunk_size=4))
 
     def test_truncated_compressed_column_names_the_records(self, tmp_path):
         path = self._trace(tmp_path, n=10)
@@ -466,14 +463,13 @@ class TestV2Corruption:
                                              r"\(3 of 4 bytes\)"):
             list(iter_trace_chunks(packed, chunk_size=4))
 
-    @pytest.mark.parametrize("use_mmap", [False, True])
-    def test_trailing_data(self, tmp_path, use_mmap):
+    def test_trailing_data(self, tmp_path):
         path = self._trace(tmp_path, n=10)
         with path.open("ab") as handle:
             handle.write(b"\xff\xff\xff")
         with pytest.raises(ValueError, match=r"trailing data after 10 "
                                              r"records \(3 extra bytes\)"):
-            list(iter_trace_chunks(path, chunk_size=4, use_mmap=use_mmap))
+            list(iter_trace_chunks(path, chunk_size=4))
 
     def test_trailing_data_in_a_compressed_trace(self, tmp_path):
         path = self._trace(tmp_path, n=10)
@@ -499,7 +495,7 @@ class TestV2Corruption:
             read_trace_v2(path, use_mmap=use_mmap)
         # Chunked: records 0..2 and 3..5 stream out first, the error names
         # the trace-global record, not its index inside chunk 2.
-        chunks = iter_trace_chunks(path, chunk_size=3, use_mmap=use_mmap)
+        chunks = iter_trace_chunks(path, chunk_size=3)
         seen = 0
         with pytest.raises(ValueError, match="record 7: corrupt write "
                                              "flag"):
@@ -676,15 +672,6 @@ class TestChunkedReplayBitExact:
         assert np.array_equal(streamed.run(probe), one_shot.run(probe))
         assert streamed.stats == one_shot.stats
 
-    def test_mmap_and_buffered_replay_agree(self, trace_file):
-        path, batch = trace_file
-        mapped, buffered = _set_assoc(), _set_assoc()
-        mapped.run_chunks(iter_trace_chunks(path, chunk_size=512,
-                                            use_mmap=True))
-        buffered.run_chunks(iter_trace_chunks(path, chunk_size=512))
-        assert mapped.stats == buffered.stats
-        assert _state_tables(mapped) == _state_tables(buffered)
-
     def test_kernel_handoff_mid_stream(self, trace_file):
         """A cold load-only first chunk, then chunks with stores: state
         carried across the chunk boundaries stays bit-exact with one run."""
@@ -741,11 +728,9 @@ class TestStreamProperties:
             assert loaded.pcs.tolist() == pcs
             assert loaded.sizes.tolist() == sizes
 
-    @given(columns=_engine_column_sets, chunk_size=st.integers(1, 97),
-           use_mmap=st.booleans())
+    @given(columns=_engine_column_sets, chunk_size=st.integers(1, 97))
     @settings(max_examples=40, deadline=None)
-    def test_chunk_concatenation_is_the_identity(self, columns, chunk_size,
-                                                 use_mmap):
+    def test_chunk_concatenation_is_the_identity(self, columns, chunk_size):
         addresses, flags, pcs, sizes = columns
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.ctr"
@@ -753,8 +738,7 @@ class TestStreamProperties:
                            is_write=flags,
                            pcs=np.array(pcs, dtype=object),
                            sizes=np.array(sizes, dtype=object))
-            streamed_addresses, streamed_writes = _drain(
-                path, chunk_size, use_mmap=use_mmap)
+            streamed_addresses, streamed_writes = _drain(path, chunk_size)
             assert streamed_addresses.tolist() == addresses
             assert streamed_writes.tolist() == flags
 
